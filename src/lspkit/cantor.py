@@ -41,6 +41,7 @@ from .errors import (
     UnsupportedCombination,
 )
 from .measure import _merge_length, ball_volume
+from .sets import _norm
 
 AUDIT_RTOL = 1e-9
 
@@ -268,17 +269,6 @@ def _require_supported(params):
         raise UnsupportedCombination("the builder needs a point-cloud stage provider")
 
 
-def _cloud_candidates(params, B: Ball, j, tilde):
-    """Stage points x with B(x, 3*tilde) inside B (sorted)."""
-    cloud = params.stages.sorted_points(j)
-    lo = B.center[0] - B.radius + 3.0 * tilde
-    hi = B.center[0] + B.radius - 3.0 * tilde
-    if lo > hi:
-        return np.empty((0, 1))
-    i0, i1 = np.searchsorted(cloud, [lo, hi])
-    return cloud[i0:i1][:, None]
-
-
 def _caj_nets(params, a_centers, a_radii, j, upsilon):
     """Net points of the stage cloud inside half of each selection ball."""
     cloud = params.stages.sorted_points(j)
@@ -356,9 +346,6 @@ def _build_local_level(params, consts, B: Ball, parent_level, parent_index, is_r
                 ) from exc
             g_primes.append(g_start)
             seq = lambda j: (params.stages.model(j), mtp_radius(pair, params.stages.upsilon(j)))
-            cand = lambda model, j: _cloud_candidates(
-                params, B, j, mtp_radius(pair, params.stages.upsilon(j))
-            )
             frac = min(1.0, (2.0**n * target) / (params.c5 * vol_b))
             try:
                 kgb = build_kgb(
@@ -370,7 +357,6 @@ def _build_local_level(params, consts, B: Ball, parent_level, parent_index, is_r
                     rng=rng,
                     c5=params.c5,
                     metric=params.metric,
-                    candidate_fn=cand,
                 )
             except CoverageShortfall as exc:
                 raise ConstructionError(
@@ -675,9 +661,7 @@ def ball_mass_upper(tree: CantorTree, mass: MassAssignment, D: Ball, metric=None
     balls meeting D."""
     metric = metric or tree.metric
     centers, radii = tree.leaves()
-    d = centers - D.center
-    dist = np.linalg.norm(d, axis=1) if metric == "euclidean" else np.max(np.abs(d), axis=1)
-    hit = dist < radii + D.radius
+    hit = _norm(centers - D.center, metric) < radii + D.radius
     return float(np.sum(mass.mu[-1][hit]))
 
 

@@ -123,6 +123,16 @@ SCHEMAS = {
         "type": "object",
         "required": ["master_seed", "op"],
         "properties": {"master_seed": _SEED, "op": {"enum": ["five-r", "caj", "kgb"]}},
+        "allOf": [
+            {
+                "if": {"required": ["op"], "properties": {"op": {"const": "caj"}}},
+                "then": {"required": ["model", "region", "upsilon"]},
+            },
+            {
+                "if": {"required": ["op"], "properties": {"op": {"const": "kgb"}}},
+                "then": {"required": ["stages", "region"]},
+            },
+        ],
     },
     "cantor-build": {
         "type": "object",
@@ -158,7 +168,11 @@ SCHEMAS = {
                 },
             },
             "mode": {"enum": ["covering-exponent", "bc-diagnostic"]},
+            "N": {"type": "integer", "minimum": 1},
         },
+        "if": {"required": ["mode"], "properties": {"mode": {"const": "bc-diagnostic"}}},
+        "then": {"required": ["rules"]},
+        "else": {"required": ["N_list"]},
     },
 }
 
@@ -166,10 +180,6 @@ SCHEMAS = {
 def bundled_config(name):
     with resources.files("lspkit.configs").joinpath(name).open() as fh:
         return json.load(fh)
-
-
-def bundled_config_path(name):
-    return str(resources.files("lspkit.configs").joinpath(name))
 
 
 def _set_path(cfg, dotted, raw):
@@ -181,12 +191,6 @@ def _set_path(cfg, dotted, raw):
         node[keys[-1]] = json.loads(raw)
     except json.JSONDecodeError:
         node[keys[-1]] = raw
-
-
-def _require(cfg, keys, command):
-    missing = [k for k in keys if k not in cfg]
-    if missing:
-        raise ArgumentError(f"{command}: config misses required keys {missing}")
 
 
 def _pair_from_config(block):
@@ -404,8 +408,6 @@ def _run_cantor_build(cfg, rng, threads, out_dir=None):
 
 
 def _run_cantor_verify(cfg, rng, threads):
-    import pathlib
-
     tree_path = cfg["tree"]
     with open(tree_path) as fh:
         tree = tree_from_json(json.load(fh))

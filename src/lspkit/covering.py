@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArgumentError, CoverageShortfall
 from .measure import ball_volume
-from .sets import SetModel, sample_on_set
+from .sets import PointSet, SetModel, _norm, sample_on_set
 
 _DISJOINT_SLACK = 1e-12  # relative slack so float tangency still counts
 
@@ -59,10 +59,7 @@ class BallFamily:
 
 
 def _dist(c1, c2, metric):
-    d = np.asarray(c1) - np.asarray(c2)
-    if metric == "euclidean":
-        return float(np.linalg.norm(d))
-    return float(np.max(np.abs(d)))
+    return float(_norm(np.asarray(c1) - np.asarray(c2), metric))
 
 
 def balls_disjoint(b1: Ball, b2: Ball, metric="sup"):
@@ -116,12 +113,7 @@ def five_r_cover(fam: BallFamily) -> BallFamily:
     for i in order:
         b = entries[i].ball if isinstance(entries[i], IndexedBall) else entries[i]
         if count:
-            d = centers[:count] - b.center
-            dist = (
-                np.linalg.norm(d, axis=1)
-                if fam.metric == "euclidean"
-                else np.max(np.abs(d), axis=1)
-            )
+            dist = _norm(centers[:count] - b.center, fam.metric)
             if np.any(dist < (radii[:count] + b.radius) * (1 - _DISJOINT_SLACK)):
                 continue
         centers[count] = b.center
@@ -154,36 +146,39 @@ def greedy_net(points, sep, metric="sup"):
     count = 0
     for p in pts:
         if count:
-            d = chosen[:count] - p
-            dist = (
-                np.linalg.norm(d, axis=1)
-                if metric == "euclidean"
-                else np.max(np.abs(d), axis=1)
-            )
-            if np.any(dist <= sep):
+            if np.any(_norm(chosen[:count] - p, metric) <= sep):
                 continue
         chosen[count] = p
         count += 1
     return chosen[:count].copy()
 
 
+def _candidates(m: SetModel, k, rng, tol):
+    """Points a covering selection draws from a set model: every distinct
+    point of a finite point set, otherwise k samples on the model."""
+    if isinstance(m, PointSet):
+        return np.unique(m.points, axis=0)
+    return sample_on_set(m, k, rng, tol=tol)
+
+
 def separated_net(
     m: SetModel, region: Ball, sep, candidates=10_000, rng=None, metric="sup", tol=1e-9
 ) -> NetResult:
-    """Pool-maximal sep-separated net on the model inside the region.
+    """Greedy sep-separated net on the model inside the region.
 
-    An empty result signals that no pool candidate landed in the region (the
-    set may simply miss it); it is not an error.
+    The pool is every distinct point of a finite point set inside the region,
+    so the net is maximal; for any other model it is the in-region share of
+    ``candidates`` samples and the net is maximal for that pool.  An empty
+    result signals that the pool holds no point of the region (the set may
+    simply miss it); it is not an error.
     """
     # sep >= region diameter is allowed: the net then degenerates to <= 1 point
     if candidates < 100:
         raise ArgumentError("candidate pool must hold >= 100 samples")
     if rng is None:
         rng = np.random.default_rng(0)
-    pool = sample_on_set(m, candidates, rng, tol=tol)
-    d = pool - region.center
-    dist = np.linalg.norm(d, axis=1) if metric == "euclidean" else np.max(np.abs(d), axis=1)
-    pool = pool[dist < region.radius]
+    pool = _candidates(m, candidates, rng, tol)
+    pool = pool[_norm(pool - region.center, metric) < region.radius]
     if len(pool) == 0:
         return NetResult(points=np.empty((0, m.ambient_dim)), sep=sep, pool_size=0)
     pts = greedy_net(pool, sep, metric=metric)
@@ -248,7 +243,6 @@ def build_kgb(
     pool=10_000,
     metric="sup",
     tol=1e-9,
-    candidate_fn=None,
 ) -> KgbResult:
     """Disjoint transformed-radius balls on the stage sets capturing a fixed
     fraction of a ball's volume.
@@ -260,9 +254,8 @@ def build_kgb(
     at the first index where vol of the union reaches
     ``target_fraction * c5 * vol(B)``.
 
-    ``candidate_fn(model, j)`` may replace the default pool sampler with a
-    region-aware candidate generator (same selection semantics, cheaper
-    candidates).
+    The candidate centers of a stage are every distinct point of a finite
+    point-set model; ``pool`` samples are drawn only from other models.
     """
     if not (0 < target_fraction <= 1):
         raise ArgumentError("target_fraction must lie in (0, 1]")
@@ -285,27 +278,11 @@ def build_kgb(
             raise ArgumentError("tilde radii must be non-increasing in j")
         prev_tilde = tilde
         if 3.0 * tilde < B.radius:  # otherwise no candidate can fit
-            if candidate_fn is not None:
-                cand = np.atleast_2d(np.asarray(candidate_fn(model, j), dtype=float))
-            else:
-                cand = sample_on_set(model, pool, rng, tol=tol)
-                cand = np.unique(cand, axis=0)
-            if cand.size:
-                d = cand - B.center
-                dist = (
-                    np.linalg.norm(d, axis=1)
-                    if metric == "euclidean"
-                    else np.max(np.abs(d), axis=1)
-                )
-                cand = cand[dist + 3.0 * tilde <= B.radius * (1 + 1e-12)]
+            cand = np.unique(_candidates(model, pool, rng, tol), axis=0)
+            cand = cand[_norm(cand - B.center, metric) + 3.0 * tilde <= B.radius * (1 + 1e-12)]
             for x in cand:
                 if count:
-                    dd = sel_centers[:count] - x
-                    dist = (
-                        np.linalg.norm(dd, axis=1)
-                        if metric == "euclidean"
-                        else np.max(np.abs(dd), axis=1)
-                    )
+                    dist = _norm(sel_centers[:count] - x, metric)
                     if np.any(dist < (sel_radii3[:count] + 3.0 * tilde) * (1 - _DISJOINT_SLACK)):
                         continue
                 if count == cap:

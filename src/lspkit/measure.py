@@ -142,6 +142,7 @@ class _DistanceOracle:
     def __init__(self, m: SetModel, scale, metric="sup", resolution=0.05):
         self.m = m
         self.metric = metric
+        self.p = np.inf if metric == "sup" else 2
         self.tree = None
         if isinstance(m, IFSAttractor):
             _, r0 = attractor_bounds(m.ifs)
@@ -153,16 +154,14 @@ class _DistanceOracle:
 
     def __call__(self, pts):
         if self.tree is not None:
-            p = np.inf if self.metric == "sup" else 2
-            d, _ = self.tree.query(pts, k=1, p=p)
+            d, _ = self.tree.query(pts, k=1, p=self.p)
             return d
         return distance_to_set(self.m, pts, metric=self.metric)
 
     def hits(self, pts, delta):
         """Boolean mask of points within delta of the model (bounded query)."""
         if self.tree is not None:
-            p = np.inf if self.metric == "sup" else 2
-            d, _ = self.tree.query(pts, k=1, p=p, distance_upper_bound=delta)
+            d, _ = self.tree.query(pts, k=1, p=self.p, distance_upper_bound=delta)
             return np.isfinite(d) & (d < delta)
         return distance_to_set(self.m, pts, metric=self.metric) < delta
 
@@ -426,14 +425,3 @@ def scaling_fit_to_json(fit: ScalingFit) -> dict:
             c4_hat=fit.c4_hat,
         )
     return out
-
-
-def write_cells_csv(path, points):
-    """Per-cell table (log_r, log_delta, log_measure, stderr) for plotting."""
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["log_r", "log_delta", "log_measure", "stderr"])
-        for row in points:
-            writer.writerow(list(row))

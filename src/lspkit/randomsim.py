@@ -34,6 +34,8 @@ class RandomScheme:
     def __post_init__(self):
         if not (0 <= self.kappa < 1):
             raise ArgumentError("kappa must lie in [0, 1)")
+        if not (self.s - self.kappa * self.s > 0):
+            raise ArgumentError("requires s - kappa*s > 0")
         if not (self.tau > 1.0 / (self.s - self.kappa * self.s)):
             raise ArgumentError("requires tau > 1 / (s - kappa*s)")
 

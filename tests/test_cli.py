@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from lspkit.cli import bundled_config, main, run
+from lspkit.cli import SCHEMAS, bundled_config, main, run
 
 
 def test_transform_report():
@@ -27,6 +28,34 @@ def test_invalid_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"mode": "covering-exponent"}))  # misses master_seed
     assert main(["randsim", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, name, drop, override",
+    [
+        ("cover", "cover_kgb_vdc.json", "stages", None),
+        ("cover", "cover_kgb_vdc.json", "region", None),
+        ("cover", "cover_caj_line.json", "model", None),
+        ("cover", "cover_caj_line.json", "region", None),
+        ("cover", "cover_caj_line.json", "upsilon", None),
+        ("randsim", "randsim_points_tau2.json", "N_list", None),
+        ("randsim", "randsim_bc.json", "rules", None),
+        ("randsim", "randsim_bc.json", None, "N=0"),
+        ("randsim", "randsim_points_tau2.json", None, "scheme.s=0"),
+    ],
+)
+def test_missing_or_invalid_keys_exit_2(tmp_path, command, name, drop, override):
+    cfg = bundled_config(name)
+    cfg.pop(drop, None)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(path)] + (["--set", override] if override else [])
+    assert main(argv) == 2
+
+
+def test_docs_schema_matches_cli():
+    doc = Path(__file__).parents[1] / "docs" / "config-schema.json"
+    assert json.loads(doc.read_text())["commands"] == SCHEMAS
 
 
 def test_kgb_shortfall_exits_3(tmp_path):

@@ -18,7 +18,7 @@ from lspkit.covering import (
 )
 from lspkit.errors import ArgumentError, CoverageShortfall
 from lspkit.sets import IFS, AffinePlane, IFSAttractor, IFSMap, PointSet
-from lspkit.stages import VdcPointStages
+from lspkit.stages import GridCloudStages, VdcPointStages
 
 
 def test_five_r_single():
@@ -82,6 +82,13 @@ def test_separated_net_degenerate_cases():
     assert len(net.points) == 0  # empty result, not an error
 
 
+def test_separated_net_pool_counts_distinct_points():
+    dup = PointSet(np.repeat(np.linspace(0.0, 1.0, 11), 3)[:, None])
+    net = separated_net(dup, Ball(np.array([0.5]), 0.25), 0.15, rng=np.random.default_rng(9))
+    assert net.pool_size == 5  # 0.3, 0.4, 0.5, 0.6, 0.7
+    assert net.points[:, 0].tolist() == pytest.approx([0.3, 0.5, 0.7])
+
+
 def test_build_caj_line():
     line = AffinePlane(np.zeros(2), np.array([[1.0, 0.0]]), extent=2.0)
     A = Ball(np.zeros(2), 1.0)
@@ -138,6 +145,19 @@ def test_build_kgb_shortfall():
         build_kgb(Ball(np.array([0.1]), 0.05), 1, stages, 500, 0.05,
                   rng=np.random.default_rng(13))
     assert exc.value.achieved_fraction == 0.0
+
+
+def test_build_kgb_uses_every_cloud_point():
+    # a 16384-point stage cloud is larger than the default sample pool
+    stages = GridCloudStages(lo=0.0, hi=1.0, plateaus=((16384, 1e-5),))
+    B = Ball(np.array([0.5]), 0.3)
+    runs = [
+        build_kgb(B, 16384, stages, stages.j_max, 0.2, rng=np.random.default_rng(seed))
+        for seed in (1, 2)
+    ]
+    picks = [[(ib.j, ib.ball.center[0]) for ib in r.selected] for r in runs]
+    assert picks[0] == picks[1]
+    assert {j for j, _ in picks[0]} == {16384}
 
 
 def test_build_kgb_full_line_stages():
