@@ -79,6 +79,7 @@ _PAIR = {
 _MODEL = {"type": "object", "required": ["variant"]}
 _SEED = {"type": "integer"}
 _SCALES = {"type": "array", "items": {"type": "number"}, "minItems": 4}
+_SAMPLES = {"type": "integer", "minimum": 1000}
 
 SCHEMAS = {
     "transform": {
@@ -98,7 +99,7 @@ SCHEMAS = {
                 "properties": {
                     "r": _SCALES,
                     "delta_ratios": _SCALES,
-                    "samples": {"type": "integer", "minimum": 1000},
+                    "samples": _SAMPLES,
                     "centers_per_cell": {"type": "integer", "minimum": 1},
                 },
             },
@@ -107,7 +108,12 @@ SCHEMAS = {
     "boxdim": {
         "type": "object",
         "required": ["master_seed", "model", "scales"],
-        "properties": {"master_seed": _SEED, "model": _MODEL, "scales": _SCALES},
+        "properties": {
+            "master_seed": _SEED,
+            "model": _MODEL,
+            "scales": _SCALES,
+            "samples_per_scale": _SAMPLES,
+        },
     },
     "minkowski": {
         "type": "object",
@@ -117,6 +123,7 @@ SCHEMAS = {
             "model": _MODEL,
             "dimension": {"type": "number"},
             "scales": _SCALES,
+            "samples_per_scale": _SAMPLES,
         },
     },
     "cover": {

@@ -6,6 +6,12 @@ similarity systems.  Distances are exact closed forms except for attractors,
 where a branch-and-bound over cylinder words returns a value within a caller
 tolerance of the true distance.
 
+Attractors have one cylinder-tree engine: ``_expand`` turns a frontier of
+word nodes (scale, linear part, offset) into their children and reference
+centers.  ``cylinder_cut`` keeps expanding until every word's contraction
+is at most a target, and ``distance_to_attractor`` expands only the nodes
+that can still beat a query point's best distance.
+
 Metric conventions: the ambient metric is the sup norm by default (balls are
 boxes, which keeps volumes exact in the estimators) with Euclidean
 selectable.  Circles, spheres, and attractors always measure set-distance in
@@ -234,7 +240,7 @@ def _is_signed_permutation(rot, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# attractor geometry helpers
+# cylinder tree: one frontier engine for word cuts and attractor distances
 
 
 def attractor_bounds(ifs: IFS):
@@ -253,48 +259,116 @@ def attractor_bounds(ifs: IFS):
     return z0, max(r0, 1e-300)
 
 
-def _word_maps(ifs: IFS):
-    """Per-map (scale, matrix, offset) triples for fast composition."""
+def _cylinder_tree(ifs: IFS):
+    """Per-map (ratios, linear parts, translations) and the root node.
+
+    When no map rotates, the linear parts are None: a word's linear part is
+    then its contraction product times the identity, carried as that scalar.
+    """
     n = ifs.ambient_dim
-    out = []
-    for m in ifs.maps:
-        rot = m.rotation if m.rotation is not None else np.eye(n)
-        out.append((m.ratio, m.ratio * rot, m.translation))
-    return out
+    trans = np.stack([m.translation for m in ifs.maps])
+    rmats = mats = None
+    if any(m.rotation is not None for m in ifs.maps):
+        eye = np.eye(n)
+        rmats = np.stack([m.ratio * (m.rotation if m.rotation is not None else eye) for m in ifs.maps])
+        mats = eye[None, :, :]
+    return (ifs.ratios, rmats, trans), (np.ones(1), mats, np.zeros((1, n)))
+
+
+def _expand(nodes, parts, z0):
+    """Children of the live nodes (scales, linear parts, offsets).
+
+    Child ``p * k + a`` composes parent ``p`` with map ``a``.  Returns the
+    child nodes and each child's reference center, its image of ``z0``: a
+    point of the attractor at the middle of a ball of radius scale * r0 that
+    contains the child cylinder.
+    """
+    scales, mats, offs = nodes
+    ratios, rmats, trans = parts
+    n = offs.shape[1]
+    s2 = (scales[:, None] * ratios[None, :]).reshape(-1)
+    if mats is None:
+        m2 = None
+        o2 = (offs[:, None, :] + scales[:, None, None] * trans[None, :, :]).reshape(-1, n)
+        centers = o2 + s2[:, None] * z0[None, :]
+    else:
+        m2 = np.einsum("kij,mjl->kmil", mats, rmats).reshape(-1, n, n)
+        o2 = (np.einsum("kij,mj->kmi", mats, trans) + offs[:, None, :]).reshape(-1, n)
+        centers = o2 + np.einsum("kij,j->ki", m2, z0)
+    return (s2, m2, o2), centers
+
+
+def _select(nodes, mask):
+    return tuple(None if a is None else a[mask] for a in nodes)
+
+
+def cylinder_cut(ifs: IFS, target, cap=10_000_000):
+    """Bounding balls (centers, radii) of the word cut at contraction ``target``.
+
+    Expands the cylinder-tree frontier level by level and emits the words
+    whose contraction product first drops to <= target, so the returned
+    radii are at most ``target * r0`` and the balls jointly cover the
+    attractor.
+    """
+    if not (0 < target):
+        raise ArgumentError("target must be positive")
+    z0, r0 = attractor_bounds(ifs)
+    if target >= 1.0:
+        return z0[None, :].copy(), np.array([r0])
+    parts, nodes = _cylinder_tree(ifs)
+    done_c, done_s = [], []
+    emitted = 0
+    while nodes[0].size:
+        nodes, centers = _expand(nodes, parts, z0)
+        scales = nodes[0]
+        if scales.size + emitted > cap:
+            raise ArgumentError(f"cylinder cut exceeds cap {cap}")
+        fin = scales <= target
+        done_s.append(scales[fin])
+        done_c.append(centers[fin])
+        emitted += done_s[-1].size
+        nodes = _select(nodes, ~fin)
+    centers = np.concatenate(done_c, axis=0)
+    radii = np.concatenate(done_s) * r0
+    return centers, radii
+
+
+_QUERY_BLOCK = 32  # query points sharing one frontier
+_TABLE_ROWS = 4096  # frontier children per point-distance table
 
 
 def distance_to_attractor(model: IFSAttractor, pts, tol=1e-9):
     """Euclidean distance from each query point to the attractor, within tol.
 
-    Branch-and-bound over cylinder words: each live node carries the image of
-    the bounding ball; nodes whose lower bound exceeds every point's current
-    best are pruned, and refinement stops once all cylinder radii fall
-    below tol.
+    Branch-and-bound on the cylinder-tree frontier that ``cylinder_cut``
+    also expands.  Each child's reference center lies on the attractor, so
+    its distance bounds the answer from above; a child stays live while its
+    ball radius exceeds tol and its lower bound |x - c| - rad beats the
+    current best of some query point.  Query points share a frontier in
+    blocks of ``_QUERY_BLOCK``, and children are scored ``_TABLE_ROWS`` at a
+    time, so memory stays linear in the frontier.
     """
     ifs = model.ifs
     z0, r0 = attractor_bounds(ifs)
     pts = np.asarray(pts, dtype=float)
-    k = pts.shape[0]
-    best = np.linalg.norm(pts - z0, axis=1) + 0.0  # z0 is on the attractor
-    pieces = _word_maps(ifs)
-    # frontier: list of (scale, matrix, offset); start from the root cylinder
-    frontier = [(1.0, np.eye(ifs.ambient_dim), np.zeros(ifs.ambient_dim))]
-    while frontier:
-        next_frontier = []
-        for scale, mat, off in frontier:
-            for r, rmat, t in pieces:
-                s2 = scale * r
-                m2 = mat @ rmat
-                o2 = mat @ t + off
-                center = m2 @ z0 + o2  # word image of z0, itself a point of K
-                d = np.linalg.norm(pts - center, axis=1)
-                rad = s2 * r0
-                np.minimum(best, d, out=best)
-                low = d - rad
-                if rad > tol and np.any(low < best):
-                    next_frontier.append((s2, m2, o2))
-        frontier = next_frontier
-    return best
+    parts, root = _cylinder_tree(ifs)
+    out = np.empty(pts.shape[0])
+    for lo in range(0, pts.shape[0], _QUERY_BLOCK):
+        block = pts[lo : lo + _QUERY_BLOCK]
+        best = np.linalg.norm(block - z0, axis=1)  # z0 is on the attractor
+        nodes = root
+        while nodes[0].size:
+            nodes, centers = _expand(nodes, parts, z0)
+            rad = nodes[0] * r0
+            live = rad > tol
+            for i in range(0, rad.size, _TABLE_ROWS):
+                rows = slice(i, i + _TABLE_ROWS)
+                d = np.linalg.norm(block[None, :, :] - centers[rows, None, :], axis=2)
+                np.minimum(best, d.min(axis=0), out=best)
+                live[rows] &= np.any(d - rad[rows, None] < best[None, :], axis=1)
+            nodes = _select(nodes, live)
+        out[lo : lo + _QUERY_BLOCK] = best
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -452,99 +526,7 @@ def sample_on_set(m: SetModel, k, rng, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# word combinatorics and similarity dimension
-
-
-def words_at_scale(ifs: IFS, r, cap=10_000_000):
-    """The cut of words whose contraction product first drops to <= r.
-
-    Returned words are pairwise prefix-incomparable and their products lie in
-    (r * min ratio, r].
-    """
-    if not (0 < r < 1):
-        raise ArgumentError("scale must lie in (0, 1)")
-    ratios = ifs.ratios
-    out = []
-    stack = [((), 1.0)]
-    while stack:
-        word, prod = stack.pop()
-        for a, ra in enumerate(ratios):
-            p = prod * ra
-            if p <= r:
-                out.append(word + (a,))
-                if len(out) > cap:
-                    raise ArgumentError(f"word cut exceeds cap {cap}")
-            else:
-                stack.append((word + (a,), p))
-    return out
-
-
-def word_interval(ifs: IFS, word, z0, r0):
-    """Center and radius bound of a cylinder's bounding ball (Euclidean)."""
-    pt = np.array(z0, dtype=float)
-    scale = 1.0
-    for a in reversed(word):
-        pt = ifs.maps[a].apply(pt)
-    for a in word:
-        scale *= ifs.maps[a].ratio
-    return pt, scale * r0
-
-
-def cylinder_cut(ifs: IFS, target, cap=10_000_000):
-    """Bounding balls (centers, radii) of the word cut at contraction ``target``.
-
-    Vectorized expansion of the cylinder tree; words whose contraction
-    product first drops to <= target are emitted, so the returned radii are
-    at most ``target * r0`` and the balls jointly cover the attractor.
-    """
-    if not (0 < target):
-        raise ArgumentError("target must be positive")
-    z0, r0 = attractor_bounds(ifs)
-    n = ifs.ambient_dim
-    rotfree = all(m.rotation is None for m in ifs.maps)
-    ratios = ifs.ratios
-    trans = np.stack([m.translation for m in ifs.maps])
-    done_c, done_s = [], []
-    if target >= 1.0:
-        return z0[None, :].copy(), np.array([r0])
-    if rotfree:
-        scales = np.ones(1)
-        offs = np.zeros((1, n))
-        while scales.size:
-            new_s = (scales[:, None] * ratios[None, :]).reshape(-1)
-            new_o = (
-                offs[:, None, :] + scales[:, None, None] * trans[None, :, :]
-            ).reshape(-1, n)
-            if new_s.size + sum(s.size for s in done_s) > cap:
-                raise ArgumentError(f"cylinder cut exceeds cap {cap}")
-            fin = new_s <= target
-            if np.any(fin):
-                done_s.append(new_s[fin])
-                done_c.append(new_o[fin] + new_s[fin, None] * z0[None, :])
-            scales, offs = new_s[~fin], new_o[~fin]
-    else:
-        scales = np.ones(1)
-        mats = np.eye(n)[None, :, :]
-        offs = np.zeros((1, n))
-        rmats = np.stack(
-            [m.ratio * (m.rotation if m.rotation is not None else np.eye(n)) for m in ifs.maps]
-        )
-        while scales.size:
-            new_s = (scales[:, None] * ratios[None, :]).reshape(-1)
-            new_m = np.einsum("kij,mjl->kmil", mats, rmats).reshape(-1, n, n)
-            new_o = (
-                np.einsum("kij,mj->kmi", mats, trans) + offs[:, None, :]
-            ).reshape(-1, n)
-            if new_s.size + sum(s.size for s in done_s) > cap:
-                raise ArgumentError(f"cylinder cut exceeds cap {cap}")
-            fin = new_s <= target
-            if np.any(fin):
-                done_s.append(new_s[fin])
-                done_c.append(new_o[fin] + np.einsum("kij,j->ki", new_m[fin], z0))
-            scales, mats, offs = new_s[~fin], new_m[~fin], new_o[~fin]
-    centers = np.concatenate(done_c, axis=0)
-    radii = np.concatenate(done_s) * r0
-    return centers, radii
+# similarity dimension
 
 
 def similarity_dimension(ifs: IFS):

@@ -42,6 +42,9 @@ def test_invalid_config_exits_2(tmp_path):
         ("randsim", "randsim_bc.json", "rules", None),
         ("randsim", "randsim_bc.json", None, "N=0"),
         ("randsim", "randsim_points_tau2.json", None, "scheme.s=0"),
+        ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=0"),
+        ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=-5"),
+        ("minkowski", "minkowski_segment.json", None, "samples_per_scale=0"),
     ],
 )
 def test_missing_or_invalid_keys_exit_2(tmp_path, command, name, drop, override):

@@ -14,6 +14,7 @@ from lspkit.sets import (
     PointSet,
     Polyline,
     Sphere,
+    attractor_bounds,
     cylinder_cut,
     distance_to_set,
     model_from_json,
@@ -22,8 +23,6 @@ from lspkit.sets import (
     sample_on_set,
     similarity_dimension,
     transform_model,
-    word_interval,
-    words_at_scale,
     write_points_csv,
 )
 
@@ -37,6 +36,40 @@ def middle_third():
 def rotation(theta):
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def rotated_2d():
+    return IFS(
+        (
+            IFSMap(0.5, np.array([0.0, 0.0]), rotation(0.4)),
+            IFSMap(0.4, np.array([0.6, 0.1])),
+            IFSMap(0.3, np.array([0.2, 0.6]), rotation(-1.1)),
+        ),
+        True,
+    )
+
+
+def _words_at_scale(ifs, r):
+    """Reference oracle: tuple DFS for the words whose product first drops to <= r."""
+    out = []
+    stack = [((), 1.0)]
+    while stack:
+        word, prod = stack.pop()
+        for a, ra in enumerate(ifs.ratios):
+            p = prod * ra
+            if p <= r:
+                out.append(word + (a,))
+            else:
+                stack.append((word + (a,), p))
+    return out
+
+
+def _word_ball(ifs, word, z0, r0):
+    """Reference oracle: the word's image of B(z0, r0), one map at a time."""
+    pt = np.array(z0, dtype=float)
+    for a in reversed(word):
+        pt = ifs.maps[a].apply(pt)
+    return pt, math.prod(ifs.maps[a].ratio for a in word) * r0
 
 
 def test_point_distances():
@@ -103,23 +136,46 @@ def test_sample_on_set():
 
 def test_words_at_scale():
     two_thirds = IFS((IFSMap(1 / 3, np.array([0.0])), IFSMap(1 / 3, np.array([2 / 3]))), True)
-    assert sorted(words_at_scale(two_thirds, 1 / 3)) == [(0,), (1,)]
-    assert sorted(words_at_scale(two_thirds, 0.2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert sorted(_words_at_scale(two_thirds, 1 / 3)) == [(0,), (1,)]
+    assert sorted(_words_at_scale(two_thirds, 0.2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     mixed = IFS((IFSMap(0.5, np.array([0.0])), IFSMap(0.25, np.array([0.5]))), True)
-    assert sorted(words_at_scale(mixed, 0.25)) == [(0, 0), (0, 1), (1,)]
+    assert sorted(_words_at_scale(mixed, 0.25)) == [(0, 0), (0, 1), (1,)]
     with pytest.raises(ArgumentError):
-        words_at_scale(mixed, 1.5)
+        cylinder_cut(mixed, 0.0)
     with pytest.raises(ArgumentError):
-        words_at_scale(mixed, 0.001, cap=10)
+        cylinder_cut(mixed, 0.001, cap=10)
 
 
 def test_words_sandwich_property():
     mixed = IFS((IFSMap(0.5, np.array([0.0])), IFSMap(0.3, np.array([0.6]))), True)
     for r in (0.3, 0.11, 0.042):
-        for w in words_at_scale(mixed, r):
+        for w in _words_at_scale(mixed, r):
             prod = math.prod(mixed.maps[a].ratio for a in w)
             parent = math.prod(mixed.maps[a].ratio for a in w[:-1])
             assert prod <= r < parent
+
+
+@pytest.mark.parametrize(
+    "ifs",
+    [
+        middle_third().ifs,
+        IFS((IFSMap(0.5, np.array([0.0])), IFSMap(0.3, np.array([0.6]))), True),
+        rotated_2d(),
+    ],
+    ids=["cantor", "mixed", "rotated-2d"],
+)
+@pytest.mark.parametrize("target", [0.3, 0.11, 0.042, 0.005])
+def test_cylinder_cut_matches_word_oracle(ifs, target):
+    centers, radii = cylinder_cut(ifs, target)
+    z0, r0 = attractor_bounds(ifs)
+    # the cut emits level by level, each level in lexicographic word order
+    words = sorted(_words_at_scale(ifs, target), key=lambda w: (len(w), w))
+    assert len(radii) == len(words)
+    balls = [_word_ball(ifs, w, z0, r0) for w in words]
+    ref_c = np.array([c for c, _ in balls])
+    ref_r = np.array([rad for _, rad in balls])
+    np.testing.assert_array_equal(radii, ref_r)
+    assert np.max(np.abs(centers - ref_c)) <= 1e-12
 
 
 def test_similarity_dimension():
@@ -204,21 +260,13 @@ def test_wrap_with_general_rotation_rejected():
 
 def test_osc_cylinder_intersection_count_bounded():
     K = middle_third()
-    ifs = K.ifs
     rng = np.random.default_rng(11)
-    from lspkit.sets import attractor_bounds
-
-    z0, r0 = attractor_bounds(ifs)
     counts = []
     for _ in range(100):
         x = sample_on_set(K, 1, rng)[0]
         r = 10 ** rng.uniform(-5, -1)
-        hits = 0
-        for w in words_at_scale(ifs, r):
-            c, rad = word_interval(ifs, w, z0, r0)
-            if np.linalg.norm(c - x) <= r + rad:
-                hits += 1
-        counts.append(hits)
+        centers, radii = cylinder_cut(K.ifs, r)
+        counts.append(int(np.count_nonzero(np.linalg.norm(centers - x, axis=1) <= r + radii)))
     # the bound's existence is the point; its value is recorded
     print(f"OSC cylinder-hit bound over 100 draws: max={max(counts)}")
     assert max(counts) <= 8
@@ -230,6 +278,19 @@ def test_cylinder_cut_covers_attractor():
     pts = sample_on_set(K, 200, np.random.default_rng(5))
     d = np.min(np.abs(pts[:, 0][:, None] - centers[:, 0][None, :]) - radii[None, :], axis=1)
     assert np.max(d) <= 1e-12
+
+
+def test_attractor_distance_bracketed_by_cut_rotated():
+    ifs = rotated_2d()
+    K = IFSAttractor(ifs)
+    centers, radii = cylinder_cut(ifs, 0.002)
+    xs = np.random.default_rng(8).uniform(-0.2, 1.2, size=(60, 2))
+    tol = 1e-9
+    got = distance_to_set(K, xs, tol=tol, metric="euclidean")
+    d = np.linalg.norm(xs[:, None, :] - centers[None, :, :], axis=2)
+    # centers lie on K and the balls cover it
+    assert np.all(np.min(d - radii[None, :], axis=1) <= got)
+    assert np.all(got <= np.min(d, axis=1) + tol)
 
 
 def test_model_json_roundtrip():
