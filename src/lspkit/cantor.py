@@ -620,7 +620,6 @@ def assign_mass(tree: CantorTree, params: ConstructionParams, exact=False) -> Ma
         level_no = lev_idx + 2
         mus = []
         exacts = []
-        offset = 0
         for loc in locs:
             # weight h(upsilon)^(1/(1-kappa)) evaluated from the stage radii
             stage_u = np.array([params.stages.upsilon(int(j)) for j in loc.a_j])
@@ -639,7 +638,6 @@ def assign_mass(tree: CantorTree, params: ConstructionParams, exact=False) -> Ma
                 exacts.append(
                     [pf * wf[a] / (df * int(counts[a])) for a in loc.c_aidx]
                 )
-            offset += len(loc.c_center)
         mu_arr = np.concatenate(mus) if mus else np.empty(0)
         mu_levels.append(mu_arr)
         if exact:

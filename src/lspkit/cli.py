@@ -1,10 +1,11 @@
 """Command-line front end: config loading, experiment orchestration, and
 report emission.
 
-Every stochastic command requires a ``master_seed`` in its config; all
+Every stochastic command's schema requires a ``master_seed``; all
 randomness flows from it, so rerunning a report's echoed config reproduces
-its results block bit for bit (thread counts only size worker pools for
-stage-parallel loops whose streams are derived per stage).
+its results block bit for bit.  ``--threads`` is accepted for compatibility
+and has no effect on the work done or its results: every command runs
+serially.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical or coverage
 failure.
@@ -21,6 +22,8 @@ import time
 from importlib import resources
 
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import __version__
 from .cantor import (
@@ -60,7 +63,6 @@ NUMERICAL_ERRORS = (
     EstimationError,
     NumericError,
 )
-STOCHASTIC = {"fit-lsp", "boxdim", "minkowski", "cover", "cantor-build", "randsim"}
 
 _GAUGE = {
     "type": "object",
@@ -182,6 +184,7 @@ SCHEMAS = {
         "else": {"required": ["N_list"]},
     },
 }
+_VALIDATORS = {command: validator_for(schema)(schema) for command, schema in SCHEMAS.items()}
 
 
 def bundled_config(name):
@@ -242,7 +245,7 @@ def _write_csv(path, header, rows):
 # command implementations (each returns a results dict and a list of tables)
 
 
-def _run_transform(cfg, rng, threads):
+def _run_transform(cfg, rng):
     pair = _pair_from_config(cfg["pair"])
     upsilon = float(cfg["upsilon"])
     report = verify_gauge_pair(pair)
@@ -266,7 +269,7 @@ def _run_transform(cfg, rng, threads):
     return out, []
 
 
-def _run_fit_lsp(cfg, rng, threads):
+def _run_fit_lsp(cfg, rng):
     model = model_from_json(cfg["model"])
     grids = cfg["grids"]
     fit = fit_lsp(
@@ -282,7 +285,7 @@ def _run_fit_lsp(cfg, rng, threads):
     return {"fit": scaling_fit_to_json(fit)}, tables
 
 
-def _run_boxdim(cfg, rng, threads):
+def _run_boxdim(cfg, rng):
     model = model_from_json(cfg["model"])
     lower, upper = box_dimensions(
         model,
@@ -295,7 +298,7 @@ def _run_boxdim(cfg, rng, threads):
     return {"lower": scaling_fit_to_json(lower), "upper": scaling_fit_to_json(upper)}, tables
 
 
-def _run_minkowski(cfg, rng, threads):
+def _run_minkowski(cfg, rng):
     model = model_from_json(cfg["model"])
     lo, hi = minkowski_content(
         model,
@@ -308,7 +311,7 @@ def _run_minkowski(cfg, rng, threads):
     return {"lower": lo, "upper": hi, "ratio": hi / lo if lo > 0 else math.inf}, []
 
 
-def _run_cover(cfg, rng, threads):
+def _run_cover(cfg, rng):
     results = {}
     op = cfg.get("op", "five-r")
     metric = cfg.get("metric", "sup")
@@ -382,7 +385,7 @@ def _cantor_params(cfg):
     )
 
 
-def _run_cantor_build(cfg, rng, threads, out_dir=None):
+def _run_cantor_build(cfg, rng):
     params = _cantor_params(cfg)
     tree = build_cantor(params, rng)
     mass = assign_mass(tree, params)
@@ -414,7 +417,7 @@ def _run_cantor_build(cfg, rng, threads, out_dir=None):
     return results, [], extra
 
 
-def _run_cantor_verify(cfg, rng, threads):
+def _run_cantor_verify(cfg, rng):
     tree_path = cfg["tree"]
     with open(tree_path) as fh:
         tree = tree_from_json(json.load(fh))
@@ -429,7 +432,7 @@ def _run_cantor_verify(cfg, rng, threads):
     }, []
 
 
-def _run_randsim(cfg, rng, threads):
+def _run_randsim(cfg, rng):
     sc = cfg["scheme"]
     scheme = RandomScheme(
         base=model_from_json(sc["base"]),
@@ -465,7 +468,6 @@ def _run_randsim(cfg, rng, threads):
                 int(cfg.get("J", 1)),
                 int(cfg.get("N", 400)),
                 trials=int(cfg.get("trials", 1000)),
-                threads=threads,
             )
             results[rule["name"]] = {
                 "classification": diag.classification,
@@ -489,7 +491,10 @@ COMMANDS = {
 
 
 def run(command, config, out_dir=None, overrides=(), seed=None, threads=1):
-    """Execute one command; returns (exit_code, report dict)."""
+    """Execute one command; returns (exit_code, report dict).
+
+    ``threads`` is accepted for compatibility and has no effect.
+    """
     import pathlib
 
     cfg = dict(config)
@@ -502,21 +507,16 @@ def run(command, config, out_dir=None, overrides=(), seed=None, threads=1):
         cfg["master_seed"] = int(seed)
     if command not in COMMANDS:
         raise ArgumentError(f"unknown command {command!r}")
-    if command in STOCHASTIC and "master_seed" not in cfg:
-        raise ArgumentError(f"{command}: stochastic command requires master_seed")
-    import jsonschema
-
-    try:
-        jsonschema.validate(cfg, SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        raise ArgumentError(f"{command}: config failed schema validation: {exc.message}")
+    error = best_match(_VALIDATORS[command].iter_errors(cfg))
+    if error is not None:
+        raise ArgumentError(f"{command}: config failed schema validation: {error.message}")
     rng = np.random.default_rng(int(cfg.get("master_seed", 0)))
     t0 = time.time()
     fn = COMMANDS[command]
     if command == "cantor-build":
-        results, tables, extra = fn(cfg, rng, threads)
+        results, tables, extra = fn(cfg, rng)
     else:
-        results, tables = fn(cfg, rng, threads)
+        results, tables = fn(cfg, rng)
         extra = {}
     report = {
         "command": command,
@@ -549,7 +549,7 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="output directory for report.json and tables")
     parser.add_argument("--seed", type=int, default=None, help="override master_seed")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", dest="overrides")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="accepted; has no effect (runs are serial)")
     args = parser.parse_args(argv)
 
     try:
@@ -569,7 +569,6 @@ def main(argv=None):
             out_dir=args.out,
             overrides=args.overrides,
             seed=args.seed,
-            threads=args.threads,
         )
     except (ArgumentError, DomainError, RangeError, UnsupportedCombination) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -1,35 +1,45 @@
 """Random limsup-set simulator on the unit torus.
 
-Stage sets are isometric copies of base models, translated by uniform draws
-derived deterministically from a master seed (counter-based, one stream per
-stage index, so stages are independent by construction and any run is
-reproducible bit for bit).  The module provides membership queries,
-Borel-Cantelli frequency diagnostics, and a covering-exponent estimator for
-matched-scale tail unions, whose fitted slope is compared against the
-predicted value kappa*s + 1/tau.
+Stage sets are copies of one base model, translated by uniform draws derived
+deterministically from a master seed (one stream per stage index, so stages
+are independent by construction and any run is reproducible bit for bit).
+Stages are simulated serially, and every query measures torus distances
+through one kernel (vectorized for point sets and axis-aligned planes).
+The module provides membership queries, Borel-Cantelli frequency
+diagnostics, and a covering-exponent estimator for matched-scale tail
+unions, whose fitted slope is compared against the predicted value
+kappa*s + 1/tau.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedCombination
 from .measure import ScalingFit, _ols_line
-from .sets import AffinePlane, Isometry, PointSet, SetModel, distance_to_set, transform_model
+from .sets import (
+    AffinePlane,
+    Isometry,
+    PointSet,
+    SetModel,
+    _spanned_axes,
+    distance_to_set,
+    transform_model,
+)
+
+_MAX_N = 50_000_000  # largest window start N that covering_exponent counts
 
 
 @dataclass
 class RandomScheme:
-    base: object  # SetModel or callable j -> SetModel
+    base: SetModel
     tau: float
     s: float
     kappa: float
     master_seed: int
     n: int
-    rotations: bool = False  # draw torus-compatible rotations (off by default)
 
     def __post_init__(self):
         if not (0 <= self.kappa < 1):
@@ -39,29 +49,15 @@ class RandomScheme:
         if not (self.tau > 1.0 / (self.s - self.kappa * self.s)):
             raise ArgumentError("requires tau > 1 / (s - kappa*s)")
 
-    def base_model(self, j) -> SetModel:
-        return self.base(j) if callable(self.base) else self.base
-
 
 def draw_isometry(scheme: RandomScheme, j) -> Isometry:
-    """Uniform torus translation for stage j, reproducible from the seed.
-
-    With ``rotations`` enabled a uniform signed permutation (the rotation
-    class acting on the torus) is drawn from the same per-stage stream.
-    """
+    """Uniform torus translation for stage j, reproducible from the seed."""
     rng = np.random.default_rng([scheme.master_seed, int(j)])
-    translation = rng.uniform(0.0, 1.0, size=scheme.n)
-    rotation = None
-    if scheme.rotations:
-        perm = rng.permutation(scheme.n)
-        signs = rng.integers(0, 2, size=scheme.n) * 2 - 1
-        rotation = np.zeros((scheme.n, scheme.n))
-        rotation[np.arange(scheme.n), perm] = signs
-    return Isometry(translation=translation, rotation=rotation, wrap=True)
+    return Isometry(translation=rng.uniform(0.0, 1.0, size=scheme.n), wrap=True)
 
 
 def stage_model(scheme: RandomScheme, j) -> SetModel:
-    return transform_model(scheme.base_model(j), draw_isometry(scheme, j))
+    return transform_model(scheme.base, draw_isometry(scheme, j))
 
 
 def stage_radius(scheme: RandomScheme, j, mode="standard", t=None):
@@ -86,6 +82,30 @@ def _wrapped_dist(a, b):
     return np.minimum(d, 1.0 - d)
 
 
+def _torus_distances(base: SetModel, trans, x):
+    """Sup-metric torus distance from x to base + t for each row t of trans.
+
+    Point sets and axis-aligned planes are computed for all rows at once; any
+    other base is translated and queried one row at a time.
+    """
+    if isinstance(base, PointSet):
+        q = np.mod(base.points[None, :, :] + trans[:, None, :], 1.0)
+        return _wrapped_dist(q, x).max(axis=2).min(axis=1)
+    free = _spanned_axes(base.basis) if isinstance(base, AffinePlane) else None
+    if free is not None:
+        # a translated coordinate plane only moves along its unspanned axes
+        q = np.mod(base.base[~free] + trans[:, ~free], 1.0)
+        return _wrapped_dist(q, x[~free]).max(axis=1)
+    return np.array(
+        [
+            distance_to_set(
+                transform_model(base, Isometry(translation=t, wrap=True)), x, metric="sup", wrap=True
+            )
+            for t in trans
+        ]
+    )
+
+
 def hit_indices(scheme: RandomScheme, x, radii="standard", J=1, N=1000, t=None):
     """Stage indices j in [J, N] whose stage set's radius_j-neighborhood
     contains x (torus metric).
@@ -98,24 +118,8 @@ def hit_indices(scheme: RandomScheme, x, radii="standard", J=1, N=1000, t=None):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     js = np.arange(J, N + 1)
     rads = np.array([stage_radius(scheme, j, radii, t) for j in js])
-    base = scheme.base_model(J)
-    fast = (
-        isinstance(base, PointSet)
-        and len(base.points) == 1
-        and not callable(scheme.base)
-        and not scheme.rotations
-    )
-    if fast:
-        trans = _translations(scheme, J, N)
-        q = np.mod(base.points[0][None, :] + trans, 1.0)
-        d = np.max(_wrapped_dist(q, x[None, :]), axis=1)
-        return js[d < rads]
-    hits = []
-    for idx, j in enumerate(js):
-        m = transform_model(scheme.base_model(j), draw_isometry(scheme, j))
-        if distance_to_set(m, x, metric="sup", wrap=True) < rads[idx]:
-            hits.append(j)
-    return np.array(hits, dtype=np.int64)
+    d = _torus_distances(scheme.base, _translations(scheme, J, N), x)
+    return js[d < rads]
 
 
 @dataclass
@@ -128,67 +132,26 @@ class CoverageDiagnostic:
     increment_stderr: float
 
 
-def coverage_frequency(
-    scheme: RandomScheme, x, radius_rule, J, N, trials=1000, rng=None, threads=1
-) -> CoverageDiagnostic:
+def coverage_frequency(scheme: RandomScheme, x, radius_rule, J, N, trials=1000) -> CoverageDiagnostic:
     """Empirical stage-hit probabilities over independent re-draws, with a
     divergence classification of the partial sums.
 
     ``radius_rule`` is a callable j -> radius.  Divergence is judged by the
     growth of the partial sums over the last octave of stage indexes against
-    its sampling error.  When no generator is passed, each stage draws from
-    its own stream derived from the scheme seed, so results do not depend on
-    ``threads``.
+    its sampling error.  Each stage draws its ``trials`` translations from
+    its own stream derived from the scheme seed, so a stage's estimate does
+    not depend on the window [J, N] it is computed in.
     """
     if trials < 1000:
         raise ArgumentError("trials must be >= 1000")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    base = scheme.base_model(J)
     js = np.arange(J, N + 1)
     p_hat = np.empty(len(js))
-
-    def _one(idx_j):
-        idx, j = idx_j
-        r = float(radius_rule(j))
-        gen = (
-            np.random.default_rng([scheme.master_seed, 917, int(j)]) if rng is None else rng
-        )
+    for idx, j in enumerate(js):
+        gen = np.random.default_rng([scheme.master_seed, 917, int(j)])
         trans = gen.uniform(0.0, 1.0, size=(trials, scheme.n))
-        if isinstance(base, PointSet) and len(base.points) == 1 and not scheme.rotations:
-            q = np.mod(base.points[0][None, :] + trans, 1.0)
-            d = np.max(_wrapped_dist(q, x[None, :]), axis=1)
-        elif isinstance(base, AffinePlane) and not scheme.rotations:
-            # translated plane: distance only moves along unspanned axes
-            free = np.isclose(np.abs(base.basis).max(axis=0), 1.0)
-            d = np.zeros(trials)
-            for axis in np.nonzero(~free)[0]:
-                q = np.mod(base.base[axis] + trans[:, axis], 1.0)
-                d = np.maximum(d, _wrapped_dist(q, x[axis]))
-        else:
-            d = np.empty(trials)
-            for k in range(trials):
-                rot = None
-                if scheme.rotations:
-                    perm = gen.permutation(scheme.n)
-                    signs = gen.integers(0, 2, size=scheme.n) * 2 - 1
-                    rot = np.zeros((scheme.n, scheme.n))
-                    rot[np.arange(scheme.n), perm] = signs
-                m = transform_model(
-                    scheme.base_model(j),
-                    Isometry(translation=trans[k], rotation=rot, wrap=True),
-                )
-                d[k] = distance_to_set(m, x, metric="sup", wrap=True)
-        p_hat[idx] = np.count_nonzero(d < r) / trials
-
-    items = list(enumerate(js))
-    if threads > 1 and rng is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(_one, items))
-    else:
-        for it in items:
-            _one(it)
+        d = _torus_distances(scheme.base, trans, x)
+        p_hat[idx] = np.count_nonzero(d < float(radius_rule(j))) / trials
     sums = np.cumsum(p_hat)
     half = np.searchsorted(js, max(J, N // 2))
     inc = float(sums[-1] - sums[half])
@@ -246,7 +209,7 @@ class CoveringFit:
     per_j_constants: list = field(default_factory=list)  # max #Y_j / j^(tau*kappa*s) per window
 
 
-def covering_exponent(scheme: RandomScheme, N_list, rng=None, box_budget=50_000_000) -> CoveringFit:
+def covering_exponent(scheme: RandomScheme, N_list) -> CoveringFit:
     """Box-count the tail unions Delta(stage_j, j^-tau), j in [N, 2N], with
     boxes of side N^-tau, and fit the count against 1/side.
 
@@ -256,48 +219,43 @@ def covering_exponent(scheme: RandomScheme, N_list, rng=None, box_budget=50_000_
     N_list = sorted(int(N) for N in N_list)
     if len(N_list) < 4:
         raise ArgumentError("need at least 4 stage counts")
-    base = scheme.base_model(N_list[0])
+    base = scheme.base
+    if isinstance(base, PointSet) and len(base.points) == 1 and scheme.n == 1:
+        axis, offset, line = 0, base.points[0][0], False
+    elif (
+        isinstance(base, AffinePlane)
+        and scheme.n == 2
+        and base.plane_dim == 1
+        and (free := _spanned_axes(base.basis)) is not None
+    ):
+        axis = int(np.flatnonzero(~free)[0])
+        offset, line = base.base[axis], True
+    else:
+        raise UnsupportedCombination(
+            "covering exponent supports single-point bases (n=1) and "
+            "axis-aligned line bases (n=2)"
+        )
     counts, sides, consts = [], [], []
     for N in N_list:
         m = round(N**scheme.tau)
         # counting is exact through integer interval unions, so the limit is
         # index precision and the per-window interval count, not grid memory
-        if m > 2**48 or N > box_budget:
+        if m > 2**48 or N > _MAX_N:
             raise ArgumentError(f"box indexing for N={N} exceeds the supported range; lower N")
         side = 1.0 / m
-        if scheme.rotations:
-            raise UnsupportedCombination(
-                "exact box counting supports translation-only schemes"
-            )
+        # a translated line covers every box of each row its interval meets
+        width = m if line else 1
         js = np.arange(N, 2 * N + 1)
         trans = _translations(scheme, N, 2 * N)
         rads = js.astype(float) ** (-scheme.tau)
-        yj_norm = []
-        if isinstance(base, PointSet) and len(base.points) == 1 and scheme.n == 1:
-            q = np.mod(base.points[0][0] + trans[:, 0], 1.0)
-            lo = np.floor((q - rads) * m).astype(np.int64)
-            hi = np.floor((q + rads) * m).astype(np.int64)
-            count = _interval_union_count(list(zip(lo.tolist(), hi.tolist())), m)
-            yj = hi - lo + 1
-            yj_norm = yj / js.astype(float) ** (scheme.tau * scheme.kappa * scheme.s)
-        elif isinstance(base, AffinePlane) and scheme.n == 2 and base.plane_dim == 1:
-            free = np.isclose(np.abs(base.basis[0]), 1.0)
-            axis = int(np.nonzero(~free)[0][0])
-            q = np.mod(base.base[axis] + trans[:, axis], 1.0)
-            lo = np.floor((q - rads) * m).astype(np.int64)
-            hi = np.floor((q + rads) * m).astype(np.int64)
-            rows = _interval_union_count(list(zip(lo.tolist(), hi.tolist())), m)
-            count = rows * m
-            yj = (hi - lo + 1) * m
-            yj_norm = yj / js.astype(float) ** (scheme.tau * scheme.kappa * scheme.s)
-        else:
-            raise UnsupportedCombination(
-                "covering exponent supports single-point bases (n=1) and "
-                "axis-aligned line bases (n=2)"
-            )
+        q = np.mod(offset + trans[:, axis], 1.0)
+        lo = np.floor((q - rads) * m).astype(np.int64)
+        hi = np.floor((q + rads) * m).astype(np.int64)
+        count = _interval_union_count(list(zip(lo.tolist(), hi.tolist())), m) * width
+        yj = (hi - lo + 1) * width
         counts.append(count)
         sides.append(side)
-        consts.append(float(np.max(yj_norm)))
+        consts.append(float(np.max(yj / js.astype(float) ** (scheme.tau * scheme.kappa * scheme.s))))
     x = np.log(1.0 / np.asarray(sides))
     y = np.log(np.asarray(counts, dtype=float))
     slope, intercept, slope_se, resid = _ols_line(x, y)

@@ -375,6 +375,16 @@ def distance_to_attractor(model: IFSAttractor, pts, tol=1e-9):
 # distances
 
 
+def _spanned_axes(basis):
+    """Mask of the coordinate axes spanned by orthonormal ``basis`` rows, or
+    None when the span is not a coordinate subspace."""
+    mags = np.abs(basis)
+    free = np.isclose(mags.max(axis=0), 1.0, atol=1e-12)
+    if np.count_nonzero(free) == len(basis) and np.allclose(mags.sum(axis=0)[~free], 0.0, atol=1e-12):
+        return free
+    return None
+
+
 def _plane_distance(m: AffinePlane, pts, metric):
     diff = pts - m.base
     coeff = diff @ m.basis.T
@@ -382,12 +392,10 @@ def _plane_distance(m: AffinePlane, pts, metric):
     if metric == "euclidean":
         return np.linalg.norm(resid, axis=1)
     n, l = m.ambient_dim, m.plane_dim
-    axis_mask = np.isclose(np.abs(m.basis).max(axis=0), 1.0, atol=1e-12)
-    if np.count_nonzero(axis_mask) == l and np.allclose(
-        np.abs(m.basis).sum(axis=0)[~axis_mask], 0.0, atol=1e-12
-    ):
+    free = _spanned_axes(m.basis)
+    if free is not None:
         # axis-aligned span: free coordinates drop out of the sup distance
-        return np.max(np.abs(diff[:, ~axis_mask]), axis=1) if l < n else np.zeros(len(pts))
+        return np.max(np.abs(diff[:, ~free]), axis=1)
     if l == n - 1:
         # hyperplane: closed form |normal . diff| / ||normal||_1
         _, _, vt = np.linalg.svd(m.basis, full_matrices=True)

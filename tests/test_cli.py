@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from jsonschema.validators import validator_for
 
 from lspkit.cli import SCHEMAS, bundled_config, main, run
 
@@ -45,6 +46,7 @@ def test_invalid_config_exits_2(tmp_path):
         ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=0"),
         ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=-5"),
         ("minkowski", "minkowski_segment.json", None, "samples_per_scale=0"),
+        ("randsim", "randsim_lines_tau2.json", None, "scheme.base.basis=[[0.7071067811865476,0.7071067811865476]]"),
     ],
 )
 def test_missing_or_invalid_keys_exit_2(tmp_path, command, name, drop, override):
@@ -59,6 +61,11 @@ def test_missing_or_invalid_keys_exit_2(tmp_path, command, name, drop, override)
 def test_docs_schema_matches_cli():
     doc = Path(__file__).parents[1] / "docs" / "config-schema.json"
     assert json.loads(doc.read_text())["commands"] == SCHEMAS
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_schemas_are_valid(command):
+    validator_for(SCHEMAS[command]).check_schema(SCHEMAS[command])
 
 
 def test_kgb_shortfall_exits_3(tmp_path):

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from lspkit.errors import ArgumentError
+from lspkit.errors import ArgumentError, UnsupportedCombination
 from lspkit.randomsim import (
     RandomScheme,
+    _torus_distances,
     covering_exponent,
     coverage_frequency,
     draw_isometry,
     hit_indices,
     stage_radius,
 )
-from lspkit.sets import AffinePlane, PointSet
+from lspkit.sets import AffinePlane, Circle, Isometry, PointSet, distance_to_set, transform_model
+
+_S = math.sqrt(0.5)  # a unit direction at 45 degrees is (_S, _S)
 
 
 def point_scheme(tau=2.0, seed=7):
@@ -28,6 +31,17 @@ def line_scheme(tau=2.0, seed=11):
         s=2.0,
         kappa=0.5,
         master_seed=seed,
+        n=2,
+    )
+
+
+def tilted_line_scheme():
+    return RandomScheme(
+        base=AffinePlane(np.array([0.0, 0.5]), np.array([[_S, _S]])),
+        tau=2.0,
+        s=2.0,
+        kappa=0.5,
+        master_seed=11,
         n=2,
     )
 
@@ -115,27 +129,52 @@ def test_bc_transformed_radii_critical_vs_supercritical():
     assert conv.classification == "convergent"
 
 
-def test_bc_thread_count_invariance():
+def test_bc_window_invariance():
+    # each stage draws from its own stream, so a stage's estimate does not
+    # depend on the window it is computed in
     sch = point_scheme(seed=47)
-    d1 = coverage_frequency(sch, [0.3], lambda j: 1.0 / j, 1, 200, trials=1000, threads=1)
-    d4 = coverage_frequency(sch, [0.3], lambda j: 1.0 / j, 1, 200, trials=1000, threads=4)
-    assert np.array_equal(d1.p_hat, d4.p_hat)
+    short = coverage_frequency(sch, [0.3], lambda j: 1.0 / j, 1, 200, trials=1000)
+    long = coverage_frequency(sch, [0.3], lambda j: 1.0 / j, 1, 400, trials=1000)
+    assert np.array_equal(short.p_hat, long.p_hat[:200])
 
 
-def test_rotations_draw_signed_permutations():
-    sch = RandomScheme(
-        base=PointSet(np.array([[0.3, 0.7]])), tau=2.0, s=2.0, kappa=0.0,
-        master_seed=3, n=2, rotations=True,
-    )
-    iso1 = draw_isometry(sch, 9)
-    iso2 = draw_isometry(sch, 9)
-    assert np.array_equal(iso1.rotation, iso2.rotation)
-    mat = np.abs(iso1.rotation)
-    assert np.all(mat.sum(axis=0) == 1.0) and np.all(mat.sum(axis=1) == 1.0)
-    # the transformed model stays on the torus
-    from lspkit.randomsim import stage_model
-    m = stage_model(sch, 9)
-    assert np.all((0 <= m.points) & (m.points < 1))
+@pytest.mark.parametrize(
+    "base",
+    [
+        PointSet(np.array([[0.1, 0.2], [0.6, 0.9], [0.95, 0.05]])),
+        AffinePlane(np.array([0.0, 0.5]), np.array([[1.0, 0.0]])),
+        AffinePlane(np.array([0.0, 0.5]), np.array([[_S, _S]])),
+        Circle(np.array([0.5, 0.5]), 0.2),
+    ],
+    ids=["points", "line", "tilted-line", "circle"],
+)
+def test_torus_distances_match_per_translation_reference(base):
+    trans = np.random.default_rng(5).uniform(0.0, 1.0, size=(200, 2))
+    x = np.array([0.3, 0.8])
+    ref = [
+        distance_to_set(
+            transform_model(base, Isometry(translation=t, wrap=True)), x, metric="sup", wrap=True
+        )
+        for t in trans
+    ]
+    np.testing.assert_allclose(_torus_distances(base, trans, x), ref, rtol=0, atol=1e-12)
+
+
+def test_bc_tilted_line_hit_probability():
+    # a slope-1 line y - x = c lies within sup distance r of x exactly when
+    # the torus distance from x2 - x1 to c is below 2r; c is uniform, so the
+    # hit probability is 4r
+    sch = tilted_line_scheme()
+    r, stages = 0.05, 5
+    diag = coverage_frequency(sch, [0.3, 0.3], lambda j: r, 1, stages, trials=1000)
+    p = float(np.mean(diag.p_hat))
+    sigma = math.sqrt(4 * r * (1 - 4 * r) / (1000 * stages))
+    assert abs(p - 4 * r) <= 3 * sigma
+
+
+def test_covering_exponent_rejects_tilted_line():
+    with pytest.raises(UnsupportedCombination):
+        covering_exponent(tilted_line_scheme(), [2**k for k in range(4, 9)])
 
 
 def test_covering_exponent_points():
