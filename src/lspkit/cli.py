@@ -178,6 +178,9 @@ SCHEMAS = {
             },
             "mode": {"enum": ["covering-exponent", "bc-diagnostic"]},
             "N": {"type": "integer", "minimum": 1},
+            "J": {"type": "integer", "minimum": 1},
+            "trials": {"type": "integer", "minimum": 1},
+            "x": {"type": "array", "items": {"type": "number"}},
         },
         "if": {"required": ["mode"], "properties": {"mode": {"const": "bc-diagnostic"}}},
         "then": {"required": ["rules"]},

@@ -73,11 +73,21 @@ def sample_in_ball(center, r, k, rng, metric="sup"):
     got = 0
     while got < k:
         cand = rng.uniform(-r, r, size=(2 * (k - got) + 16, n))
-        keep = cand[np.sum(cand * cand, axis=1) <= r * r]
+        # squared norms summed left to right, column by column.  np.sum adds
+        # rows of up to 7 coordinates in this same order (checked on numpy
+        # 2.4 over 400 k rows per length), so the accepted points match
+        # np.sum(cand * cand, axis=1) bit for bit there; longer rows are
+        # summed pairwise by np.sum and may differ in the last ulp, which
+        # only moves points within an ulp of the sphere.
+        sq = cand[:, 0] * cand[:, 0]
+        for i in range(1, n):
+            sq += cand[:, i] * cand[:, i]
+        keep = np.compress(sq <= r * r, cand, axis=0)
         take = min(len(keep), k - got)
         out[got : got + take] = keep[:take]
         got += take
-    return out + center
+    out += center
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +146,9 @@ class _DistanceOracle:
     Attractors are replaced by a KD-tree over cylinder reference points at a
     resolution proportional to the scale; the proportionality constant is the
     same at every scale, so the substitution shifts measure estimates by a
-    common factor and leaves every fitted exponent unbiased.
+    common factor and leaves every fitted exponent unbiased.  Trees are built
+    with sliding-midpoint splits and uncompacted nodes, which build faster;
+    nearest-neighbour distances do not depend on the tree's shape.
     """
 
     def __init__(self, m: SetModel, scale, metric="sup", resolution=0.05):
@@ -148,9 +160,9 @@ class _DistanceOracle:
             _, r0 = attractor_bounds(m.ifs)
             target = resolution * scale / max(2 * r0, 1e-300)
             pts, _ = cylinder_cut(m.ifs, min(target, 1.0), cap=5_000_000)
-            self.tree = cKDTree(pts)
+            self.tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
         elif isinstance(m, PointSet) and len(m.points) > 64:
-            self.tree = cKDTree(m.points)
+            self.tree = cKDTree(m.points, balanced_tree=False, compact_nodes=False)
 
     def __call__(self, pts):
         if self.tree is not None:
@@ -226,9 +238,10 @@ def _window_volumes(m, scales, samples_per_scale, rng, metric, resolution=0.4):
             vols.append(_merge_length(spans, lo=lo[0], hi=hi[0]))
             errs.append(0.0)
             continue
-        oracle = _DistanceOracle(m, d, metric=metric, resolution=resolution)
         pts = rng.uniform(lo, hi, size=(samples_per_scale, n))
-        p = np.count_nonzero(oracle.hits(pts, d)) / samples_per_scale
+        # one oracle per scale, freed before the next scale's is built
+        hits = _DistanceOracle(m, d, metric=metric, resolution=resolution).hits(pts, d)
+        p = np.count_nonzero(hits) / samples_per_scale
         vols.append(wvol * p)
         errs.append(wvol * math.sqrt(max(p * (1 - p), 1e-300) / samples_per_scale))
     return scales, np.array(vols), np.array(errs)

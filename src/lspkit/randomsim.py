@@ -144,7 +144,11 @@ def coverage_frequency(scheme: RandomScheme, x, radius_rule, J, N, trials=1000) 
     """
     if trials < 1000:
         raise ArgumentError("trials must be >= 1000")
+    if J > N:
+        raise ArgumentError("requires J <= N")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (scheme.n,):
+        raise ArgumentError(f"x must be one point in dimension {scheme.n}")
     js = np.arange(J, N + 1)
     p_hat = np.empty(len(js))
     for idx, j in enumerate(js):

@@ -4,7 +4,11 @@ The catalogue covers point sets, affine planes, parametric manifolds
 (circle / sphere / polyline), and self-similar attractors of contracting
 similarity systems.  Distances are exact closed forms except for attractors,
 where a branch-and-bound over cylinder words returns a value within a caller
-tolerance of the true distance.
+tolerance of the true distance, and sup-metric planes in n >= 3 that are
+neither hyperplanes nor coordinate planes, which solve one Chebyshev LP per
+point.  The sup-metric polyline distance is an exact closed form: the
+minimum of a convex piecewise-linear function of the segment parameter over
+its kinks (``_sup_segment_min``).
 
 Attractors have one cylinder-tree engine: ``_expand`` turns a frontier of
 word nodes (scale, linear part, offset) into their children and reference
@@ -289,8 +293,11 @@ def _expand(nodes, parts, z0):
     s2 = (scales[:, None] * ratios[None, :]).reshape(-1)
     if mats is None:
         m2 = None
-        o2 = (offs[:, None, :] + scales[:, None, None] * trans[None, :, :]).reshape(-1, n)
-        centers = o2 + s2[:, None] * z0[None, :]
+        o2 = scales[:, None, None] * trans[None, :, :]
+        o2 += offs[:, None, :]
+        o2 = o2.reshape(-1, n)
+        centers = s2[:, None] * z0[None, :]
+        centers += o2
     else:
         m2 = np.einsum("kij,mjl->kmil", mats, rmats).reshape(-1, n, n)
         o2 = (np.einsum("kij,mj->kmi", mats, trans) + offs[:, None, :]).reshape(-1, n)
@@ -324,13 +331,19 @@ def cylinder_cut(ifs: IFS, target, cap=10_000_000):
         if scales.size + emitted > cap:
             raise ArgumentError(f"cylinder cut exceeds cap {cap}")
         fin = scales <= target
-        done_s.append(scales[fin])
-        done_c.append(centers[fin])
-        emitted += done_s[-1].size
-        nodes = _select(nodes, ~fin)
-    centers = np.concatenate(done_c, axis=0)
-    radii = np.concatenate(done_s) * r0
-    return centers, radii
+        if fin.all():  # the whole level lands (equal ratios): keep it uncopied
+            done_s.append(scales)
+            done_c.append(centers)
+            break
+        if fin.any():
+            done_s.append(scales[fin])
+            done_c.append(centers[fin])
+            emitted += done_s[-1].size
+            nodes = _select(nodes, ~fin)
+    del nodes, scales, centers  # free the last level before joining
+    if len(done_c) == 1:
+        return done_c[0], done_s[0] * r0
+    return np.concatenate(done_c, axis=0), np.concatenate(done_s) * r0
 
 
 _QUERY_BLOCK = 32  # query points sharing one frontier
@@ -385,6 +398,41 @@ def _spanned_axes(basis):
     return None
 
 
+def _sup_segment_min(c, d):
+    """min over t in [0, 1] of max_i |c_i - t d_i|.
+
+    ``c`` holds query offsets in its last axis and ``d`` the segment
+    direction, broadcast against ``c``.  The objective is convex and
+    piecewise linear in t, so its minimum sits at t = 0 or 1 or at a kink: a
+    zero c_i / d_i or a crossing (c_i -+ c_j) / (d_i -+ d_j), clipped to
+    [0, 1].  Each candidate is scored one coordinate at a time into a running
+    minimum, so no array is larger than ``c``.  A zero denominator gives an
+    infinite candidate, which clips to an end, or a NaN one, which scores NaN
+    and never wins (``fmin`` skips NaN).
+    """
+    n = c.shape[-1]
+    cs = [c[..., i] for i in range(n)]
+    ds = [d[..., i] for i in range(n)]
+
+    def candidates():
+        yield from (0.0, 1.0)
+        for i in range(n):
+            yield cs[i] / ds[i]
+            for j in range(i + 1, n):
+                yield (cs[i] - cs[j]) / (ds[i] - ds[j])
+                yield (cs[i] + cs[j]) / (ds[i] + ds[j])
+
+    best = None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in candidates():
+            t = np.clip(t, 0.0, 1.0)
+            f = np.abs(cs[0] - t * ds[0])
+            for ci, di in zip(cs[1:], ds[1:]):
+                np.maximum(f, np.abs(ci - t * di), out=f)
+            best = f if best is None else np.fmin(best, f, out=best)
+    return best
+
+
 def _plane_distance(m: AffinePlane, pts, metric):
     diff = pts - m.base
     coeff = diff @ m.basis.T
@@ -432,24 +480,8 @@ def _polyline_distance(m: Polyline, pts, metric):
         hi = np.maximum(a, b)
         out = np.maximum(lo[None, :, :] - pts[:, None, :], pts[:, None, :] - hi[None, :, :])
         return np.min(np.max(np.maximum(out, 0.0), axis=2), axis=1)
-    # sup norm: the per-segment objective max_i |c_i - t d_i| is convex in t;
-    # golden-section search resolves it to ~1e-12.
     c = pts[:, None, :] - a[None, :, :]
-    d = seg[None, :, :]
-    lo = np.zeros(c.shape[:2])
-    hi = np.ones(c.shape[:2])
-    phi = (math.sqrt(5) - 1) / 2
-    for _ in range(48):
-        m1 = hi - phi * (hi - lo)
-        m2 = lo + phi * (hi - lo)
-        f1 = np.max(np.abs(c - m1[:, :, None] * d), axis=2)
-        f2 = np.max(np.abs(c - m2[:, :, None] * d), axis=2)
-        take = f1 < f2
-        hi = np.where(take, m2, hi)
-        lo = np.where(take, lo, m1)
-    t = 0.5 * (lo + hi)
-    vals = np.max(np.abs(c - t[:, :, None] * d), axis=2)
-    return np.min(vals, axis=1)
+    return np.min(_sup_segment_min(c, seg[None, :, :]), axis=1)
 
 
 def distance_to_set(m: SetModel, x, tol=1e-9, metric="sup", wrap=False):

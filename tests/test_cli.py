@@ -42,6 +42,10 @@ def test_invalid_config_exits_2(tmp_path):
         ("randsim", "randsim_points_tau2.json", "N_list", None),
         ("randsim", "randsim_bc.json", "rules", None),
         ("randsim", "randsim_bc.json", None, "N=0"),
+        ("randsim", "randsim_bc.json", None, "J=0"),
+        ("randsim", "randsim_bc.json", None, "J=500"),
+        ("randsim", "randsim_bc.json", None, "trials=abc"),
+        ("randsim", "randsim_bc.json", None, "x=[0.3,0.2]"),
         ("randsim", "randsim_points_tau2.json", None, "scheme.s=0"),
         ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=0"),
         ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=-5"),

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from lspkit.measure import (
     model_intervals_1d,
     neighborhood_measure,
     regress_lsp,
+    sample_in_ball,
     _merge_length,
 )
 from lspkit.sets import (
@@ -219,3 +222,13 @@ def test_cantor_intervals_cover_neighborhood():
     assert np.all(inside_spans[d < delta])
     # and the union only exceeds the neighborhood by the resolution slack
     assert not np.any(inside_spans & (d > delta * 1.05))
+
+
+def test_euclidean_sample_in_ball_pinned():
+    # the draws and the acceptance test must reproduce the stored points bit
+    # for bit, so a faster sampler cannot move any Monte Carlo estimate
+    ref = json.loads((Path(__file__).parent / "golden" / "sample_in_ball.json").read_text())
+    for case in ref["cases"]:
+        rng = np.random.default_rng(case["seed"])
+        pts = sample_in_ball(case["center"], ref["r"], ref["k"], rng, metric="euclidean")
+        assert np.array_equal(pts, np.array(case["points"]))

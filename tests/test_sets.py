@@ -14,6 +14,7 @@ from lspkit.sets import (
     PointSet,
     Polyline,
     Sphere,
+    _sup_segment_min,
     attractor_bounds,
     cylinder_cut,
     distance_to_set,
@@ -99,6 +100,69 @@ def test_line_in_3d_sup_distance_lp():
     pts = t[:, None] * (np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
     brute = np.min(np.max(np.abs(pts - np.array([1.0, 0.0, 0.3])), axis=1))
     assert d == pytest.approx(brute, abs=1e-4)
+
+
+def _chebyshev_lp(c, d):
+    """Reference: min over t in [0, 1] of max_i |c_i - t d_i| as an LP in (t, z)."""
+    from scipy.optimize import linprog
+
+    n = len(c)
+    ones = np.ones((n, 1))
+    a_ub = np.vstack([np.hstack([-d[:, None], -ones]), np.hstack([d[:, None], -ones])])
+    b_ub = np.concatenate([-c, c])
+    res = linprog([0.0, 1.0], A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, 1.0), (0.0, None)], method="highs")
+    assert res.success
+    return res.x[1]
+
+
+def _golden_section(c, d, steps=200):
+    """Reference: the convex objective on [0, 1] by golden-section search."""
+    def f(t):
+        return np.max(np.abs(c - t * d))
+
+    lo, hi = 0.0, 1.0
+    phi = (math.sqrt(5) - 1) / 2
+    for _ in range(steps):
+        m1, m2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
+        if f(m1) < f(m2):
+            hi = m2
+        else:
+            lo = m1
+    return f(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sup_segment_min_matches_lp(n):
+    rng = np.random.default_rng(40 + n)
+    dirs = [rng.normal(size=n) for _ in range(6)]
+    dirs += [np.ones(n), np.r_[1.0, -1.0, np.zeros(n - 2)]]  # d_i = +-d_j
+    if n == 3:
+        dirs.append(np.array([0.0, 0.0, 1.0]))  # along one axis
+    cases = []
+    for d in dirs:
+        cases += [(c, d) for c in rng.uniform(-1.5, 1.5, size=(12, n))]
+        cases += [(t * d, d) for t in (0.0, 0.3, 1.0)]  # on the segment
+    cases += [(c, np.zeros(n)) for c in rng.uniform(-1, 1, size=(5, n))]  # zero length
+    cases.append((np.zeros(n), np.zeros(n)))  # on a zero-length segment: every kink is 0/0
+    c = np.array([cd[0] for cd in cases])
+    d = np.array([cd[1] for cd in cases])
+    got = _sup_segment_min(c, d)
+    ref = np.array([_chebyshev_lp(ci, di) for ci, di in cases])
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    gs = np.array([_golden_section(ci, di) for ci, di in cases])
+    assert np.all(got <= gs + 1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tilted_polyline_sup_distance_matches_lp(n):
+    rng = np.random.default_rng(7 + n)
+    verts = rng.uniform(-1, 1, size=(4, n))
+    if n == 3:
+        verts[1] = verts[0] + np.array([0.0, 0.0, 0.8])  # one axis-aligned segment
+    pts = np.vstack([rng.uniform(-1.5, 1.5, size=(40, n)), verts, 0.5 * (verts[1:] + verts[:-1])])
+    got = distance_to_set(Polyline(verts), pts, metric="sup")
+    ref = [min(_chebyshev_lp(p - a, b - a) for a, b in zip(verts[:-1], verts[1:])) for p in pts]
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 def test_cantor_distance():
