@@ -421,9 +421,11 @@ def _run_cantor_build(cfg, rng):
 
 
 def _run_cantor_verify(cfg, rng):
-    tree_path = cfg["tree"]
-    with open(tree_path) as fh:
-        tree = tree_from_json(json.load(fh))
+    try:
+        with open(cfg["tree"]) as fh:
+            tree = tree_from_json(json.load(fh))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ArgumentError(f"cannot read tree: {exc}") from exc
     params = _cantor_params(cfg)
     audit = verify_levels(tree, params)
     return {

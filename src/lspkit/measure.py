@@ -71,8 +71,11 @@ def sample_in_ball(center, r, k, rng, metric="sup"):
         return center + rng.uniform(-r, r, size=(k, n))
     out = np.empty((k, n))
     got = 0
+    # batches sized to the acceptance rate (plus 1 % and 16 rows); the points
+    # kept are the first k of the uniform stream whatever the batch sizes
+    rate = ball_volume(n, 1.0, "euclidean") / 2.0**n
     while got < k:
-        cand = rng.uniform(-r, r, size=(2 * (k - got) + 16, n))
+        cand = rng.uniform(-r, r, size=(int((k - got) / rate * 1.01) + 16, n))
         # squared norms summed left to right, column by column.  np.sum adds
         # rows of up to 7 coordinates in this same order (checked on numpy
         # 2.4 over 400 k rows per length), so the accepted points match
@@ -109,6 +112,33 @@ def _merge_length(intervals, lo=None, hi=None):
     return float(np.sum(np.clip(np.minimum(b, np.inf) - np.maximum(a, prev), 0.0, None)))
 
 
+def _union_length_in(intervals, lo, hi):
+    """Length of a union of intervals inside each window [lo[i], hi[i]].
+
+    The union is merged once into sorted disjoint intervals with a cumulative
+    length; each window then costs two ``searchsorted`` reads.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    if len(arr) == 0:
+        return np.zeros(np.broadcast(lo, hi).shape)
+    order = np.argsort(arr[:, 0], kind="stable")
+    a = arr[order, 0]
+    reach = np.maximum.accumulate(arr[order, 1])
+    first = np.flatnonzero(np.concatenate([[True], a[1:] > reach[:-1]]))
+    starts = a[first]
+    ends = reach[np.concatenate([first[1:] - 1, [len(a) - 1]])]
+    cum = np.concatenate([[0.0], np.cumsum(ends - starts)])
+
+    def covered(x):  # union length in (-inf, x]
+        k = np.searchsorted(starts, x, side="right")
+        over = np.where(k > 0, ends[np.maximum(k - 1, 0)] - x, 0.0)
+        return cum[k] - np.maximum(over, 0.0)
+
+    return np.maximum(covered(hi) - covered(lo), 0.0)
+
+
 def model_intervals_1d(m: SetModel, delta, resolution=0.02):
     """Intervals whose union is the delta-neighborhood of a 1-D model.
 
@@ -132,7 +162,7 @@ def model_intervals_1d(m: SetModel, delta, resolution=0.02):
 def _exact_1d(m, center, r, delta):
     spans = model_intervals_1d(m, delta)
     c = float(np.asarray(center).reshape(-1)[0])
-    val = _merge_length(spans, lo=c - r, hi=c + r)
+    val = float(_union_length_in(spans, c - r, c + r))
     return MeasureEstimate(value=val, std_error=0.0, samples=0, method="exact_1d")
 
 
@@ -164,18 +194,49 @@ class _DistanceOracle:
         elif isinstance(m, PointSet) and len(m.points) > 64:
             self.tree = cKDTree(m.points, balanced_tree=False, compact_nodes=False)
 
-    def __call__(self, pts):
+    def __call__(self, pts, bound=np.inf):
+        """Distances to the model; a tree query reads inf from ``bound`` on."""
         if self.tree is not None:
-            d, _ = self.tree.query(pts, k=1, p=self.p)
+            d, _ = self.tree.query(pts, k=1, p=self.p, distance_upper_bound=bound)
             return d
         return distance_to_set(self.m, pts, metric=self.metric)
 
     def hits(self, pts, delta):
         """Boolean mask of points within delta of the model (bounded query)."""
-        if self.tree is not None:
-            d, _ = self.tree.query(pts, k=1, p=self.p, distance_upper_bound=delta)
-            return np.isfinite(d) & (d < delta)
-        return distance_to_set(self.m, pts, metric=self.metric) < delta
+        return self(pts, delta) < delta
+
+
+def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
+    """counts[i, j]: points of ``clouds[i]`` within ``deltas[j]`` of m.
+
+    Every delta reads the same clouds.  Models with an exact distance make
+    one distance pass per cloud (a point-set tree query bounded by the
+    largest delta) and count each delta against it.  Attractors build one
+    proxy tree per delta, since the proxy resolution follows the scale; each
+    tree queries every cloud and is freed before the next one is built.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    counts = np.empty((len(clouds), len(deltas)), dtype=np.int64)
+    if isinstance(m, IFSAttractor):
+        for j, d in enumerate(deltas):
+            oracle = _DistanceOracle(m, d, metric=metric, resolution=resolution)
+            for i, pts in enumerate(clouds):
+                counts[i, j] = np.count_nonzero(oracle.hits(pts, d))
+            del oracle
+        return counts
+    dmax = float(deltas.max())
+    oracle = _DistanceOracle(m, dmax, metric=metric)
+    for i, pts in enumerate(clouds):
+        dist = oracle(pts, dmax)
+        for j, d in enumerate(deltas):
+            counts[i, j] = np.count_nonzero(dist < d)
+    return counts
+
+
+def _mc_volume(vol, hits, samples):
+    """Monte Carlo volumes and binomial standard errors from hit counts."""
+    p = np.asarray(hits) / samples
+    return vol * p, vol * np.sqrt(np.maximum(p * (1 - p), 1e-300) / samples)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +251,6 @@ def neighborhood_measure(
     samples=DEFAULT_SAMPLES,
     rng=None,
     metric="sup",
-    oracle=None,
 ):
     """Volume of B(center, r) intersected with the delta-neighborhood of m.
 
@@ -206,45 +266,30 @@ def neighborhood_measure(
         return _exact_1d(m, center, r, delta)
     if rng is None:
         rng = np.random.default_rng(0)
-    if oracle is None:
-        oracle = _DistanceOracle(m, delta, metric=metric)
     pts = sample_in_ball(center, r, samples, rng, metric=metric)
-    hits = int(np.count_nonzero(oracle.hits(pts, delta)))
-    p = hits / samples
-    vol = ball_volume(n, r, metric)
-    return MeasureEstimate(
-        value=vol * p,
-        std_error=vol * math.sqrt(max(p * (1 - p), 1e-300) / samples),
-        samples=samples,
-        method="monte_carlo",
-    )
+    hits = _hit_counts(m, [pts], [delta], metric=metric)[0, 0]
+    value, err = _mc_volume(ball_volume(n, r, metric), hits, samples)
+    return MeasureEstimate(value=float(value), std_error=float(err), samples=samples, method="monte_carlo")
 
 
 def _window_volumes(m, scales, samples_per_scale, rng, metric, resolution=0.4):
     """Estimated vol of the delta-neighborhood per scale over a bounding window.
 
+    The window is fixed by the largest scale, and one uniform window sample
+    serves every scale: each scale counts its hits among the same points.
     The attractor proxy resolution is proportional to each scale, so the
     proxy bias is a scale-independent factor and cancels in slope fits.
     """
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
     lo, hi = model_window(m, margin=float(scales.max()) * 1.5)
-    wvol = float(np.prod(hi - lo))
     n = m.ambient_dim
-    vols, errs = [], []
-    exact = n == 1 and isinstance(m, (PointSet, IFSAttractor))
-    for d in scales:
-        if exact:
-            spans = model_intervals_1d(m, d)
-            vols.append(_merge_length(spans, lo=lo[0], hi=hi[0]))
-            errs.append(0.0)
-            continue
-        pts = rng.uniform(lo, hi, size=(samples_per_scale, n))
-        # one oracle per scale, freed before the next scale's is built
-        hits = _DistanceOracle(m, d, metric=metric, resolution=resolution).hits(pts, d)
-        p = np.count_nonzero(hits) / samples_per_scale
-        vols.append(wvol * p)
-        errs.append(wvol * math.sqrt(max(p * (1 - p), 1e-300) / samples_per_scale))
-    return scales, np.array(vols), np.array(errs)
+    if n == 1 and isinstance(m, (PointSet, IFSAttractor)):
+        vols = [_merge_length(model_intervals_1d(m, d), lo=lo[0], hi=hi[0]) for d in scales]
+        return scales, np.array(vols), np.zeros(len(scales))
+    pts = rng.uniform(lo, hi, size=(samples_per_scale, n))
+    counts = _hit_counts(m, [pts], scales, metric=metric, resolution=resolution)[0]
+    vols, errs = _mc_volume(float(np.prod(hi - lo)), counts, samples_per_scale)
+    return scales, vols, errs
 
 
 def _ols_line(x, y):
@@ -362,11 +407,16 @@ def fit_lsp(
 ):
     """Fit the local scaling exponent kappa from neighborhood measures.
 
-    For each (r, delta = ratio * r) cell, centers are drawn on the model and
-    the measures averaged; the model log H = (1-kappa)*n log delta +
-    kappa*n log r + const is fitted by least squares and kappa read off the
-    r coefficient.  Envelope constants are reported relative to the fitted
-    exponents.
+    For each r, centers are drawn on the model and one Monte Carlo cloud per
+    center; that one draw (and one distance pass per cloud) serves every
+    delta = ratio * r, and each (r, delta) cell averages the measures over
+    the centers.  The model log H = (1-kappa)*n log delta + kappa*n log r +
+    const is fitted by least squares and kappa read off the r coefficient.
+    Envelope constants are reported relative to the fitted exponents.
+
+    Cells that share an r share their draws, so their errors are
+    correlated and ``kappa_stderr`` (the ordinary least-squares standard
+    error) understates the seed-to-seed spread of ``kappa_hat``.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -378,27 +428,22 @@ def fit_lsp(
     exact = n == 1 and isinstance(m, (PointSet, IFSAttractor))
     rows = []
     for r in r_grid:
-        for q in delta_ratios:
-            d = q * r
-            centers = sample_on_set(m, centers_per_cell, rng)
-            vals, errs = [], []
-            if exact:
-                spans = model_intervals_1d(m, d)
-                for c in centers:
-                    c0 = float(np.asarray(c).reshape(-1)[0])
-                    vals.append(_merge_length(spans, lo=c0 - r, hi=c0 + r))
-                    errs.append(0.0)
-            else:
-                oracle = _DistanceOracle(m, d, metric=metric)
-                for c in centers:
-                    est = neighborhood_measure(
-                        m, c, r, d, samples=samples, rng=rng, metric=metric, oracle=oracle
-                    )
-                    vals.append(est.value)
-                    errs.append(est.std_error)
-            mean = float(np.mean(vals))
+        # one draw per r serves every delta = ratio * r: vals[j, i] is the
+        # measure at delta j around center i
+        deltas = delta_ratios * r
+        centers = sample_on_set(m, centers_per_cell, rng)
+        if exact:
+            c0 = centers[:, 0]
+            vals = np.array([_union_length_in(model_intervals_1d(m, d), c0 - r, c0 + r) for d in deltas])
+            errs = np.zeros_like(vals)
+        else:
+            clouds = [sample_in_ball(c, r, samples, rng, metric=metric) for c in centers]
+            counts = _hit_counts(m, clouds, deltas, metric=metric)
+            vals, errs = _mc_volume(ball_volume(n, r, metric), counts.T, samples)
+        for d, v, e in zip(deltas, vals, errs):
+            mean = float(np.mean(v))
             if mean > 0:
-                stderr = float(np.linalg.norm(errs)) / len(errs)
+                stderr = float(np.linalg.norm(e)) / len(e)
                 rows.append((math.log(r), math.log(d), math.log(mean), stderr / mean, mean))
     if len(rows) < 4:
         raise EstimationError("not enough cells with positive measure")

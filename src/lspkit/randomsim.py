@@ -56,10 +56,6 @@ def draw_isometry(scheme: RandomScheme, j) -> Isometry:
     return Isometry(translation=rng.uniform(0.0, 1.0, size=scheme.n), wrap=True)
 
 
-def stage_model(scheme: RandomScheme, j) -> SetModel:
-    return transform_model(scheme.base, draw_isometry(scheme, j))
-
-
 def stage_radius(scheme: RandomScheme, j, mode="standard", t=None):
     if mode == "standard":
         return float(j) ** (-scheme.tau)

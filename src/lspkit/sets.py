@@ -435,9 +435,8 @@ def _sup_segment_min(c, d):
 
 def _plane_distance(m: AffinePlane, pts, metric):
     diff = pts - m.base
-    coeff = diff @ m.basis.T
-    resid = diff - coeff @ m.basis
     if metric == "euclidean":
+        resid = diff - (diff @ m.basis.T) @ m.basis
         return np.linalg.norm(resid, axis=1)
     n, l = m.ambient_dim, m.plane_dim
     free = _spanned_axes(m.basis)

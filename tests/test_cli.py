@@ -51,6 +51,7 @@ def test_invalid_config_exits_2(tmp_path):
         ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=-5"),
         ("minkowski", "minkowski_segment.json", None, "samples_per_scale=0"),
         ("randsim", "randsim_lines_tau2.json", None, "scheme.base.basis=[[0.7071067811865476,0.7071067811865476]]"),
+        ("cantor-verify", "cantor_audit.json", None, "tree=/nonexistent/tree.json"),
     ],
 )
 def test_missing_or_invalid_keys_exit_2(tmp_path, command, name, drop, override):

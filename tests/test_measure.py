@@ -14,7 +14,10 @@ from lspkit.measure import (
     neighborhood_measure,
     regress_lsp,
     sample_in_ball,
+    _DistanceOracle,
+    _hit_counts,
     _merge_length,
+    _union_length_in,
 )
 from lspkit.sets import (
     IFS,
@@ -208,6 +211,90 @@ def test_merge_length():
     assert _merge_length([]) == 0.0
 
 
+def test_union_length_in_matches_merge_length():
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        k = int(rng.integers(1, 40))
+        a = rng.uniform(-1.0, 1.0, size=k)
+        spans = np.stack([a, a + rng.exponential(0.1, size=k)], axis=1)
+        lo = rng.uniform(-1.5, 1.0, size=6)
+        hi = lo + rng.exponential(0.5, size=6)
+        got = _union_length_in(spans, lo, hi)
+        want = [_merge_length(spans, lo=x, hi=y) for x, y in zip(lo, hi)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.array_equal(_union_length_in(np.empty((0, 2)), [0.0, 1.0], [1.0, 2.0]), [0.0, 0.0])
+
+
+def sierpinski():
+    maps = (
+        IFSMap(0.5, np.array([0.0, 0.0])),
+        IFSMap(0.5, np.array([0.5, 0.0])),
+        IFSMap(0.5, np.array([0.25, 0.5])),
+    )
+    return IFSAttractor(IFS(maps, True))
+
+
+@pytest.mark.parametrize(
+    "model, metric",
+    [
+        (Polyline(np.array([[0.0, 0.1], [0.6, 0.5], [1.0, 0.2]])), "sup"),
+        (AffinePlane(np.array([0.0, 0.3]), np.array([[1.0, 0.0]]), extent=2.0), "sup"),
+        (Circle(np.array([0.5, 0.5]), 0.4), "euclidean"),
+        (PointSet(np.random.default_rng(15).uniform(0.0, 1.0, size=(100, 2))), "sup"),
+        (sierpinski(), "sup"),
+    ],
+    ids=["tilted-polyline", "line", "circle", "point-tree", "sierpinski"],
+)
+def test_hit_counts_match_per_delta_oracles(model, metric):
+    rng = np.random.default_rng(16)
+    clouds = [rng.uniform(-0.2, 1.2, size=(3000, 2)) for _ in range(3)]
+    deltas = [0.2, 0.08, 0.03, 0.012]
+    counts = _hit_counts(model, clouds, deltas, metric=metric)
+    want = [
+        [np.count_nonzero(_DistanceOracle(model, d, metric=metric).hits(pts, d)) for d in deltas]
+        for pts in clouds
+    ]
+    assert counts.tolist() == want
+    assert np.all(np.diff(counts, axis=1) <= 0)
+
+
+@pytest.mark.parametrize(
+    "model, metric",
+    [
+        (AffinePlane(np.zeros(2), np.array([[1.0, 0.0]]), extent=2.0), "sup"),
+        (Circle(np.zeros(2), 1.0), "euclidean"),
+        (middle_third(), "sup"),
+    ],
+    ids=["line", "circle", "cantor"],
+)
+def test_fit_lsp_extra_delta_leaves_cells_unchanged(model, metric):
+    r_grid = [0.5 * 3.0**-k for k in range(0, 4)]
+    ratios = [0.25, 0.0625, 0.015625]
+
+    def points(rs):
+        fit = fit_lsp(model, r_grid, rs, samples=4000, rng=np.random.default_rng(17), metric=metric)
+        return fit.points
+
+    base = points(ratios)
+    more = points(ratios + [0.03])
+    assert len(more) == len(base) + len(r_grid)
+    assert [p for p in more if not math.isclose(p[1] - p[0], math.log(0.03))] == base
+
+
+def test_box_dimensions_extra_scale_leaves_shared_volumes_unchanged():
+    seg = Polyline(np.array([[0.0, 0.0], [0.9, 0.3]]))
+    scales = [2.0**-k for k in range(5, 13)]
+
+    def volumes(sc):
+        lower, _ = box_dimensions(seg, sc, samples_per_scale=20_000, rng=np.random.default_rng(18))
+        return dict(lower.points)
+
+    base = volumes(scales)
+    more = volumes(scales + [0.75 * 2.0**-7, 2.0**-14])
+    assert len(more) == len(base) + 2
+    assert {x: more[x] for x in base} == base
+
+
 def test_cantor_intervals_cover_neighborhood():
     K = middle_third()
     delta = 1e-3
@@ -232,3 +319,14 @@ def test_euclidean_sample_in_ball_pinned():
         rng = np.random.default_rng(case["seed"])
         pts = sample_in_ball(case["center"], ref["r"], ref["k"], rng, metric="euclidean")
         assert np.array_equal(pts, np.array(case["points"]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_euclidean_sample_in_ball_keeps_the_first_accepted_draws(n):
+    # whatever the batch sizes, a call returns the first k accepted points of
+    # the uniform stream
+    r, k = 0.3, 5000
+    stream = np.random.default_rng(19).uniform(-r, r, size=(40 * k, n))
+    accepted = stream[np.sum(stream * stream, axis=1) <= r * r][:k]
+    pts = sample_in_ball(np.zeros(n), r, k, np.random.default_rng(19), metric="euclidean")
+    assert np.array_equal(pts, accepted)
