@@ -79,7 +79,7 @@ _PAIR = {
     "properties": {"f": _GAUGE, "g": _GAUGE, "kappa": {"type": "number"}},
 }
 _MODEL = {"type": "object", "required": ["variant"]}
-_SEED = {"type": "integer"}
+_SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}  # a Philox key word
 _SCALES = {"type": "array", "items": {"type": "number"}, "minItems": 4}
 _SAMPLES = {"type": "integer", "minimum": 1000}
 
@@ -437,6 +437,10 @@ def _run_cantor_verify(cfg, rng):
     }, []
 
 
+def _power_rule(expo):
+    return lambda j: float(j) ** (-expo)
+
+
 def _run_randsim(cfg, rng):
     sc = cfg["scheme"]
     scheme = RandomScheme(
@@ -463,23 +467,23 @@ def _run_randsim(cfg, rng):
             "per_j_constants": out.per_j_constants,
         }, tables
     if mode == "bc-diagnostic":
-        results = {}
-        for rule in cfg["rules"]:
-            expo = float(rule["exponent"])
-            diag = coverage_frequency(
-                scheme,
-                np.asarray(cfg.get("x", [0.3] * scheme.n), dtype=float),
-                lambda j: float(j) ** (-expo),
-                int(cfg.get("J", 1)),
-                int(cfg.get("N", 400)),
-                trials=int(cfg.get("trials", 1000)),
-            )
-            results[rule["name"]] = {
+        rules = cfg["rules"]
+        diags = coverage_frequency(
+            scheme,
+            np.asarray(cfg.get("x", [0.3] * scheme.n), dtype=float),
+            [_power_rule(float(rule["exponent"])) for rule in rules],
+            int(cfg.get("J", 1)),
+            int(cfg.get("N", 400)),
+            trials=int(cfg.get("trials", 1000)),
+        )
+        return {
+            rule["name"]: {
                 "classification": diag.classification,
                 "last_octave_increment": diag.last_octave_increment,
                 "increment_stderr": diag.increment_stderr,
             }
-        return results, []
+            for rule, diag in zip(rules, diags)
+        }, []
     raise ArgumentError(f"unknown randsim mode {mode!r}")
 
 

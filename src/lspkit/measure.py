@@ -112,24 +112,29 @@ def _merge_length(intervals, lo=None, hi=None):
     return float(np.sum(np.clip(np.minimum(b, np.inf) - np.maximum(a, prev), 0.0, None)))
 
 
-def _union_length_in(intervals, lo, hi):
-    """Length of a union of intervals inside each window [lo[i], hi[i]].
-
-    The union is merged once into sorted disjoint intervals with a cumulative
-    length; each window then costs two ``searchsorted`` reads.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+def _merge_union(intervals):
+    """Sorted disjoint (starts, ends) of a union of intervals, with the
+    cumulative length before each piece (None for an empty union)."""
     arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
     if len(arr) == 0:
-        return np.zeros(np.broadcast(lo, hi).shape)
+        return None
     order = np.argsort(arr[:, 0], kind="stable")
     a = arr[order, 0]
     reach = np.maximum.accumulate(arr[order, 1])
     first = np.flatnonzero(np.concatenate([[True], a[1:] > reach[:-1]]))
     starts = a[first]
     ends = reach[np.concatenate([first[1:] - 1, [len(a) - 1]])]
-    cum = np.concatenate([[0.0], np.cumsum(ends - starts)])
+    return starts, ends, np.concatenate([[0.0], np.cumsum(ends - starts)])
+
+
+def _union_length_in(union, lo, hi):
+    """Length of a merged union (from ``_merge_union``) inside each window
+    [lo[i], hi[i]]; each window costs two ``searchsorted`` reads."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if union is None:
+        return np.zeros(np.broadcast(lo, hi).shape)
+    starts, ends, cum = union
 
     def covered(x):  # union length in (-inf, x]
         k = np.searchsorted(starts, x, side="right")
@@ -160,9 +165,9 @@ def model_intervals_1d(m: SetModel, delta, resolution=0.02):
 
 
 def _exact_1d(m, center, r, delta):
-    spans = model_intervals_1d(m, delta)
+    union = _merge_union(model_intervals_1d(m, delta))
     c = float(np.asarray(center).reshape(-1)[0])
-    val = float(_union_length_in(spans, c - r, c + r))
+    val = float(_union_length_in(union, c - r, c + r))
     return MeasureEstimate(value=val, std_error=0.0, samples=0, method="exact_1d")
 
 
@@ -427,6 +432,7 @@ def fit_lsp(
     n = m.ambient_dim
     exact = n == 1 and isinstance(m, (PointSet, IFSAttractor))
     rows = []
+    unions = {}  # exact path: merged delta-neighbourhood per distinct delta
     for r in r_grid:
         # one draw per r serves every delta = ratio * r: vals[j, i] is the
         # measure at delta j around center i
@@ -434,7 +440,10 @@ def fit_lsp(
         centers = sample_on_set(m, centers_per_cell, rng)
         if exact:
             c0 = centers[:, 0]
-            vals = np.array([_union_length_in(model_intervals_1d(m, d), c0 - r, c0 + r) for d in deltas])
+            for d in deltas:
+                if d not in unions:
+                    unions[d] = _merge_union(model_intervals_1d(m, d))
+            vals = np.array([_union_length_in(unions[d], c0 - r, c0 + r) for d in deltas])
             errs = np.zeros_like(vals)
         else:
             clouds = [sample_in_ball(c, r, samples, rng, metric=metric) for c in centers]

@@ -1,13 +1,17 @@
 """Random limsup-set simulator on the unit torus.
 
-Stage sets are copies of one base model, translated by uniform draws derived
-deterministically from a master seed (one stream per stage index, so stages
-are independent by construction and any run is reproducible bit for bit).
-Stages are simulated serially, and every query measures torus distances
-through one kernel (vectorized for point sets and axis-aligned planes).
-The module provides membership queries, Borel-Cantelli frequency
-diagnostics, and a covering-exponent estimator for matched-scale tail
-unions, whose fitted slope is compared against the predicted value
+Stage sets are copies of one base model, translated by uniform draws from a
+counter-based generator: Philox4x64 keyed by ``(master_seed, tag)``, where
+stage j owns its own run of counter blocks.  So stages are independent by
+construction, a stage's draws do not depend on the window it is simulated
+in, and any run is reproducible bit for bit.  A whole window of stages is
+one call into numpy's Philox.  Tag 0 draws the stage translations, tag 917
+the re-draws of the coverage trials.  Every query measures torus distances
+through one kernel (vectorized for point sets and axis-aligned planes), and
+the coverage diagnostic measures each block of stages once for all of its
+radius rules.  The module provides membership queries, Borel-Cantelli
+frequency diagnostics, and a covering-exponent estimator for matched-scale
+tail unions, whose fitted slope is compared against the predicted value
 kappa*s + 1/tau.
 """
 
@@ -30,6 +34,9 @@ from .sets import (
 )
 
 _MAX_N = 50_000_000  # largest window start N that covering_exponent counts
+_TRANSLATION_TAG = 0  # Philox key word 1 of the stage translations
+_TRIAL_TAG = 917  # Philox key word 1 of the coverage-trial re-draws
+_BLOCK_DRAWS = 2**16  # about this many uniforms per block of coverage stages
 
 
 @dataclass
@@ -50,10 +57,29 @@ class RandomScheme:
             raise ArgumentError("requires tau > 1 / (s - kappa*s)")
 
 
+def stage_uniforms(seed, tag, J, N, k) -> np.ndarray:
+    """Uniforms on [0, 1) for stages J..N, shape (N - J + 1, k).
+
+    Row j - J holds the first k doubles of the stream that
+    ``Philox(key=(seed, tag), counter=j * b)`` starts, with b = ceil(k / 4)
+    (one Philox4x64 call yields four 64-bit words), converted as
+    ``Generator.random`` does.  Each stage owns b counter blocks, so a row
+    does not depend on the window it is drawn in, and the whole window is
+    one ``random_raw`` call.
+    """
+    J, N, k = int(J), int(N), int(k)
+    if J > N:
+        raise ArgumentError("requires J <= N")
+    b = -(-k // 4)
+    key = np.array([seed, tag], dtype=np.uint64)
+    raw = np.random.Philox(key=key, counter=J * b).random_raw((N - J + 1) * b * 4)
+    return ((raw >> np.uint64(11)) * 2.0**-53).reshape(N - J + 1, 4 * b)[:, :k]
+
+
 def draw_isometry(scheme: RandomScheme, j) -> Isometry:
     """Uniform torus translation for stage j, reproducible from the seed."""
-    rng = np.random.default_rng([scheme.master_seed, int(j)])
-    return Isometry(translation=rng.uniform(0.0, 1.0, size=scheme.n), wrap=True)
+    t = stage_uniforms(scheme.master_seed, _TRANSLATION_TAG, j, j, scheme.n)[0]
+    return Isometry(translation=t, wrap=True)
 
 
 def stage_radius(scheme: RandomScheme, j, mode="standard", t=None):
@@ -68,9 +94,15 @@ def stage_radius(scheme: RandomScheme, j, mode="standard", t=None):
 
 
 def _translations(scheme, J, N):
-    return np.array(
-        [draw_isometry(scheme, j).translation for j in range(J, N + 1)]
-    )
+    """Stage translations for j in [J, N], one row per stage."""
+    return stage_uniforms(scheme.master_seed, _TRANSLATION_TAG, J, N, scheme.n)
+
+
+def _frac(q):
+    """``q mod 1``, bit for bit as ``np.mod(q, 1.0)`` (the fractional part
+    of a double is exact, so both round only the final ``+ 1`` of a negative
+    q), at a quarter of its cost."""
+    return q - np.floor(q)
 
 
 def _wrapped_dist(a, b):
@@ -85,12 +117,12 @@ def _torus_distances(base: SetModel, trans, x):
     other base is translated and queried one row at a time.
     """
     if isinstance(base, PointSet):
-        q = np.mod(base.points[None, :, :] + trans[:, None, :], 1.0)
+        q = _frac(base.points[None, :, :] + trans[:, None, :])
         return _wrapped_dist(q, x).max(axis=2).min(axis=1)
     free = _spanned_axes(base.basis) if isinstance(base, AffinePlane) else None
     if free is not None:
         # a translated coordinate plane only moves along its unspanned axes
-        q = np.mod(base.base[~free] + trans[:, ~free], 1.0)
+        q = _frac(base.base[~free] + trans[:, ~free])
         return _wrapped_dist(q, x[~free]).max(axis=1)
     return np.array(
         [
@@ -128,15 +160,21 @@ class CoverageDiagnostic:
     increment_stderr: float
 
 
-def coverage_frequency(scheme: RandomScheme, x, radius_rule, J, N, trials=1000) -> CoverageDiagnostic:
+def coverage_frequency(
+    scheme: RandomScheme, x, radius_rules, J, N, trials=1000
+) -> list[CoverageDiagnostic]:
     """Empirical stage-hit probabilities over independent re-draws, with a
-    divergence classification of the partial sums.
+    divergence classification of the partial sums; one ``CoverageDiagnostic``
+    per rule of ``radius_rules``.
 
-    ``radius_rule`` is a callable j -> radius.  Divergence is judged by the
-    growth of the partial sums over the last octave of stage indexes against
-    its sampling error.  Each stage draws its ``trials`` translations from
-    its own stream derived from the scheme seed, so a stage's estimate does
-    not depend on the window [J, N] it is computed in.
+    Each rule is a callable j -> radius.  Divergence is judged by the growth
+    of the partial sums over the last octave of stage indexes against its
+    sampling error.  Stage j re-draws its ``trials`` translations from its
+    own counter blocks (tag 917), so a stage's estimate does not depend on
+    the window [J, N] it is computed in.  Stages are drawn and measured in
+    blocks of about 2**16 uniforms, once for all rules: every rule sees the
+    same draws, and its diagnostic is the one a call with that rule alone
+    would return, bit for bit.
     """
     if trials < 1000:
         raise ArgumentError("trials must be >= 1000")
@@ -146,14 +184,22 @@ def coverage_frequency(scheme: RandomScheme, x, radius_rule, J, N, trials=1000) 
     if x.shape != (scheme.n,):
         raise ArgumentError(f"x must be one point in dimension {scheme.n}")
     js = np.arange(J, N + 1)
-    p_hat = np.empty(len(js))
-    for idx, j in enumerate(js):
-        gen = np.random.default_rng([scheme.master_seed, 917, int(j)])
-        trans = gen.uniform(0.0, 1.0, size=(trials, scheme.n))
-        d = _torus_distances(scheme.base, trans, x)
-        p_hat[idx] = np.count_nonzero(d < float(radius_rule(j))) / trials
+    radii = np.array([[float(rule(j)) for j in js] for rule in radius_rules])
+    hits = np.empty(radii.shape, dtype=np.int64)
+    k = trials * scheme.n
+    step = max(1, _BLOCK_DRAWS // k)
+    for lo in range(0, len(js), step):
+        hi = min(lo + step, len(js))
+        trans = stage_uniforms(scheme.master_seed, _TRIAL_TAG, js[lo], js[hi - 1], k)
+        d = _torus_distances(scheme.base, trans.reshape(-1, scheme.n), x).reshape(hi - lo, trials)
+        for rads, row in zip(radii, hits):
+            row[lo:hi] = np.count_nonzero(d < rads[lo:hi, None], axis=1)
+    return [_classify(js, h / trials, trials) for h in hits]
+
+
+def _classify(js, p_hat, trials) -> CoverageDiagnostic:
     sums = np.cumsum(p_hat)
-    half = np.searchsorted(js, max(J, N // 2))
+    half = np.searchsorted(js, max(js[0], js[-1] // 2))
     inc = float(sums[-1] - sums[half])
     se = float(np.sqrt(np.sum(p_hat[half:] * (1 - p_hat[half:])) / trials))
     divergent = inc > max(0.3, 5.0 * se)
@@ -171,32 +217,30 @@ def coverage_frequency(scheme: RandomScheme, x, radius_rule, J, N, trials=1000) 
 # box counting of tail unions
 
 
-def _interval_union_count(intervals, m):
-    """Number of distinct integer box indices covered by [lo, hi] ranges mod m."""
-    if not intervals:
+def _interval_union_count(lo, hi, m):
+    """Number of distinct integer box indices covered by the ranges
+    [lo[i], hi[i]] mod m.
+
+    Ranges that wrap the torus seam are split in two; the pieces are sorted
+    by start and merged through the running maximum of their ends, adjacent
+    ranges joining into one.
+    """
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    if lo.size == 0:
         return 0
-    parts = []
-    for lo, hi in intervals:
-        lo_m = lo % m
-        hi_m = hi % m
-        if hi - lo + 1 >= m:
-            return m
-        if lo_m <= hi_m:
-            parts.append((lo_m, hi_m))
-        else:  # wraps around the torus seam
-            parts.append((lo_m, m - 1))
-            parts.append((0, hi_m))
-    parts.sort()
-    total = 0
-    cur_lo, cur_hi = parts[0]
-    for a, b in parts[1:]:
-        if a > cur_hi + 1:
-            total += cur_hi - cur_lo + 1
-            cur_lo, cur_hi = a, b
-        else:
-            cur_hi = max(cur_hi, b)
-    total += cur_hi - cur_lo + 1
-    return total
+    if np.any(hi - lo + 1 >= m):
+        return m
+    lo_m, hi_m = lo % m, hi % m
+    wraps = lo_m > hi_m
+    starts = np.concatenate([lo_m, np.zeros(np.count_nonzero(wraps), dtype=np.int64)])
+    ends = np.concatenate([np.where(wraps, m - 1, hi_m), hi_m[wraps]])
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    reach = np.maximum.accumulate(ends[order])
+    first = np.flatnonzero(np.concatenate([[True], starts[1:] > reach[:-1] + 1]))
+    last = np.concatenate([first[1:] - 1, [len(starts) - 1]])
+    return int(np.sum(reach[last] - starts[first] + 1))
 
 
 @dataclass
@@ -248,10 +292,10 @@ def covering_exponent(scheme: RandomScheme, N_list) -> CoveringFit:
         js = np.arange(N, 2 * N + 1)
         trans = _translations(scheme, N, 2 * N)
         rads = js.astype(float) ** (-scheme.tau)
-        q = np.mod(offset + trans[:, axis], 1.0)
+        q = _frac(offset + trans[:, axis])
         lo = np.floor((q - rads) * m).astype(np.int64)
         hi = np.floor((q + rads) * m).astype(np.int64)
-        count = _interval_union_count(list(zip(lo.tolist(), hi.tolist())), m) * width
+        count = _interval_union_count(lo, hi, m) * width
         yj = (hi - lo + 1) * width
         counts.append(count)
         sides.append(side)

@@ -292,8 +292,9 @@ def test_accept_8_borel_cantelli_diagnostic():
             base=PointSet(np.array([[0.5]])), tau=2.0, s=1.0, kappa=0.0,
             master_seed=801, n=1,
         )
-        div = coverage_frequency(sch, [0.3], lambda j: 1.0 / j, 1, 400, trials=1000)
-        conv = coverage_frequency(sch, [0.3], lambda j: j**-2.0, 1, 400, trials=1000)
+        div, conv = coverage_frequency(
+            sch, [0.3], [lambda j: 1.0 / j, lambda j: j**-2.0], 1, 400, trials=1000
+        )
         assert div.classification == "divergent"
         assert conv.classification == "convergent"
 

@@ -52,6 +52,11 @@ def test_invalid_config_exits_2(tmp_path):
         ("minkowski", "minkowski_segment.json", None, "samples_per_scale=0"),
         ("randsim", "randsim_lines_tau2.json", None, "scheme.base.basis=[[0.7071067811865476,0.7071067811865476]]"),
         ("cantor-verify", "cantor_audit.json", None, "tree=/nonexistent/tree.json"),
+        ("randsim", "randsim_bc.json", None, "master_seed=-1"),
+        ("randsim", "randsim_points_tau2.json", None, f"master_seed={2**64}"),
+        ("fit-lsp", "fit_lsp_line.json", None, "master_seed=-3"),
+        ("boxdim", "boxdim_segment.json", None, "master_seed=-3"),
+        ("cover", "cover_five_r.json", None, f"master_seed={2**64}"),
     ],
 )
 def test_missing_or_invalid_keys_exit_2(tmp_path, command, name, drop, override):

@@ -17,6 +17,7 @@ from lspkit.measure import (
     _DistanceOracle,
     _hit_counts,
     _merge_length,
+    _merge_union,
     _union_length_in,
 )
 from lspkit.sets import (
@@ -219,10 +220,10 @@ def test_union_length_in_matches_merge_length():
         spans = np.stack([a, a + rng.exponential(0.1, size=k)], axis=1)
         lo = rng.uniform(-1.5, 1.0, size=6)
         hi = lo + rng.exponential(0.5, size=6)
-        got = _union_length_in(spans, lo, hi)
+        got = _union_length_in(_merge_union(spans), lo, hi)
         want = [_merge_length(spans, lo=x, hi=y) for x, y in zip(lo, hi)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    assert np.array_equal(_union_length_in(np.empty((0, 2)), [0.0, 1.0], [1.0, 2.0]), [0.0, 0.0])
+    assert np.array_equal(_union_length_in(_merge_union(np.empty((0, 2))), [0.0, 1.0], [1.0, 2.0]), [0.0, 0.0])
 
 
 def sierpinski():

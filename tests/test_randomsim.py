@@ -6,12 +6,15 @@ import pytest
 from lspkit.errors import ArgumentError, UnsupportedCombination
 from lspkit.randomsim import (
     RandomScheme,
+    _frac,
+    _interval_union_count,
     _torus_distances,
     covering_exponent,
     coverage_frequency,
     draw_isometry,
     hit_indices,
     stage_radius,
+    stage_uniforms,
 )
 from lspkit.sets import AffinePlane, Circle, Isometry, PointSet, distance_to_set, transform_model
 
@@ -50,6 +53,87 @@ def test_scheme_validates_tau():
     with pytest.raises(ArgumentError):
         RandomScheme(base=PointSet(np.array([[0.5]])), tau=0.9, s=1.0, kappa=0.0,
                      master_seed=1, n=1)
+
+
+def _interval_union_count_loop(intervals, m):
+    """Reference: the union size of [lo, hi] ranges mod m, one range at a time."""
+    if not intervals:
+        return 0
+    parts = []
+    for lo, hi in intervals:
+        lo_m = lo % m
+        hi_m = hi % m
+        if hi - lo + 1 >= m:
+            return m
+        if lo_m <= hi_m:
+            parts.append((lo_m, hi_m))
+        else:  # wraps around the torus seam
+            parts.append((lo_m, m - 1))
+            parts.append((0, hi_m))
+    parts.sort()
+    total = 0
+    cur_lo, cur_hi = parts[0]
+    for a, b in parts[1:]:
+        if a > cur_hi + 1:
+            total += cur_hi - cur_lo + 1
+            cur_lo, cur_hi = a, b
+        else:
+            cur_hi = max(cur_hi, b)
+    total += cur_hi - cur_lo + 1
+    return total
+
+
+def test_interval_union_count_matches_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        m = int(rng.integers(1, 60))
+        count = int(rng.integers(0, 12))
+        lo = rng.integers(-2 * m, 2 * m, size=count)
+        # widths up to past m, so some ranges wrap the seam and some cover the torus
+        hi = lo + rng.integers(0, m + 2, size=count)
+        want = _interval_union_count_loop(list(zip(lo.tolist(), hi.tolist())), m)
+        assert _interval_union_count(lo, hi, m) == want
+
+
+def test_frac_is_np_mod_bit_for_bit():
+    rng = np.random.default_rng(4)
+    q = np.concatenate([
+        rng.normal(scale=3.0, size=100_000),
+        rng.uniform(0.0, 2.0, size=100_000),
+        -rng.uniform(0.0, 1e-17, size=1000),
+        [-0.0, 0.0, -1.0, 1.0, 2.0**52 + 0.5, -(2.0**52) - 0.5],
+    ])
+    assert np.array_equal(_frac(q), np.mod(q, 1.0))
+    assert not np.signbit(_frac(q)).any()
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 1000])
+def test_stage_uniforms_rows_are_per_stage_philox_draws(k):
+    seed, tag, b = 20260818, 917, -(-k // 4)
+    u = stage_uniforms(seed, tag, 3, 9, k)
+    assert u.shape == (7, k)
+    for row, j in zip(u, range(3, 10)):
+        gen = np.random.Generator(np.random.Philox(key=[seed, tag], counter=j * b))
+        assert np.array_equal(row, gen.random(k))
+
+
+def test_stage_uniforms_accept_the_largest_seed():
+    seed = 2**64 - 1
+    key = np.array([seed, 0], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key, counter=5))
+    assert np.array_equal(stage_uniforms(seed, 0, 5, 5, 3)[0], gen.random(3))
+
+
+def test_stage_uniforms_window_is_the_stack_of_its_halves():
+    whole = stage_uniforms(7, 0, 1, 400, 3)
+    halves = np.vstack([stage_uniforms(7, 0, 1, 200, 3), stage_uniforms(7, 0, 201, 400, 3)])
+    assert np.array_equal(whole, halves)
+
+
+def test_draw_isometry_is_a_one_stage_window():
+    sch = line_scheme(seed=7)
+    window = stage_uniforms(sch.master_seed, 0, 1, 400, sch.n)
+    assert np.array_equal(draw_isometry(sch, 205).translation, window[204])
 
 
 def test_draw_isometry_deterministic():
@@ -110,8 +194,9 @@ def test_hit_count_matches_poisson_binomial():
 
 def test_bc_classifications():
     sch = point_scheme(seed=41)
-    div = coverage_frequency(sch, [0.3], lambda j: 1.0 / j, 1, 400, trials=1000)
-    conv = coverage_frequency(sch, [0.3], lambda j: j**-2.0, 1, 400, trials=1000)
+    div, conv = coverage_frequency(
+        sch, [0.3], [lambda j: 1.0 / j, lambda j: j**-2.0], 1, 400, trials=1000
+    )
     assert div.classification == "divergent"
     assert conv.classification == "convergent"
     # harmonic partial sums grow like 2 ln N
@@ -123,18 +208,49 @@ def test_bc_transformed_radii_critical_vs_supercritical():
     t_crit = 0.5
     rule_crit = lambda j: stage_radius(sch, j, "transformed", t_crit)
     rule_conv = lambda j: stage_radius(sch, j, "transformed", t_crit + 0.2)
-    div = coverage_frequency(sch, [0.3], rule_crit, 1, 1024, trials=1000)
-    conv = coverage_frequency(sch, [0.3], rule_conv, 1, 1024, trials=1000)
+    div, conv = coverage_frequency(sch, [0.3], [rule_crit, rule_conv], 1, 1024, trials=1000)
     assert div.classification == "divergent"
     assert conv.classification == "convergent"
 
 
+def _same_diagnostic(a, b):
+    assert np.array_equal(a.j_values, b.j_values)
+    assert np.array_equal(a.p_hat, b.p_hat)
+    assert np.array_equal(a.partial_sums, b.partial_sums)
+    assert (a.classification, a.last_octave_increment, a.increment_stderr) == (
+        b.classification, b.last_octave_increment, b.increment_stderr,
+    )
+
+
+def test_multi_rule_coverage_matches_single_rule_calls():
+    sch = point_scheme(seed=53)
+    rules = [lambda j: 1.0 / j, lambda j: j**-2.0, lambda j: 0.05]
+    together = coverage_frequency(sch, [0.3], rules, 1, 300, trials=1000)
+    assert len(together) == len(rules)
+    for rule, diag in zip(rules, together):
+        (alone,) = coverage_frequency(sch, [0.3], [rule], 1, 300, trials=1000)
+        _same_diagnostic(diag, alone)
+
+
+def test_coverage_blocks_match_stage_by_stage():
+    # 300 stages of 1000 trials span several blocks of draws; blocking must
+    # not move any stage's estimate
+    sch = line_scheme(seed=59)
+    rule = lambda j: 0.3 / j
+    (diag,) = coverage_frequency(sch, [0.3, 0.7], [rule], 1, 300, trials=1000)
+    one_by_one = [
+        coverage_frequency(sch, [0.3, 0.7], [rule], j, j, trials=1000)[0].p_hat[0]
+        for j in range(1, 301)
+    ]
+    assert np.array_equal(diag.p_hat, one_by_one)
+
+
 def test_bc_window_invariance():
-    # each stage draws from its own stream, so a stage's estimate does not
-    # depend on the window it is computed in
+    # each stage draws from its own counter blocks, so a stage's estimate
+    # does not depend on the window it is computed in
     sch = point_scheme(seed=47)
-    short = coverage_frequency(sch, [0.3], lambda j: 1.0 / j, 1, 200, trials=1000)
-    long = coverage_frequency(sch, [0.3], lambda j: 1.0 / j, 1, 400, trials=1000)
+    (short,) = coverage_frequency(sch, [0.3], [lambda j: 1.0 / j], 1, 200, trials=1000)
+    (long,) = coverage_frequency(sch, [0.3], [lambda j: 1.0 / j], 1, 400, trials=1000)
     assert np.array_equal(short.p_hat, long.p_hat[:200])
 
 
@@ -166,7 +282,7 @@ def test_bc_tilted_line_hit_probability():
     # hit probability is 4r
     sch = tilted_line_scheme()
     r, stages = 0.05, 5
-    diag = coverage_frequency(sch, [0.3, 0.3], lambda j: r, 1, stages, trials=1000)
+    (diag,) = coverage_frequency(sch, [0.3, 0.3], [lambda j: r], 1, stages, trials=1000)
     p = float(np.mean(diag.p_hat))
     sigma = math.sqrt(4 * r * (1 - 4 * r) / (1000 * stages))
     assert abs(p - 4 * r) <= 3 * sigma
