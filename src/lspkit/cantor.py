@@ -19,6 +19,14 @@ Desk-scale notes baked into this module:
   instead front-loaded through per-sublevel mass targets proportional to the
   strength parameter eta, preserving the eta-scaling of the measure
   denominator that the mass bound needs.
+
+The tree is stored as arrays addressed by row.  Tree level 1 is the root;
+``CantorTree.balls(level)`` returns the centers and radii of a level, whose
+rows run through its local levels in order.  Each ``LocalLevel`` holds its
+selection ("a") and target ("c") balls as flat arrays, built one sublevel at
+a time, and names its parent ball by ``(parent_level, parent_index)``, a row
+of ``balls(parent_level)``; mass assignment, the audits and the builder
+all resolve parents by that row.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -98,15 +106,18 @@ class CantorTree:
     levels: list  # levels[k] = list of LocalLevel producing the (k+2)-level balls
     case: str = "a"
 
-    def leaf_level(self):
-        return self.levels[-1]
+    def balls(self, level):
+        """Ball arrays (centers (m, n), radii (m,)) of tree level ``level``;
+        level 1 is the root, and the rows of a deeper level run through its
+        local levels in order, so ``(level, row)`` names one ball."""
+        if level == 1:
+            return self.root.center[None, :], np.array([self.root.radius], dtype=float)
+        locs = self.levels[level - 2]
+        return np.concatenate([l.c_center for l in locs]), np.concatenate([l.c_radius for l in locs])
 
     def leaves(self):
-        """Deepest-level ball arrays (centers, radii) across local levels."""
-        locs = self.leaf_level()
-        centers = np.concatenate([l.c_center for l in locs], axis=0)
-        radii = np.concatenate([l.c_radius for l in locs])
-        return centers, radii
+        """Deepest-level ball arrays (centers, radii)."""
+        return self.balls(len(self.levels) + 1)
 
 
 @dataclass
@@ -269,31 +280,51 @@ def _require_supported(params):
         raise UnsupportedCombination("the builder needs a point-cloud stage provider")
 
 
-def _caj_nets(params, a_centers, a_radii, j, upsilon):
-    """Net points of the stage cloud inside half of each selection ball."""
-    cloud = params.stages.sorted_points(j)
-    lo = a_centers - 0.5 * a_radii
-    hi = a_centers + 0.5 * a_radii
-    i0 = np.searchsorted(cloud, lo)
-    i1 = np.searchsorted(cloud, hi)
+def _slice_rows(i0, i1):
+    """Flat row indices of the slices [i0[k], i1[k]) and the slice each row
+    belongs to, slice by slice in order."""
     counts = i1 - i0
-    out = []
-    for k in range(len(a_centers)):
-        if counts[k] <= 1:
-            pts = cloud[i0[k] : i1[k]]
-            out.append(pts[:, None] if len(pts) else np.array([[a_centers[k]]]))
-        else:
-            pts = greedy_net(cloud[i0[k] : i1[k]][:, None], 6.0 * upsilon, metric=params.metric)
-            out.append(pts)
-    return out
+    owner = np.repeat(np.arange(len(i0)), counts)
+    starts = np.cumsum(counts) - counts
+    return np.arange(len(owner)) - starts[owner] + i0[owner], owner
 
 
-def _build_local_level(params, consts, B: Ball, parent_level, parent_index, is_root, rng):
+def _caj_nets(params, a_centers, a_radii, j, upsilon):
+    """Net points of the stage cloud inside half of each selection ball, as
+    flat ``(centers, owner)`` sorted by owning ball.
+
+    A sorted 1-D slice keeps every point under ``greedy_net`` unless some
+    neighbouring gap is within the separation (the last pick is the nearest
+    earlier point), so only such slices are netted; an empty slice yields its
+    ball's own center.
+    """
+    cloud = params.stages.sorted_points(j)
+    sep = 6.0 * upsilon
+    i0 = np.searchsorted(cloud, a_centers - 0.5 * a_radii)
+    i1 = np.searchsorted(cloud, a_centers + 0.5 * a_radii)
+    rows, owner = _slice_rows(i0, i1)
+    pts = cloud[rows]
+    close = (owner[1:] == owner[:-1]) & (_norm(np.diff(pts)[:, None], params.metric) <= sep)
+    dense = np.unique(owner[1:][close])
+    keep = ~np.isin(owner, dense)
+    empty = np.nonzero(i1 == i0)[0]
+    nets = [greedy_net(cloud[i0[k] : i1[k]][:, None], sep, metric=params.metric)[:, 0] for k in dense]
+    centers = np.concatenate([pts[keep], *nets, a_centers[empty]])
+    owners = np.concatenate(
+        [owner[keep], *(np.full(len(n), k) for k, n in zip(dense, nets)), empty]
+    )
+    order = np.argsort(owners, kind="stable")
+    return centers[order], owners[order]
+
+
+def _build_local_level(params, consts, B: Ball, node, rng):
+    """Selection and target balls of the local level under ball B, the
+    ``node = (level, row)`` of the tree."""
     pair = params.gauges
     n = B.ambient_dim
     vg_b = eval_gauge(pair.g, B.radius)
     vol_b = ball_volume(n, B.radius, params.metric)
-    if is_root:
+    if node[0] == 1:
         l_b = root_sublevel_count(consts, params.eta)
     else:
         l_b = child_sublevel_count(consts, pair, B.radius)
@@ -301,7 +332,7 @@ def _build_local_level(params, consts, B: Ball, parent_level, parent_index, is_r
         raise ConstructionError(
             f"P5 sublevel count {l_b} exceeds the budget {params.max_sublevels}; "
             "the radius ladder makes such levels infeasible at desk scale",
-            node=(parent_level, parent_index),
+            node=node,
         )
     eps = epsilon_b(consts, pair, B.radius, l_b)
     floor_mass = consts["c6"] * vg_b
@@ -313,12 +344,14 @@ def _build_local_level(params, consts, B: Ball, parent_level, parent_index, is_r
         raise ConstructionError(
             f"P3 per-sublevel mass {floor_mass:.3g} exceeds the packing capacity "
             f"{cap_first:.3g} of the parent ball; no disjoint selection can satisfy it",
-            node=(parent_level, parent_index),
+            node=node,
         )
     pump = params.pump_total if params.pump_total is not None else params.holder_mass_factor * params.eta
 
-    a_center, a_radius, a_j, a_sub = [], [], [], []
-    c_center, c_radius, c_j, c_sub, c_aidx = [], [], [], [], []
+    # per-sublevel arrays: selection balls (center, radius, j, sublevel) and
+    # target balls (center, radius, j, sublevel, selection row)
+    a_parts, c_parts = [], []
+    n_a = n_c = 0
     g_primes, sub_targets, sub_masses = [], [], []
     total_mass = 0.0
     d_min = math.inf
@@ -330,169 +363,106 @@ def _build_local_level(params, consts, B: Ball, parent_level, parent_index, is_r
         if floor_mass * 1.02 > cap:
             raise ConstructionError(
                 f"sublevel {i}: P3 floor {floor_mass:.3g} exceeds capacity {cap:.3g}",
-                node=(parent_level, parent_index),
+                node=node,
                 sublevel=i,
             )
         target = min(want, cap)
         sub_targets.append(target)
-        sub_start = len(a_center)
+        scan_kw = {}
+        if i > 1:
+            min_f = eval_gauge(pair.f, d_min)
+            scan_kw = dict(d_min=d_min, min_f=min_f, min_h=min_f / eval_gauge(pair.g, d_min) ** pair.kappa)
+        try:
+            g_prime = _scan_first_ok(
+                params, consts, g_primes[-1] if i > 1 else params.g_floor, B.radius, eps, **scan_kw
+            )
+        except TruncationError as exc:
+            raise TruncationError(str(exc), node=node, sublevel=i) from exc
+        g_primes.append(g_prime)
 
         if i == 1:
-            try:
-                g_start = _scan_first_ok(params, consts, params.g_floor, B.radius, eps)
-            except TruncationError as exc:
-                raise TruncationError(
-                    str(exc), node=(parent_level, parent_index), sublevel=1
-                ) from exc
-            g_primes.append(g_start)
-            seq = lambda j: (params.stages.model(j), mtp_radius(pair, params.stages.upsilon(j)))
-            frac = min(1.0, (2.0**n * target) / (params.c5 * vol_b))
-            try:
-                kgb = build_kgb(
-                    B,
-                    g_start,
-                    seq,
-                    params.j_max,
-                    frac,
-                    rng=rng,
-                    c5=params.c5,
-                    metric=params.metric,
-                )
-            except CoverageShortfall as exc:
-                raise ConstructionError(
-                    f"sublevel 1 selection covered only fraction "
-                    f"{exc.achieved_fraction:.3g} of its target",
-                    node=(parent_level, parent_index),
-                    sublevel=1,
-                ) from exc
-            mass_i = 0.0
-            for ib in kgb.selected:
-                a_center.append(ib.ball.center[0])
-                a_radius.append(ib.ball.radius)
-                a_j.append(ib.j)
-                a_sub.append(i)
-                mass_i += eval_gauge(pair.g, ib.ball.radius)
+            centers, radii, js, mass_i = _first_sublevel(params, B, g_prime, target, vol_b, rng, node)
         else:
-            min_f = eval_gauge(pair.f, d_min)
-            min_h = min_f / eval_gauge(pair.g, d_min) ** pair.kappa
-            try:
-                g_prime = _scan_first_ok(
-                    params, consts, g_primes[-1], B.radius, eps,
-                    d_min=d_min, min_f=min_f, min_h=min_h,
-                )
-            except TruncationError as exc:
-                raise TruncationError(
-                    str(exc), node=(parent_level, parent_index), sublevel=i
-                ) from exc
-            g_primes.append(g_prime)
-            mass_i = _deep_sublevel(
-                params,
-                consts,
-                B,
-                i,
-                g_prime,
-                d_min,
-                target,
-                rng,
-                a_center,
-                a_radius,
-                a_j,
-                a_sub,
-                c_center,
-                c_radius,
-                parent_level,
-                parent_index,
+            leaf_center, leaf_radius = (np.concatenate([p[k] for p in c_parts]) for k in (0, 1))
+            centers, radii, js, mass_i = _deep_sublevel(
+                params, B, i, g_prime, d_min, target, leaf_center, leaf_radius, node
             )
         if mass_i < floor_mass:
             raise ConstructionError(
                 f"sublevel {i} mass {mass_i:.3g} fell below the P3 floor {floor_mass:.3g}",
-                node=(parent_level, parent_index),
+                node=node,
                 sublevel=i,
             )
         total_mass += mass_i
         sub_masses.append(mass_i)
+        a_parts.append((centers, radii, js, np.full(len(js), i)))
 
-        # expand each new selection ball into its target-radius balls
-        by_j = {}
-        for k in range(sub_start, len(a_center)):
-            by_j.setdefault(a_j[k], []).append(k)
-        for j, idxs in by_j.items():
+        # expand each new selection ball into its target-radius balls, one
+        # stage index at a time in order of first use
+        for j in dict.fromkeys(js.tolist()):
+            rows = np.nonzero(js == j)[0]
             u = params.stages.upsilon(j)
-            nets = _caj_nets(
-                params,
-                np.array([a_center[k] for k in idxs]),
-                np.array([a_radius[k] for k in idxs]),
-                j,
-                u,
-            )
-            for k, pts in zip(idxs, nets):
-                for p in np.asarray(pts).reshape(-1):
-                    c_center.append(p)
-                    c_radius.append(u)
-                    c_j.append(j)
-                    c_sub.append(i)
-                    c_aidx.append(k)
-                    d_min = min(d_min, u)
-        if len(c_center) > params.max_nodes:
+            pts, owner = _caj_nets(params, centers[rows], radii[rows], j, u)
+            m = len(pts)
+            c_parts.append((pts, np.full(m, u), np.full(m, j), np.full(m, i), n_a + rows[owner]))
+            n_c += m
+            d_min = min(d_min, u)
+        n_a += len(js)
+        if n_c > params.max_nodes:
             raise ConstructionError(
                 f"node budget {params.max_nodes} exceeded at sublevel {i}",
-                node=(parent_level, parent_index),
+                node=node,
                 sublevel=i,
             )
 
+    a_center, a_radius, a_j, a_sublevel = (np.concatenate(col) for col in zip(*a_parts))
+    c_center, c_radius, c_j, c_sublevel, c_aidx = (np.concatenate(col) for col in zip(*c_parts))
     return LocalLevel(
-        parent_level=parent_level,
-        parent_index=parent_index,
-        l_b=l_b,
-        eps_b=eps,
-        g_primes=g_primes,
-        sub_targets=sub_targets,
-        sub_masses=sub_masses,
-        a_center=np.array(a_center)[:, None],
-        a_radius=np.array(a_radius),
-        a_j=np.array(a_j, dtype=np.int64),
-        a_sublevel=np.array(a_sub, dtype=np.int64),
-        c_center=np.array(c_center)[:, None],
-        c_radius=np.array(c_radius),
-        c_j=np.array(c_j, dtype=np.int64),
-        c_sublevel=np.array(c_sub, dtype=np.int64),
-        c_aidx=np.array(c_aidx, dtype=np.int64),
+        node[0], node[1], l_b, eps, g_primes, sub_targets, sub_masses,
+        a_center[:, None], a_radius, a_j, a_sublevel,
+        c_center[:, None], c_radius, c_j, c_sublevel, c_aidx,
     )
 
 
-def _deep_sublevel(
-    params,
-    consts,
-    B,
-    i,
-    g_prime,
-    d_min,
-    target,
-    rng,
-    a_center,
-    a_radius,
-    a_j,
-    a_sub,
-    leaf_center,
-    leaf_radius,
-    parent_level,
-    parent_index,
-):
+def _first_sublevel(params, B, g_start, target, vol_b, rng, node):
+    """Sublevel 1: a K_{G,B} selection of transformed-radius balls from stage
+    ``g_start`` on, covering the share of B that the mass target asks for."""
+    pair = params.gauges
+    seq = lambda j: (params.stages.model(j), mtp_radius(pair, params.stages.upsilon(j)))
+    frac = min(1.0, (2.0**B.ambient_dim * target) / (params.c5 * vol_b))
+    try:
+        kgb = build_kgb(B, g_start, seq, params.j_max, frac, rng=rng, c5=params.c5, metric=params.metric)
+    except CoverageShortfall as exc:
+        raise ConstructionError(
+            f"sublevel 1 selection covered only fraction "
+            f"{exc.achieved_fraction:.3g} of its target",
+            node=node,
+            sublevel=1,
+        ) from exc
+    mass = 0.0
+    for ib in kgb.selected:  # sequential sum: the last ulp decides later counts
+        mass += eval_gauge(pair.g, ib.ball.radius)
+    return (
+        np.array([ib.ball.center[0] for ib in kgb.selected]),
+        np.array([ib.ball.radius for ib in kgb.selected]),
+        np.array([ib.j for ib in kgb.selected], dtype=np.int64),
+        mass,
+    )
+
+
+def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radius, node):
     """Cover the leftover region with d_min-radius balls and pick one
     transformed-radius ball on the stage cloud inside each, until the
-    sublevel mass target is met."""
+    sublevel mass target is met; returns (centers, radii, js, mass)."""
     pair = params.gauges
     half_lo = B.center[0] - 0.5 * B.radius
     half_hi = B.center[0] + 0.5 * B.radius
     # leftover region: half of B minus the 4-dilates of every target ball
     # placed so far; cover centers outside 4L with radius <= r(L) cannot
     # touch 3L, which preserves P1 across sublevels
-    lc = np.asarray(leaf_center, dtype=float)
-    lr = np.asarray(leaf_radius, dtype=float)
-    blocked = np.stack([lc - 4.0 * lr, lc + 4.0 * lr], axis=1)
-    order = np.argsort(blocked[:, 0])
-    blocked = blocked[order]
-    b_lo, b_hi = blocked[:, 0], np.maximum.accumulate(blocked[:, 1])
+    order = np.argsort(leaf_center - 4.0 * leaf_radius)
+    b_lo = (leaf_center - 4.0 * leaf_radius)[order]
+    b_hi = np.maximum.accumulate((leaf_center + 4.0 * leaf_radius)[order])
 
     step = d_min / 2.0
     pool = np.arange(half_lo + d_min, half_hi - d_min + step / 4, step)
@@ -510,14 +480,13 @@ def _deep_sublevel(
     covers = pool[keep]
     if len(covers) == 0:
         raise ConstructionError(
-            f"sublevel {i}: leftover region produced no cover balls",
-            node=(parent_level, parent_index),
-            sublevel=i,
+            f"sublevel {i}: leftover region produced no cover balls", node=node, sublevel=i
         )
 
     mass = 0.0
     j = g_prime
     unhosted = covers
+    picks = []  # (centers, radius, j) per stage block
     while mass < target and j <= params.j_max and len(unhosted):
         u = params.stages.upsilon(j)
         tilde = mtp_radius(pair, u)
@@ -529,17 +498,12 @@ def _deep_sublevel(
             right = cloud[np.clip(pos, 0, len(cloud) - 1)]
             host = np.where(np.abs(unhosted - left) <= np.abs(unhosted - right), left, right)
             ok = np.abs(host - unhosted) <= room
-            hosts = host[ok]
             need = int(math.ceil((target - mass) / eval_gauge(pair.g, tilde)))
-            take = hosts[:need]
-            for x in take:
-                a_center.append(float(x))
-                a_radius.append(tilde)
-                a_j.append(j)
-                a_sub.append(i)
+            take = host[ok][:need]
+            picks.append((take, tilde, j))
             mass += len(take) * eval_gauge(pair.g, tilde)
             if mass >= target:
-                return mass
+                break
             unhosted = unhosted[~ok]
         # advance to the next dyadic block; radii shrink, clouds densify
         j = max(1 << (int(math.floor(math.log2(max(j, 1)))) + 1), j + 1)
@@ -547,10 +511,15 @@ def _deep_sublevel(
         raise TruncationError(
             f"sublevel {i}: mass {mass:.3g} below target {target:.3g} "
             f"({len(unhosted)} cover balls unhosted by stage {j})",
-            node=(parent_level, parent_index),
+            node=node,
             sublevel=i,
         )
-    return mass
+    return (
+        np.concatenate([t for t, _, _ in picks]),
+        np.concatenate([np.full(len(t), r) for t, r, _ in picks]),
+        np.concatenate([np.full(len(t), jj, dtype=np.int64) for t, _, jj in picks]),
+        mass,
+    )
 
 
 def build_cantor(params: ConstructionParams, rng=None) -> CantorTree:
@@ -569,27 +538,14 @@ def build_cantor(params: ConstructionParams, rng=None) -> CantorTree:
             + (" where the two measures are proportional" if case == "c" else "")
         )
     consts = _ambient_constants(params)
-    levels = []
-    if params.depth >= 2:
-        root_local = _build_local_level(params, consts, params.domain, 1, 0, True, rng)
-        levels.append([root_local])
-    for depth in range(3, params.depth + 1):
-        prev = levels[-1]
-        locs = []
-        offset = 0
-        for loc in prev:
-            for idx in range(len(loc.c_center)):
-                B = Ball(loc.c_center[idx], float(loc.c_radius[idx]))
-                locs.append(_build_local_level(params, consts, B, depth - 1, offset + idx, False, rng))
-            offset += len(loc.c_center)
-        levels.append(locs)
-    return CantorTree(
-        root=params.domain,
-        metric=params.metric,
-        constants=consts,
-        levels=levels,
-        case=case,
-    )
+    tree = CantorTree(root=params.domain, metric=params.metric, constants=consts, levels=[], case=case)
+    for level in range(1, params.depth):
+        centers, radii = tree.balls(level)
+        tree.levels.append([
+            _build_local_level(params, consts, Ball(centers[row], float(radii[row])), (level, row), rng)
+            for row in range(len(radii))
+        ])
+    return tree
 
 
 def tree_fingerprint(tree: CantorTree) -> str:
@@ -614,12 +570,9 @@ def assign_mass(tree: CantorTree, params: ConstructionParams, exact=False) -> Ma
     kappa = pair.kappa
     mu_levels = []
     exact_levels = [] if exact else None
-    parent_mass = {(1, 0): 1.0}
-    parent_exact = {(1, 0): Fraction(1)} if exact else None
-    for lev_idx, locs in enumerate(tree.levels):
-        level_no = lev_idx + 2
-        mus = []
-        exacts = []
+    parent_mu, parent_exact = np.ones(1), [Fraction(1)]  # the root row
+    for locs in tree.levels:
+        mus, exacts = [], []
         for loc in locs:
             # weight h(upsilon)^(1/(1-kappa)) evaluated from the stage radii
             stage_u = np.array([params.stages.upsilon(int(j)) for j in loc.a_j])
@@ -628,29 +581,18 @@ def assign_mass(tree: CantorTree, params: ConstructionParams, exact=False) -> Ma
             w = (fu / gu**kappa) ** (1.0 / (1.0 - kappa))
             denom = float(np.sum(w))
             counts = np.bincount(loc.c_aidx, minlength=len(loc.a_radius))
-            pm = parent_mass[(loc.parent_level, loc.parent_index)]
-            mu = pm * w[loc.c_aidx] / (denom * counts[loc.c_aidx])
-            mus.append(mu)
+            pm = float(parent_mu[loc.parent_index])
+            mus.append(pm * w[loc.c_aidx] / (denom * counts[loc.c_aidx]))
             if exact:
                 wf = [Fraction(float(x)) for x in w]
                 df = sum(wf, Fraction(0))
-                pf = parent_exact[(loc.parent_level, loc.parent_index)]
-                exacts.append(
-                    [pf * wf[a] / (df * int(counts[a])) for a in loc.c_aidx]
-                )
-        mu_arr = np.concatenate(mus) if mus else np.empty(0)
-        mu_levels.append(mu_arr)
+                pf = parent_exact[loc.parent_index]
+                exacts.extend(pf * wf[a] / (df * int(counts[a])) for a in loc.c_aidx)
+        parent_mu = np.concatenate(mus) if mus else np.empty(0)
+        mu_levels.append(parent_mu)
         if exact:
-            flat = [x for chunk in exacts for x in chunk]
-            exact_levels.append(flat)
-        # register as parents for the next level
-        pos = 0
-        for loc in locs:
-            for idx in range(len(loc.c_center)):
-                parent_mass[(level_no, pos + idx)] = float(mu_arr[pos + idx])
-                if exact:
-                    parent_exact[(level_no, pos + idx)] = exact_levels[-1][pos + idx]
-            pos += len(loc.c_center)
+            parent_exact = exacts
+            exact_levels.append(exacts)
     return MassAssignment(mu=mu_levels, exact=exact_levels)
 
 
@@ -675,24 +617,14 @@ def _neighborhood_in_window(cloud, u, centers, half_widths, gap):
     hi = centers + half_widths
     i0 = np.searchsorted(cloud, lo - u)
     i1 = np.searchsorted(cloud, hi + u)
-    out = np.empty(len(centers))
     if 2.0 * u < gap:
-        counts = i1 - i0
-        flat_idx = np.concatenate(
-            [np.arange(a, b) for a, b in zip(i0, i1)]
-        ) if np.any(counts) else np.empty(0, dtype=int)
-        owner = np.repeat(np.arange(len(centers)), counts)
-        if len(flat_idx):
-            p = cloud[flat_idx]
-            # work relative to each point so the tiny interval length does
-            # not cancel against the ambient coordinate magnitude
-            seg = np.clip(
-                np.minimum(u, hi[owner] - p) - np.maximum(-u, lo[owner] - p), 0.0, None
-            )
-            out = np.bincount(owner, weights=seg, minlength=len(centers))
-        else:
-            out[:] = 0.0
-        return out
+        rows, owner = _slice_rows(i0, i1)
+        p = cloud[rows]
+        # work relative to each point so the tiny interval length does
+        # not cancel against the ambient coordinate magnitude
+        seg = np.clip(np.minimum(u, hi[owner] - p) - np.maximum(-u, lo[owner] - p), 0.0, None)
+        return np.bincount(owner, weights=seg, minlength=len(centers))
+    out = np.empty(len(centers))
     for t in range(len(centers)):
         spans = np.stack([cloud[i0[t] : i1[t]] - u, cloud[i0[t] : i1[t]] + u], axis=1)
         out[t] = _merge_length(spans, lo=lo[t], hi=hi[t])
@@ -724,12 +656,10 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
     p2_details = {"d1_hat": math.inf, "d2_hat": 0.0, "iv_max_ratio": 0.0}
 
     for lev_idx, locs in enumerate(tree.levels):
+        parent_centers, parent_radii = tree.balls(lev_idx + 1)
         for li, loc in enumerate(locs):
-            parent = (
-                tree.root
-                if loc.parent_level == 1
-                else _ball_of(tree, loc.parent_level, loc.parent_index)
-            )
+            row = loc.parent_index
+            parent = Ball(parent_centers[row], float(parent_radii[row]))
             tag = f"L{lev_idx + 2}/{li}"
             c = loc.c_center[:, 0]
             r = loc.c_radius
@@ -856,17 +786,6 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
     return AuditReport(properties=props)
 
 
-def _ball_of(tree: CantorTree, level, index):
-    locs = tree.levels[level - 2]
-    pos = 0
-    for loc in locs:
-        if index < pos + len(loc.c_center):
-            k = index - pos
-            return Ball(loc.c_center[k], float(loc.c_radius[k]))
-        pos += len(loc.c_center)
-    raise ArgumentError(f"no ball {index} at level {level}")
-
-
 # ---------------------------------------------------------------------------
 # mass bound check
 
@@ -968,8 +887,9 @@ def format_tree(tree: CantorTree, mass: MassAssignment | None = None, max_leaves
     ]
     for lev_idx, locs in enumerate(tree.levels):
         level_no = lev_idx + 2
-        loc_offset = 0
+        end = 0
         for loc in locs:
+            start, end = end, end + len(loc.c_center)  # the local level's rows
             lines.append(
                 f"level {level_no} local level (parent L{loc.parent_level}#{loc.parent_index}): "
                 f"l_B={loc.l_b} sublevel masses={[round(m, 4) for m in loc.sub_masses]}"
@@ -979,7 +899,6 @@ def format_tree(tree: CantorTree, mass: MassAssignment | None = None, max_leaves
                     f"  {len(loc.a_center)} selection balls, {len(loc.c_center)} leaves "
                     "(too many to print)"
                 )
-                loc_offset += len(loc.c_center)
                 continue
             for k in range(len(loc.a_center)):
                 leaf_idx = np.nonzero(loc.c_aidx == k)[0]
@@ -991,16 +910,45 @@ def format_tree(tree: CantorTree, mass: MassAssignment | None = None, max_leaves
                 for i in leaf_idx:
                     mu = ""
                     if mass is not None:
-                        mu = f" mu={mass.mu[lev_idx][loc_offset + i]:.4g}"
+                        mu = f" mu={mass.mu[lev_idx][start + i]:.4g}"
                     lines.append(
                         f"    L c={loc.c_center[i, 0]:.6g} r={loc.c_radius[i]:.4g}{mu}"
                     )
-            loc_offset += len(loc.c_center)
     return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+# array fields ``a_<key>`` and ``c_<key>`` form the "a" and "c" blocks of a
+# local level; centers are stored as (m, 1) columns and written as lists
+_BLOCKS = ("a", "c")
+
+
+def _local_to_json(loc: LocalLevel) -> dict:
+    out = {}
+    for f in fields(LocalLevel):
+        v = getattr(loc, f.name)
+        block, _, key = f.name.partition("_")
+        if block in _BLOCKS:
+            out.setdefault(block, {})[key] = (v[:, 0] if key == "center" else v).tolist()
+        else:
+            out[f.name] = np.asarray(v).tolist() if isinstance(v, list) else v
+    return out
+
+
+def _local_from_json(e) -> LocalLevel:
+    kw = {}
+    for f in fields(LocalLevel):
+        block, _, key = f.name.partition("_")
+        if block in _BLOCKS:
+            v = np.array(e[block][key], dtype=float if key in ("center", "radius") else np.int64)
+            kw[f.name] = v[:, None] if key == "center" else v
+        else:
+            v = e[f.name]
+            kw[f.name] = list(v) if isinstance(v, list) else v
+    return LocalLevel(**kw)
 
 
 def tree_to_json(tree: CantorTree) -> dict:
@@ -1009,67 +957,15 @@ def tree_to_json(tree: CantorTree) -> dict:
         "metric": tree.metric,
         "constants": tree.constants,
         "case": tree.case,
-        "levels": [
-            [
-                {
-                    "parent_level": loc.parent_level,
-                    "parent_index": loc.parent_index,
-                    "l_b": loc.l_b,
-                    "eps_b": loc.eps_b,
-                    "g_primes": list(map(int, loc.g_primes)),
-                    "sub_targets": loc.sub_targets,
-                    "sub_masses": loc.sub_masses,
-                    "a": {
-                        "center": loc.a_center[:, 0].tolist(),
-                        "radius": loc.a_radius.tolist(),
-                        "j": loc.a_j.tolist(),
-                        "sublevel": loc.a_sublevel.tolist(),
-                    },
-                    "c": {
-                        "center": loc.c_center[:, 0].tolist(),
-                        "radius": loc.c_radius.tolist(),
-                        "j": loc.c_j.tolist(),
-                        "sublevel": loc.c_sublevel.tolist(),
-                        "aidx": loc.c_aidx.tolist(),
-                    },
-                }
-                for loc in locs
-            ]
-            for locs in tree.levels
-        ],
+        "levels": [[_local_to_json(loc) for loc in locs] for locs in tree.levels],
     }
 
 
 def tree_from_json(obj) -> CantorTree:
-    levels = []
-    for locs in obj["levels"]:
-        out = []
-        for e in locs:
-            out.append(
-                LocalLevel(
-                    parent_level=e["parent_level"],
-                    parent_index=e["parent_index"],
-                    l_b=e["l_b"],
-                    eps_b=e["eps_b"],
-                    g_primes=list(e["g_primes"]),
-                    sub_targets=list(e["sub_targets"]),
-                    sub_masses=list(e["sub_masses"]),
-                    a_center=np.array(e["a"]["center"])[:, None],
-                    a_radius=np.array(e["a"]["radius"]),
-                    a_j=np.array(e["a"]["j"], dtype=np.int64),
-                    a_sublevel=np.array(e["a"]["sublevel"], dtype=np.int64),
-                    c_center=np.array(e["c"]["center"])[:, None],
-                    c_radius=np.array(e["c"]["radius"]),
-                    c_j=np.array(e["c"]["j"], dtype=np.int64),
-                    c_sublevel=np.array(e["c"]["sublevel"], dtype=np.int64),
-                    c_aidx=np.array(e["c"]["aidx"], dtype=np.int64),
-                )
-            )
-        levels.append(out)
     return CantorTree(
         root=Ball(np.array(obj["root"]["center"]), obj["root"]["radius"]),
         metric=obj["metric"],
         constants=obj["constants"],
-        levels=levels,
+        levels=[[_local_from_json(e) for e in locs] for locs in obj["levels"]],
         case=obj.get("case", "a"),
     )

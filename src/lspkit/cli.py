@@ -152,7 +152,7 @@ SCHEMAS = {
             "pair": _PAIR,
             "eta": {"type": "number", "exclusiveMinimum": 1},
             "stages": {"type": "object", "required": ["type"]},
-            "depth": {"type": "integer", "minimum": 1},
+            "depth": {"type": "integer", "minimum": 2},
         },
     },
     "cantor-verify": {
@@ -424,8 +424,8 @@ def _run_cantor_verify(cfg, rng):
     try:
         with open(cfg["tree"]) as fh:
             tree = tree_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArgumentError(f"cannot read tree: {exc}") from exc
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+        raise ArgumentError(f"cannot read tree: {type(exc).__name__}: {exc}") from exc
     params = _cantor_params(cfg)
     audit = verify_levels(tree, params)
     return {
@@ -544,7 +544,8 @@ def run(command, config, out_dir=None, overrides=(), seed=None, threads=1):
             _write_csv(out / "tables" / name, header, rows)
         for name, payload in extra.items():
             with open(out / name, "w") as fh:
-                json.dump(payload, fh, default=float)
+                # one dumps call: json.dump on a file runs the pure-Python encoder
+                fh.write(json.dumps(payload, default=float))
     return 0, report
 
 

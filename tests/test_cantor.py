@@ -1,5 +1,8 @@
 import copy
+import json
 import math
+import types
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +12,8 @@ from lspkit.cantor import (
     ConstructionParams,
     LocalLevel,
     CantorTree,
+    _ambient_constants,
+    _caj_nets,
     assign_mass,
     ball_mass_upper,
     build_cantor,
@@ -18,7 +23,7 @@ from lspkit.cantor import (
     tree_to_json,
     verify_levels,
 )
-from lspkit.covering import Ball
+from lspkit.covering import Ball, greedy_net
 from lspkit.dimfun import Gauge, GaugePair
 from lspkit.errors import ConstructionError
 from lspkit.presets import SQRT_PAIR, audit_construction, holder_construction, oversized_construction
@@ -235,6 +240,143 @@ def test_tree_json_roundtrip(audit_tree):
     params, tree = audit_tree
     back = tree_from_json(tree_to_json(tree))
     assert tree_fingerprint(back) == tree_fingerprint(tree)
+
+
+def test_tree_json_roundtrip_every_field(audit_tree):
+    _, tree = audit_tree
+    d = json.loads(json.dumps(tree_to_json(tree), default=float))
+    back = tree_from_json(d)
+    assert tree_to_json(back) == d
+    for got, want in zip(back.levels[0], tree.levels[0]):
+        for f in fields(LocalLevel):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
+
+def _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon, metric):
+    """Reference: one greedy_net call per selection ball's cloud slice."""
+    i0 = np.searchsorted(cloud, a_centers - 0.5 * a_radii)
+    i1 = np.searchsorted(cloud, a_centers + 0.5 * a_radii)
+    centers, owner = [], []
+    for k in range(len(a_centers)):
+        pts = cloud[i0[k] : i1[k]]
+        if len(pts) == 0:
+            pts = np.array([a_centers[k]])
+        elif len(pts) > 1:
+            pts = greedy_net(pts[:, None], 6.0 * upsilon, metric=metric)[:, 0]
+        centers.extend(pts)
+        owner.extend([k] * len(pts))
+    return np.array(centers), np.array(owner, dtype=np.int64)
+
+
+class _CloudStage:
+    def __init__(self, cloud):
+        self.cloud = cloud
+
+    def sorted_points(self, j):
+        return self.cloud
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+@pytest.mark.parametrize("kind", ["mixed", "spaced"])
+def test_caj_nets_matches_per_ball_greedy(seed, metric, kind):
+    # upsilon = 0.25 makes the separation 1.5.  "mixed": half-integer grid
+    # points (some gaps exactly 1.5), random points and duplicates.
+    # "spaced": every gap is exactly 1.5 or wider, so only the boundary
+    # case decides whether a slice is netted
+    rng = np.random.default_rng(seed)
+    upsilon = 0.25
+    if kind == "mixed":
+        cloud = np.sort(np.concatenate([
+            rng.integers(0, 160, rng.integers(5, 80)) * 0.5,
+            rng.uniform(0.0, 80.0, rng.integers(0, 40)),
+        ]))
+    else:
+        cloud = np.cumsum(rng.choice([1.5, 2.0, 3.25], 40))
+    # some selection balls lie beyond the cloud, so their slices are empty
+    a_centers = rng.uniform(-10.0, 95.0, 30)
+    a_radii = rng.uniform(0.2, 12.0, 30)
+    params = types.SimpleNamespace(stages=_CloudStage(cloud), metric=metric)
+    got = _caj_nets(params, a_centers, a_radii, 1, upsilon)
+    want = _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon, metric)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+class _UniformStages:
+    """Constant stage radius; the cloud holds exactly the given centers."""
+
+    def __init__(self, upsilon, points):
+        self._u = upsilon
+        self._cloud = np.sort(points)
+
+    def upsilon(self, j):
+        return self._u
+
+    def sorted_points(self, j):
+        return self._cloud
+
+
+def _local(node, a_center, a_radius, c_center, c_radius, c_aidx):
+    na, nc = len(a_center), len(c_center)
+    return LocalLevel(
+        parent_level=node[0], parent_index=node[1], l_b=1, eps_b=math.inf,
+        g_primes=[512], sub_targets=[0.0], sub_masses=[0.0],
+        a_center=np.array(a_center)[:, None], a_radius=np.full(na, a_radius),
+        a_j=np.full(na, 512, dtype=np.int64), a_sublevel=np.ones(na, dtype=np.int64),
+        c_center=np.array(c_center)[:, None], c_radius=np.full(nc, c_radius),
+        c_j=np.full(nc, 512, dtype=np.int64), c_sublevel=np.ones(nc, dtype=np.int64),
+        c_aidx=np.array(c_aidx, dtype=np.int64),
+    )
+
+
+def _two_level_tree():
+    """Root -> three level-2 balls -> level-3 local levels under rows 2 and 0
+    (in that order), so each level-3 parent is found by its row."""
+    level2 = [_local((1, 0), [-8.0, 8.0], 4.0, [-9.0, -7.0, 8.0], 0.25, [0, 0, 1])]
+    level3 = [
+        _local((2, 2), [8.0], 0.05, [7.95, 8.05], 0.005, [0, 0]),
+        _local((2, 0), [-9.1, -8.9], 0.02, [-9.1, -8.9], 0.002, [0, 1]),
+    ]
+    leaves = [7.95, 8.05, -9.1, -8.9]
+    params = ConstructionParams(
+        domain=Ball(np.array([0.0]), 20.0), gauges=SQRT_PAIR, eta=2.0,
+        stages=_UniformStages(0.002, np.array(leaves + [-9.0, -7.0, 8.0])), depth=3,
+    )
+    tree = CantorTree(
+        root=params.domain, metric="sup", constants=_ambient_constants(params),
+        levels=[level2, level3],
+    )
+    return tree, params
+
+
+def test_parent_rows_two_levels():
+    tree, params = _two_level_tree()
+    centers, radii = tree.balls(1)
+    assert centers.tolist() == [[0.0]] and radii.tolist() == [20.0]
+    assert tree.balls(2)[0][:, 0].tolist() == [-9.0, -7.0, 8.0]
+    assert tree.leaves()[0][:, 0].tolist() == [7.95, 8.05, -9.1, -8.9]
+
+    mass = assign_mass(tree, params, exact=True)
+    assert mass.mu[0].tolist() == [0.25, 0.25, 0.5]
+    end = 0
+    for loc in tree.levels[1]:
+        start, end = end, end + len(loc.c_radius)
+        assert float(np.sum(mass.mu[1][start:end])) == mass.mu[0][loc.parent_index]
+        assert sum(mass.exact[1][start:end], Fraction(0)) == mass.exact[0][loc.parent_index]
+
+    outside = [v for v in verify_levels(tree, params).properties["P1"].violations if v[1] == "outside-parent"]
+    assert outside == []
+    # move a child of row 0 (center -9) into row 1 (center -7): it is inside
+    # some level-2 ball, but not inside its own parent
+    tree.levels[1][1].c_center[0, 0] = -7.0
+    outside = [v for v in verify_levels(tree, params).properties["P1"].violations if v[1] == "outside-parent"]
+    assert outside == [("L3/1", "outside-parent", -7.0)]
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,3 +1,4 @@
+import importlib.resources as resources
 import json
 from pathlib import Path
 
@@ -5,6 +6,9 @@ import pytest
 from jsonschema.validators import validator_for
 
 from lspkit.cli import SCHEMAS, bundled_config, main, run
+
+# a readable JSON file that is not a Cantor tree
+_NOT_A_TREE = resources.files("lspkit.configs") / "boxdim_point.json"
 
 
 def test_transform_report():
@@ -52,6 +56,8 @@ def test_invalid_config_exits_2(tmp_path):
         ("minkowski", "minkowski_segment.json", None, "samples_per_scale=0"),
         ("randsim", "randsim_lines_tau2.json", None, "scheme.base.basis=[[0.7071067811865476,0.7071067811865476]]"),
         ("cantor-verify", "cantor_audit.json", None, "tree=/nonexistent/tree.json"),
+        ("cantor-verify", "cantor_audit.json", None, f"tree={_NOT_A_TREE}"),
+        ("cantor-build", "cantor_holder.json", None, "depth=1"),
         ("randsim", "randsim_bc.json", None, "master_seed=-1"),
         ("randsim", "randsim_points_tau2.json", None, f"master_seed={2**64}"),
         ("fit-lsp", "fit_lsp_line.json", None, "master_seed=-3"),
@@ -127,8 +133,6 @@ def test_cantor_build_and_verify_roundtrip(tmp_path):
 
 
 def test_bundled_configs_json_idempotent():
-    import importlib.resources as resources
-
     names = [
         p.name
         for p in resources.files("lspkit.configs").iterdir()
