@@ -450,10 +450,54 @@ def _first_sublevel(params, B, g_start, target, vol_b, rng, node):
     )
 
 
+def _sweep_chain(pool, sep):
+    """Mask of the points that a left-to-right sweep over the sorted ``pool``
+    keeps when it keeps the first point and then each point with
+    ``pool[u] - last kept >= sep``.
+
+    The predicate ``pool[u] - pool[t] >= sep`` is monotone in u (rounding
+    is monotone), so ``nxt[t]``, the first u > t meeting it, is found by
+    ``searchsorted`` and then settled with the exact predicate; the kept
+    points are the chain ``0 -> nxt[0] -> ...``, marked by pointer doubling.
+    """
+    n = len(pool)
+    keep = np.zeros(n, dtype=bool)
+    if n == 0:
+        return keep
+    t = np.arange(n)
+
+    def reached(u):  # the exact predicate; n stands for "no such point"
+        return (u >= n) | (pool[np.minimum(u, n - 1)] - pool >= sep)
+
+    nxt = np.maximum(np.searchsorted(pool, pool + sep), t + 1)
+    while np.any(short := ~reached(nxt)):
+        nxt[short] += 1
+    while np.any(over := (nxt - 1 > t) & reached(nxt - 1)):
+        nxt[over] -= 1
+    # after k rounds ``chain`` holds the first 2**k chain points and ``jump``
+    # is nxt applied 2**k times; n is the sentinel, its own successor
+    jump = np.append(nxt, n)
+    chain = np.zeros(1, dtype=np.intp)
+    while True:
+        step = jump[chain]
+        step = step[step < n]
+        if len(step) == 0:
+            break
+        chain = np.concatenate([chain, step])
+        jump = jump[jump]
+    keep[chain] = True
+    return keep
+
+
 def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radius, node):
     """Cover the leftover region with d_min-radius balls and pick one
     transformed-radius ball on the stage cloud inside each, until the
-    sublevel mass target is met; returns (centers, radii, js, mass)."""
+    sublevel mass target is met; returns (centers, radii, js, mass).
+
+    The cover balls are a chain over the sorted pool of candidate centers:
+    the first point, then each first point at least ``2 d_min (1 - 1e-12)``
+    past the last kept one (``_sweep_chain``), so they are disjoint.
+    """
     pair = params.gauges
     half_lo = B.center[0] - 0.5 * B.radius
     half_hi = B.center[0] + 0.5 * B.radius
@@ -470,14 +514,8 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
         idx = np.searchsorted(b_lo, pool, side="right") - 1
         inside = (idx >= 0) & (pool <= np.where(idx >= 0, b_hi[np.maximum(idx, 0)], -np.inf))
         pool = pool[~inside]
-    # greedy same-radius disjoint cover of the leftover (sorted order: sweep)
-    keep = np.zeros(len(pool), dtype=bool)
-    last = -math.inf
-    for t, x in enumerate(pool):
-        if x - last >= 2.0 * d_min * (1 - 1e-12):
-            keep[t] = True
-            last = x
-    covers = pool[keep]
+    # greedy same-radius disjoint cover of the leftover
+    covers = pool[_sweep_chain(pool, 2.0 * d_min * (1 - 1e-12))]
     if len(covers) == 0:
         raise ConstructionError(
             f"sublevel {i}: leftover region produced no cover balls", node=node, sublevel=i
@@ -562,6 +600,12 @@ def tree_fingerprint(tree: CantorTree) -> str:
 # mass assignment
 
 
+def _stage_radii(stages, js):
+    """``stages.upsilon(j)`` for every entry of ``js``, one call per distinct j."""
+    uniq, inverse = np.unique(js, return_inverse=True)
+    return np.array([stages.upsilon(int(j)) for j in uniq])[inverse]
+
+
 def assign_mass(tree: CantorTree, params: ConstructionParams, exact=False) -> MassAssignment:
     """Telescoping mass: the root carries 1; each target ball splits its
     selection ball's share, with selection shares proportional to
@@ -575,7 +619,7 @@ def assign_mass(tree: CantorTree, params: ConstructionParams, exact=False) -> Ma
         mus, exacts = [], []
         for loc in locs:
             # weight h(upsilon)^(1/(1-kappa)) evaluated from the stage radii
-            stage_u = np.array([params.stages.upsilon(int(j)) for j in loc.a_j])
+            stage_u = _stage_radii(params.stages, loc.a_j)
             fu = eval_gauge(pair.f, stage_u)
             gu = eval_gauge(pair.g, stage_u)
             w = (fu / gu**kappa) ** (1.0 / (1.0 - kappa))
@@ -675,7 +719,7 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
                 p1_viol.append((tag, "outside-parent", float(c[k])))
 
             # P2 per selection ball
-            ua = np.array([params.stages.upsilon(int(j)) for j in loc.a_j])
+            ua = _stage_radii(params.stages, loc.a_j)
             counts = np.bincount(loc.c_aidx, minlength=len(loc.a_radius))
             if np.any(counts == 0):
                 for k in np.nonzero(counts == 0)[0]:
@@ -802,10 +846,22 @@ def holder_check(
 
     The reported maximum is restricted to trials resolving the construction:
     balls meeting at least two deepest-level balls with radius at most
-    ``radius_cap`` (default: four times the coarsest selection radius).
+    ``radius_cap`` (default: eight times the coarsest selection radius).
     Above that radius the truncated tree saturates (an untruncated
     construction would keep subdividing); those trials and single-ball
     trials are recorded separately.
+
+    Trial t draws log r(D) uniformly up to log r(B0) (even t) or up to the
+    cap (odd t), then the center uniformly in B0 (t % 4 < 2) or within
+    2 r(D) of a uniformly chosen leaf center.  One loop makes exactly these
+    scalar draws, so the generator stream and its final state do not depend
+    on how the balls are scored.  Leaves are sorted by center, so the leaves
+    a ball can meet form a window; the leaves deep inside the ball are
+    certain hits, and only the two edge bands go through the hit predicate
+    ``|c - x| < r + r(D)``.  The maxima are exact: trials are ranked by a
+    prefix-sum mass with an absolute error bound, every trial that could
+    reach a maximum is rescored with ``eta * sum(mass of hits) / f(r(D))``
+    in trial order, and the first strict maximum gives ``worst_ball``.
     """
     if trials < 1000:
         raise ArgumentError("trials must be >= 1000")
@@ -829,40 +885,70 @@ def holder_check(
     log_lo, log_hi = math.log(r_lo), math.log(r_hi)
     log_cap = math.log(min(radius_cap, r_hi))
 
-    max_ratio = 0.0
-    worst = None
-    full_max = 0.0
-    single_max = 0.0
-    n_single = 0
-    n_qual = 0
+    # the draws: half the radii probe the resolved band below the cap
+    x = np.empty(trials)
+    rad = np.empty(trials)
+    uniform, integers, exp = rng.uniform, rng.integers, math.exp
+    b0_lo = tree.root.center[0] - tree.root.radius
+    b0_hi = tree.root.center[0] + tree.root.radius
     for t in range(trials):
-        # half the radii probe the resolved band below the cap
-        if t % 2 == 0:
-            rad = math.exp(rng.uniform(log_lo, log_hi))
-        else:
-            rad = math.exp(rng.uniform(log_lo, log_cap))
+        rad_t = exp(uniform(log_lo, log_hi if t % 2 == 0 else log_cap))
         if t % 4 < 2:
-            x = rng.uniform(tree.root.center[0] - tree.root.radius, tree.root.center[0] + tree.root.radius)
+            x[t] = uniform(b0_lo, b0_hi)
         else:
-            k = rng.integers(0, len(c))
-            x = c[k] + rng.uniform(-2.0 * rad, 2.0 * rad)
-        i0, i1 = np.searchsorted(c, [x - rad - rmax_leaf, x + rad + rmax_leaf])
-        seg = slice(i0, i1)
-        hit = np.abs(c[seg] - x) < r[seg] + rad
-        k_hit = int(np.count_nonzero(hit))
-        if k_hit == 0:
-            continue
-        ratio = eta * float(np.sum(m[seg][hit])) / eval_gauge(pair.f, rad)
-        full_max = max(full_max, ratio)
-        if k_hit == 1:
-            n_single += 1
-            single_max = max(single_max, ratio)
-            continue
-        if rad <= radius_cap:
-            n_qual += 1
-            if ratio > max_ratio:
-                max_ratio = ratio
-                worst = Ball(np.array([x]), rad)
+            k = integers(0, len(c))
+            x[t] = c[k] + uniform(-2.0 * rad_t, 2.0 * rad_t)
+        rad[t] = rad_t
+
+    # window [i0, i1) of leaves a ball can meet, core [k0, k1) of certain hits.
+    # A core leaf lies more than ``slack`` inside the ball's edge; rounding of
+    # the core bounds and of the hit predicate stays below 5u(|x| + r(D) + r)
+    # (u = eps/2), so the slack 16u(...) makes every core leaf a hit
+    i0 = np.searchsorted(c, x - rad - rmax_leaf)
+    i1 = np.searchsorted(c, x + rad + rmax_leaf)
+    slack = 8.0 * np.finfo(float).eps * (float(np.max(np.abs(x))) + float(np.max(rad)) + rmax_leaf)
+    k0 = np.clip(np.searchsorted(c, x - rad + slack, side="right"), i0, i1)
+    k1 = np.clip(np.searchsorted(c, x + rad - slack), k0, i1)
+    rows, band = _slice_rows(np.concatenate([i0, k1]), np.concatenate([k0, i1]))
+    band %= trials
+    hit = np.abs(c[rows] - x[band]) < r[rows] + rad[band]
+    n_hit = (k1 - k0) + np.bincount(band[hit], minlength=trials)
+    prefix = np.concatenate([[0.0], np.cumsum(m)])
+    approx_mass = prefix[k1] - prefix[k0] + np.bincount(band[hit], weights=m[rows[hit]], minlength=trials)
+    # the prefix sums, their difference, the band sums and np.sum each err by
+    # at most n u sum|m|, so 4(n + 1) eps sum|m| bounds |approx - np.sum|
+    mass_err = 4.0 * (len(m) + 1) * np.finfo(float).eps * float(np.sum(np.abs(m)))
+
+    scored = np.nonzero(n_hit > 0)[0]
+    single = n_hit[scored] == 1
+    qualifying = (n_hit[scored] >= 2) & (rad[scored] <= radius_cap)
+    every = np.ones(len(scored), dtype=bool)
+    f_rad = eval_gauge(pair.f, rad[scored])
+    approx = eta * approx_mass[scored] / f_rad
+    # slack for the mass error and for a few ulp between array and scalar
+    # gauge evaluations and roundings of the ratio
+    tol = 2.0 * eta * mass_err / f_rad + 1e-9 * np.abs(approx)
+    contender = np.zeros(len(scored), dtype=bool)
+    for cls in (every, single, qualifying):
+        if np.any(cls):
+            contender |= cls & (approx + tol >= np.max((approx - tol)[cls]))
+    ratio = np.zeros(len(scored))
+    for q in np.nonzero(contender)[0]:
+        t = scored[q]
+        seg = slice(i0[t], i1[t])
+        hit_t = np.abs(c[seg] - x[t]) < r[seg] + rad[t]
+        ratio[q] = eta * float(np.sum(m[seg][hit_t])) / eval_gauge(pair.f, float(rad[t]))
+
+    def class_max(cls):
+        sel = contender & cls
+        return max(0.0, float(np.max(ratio[sel]))) if np.any(sel) else 0.0
+
+    max_ratio = class_max(qualifying)
+    worst = None
+    if max_ratio > 0:
+        q = np.nonzero(contender & qualifying)[0]
+        t = scored[q[np.argmax(ratio[q])]]  # the first trial reaching the maximum
+        worst = Ball(np.array([x[t]]), float(rad[t]))
     bound = eta / max_ratio if max_ratio > 0 else math.inf
     return HolderReport(
         eta=eta,
@@ -870,10 +956,10 @@ def holder_check(
         worst_ball=worst,
         implied_hf_lower_bound=bound,
         radius_cap=radius_cap,
-        qualifying_trials=n_qual,
-        single_ball_trials=n_single,
-        single_ball_max_ratio=single_max,
-        full_range_max_ratio=full_max,
+        qualifying_trials=int(np.count_nonzero(qualifying)),
+        single_ball_trials=int(np.count_nonzero(single)),
+        single_ball_max_ratio=class_max(single),
+        full_range_max_ratio=class_max(every),
         trials=trials,
     )
 

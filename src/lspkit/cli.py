@@ -131,7 +131,19 @@ SCHEMAS = {
     "cover": {
         "type": "object",
         "required": ["master_seed", "op"],
-        "properties": {"master_seed": _SEED, "op": {"enum": ["five-r", "caj", "kgb"]}},
+        "properties": {
+            "master_seed": _SEED,
+            "op": {"enum": ["five-r", "caj", "kgb"]},
+            # five-r: the disjointness and cover checks are quadratic in count
+            "count": {"type": "integer", "minimum": 1, "maximum": 10_000},
+            "dim": {"type": "integer", "minimum": 1, "maximum": 16},
+            "radius_range": {
+                "type": "array",
+                "items": {"type": "number", "exclusiveMinimum": 0},
+                "minItems": 2,
+                "maxItems": 2,
+            },
+        },
         "allOf": [
             {
                 "if": {"required": ["op"], "properties": {"op": {"const": "caj"}}},
@@ -153,6 +165,8 @@ SCHEMAS = {
             "eta": {"type": "number", "exclusiveMinimum": 1},
             "stages": {"type": "object", "required": ["type"]},
             "depth": {"type": "integer", "minimum": 2},
+            # 0 skips the mass-bound check; its arrays are O(trials)
+            "holder_trials": {"type": "integer", "minimum": 0, "maximum": 1_000_000},
         },
     },
     "cantor-verify": {
@@ -319,9 +333,12 @@ def _run_cover(cfg, rng):
     op = cfg.get("op", "five-r")
     metric = cfg.get("metric", "sup")
     if op == "five-r":
+        lo, hi = cfg.get("radius_range", [0.01, 0.05])
+        if not (math.isfinite(hi) and lo <= hi):
+            raise ArgumentError(f"radius_range must be finite with low <= high, got {[lo, hi]}")
         balls = [
             Ball(rng.uniform(0.0, 1.0, size=int(cfg.get("dim", 2))), float(r))
-            for r in rng.uniform(*cfg.get("radius_range", [0.01, 0.05]), size=int(cfg.get("count", 100)))
+            for r in rng.uniform(lo, hi, size=int(cfg.get("count", 100)))
         ]
         fam = BallFamily(balls, metric=metric)
         out = five_r_cover(fam)

@@ -74,21 +74,50 @@ def ball_contains(outer: Ball, inner: Ball, metric="sup", slack=1e-12):
     )
 
 
+_PAIR_BLOCK = 1 << 20  # coordinate differences per broadcast block
+
+
+def _ball_arrays(balls):
+    return np.array([b.center for b in balls], dtype=float), np.array([b.radius for b in balls], dtype=float)
+
+
+def _row_blocks(rows, cols, dim):
+    """Row ranges of a (rows x cols) pair table, about _PAIR_BLOCK differences each."""
+    step = max(1, _PAIR_BLOCK // max(1, cols * dim))
+    return ((s, min(s + step, rows)) for s in range(0, rows, step))
+
+
 def family_is_disjoint(fam: BallFamily):
-    """O(n^2) pairwise-disjointness oracle."""
+    """True when every two balls of the family are disjoint (``balls_disjoint``,
+    tangency counts), checked one broadcast row block at a time."""
     balls = fam.plain()
-    for i in range(len(balls)):
-        for k in range(i + 1, len(balls)):
-            if not balls_disjoint(balls[i], balls[k], fam.metric):
-                return False
+    if len(balls) < 2:
+        return True
+    c, r = _ball_arrays(balls)
+    col = np.arange(len(r))
+    for s, e in _row_blocks(len(r), len(r), c.shape[1]):
+        dist = _norm(c[s:e, None, :] - c[None, :, :], fam.metric)
+        # a NaN distance is not apart, as in balls_disjoint
+        apart = dist >= (r[s:e, None] + r[None, :]) * (1 - _DISJOINT_SLACK)
+        if np.any(~apart & (col[s:e, None] < col[None, :])):
+            return False
     return True
 
 
 def five_r_covers(inputs: BallFamily, selected: BallFamily):
-    """O(n^2) oracle: every input ball sits inside the 5-dilate of a pick."""
-    sel = selected.plain()
-    for b in inputs.plain():
-        if not any(ball_contains(s.dilate(5.0), b, inputs.metric) for s in sel):
+    """True when every input ball sits inside the 5-dilate of some selected
+    ball (``ball_contains``), checked one broadcast row block at a time."""
+    balls, sel = inputs.plain(), selected.plain()
+    if not balls:
+        return True
+    if not sel:
+        return False
+    c, r = _ball_arrays(balls)
+    sc, sr = _ball_arrays(sel)
+    for s, e in _row_blocks(len(r), len(sr), c.shape[1]):
+        dist = _norm(sc[None, :, :] - c[s:e, None, :], inputs.metric)
+        inside = dist + r[s:e, None] <= (5.0 * sr[None, :]) * (1 + 1e-12)
+        if not np.all(np.any(inside, axis=1)):
             return False
     return True
 

@@ -12,8 +12,12 @@ from lspkit.cantor import (
     ConstructionParams,
     LocalLevel,
     CantorTree,
+    HolderReport,
+    MassAssignment,
     _ambient_constants,
     _caj_nets,
+    _stage_radii,
+    _sweep_chain,
     assign_mass,
     ball_mass_upper,
     build_cantor,
@@ -24,7 +28,7 @@ from lspkit.cantor import (
     verify_levels,
 )
 from lspkit.covering import Ball, greedy_net
-from lspkit.dimfun import Gauge, GaugePair
+from lspkit.dimfun import Gauge, GaugePair, eval_gauge
 from lspkit.errors import ConstructionError
 from lspkit.presets import SQRT_PAIR, audit_construction, holder_construction, oversized_construction
 from lspkit.stages import GridCloudStages
@@ -415,3 +419,192 @@ def test_holder_eta_independence():
         reports[eta] = holder_check(tree, mass, p, trials=4000, rng=np.random.default_rng(3))
     ratio = reports[4.0].max_ratio / reports[2.0].max_ratio
     assert 0.5 <= ratio <= 2.0
+
+
+def _holder_check_loop(tree, mass, params, trials, rng, radius_cap=None):
+    """Reference: one Python iteration per trial, scalar draws and scoring."""
+    pair = params.gauges
+    eta = params.eta
+    centers, radii = tree.leaves()
+    order = np.argsort(centers[:, 0])
+    c = centers[order, 0]
+    r = radii[order]
+    m = mass.mu[-1][order]
+    rmax_leaf = float(np.max(r))
+    if radius_cap is None:
+        radius_cap = 8.0 * float(np.max(np.concatenate([l.a_radius for l in tree.levels[0]])))
+    r_lo = float(np.min(r))
+    r_hi = tree.root.radius
+    log_lo, log_hi = math.log(r_lo), math.log(r_hi)
+    log_cap = math.log(min(radius_cap, r_hi))
+    max_ratio = full_max = single_max = 0.0
+    worst = None
+    n_single = n_qual = 0
+    for t in range(trials):
+        if t % 2 == 0:
+            rad = math.exp(rng.uniform(log_lo, log_hi))
+        else:
+            rad = math.exp(rng.uniform(log_lo, log_cap))
+        if t % 4 < 2:
+            x = rng.uniform(tree.root.center[0] - tree.root.radius, tree.root.center[0] + tree.root.radius)
+        else:
+            k = rng.integers(0, len(c))
+            x = c[k] + rng.uniform(-2.0 * rad, 2.0 * rad)
+        i0, i1 = np.searchsorted(c, [x - rad - rmax_leaf, x + rad + rmax_leaf])
+        seg = slice(i0, i1)
+        hit = np.abs(c[seg] - x) < r[seg] + rad
+        k_hit = int(np.count_nonzero(hit))
+        if k_hit == 0:
+            continue
+        ratio = eta * float(np.sum(m[seg][hit])) / eval_gauge(pair.f, rad)
+        full_max = max(full_max, ratio)
+        if k_hit == 1:
+            n_single += 1
+            single_max = max(single_max, ratio)
+            continue
+        if rad <= radius_cap:
+            n_qual += 1
+            if ratio > max_ratio:
+                max_ratio = ratio
+                worst = Ball(np.array([x]), rad)
+    return HolderReport(
+        eta=eta, max_ratio=max_ratio, worst_ball=worst,
+        implied_hf_lower_bound=eta / max_ratio if max_ratio > 0 else math.inf,
+        radius_cap=radius_cap, qualifying_trials=n_qual, single_ball_trials=n_single,
+        single_ball_max_ratio=single_max, full_range_max_ratio=full_max, trials=trials,
+    )
+
+
+def _assert_holder_matches_loop(tree, mass, params, trials, seed, radius_cap=None):
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = holder_check(tree, mass, params, trials=trials, rng=rng_a, radius_cap=radius_cap)
+    want = _holder_check_loop(tree, mass, params, trials, rng_b, radius_cap=radius_cap)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    for f in fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "worst_ball":
+            assert (a is None) == (b is None)
+            if b is not None:
+                assert a.center.tolist() == b.center.tolist() and a.radius == b.radius
+        else:
+            assert type(a) is type(b) and a == b, f.name
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_holder_check_matches_loop_audit_tree(audit_tree, seed):
+    params, tree = audit_tree
+    mass = assign_mass(tree, params)
+    rep = _assert_holder_matches_loop(tree, mass, params, 3000, seed)
+    assert rep.qualifying_trials > 0 and rep.single_ball_trials > 0
+    # the skewed mass of test_mass_concentration_blows_up_holder
+    skew = assign_mass(tree, params)
+    skew.mu[-1] = np.zeros_like(skew.mu[-1])
+    skew.mu[-1][0] = 1.0
+    _assert_holder_matches_loop(tree, skew, params, 3000, seed)
+    # a tabulated f (log-linear between samples, with kinks) spanning the
+    # radii the trials draw
+    rs = np.geomspace(1e-9, 100.0, 23)
+    vs = np.sqrt(rs) * (1.0 + 0.3 * (np.arange(len(rs)) % 3))
+    tab = copy.copy(params)
+    tab.gauges = GaugePair(Gauge.tabulated(zip(rs, np.maximum.accumulate(vs))), SQRT_PAIR.g, 0.0)
+    _assert_holder_matches_loop(tree, mass, tab, 2000, seed)
+    _assert_holder_matches_loop(tree, mass, params, 2000, seed, radius_cap=1e-3)
+
+
+@pytest.mark.parametrize("eta", [2.0, 4.0, 8.0])
+def test_holder_check_matches_loop_holder_trees(eta):
+    params = holder_construction(eta)
+    tree = build_cantor(params)
+    _assert_holder_matches_loop(tree, assign_mass(tree, params), params, 2000, int(eta))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_holder_check_matches_loop_overlapping_leaves(seed):
+    # leaves of very different radii that overlap, some with equal centers:
+    # the audits fail, and many leaves straddle a trial ball's edge
+    rng = np.random.default_rng(seed)
+    n = 400
+    centers = np.round(rng.uniform(-3.0, 3.0, n), 2)
+    radii = np.exp(rng.uniform(math.log(1e-4), math.log(0.4), n))
+    loc = _local((1, 0), [-1.5, 1.5], 1.0, centers, 1.0, rng.integers(0, 2, n))
+    loc.c_radius = radii
+    params = ConstructionParams(
+        domain=Ball(np.array([0.0]), 4.0), gauges=SQRT_PAIR, eta=3.0,
+        stages=_UniformStages(1.0, centers), depth=2,
+    )
+    tree = CantorTree(
+        root=params.domain, metric="sup", constants=_ambient_constants(params), levels=[[loc]]
+    )
+    assert not verify_levels(tree, params).properties["P1"].passed
+    mu = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.7)
+    mass = MassAssignment(mu=[mu / mu.sum()])
+    rep = _assert_holder_matches_loop(tree, mass, params, 4000, seed)
+    assert rep.qualifying_trials > 0 and rep.single_ball_trials > 0
+
+
+def test_holder_check_matches_loop_tied_ratios():
+    # f is flat above 0.5, so every trial ball over the same leaves scores
+    # the same ratio: the first of them must win, although the prefix-sum
+    # masses of the tied trials differ in the last bits (the leaves form
+    # four clusters, and a leaf is a certain hit in one trial and an edge
+    # band leaf in another)
+    rng = np.random.default_rng(0)
+    n = 300
+    centers = np.round(rng.choice([-3.0, -1.0, 1.0, 3.0], n) + rng.uniform(0.0, 0.1, n), 3)
+    loc = _local((1, 0), [-1.5, 1.5], 1.0, centers, 0.3, rng.integers(0, 2, n))
+    pair = GaugePair(Gauge.tabulated([(1e-4, 1e-2), (0.5, 0.5**0.5), (100.0, 0.5**0.5)]), SQRT_PAIR.g, 0.0)
+    params = ConstructionParams(
+        domain=Ball(np.array([0.0]), 4.0), gauges=pair, eta=3.0, stages=_FixedStage(1.0), depth=2
+    )
+    tree = CantorTree(root=params.domain, metric="sup", constants={}, levels=[[loc]])
+    mass = MassAssignment(mu=[rng.integers(1, 10, n) / 10.0])
+    rep = _assert_holder_matches_loop(tree, mass, params, 4000, 0, radius_cap=2.0)
+    assert rep.worst_ball.radius > 0.5
+
+
+def _sweep_loop(pool, sep):
+    keep = np.zeros(len(pool), dtype=bool)
+    last = -math.inf
+    for t, x in enumerate(pool):
+        if x - last >= sep:
+            keep[t] = True
+            last = x
+    return keep
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sweep_chain_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    d_min = float(rng.uniform(1e-6, 1e-3))
+    sep = 2.0 * d_min * (1 - 1e-12)
+    # the builder's pool: a d_min/2 grid with removed gaps
+    step = d_min / 2.0
+    pool = np.arange(-7.0 + d_min, 9.0 - d_min + step / 4, step)[:20000]
+    for lo in rng.uniform(pool[0], pool[-1], 30):
+        pool = pool[(pool < lo) | (pool > lo + rng.uniform(0.0, 40 * d_min))]
+    assert np.array_equal(_sweep_chain(pool, sep), _sweep_loop(pool, sep))
+    # spacings right at the edge of the predicate, far from the origin
+    near = [sep, np.nextafter(sep, 0.0), np.nextafter(sep, 1.0), sep / 2, sep / 4, 3 * sep]
+    edge = 1234.5 + np.cumsum(rng.choice(near, 5000))
+    assert np.array_equal(_sweep_chain(edge, sep), _sweep_loop(edge, sep))
+    assert np.array_equal(_sweep_chain(edge[:1], sep), [True])
+    # pools crossing zero, where pool[u] - pool[t] rounds: the searchsorted
+    # guess can fall short of, or overshoot, the first point meeting the
+    # predicate
+    for a in -(10.0 ** rng.uniform(-20.0, math.log10(2 * sep), 300)):
+        y = a + sep
+        below = np.nextafter(y, -np.inf)
+        pool = np.unique([a, np.nextafter(below, -np.inf), below, y, np.nextafter(y, np.inf)])
+        assert np.array_equal(_sweep_chain(pool, sep), _sweep_loop(pool, sep))
+    assert len(_sweep_chain(edge[:0], sep)) == 0
+
+
+def test_stage_radii_one_call_per_stage(audit_tree):
+    params, tree = audit_tree
+    loc = tree.levels[0][0]
+    calls = []
+    stages = types.SimpleNamespace(upsilon=lambda j: calls.append(j) or params.stages.upsilon(j))
+    got = _stage_radii(stages, loc.a_j)
+    assert sorted(calls) == sorted(set(loc.a_j.tolist()))
+    assert np.array_equal(got, np.array([params.stages.upsilon(int(j)) for j in loc.a_j]))

@@ -63,6 +63,19 @@ def test_invalid_config_exits_2(tmp_path):
         ("fit-lsp", "fit_lsp_line.json", None, "master_seed=-3"),
         ("boxdim", "boxdim_segment.json", None, "master_seed=-3"),
         ("cover", "cover_five_r.json", None, f"master_seed={2**64}"),
+        ("cover", "cover_five_r.json", None, "radius_range=[0.05,0.01]"),
+        ("cover", "cover_five_r.json", None, "radius_range=[0.01]"),
+        ("cover", "cover_five_r.json", None, "radius_range=[0.0,0.01]"),
+        ("cover", "cover_five_r.json", None, "radius_range=[0.01,Infinity]"),
+        ("cover", "cover_five_r.json", None, "dim=0"),
+        ("cover", "cover_five_r.json", None, "dim=17"),
+        ("cover", "cover_five_r.json", None, "count=0"),
+        ("cover", "cover_five_r.json", None, "count=10001"),
+        ("cantor-build", "cantor_audit.json", None, "holder_trials=abc"),
+        ("cantor-build", "cantor_audit.json", None, "holder_trials=[1]"),
+        ("cantor-build", "cantor_audit.json", None, "holder_trials=-1"),
+        ("cantor-build", "cantor_audit.json", None, "holder_trials=1000001"),
+        ("cantor-build", "cantor_audit.json", None, "holder_trials=999"),
     ],
 )
 def test_missing_or_invalid_keys_exit_2(tmp_path, command, name, drop, override):

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from lspkit import covering
 from lspkit.covering import (
     Ball,
     BallFamily,
     IndexedBall,
+    ball_contains,
+    balls_disjoint,
     build_caj,
     build_kgb,
     family_from_json,
@@ -17,7 +20,7 @@ from lspkit.covering import (
     separated_net,
 )
 from lspkit.errors import ArgumentError, CoverageShortfall
-from lspkit.sets import IFS, AffinePlane, IFSAttractor, IFSMap, PointSet
+from lspkit.sets import IFS, AffinePlane, IFSAttractor, IFSMap, PointSet, _norm
 from lspkit.stages import GridCloudStages, VdcPointStages
 
 
@@ -193,3 +196,81 @@ def test_family_json_roundtrip():
     assert [(b.j, tuple(b.ball.center), b.ball.radius) for b in back.balls] == [
         (b.j, tuple(b.ball.center), b.ball.radius) for b in fam.balls
     ]
+
+
+def _family_is_disjoint_loop(fam):
+    balls = fam.plain()
+    for i in range(len(balls)):
+        for k in range(i + 1, len(balls)):
+            if not balls_disjoint(balls[i], balls[k], fam.metric):
+                return False
+    return True
+
+
+def _five_r_covers_loop(inputs, selected):
+    sel = selected.plain()
+    for b in inputs.plain():
+        if not any(ball_contains(s.dilate(5.0), b, inputs.metric) for s in sel):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+def test_pair_oracles_match_loops_at_the_slack(metric, dim):
+    # integer grid centers with radius 0.5 are exactly tangent along the axes;
+    # shrinking or growing one radius by half to twice the disjointness
+    # slack, and placing inputs exactly at the 5-dilate's edge, puts the
+    # decisions on the boundary of the per-pair predicates
+    rng = np.random.default_rng(dim)
+    slack = 1e-12
+    for _ in range(30):
+        n = int(rng.integers(2, 12))
+        centers = rng.integers(0, 4, (n, dim)) + 1000.0
+        radii = np.full(n, 0.5)
+        k = int(rng.integers(0, n))
+        radii[k] = 0.5 * (1 + rng.choice([-1, 1]) * slack * rng.choice([0.5, 1.0, 2.0]))
+        fam = BallFamily([Ball(c, r) for c, r in zip(centers, radii)], metric=metric)
+        assert family_is_disjoint(fam) == _family_is_disjoint_loop(fam)
+        # picks of radius 0.2 give 5-dilates of radius 1 up to a few ulp;
+        # inputs around the picks reach exactly distance + radius = 1
+        picks = range(0, n, 2)
+        sel = BallFamily(
+            [Ball(centers[i], 0.2 * (1 + rng.choice([-2, -0.5, 0, 2]) * slack)) for i in picks],
+            metric=metric,
+        )
+        step = np.zeros(dim)
+        step[0] = 0.5
+        inputs = BallFamily(
+            [Ball(centers[i], 1.0) for i in picks] + [Ball(centers[i] + step, 0.5) for i in picks],
+            metric=metric,
+        )
+        assert five_r_covers(inputs, sel) == _five_r_covers_loop(inputs, sel)
+        fam_out = five_r_cover(fam)
+        assert family_is_disjoint(fam_out) == _family_is_disjoint_loop(fam_out)
+        assert five_r_covers(fam, fam_out) == _five_r_covers_loop(fam, fam_out)
+
+
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+@pytest.mark.parametrize("block", [None, 50])
+def test_pair_oracles_match_loops_random(metric, block, monkeypatch):
+    if block:  # many row blocks, some holding one row
+        monkeypatch.setattr(covering, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3, 9):
+        for count in (1, 2, 40, 120):
+            fam = BallFamily(
+                [Ball(rng.uniform(0.0, 1.0, dim), float(r)) for r in rng.uniform(0.005, 0.05, count)],
+                metric=metric,
+            )
+            out = five_r_cover(fam)
+            assert family_is_disjoint(out) and _family_is_disjoint_loop(out)
+            assert family_is_disjoint(fam) == _family_is_disjoint_loop(fam)
+            assert five_r_covers(fam, out) and _five_r_covers_loop(fam, out)
+            part = BallFamily(out.balls[: len(out.balls) // 2], metric=metric)
+            assert five_r_covers(fam, part) == _five_r_covers_loop(fam, part)
+    # the broadcast norm of a row block equals the per-pair norm bit for bit
+    c = np.array([b.center for b in fam.plain()])
+    assert np.array_equal(_norm(c[:, None, :] - c[None, :, :], metric)[3], [_norm(c[3] - x, metric) for x in c])
+    assert five_r_covers(BallFamily([]), BallFamily([])) and family_is_disjoint(BallFamily([]))
+    assert not five_r_covers(fam, BallFamily([]))
