@@ -6,6 +6,11 @@ measure; the constant cancels in every exponent fit).  Ball/box geometry
 follows the sup norm by default so sampling windows and ball volumes are
 exact.  In ambient dimension 1 with point sets or attractors an exact
 interval-arithmetic path replaces Monte Carlo.
+
+Hit tests use the configured metric for every model, attractors included:
+a point hits when a proxy cut center lies within delta of it in that
+metric.  Only ``sets.distance_to_set`` measures attractors (and circles
+and spheres) in the Euclidean norm whatever the metric.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from .sets import (
     PointSet,
     SetModel,
     attractor_bounds,
+    cut_hits,
+    cut_size,
     cylinder_cut,
     distance_to_set,
     model_window,
@@ -144,6 +151,13 @@ def _union_length_in(union, lo, hi):
     return np.maximum(covered(hi) - covered(lo), 0.0)
 
 
+def _cut_target(ifs, scale, resolution):
+    """Contraction target of the proxy cut at a working scale: its balls
+    have radius at most resolution * scale / 2."""
+    _, r0 = attractor_bounds(ifs)
+    return min(resolution * scale / max(2 * r0, 1e-300), 1.0)
+
+
 def model_intervals_1d(m: SetModel, delta, resolution=0.02):
     """Intervals whose union is the delta-neighborhood of a 1-D model.
 
@@ -155,10 +169,7 @@ def model_intervals_1d(m: SetModel, delta, resolution=0.02):
         pts = m.points[:, 0]
         return np.stack([pts - delta, pts + delta], axis=1)
     if isinstance(m, IFSAttractor):
-        ifs = m.ifs
-        _, r0 = attractor_bounds(ifs)
-        target = resolution * delta / max(2 * r0, 1e-300)
-        centers, radii = cylinder_cut(ifs, min(target, 1.0))
+        centers, radii = cylinder_cut(m.ifs, _cut_target(m.ifs, delta, resolution))
         c = centers[:, 0]
         return np.stack([c - radii - delta, c + radii + delta], axis=1)
     raise ArgumentError("exact 1-D path supports point sets and attractors only")
@@ -175,6 +186,10 @@ def _exact_1d(m, center, r, delta):
 # distance oracles for hit testing
 
 
+_CUT_CAP = 5_000_000  # largest proxy cut an attractor hit test may use
+_WALK_FACTOR = 16  # walk once the cut has more balls per query point (gasket crossover: about 10-12)
+
+
 class _DistanceOracle:
     """Vectorized distance evaluator matched to a working scale.
 
@@ -183,7 +198,8 @@ class _DistanceOracle:
     same at every scale, so the substitution shifts measure estimates by a
     common factor and leaves every fitted exponent unbiased.  Trees are built
     with sliding-midpoint splits and uncompacted nodes, which build faster;
-    nearest-neighbour distances do not depend on the tree's shape.
+    nearest-neighbour distances do not depend on the tree's shape.  Queries
+    use the configured metric, for attractors too.
     """
 
     def __init__(self, m: SetModel, scale, metric="sup", resolution=0.05):
@@ -192,9 +208,7 @@ class _DistanceOracle:
         self.p = np.inf if metric == "sup" else 2
         self.tree = None
         if isinstance(m, IFSAttractor):
-            _, r0 = attractor_bounds(m.ifs)
-            target = resolution * scale / max(2 * r0, 1e-300)
-            pts, _ = cylinder_cut(m.ifs, min(target, 1.0), cap=5_000_000)
+            pts, _ = cylinder_cut(m.ifs, _cut_target(m.ifs, scale, resolution), cap=_CUT_CAP)
             self.tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
         elif isinstance(m, PointSet) and len(m.points) > 64:
             self.tree = cKDTree(m.points, balanced_tree=False, compact_nodes=False)
@@ -211,6 +225,22 @@ class _DistanceOracle:
         return self(pts, delta) < delta
 
 
+def _hit_test(m: IFSAttractor, delta, rows, balls, metric, resolution):
+    """The hit test at one delta for ``rows`` query points against the proxy
+    cut of ``balls`` balls: a function from points to a hit mask.
+
+    It walks the cylinder tree per point (``sets.cut_hits``) once the cut
+    has more than ``_WALK_FACTOR`` balls per query point, and otherwise
+    queries a proxy tree built over the cut; both give the same mask bit
+    for bit, so the choice only moves the cost.
+    """
+    if balls > _WALK_FACTOR * rows:
+        target = _cut_target(m.ifs, delta, resolution)
+        return lambda pts: cut_hits(m.ifs, pts, delta, target, metric)
+    oracle = _DistanceOracle(m, delta, metric=metric, resolution=resolution)
+    return lambda pts: oracle.hits(pts, delta)
+
+
 def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
     """counts[i, j]: points of ``clouds[i]`` within ``deltas[j]`` of m.
 
@@ -218,13 +248,15 @@ def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
     one distance pass per cloud (a point-set tree query bounded by the
     largest delta) and count each delta against it.
 
-    Attractors build one proxy tree per delta, since the proxy resolution
-    follows the scale, and free it before the next one is built.  The deltas
-    are walked from coarse to fine, and a finer delta queries only the
-    points that hit at the previous one, whenever
+    Attractors test each delta against a proxy cut whose resolution follows
+    the scale.  Each delta's cut size is counted from the map ratios first
+    (``sets.cut_size``), so an over-cap cut raises before any hit test, and
+    ``_hit_test`` picks a tree or a walk from it.  The deltas are walked
+    from coarse to fine, and a finer delta tests only the points that hit
+    at the previous one, whenever
     delta <= delta_prev * (1 - resolution / 2) - slack; otherwise (a repeated
-    delta, or a ratio above that bound) it queries every point.  The counts
-    are those of a full query at every delta, because a point that misses
+    delta, or a ratio above that bound) it tests every point.  The counts
+    are those of a full test at every delta, because a point that misses
     at delta_c misses at every such delta_f:
 
     - every proxy point is an image of z0, so it lies on the attractor A,
@@ -235,18 +267,19 @@ def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
       dist(x, proxy_delta) <= dist(x, A) + resolution * delta / 2;
     - a miss at delta_c thus has dist(x, A) >= delta_c (1 - resolution / 2)
       >= delta_f, and so misses at delta_f;
-    - a tree query for one point does not depend on the other query
-      points, so each kept point's hit or miss is computed by the same
-      arithmetic as in a full query.
+    - a point's hit or miss does not depend on the other points tested
+      with it, so each kept point is decided by the same arithmetic as in
+      a full test.
 
     ``slack`` (1e-9 delta_prev plus 1e-12 of the extent |z0| + r0) absorbs
-    the rounding of the cut's compositions and of the tree's distances,
-    which stay within a few hundred ulps.
+    the rounding of the cut's compositions and of the distances, which
+    stay within a few hundred ulps.
     """
     deltas = np.asarray(deltas, dtype=float)
     counts = np.empty((len(clouds), len(deltas)), dtype=np.int64)
     if isinstance(m, IFSAttractor):
         z0, r0 = attractor_bounds(m.ifs)
+        balls = [cut_size(m.ifs, _cut_target(m.ifs, d, resolution), cap=_CUT_CAP) for d in deltas]
         extent_slack = 1e-12 * (float(np.linalg.norm(z0)) + r0)
         live = [None] * len(clouds)  # rows of each cloud that hit at prev; None: all
         prev = None
@@ -254,14 +287,13 @@ def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
             d = deltas[j]
             if prev is None or not d <= prev * (1.0 - resolution / 2) - (1e-9 * prev + extent_slack):
                 live = [None] * len(clouds)
-            oracle = _DistanceOracle(m, d, metric=metric, resolution=resolution)
-            for i, pts in enumerate(clouds):
-                if live[i] is None:
-                    live[i] = np.flatnonzero(oracle.hits(pts, d))
-                else:
-                    live[i] = live[i][oracle.hits(pts[live[i]], d)]
+            queries = [pts if rows is None else pts[rows] for pts, rows in zip(clouds, live)]
+            test = _hit_test(m, d, sum(len(q) for q in queries), balls[j], metric, resolution)
+            for i, q in enumerate(queries):
+                hit = test(q)
+                live[i] = np.flatnonzero(hit) if live[i] is None else live[i][hit]
                 counts[i, j] = live[i].size
-            del oracle
+            del test, queries
             prev = d
         return counts
     dmax = float(deltas.max())

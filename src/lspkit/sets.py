@@ -13,15 +13,20 @@ its kinks (``_sup_segment_min``).
 Attractors have one cylinder-tree engine: ``_expand`` turns a frontier of
 word nodes (scale, linear part, offset) into their children and reference
 centers.  ``cylinder_cut`` keeps expanding until every word's contraction
-is at most a target, and ``distance_to_attractor`` expands only the nodes
-that can still beat a query point's best distance.
+is at most a target; ``cut_size`` counts that cut from the ratios alone;
+``cut_hits`` walks (point, node) pairs to decide which points lie within
+delta of a cut center without building the cut; and
+``distance_to_attractor`` expands only the nodes that can still beat a
+query point's best distance.
 
 Metric conventions: the ambient metric is the sup norm by default (balls are
 boxes, which keeps volumes exact in the estimators) with Euclidean
-selectable.  Circles, spheres, and attractors always measure set-distance in
-the Euclidean norm, their natural exact geometry; mixing the two norms only
-moves the constants in scaling estimates, never the exponents.  Torus
-variants reduce per coordinate mod 1 and take the minimum over unit shifts.
+selectable.  ``distance_to_set`` measures circles, spheres, and attractors
+in the Euclidean norm, their natural exact geometry, whatever the metric;
+the attractor hit tests (``cut_hits``, and the estimators' proxy trees)
+use the configured metric.  Mixing the two norms only moves the constants
+in scaling estimates, never the exponents.  Torus variants reduce per
+coordinate mod 1 and take the minimum over unit shifts.
 """
 
 from __future__ import annotations
@@ -309,27 +314,53 @@ def _select(nodes, mask):
     return tuple(None if a is None else a[mask] for a in nodes)
 
 
+def cut_size(ifs: IFS, target, cap=10_000_000):
+    """Number of balls ``cylinder_cut(ifs, target)`` returns, from the ratios alone.
+
+    A node's children depend only on its float scale, so the frontier is
+    carried as a table from scale to multiplicity and each level costs one
+    entry per distinct scale (one for equal ratios).  The count is exact.
+    Raises ``cylinder_cut``'s cap error when a level's children plus the
+    words already emitted exceed ``cap``, before anything is expanded.
+    """
+    if not (0 < target):
+        raise ArgumentError("target must be positive")
+    if target >= 1.0:
+        return 1
+    ratios = ifs.ratios
+    scales, mult = np.ones(1), np.ones(1, dtype=np.int64)
+    emitted = 0
+    while scales.size:
+        s2 = (scales[:, None] * ratios[None, :]).reshape(-1)
+        m2 = np.repeat(mult, ratios.size)
+        if int(m2.sum()) + emitted > cap:
+            raise ArgumentError(f"cylinder cut exceeds cap {cap}")
+        fin = s2 <= target
+        emitted += int(m2[fin].sum())
+        scales, inv = np.unique(s2[~fin], return_inverse=True)
+        mult = np.zeros(scales.size, dtype=np.int64)
+        np.add.at(mult, inv, m2[~fin])
+    return emitted
+
+
 def cylinder_cut(ifs: IFS, target, cap=10_000_000):
     """Bounding balls (centers, radii) of the word cut at contraction ``target``.
 
     Expands the cylinder-tree frontier level by level and emits the words
     whose contraction product first drops to <= target, so the returned
     radii are at most ``target * r0`` and the balls jointly cover the
-    attractor.
+    attractor.  A cut of more than ``cap`` balls raises before any level
+    is expanded (``cut_size``).
     """
-    if not (0 < target):
-        raise ArgumentError("target must be positive")
+    cut_size(ifs, target, cap)
     z0, r0 = attractor_bounds(ifs)
     if target >= 1.0:
         return z0[None, :].copy(), np.array([r0])
     parts, nodes = _cylinder_tree(ifs)
     done_c, done_s = [], []
-    emitted = 0
     while nodes[0].size:
         nodes, centers = _expand(nodes, parts, z0)
         scales = nodes[0]
-        if scales.size + emitted > cap:
-            raise ArgumentError(f"cylinder cut exceeds cap {cap}")
         fin = scales <= target
         if fin.all():  # the whole level lands (equal ratios): keep it uncopied
             done_s.append(scales)
@@ -338,12 +369,110 @@ def cylinder_cut(ifs: IFS, target, cap=10_000_000):
         if fin.any():
             done_s.append(scales[fin])
             done_c.append(centers[fin])
-            emitted += done_s[-1].size
             nodes = _select(nodes, ~fin)
     del nodes, scales, centers  # free the last level before joining
     if len(done_c) == 1:
         return done_c[0], done_s[0] * r0
     return np.concatenate(done_c, axis=0), np.concatenate(done_s) * r0
+
+
+def _query_distance(diff, metric):
+    """Norms of the rows of ``diff`` as a cKDTree query computes them.
+
+    Sup: the largest absolute coordinate.  Euclidean: the square root of
+    the squared coordinates summed as scipy's kernel sums them, in four
+    lanes over the first multiple of four coordinates, the lanes added left
+    to right, then the rest one at a time.  A query bounded by delta keeps
+    the sums below fl(delta**2), which every root below delta satisfies, so
+    in both metrics a point hits exactly when this distance is below delta.
+    """
+    n = diff.shape[-1]
+    if metric != "euclidean":
+        dist = np.abs(diff[..., 0])
+        for i in range(1, n):  # column by column: a reduction over a short last axis is slow
+            np.maximum(dist, np.abs(diff[..., i]), out=dist)
+        return dist
+    sq = diff * diff
+    lanes = [0.0] * 4
+    for i in range(n // 4 * 4):
+        lanes[i % 4] = lanes[i % 4] + sq[..., i]
+    total = lanes[0] + lanes[1] + lanes[2] + lanes[3]
+    for i in range(n // 4 * 4, n):
+        total = total + sq[..., i]
+    return np.sqrt(total)
+
+
+def _hub_ball(ifs: IFS):
+    """A Euclidean ball B(hub, rho) containing the attractor, centered at the
+    mean of the maps' fixed points; rho = max_i |phi_i(hub) - hub| / (1 -
+    max ratio) makes it invariant, as in ``attractor_bounds``.  For the
+    gasket rho is 2/3 against r0 = 1.118 about the corner z0."""
+    n = ifs.ambient_dim
+    eye = np.eye(n)
+    fixed = [
+        np.linalg.solve(eye - m.ratio * (m.rotation if m.rotation is not None else eye), m.translation)
+        for m in ifs.maps
+    ]
+    hub = np.mean(fixed, axis=0)
+    rho = max(np.linalg.norm(m.apply(hub) - hub) for m in ifs.maps) / (1.0 - float(np.max(ifs.ratios)))
+    return hub, max(rho, 1e-300)
+
+
+_WALK_BLOCK = 2048  # query points per walker block
+
+
+def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
+    """Mask of the points within ``delta`` of a center of ``cylinder_cut(ifs, target)``.
+
+    Walks (point, node) pairs down the cylinder tree instead of building
+    the cut, so the work follows the points and the depth, not the cut
+    size.  A node of scale s maps the attractor into the ball of radius
+    s * rho about its image h of the hub (``_hub_ball``), so the centers of
+    all its cut words lie there too.  With x's distances to h and to the
+    node's reference center c in ``metric`` (each norm is at most the
+    Euclidean one):
+
+    - the pair drops once |x - h| - s * rho > delta + slack;
+    - the point hits once |x - c| < delta - slack at a node above the cut:
+      the word that extends the node by map 0 until it reaches the cut has
+      the center c up to rounding, since z0 is the fixed point of map 0;
+    - at a cut word the point hits when ``_query_distance`` is below delta.
+
+    Children come from ``_expand`` on the pairs' own nodes, so each cut
+    center is the one ``cylinder_cut`` emits bit for bit and the mask
+    equals a bounded cKDTree query on the cut.  ``slack`` (1e-9 delta plus
+    1e-12 of |z0| + r0) absorbs the rounding of the compositions.  Points
+    are walked ``_WALK_BLOCK`` at a time, so the pair arrays stay small.
+    """
+    z0, r0 = attractor_bounds(ifs)
+    pts = np.asarray(pts, dtype=float)
+    if target >= 1.0:
+        return _query_distance(pts - z0, metric) < delta
+    hub, rho = _hub_ball(ifs)
+    slack = 1e-9 * delta + 1e-12 * (float(np.linalg.norm(z0)) + r0)
+    parts, root = _cylinder_tree(ifs)
+    k = len(ifs.maps)
+    hit = np.zeros(len(pts), dtype=bool)
+    for lo in range(0, len(pts), _WALK_BLOCK):
+        x = pts[lo : lo + _WALK_BLOCK]
+        won = hit[lo : lo + _WALK_BLOCK]
+        who = np.arange(len(x))
+        nodes = _select(root, np.zeros(len(x), dtype=np.intp))
+        while who.size:
+            nodes, centers = _expand(nodes, parts, z0)
+            scales, mats, _ = nodes
+            who = np.repeat(who, k)
+            diff = x[who] - centers
+            leaf = scales <= target
+            won[who[_query_distance(diff, metric) < np.where(leaf, delta, delta - slack)]] = True
+            # x - h = (x - c) - (h - c), with h - c the node's image of hub - z0
+            diff -= scales[:, None] * (hub - z0) if mats is None else mats @ (hub - z0)
+            keep = _query_distance(diff, metric) - scales * rho <= delta + slack
+            keep &= ~leaf
+            keep &= ~won[who]
+            who = who[keep]
+            nodes = _select(nodes, keep)
+    return hit
 
 
 _QUERY_BLOCK = 32  # query points sharing one frontier

@@ -89,6 +89,8 @@ def test_invalid_config_exits_2(tmp_path):
         ("minkowski", "minkowski_segment.json", None, "dimension=NaN"),
         ("minkowski", "minkowski_segment.json", None, "scales=[0.1,0.01,0.001,0]"),
         ("fit-lsp", "fit_lsp_line.json", None, "model.extent=NaN"),
+        # a proxy cut over the 5 M-ball cap, refused from its count before any hit test
+        ("boxdim", "boxdim_sierpinski.json", None, "scales=[0.12,0.06,0.03,1e-7]"),
         ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=1e15"),
         ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=1000001"),
         ("minkowski", "minkowski_segment.json", None, "samples_per_scale=1000001"),

@@ -16,6 +16,7 @@ from lspkit.measure import (
     regress_lsp,
     sample_in_ball,
     _DistanceOracle,
+    _cut_target,
     _hit_counts,
     _merge_length,
     _merge_union,
@@ -27,9 +28,14 @@ from lspkit.sets import (
     Circle,
     IFSAttractor,
     IFSMap,
+    Isometry,
     PointSet,
     Polyline,
+    cut_hits,
     distance_to_set,
+    model_window,
+    _query_distance,
+    transform_model,
 )
 
 
@@ -246,9 +252,13 @@ def mixed_ratio_ifs():
     return IFSAttractor(IFS(maps, True))
 
 
+def rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
 def rotating_ifs():
-    c, s = math.cos(0.7), math.sin(0.7)
-    rot = np.array([[c, -s], [s, c]])
+    rot = rotation(0.7)
     maps = (
         IFSMap(0.45, np.array([0.0, 0.0]), rot),
         IFSMap(0.4, np.array([0.6, 0.1])),
@@ -328,37 +338,116 @@ def test_hit_counts_far_cloud_runs_out_of_hits():
 
 
 @pytest.mark.parametrize(
-    "deltas, resolution, nested",
+    "deltas, resolution, nested, walks",
     [
-        ([0.2, 0.08, 0.08, 0.03, 0.012], 0.05, [False, True, False, True, True]),
+        (
+            [0.2, 0.08, 0.08, 0.03, 0.012],
+            0.05,
+            [False, True, False, True, True],
+            [False, True, False, True, True],
+        ),
         # 1 - resolution / 2 = 0.8: 0.0801 / 0.1 lies above it, 0.03199 / 0.04 below
-        ([0.1, 0.0801, 0.04, 0.03199], 0.4, [False, False, True, True]),
+        ([0.1, 0.0801, 0.04, 0.03199], 0.4, [False, False, True, True], [False] * 4),
     ],
     ids=["duplicate", "ratio-edge"],
 )
-def test_hit_counts_query_only_previous_hits(monkeypatch, deltas, resolution, nested):
-    # a nested delta's tree query holds exactly the previous delta's hits;
-    # the first delta, a repeated one and one above the ratio query every point
+def test_hit_counts_query_only_previous_hits(monkeypatch, deltas, resolution, nested, walks):
+    # a nested delta's hit test sees exactly the previous delta's hits; the
+    # first delta, a repeated one and one above the ratio test every point.
+    # The spy wraps each delta's hit test, so it sees proxy-tree queries and
+    # cylinder-tree walks alike; ``walks`` records which deltas walk.
     m = sierpinski()
     pts = np.random.default_rng(17).uniform(-0.2, 1.2, size=(4000, 2))
     hits = [_DistanceOracle(m, d, resolution=resolution).hits(pts, d) for d in deltas]
-    queries = []
-    tree = measure.cKDTree
+    queries, walked = [], []
+    hit_test = measure._hit_test
 
-    class SpyTree:
-        def __init__(self, data, *args, **kwargs):
-            self.tree = tree(data, *args, **kwargs)
+    def spy(model, delta, rows, balls, *args):
+        test = hit_test(model, delta, rows, balls, *args)
+        walked.append(balls > measure._WALK_FACTOR * rows)
 
-        def query(self, x, *args, **kwargs):
+        def recorded(x):
             queries.append(np.array(x))
-            return self.tree.query(x, *args, **kwargs)
+            return test(x)
 
-    monkeypatch.setattr(measure, "cKDTree", SpyTree)
+        return recorded
+
+    monkeypatch.setattr(measure, "_hit_test", spy)
     counts = _hit_counts(m, [pts], deltas, resolution=resolution)
     assert counts[0].tolist() == [np.count_nonzero(h) for h in hits]
     assert len(queries) == len(deltas)
     for j, got in enumerate(queries):
         assert np.array_equal(got, pts[hits[j - 1]] if nested[j] else pts)
+    assert walked == walks
+
+
+_GASKET_SCALES = [0.12, 0.06, 0.03, 0.015, 0.0075, 0.00375, 0.001875, 0.0009375]  # boxdim_sierpinski
+
+
+def gasket(r):
+    t = 1.0 - r
+    maps = (IFSMap(r, np.array([0.0, 0.0])), IFSMap(r, np.array([t, 0.0])), IFSMap(r, np.array([t / 2, t])))
+    return IFSAttractor(IFS(maps, True))
+
+
+def _edge_points(centers, delta, metric, rng, count=1000):
+    """Points at distance delta from random cut centers, in ``metric`` up to
+    rounding."""
+    c = centers[rng.integers(0, len(centers), size=count)]
+    if metric == "sup":
+        u = rng.uniform(-1.0, 1.0, size=c.shape)
+        u[np.arange(count), rng.integers(0, c.shape[1], size=count)] = rng.choice([-1.0, 1.0], size=count)
+    else:
+        u = rng.normal(size=c.shape)
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return c + delta * u
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        gasket(0.5),
+        gasket(0.45),
+        gasket(0.491),
+        mixed_ratio_ifs(),
+        rotating_ifs(),
+        # z0 off the origin, with and without rotated maps
+        transform_model(gasket(0.45), Isometry(np.array([0.31, -0.17]))),
+        transform_model(mixed_ratio_ifs(), Isometry(np.array([-0.4, 0.23]), rotation(0.3))),
+    ],
+    ids=["gasket", "gasket-0.45", "gasket-0.491", "mixed-ratio", "rotating", "moved-gasket", "moved-mixed"],
+)
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+def test_cut_hits_match_proxy_tree(model, metric):
+    # the walk reproduces a bounded tree query on the cut bit for bit, at
+    # every bundled gasket scale, on window points and on points at distance
+    # delta from a cut center (and the first points just inside)
+    rng = np.random.default_rng(21)
+    lo, hi = model_window(model, margin=0.18)
+    window = rng.uniform(lo, hi, size=(5000, 2))
+    exact = 0
+    for d in _GASKET_SCALES:
+        target = _cut_target(model.ifs, d, 0.4)
+        oracle = _DistanceOracle(model, d, metric=metric, resolution=0.4)
+        centers = oracle.tree.data  # the cut centers
+        edge = _edge_points(centers, d, metric, rng)
+        nearest, idx = oracle.tree.query(edge, k=1, p=oracle.p)
+        on = nearest == d  # no cut center is nearer than delta
+        # the first points toward the nearest center, in steps of the spacing
+        # of the larger coordinate, whose computed distance to it drops below
+        c = centers[idx]
+        inner = edge.copy()
+        for _ in range(8):
+            out = _query_distance(inner - c, metric) >= nearest
+            inner[out] += np.sign(c - inner)[out] * np.spacing(np.maximum(np.abs(inner), np.abs(c)))[out]
+        pts = np.concatenate([window, edge, inner])
+        want = oracle.hits(pts, d)
+        assert np.array_equal(cut_hits(model.ifs, pts, d, target, metric), want)
+        assert not np.any(want[len(window) : len(window) + len(edge)][on])
+        if metric == "sup":
+            assert np.all(want[len(window) + len(edge) :][on])
+        exact += np.count_nonzero(on)
+    assert metric != "sup" or exact >= 20
 
 
 @pytest.mark.parametrize(

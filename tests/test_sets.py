@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from lspkit.errors import ArgumentError, UnsupportedCombination
 from lspkit.sets import (
@@ -16,10 +17,12 @@ from lspkit.sets import (
     Sphere,
     _sup_segment_min,
     attractor_bounds,
+    cut_size,
     cylinder_cut,
     distance_to_set,
     model_from_json,
     model_to_json,
+    _query_distance,
     read_points_csv,
     sample_on_set,
     similarity_dimension,
@@ -320,6 +323,52 @@ def test_wrap_with_general_rotation_rejected():
     perm = Isometry(translation=np.zeros(2), rotation=np.array([[0.0, 1.0], [1.0, 0.0]]), wrap=True)
     out = transform_model(ps, perm)
     assert np.allclose(out.points, [[0.2, 0.2]])
+
+
+def unequal_2d():
+    maps = (
+        IFSMap(0.5, np.array([0.0, 0.0])),
+        IFSMap(0.3, np.array([0.7, 0.0])),
+        IFSMap(0.25, np.array([0.1, 0.75])),
+        IFSMap(0.2, np.array([0.8, 0.8])),
+    )
+    return IFS(maps, True)
+
+
+def gasket_ifs():
+    maps = (
+        IFSMap(0.5, np.array([0.0, 0.0])),
+        IFSMap(0.5, np.array([0.5, 0.0])),
+        IFSMap(0.5, np.array([0.25, 0.5])),
+    )
+    return IFS(maps, True)
+
+
+@pytest.mark.parametrize(
+    "ifs", [gasket_ifs(), unequal_2d(), rotated_2d()], ids=["equal", "unequal", "rotated"]
+)
+@pytest.mark.parametrize("target", [2.0, 1.0, 0.3, 0.11, 0.042, 0.005, 0.0011])
+def test_cut_size_counts_the_cut(ifs, target):
+    size = len(cylinder_cut(ifs, target)[1])
+    assert cut_size(ifs, target) == size
+    # a level's children plus the words emitted before it never exceed the
+    # whole cut, so the cap trips exactly when the cut is larger than it
+    for fn in (cut_size, cylinder_cut):
+        if size > 10:
+            with pytest.raises(ArgumentError, match="cylinder cut exceeds cap 10"):
+                fn(ifs, target, cap=10)
+        else:
+            fn(ifs, target, cap=10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 12])
+def test_query_distance_matches_kdtree(n):
+    rng = np.random.default_rng(23)
+    data = rng.uniform(-1.0, 1.0, size=(1, n)) * rng.uniform(0.1, 10.0, size=n)
+    pts = rng.uniform(-3.0, 3.0, size=(20_000, n))
+    tree = cKDTree(data)
+    for metric, p in (("sup", np.inf), ("euclidean", 2)):
+        assert np.array_equal(_query_distance(pts - data[0], metric), tree.query(pts, p=p)[0])
 
 
 def test_osc_cylinder_intersection_count_bounded():
