@@ -39,30 +39,11 @@ from .cantor import (
 )
 from .covering import Ball, BallFamily, build_caj, build_kgb, family_is_disjoint, five_r_cover, five_r_covers
 from .dimfun import GaugePair, corollary_exponent, gauge_from_json, mtp_radius, verify_gauge_pair
-from .errors import (
-    ArgumentError,
-    ConstructionError,
-    CoverageShortfall,
-    DomainError,
-    EstimationError,
-    NumericError,
-    RangeError,
-    ToolkitError,
-    TruncationError,
-    UnsupportedCombination,
-)
+from .errors import ArgumentError, DomainError, RangeError, ToolkitError, UnsupportedCombination
 from .measure import box_dimensions, fit_lsp, minkowski_content, scaling_fit_to_json
 from .randomsim import RandomScheme, covering_exponent, coverage_frequency
 from .sets import model_from_json
 from .stages import GridCloudStages, VdcPointStages
-
-NUMERICAL_ERRORS = (
-    CoverageShortfall,
-    ConstructionError,
-    TruncationError,
-    EstimationError,
-    NumericError,
-)
 
 _GAUGE = {
     "type": "object",
@@ -395,7 +376,7 @@ def _run_cover(cfg, rng):
         if pair is not None:
             seq = lambda j: (stages.model(j), mtp_radius(pair, stages.upsilon(j)))
         else:
-            seq = lambda j: (stages.model(j), stages.upsilon(j))
+            seq = stages
         region = Ball(np.asarray(cfg["region"]["center"], dtype=float), float(cfg["region"]["radius"]))
         res = build_kgb(
             region,
@@ -631,11 +612,8 @@ def main(argv=None):
     except (ArgumentError, DomainError, RangeError, UnsupportedCombination) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     if args.out is None:
         json.dump(report["results"], sys.stdout, indent=2, default=float)

@@ -50,13 +50,6 @@ class BallFamily:
     balls: list
     metric: str = "sup"
 
-    def __post_init__(self):
-        if any(isinstance(b, IndexedBall) for b in self.balls):
-            self.balls = [b if isinstance(b, IndexedBall) else IndexedBall(b, 0) for b in self.balls]
-
-    def plain(self):
-        return [b.ball if isinstance(b, IndexedBall) else b for b in self.balls]
-
 
 def _dist(c1, c2, metric):
     return float(_norm(np.asarray(c1) - np.asarray(c2), metric))
@@ -90,7 +83,7 @@ def _row_blocks(rows, cols, dim):
 def family_is_disjoint(fam: BallFamily):
     """True when every two balls of the family are disjoint (``balls_disjoint``,
     tangency counts), checked one broadcast row block at a time."""
-    balls = fam.plain()
+    balls = fam.balls
     if len(balls) < 2:
         return True
     c, r = _ball_arrays(balls)
@@ -107,7 +100,7 @@ def family_is_disjoint(fam: BallFamily):
 def five_r_covers(inputs: BallFamily, selected: BallFamily):
     """True when every input ball sits inside the 5-dilate of some selected
     ball (``ball_contains``), checked one broadcast row block at a time."""
-    balls, sel = inputs.plain(), selected.plain()
+    balls, sel = inputs.balls, selected.balls
     if not balls:
         return True
     if not sel:
@@ -132,15 +125,14 @@ def five_r_cover(fam: BallFamily) -> BallFamily:
     """
     if not fam.balls:
         raise ArgumentError("family must be non-empty")
-    entries = list(fam.balls)
-    order = sorted(range(len(entries)), key=lambda i: (-_radius(entries[i]), i))
+    balls = fam.balls
+    order = sorted(range(len(balls)), key=lambda i: (-balls[i].radius, i))
     kept = []
-    first = entries[0].ball if isinstance(entries[0], IndexedBall) else entries[0]
-    centers = np.empty((len(entries), first.ambient_dim))
-    radii = np.empty(len(entries))
+    centers = np.empty((len(balls), balls[0].ambient_dim))
+    radii = np.empty(len(balls))
     count = 0
     for i in order:
-        b = entries[i].ball if isinstance(entries[i], IndexedBall) else entries[i]
+        b = balls[i]
         if count:
             dist = _norm(centers[:count] - b.center, fam.metric)
             if np.any(dist < (radii[:count] + b.radius) * (1 - _DISJOINT_SLACK)):
@@ -148,12 +140,8 @@ def five_r_cover(fam: BallFamily) -> BallFamily:
         centers[count] = b.center
         radii[count] = b.radius
         count += 1
-        kept.append(entries[i])
+        kept.append(b)
     return BallFamily(kept, metric=fam.metric)
-
-
-def _radius(entry):
-    return entry.ball.radius if isinstance(entry, IndexedBall) else entry.radius
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +153,6 @@ class NetResult:
     points: np.ndarray
     sep: float
     pool_size: int
-    pool_maximal: bool = True  # maximality is relative to the candidate pool
 
 
 def greedy_net(points, sep, metric="sup"):
@@ -229,9 +216,7 @@ class CajResult:
         return len(self.balls)
 
 
-def build_caj(
-    A: Ball, j, m: SetModel, upsilon_j, rng=None, pool=10_000, metric="sup", net_points=None
-) -> CajResult:
+def build_caj(A: Ball, j, m: SetModel, upsilon_j, rng=None, pool=10_000, metric="sup") -> CajResult:
     """Balls of radius upsilon centered on a 6*upsilon-separated net of the
     model inside half of A.
 
@@ -241,12 +226,7 @@ def build_caj(
     """
     if not (6.0 * upsilon_j < A.radius):
         raise ArgumentError("requires 6 * upsilon < radius of A")
-    if net_points is not None:
-        net = NetResult(points=np.atleast_2d(net_points), sep=6.0 * upsilon_j, pool_size=len(net_points))
-        pts = greedy_net(net.points, 6.0 * upsilon_j, metric=metric)
-        net = NetResult(points=pts, sep=net.sep, pool_size=net.pool_size)
-    else:
-        net = separated_net(m, A.dilate(0.5), 6.0 * upsilon_j, candidates=pool, rng=rng, metric=metric)
+    net = separated_net(m, A.dilate(0.5), 6.0 * upsilon_j, candidates=pool, rng=rng, metric=metric)
     balls = [Ball(p, upsilon_j) for p in net.points]
     return CajResult(balls=balls, j=j, upsilon=upsilon_j, net=net)
 
@@ -330,21 +310,3 @@ def build_kgb(
         f"covered fraction {acc / vol_b:.3g} of target {target_fraction * c5:.3g} by j_max={j_max}",
         achieved_fraction=acc / vol_b,
     )
-
-
-def family_to_json(fam: BallFamily) -> list:
-    out = []
-    for b in fam.balls:
-        if isinstance(b, IndexedBall):
-            out.append({"c": b.ball.center.tolist(), "r": b.ball.radius, "j": b.j})
-        else:
-            out.append({"c": b.center.tolist(), "r": b.radius})
-    return out
-
-
-def family_from_json(arr, metric="sup") -> BallFamily:
-    balls = []
-    for e in arr:
-        b = Ball(np.array(e["c"], dtype=float), float(e["r"]))
-        balls.append(IndexedBall(b, int(e["j"])) if "j" in e else b)
-    return BallFamily(balls, metric=metric)

@@ -9,7 +9,6 @@ which full measure in the coarse gauge forces full measure in the fine one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -266,19 +265,7 @@ def corollary_exponent(s, kappa, n):
     return (s - kappa * n) / ((1.0 - kappa) * n)
 
 
-def gauge_to_json(f: Gauge) -> dict:
-    if f.kind == "power":
-        out = {"kind": "power", "s": f.s}
-    else:
-        out = {"kind": "tabulated", "samples": [[r, v] for r, v in f.samples]}
-    if f.description:
-        out["description"] = f.description
-    return out
-
-
 def gauge_from_json(obj) -> Gauge:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     kind = obj.get("kind")
     if kind == "power":
         return Gauge.power(obj["s"], obj.get("description", ""))

@@ -345,7 +345,9 @@ def neighborhood_measure(
 
 
 def _window_volumes(m, scales, samples_per_scale, rng, metric, resolution=0.4):
-    """Estimated vol of the delta-neighborhood per scale over a bounding window.
+    """Estimated vol of the delta-neighborhood per scale over a bounding window,
+    the scales sorted descending.  Needs >= 4 scales spanning >= 2 decades and
+    some scale with positive measure.
 
     The window is fixed by the largest scale, and one uniform window sample
     serves every scale: each scale counts its hits among the same points.
@@ -355,15 +357,21 @@ def _window_volumes(m, scales, samples_per_scale, rng, metric, resolution=0.4):
     only the previous scale's hits (see ``_hit_counts``).
     """
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
+    if len(scales) < 4 or scales.max() / scales.min() < 100:
+        raise ArgumentError("need >= 4 scales spanning >= 2 decades")
+    if rng is None:
+        rng = np.random.default_rng(0)
     lo, hi = model_window(m, margin=float(scales.max()) * 1.5)
     n = m.ambient_dim
     if n == 1 and isinstance(m, (PointSet, IFSAttractor)):
-        vols = [_merge_length(model_intervals_1d(m, d), lo=lo[0], hi=hi[0]) for d in scales]
-        return scales, np.array(vols), np.zeros(len(scales))
-    pts = rng.uniform(lo, hi, size=(samples_per_scale, n))
-    counts = _hit_counts(m, [pts], scales, metric=metric, resolution=resolution)[0]
-    vols, errs = _mc_volume(float(np.prod(hi - lo)), counts, samples_per_scale)
-    return scales, vols, errs
+        vols = np.array([_merge_length(model_intervals_1d(m, d), lo=lo[0], hi=hi[0]) for d in scales])
+    else:
+        pts = rng.uniform(lo, hi, size=(samples_per_scale, n))
+        counts = _hit_counts(m, [pts], scales, metric=metric, resolution=resolution)[0]
+        vols, _ = _mc_volume(float(np.prod(hi - lo)), counts, samples_per_scale)
+    if np.all(vols <= 0):
+        raise EstimationError("zero measure at every scale")
+    return scales, vols
 
 
 def _ols_line(x, y):
@@ -399,15 +407,8 @@ def box_dimensions(m: SetModel, scales, samples_per_scale=DEFAULT_SAMPLES, rng=N
     against log delta; the lower/upper split fits the support lines touching
     the residual envelope from below and above.
     """
-    scales = np.asarray(scales, dtype=float)
-    if len(scales) < 4 or scales.max() / scales.min() < 100:
-        raise ArgumentError("need >= 4 scales spanning >= 2 decades")
-    if rng is None:
-        rng = np.random.default_rng(0)
     n = m.ambient_dim
-    sc, vols, _ = _window_volumes(m, scales, samples_per_scale, rng, metric)
-    if np.all(vols <= 0):
-        raise EstimationError("zero measure at every scale")
+    sc, vols = _window_volumes(m, scales, samples_per_scale, rng, metric)
     keep = vols > 0
     if np.count_nonzero(keep) < 3:
         raise EstimationError("too few scales with positive measure")
@@ -429,15 +430,8 @@ def minkowski_content(m: SetModel, d, scales, samples_per_scale=DEFAULT_SAMPLES,
     Uses the classical normalization (negative exponent on delta), which
     keeps the content positive and finite for the catalogue sets.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    scales = np.asarray(scales, dtype=float)
-    if len(scales) < 4 or scales.max() / scales.min() < 100:
-        raise ArgumentError("need >= 4 scales spanning >= 2 decades")
     n = m.ambient_dim
-    sc, vols, _ = _window_volumes(m, scales, samples_per_scale, rng, metric)
-    if np.all(vols <= 0):
-        raise EstimationError("zero measure at every scale")
+    sc, vols = _window_volumes(m, scales, samples_per_scale, rng, metric)
     contents = vols * sc ** (-(n - d))
     return float(np.min(contents)), float(np.max(contents))
 

@@ -31,15 +31,13 @@ coordinate mod 1 and take the minimum over unit shifts.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, UnsupportedCombination
+from .errors import ArgumentError, UnsupportedCombination
 
 ORTHO_TOL = 1e-12
 
@@ -789,36 +787,7 @@ def model_window(m: SetModel, margin=0.0):
 # serialization
 
 
-def model_to_json(m: SetModel) -> dict:
-    if isinstance(m, PointSet):
-        return {"variant": "points", "points": m.points.tolist()}
-    if isinstance(m, AffinePlane):
-        return {
-            "variant": "plane",
-            "base": m.base.tolist(),
-            "basis": m.basis.tolist(),
-            "extent": m.extent,
-        }
-    if isinstance(m, Circle):
-        return {"variant": "circle", "center": m.center.tolist(), "radius": m.radius}
-    if isinstance(m, Sphere):
-        return {"variant": "sphere", "center": m.center.tolist(), "radius": m.radius}
-    if isinstance(m, Polyline):
-        return {"variant": "polyline", "vertices": m.vertices.tolist()}
-    if isinstance(m, IFSAttractor):
-        maps = []
-        for mp in m.ifs.maps:
-            entry = {"ratio": mp.ratio, "translation": mp.translation.tolist()}
-            if mp.rotation is not None:
-                entry["rotation"] = mp.rotation.tolist()
-            maps.append(entry)
-        return {"variant": "ifs", "maps": maps, "osc": m.ifs.osc_declared}
-    raise ArgumentError(f"unknown set model {type(m).__name__}")
-
-
 def model_from_json(obj) -> SetModel:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     variant = obj.get("variant")
     if variant == "points":
         return PointSet(np.array(obj["points"], dtype=float))
@@ -845,18 +814,3 @@ def model_from_json(obj) -> SetModel:
         )
         return IFSAttractor(IFS(maps, bool(obj.get("osc", True))))
     raise ArgumentError(f"unknown model variant {variant!r}")
-
-
-def write_points_csv(path, points):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(points):
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def read_points_csv(path):
-    with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-    if not rows:
-        raise DomainError(f"no points in {path}")
-    return np.array(rows)

@@ -1,10 +1,13 @@
 import importlib.resources as resources
+import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
 from jsonschema.validators import validator_for
 
+from lspkit import cli, covering, errors, measure
 from lspkit.cli import SCHEMAS, bundled_config, main, run
 
 # a readable JSON file that is not a Cantor tree
@@ -107,14 +110,56 @@ def test_missing_or_invalid_keys_exit_2(tmp_path, command, name, drop, override)
     assert main(argv) == 2
 
 
-def test_docs_schema_matches_cli():
-    doc = Path(__file__).parents[1] / "docs" / "config-schema.json"
-    assert json.loads(doc.read_text())["commands"] == SCHEMAS
-
-
 @pytest.mark.parametrize("command", sorted(SCHEMAS))
 def test_schemas_are_valid(command):
     validator_for(SCHEMAS[command]).check_schema(SCHEMAS[command])
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (errors.ArgumentError("x"), 2),
+        (errors.DomainError("x"), 2),
+        (errors.RangeError("x"), 2),
+        (errors.UnsupportedCombination("x"), 2),
+        (errors.NumericError("x"), 3),
+        (errors.EstimationError("x"), 3),
+        (errors.CoverageShortfall("x", achieved_fraction=0.1), 3),
+        (errors.ConstructionError("x"), 3),
+        (errors.TruncationError("x"), 3),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_error_classes_map_to_exit_codes(monkeypatch, capsys, exc, code):
+    def fail(cfg, rng):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "transform", fail)
+    assert main(["transform", "--config", "bundled:transform_demo.json"]) == code
+    prefix = "validation error" if code == 2 else "numerical failure"
+    assert capsys.readouterr().err == f"{prefix}: x\n"
+
+
+def test_perfbench_tracer_installs_and_uninstalls():
+    t0 = time.perf_counter()
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    originals = (measure.cKDTree, cli.run, covering.build_kgb)
+    cfg = bundled_config("cover_kgb_vdc.json")
+    untraced = cli.run("cover", cfg)[1]["results"]
+    tr = tracer.Tracer()
+    try:
+        tracer.install(tr)
+        traced = cli.run("cover", cfg)[1]["results"]
+    finally:
+        tr.uninstall()
+    assert traced == untraced
+    assert tr.totals()["covering.build_kgb"]["calls"] == 1
+    assert (measure.cKDTree, cli.run, covering.build_kgb) == originals
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_kgb_shortfall_exits_3(tmp_path):

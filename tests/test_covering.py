@@ -7,14 +7,11 @@ from lspkit import covering
 from lspkit.covering import (
     Ball,
     BallFamily,
-    IndexedBall,
     ball_contains,
     balls_disjoint,
     build_caj,
     build_kgb,
-    family_from_json,
     family_is_disjoint,
-    family_to_json,
     five_r_cover,
     five_r_covers,
     separated_net,
@@ -33,7 +30,7 @@ def test_five_r_single():
 def test_five_r_three_on_line():
     fam = BallFamily([Ball(np.array([float(k)]), 1.0) for k in range(3)])
     out = five_r_cover(fam)
-    centers = sorted(b.center[0] for b in out.plain())
+    centers = sorted(b.center[0] for b in out.balls)
     assert centers == [0.0, 2.0]  # tangent open balls count as disjoint
     assert family_is_disjoint(out)
     assert five_r_covers(fam, out)
@@ -57,7 +54,7 @@ def test_five_r_deterministic_given_order():
     balls = [Ball(rng.uniform(0, 1, size=2), float(r)) for r in rng.uniform(0.01, 0.05, 40)]
     out1 = five_r_cover(BallFamily(list(balls)))
     out2 = five_r_cover(BallFamily(list(balls)))
-    assert [tuple(b.center) for b in out1.plain()] == [tuple(b.center) for b in out2.plain()]
+    assert [tuple(b.center) for b in out1.balls] == [tuple(b.center) for b in out2.balls]
 
 
 def test_separated_net_on_line():
@@ -69,7 +66,6 @@ def test_separated_net_on_line():
     assert 3 <= k <= 5  # interval packing bound
     d = np.abs(net.points[:, 0][:, None] - net.points[:, 0][None, :])
     assert np.all(d[~np.eye(k, dtype=bool)] > 0.5)
-    assert net.pool_maximal
 
 
 def test_separated_net_degenerate_cases():
@@ -188,18 +184,8 @@ def test_kgb_determinism():
     ]
 
 
-def test_family_json_roundtrip():
-    fam = BallFamily(
-        [IndexedBall(Ball(np.array([0.1, 0.2]), 0.05), 7), IndexedBall(Ball(np.array([0.5, 0.5]), 0.1), 9)]
-    )
-    back = family_from_json(family_to_json(fam))
-    assert [(b.j, tuple(b.ball.center), b.ball.radius) for b in back.balls] == [
-        (b.j, tuple(b.ball.center), b.ball.radius) for b in fam.balls
-    ]
-
-
 def _family_is_disjoint_loop(fam):
-    balls = fam.plain()
+    balls = fam.balls
     for i in range(len(balls)):
         for k in range(i + 1, len(balls)):
             if not balls_disjoint(balls[i], balls[k], fam.metric):
@@ -208,8 +194,8 @@ def _family_is_disjoint_loop(fam):
 
 
 def _five_r_covers_loop(inputs, selected):
-    sel = selected.plain()
-    for b in inputs.plain():
+    sel = selected.balls
+    for b in inputs.balls:
         if not any(ball_contains(s.dilate(5.0), b, inputs.metric) for s in sel):
             return False
     return True
@@ -270,7 +256,7 @@ def test_pair_oracles_match_loops_random(metric, block, monkeypatch):
             part = BallFamily(out.balls[: len(out.balls) // 2], metric=metric)
             assert five_r_covers(fam, part) == _five_r_covers_loop(fam, part)
     # the broadcast norm of a row block equals the per-pair norm bit for bit
-    c = np.array([b.center for b in fam.plain()])
+    c = np.array([b.center for b in fam.balls])
     assert np.array_equal(_norm(c[:, None, :] - c[None, :, :], metric)[3], [_norm(c[3] - x, metric) for x in c])
     assert five_r_covers(BallFamily([]), BallFamily([])) and family_is_disjoint(BallFamily([]))
     assert not five_r_covers(fam, BallFamily([]))

@@ -8,7 +8,6 @@ from lspkit.dimfun import (
     default_grid,
     eval_gauge,
     gauge_from_json,
-    gauge_to_json,
     invert_gauge,
     mtp_radius,
     verify_gauge_pair,
@@ -131,12 +130,16 @@ def test_corollary_exponent():
         corollary_exponent(1.0, 1.0, 1)
 
 
-def test_gauge_json_roundtrip():
-    for g in (Gauge.power(1.5, "bulk"), Gauge.tabulated([(0.1, 0.02), (1.0, 1.0)])):
-        back = gauge_from_json(gauge_to_json(g))
-        assert back.kind == g.kind
-        grid = default_grid(0.1, 1.0, 8)
-        assert np.allclose(eval_gauge(back, grid), eval_gauge(g, grid))
+def test_gauge_from_json():
+    g = gauge_from_json({"kind": "power", "s": 1.5, "description": "bulk"})
+    assert (g.kind, g.s, g.description) == ("power", 1.5, "bulk")
+    t = gauge_from_json({"kind": "tabulated", "samples": [[0.1, 0.02], [1, 1]]})
+    assert (t.kind, t.samples, t.description) == ("tabulated", ((0.1, 0.02), (1.0, 1.0)), "")
+    grid = default_grid(0.1, 1.0, 8)
+    assert np.array_equal(eval_gauge(t, grid), eval_gauge(Gauge.tabulated([(0.1, 0.02), (1.0, 1.0)]), grid))
+    for obj in ({"kind": "log"}, {"s": 1.0}):
+        with pytest.raises(ArgumentError, match="unknown gauge kind"):
+            gauge_from_json(obj)
 
 
 def test_gauge_validation():

@@ -187,6 +187,23 @@ def test_box_dimension_preconditions_and_degenerate():
         )
 
 
+@pytest.mark.parametrize(
+    "estimate",
+    [box_dimensions, lambda m, scales, **kw: minkowski_content(m, 0.0, scales, **kw)],
+    ids=["boxdim", "minkowski"],
+)
+def test_window_estimators_share_checks(estimate):
+    seg = Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    for scales in ([0.1, 0.05, 0.02], [0.1, 0.05, 0.02, 0.002]):
+        with pytest.raises(ArgumentError, match="need >= 4 scales spanning >= 2 decades"):
+            estimate(seg, scales)
+    # in 12 dimensions the point's neighborhood fills (2/3)**12 of the window
+    # at the largest scale, so 20 window points all miss
+    with pytest.raises(EstimationError, match="zero measure at every scale"):
+        estimate(PointSet(np.zeros((1, 12))), [1e-1, 1e-2, 1e-3, 1e-4], samples_per_scale=20,
+                 rng=np.random.default_rng(0))
+
+
 def test_minkowski_examples():
     seg = Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]))
     lo, hi = minkowski_content(

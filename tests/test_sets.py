@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -21,13 +22,10 @@ from lspkit.sets import (
     cylinder_cut,
     distance_to_set,
     model_from_json,
-    model_to_json,
     _query_distance,
-    read_points_csv,
     sample_on_set,
     similarity_dimension,
     transform_model,
-    write_points_csv,
 )
 
 
@@ -406,27 +404,72 @@ def test_attractor_distance_bracketed_by_cut_rotated():
     assert np.all(got <= np.min(d, axis=1) + tol)
 
 
-def test_model_json_roundtrip():
-    models = [
-        PointSet(np.array([[0.1, 0.2]])),
+_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+# name: (config literal, the model it describes, built directly)
+MODEL_JSON = {
+    "points": ({"variant": "points", "points": [[0.1, 0.2]]}, PointSet(np.array([[0.1, 0.2]]))),
+    "plane": (
+        {"variant": "plane", "base": [0, 0], "basis": [[1, 0]], "extent": 2},
         AffinePlane(np.zeros(2), np.array([[1.0, 0.0]]), extent=2.0),
-        Circle(np.array([0.5, 0.5]), 0.3),
-        Sphere(np.zeros(3), 1.0),
+    ),
+    "plane-default-extent": (
+        {"variant": "plane", "base": [0, 0, 1], "basis": [[1, 0, 0], [0, 1, 0]]},
+        AffinePlane(np.array([0.0, 0.0, 1.0]), np.eye(3)[:2], extent=1.0),
+    ),
+    "circle": ({"variant": "circle", "center": [0.5, 0.5], "radius": 0.3}, Circle(np.array([0.5, 0.5]), 0.3)),
+    "sphere": ({"variant": "sphere", "center": [0, 0, 0], "radius": 1}, Sphere(np.zeros(3), 1.0)),
+    "polyline": (
+        {"variant": "polyline", "vertices": [[0, 0], [1, 1]]},
         Polyline(np.array([[0.0, 0.0], [1.0, 1.0]])),
+    ),
+    "ifs": (
+        {"variant": "ifs", "maps": [{"ratio": 1 / 3, "translation": [0]}, {"ratio": 1 / 3, "translation": [2 / 3]}]},
         middle_third(),
-    ]
+    ),
+    "ifs-rotation-osc": (
+        {
+            "variant": "ifs",
+            "maps": [
+                {"ratio": 0.5, "translation": [0, 0], "rotation": _QUARTER_TURN.tolist()},
+                {"ratio": 0.4, "translation": [0.6, 0.1]},
+            ],
+            "osc": False,
+        },
+        IFSAttractor(
+            IFS((IFSMap(0.5, np.zeros(2), _QUARTER_TURN), IFSMap(0.4, np.array([0.6, 0.1]))), False)
+        ),
+    ),
+}
+
+
+def _same_model(a, b):
+    """Field-by-field equality of set models, arrays compared exactly."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(_same_model(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same_model, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("obj, model", MODEL_JSON.values(), ids=MODEL_JSON)
+def test_model_from_json_reads_each_variant(obj, model):
+    assert _same_model(model_from_json(obj), model)
+
+
+def test_model_from_json_rejects_unknown_variant():
+    for obj in ({"variant": "torus"}, {"points": [[0.0]]}):
+        with pytest.raises(ArgumentError, match="unknown model variant"):
+            model_from_json(obj)
+
+
+def test_model_json_roundtrip():
     rng = np.random.default_rng(0)
-    for m in models:
-        back = model_from_json(model_to_json(m))
+    for obj, m in MODEL_JSON.values():
+        back = model_from_json(obj)
         x = rng.uniform(0, 1, size=m.ambient_dim)
         assert distance_to_set(back, x, metric="euclidean") == pytest.approx(
             distance_to_set(m, x, metric="euclidean"), rel=1e-9, abs=1e-9
         )
-
-
-def test_points_csv_roundtrip(tmp_path):
-    pts = np.random.default_rng(0).uniform(size=(7, 3))
-    path = tmp_path / "pts.csv"
-    write_points_csv(path, pts)
-    back = read_points_csv(path)
-    assert np.allclose(back, pts)
