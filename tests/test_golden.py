@@ -7,20 +7,32 @@ that moves any of them must regenerate the manifest on purpose:
 
     PYTHONPATH=src python tests/test_golden.py
 
-``tests/golden/variants.json`` pins gasket variants that no bundled config
-runs (ratios 0.45 and 0.491, the Euclidean metric, Minkowski content) to the
-exact bit: every float is stored as ``float.hex``.  They use the bundled
-gasket scales at 50,000 samples per scale, so the coarse scales test their
-hits on a proxy tree and the fine ones walk the cylinder tree.  The numpy
-version that recorded them is stored too; on another version the test fails
-rather than compare loosely.  Regenerate on purpose with
+``tests/golden/variants.json`` pins runs that no bundled config makes to
+the exact bit: every float is stored as ``float.hex``.  They are
+
+- gasket variants (ratios 0.45 and 0.491, the Euclidean metric, Minkowski
+  content) at the bundled gasket scales and 50,000 samples per scale, so
+  the coarse scales test their hits on a proxy tree and the fine ones walk
+  the cylinder tree;
+- the exact 1-D interval path: Minkowski content of two-map Cantor sets
+  (ratios 0.45 and 0.2) at the bundled ``minkowski_cantor`` scales, and the
+  box dimension of a five-point set;
+- Euclidean five-r covers in dimensions 8 and 16, where the norm's lane
+  order matters.
+
+The numpy version that recorded them is stored too; on another version the
+test fails rather than compare loosely.  Regenerate on purpose with
 
     PYTHONPATH=src python tests/test_golden.py --variants
+
+Either run prints, before it writes, each entry whose pinned value changes
+with the largest relative gap between its old and new numbers.
 """
 
 import json
 import math
 import numbers
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -98,6 +110,16 @@ def variant_configs():
     out = {f"boxdim_r{r}": ("boxdim", {**base, "model": gasket(r)}) for r in (0.5, 0.45, 0.491)}
     out["boxdim_r0.5_euclidean"] = ("boxdim", {**base, "model": gasket(0.5), "metric": "euclidean"})
     out["minkowski_r0.5"] = ("minkowski", {**base, "model": gasket(0.5), "dimension": math.log2(3)})
+    cantor = bundled_config("minkowski_cantor.json")
+    for r in (0.45, 0.2):
+        maps = [{"ratio": r, "translation": [t]} for t in (0.0, 1.0 - r)]
+        cfg = {**cantor, "model": {"variant": "ifs", "maps": maps, "osc": True}, "dimension": math.log(2) / -math.log(r)}
+        out[f"minkowski_cantor_r{r}"] = ("minkowski", cfg)
+    points = {"variant": "points", "points": [[0.3], [0.31], [0.5], [0.502], [0.9]]}
+    out["boxdim_five_points"] = ("boxdim", {**bundled_config("boxdim_point.json"), "model": points})
+    five_r = {**bundled_config("cover_five_r.json"), "metric": "euclidean", "count": 400, "radius_range": [0.3, 0.6]}
+    for dim in (8, 16):
+        out[f"cover_five_r_euclidean_dim{dim}"] = ("cover", {**five_r, "dim": dim})
     return out
 
 
@@ -122,7 +144,7 @@ def variant_entry(name):
 
 
 @pytest.mark.parametrize("name", sorted(variant_configs()))
-def test_gasket_variants_match_golden(name):
+def test_variants_match_golden(name):
     pinned = json.loads(VARIANTS.read_text())
     if pinned["numpy"] != np.__version__:
         pytest.fail(
@@ -133,12 +155,63 @@ def test_gasket_variants_match_golden(name):
     assert variant_entry(name) == pinned["variants"][name]
 
 
+_HEX_FLOAT = re.compile(r"-?0x[0-9a-f]\.?[0-9a-f]*p[+-]\d+")
+
+
+def _number(value):
+    """The number a pinned leaf stands for (``float.hex`` strings decoded), else None."""
+    if isinstance(value, str) and _HEX_FLOAT.fullmatch(value):
+        return float.fromhex(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    return None
+
+
+def float_gap(old, new):
+    """Largest relative gap between the numbers of two pinned blocks; inf
+    when their shapes or any non-numeric leaf differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            return math.inf
+        return max((float_gap(old[k], new[k]) for k in old), default=0.0)
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return math.inf
+        return max((float_gap(a, b) for a, b in zip(old, new)), default=0.0)
+    a, b = _number(old), _number(new)
+    if a is None or b is None:
+        return 0.0 if old == new else math.inf
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def print_changes(path, old, new):
+    """Print each entry of the manifest at ``path`` that a rewrite changes."""
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new:
+            print(f"{path.name} {name}: removed")
+        elif name not in old:
+            print(f"{path.name} {name}: new")
+        elif old[name] != new[name]:
+            print(f"{path.name} {name}: changed, largest relative float gap {float_gap(old[name], new[name]):.3g}")
+
+
+def _read(path, key=None):
+    if not path.exists():
+        return {}
+    data = json.loads(path.read_text())
+    return data[key] if key else data
+
+
 if __name__ == "__main__":
     MANIFEST.parent.mkdir(exist_ok=True)
     if "--variants" in sys.argv[1:]:
         variants = {name: variant_entry(name) for name in sorted(variant_configs())}
+        print_changes(VARIANTS, _read(VARIANTS, "variants"), variants)
         text = json.dumps({"numpy": np.__version__, "variants": variants}, indent=1, sort_keys=True)
         VARIANTS.write_text(text + "\n")
     else:
         manifest = {name: golden_entry(name) for name in bundled_names()}
+        print_changes(MANIFEST, _read(MANIFEST), manifest)
         MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
