@@ -48,7 +48,7 @@ from .errors import (
     TruncationError,
     UnsupportedCombination,
 )
-from .measure import _merge_length, ball_volume
+from .measure import _merge_union, _union_length_in, ball_volume
 from .sets import _norm
 
 AUDIT_RTOL = 1e-9
@@ -655,8 +655,10 @@ def ball_mass_upper(tree: CantorTree, mass: MassAssignment, D: Ball, metric=None
 
 def _neighborhood_in_window(cloud, u, centers, half_widths, gap):
     """Lengths of (cloud-point u-neighborhood) intersected with the windows
-    [c - w, c + w], vectorized; exact when the point intervals are disjoint
-    (2u below the cloud gap), else falls back to interval merging."""
+    [c - w, c + w], vectorized.  When the point intervals are disjoint (2u
+    below the cloud gap) each point's share is summed relative to the point;
+    otherwise the intervals of every point the windows reach are merged once
+    and each window reads its length from the union."""
     lo = centers - half_widths
     hi = centers + half_widths
     i0 = np.searchsorted(cloud, lo - u)
@@ -668,11 +670,8 @@ def _neighborhood_in_window(cloud, u, centers, half_widths, gap):
         # not cancel against the ambient coordinate magnitude
         seg = np.clip(np.minimum(u, hi[owner] - p) - np.maximum(-u, lo[owner] - p), 0.0, None)
         return np.bincount(owner, weights=seg, minlength=len(centers))
-    out = np.empty(len(centers))
-    for t in range(len(centers)):
-        spans = np.stack([cloud[i0[t] : i1[t]] - u, cloud[i0[t] : i1[t]] + u], axis=1)
-        out[t] = _merge_length(spans, lo=lo[t], hi=hi[t])
-    return out
+    p = cloud[i0.min(initial=len(cloud)) : i1.max(initial=0)]
+    return _union_length_in(_merge_union(np.stack([p - u, p + u], axis=1)), lo, hi)
 
 
 def _points_on_stage(params, j, centers, tol):

@@ -5,7 +5,9 @@ Volumes are Lebesgue (a constant multiple of the n-dimensional Hausdorff
 measure; the constant cancels in every exponent fit).  Ball/box geometry
 follows the sup norm by default so sampling windows and ball volumes are
 exact.  In ambient dimension 1 with point sets or attractors an exact
-interval-arithmetic path replaces Monte Carlo.
+interval-arithmetic path replaces Monte Carlo: the delta-neighborhood is
+merged once into disjoint intervals (``_merge_union``) and every window
+reads its length from them (``_union_length_in``).
 
 Hit tests use the configured metric for every model, attractors included:
 a point hits when a proxy cut center lies within delta of it in that
@@ -26,6 +28,7 @@ from .sets import (
     IFSAttractor,
     PointSet,
     SetModel,
+    _sum_squares,
     attractor_bounds,
     cut_hits,
     cut_size,
@@ -83,16 +86,7 @@ def sample_in_ball(center, r, k, rng, metric="sup"):
     rate = ball_volume(n, 1.0, "euclidean") / 2.0**n
     while got < k:
         cand = rng.uniform(-r, r, size=(int((k - got) / rate * 1.01) + 16, n))
-        # squared norms summed left to right, column by column.  np.sum adds
-        # rows of up to 7 coordinates in this same order (checked on numpy
-        # 2.4 over 400 k rows per length), so the accepted points match
-        # np.sum(cand * cand, axis=1) bit for bit there; longer rows are
-        # summed pairwise by np.sum and may differ in the last ulp, which
-        # only moves points within an ulp of the sphere.
-        sq = cand[:, 0] * cand[:, 0]
-        for i in range(1, n):
-            sq += cand[:, i] * cand[:, i]
-        keep = np.compress(sq <= r * r, cand, axis=0)
+        keep = np.compress(_sum_squares(cand) <= r * r, cand, axis=0)
         take = min(len(keep), k - got)
         out[got : got + take] = keep[:take]
         got += take
@@ -102,21 +96,6 @@ def sample_in_ball(center, r, k, rng, metric="sup"):
 
 # ---------------------------------------------------------------------------
 # exact 1-D interval path
-
-
-def _merge_length(intervals, lo=None, hi=None):
-    """Total length of a union of intervals, optionally clipped to [lo, hi]."""
-    if len(intervals) == 0:
-        return 0.0
-    arr = np.asarray(intervals, dtype=float)
-    if lo is not None:
-        arr = np.clip(arr, lo, hi)
-    order = np.argsort(arr[:, 0], kind="stable")
-    a = arr[order, 0]
-    b = arr[order, 1]
-    cummax = np.maximum.accumulate(b)
-    prev = np.concatenate([[-np.inf], cummax[:-1]])
-    return float(np.sum(np.clip(np.minimum(b, np.inf) - np.maximum(a, prev), 0.0, None)))
 
 
 def _merge_union(intervals):
@@ -175,11 +154,9 @@ def model_intervals_1d(m: SetModel, delta, resolution=0.02):
     raise ArgumentError("exact 1-D path supports point sets and attractors only")
 
 
-def _exact_1d(m, center, r, delta):
-    union = _merge_union(model_intervals_1d(m, delta))
-    c = float(np.asarray(center).reshape(-1)[0])
-    val = float(_union_length_in(union, c - r, c + r))
-    return MeasureEstimate(value=val, std_error=0.0, samples=0, method="exact_1d")
+def _interval_model(m: SetModel):
+    """Whether the estimators measure m by exact 1-D interval arithmetic."""
+    return m.ambient_dim == 1 and isinstance(m, (PointSet, IFSAttractor))
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +310,11 @@ def neighborhood_measure(
         raise ArgumentError("requires 0 < delta < r")
     if samples < 1000:
         raise ArgumentError("samples must be >= 1000")
+    if _interval_model(m):
+        c = float(np.asarray(center).reshape(-1)[0])
+        val = float(_union_length_in(_merge_union(model_intervals_1d(m, delta)), c - r, c + r))
+        return MeasureEstimate(value=val, std_error=0.0, samples=0, method="exact_1d")
     n = m.ambient_dim
-    if n == 1 and isinstance(m, (PointSet, IFSAttractor)):
-        return _exact_1d(m, center, r, delta)
     if rng is None:
         rng = np.random.default_rng(0)
     pts = sample_in_ball(center, r, samples, rng, metric=metric)
@@ -362,11 +341,12 @@ def _window_volumes(m, scales, samples_per_scale, rng, metric, resolution=0.4):
     if rng is None:
         rng = np.random.default_rng(0)
     lo, hi = model_window(m, margin=float(scales.max()) * 1.5)
-    n = m.ambient_dim
-    if n == 1 and isinstance(m, (PointSet, IFSAttractor)):
-        vols = np.array([_merge_length(model_intervals_1d(m, d), lo=lo[0], hi=hi[0]) for d in scales])
+    if _interval_model(m):
+        vols = np.array(
+            [_union_length_in(_merge_union(model_intervals_1d(m, d)), lo[0], hi[0]) for d in scales]
+        )
     else:
-        pts = rng.uniform(lo, hi, size=(samples_per_scale, n))
+        pts = rng.uniform(lo, hi, size=(samples_per_scale, m.ambient_dim))
         counts = _hit_counts(m, [pts], scales, metric=metric, resolution=resolution)[0]
         vols, _ = _mc_volume(float(np.prod(hi - lo)), counts, samples_per_scale)
     if np.all(vols <= 0):
@@ -493,7 +473,7 @@ def fit_lsp(
     if np.any(delta_ratios >= 1.0):
         raise ArgumentError("every delta must stay below its paired r")
     n = m.ambient_dim
-    exact = n == 1 and isinstance(m, (PointSet, IFSAttractor))
+    exact = _interval_model(m)
     rows = []
     unions = {}  # exact path: merged delta-neighbourhood per distinct delta
     for r in r_grid:

@@ -28,6 +28,7 @@ from .sets import (
     Isometry,
     PointSet,
     SetModel,
+    _norm,
     _spanned_axes,
     distance_to_set,
     transform_model,
@@ -118,12 +119,12 @@ def _torus_distances(base: SetModel, trans, x):
     """
     if isinstance(base, PointSet):
         q = _frac(base.points[None, :, :] + trans[:, None, :])
-        return _wrapped_dist(q, x).max(axis=2).min(axis=1)
+        return _norm(_wrapped_dist(q, x), "sup").min(axis=1)
     free = _spanned_axes(base.basis) if isinstance(base, AffinePlane) else None
     if free is not None:
         # a translated coordinate plane only moves along its unspanned axes
         q = _frac(base.base[~free] + trans[:, ~free])
-        return _wrapped_dist(q, x[~free]).max(axis=1)
+        return _norm(_wrapped_dist(q, x[~free]), "sup")
     return np.array(
         [
             distance_to_set(

@@ -21,10 +21,13 @@ query point's best distance.
 
 Metric conventions: the ambient metric is the sup norm by default (balls are
 boxes, which keeps volumes exact in the estimators) with Euclidean
-selectable.  ``distance_to_set`` measures circles, spheres, and attractors
-in the Euclidean norm, their natural exact geometry, whatever the metric;
-the attractor hit tests (``cut_hits``, and the estimators' proxy trees)
-use the configured metric.  Mixing the two norms only moves the constants
+selectable.  ``_norm`` is the one kernel for the norm of a difference in
+the configured metric, computed as a cKDTree query computes it, and every
+module calls it (Euclidean sums go through ``_sum_squares``).
+``distance_to_set`` measures circles, spheres, and attractors in the
+Euclidean norm, their natural exact geometry, whatever the metric; the
+attractor hit tests (``cut_hits``, and the estimators' proxy trees) use
+the configured metric.  Mixing the two norms only moves the constants
 in scaling estimates, never the exponents.  Torus variants reduce per
 coordinate mod 1 and take the minimum over unit shifts.
 """
@@ -49,10 +52,38 @@ def _as_points(x, n):
     return pts
 
 
+def _sum_squares(diff):
+    """Squared norms of the rows of ``diff``, summed as scipy's cKDTree sums
+    them: in four lanes over the first multiple of four coordinates, the
+    lanes added left to right, then the rest one at a time.  Rows of up to
+    seven coordinates are thus summed left to right, as ``np.sum`` sums them.
+    """
+    sq = diff * diff
+    n = sq.shape[-1]
+    head = n // 4 * 4
+    for i in range(4, head):
+        sq[..., i % 4] += sq[..., i]
+    total = sq[..., 0]
+    for i in (*range(1, min(n, 4)), *range(max(head, 4), n)):
+        total += sq[..., i]
+    return total
+
+
 def _norm(diff, metric):
+    """Norms of the rows of ``diff`` in ``metric``, as a cKDTree query computes them.
+
+    Sup: the largest absolute coordinate.  Euclidean: the square root of
+    ``_sum_squares``.  A query bounded by delta keeps the sums below
+    fl(delta**2), which every root below delta satisfies, so in both
+    metrics a point hits exactly when this distance is below delta.  A
+    single row gives a 0-d array.
+    """
     if metric == "euclidean":
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    return np.max(np.abs(diff), axis=-1)
+        return np.sqrt(_sum_squares(diff))
+    dist = np.abs(diff[..., :1])[..., 0]
+    for i in range(1, diff.shape[-1]):  # column by column: a reduction over a short last axis is slow
+        np.maximum(dist, np.abs(diff[..., i]), out=dist)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -250,20 +281,24 @@ def _is_signed_permutation(rot, tol=1e-9):
 # cylinder tree: one frontier engine for word cuts and attractor distances
 
 
-def attractor_bounds(ifs: IFS):
-    """A Euclidean ball B(z0, R0) containing the attractor, z0 on it.
+def _invariant_ball(ifs: IFS, maps):
+    """A Euclidean ball B(c, rho) containing the attractor, centered at the
+    mean c of the fixed points of ``maps``; rho = max_i |phi_i(c) - c| /
+    (1 - max ratio) makes every map send the ball into itself."""
+    eye = np.eye(ifs.ambient_dim)
+    fixed = [
+        np.linalg.solve(eye - m.ratio * (m.rotation if m.rotation is not None else eye), m.translation)
+        for m in maps
+    ]
+    c = np.mean(fixed, axis=0)
+    rho = max(np.linalg.norm(m.apply(c) - c) for m in ifs.maps) / (1.0 - float(np.max(ifs.ratios)))
+    return c, max(rho, 1e-300)
 
-    z0 is the fixed point of the first map (a point of the attractor), and
-    R0 = max_i |phi_i(z0) - z0| / (1 - max ratio) makes the ball invariant.
-    """
-    m0 = ifs.maps[0]
-    n = ifs.ambient_dim
-    a = m0.rotation if m0.rotation is not None else np.eye(n)
-    z0 = np.linalg.solve(np.eye(n) - m0.ratio * a, m0.translation)
-    rmax = float(np.max(ifs.ratios))
-    shifts = [np.linalg.norm(m.apply(z0) - z0) for m in ifs.maps]
-    r0 = max(shifts) / (1.0 - rmax)
-    return z0, max(r0, 1e-300)
+
+def attractor_bounds(ifs: IFS):
+    """A Euclidean ball B(z0, R0) containing the attractor, z0 on it: z0 is
+    the fixed point of the first map."""
+    return _invariant_ball(ifs, ifs.maps[:1])
 
 
 def _cylinder_tree(ifs: IFS):
@@ -374,48 +409,6 @@ def cylinder_cut(ifs: IFS, target, cap=10_000_000):
     return np.concatenate(done_c, axis=0), np.concatenate(done_s) * r0
 
 
-def _query_distance(diff, metric):
-    """Norms of the rows of ``diff`` as a cKDTree query computes them.
-
-    Sup: the largest absolute coordinate.  Euclidean: the square root of
-    the squared coordinates summed as scipy's kernel sums them, in four
-    lanes over the first multiple of four coordinates, the lanes added left
-    to right, then the rest one at a time.  A query bounded by delta keeps
-    the sums below fl(delta**2), which every root below delta satisfies, so
-    in both metrics a point hits exactly when this distance is below delta.
-    """
-    n = diff.shape[-1]
-    if metric != "euclidean":
-        dist = np.abs(diff[..., 0])
-        for i in range(1, n):  # column by column: a reduction over a short last axis is slow
-            np.maximum(dist, np.abs(diff[..., i]), out=dist)
-        return dist
-    sq = diff * diff
-    lanes = [0.0] * 4
-    for i in range(n // 4 * 4):
-        lanes[i % 4] = lanes[i % 4] + sq[..., i]
-    total = lanes[0] + lanes[1] + lanes[2] + lanes[3]
-    for i in range(n // 4 * 4, n):
-        total = total + sq[..., i]
-    return np.sqrt(total)
-
-
-def _hub_ball(ifs: IFS):
-    """A Euclidean ball B(hub, rho) containing the attractor, centered at the
-    mean of the maps' fixed points; rho = max_i |phi_i(hub) - hub| / (1 -
-    max ratio) makes it invariant, as in ``attractor_bounds``.  For the
-    gasket rho is 2/3 against r0 = 1.118 about the corner z0."""
-    n = ifs.ambient_dim
-    eye = np.eye(n)
-    fixed = [
-        np.linalg.solve(eye - m.ratio * (m.rotation if m.rotation is not None else eye), m.translation)
-        for m in ifs.maps
-    ]
-    hub = np.mean(fixed, axis=0)
-    rho = max(np.linalg.norm(m.apply(hub) - hub) for m in ifs.maps) / (1.0 - float(np.max(ifs.ratios)))
-    return hub, max(rho, 1e-300)
-
-
 _WALK_BLOCK = 2048  # query points per walker block
 
 
@@ -424,9 +417,11 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
 
     Walks (point, node) pairs down the cylinder tree instead of building
     the cut, so the work follows the points and the depth, not the cut
-    size.  A node of scale s maps the attractor into the ball of radius
-    s * rho about its image h of the hub (``_hub_ball``), so the centers of
-    all its cut words lie there too.  With x's distances to h and to the
+    size.  The hub ball B(hub, rho) is the invariant ball about the mean of
+    all the maps' fixed points (for the gasket rho is 2/3 against r0 =
+    1.118 about the corner z0).  A node of scale s maps the attractor into
+    the ball of radius s * rho about its image h of the hub, so the centers
+    of all its cut words lie there too.  With x's distances to h and to the
     node's reference center c in ``metric`` (each norm is at most the
     Euclidean one):
 
@@ -434,7 +429,7 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
     - the point hits once |x - c| < delta - slack at a node above the cut:
       the word that extends the node by map 0 until it reaches the cut has
       the center c up to rounding, since z0 is the fixed point of map 0;
-    - at a cut word the point hits when ``_query_distance`` is below delta.
+    - at a cut word the point hits when ``_norm`` is below delta.
 
     Children come from ``_expand`` on the pairs' own nodes, so each cut
     center is the one ``cylinder_cut`` emits bit for bit and the mask
@@ -445,8 +440,8 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
     z0, r0 = attractor_bounds(ifs)
     pts = np.asarray(pts, dtype=float)
     if target >= 1.0:
-        return _query_distance(pts - z0, metric) < delta
-    hub, rho = _hub_ball(ifs)
+        return _norm(pts - z0, metric) < delta
+    hub, rho = _invariant_ball(ifs, ifs.maps)
     slack = 1e-9 * delta + 1e-12 * (float(np.linalg.norm(z0)) + r0)
     parts, root = _cylinder_tree(ifs)
     k = len(ifs.maps)
@@ -462,10 +457,10 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
             who = np.repeat(who, k)
             diff = x[who] - centers
             leaf = scales <= target
-            won[who[_query_distance(diff, metric) < np.where(leaf, delta, delta - slack)]] = True
+            won[who[_norm(diff, metric) < np.where(leaf, delta, delta - slack)]] = True
             # x - h = (x - c) - (h - c), with h - c the node's image of hub - z0
             diff -= scales[:, None] * (hub - z0) if mats is None else mats @ (hub - z0)
-            keep = _query_distance(diff, metric) - scales * rho <= delta + slack
+            keep = _norm(diff, metric) - scales * rho <= delta + slack
             keep &= ~leaf
             keep &= ~won[who]
             who = who[keep]
@@ -569,7 +564,7 @@ def _plane_distance(m: AffinePlane, pts, metric):
     free = _spanned_axes(m.basis)
     if free is not None:
         # axis-aligned span: free coordinates drop out of the sup distance
-        return np.max(np.abs(diff[:, ~free]), axis=1)
+        return _norm(diff[:, ~free], "sup")
     if l == n - 1:
         # hyperplane: closed form |normal . diff| / ||normal||_1
         _, _, vt = np.linalg.svd(m.basis, full_matrices=True)
@@ -605,7 +600,7 @@ def _polyline_distance(m: Polyline, pts, metric):
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
         out = np.maximum(lo[None, :, :] - pts[:, None, :], pts[:, None, :] - hi[None, :, :])
-        return np.min(np.max(np.maximum(out, 0.0), axis=2), axis=1)
+        return np.min(_norm(np.maximum(out, 0.0), "sup"), axis=1)
     c = pts[:, None, :] - a[None, :, :]
     return np.min(_sup_segment_min(c, seg[None, :, :]), axis=1)
 

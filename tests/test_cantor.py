@@ -16,6 +16,7 @@ from lspkit.cantor import (
     MassAssignment,
     _ambient_constants,
     _caj_nets,
+    _neighborhood_in_window,
     _stage_radii,
     _sweep_chain,
     assign_mass,
@@ -608,3 +609,34 @@ def test_stage_radii_one_call_per_stage(audit_tree):
     got = _stage_radii(stages, loc.a_j)
     assert sorted(calls) == sorted(set(loc.a_j.tolist()))
     assert np.array_equal(got, np.array([params.stages.upsilon(int(j)) for j in loc.a_j]))
+
+
+def _window_loop(cloud, u, centers, half_widths):
+    """Per-window merged length of the cloud points' u-intervals: the loop
+    ``_neighborhood_in_window`` ran when the intervals overlap."""
+    out = np.empty(len(centers))
+    for t, (c, w) in enumerate(zip(centers, half_widths)):
+        p = cloud[np.searchsorted(cloud, c - w - u) : np.searchsorted(cloud, c + w + u)]
+        a = np.clip(p - u, c - w, c + w)  # p is sorted, so the starts are too
+        b = np.clip(p + u, c - w, c + w)
+        prev = np.concatenate([[-np.inf], np.maximum.accumulate(b)[:-1]])
+        out[t] = np.sum(np.clip(b - np.maximum(a, prev), 0.0, None))
+    return out
+
+
+def test_neighborhood_in_window_overlapping_intervals():
+    # 2u >= gap: one merged union serves every window, including empty
+    # windows and windows over both ends of the cloud
+    rng = np.random.default_rng(31)
+    cloud = np.sort(rng.uniform(0.0, 1.0, size=300))
+    gap = float(np.min(np.diff(cloud)))
+    centers = np.concatenate([rng.uniform(-0.1, 1.1, size=40), [cloud[0], cloud[-1], -0.5, 1.5]])
+    half = np.concatenate([rng.exponential(0.05, size=40), [0.01, 0.02, 0.1, 0.1]])
+    for u in (gap / 2, 0.002, 0.05):
+        got = _neighborhood_in_window(cloud, u, centers, half, gap)
+        np.testing.assert_allclose(got, _window_loop(cloud, u, centers, half), rtol=1e-12, atol=1e-15)
+        assert np.array_equal(got[-2:], [0.0, 0.0])
+        assert got[-4] > 0 and got[-3] > 0
+    outside = _neighborhood_in_window(cloud, 0.01, np.array([-0.5, 1.5]), np.array([0.1, 0.1]), gap)
+    assert np.array_equal(outside, [0.0, 0.0])
+    assert _neighborhood_in_window(cloud, 0.01, np.empty(0), np.empty(0), gap).shape == (0,)

@@ -113,8 +113,8 @@ def variant_configs():
     cantor = bundled_config("minkowski_cantor.json")
     for r in (0.45, 0.2):
         maps = [{"ratio": r, "translation": [t]} for t in (0.0, 1.0 - r)]
-        cfg = {**cantor, "model": {"variant": "ifs", "maps": maps, "osc": True}, "dimension": math.log(2) / -math.log(r)}
-        out[f"minkowski_cantor_r{r}"] = ("minkowski", cfg)
+        model = {"variant": "ifs", "maps": maps, "osc": True}
+        out[f"minkowski_cantor_r{r}"] = ("minkowski", {**cantor, "model": model, "dimension": math.log(2) / -math.log(r)})
     points = {"variant": "points", "points": [[0.3], [0.31], [0.5], [0.502], [0.9]]}
     out["boxdim_five_points"] = ("boxdim", {**bundled_config("boxdim_point.json"), "model": points})
     five_r = {**bundled_config("cover_five_r.json"), "metric": "euclidean", "count": 400, "radius_range": [0.3, 0.6]}

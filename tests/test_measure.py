@@ -18,7 +18,6 @@ from lspkit.measure import (
     _DistanceOracle,
     _cut_target,
     _hit_counts,
-    _merge_length,
     _merge_union,
     _union_length_in,
 )
@@ -34,7 +33,7 @@ from lspkit.sets import (
     cut_hits,
     distance_to_set,
     model_window,
-    _query_distance,
+    _norm,
     transform_model,
 )
 
@@ -230,10 +229,27 @@ def test_minkowski_examples():
     assert hi / lo < 10
 
 
+def _merge_length(intervals, lo=None, hi=None):
+    """Total length of a union of intervals, optionally clipped to [lo, hi]:
+    a sort-and-sweep oracle for ``_union_length_in``."""
+    if len(intervals) == 0:
+        return 0.0
+    arr = np.asarray(intervals, dtype=float)
+    if lo is not None:
+        arr = np.clip(arr, lo, hi)
+    order = np.argsort(arr[:, 0], kind="stable")
+    a = arr[order, 0]
+    b = arr[order, 1]
+    prev = np.concatenate([[-np.inf], np.maximum.accumulate(b)[:-1]])
+    return float(np.sum(np.clip(b - np.maximum(a, prev), 0.0, None)))
+
+
 def test_merge_length():
-    assert _merge_length([(0.0, 1.0), (0.5, 2.0), (3.0, 4.0)]) == pytest.approx(3.0)
+    spans = [(0.0, 1.0), (0.5, 2.0), (3.0, 4.0)]
+    assert _merge_length(spans) == pytest.approx(3.0)
     assert _merge_length([(0.0, 1.0)], lo=0.25, hi=0.5) == pytest.approx(0.25)
     assert _merge_length([]) == 0.0
+    assert np.array_equal(_union_length_in(_merge_union(spans), [-1.0, 0.25, 1.5], [5.0, 0.5, 3.5]), [3.0, 0.25, 1.0])
 
 
 def test_union_length_in_matches_merge_length():
@@ -455,7 +471,7 @@ def test_cut_hits_match_proxy_tree(model, metric):
         c = centers[idx]
         inner = edge.copy()
         for _ in range(8):
-            out = _query_distance(inner - c, metric) >= nearest
+            out = _norm(inner - c, metric) >= nearest
             inner[out] += np.sign(c - inner)[out] * np.spacing(np.maximum(np.abs(inner), np.abs(c)))[out]
         pts = np.concatenate([window, edge, inner])
         want = oracle.hits(pts, d)

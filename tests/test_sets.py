@@ -22,7 +22,7 @@ from lspkit.sets import (
     cylinder_cut,
     distance_to_set,
     model_from_json,
-    _query_distance,
+    _norm,
     sample_on_set,
     similarity_dimension,
     transform_model,
@@ -359,14 +359,19 @@ def test_cut_size_counts_the_cut(ifs, target):
             fn(ifs, target, cap=10)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 12])
-def test_query_distance_matches_kdtree(n):
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 12, 16])
+def test_norm_matches_kdtree(n):
+    # n >= 8 reaches scipy's four-lane Euclidean sum; a single row gives a
+    # 0-d array that the running max writes into
     rng = np.random.default_rng(23)
     data = rng.uniform(-1.0, 1.0, size=(1, n)) * rng.uniform(0.1, 10.0, size=n)
     pts = rng.uniform(-3.0, 3.0, size=(20_000, n))
     tree = cKDTree(data)
     for metric, p in (("sup", np.inf), ("euclidean", 2)):
-        assert np.array_equal(_query_distance(pts - data[0], metric), tree.query(pts, p=p)[0])
+        want = tree.query(pts, p=p)[0]
+        assert np.array_equal(_norm(pts - data[0], metric), want)
+        assert np.array_equal(_norm((pts - data[0]).reshape(100, 200, n), metric), want.reshape(100, 200))
+        assert float(_norm(pts[7] - data[0], metric)) == want[7]
 
 
 def test_osc_cylinder_intersection_count_bounded():
