@@ -183,7 +183,19 @@ def float_gap(old, new):
         return 0.0 if old == new else math.inf
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
     return abs(a - b) / max(abs(a), abs(b))
+
+
+def test_float_gap():
+    one, next_up = (1.0).hex(), math.nextafter(1.0, 2.0).hex()
+    assert float_gap({"a": [one, 2, True]}, {"a": [one, 2, True]}) == 0.0
+    assert float_gap({"a": [one, 0.5]}, {"a": [next_up, 0.5]}) == (2.0**-52) / (1 + 2.0**-52)
+    assert float_gap({"a": 3}, {"a": 4}) == 0.25
+    assert float_gap({"a": [1.0]}, {"a": [1.0, 2.0]}) == math.inf
+    assert float_gap({"fingerprint": "abc"}, {"fingerprint": "abd"}) == math.inf
+    assert float_gap({"a": math.inf}, {"a": 1.0}) == math.inf
 
 
 def print_changes(path, old, new):
