@@ -18,7 +18,16 @@ the exact bit: every float is stored as ``float.hex``.  They are
   (ratios 0.45 and 0.2) at the bundled ``minkowski_cantor`` scales, and the
   box dimension of a five-point set;
 - Euclidean five-r covers in dimensions 8 and 16, where the norm's lane
-  order matters.
+  order matters, and a sup five-r cover in dimension 3;
+- covering selections: ``kgb`` on a shifted van der Corput region, on the
+  audit's grid-cloud stages with its gauge pair, and one that falls short
+  of its target (pinned as the error it raises); ``caj`` on a shifted line
+  region and on a circle (a sampled pool);
+- Cantor builds: the audit at domain radii 17 and 23 and the holder config
+  at eta 4.
+
+A variant that raises a ``ToolkitError`` pins the error's type, message and
+achieved fraction instead of a results block.
 
 The numpy version that recorded them is stored too; on another version the
 test fails rather than compare loosely.  Regenerate on purpose with
@@ -41,6 +50,7 @@ import numpy as np
 import pytest
 
 from lspkit.cli import bundled_config, run
+from lspkit.errors import ToolkitError
 
 MANIFEST = Path(__file__).parent / "golden" / "results.json"
 VARIANTS = Path(__file__).parent / "golden" / "variants.json"
@@ -120,6 +130,23 @@ def variant_configs():
     five_r = {**bundled_config("cover_five_r.json"), "metric": "euclidean", "count": 400, "radius_range": [0.3, 0.6]}
     for dim in (8, 16):
         out[f"cover_five_r_euclidean_dim{dim}"] = ("cover", {**five_r, "dim": dim})
+    out["cover_five_r_sup_dim3"] = ("cover", {**bundled_config("cover_five_r.json"), "count": 400, "dim": 3})
+    kgb = bundled_config("cover_kgb_vdc.json")
+    out["cover_kgb_vdc_b0.45"] = ("cover", {**kgb, "region": {"center": [0.45], "radius": 0.35}, "target_fraction": 0.25})
+    out["cover_kgb_shortfall"] = ("cover", {**kgb, "target_fraction": 0.95, "j_max": 200})
+    audit = bundled_config("cantor_audit.json")
+    out["cover_kgb_grid_cloud"] = ("cover", {
+        "master_seed": kgb["master_seed"], "op": "kgb", "stages": audit["stages"], "pair": audit["pair"],
+        "region": {"center": [0.0], "radius": 20.0}, "g_start": 512, "c5": 1.2,
+    })
+    caj = {k: v for k, v in bundled_config("cover_caj_line.json").items() if k != "j"}
+    out["cover_caj_line_b0.3"] = ("cover", {**caj, "region": {"center": [0.3, 0.0], "radius": 0.8}})
+    out["cover_caj_circle"] = ("cover", {**caj, "model": {"variant": "circle", "center": [0.0, 0.0], "radius": 0.7}})
+    for radius in (17.0, 23.0):
+        stages = {**audit["stages"], "lo": -radius, "hi": radius}
+        domain = {**audit["domain"], "radius": radius}
+        out[f"cantor_audit_radius{radius:g}"] = ("cantor-build", {**audit, "domain": domain, "stages": stages})
+    out["cantor_holder_eta4"] = ("cantor-build", {**bundled_config("cantor_holder.json"), "eta": 4.0, "c5": 90.0 / 85.0})
     return out
 
 
@@ -138,7 +165,13 @@ def exact(value):
 
 def variant_entry(name):
     command, cfg = variant_configs()[name]
-    code, report = run(command, cfg)
+    try:
+        code, report = run(command, cfg)
+    except ToolkitError as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if hasattr(exc, "achieved_fraction"):
+            error["achieved_fraction"] = float(exc.achieved_fraction).hex()
+        return {"command": command, "config": cfg, "error": error}
     assert code == 0
     return {"command": command, "config": cfg, "results": exact(report["results"])}
 
