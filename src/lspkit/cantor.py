@@ -62,7 +62,6 @@ class ConstructionParams:
     stages: object  # provider with model(j), upsilon(j), sorted_points(j), j_max
     depth: int = 2
     g_floor: int = 1
-    j_max: int | None = None
     c5: float = 1.0
     d2: float = 2.0
     pump_total: float | None = None
@@ -74,8 +73,6 @@ class ConstructionParams:
     def __post_init__(self):
         if not (self.eta > 1):
             raise ArgumentError("eta must exceed 1")
-        if self.j_max is None:
-            self.j_max = getattr(self.stages, "j_max", 2**24)
 
 
 @dataclass
@@ -247,7 +244,7 @@ def _scan_first_ok(params, consts, lo, b_radius, eps, **kw):
     """First stage index satisfying the entry conditions (they only become
     easier as the stage radii shrink)."""
     j = max(lo, getattr(params.stages, "j_min", 1), 1)
-    j_max = params.j_max
+    j_max = params.stages.j_max
     if _stage_ok(params, consts, j, b_radius, eps, **kw):
         return j
     hi = j
@@ -317,7 +314,7 @@ def _caj_nets(params, a_centers, a_radii, j, upsilon):
     return centers[order], owners[order]
 
 
-def _build_local_level(params, consts, B: Ball, node, rng):
+def _build_local_level(params, consts, B: Ball, node):
     """Selection and target balls of the local level under ball B, the
     ``node = (level, row)`` of the tree."""
     pair = params.gauges
@@ -381,7 +378,7 @@ def _build_local_level(params, consts, B: Ball, node, rng):
         g_primes.append(g_prime)
 
         if i == 1:
-            centers, radii, js, mass_i = _first_sublevel(params, B, g_prime, target, vol_b, rng, node)
+            centers, radii, js, mass_i = _first_sublevel(params, B, g_prime, target, vol_b, node)
         else:
             leaf_center, leaf_radius = (np.concatenate([p[k] for p in c_parts]) for k in (0, 1))
             centers, radii, js, mass_i = _deep_sublevel(
@@ -424,14 +421,14 @@ def _build_local_level(params, consts, B: Ball, node, rng):
     )
 
 
-def _first_sublevel(params, B, g_start, target, vol_b, rng, node):
+def _first_sublevel(params, B, g_start, target, vol_b, node):
     """Sublevel 1: a K_{G,B} selection of transformed-radius balls from stage
     ``g_start`` on, covering the share of B that the mass target asks for."""
     pair = params.gauges
     seq = lambda j: (params.stages.model(j), mtp_radius(pair, params.stages.upsilon(j)))
     frac = min(1.0, (2.0**B.ambient_dim * target) / (params.c5 * vol_b))
     try:
-        kgb = build_kgb(B, g_start, seq, params.j_max, frac, rng=rng, c5=params.c5, metric=params.metric)
+        kgb = build_kgb(B, g_start, seq, params.stages.j_max, frac, c5=params.c5, metric=params.metric)
     except CoverageShortfall as exc:
         raise ConstructionError(
             f"sublevel 1 selection covered only fraction "
@@ -440,14 +437,9 @@ def _first_sublevel(params, B, g_start, target, vol_b, rng, node):
             sublevel=1,
         ) from exc
     mass = 0.0
-    for ib in kgb.selected:  # sequential sum: the last ulp decides later counts
-        mass += eval_gauge(pair.g, ib.ball.radius)
-    return (
-        np.array([ib.ball.center[0] for ib in kgb.selected]),
-        np.array([ib.ball.radius for ib in kgb.selected]),
-        np.array([ib.j for ib in kgb.selected], dtype=np.int64),
-        mass,
-    )
+    for r in kgb.radii:  # sequential sum: the last ulp decides later counts
+        mass += eval_gauge(pair.g, r)
+    return kgb.selected[:, 0], kgb.radii, kgb.js, mass
 
 
 def _sweep_chain(pool, sep):
@@ -525,7 +517,7 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
     j = g_prime
     unhosted = covers
     picks = []  # (centers, radius, j) per stage block
-    while mass < target and j <= params.j_max and len(unhosted):
+    while mass < target and j <= params.stages.j_max and len(unhosted):
         u = params.stages.upsilon(j)
         tilde = mtp_radius(pair, u)
         room = d_min - 3.0 * tilde
@@ -560,10 +552,8 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
     )
 
 
-def build_cantor(params: ConstructionParams, rng=None) -> CantorTree:
+def build_cantor(params: ConstructionParams) -> CantorTree:
     """Build the nested tree to the requested depth, enforcing P0-P5."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     _require_supported(params)
     pair = params.gauges
     report = verify_gauge_pair(pair)
@@ -580,7 +570,7 @@ def build_cantor(params: ConstructionParams, rng=None) -> CantorTree:
     for level in range(1, params.depth):
         centers, radii = tree.balls(level)
         tree.levels.append([
-            _build_local_level(params, consts, Ball(centers[row], float(radii[row])), (level, row), rng)
+            _build_local_level(params, consts, Ball(centers[row], float(radii[row])), (level, row))
             for row in range(len(radii))
         ])
     return tree

@@ -67,6 +67,36 @@ _SCALES = {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, 
 _SAMPLES = {"type": "integer", "minimum": 1000, "maximum": 1_000_000}
 _CENTERS = {"type": "integer", "minimum": 1, "maximum": 16}
 _METRIC = {"enum": ["sup", "euclidean"]}
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_BALL = {
+    "type": "object",
+    "required": ["center", "radius"],
+    "properties": {"center": {"type": "array", "items": _NUMBER, "minItems": 1}, "radius": _POSITIVE},
+}
+# the keys _stages_from_config reads; a grid cloud (the default type) needs its range and plateaus
+_STAGES = {
+    "type": "object",
+    "properties": {
+        "type": {"enum": ["grid-cloud", "vdc-points"]},
+        "plateaus": {"type": "array", "items": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}},
+        "j_max": {"type": "integer"},
+        **dict.fromkeys(["lo", "hi", "gamma", "radius_exponent", "radius_scale"], _NUMBER),
+    },
+    "if": {"required": ["type"], "properties": {"type": {"const": "vdc-points"}}},
+    "else": {"required": ["lo", "hi", "plateaus"]},
+}
+# the keys _cantor_params reads
+_CANTOR = {
+    "domain": _BALL,
+    "pair": _PAIR,
+    "eta": {"type": "number", "exclusiveMinimum": 1},
+    "stages": {**_STAGES, "required": ["type"]},
+    "depth": {"type": "integer", "minimum": 2},
+    "g_floor": {"type": "integer"},
+    **dict.fromkeys(["c5", "d2"], _POSITIVE),
+    **dict.fromkeys(["pump_total", "holder_mass_factor"], _NUMBER),
+}
 
 SCHEMAS = {
     "transform": {
@@ -132,6 +162,16 @@ SCHEMAS = {
                 "minItems": 2,
                 "maxItems": 2,
             },
+            # caj and kgb
+            "model": _MODEL,
+            "region": _BALL,
+            "pool": {"type": "integer", "minimum": 100},
+            "stages": _STAGES,
+            "pair": _PAIR,
+            "g_start": {"type": "integer", "minimum": 1},
+            "j_max": {"type": "integer"},
+            "target_fraction": _NUMBER,
+            **dict.fromkeys(["upsilon", "c5"], _POSITIVE),
         },
         "allOf": [
             {
@@ -149,19 +189,16 @@ SCHEMAS = {
         "required": ["master_seed", "domain", "pair", "eta", "stages"],
         "properties": {
             "master_seed": _SEED,
-            "domain": {"type": "object", "required": ["center", "radius"]},
-            "pair": _PAIR,
-            "eta": {"type": "number", "exclusiveMinimum": 1},
-            "stages": {"type": "object", "required": ["type"]},
-            "depth": {"type": "integer", "minimum": 2},
+            **_CANTOR,
             # 0 skips the mass-bound check; its arrays are O(trials)
             "holder_trials": {"type": "integer", "minimum": 0, "maximum": 1_000_000},
+            "save_tree": {"type": "boolean"},
         },
     },
     "cantor-verify": {
         "type": "object",
         "required": ["tree", "domain", "pair", "eta", "stages"],
-        "properties": {"tree": {"type": "string"}},
+        "properties": {**_CANTOR, "tree": {"type": "string"}},
     },
     "randsim": {
         "type": "object",
@@ -203,6 +240,8 @@ def _set_path(cfg, dotted, raw):
     node = cfg
     for k in keys[:-1]:
         node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            raise ArgumentError(f"override {dotted!r}: {k!r} is not an object")
     try:
         node[keys[-1]] = json.loads(raw)
     except json.JSONDecodeError:
@@ -345,38 +384,29 @@ def _run_cover(cfg, rng):
         lo, hi = cfg.get("radius_range", [0.01, 0.05])
         if not lo <= hi:
             raise ArgumentError(f"radius_range must have low <= high, got {[lo, hi]}")
-        balls = [
-            Ball(rng.uniform(0.0, 1.0, size=int(cfg.get("dim", 2))), float(r))
-            for r in rng.uniform(lo, hi, size=int(cfg.get("count", 100)))
-        ]
-        fam = BallFamily(balls, metric=metric)
+        radii = rng.uniform(lo, hi, size=int(cfg.get("count", 100)))
+        centers = rng.uniform(0.0, 1.0, size=(len(radii), int(cfg.get("dim", 2))))
+        fam = BallFamily(centers, radii, metric)
         out = five_r_cover(fam)
         results = {
-            "input": len(fam.balls),
-            "selected": len(out.balls),
+            "input": len(fam.radii),
+            "selected": len(out.radii),
             "disjoint": family_is_disjoint(out),
             "five_covers": five_r_covers(fam, out),
         }
     elif op == "caj":
         model = model_from_json(cfg["model"])
         region = Ball(np.asarray(cfg["region"]["center"], dtype=float), float(cfg["region"]["radius"]))
-        res = build_caj(
-            region,
-            int(cfg.get("j", 1)),
-            model,
-            float(cfg["upsilon"]),
-            rng=rng,
-            pool=int(cfg.get("pool", 10_000)),
-            metric=metric,
+        net = build_caj(
+            region, model, float(cfg["upsilon"]), rng=rng, pool=int(cfg.get("pool", 10_000)), metric=metric
         )
-        results = {"cardinality": len(res), "pool_size": res.net.pool_size}
+        results = {"cardinality": len(net.points), "pool_size": net.pool_size}
     elif op == "kgb":
         stages = _stages_from_config(cfg["stages"])
-        pair = _pair_from_config(cfg["pair"]) if "pair" in cfg else None
-        if pair is not None:
+        seq = stages
+        if "pair" in cfg:
+            pair = _pair_from_config(cfg["pair"])
             seq = lambda j: (stages.model(j), mtp_radius(pair, stages.upsilon(j)))
-        else:
-            seq = stages
         region = Ball(np.asarray(cfg["region"]["center"], dtype=float), float(cfg["region"]["radius"]))
         res = build_kgb(
             region,
@@ -384,7 +414,6 @@ def _run_cover(cfg, rng):
             seq,
             int(cfg.get("j_max", stages.j_max)),
             float(cfg.get("target_fraction", 0.05)),
-            rng=rng,
             c5=float(cfg.get("c5", 1.0)),
             metric=metric,
         )
@@ -406,7 +435,6 @@ def _cantor_params(cfg):
         stages=_stages_from_config(cfg["stages"]),
         depth=int(cfg.get("depth", 2)),
         g_floor=int(cfg.get("g_floor", 1)),
-        j_max=int(cfg["stages"].get("j_max", 2**24)),
         c5=float(cfg.get("c5", 1.0)),
         d2=float(cfg.get("d2", 2.0)),
         pump_total=cfg.get("pump_total"),
@@ -416,7 +444,7 @@ def _cantor_params(cfg):
 
 def _run_cantor_build(cfg, rng):
     params = _cantor_params(cfg)
-    tree = build_cantor(params, rng)
+    tree = build_cantor(params)
     mass = assign_mass(tree, params)
     audit = verify_levels(tree, params)
     hold = None

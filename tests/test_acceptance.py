@@ -143,11 +143,8 @@ def test_accept_4_covering_selections():
         rng = np.random.default_rng(401)
         for _ in range(200):
             count = int(rng.integers(5, 60))
-            balls = [
-                Ball(rng.uniform(0, 1, size=2), float(r))
-                for r in rng.uniform(0.01, 0.05, size=count)
-            ]
-            fam = BallFamily(balls)
+            radii = rng.uniform(0.01, 0.05, size=count)
+            fam = BallFamily(rng.uniform(0, 1, size=(count, 2)), radii)
             out = five_r_cover(fam)
             assert family_is_disjoint(out)
             assert five_r_covers(fam, out)
@@ -156,45 +153,44 @@ def test_accept_4_covering_selections():
         line = AffinePlane(np.zeros(2), np.array([[1.0, 0.0]]), extent=2.0)
         A = Ball(np.zeros(2), 1.0)
         upsilon = 0.01
-        res = build_caj(A, 1, line, upsilon, rng=np.random.default_rng(402))
-        _check_caj_geometry(res, A, line)
+        net = build_caj(A, line, upsilon, rng=np.random.default_rng(402))
+        _check_caj_geometry(net, upsilon, A, line)
         # (iv) via exact sup-norm areas: strip times box
-        vol_l = len(res) * (2 * upsilon) ** 2
+        vol_l = len(net.points) * (2 * upsilon) ** 2
         vol_a = 2 * A.radius * 2 * upsilon
         vol_half = A.radius * 2 * upsilon
         assert vol_l <= vol_a
         assert vol_half <= 14.0 * vol_l
-        assert 8 <= len(res) <= 32
+        assert 8 <= len(net.points) <= 32
 
         # bundled instance: single point
         pt = PointSet(np.array([[0.1, 0.4]]))
-        res = build_caj(Ball(np.array([0.1, 0.4]), 1.0), 2, pt, 0.1,
-                        rng=np.random.default_rng(403))
-        assert len(res) == 1
+        net = build_caj(Ball(np.array([0.1, 0.4]), 1.0), pt, 0.1, rng=np.random.default_rng(403))
+        assert len(net.points) == 1
 
         # bundled instance: middle-third attractor, cardinality envelope
         K = middle_third()
         upsilon = 1e-3
         A = Ball(np.array([1 / 3]), 1.0)
-        res = build_caj(A, 3, K, upsilon, rng=np.random.default_rng(404), pool=20_000)
-        _check_caj_geometry(res, A, K, tol=2e-6)
+        net = build_caj(A, K, upsilon, rng=np.random.default_rng(404), pool=20_000)
+        _check_caj_geometry(net, upsilon, A, K, tol=2e-6)
         envelope = (1.0 / upsilon) ** LOG23
-        assert envelope / 4 <= len(res) <= envelope * 4
+        assert envelope / 4 <= len(net.points) <= envelope * 4
         # (iv) with exact 1-D interval measures
         union = _merge_union(model_intervals_1d(K, upsilon))
         vol_a = _union_length_in(union, A.center[0] - A.radius, A.center[0] + A.radius)
         vol_half = _union_length_in(union, A.center[0] - A.radius / 2, A.center[0] + A.radius / 2)
-        vol_l = len(res) * 2 * upsilon
+        vol_l = len(net.points) * 2 * upsilon
         assert vol_l <= vol_a * (1 + 1e-2)  # interval union carries resolution slack
         assert vol_half <= 14.0 * vol_l
 
 
-def _check_caj_geometry(res, A, model, tol=1e-9):
-    for b in res.balls:
-        assert b.radius == res.upsilon
-        assert np.max(np.abs(b.center - A.center)) + 3 * b.radius <= A.radius * (1 + 1e-12)
-    assert family_is_disjoint(BallFamily([b.dilate(3.0) for b in res.balls]))
-    centers = np.array([b.center for b in res.balls])
+def _check_caj_geometry(net, upsilon, A, model, tol=1e-9):
+    """The balls B(p, upsilon) on the net points: 3-dilates inside A and
+    pairwise disjoint, centers on the set."""
+    centers = net.points
+    assert np.all(np.max(np.abs(centers - A.center), axis=1) + 3 * upsilon <= A.radius * (1 + 1e-12))
+    assert family_is_disjoint(BallFamily(centers, np.full(len(centers), 3.0 * upsilon)))
     assert np.max(distance_to_set(model, centers, tol=tol / 2)) <= tol
 
 

@@ -85,7 +85,6 @@ def test_selection_shortfall_names_node_and_sublevel():
     params.stages = GridCloudStages(
         lo=-20.0, hi=20.0, plateaus=((512, 1e-5),), gamma=0.04, j_max=600,
     )
-    params.j_max = 600
     with pytest.raises(ConstructionError) as exc:
         build_cantor(params)
     assert exc.value.sublevel == 1
@@ -111,7 +110,6 @@ def test_scan_truncation_names_node_and_sublevel():
         lo=-20.0, hi=20.0, plateaus=((512, 0.02), (4096, 2.2e-4)),
         gamma=0.04, j_max=4200,
     )
-    params.j_max = 4200
     with pytest.raises(TruncationError) as exc:
         build_cantor(params)
     assert exc.value.sublevel == 2

@@ -99,6 +99,34 @@ def test_invalid_config_exits_2(tmp_path):
         ("minkowski", "minkowski_segment.json", None, "samples_per_scale=1000001"),
         ("fit-lsp", "fit_lsp_line.json", None, "grids.samples=1e15"),
         ("fit-lsp", "fit_lsp_line.json", None, "grids.centers_per_cell=17"),
+        # an override path through a value that is not an object
+        ("boxdim", "boxdim_sierpinski.json", None, "scales.foo=1"),
+        ("boxdim", "boxdim_point.json", None, "model.variant.x=1"),
+        # the keys cover reads
+        ("cover", "cover_caj_line.json", None, "region.radius=abc"),
+        ("cover", "cover_caj_line.json", None, "region.center=abc"),
+        ("cover", "cover_caj_line.json", None, "model=5"),
+        ("cover", "cover_caj_line.json", None, "upsilon=-0.01"),
+        ("cover", "cover_caj_line.json", None, "pool=abc"),
+        ("cover", "cover_caj_line.json", None, "pool=99"),
+        ("cover", "cover_kgb_vdc.json", None, "stages=5"),
+        ("cover", "cover_kgb_vdc.json", None, "stages.type=grid-cloud"),
+        ("cover", "cover_kgb_vdc.json", None, "stages.radius_exponent=abc"),
+        ("cover", "cover_kgb_vdc.json", None, "pair=5"),
+        ("cover", "cover_kgb_vdc.json", None, "g_start=0"),
+        ("cover", "cover_kgb_vdc.json", None, "j_max=abc"),
+        ("cover", "cover_kgb_vdc.json", None, "target_fraction=abc"),
+        ("cover", "cover_kgb_vdc.json", None, "c5=abc"),
+        # the keys cantor-build reads
+        ("cantor-build", "cantor_audit.json", None, "pump_total=abc"),
+        ("cantor-build", "cantor_audit.json", None, "domain.radius=abc"),
+        ("cantor-build", "cantor_audit.json", None, "stages.lo=abc"),
+        ("cantor-build", "cantor_audit.json", None, "stages.plateaus=[[512]]"),
+        ("cantor-build", "cantor_audit.json", None, "g_floor=abc"),
+        ("cantor-build", "cantor_audit.json", None, "c5=0"),
+        ("cantor-build", "cantor_audit.json", None, "d2=0"),
+        ("cantor-build", "cantor_audit.json", None, "holder_mass_factor=abc"),
+        ("cantor-build", "cantor_audit.json", None, "save_tree=abc"),
     ],
 )
 def test_missing_or_invalid_keys_exit_2(tmp_path, command, name, drop, override):

@@ -139,7 +139,7 @@ def variant_configs():
         "master_seed": kgb["master_seed"], "op": "kgb", "stages": audit["stages"], "pair": audit["pair"],
         "region": {"center": [0.0], "radius": 20.0}, "g_start": 512, "c5": 1.2,
     })
-    caj = {k: v for k, v in bundled_config("cover_caj_line.json").items() if k != "j"}
+    caj = bundled_config("cover_caj_line.json")
     out["cover_caj_line_b0.3"] = ("cover", {**caj, "region": {"center": [0.3, 0.0], "radius": 0.8}})
     out["cover_caj_circle"] = ("cover", {**caj, "model": {"variant": "circle", "center": [0.0, 0.0], "radius": 0.7}})
     for radius in (17.0, 23.0):
