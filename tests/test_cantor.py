@@ -22,6 +22,7 @@ from lspkit.cantor import (
     assign_mass,
     ball_mass_upper,
     build_cantor,
+    format_tree,
     holder_check,
     tree_fingerprint,
     tree_from_json,
@@ -380,6 +381,29 @@ def test_parent_rows_two_levels():
     tree.levels[1][1].c_center[0, 0] = -7.0
     outside = [v for v in verify_levels(tree, params).properties["P1"].violations if v[1] == "outside-parent"]
     assert outside == [("L3/1", "outside-parent", -7.0)]
+
+
+def test_format_tree_two_levels():
+    tree, params = _two_level_tree()
+    assert format_tree(tree, assign_mass(tree, params)) == "\n".join([
+        "root B(center=[0.0], radius=20)",
+        "constants: c6=0.05 c5=1 eta=2",
+        "level 2 local level (parent L1#0): l_B=1 sublevel masses=[0.0]",
+        "  (A;512) sub1 c=-8 r=4 #C=2",
+        "    L c=-9 r=0.25 mu=0.25",
+        "    L c=-7 r=0.25 mu=0.25",
+        "  (A;512) sub1 c=8 r=4 #C=1",
+        "    L c=8 r=0.25 mu=0.5",
+        "level 3 local level (parent L2#2): l_B=1 sublevel masses=[0.0]",
+        "  (A;512) sub1 c=8 r=0.05 #C=2",
+        "    L c=7.95 r=0.005 mu=0.25",
+        "    L c=8.05 r=0.005 mu=0.25",
+        "level 3 local level (parent L2#0): l_B=1 sublevel masses=[0.0]",
+        "  (A;512) sub1 c=-9.1 r=0.02 #C=1",
+        "    L c=-9.1 r=0.002 mu=0.125",
+        "  (A;512) sub1 c=-8.9 r=0.02 #C=1",
+        "    L c=-8.9 r=0.002 mu=0.125",
+    ])
 
 
 @pytest.mark.parametrize("seed", range(20))

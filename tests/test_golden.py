@@ -23,8 +23,9 @@ the exact bit: every float is stored as ``float.hex``.  They are
   audit's grid-cloud stages with its gauge pair, and one that falls short
   of its target (pinned as the error it raises); ``caj`` on a shifted line
   region and on a circle (a sampled pool);
-- Cantor builds: the audit at domain radii 17 and 23 and the holder config
-  at eta 4.
+- Cantor builds: the audit at domain radii 17 and 23, the holder config
+  at eta 4, and two builds that save their tree, the bundled audit and the
+  holder config at eta 8, whose ``tree.json`` is pinned by its SHA-256.
 
 A variant that raises a ``ToolkitError`` pins the error's type, message and
 achieved fraction instead of a results block.
@@ -38,11 +39,13 @@ Either run prints, before it writes, each entry whose pinned value changes
 with the largest relative gap between its old and new numbers.
 """
 
+import hashlib
 import json
 import math
 import numbers
 import re
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -147,6 +150,10 @@ def variant_configs():
         domain = {**audit["domain"], "radius": radius}
         out[f"cantor_audit_radius{radius:g}"] = ("cantor-build", {**audit, "domain": domain, "stages": stages})
     out["cantor_holder_eta4"] = ("cantor-build", {**bundled_config("cantor_holder.json"), "eta": 4.0, "c5": 90.0 / 85.0})
+    out["cantor_audit_tree"] = ("cantor-build", {**audit, "save_tree": True})
+    out["cantor_holder_eta8"] = ("cantor-build", {
+        **bundled_config("cantor_holder.json"), "eta": 8.0, "c5": 90.0 / 85.0, "save_tree": True,
+    })
     return out
 
 
@@ -164,16 +171,22 @@ def exact(value):
 
 
 def variant_entry(name):
+    """Pinned entry of one variant; a build that saves its tree writes it to
+    a temporary output directory, and the entry pins the file's SHA-256."""
     command, cfg = variant_configs()[name]
-    try:
-        code, report = run(command, cfg)
-    except ToolkitError as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        if hasattr(exc, "achieved_fraction"):
-            error["achieved_fraction"] = float(exc.achieved_fraction).hex()
-        return {"command": command, "config": cfg, "error": error}
-    assert code == 0
-    return {"command": command, "config": cfg, "results": exact(report["results"])}
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            code, report = run(command, cfg, out_dir=out)
+        except ToolkitError as exc:
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            if hasattr(exc, "achieved_fraction"):
+                error["achieved_fraction"] = float(exc.achieved_fraction).hex()
+            return {"command": command, "config": cfg, "error": error}
+        assert code == 0
+        entry = {"command": command, "config": cfg, "results": exact(report["results"])}
+        if command == "cantor-build" and cfg.get("save_tree"):
+            entry["tree_sha256"] = hashlib.sha256((Path(out) / "tree.json").read_bytes()).hexdigest()
+    return entry
 
 
 @pytest.mark.parametrize("name", sorted(variant_configs()))
