@@ -20,13 +20,13 @@ Desk-scale notes baked into this module:
   strength parameter eta, preserving the eta-scaling of the measure
   denominator that the mass bound needs.
 
-The tree is stored as arrays addressed by row.  Tree level 1 is the root;
-``CantorTree.balls(level)`` returns the centers and radii of a level, whose
-rows run through its local levels in order.  Each ``LocalLevel`` holds its
-selection ("a") and target ("c") balls as flat arrays, built one sublevel at
-a time, and names its parent ball by ``(parent_level, parent_index)``, a row
-of ``balls(parent_level)``; mass assignment, the audits and the builder
-all resolve parents by that row.
+The tree is stored as 1-D arrays addressed by row; a center is one
+coordinate.  Tree level 1 is the root; ``CantorTree.balls(level)`` returns
+the centers and radii of a level, whose rows run through its local levels in
+order.  Each ``LocalLevel`` holds its selection ("a") and target ("c") balls
+as flat arrays, built one sublevel at a time, and names its parent ball by
+``(parent_level, parent_index)``, a row of ``balls(parent_level)``; mass
+assignment, the audits and the builder all resolve parents by that row.
 """
 
 from __future__ import annotations
@@ -49,9 +49,11 @@ from .errors import (
     UnsupportedCombination,
 )
 from .measure import _merge_union, _union_length_in, ball_volume
-from .sets import _norm
 
 AUDIT_RTOL = 1e-9
+MAX_SUBLEVELS = 64  # P5 sublevel budget of one local level
+MAX_NODES = 2_000_000  # target-ball budget of one local level
+FORMAT_MAX_LEAVES = 60  # larger local levels print as counts only
 
 
 @dataclass
@@ -66,9 +68,6 @@ class ConstructionParams:
     d2: float = 2.0
     pump_total: float | None = None
     holder_mass_factor: float = 2.5
-    metric: str = "sup"
-    max_nodes: int = 2_000_000
-    max_sublevels: int = 64
 
     def __post_init__(self):
         if not (self.eta > 1):
@@ -98,17 +97,16 @@ class LocalLevel:
 @dataclass
 class CantorTree:
     root: Ball
-    metric: str
     constants: dict
     levels: list  # levels[k] = list of LocalLevel producing the (k+2)-level balls
     case: str = "a"
 
     def balls(self, level):
-        """Ball arrays (centers (m, n), radii (m,)) of tree level ``level``;
+        """Ball arrays (centers (m,), radii (m,)) of tree level ``level``;
         level 1 is the root, and the rows of a deeper level run through its
         local levels in order, so ``(level, row)`` names one ball."""
         if level == 1:
-            return self.root.center[None, :], np.array([self.root.radius], dtype=float)
+            return self.root.center, np.array([self.root.radius], dtype=float)
         locs = self.levels[level - 2]
         return np.concatenate([l.c_center for l in locs]), np.concatenate([l.c_radius for l in locs])
 
@@ -170,7 +168,7 @@ def _ambient_constants(params: ConstructionParams):
     lam = 2.0**n
     c7 = 5.0**n
     c6 = (1.0 / (2.0 * lam)) * (c1 / c2) ** 2 * (params.c5 / c7)
-    hg_b0 = ball_volume(n, params.domain.radius, params.metric)
+    hg_b0 = ball_volume(n, params.domain.radius)
     return {
         "c1": c1,
         "c2": c2,
@@ -301,11 +299,11 @@ def _caj_nets(params, a_centers, a_radii, j, upsilon):
     i1 = np.searchsorted(cloud, a_centers + 0.5 * a_radii)
     rows, owner = _slice_rows(i0, i1)
     pts = cloud[rows]
-    close = (owner[1:] == owner[:-1]) & (_norm(np.diff(pts)[:, None], params.metric) <= sep)
+    close = (owner[1:] == owner[:-1]) & (np.diff(pts) <= sep)
     dense = np.unique(owner[1:][close])
     keep = ~np.isin(owner, dense)
     empty = np.nonzero(i1 == i0)[0]
-    nets = [greedy_net(cloud[i0[k] : i1[k]][:, None], sep, metric=params.metric)[:, 0] for k in dense]
+    nets = [greedy_net(cloud[i0[k] : i1[k]][:, None], sep)[:, 0] for k in dense]
     centers = np.concatenate([pts[keep], *nets, a_centers[empty]])
     owners = np.concatenate(
         [owner[keep], *(np.full(len(n), k) for k, n in zip(dense, nets)), empty]
@@ -320,14 +318,14 @@ def _build_local_level(params, consts, B: Ball, node):
     pair = params.gauges
     n = B.ambient_dim
     vg_b = eval_gauge(pair.g, B.radius)
-    vol_b = ball_volume(n, B.radius, params.metric)
+    vol_b = ball_volume(n, B.radius)
     if node[0] == 1:
         l_b = root_sublevel_count(consts, params.eta)
     else:
         l_b = child_sublevel_count(consts, pair, B.radius)
-    if l_b > params.max_sublevels:
+    if l_b > MAX_SUBLEVELS:
         raise ConstructionError(
-            f"P5 sublevel count {l_b} exceeds the budget {params.max_sublevels}; "
+            f"P5 sublevel count {l_b} exceeds the budget {MAX_SUBLEVELS}; "
             "the radius ladder makes such levels infeasible at desk scale",
             node=node,
         )
@@ -336,7 +334,7 @@ def _build_local_level(params, consts, B: Ball, node):
     # packing capacity in gauge units: disjoint 3-dilates inside the region
     # bound sum g(radius) by vol(region)/6^n, discounted to greedy jamming
     cap_first = 0.75 * vol_b / 6.0**n
-    cap_deep = 0.75 * ball_volume(n, B.radius / 2.0, params.metric) / 6.0**n
+    cap_deep = 0.75 * ball_volume(n, B.radius / 2.0) / 6.0**n
     if floor_mass * 1.02 > cap_first:
         raise ConstructionError(
             f"P3 per-sublevel mass {floor_mass:.3g} exceeds the packing capacity "
@@ -405,20 +403,16 @@ def _build_local_level(params, consts, B: Ball, node):
             n_c += m
             d_min = min(d_min, u)
         n_a += len(js)
-        if n_c > params.max_nodes:
+        if n_c > MAX_NODES:
             raise ConstructionError(
-                f"node budget {params.max_nodes} exceeded at sublevel {i}",
+                f"node budget {MAX_NODES} exceeded at sublevel {i}",
                 node=node,
                 sublevel=i,
             )
 
-    a_center, a_radius, a_j, a_sublevel = (np.concatenate(col) for col in zip(*a_parts))
-    c_center, c_radius, c_j, c_sublevel, c_aidx = (np.concatenate(col) for col in zip(*c_parts))
-    return LocalLevel(
-        node[0], node[1], l_b, eps, g_primes, sub_targets, sub_masses,
-        a_center[:, None], a_radius, a_j, a_sublevel,
-        c_center[:, None], c_radius, c_j, c_sublevel, c_aidx,
-    )
+    # the a_* then the c_* fields of LocalLevel, in order
+    blocks = [np.concatenate(col) for parts in (a_parts, c_parts) for col in zip(*parts)]
+    return LocalLevel(node[0], node[1], l_b, eps, g_primes, sub_targets, sub_masses, *blocks)
 
 
 def _first_sublevel(params, B, g_start, target, vol_b, node):
@@ -428,7 +422,7 @@ def _first_sublevel(params, B, g_start, target, vol_b, node):
     seq = lambda j: (params.stages.model(j), mtp_radius(pair, params.stages.upsilon(j)))
     frac = min(1.0, (2.0**B.ambient_dim * target) / (params.c5 * vol_b))
     try:
-        kgb = build_kgb(B, g_start, seq, params.stages.j_max, frac, c5=params.c5, metric=params.metric)
+        kgb = build_kgb(B, g_start, seq, params.stages.j_max, frac, c5=params.c5)
     except CoverageShortfall as exc:
         raise ConstructionError(
             f"sublevel 1 selection covered only fraction "
@@ -566,7 +560,7 @@ def build_cantor(params: ConstructionParams) -> CantorTree:
             + (" where the two measures are proportional" if case == "c" else "")
         )
     consts = _ambient_constants(params)
-    tree = CantorTree(root=params.domain, metric=params.metric, constants=consts, levels=[], case=case)
+    tree = CantorTree(root=params.domain, constants=consts, levels=[], case=case)
     for level in range(1, params.depth):
         centers, radii = tree.balls(level)
         tree.levels.append([
@@ -630,12 +624,11 @@ def assign_mass(tree: CantorTree, params: ConstructionParams, exact=False) -> Ma
     return MassAssignment(mu=mu_levels, exact=exact_levels)
 
 
-def ball_mass_upper(tree: CantorTree, mass: MassAssignment, D: Ball, metric=None) -> float:
+def ball_mass_upper(tree: CantorTree, mass: MassAssignment, D: Ball) -> float:
     """Upper bound for the limit measure of D: total mass of deepest-level
     balls meeting D."""
-    metric = metric or tree.metric
     centers, radii = tree.leaves()
-    hit = _norm(centers - D.center, metric) < radii + D.radius
+    hit = np.abs(centers - D.center) < radii + D.radius
     return float(np.sum(mass.mu[-1][hit]))
 
 
@@ -674,6 +667,14 @@ def _points_on_stage(params, j, centers, tol):
     return best <= tol
 
 
+def _overlapping_dilates(centers, radii):
+    """Centers of the balls whose 3-dilate overlaps that of the next ball in
+    center order (a 1-D neighbour sweep), in center order."""
+    order = np.argsort(centers)
+    c, r = centers[order], radii[order]
+    return c[:-1][c[1:] - c[:-1] < 3.0 * (r[1:] + r[:-1]) * (1 - AUDIT_RTOL)]
+
+
 def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
     """Audit P0-P5 with independent geometric predicates.
 
@@ -694,48 +695,38 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
             row = loc.parent_index
             parent = Ball(parent_centers[row], float(parent_radii[row]))
             tag = f"L{lev_idx + 2}/{li}"
-            c = loc.c_center[:, 0]
+            c = loc.c_center
             r = loc.c_radius
-            # P1: 3-dilates pairwise disjoint (1-D neighbor sweep) and inside parent
-            order = np.argsort(c)
-            cc, rr = c[order], r[order]
-            gaps = cc[1:] - cc[:-1]
-            bad = gaps < 3.0 * (rr[1:] + rr[:-1]) * (1 - AUDIT_RTOL)
-            for k in np.nonzero(bad)[0]:
-                p1_viol.append((tag, "overlap", float(cc[k])))
+            # P1: 3-dilates pairwise disjoint and inside parent
+            p1_viol += [(tag, "overlap", float(x)) for x in _overlapping_dilates(c, r)]
             outside = np.abs(c - parent.center[0]) + 3.0 * r > parent.radius * (1 + AUDIT_RTOL)
-            for k in np.nonzero(outside)[0]:
-                p1_viol.append((tag, "outside-parent", float(c[k])))
+            p1_viol += [(tag, "outside-parent", float(x)) for x in c[outside]]
 
             # P2 per selection ball
             ua = _stage_radii(params.stages, loc.a_j)
             counts = np.bincount(loc.c_aidx, minlength=len(loc.a_radius))
-            if np.any(counts == 0):
-                for k in np.nonzero(counts == 0)[0]:
-                    p2_viol.append((tag, "empty-selection", int(k)))
+            p2_viol += [(tag, "empty-selection", int(k)) for k in np.nonzero(counts == 0)[0]]
             # (i) radii match the stage radius; centers on the stage set
             if not np.allclose(r, ua[loc.c_aidx], rtol=1e-12, atol=0):
                 p2_viol.append((tag, "radius-mismatch", None))
             for j in np.unique(loc.c_j):
                 sel = loc.c_j == j
                 tol = max(1e-12, 1e-9 * params.stages.upsilon(int(j)))
-                on = _points_on_stage(params, j, loc.c_center[sel, 0], tol)
+                on = _points_on_stage(params, j, c[sel], tol)
                 if not np.all(on):
                     p2_viol.append((tag, "center-off-stage", int(j)))
             # (ii) 3L inside A; (iii) handled by P1 within A via construction,
             # checked here per selection ball
-            ac = loc.a_center[loc.c_aidx, 0]
+            ac = loc.a_center[loc.c_aidx]
             ar = loc.a_radius[loc.c_aidx]
             if np.any(np.abs(c - ac) + 3.0 * r > ar * (1 + AUDIT_RTOL)):
                 p2_viol.append((tag, "3L-outside-A", None))
             # 3A disjoint within each sublevel + inside parent
             for i in np.unique(loc.a_sublevel):
                 sel = loc.a_sublevel == i
-                ac_i = loc.a_center[sel, 0]
+                ac_i = loc.a_center[sel]
                 ar_i = loc.a_radius[sel]
-                o = np.argsort(ac_i)
-                aa, bb = ac_i[o], ar_i[o]
-                if np.any(aa[1:] - aa[:-1] < 3.0 * (bb[1:] + bb[:-1]) * (1 - AUDIT_RTOL)):
+                if len(_overlapping_dilates(ac_i, ar_i)):
                     p2_viol.append((tag, "3A-overlap", int(i)))
                 if np.any(
                     np.abs(ac_i - parent.center[0]) + 3.0 * ar_i
@@ -760,7 +751,7 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
                 u = params.stages.upsilon(int(j))
                 cloud = params.stages.sorted_points(int(j))
                 gap = np.min(np.diff(cloud)) if len(cloud) > 1 else math.inf
-                ca = loc.a_center[sel, 0]
+                ca = loc.a_center[sel]
                 ra = loc.a_radius[sel]
                 vol_a = _neighborhood_in_window(cloud, u, ca, ra, gap)
                 vol_half = _neighborhood_in_window(cloud, u, ca, ra / 2.0, gap)
@@ -860,8 +851,8 @@ def holder_check(
     eta = params.eta
     centers, radii = tree.leaves()
     mu = mass.mu[-1]
-    order = np.argsort(centers[:, 0])
-    c = centers[order, 0]
+    order = np.argsort(centers)
+    c = centers[order]
     r = radii[order]
     m = mu[order]
     rmax_leaf = float(np.max(r))
@@ -953,7 +944,7 @@ def holder_check(
     )
 
 
-def format_tree(tree: CantorTree, mass: MassAssignment | None = None, max_leaves=60) -> str:
+def format_tree(tree: CantorTree, mass: MassAssignment | None = None) -> str:
     """Plain-text rendering of a small tree (root, selection balls, leaves)."""
     lines = [
         f"root B(center={tree.root.center.tolist()}, radius={tree.root.radius:g})",
@@ -969,7 +960,7 @@ def format_tree(tree: CantorTree, mass: MassAssignment | None = None, max_leaves
                 f"level {level_no} local level (parent L{loc.parent_level}#{loc.parent_index}): "
                 f"l_B={loc.l_b} sublevel masses={[round(m, 4) for m in loc.sub_masses]}"
             )
-            if len(loc.c_center) > max_leaves:
+            if len(loc.c_center) > FORMAT_MAX_LEAVES:
                 lines.append(
                     f"  {len(loc.a_center)} selection balls, {len(loc.c_center)} leaves "
                     "(too many to print)"
@@ -979,7 +970,7 @@ def format_tree(tree: CantorTree, mass: MassAssignment | None = None, max_leaves
                 leaf_idx = np.nonzero(loc.c_aidx == k)[0]
                 lines.append(
                     f"  (A;{int(loc.a_j[k])}) sub{int(loc.a_sublevel[k])} "
-                    f"c={loc.a_center[k, 0]:.6g} r={loc.a_radius[k]:.4g} "
+                    f"c={loc.a_center[k]:.6g} r={loc.a_radius[k]:.4g} "
                     f"#C={len(leaf_idx)}"
                 )
                 for i in leaf_idx:
@@ -987,7 +978,7 @@ def format_tree(tree: CantorTree, mass: MassAssignment | None = None, max_leaves
                     if mass is not None:
                         mu = f" mu={mass.mu[lev_idx][start + i]:.4g}"
                     lines.append(
-                        f"    L c={loc.c_center[i, 0]:.6g} r={loc.c_radius[i]:.4g}{mu}"
+                        f"    L c={loc.c_center[i]:.6g} r={loc.c_radius[i]:.4g}{mu}"
                     )
     return "\n".join(lines)
 
@@ -997,7 +988,7 @@ def format_tree(tree: CantorTree, mass: MassAssignment | None = None, max_leaves
 
 
 # array fields ``a_<key>`` and ``c_<key>`` form the "a" and "c" blocks of a
-# local level; centers are stored as (m, 1) columns and written as lists
+# local level, written as lists
 _BLOCKS = ("a", "c")
 
 
@@ -1007,7 +998,7 @@ def _local_to_json(loc: LocalLevel) -> dict:
         v = getattr(loc, f.name)
         block, _, key = f.name.partition("_")
         if block in _BLOCKS:
-            out.setdefault(block, {})[key] = (v[:, 0] if key == "center" else v).tolist()
+            out.setdefault(block, {})[key] = v.tolist()
         else:
             out[f.name] = np.asarray(v).tolist() if isinstance(v, list) else v
     return out
@@ -1018,8 +1009,7 @@ def _local_from_json(e) -> LocalLevel:
     for f in fields(LocalLevel):
         block, _, key = f.name.partition("_")
         if block in _BLOCKS:
-            v = np.array(e[block][key], dtype=float if key in ("center", "radius") else np.int64)
-            kw[f.name] = v[:, None] if key == "center" else v
+            kw[f.name] = np.array(e[block][key], dtype=float if key in ("center", "radius") else np.int64)
         else:
             v = e[f.name]
             kw[f.name] = list(v) if isinstance(v, list) else v
@@ -1029,7 +1019,9 @@ def _local_from_json(e) -> LocalLevel:
 def tree_to_json(tree: CantorTree) -> dict:
     return {
         "root": {"center": tree.root.center.tolist(), "radius": tree.root.radius},
-        "metric": tree.metric,
+        # the builder has one metric; the key keeps saved trees byte-identical
+        # to those of earlier versions
+        "metric": "sup",
         "constants": tree.constants,
         "case": tree.case,
         "levels": [[_local_to_json(loc) for loc in locs] for locs in tree.levels],
@@ -1039,7 +1031,6 @@ def tree_to_json(tree: CantorTree) -> dict:
 def tree_from_json(obj) -> CantorTree:
     return CantorTree(
         root=Ball(np.array(obj["root"]["center"]), obj["root"]["radius"]),
-        metric=obj["metric"],
         constants=obj["constants"],
         levels=[[_local_from_json(e) for e in locs] for locs in obj["levels"]],
         case=obj.get("case", "a"),

@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import math
@@ -27,6 +28,7 @@ from jsonschema.validators import validator_for
 
 from . import __version__
 from .cantor import (
+    FORMAT_MAX_LEAVES,
     ConstructionParams,
     assign_mass,
     build_cantor,
@@ -468,7 +470,7 @@ def _run_cantor_build(cfg, rng):
             "qualifying_trials": hold.qualifying_trials,
             "single_ball_trials": hold.single_ball_trials,
         }
-    if len(loc.c_radius) <= 60:
+    if len(loc.c_radius) <= FORMAT_MAX_LEAVES:
         print(format_tree(tree, mass), file=sys.stderr)
     extra = {"tree.json": tree_to_json(tree)} if cfg.get("save_tree", True) else {}
     return results, [], extra
@@ -560,7 +562,7 @@ def run(command, config, out_dir=None, overrides=(), seed=None, threads=1):
     """
     import pathlib
 
-    cfg = dict(config)
+    cfg = copy.deepcopy(config)  # overrides must not reach the caller's nested dicts
     for ov in overrides:
         if "=" not in ov:
             raise ArgumentError(f"override {ov!r} is not KEY=VALUE")

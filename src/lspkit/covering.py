@@ -61,8 +61,8 @@ def balls_disjoint(b1: Ball, b2: Ball, metric="sup"):
     return _norm(b1.center - b2.center, metric) >= (b1.radius + b2.radius) * (1 - _DISJOINT_SLACK)
 
 
-def ball_contains(outer: Ball, inner: Ball, metric="sup", slack=1e-12):
-    return _norm(outer.center - inner.center, metric) + inner.radius <= outer.radius * (1 + slack)
+def ball_contains(outer: Ball, inner: Ball, metric="sup"):
+    return _norm(outer.center - inner.center, metric) + inner.radius <= outer.radius * (1 + 1e-12)
 
 
 _PAIR_BLOCK = 1 << 20  # coordinate differences per broadcast block
@@ -155,9 +155,7 @@ def greedy_net(points, sep, metric="sup"):
     return chosen[:count].copy()
 
 
-def separated_net(
-    m: SetModel, region: Ball, sep, candidates=10_000, rng=None, metric="sup", tol=1e-9
-) -> NetResult:
+def separated_net(m: SetModel, region: Ball, sep, candidates=10_000, rng=None, metric="sup") -> NetResult:
     """Greedy sep-separated net on the model inside the region.
 
     The pool is every distinct point of a finite point set inside the region,
@@ -169,12 +167,14 @@ def separated_net(
     # sep >= region diameter is allowed: the net then degenerates to <= 1 point
     if candidates < 100:
         raise ArgumentError("candidate pool must hold >= 100 samples")
+    if region.ambient_dim != m.ambient_dim:
+        raise ArgumentError(f"region has dimension {region.ambient_dim}, the set model {m.ambient_dim}")
     if isinstance(m, PointSet):
         pool = np.unique(m.points, axis=0)
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        pool = sample_on_set(m, candidates, rng, tol=tol)
+        pool = sample_on_set(m, candidates, rng)
     pool = pool[_norm(pool - region.center, metric) < region.radius]
     if len(pool) == 0:
         return NetResult(points=np.empty((0, m.ambient_dim)), pool_size=0)
@@ -234,6 +234,8 @@ def build_kgb(B: Ball, G, seq, j_max, target_fraction, c5=1.0, metric="sup") -> 
     j = G
     while j <= j_max:
         model, tilde = seq(j)
+        if model.ambient_dim != n:
+            raise ArgumentError(f"region has dimension {n}, stage {j} has dimension {model.ambient_dim}")
         if not (0 < tilde <= prev_tilde * (1 + 1e-12)):
             raise ArgumentError("tilde radii must be positive and non-increasing in j")
         prev_tilde = tilde

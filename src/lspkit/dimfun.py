@@ -33,7 +33,6 @@ class Gauge:
     kind: str
     s: float = float("nan")
     samples: tuple = ()
-    description: str = ""
 
     def __post_init__(self):
         if self.kind == "power":
@@ -54,13 +53,12 @@ class Gauge:
             raise ArgumentError(f"unknown gauge kind {self.kind!r}")
 
     @classmethod
-    def power(cls, s, description=""):
-        return cls(kind="power", s=float(s), description=description)
+    def power(cls, s):
+        return cls(kind="power", s=float(s))
 
     @classmethod
-    def tabulated(cls, samples, description=""):
-        samples = tuple((float(r), float(v)) for r, v in samples)
-        return cls(kind="tabulated", samples=samples, description=description)
+    def tabulated(cls, samples):
+        return cls(kind="tabulated", samples=tuple((float(r), float(v)) for r, v in samples))
 
 
 def eval_gauge(f: Gauge, r):
@@ -83,17 +81,15 @@ def eval_gauge(f: Gauge, r):
     return out if np.ndim(r) else float(out)
 
 
-def invert_gauge(g: Gauge, y, tol=BISECT_RTOL):
+def invert_gauge(g: Gauge, y):
     """Solve g(r) = y for r on the gauge's working range.
 
     Power gauges invert in closed form; tabulated gauges bisect on the
-    log-linear interpolant until ``|g(r) - y| <= tol * y``.
+    log-linear interpolant until ``|g(r) - y| <= BISECT_RTOL * y``.
     """
     y = float(y)
     if y <= 0 or not math.isfinite(y):
         raise RangeError("can only invert positive finite values")
-    if tol <= 0:
-        raise ArgumentError("tol must be positive")
     if g.kind == "power":
         if g.s == 0:
             raise RangeError("constant gauge (s=0) is not invertible")
@@ -106,7 +102,7 @@ def invert_gauge(g: Gauge, y, tol=BISECT_RTOL):
     for _ in range(BISECT_MAX_ITER):
         mid = math.sqrt(lo * hi)  # bisect in log space, matching interpolation
         val = eval_gauge(g, mid)
-        if abs(val - y) <= tol * y:
+        if abs(val - y) <= BISECT_RTOL * y:
             return mid
         if val < y:
             lo = mid
@@ -148,14 +144,14 @@ def default_grid(lo=1e-6, hi=1.0, n=64):
     return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
-def _monotone(values, direction, rtol=MONOTONE_RTOL):
-    """Check monotonicity allowing a relative slack of rtol."""
+def _monotone(values, direction):
+    """Check monotonicity allowing a relative slack of MONOTONE_RTOL."""
     v = np.asarray(values, dtype=float)
     scale = np.maximum(np.abs(v[1:]), np.abs(v[:-1]))
     diff = np.diff(v)
     if direction == "nondecreasing":
-        return bool(np.all(diff >= -rtol * scale))
-    return bool(np.all(diff <= rtol * scale))
+        return bool(np.all(diff >= -MONOTONE_RTOL * scale))
+    return bool(np.all(diff <= MONOTONE_RTOL * scale))
 
 
 def verify_gauge_pair(pair: GaugePair, grid=None) -> PairReport:
@@ -229,12 +225,12 @@ def ratio_direction_at(pair: GaugePair, r):
     return "increasing" if q0 > q1 else "decreasing"
 
 
-def mtp_radius(pair: GaugePair, upsilon, rtol=1e-9):
+def mtp_radius(pair: GaugePair, upsilon):
     """Transformed radius g^{-1}((f(u) / g(u)^kappa)^{1/(1-kappa)}).
 
     In the regime where f/g grows as r -> 0 the result must dominate the
-    input radius; a violation beyond tolerance signals an inconsistent pair
-    and raises.
+    input radius; a violation beyond a relative 1e-9 signals an inconsistent
+    pair and raises.
     """
     u = float(upsilon)
     if u <= 0:
@@ -247,7 +243,7 @@ def mtp_radius(pair: GaugePair, upsilon, rtol=1e-9):
     out = invert_gauge(pair.g, val)
     if not math.isfinite(out):
         raise NumericError("non-finite transformed radius")
-    if ratio_direction_at(pair, u) == "increasing" and out < u * (1 - rtol):
+    if ratio_direction_at(pair, u) == "increasing" and out < u * (1 - 1e-9):
         raise NumericError(
             f"transformed radius {out:.6g} fell below input {u:.6g} despite growing f/g"
         )
@@ -268,7 +264,7 @@ def corollary_exponent(s, kappa, n):
 def gauge_from_json(obj) -> Gauge:
     kind = obj.get("kind")
     if kind == "power":
-        return Gauge.power(obj["s"], obj.get("description", ""))
+        return Gauge.power(obj["s"])
     if kind == "tabulated":
-        return Gauge.tabulated(obj["samples"], obj.get("description", ""))
+        return Gauge.tabulated(obj["samples"])
     raise ArgumentError(f"unknown gauge kind {kind!r}")

@@ -39,6 +39,8 @@ from .sets import (
 )
 
 DEFAULT_SAMPLES = 100_000
+_INTERVAL_RESOLUTION = 0.02  # proxy cut scale of the exact 1-D path, relative to delta
+_WINDOW_RESOLUTION = 0.4  # attractor proxy resolution of the window estimators
 
 
 @dataclass
@@ -137,18 +139,18 @@ def _cut_target(ifs, scale, resolution):
     return min(resolution * scale / max(2 * r0, 1e-300), 1.0)
 
 
-def model_intervals_1d(m: SetModel, delta, resolution=0.02):
+def model_intervals_1d(m: SetModel, delta):
     """Intervals whose union is the delta-neighborhood of a 1-D model.
 
     For attractors the union over the cylinder cut at scale
-    ``resolution * delta`` overestimates the neighborhood by at most that
-    resolution.
+    ``_INTERVAL_RESOLUTION * delta`` overestimates the neighborhood by at
+    most that resolution.
     """
     if isinstance(m, PointSet):
         pts = m.points[:, 0]
         return np.stack([pts - delta, pts + delta], axis=1)
     if isinstance(m, IFSAttractor):
-        centers, radii = cylinder_cut(m.ifs, _cut_target(m.ifs, delta, resolution))
+        centers, radii = cylinder_cut(m.ifs, _cut_target(m.ifs, delta, _INTERVAL_RESOLUTION))
         c = centers[:, 0]
         return np.stack([c - radii - delta, c + radii + delta], axis=1)
     raise ArgumentError("exact 1-D path supports point sets and attractors only")
@@ -323,7 +325,7 @@ def neighborhood_measure(
     return MeasureEstimate(value=float(value), std_error=float(err), samples=samples, method="monte_carlo")
 
 
-def _window_volumes(m, scales, samples_per_scale, rng, metric, resolution=0.4):
+def _window_volumes(m, scales, samples_per_scale, rng, metric):
     """Estimated vol of the delta-neighborhood per scale over a bounding window,
     the scales sorted descending.  Needs >= 4 scales spanning >= 2 decades and
     some scale with positive measure.
@@ -332,8 +334,8 @@ def _window_volumes(m, scales, samples_per_scale, rng, metric, resolution=0.4):
     serves every scale: each scale counts its hits among the same points.
     The attractor proxy resolution is proportional to each scale, so the
     proxy bias is a scale-independent factor and cancels in slope fits.
-    At resolution 0.4 a scale at most 0.8 times the previous one re-tests
-    only the previous scale's hits (see ``_hit_counts``).
+    At ``_WINDOW_RESOLUTION`` (0.4) a scale at most 0.8 times the previous
+    one re-tests only the previous scale's hits (see ``_hit_counts``).
     """
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
     if len(scales) < 4 or scales.max() / scales.min() < 100:
@@ -347,7 +349,7 @@ def _window_volumes(m, scales, samples_per_scale, rng, metric, resolution=0.4):
         )
     else:
         pts = rng.uniform(lo, hi, size=(samples_per_scale, m.ambient_dim))
-        counts = _hit_counts(m, [pts], scales, metric=metric, resolution=resolution)[0]
+        counts = _hit_counts(m, [pts], scales, metric=metric, resolution=_WINDOW_RESOLUTION)[0]
         vols, _ = _mc_volume(float(np.prod(hi - lo)), counts, samples_per_scale)
     if np.all(vols <= 0):
         raise EstimationError("zero measure at every scale")

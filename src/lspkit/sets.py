@@ -43,6 +43,7 @@ import numpy as np
 from .errors import ArgumentError, UnsupportedCombination
 
 ORTHO_TOL = 1e-12
+SAMPLE_TOL = 1e-9  # attractor samples use words whose cylinders are below this radius
 
 
 def _as_points(x, n):
@@ -269,11 +270,11 @@ class Isometry:
         return out
 
 
-def _is_signed_permutation(rot, tol=1e-9):
+def _is_signed_permutation(rot):
     mat = np.abs(np.asarray(rot))
     return bool(
-        np.all(np.isclose(mat.sum(axis=0), 1.0, atol=tol))
-        and np.all(np.isclose(mat.max(axis=0), 1.0, atol=tol))
+        np.all(np.isclose(mat.sum(axis=0), 1.0, atol=1e-9))
+        and np.all(np.isclose(mat.max(axis=0), 1.0, atol=1e-9))
     )
 
 
@@ -643,8 +644,8 @@ def distance_to_set(m: SetModel, x, tol=1e-9, metric="sup", wrap=False):
 # sampling
 
 
-def sample_on_set(m: SetModel, k, rng, tol=1e-9):
-    """k points on (or within sampling tolerance of) the model."""
+def sample_on_set(m: SetModel, k, rng):
+    """k points on (or within SAMPLE_TOL of) the model."""
     if k < 1:
         raise ArgumentError("k must be >= 1")
     n = m.ambient_dim
@@ -673,7 +674,7 @@ def sample_on_set(m: SetModel, k, rng, tol=1e-9):
         ifs = m.ifs
         z0, r0 = attractor_bounds(ifs)
         rmax = float(np.max(ifs.ratios))
-        depth = max(1, math.ceil(math.log(max(tol, 1e-300) / max(r0, tol)) / math.log(rmax)))
+        depth = max(1, math.ceil(math.log(SAMPLE_TOL / max(r0, SAMPLE_TOL)) / math.log(rmax)))
         words = rng.integers(0, len(ifs.maps), size=(k, depth))
         pts = np.tile(z0, (k, 1))
         # z0 lies on the attractor, so word images stay exactly on it

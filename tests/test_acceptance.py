@@ -16,7 +16,6 @@ from lspkit.cli import bundled_config, run
 from lspkit.covering import Ball, BallFamily, build_caj, family_is_disjoint, five_r_cover, five_r_covers
 from lspkit.dimfun import Gauge, GaugePair, corollary_exponent, mtp_radius
 from lspkit.measure import box_dimensions, fit_lsp, model_intervals_1d, _merge_union, _union_length_in
-from lspkit.presets import audit_construction, holder_construction
 from lspkit.randomsim import RandomScheme, covering_exponent, coverage_frequency
 from lspkit.sets import (
     IFS,
@@ -27,6 +26,8 @@ from lspkit.sets import (
     Polyline,
     distance_to_set,
 )
+
+from cantor_params import cantor_params
 
 LOG23 = math.log(2) / math.log(3)
 
@@ -196,7 +197,7 @@ def _check_caj_geometry(net, upsilon, A, model, tol=1e-9):
 
 @pytest.fixture(scope="module")
 def audit_bundle():
-    params = audit_construction()
+    params = cantor_params("cantor_audit.json")
     tree = build_cantor(params)
     return params, tree
 
@@ -229,7 +230,7 @@ def test_accept_6_holder_mass_bound():
     with criterion(6, "mass bound eta-independence"):
         reports = {}
         for eta in (2.0, 4.0, 8.0):
-            params = holder_construction(eta)
+            params = cantor_params("cantor_holder.json", eta=eta)
             tree = build_cantor(params)
             mass = assign_mass(tree, params)
             assert verify_levels(tree, params).ok

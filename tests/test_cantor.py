@@ -32,13 +32,27 @@ from lspkit.cantor import (
 from lspkit.covering import Ball, greedy_net
 from lspkit.dimfun import Gauge, GaugePair, eval_gauge
 from lspkit.errors import ConstructionError
-from lspkit.presets import SQRT_PAIR, audit_construction, holder_construction, oversized_construction
 from lspkit.stages import GridCloudStages
+
+from cantor_params import SQRT_PAIR, cantor_params
+
+# a small domain whose P3 floor exceeds the packing capacity of the domain;
+# building it fails loudly by design
+OVERSIZED = {
+    "domain": {"center": [0.5], "radius": 0.5},
+    "pair": {"f": {"kind": "power", "s": 0.5}, "g": {"kind": "power", "s": 1.0}},
+    "eta": 2.0,
+    "stages": {"type": "grid-cloud", "lo": 0.0, "hi": 1.0, "plateaus": [[8, 5e-4], [4096, 1e-8]], "j_max": 2**22},
+    "depth": 2,
+    "g_floor": 8,
+    "c5": 5.0,
+    "d2": 2.0,
+}
 
 
 @pytest.fixture(scope="module")
 def audit_tree():
-    params = audit_construction()
+    params = cantor_params("cantor_audit.json")
     tree = build_cantor(params)
     return params, tree
 
@@ -53,7 +67,7 @@ def test_build_passes_all_audits(audit_tree):
 
 
 def test_depth_one_is_trivially_valid():
-    params = audit_construction()
+    params = cantor_params("cantor_audit.json")
     params.depth = 1
     tree = build_cantor(params)
     assert tree.levels == []
@@ -62,7 +76,7 @@ def test_depth_one_is_trivially_valid():
 
 
 def test_case_classification_rejects_non_growing_ratios():
-    params = audit_construction()
+    params = cantor_params("cantor_audit.json")
     params.gauges = GaugePair(Gauge.power(1.0), Gauge.power(1.0), 0.0)
     with pytest.raises(ConstructionError) as exc:
         build_cantor(params)
@@ -76,13 +90,13 @@ def test_case_classification_rejects_non_growing_ratios():
 
 def test_oversized_parameters_fail_loudly():
     with pytest.raises(ConstructionError):
-        build_cantor(oversized_construction())
+        build_cantor(cantor_params(OVERSIZED))
 
 
 def test_selection_shortfall_names_node_and_sublevel():
     # stage schedule truncated so the first sublevel cannot amass its mass
     # target (a single sparse stage block before the truncation index)
-    params = audit_construction()
+    params = cantor_params("cantor_audit.json")
     params.stages = GridCloudStages(
         lo=-20.0, hi=20.0, plateaus=((512, 1e-5),), gamma=0.04, j_max=600,
     )
@@ -95,7 +109,7 @@ def test_depth_three_exceeds_sublevel_budget():
     # below the root the sublevel-count formula scales like the gauge ratio
     # at the leaf radius, far past any buildable count; the attempt must
     # fail loudly rather than degrade
-    params = audit_construction()
+    params = cantor_params("cantor_audit.json")
     params.depth = 3
     with pytest.raises(ConstructionError) as exc:
         build_cantor(params)
@@ -106,7 +120,7 @@ def test_scan_truncation_names_node_and_sublevel():
     # the deep sublevel's entry scan exhausts the truncation index
     from lspkit.errors import TruncationError
 
-    params = audit_construction()
+    params = cantor_params("cantor_audit.json")
     params.stages = GridCloudStages(
         lo=-20.0, hi=20.0, plateaus=((512, 0.02), (4096, 2.2e-4)),
         gamma=0.04, j_max=4200,
@@ -117,8 +131,8 @@ def test_scan_truncation_names_node_and_sublevel():
 
 
 def test_determinism_fingerprint():
-    p1 = audit_construction()
-    p2 = audit_construction()
+    p1 = cantor_params("cantor_audit.json")
+    p2 = cantor_params("cantor_audit.json")
     assert tree_fingerprint(build_cantor(p1)) == tree_fingerprint(build_cantor(p2))
 
 
@@ -148,18 +162,18 @@ def _synthetic_tree(counts, weights_radius):
         g_primes=[512],
         sub_targets=[0.0],
         sub_masses=[float(np.sum(a_radius))],
-        a_center=a_centers[:, None],
+        a_center=a_centers,
         a_radius=a_radius,
         a_j=np.full(len(counts), 512, dtype=np.int64),
         a_sublevel=np.ones(len(counts), dtype=np.int64),
-        c_center=np.array(c_center)[:, None],
+        c_center=np.array(c_center),
         c_radius=np.full(len(c_center), 1e-4),
         c_j=np.full(len(c_center), 512, dtype=np.int64),
         c_sublevel=np.ones(len(c_center), dtype=np.int64),
         c_aidx=np.array(c_aidx, dtype=np.int64),
     )
     root = Ball(np.array([0.0]), 20.0)
-    return CantorTree(root=root, metric="sup", constants={}, levels=[[loc]])
+    return CantorTree(root=root, constants={}, levels=[[loc]])
 
 
 class _FixedStage:
@@ -261,7 +275,7 @@ def test_tree_json_roundtrip_every_field(audit_tree):
                 assert a == b, f.name
 
 
-def _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon, metric):
+def _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon):
     """Reference: one greedy_net call per selection ball's cloud slice."""
     i0 = np.searchsorted(cloud, a_centers - 0.5 * a_radii)
     i1 = np.searchsorted(cloud, a_centers + 0.5 * a_radii)
@@ -271,7 +285,7 @@ def _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon, metric):
         if len(pts) == 0:
             pts = np.array([a_centers[k]])
         elif len(pts) > 1:
-            pts = greedy_net(pts[:, None], 6.0 * upsilon, metric=metric)[:, 0]
+            pts = greedy_net(pts[:, None], 6.0 * upsilon)[:, 0]
         centers.extend(pts)
         owner.extend([k] * len(pts))
     return np.array(centers), np.array(owner, dtype=np.int64)
@@ -286,9 +300,8 @@ class _CloudStage:
 
 
 @pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("metric", ["sup", "euclidean"])
 @pytest.mark.parametrize("kind", ["mixed", "spaced"])
-def test_caj_nets_matches_per_ball_greedy(seed, metric, kind):
+def test_caj_nets_matches_per_ball_greedy(seed, kind):
     # upsilon = 0.25 makes the separation 1.5.  "mixed": half-integer grid
     # points (some gaps exactly 1.5), random points and duplicates.
     # "spaced": every gap is exactly 1.5 or wider, so only the boundary
@@ -305,9 +318,9 @@ def test_caj_nets_matches_per_ball_greedy(seed, metric, kind):
     # some selection balls lie beyond the cloud, so their slices are empty
     a_centers = rng.uniform(-10.0, 95.0, 30)
     a_radii = rng.uniform(0.2, 12.0, 30)
-    params = types.SimpleNamespace(stages=_CloudStage(cloud), metric=metric)
+    params = types.SimpleNamespace(stages=_CloudStage(cloud))
     got = _caj_nets(params, a_centers, a_radii, 1, upsilon)
-    want = _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon, metric)
+    want = _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
@@ -331,9 +344,9 @@ def _local(node, a_center, a_radius, c_center, c_radius, c_aidx):
     return LocalLevel(
         parent_level=node[0], parent_index=node[1], l_b=1, eps_b=math.inf,
         g_primes=[512], sub_targets=[0.0], sub_masses=[0.0],
-        a_center=np.array(a_center)[:, None], a_radius=np.full(na, a_radius),
+        a_center=np.array(a_center), a_radius=np.full(na, a_radius),
         a_j=np.full(na, 512, dtype=np.int64), a_sublevel=np.ones(na, dtype=np.int64),
-        c_center=np.array(c_center)[:, None], c_radius=np.full(nc, c_radius),
+        c_center=np.array(c_center), c_radius=np.full(nc, c_radius),
         c_j=np.full(nc, 512, dtype=np.int64), c_sublevel=np.ones(nc, dtype=np.int64),
         c_aidx=np.array(c_aidx, dtype=np.int64),
     )
@@ -353,8 +366,7 @@ def _two_level_tree():
         stages=_UniformStages(0.002, np.array(leaves + [-9.0, -7.0, 8.0])), depth=3,
     )
     tree = CantorTree(
-        root=params.domain, metric="sup", constants=_ambient_constants(params),
-        levels=[level2, level3],
+        root=params.domain, constants=_ambient_constants(params), levels=[level2, level3],
     )
     return tree, params
 
@@ -362,9 +374,9 @@ def _two_level_tree():
 def test_parent_rows_two_levels():
     tree, params = _two_level_tree()
     centers, radii = tree.balls(1)
-    assert centers.tolist() == [[0.0]] and radii.tolist() == [20.0]
-    assert tree.balls(2)[0][:, 0].tolist() == [-9.0, -7.0, 8.0]
-    assert tree.leaves()[0][:, 0].tolist() == [7.95, 8.05, -9.1, -8.9]
+    assert centers.tolist() == [0.0] and radii.tolist() == [20.0]
+    assert tree.balls(2)[0].tolist() == [-9.0, -7.0, 8.0]
+    assert tree.leaves()[0].tolist() == [7.95, 8.05, -9.1, -8.9]
 
     mass = assign_mass(tree, params, exact=True)
     assert mass.mu[0].tolist() == [0.25, 0.25, 0.5]
@@ -378,7 +390,7 @@ def test_parent_rows_two_levels():
     assert outside == []
     # move a child of row 0 (center -9) into row 1 (center -7): it is inside
     # some level-2 ball, but not inside its own parent
-    tree.levels[1][1].c_center[0, 0] = -7.0
+    tree.levels[1][1].c_center[0] = -7.0
     outside = [v for v in verify_levels(tree, params).properties["P1"].violations if v[1] == "outside-parent"]
     assert outside == [("L3/1", "outside-parent", -7.0)]
 
@@ -436,7 +448,7 @@ def test_p1_disjointness_across_parameter_variations(seed):
 def test_holder_eta_independence():
     reports = {}
     for eta in (2.0, 4.0):
-        p = holder_construction(eta)
+        p = cantor_params("cantor_holder.json", eta=eta)
         tree = build_cantor(p)
         mass = assign_mass(tree, p)
         reports[eta] = holder_check(tree, mass, p, trials=4000, rng=np.random.default_rng(3))
@@ -449,8 +461,8 @@ def _holder_check_loop(tree, mass, params, trials, rng, radius_cap=None):
     pair = params.gauges
     eta = params.eta
     centers, radii = tree.leaves()
-    order = np.argsort(centers[:, 0])
-    c = centers[order, 0]
+    order = np.argsort(centers)
+    c = centers[order]
     r = radii[order]
     m = mass.mu[-1][order]
     rmax_leaf = float(np.max(r))
@@ -537,7 +549,7 @@ def test_holder_check_matches_loop_audit_tree(audit_tree, seed):
 
 @pytest.mark.parametrize("eta", [2.0, 4.0, 8.0])
 def test_holder_check_matches_loop_holder_trees(eta):
-    params = holder_construction(eta)
+    params = cantor_params("cantor_holder.json", eta=eta)
     tree = build_cantor(params)
     _assert_holder_matches_loop(tree, assign_mass(tree, params), params, 2000, int(eta))
 
@@ -556,9 +568,7 @@ def test_holder_check_matches_loop_overlapping_leaves(seed):
         domain=Ball(np.array([0.0]), 4.0), gauges=SQRT_PAIR, eta=3.0,
         stages=_UniformStages(1.0, centers), depth=2,
     )
-    tree = CantorTree(
-        root=params.domain, metric="sup", constants=_ambient_constants(params), levels=[[loc]]
-    )
+    tree = CantorTree(root=params.domain, constants=_ambient_constants(params), levels=[[loc]])
     assert not verify_levels(tree, params).properties["P1"].passed
     mu = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.7)
     mass = MassAssignment(mu=[mu / mu.sum()])
@@ -580,7 +590,7 @@ def test_holder_check_matches_loop_tied_ratios():
     params = ConstructionParams(
         domain=Ball(np.array([0.0]), 4.0), gauges=pair, eta=3.0, stages=_FixedStage(1.0), depth=2
     )
-    tree = CantorTree(root=params.domain, metric="sup", constants={}, levels=[[loc]])
+    tree = CantorTree(root=params.domain, constants={}, levels=[[loc]])
     mass = MassAssignment(mu=[rng.integers(1, 10, n) / 10.0])
     rep = _assert_holder_matches_loop(tree, mass, params, 4000, 0, radius_cap=2.0)
     assert rep.worst_ball.radius > 0.5

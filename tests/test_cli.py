@@ -117,6 +117,9 @@ def test_invalid_config_exits_2(tmp_path):
         ("cover", "cover_kgb_vdc.json", None, "j_max=abc"),
         ("cover", "cover_kgb_vdc.json", None, "target_fraction=abc"),
         ("cover", "cover_kgb_vdc.json", None, "c5=abc"),
+        # a region whose dimension differs from the set's or the stages'
+        ("cover", "cover_caj_line.json", None, "region.center=[0.3]"),
+        ("cover", "cover_kgb_vdc.json", None, "region.center=[0.5,0.5]"),
         # the keys cantor-build reads
         ("cantor-build", "cantor_audit.json", None, "pump_total=abc"),
         ("cantor-build", "cantor_audit.json", None, "domain.radius=abc"),
@@ -215,6 +218,14 @@ def test_config_echo_reproduces_results(tmp_path):
     _, rep2 = run("cover", rep1["config"])
     assert rep1["results"] == rep2["results"]
     assert rep1["config"]["count"] == 60
+
+
+def test_overrides_leave_the_callers_config_alone():
+    cfg = bundled_config("boxdim_point.json")
+    before = json.loads(json.dumps(cfg))
+    _, report = run("boxdim", cfg, overrides=["model.points=[[0.2]]"])
+    assert cfg == before
+    assert report["config"]["model"]["points"] == [[0.2]]
 
 
 def test_seed_override_changes_results():

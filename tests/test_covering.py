@@ -157,6 +157,18 @@ def test_build_kgb_rejects_bad_radii():
             build_kgb(B, 1, VdcPointStages(radius_fn=radius_fn), 50, 0.05)
 
 
+def test_region_dimension_must_match_the_set():
+    line = AffinePlane(np.array([0.0, 0.0]), np.array([[1.0, 0.0]]))
+    with pytest.raises(ArgumentError, match="dimension"):
+        separated_net(line, Ball(np.array([0.3]), 1.0), 0.06)
+    # the kgb selection refuses at its first stage instead of scanning to j_max
+    stages = VdcPointStages(radius_fn=lambda j: 1.0 / j, j_max=10_000)
+    seen = []
+    with pytest.raises(ArgumentError, match="dimension"):
+        build_kgb(Ball(np.array([0.5, 0.5]), 0.4), 10, lambda j: seen.append(j) or stages(j), 10_000, 0.05)
+    assert seen == [10]
+
+
 def test_build_kgb_shortfall():
     # stage point never lands in the target ball
     stages = VdcPointStages(radius_fn=lambda j: 0.001 / j, lo=0.8, hi=0.9, j_max=500)
