@@ -275,7 +275,7 @@ def test_tree_json_roundtrip_every_field(audit_tree):
                 assert a == b, f.name
 
 
-def _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon):
+def _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon, metric):
     """Reference: one greedy_net call per selection ball's cloud slice."""
     i0 = np.searchsorted(cloud, a_centers - 0.5 * a_radii)
     i1 = np.searchsorted(cloud, a_centers + 0.5 * a_radii)
@@ -285,7 +285,7 @@ def _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon):
         if len(pts) == 0:
             pts = np.array([a_centers[k]])
         elif len(pts) > 1:
-            pts = greedy_net(pts[:, None], 6.0 * upsilon)[:, 0]
+            pts = greedy_net(pts[:, None], 6.0 * upsilon, metric=metric)[:, 0]
         centers.extend(pts)
         owner.extend([k] * len(pts))
     return np.array(centers), np.array(owner, dtype=np.int64)
@@ -300,12 +300,14 @@ class _CloudStage:
 
 
 @pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
 @pytest.mark.parametrize("kind", ["mixed", "spaced"])
-def test_caj_nets_matches_per_ball_greedy(seed, kind):
+def test_caj_nets_matches_per_ball_greedy(seed, metric, kind):
     # upsilon = 0.25 makes the separation 1.5.  "mixed": half-integer grid
     # points (some gaps exactly 1.5), random points and duplicates.
     # "spaced": every gap is exactly 1.5 or wider, so only the boundary
-    # case decides whether a slice is netted
+    # case decides whether a slice is netted.  The builder has one net; on
+    # the line it must equal the greedy net under either metric
     rng = np.random.default_rng(seed)
     upsilon = 0.25
     if kind == "mixed":
@@ -320,7 +322,7 @@ def test_caj_nets_matches_per_ball_greedy(seed, kind):
     a_radii = rng.uniform(0.2, 12.0, 30)
     params = types.SimpleNamespace(stages=_CloudStage(cloud))
     got = _caj_nets(params, a_centers, a_radii, 1, upsilon)
-    want = _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon)
+    want = _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon, metric)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
