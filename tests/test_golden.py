@@ -15,8 +15,11 @@ the exact bit: every float is stored as ``float.hex``.  They are
   the coarse scales test their hits on a proxy tree and the fine ones walk
   the cylinder tree;
 - the exact 1-D interval path: Minkowski content of two-map Cantor sets
-  (ratios 0.45 and 0.2) at the bundled ``minkowski_cantor`` scales, and the
-  box dimension of a five-point set;
+  (ratios 0.45 and 0.2, and the middle third with its first map reflected)
+  at the bundled ``minkowski_cantor`` scales, a ``fit-lsp`` Cantor fit at
+  ratio 0.3996 on perfbench's grid (its finest cells are the deepest 1-D
+  attractor cells any workload reaches), and the box dimension of a
+  five-point set;
 - Euclidean five-r covers in dimensions 8 and 16, where the norm's lane
   order matters, and a sup five-r cover in dimension 3;
 - covering selections: ``kgb`` on a shifted van der Corput region, on the
@@ -128,6 +131,17 @@ def variant_configs():
         maps = [{"ratio": r, "translation": [t]} for t in (0.0, 1.0 - r)]
         model = {"variant": "ifs", "maps": maps, "osc": True}
         out[f"minkowski_cantor_r{r}"] = ("minkowski", {**cantor, "model": model, "dimension": math.log(2) / -math.log(r)})
+    # the middle third again, its first map x -> -x/3 + 1/3 reflected
+    third = cantor["model"]["maps"][0]["ratio"]
+    reflected = [{"ratio": third, "translation": [third], "rotation": [[-1.0]]}, cantor["model"]["maps"][1]]
+    out["minkowski_cantor_reflected"] = ("minkowski", {**cantor, "model": {**cantor["model"], "maps": reflected}})
+    # perfbench's fit_lsp_cantor grid at r = 0.3996: powers of r over at least 3**5
+    r = 0.3996
+    m = math.ceil(5 * math.log(3) / -math.log(r))
+    model = {"variant": "ifs", "maps": [{"ratio": r, "translation": [t]} for t in (0.0, 1.0 - r)], "osc": True}
+    grids = {**bundled_config("fit_lsp_cantor.json")["grids"], "r": [r**e for e in range(2, m + 3)],
+             "delta_ratios": [r**e for e in range(1, m + 2)]}
+    out["fit_lsp_cantor_r0.4"] = ("fit-lsp", {**bundled_config("fit_lsp_cantor.json"), "model": model, "grids": grids})
     points = {"variant": "points", "points": [[0.3], [0.31], [0.5], [0.502], [0.9]]}
     out["boxdim_five_points"] = ("boxdim", {**bundled_config("boxdim_point.json"), "model": points})
     five_r = {**bundled_config("cover_five_r.json"), "metric": "euclidean", "count": 400, "radius_range": [0.3, 0.6]}
