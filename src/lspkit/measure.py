@@ -5,9 +5,14 @@ Volumes are Lebesgue (a constant multiple of the n-dimensional Hausdorff
 measure; the constant cancels in every exponent fit).  Ball/box geometry
 follows the sup norm by default so sampling windows and ball volumes are
 exact.  In ambient dimension 1 with point sets or attractors an exact
-interval-arithmetic path replaces Monte Carlo: the delta-neighborhood is
-merged once into disjoint intervals (``_merge_union``) and every window
-reads its length from them (``_union_length_in``).
+path replaces Monte Carlo, and every estimator reads its lengths from one
+function, ``neighborhood_length_1d``.  A point set's delta-neighborhood is
+merged once into disjoint intervals (``_merge_union``) and each window
+reads its length from them (``_union_length_in``).  An attractor's length
+comes from its gap structure, with no cylinder cut: the hull widened by
+delta, less each gap shrunk by delta (``_attractor_length_in``).  It needs
+first-level hulls that do not overlap; an attractor whose hulls overlap is
+refused with ``ArgumentError``.
 
 Hit tests use the configured metric for every model, attractors included:
 a point hits when a proxy cut center lies within delta of it in that
@@ -25,6 +30,7 @@ from scipy.spatial import cKDTree
 
 from .errors import ArgumentError, EstimationError
 from .sets import (
+    IFS,
     IFSAttractor,
     PointSet,
     SetModel,
@@ -39,7 +45,6 @@ from .sets import (
 )
 
 DEFAULT_SAMPLES = 100_000
-_INTERVAL_RESOLUTION = 0.02  # proxy cut scale of the exact 1-D path, relative to delta
 _WINDOW_RESOLUTION = 0.4  # attractor proxy resolution of the window estimators
 
 
@@ -97,7 +102,7 @@ def sample_in_ball(center, r, k, rng, metric="sup"):
 
 
 # ---------------------------------------------------------------------------
-# exact 1-D interval path
+# exact 1-D path
 
 
 def _merge_union(intervals):
@@ -139,25 +144,160 @@ def _cut_target(ifs, scale, resolution):
     return min(resolution * scale / max(2 * r0, 1e-300), 1.0)
 
 
-def model_intervals_1d(m: SetModel, delta):
-    """Intervals whose union is the delta-neighborhood of a 1-D model.
+_OVERLAP_TOL = 1e-12  # first-level hulls may overlap by this share of the hull (rounding)
 
-    For attractors the union over the cylinder cut at scale
-    ``_INTERVAL_RESOLUTION * delta`` overestimates the neighborhood by at
-    most that resolution.
+
+def _gap_layout(ifs: IFS):
+    """Hull and first-level layout of a 1-D attractor K with disjoint hulls.
+
+    Each map is x -> a x + t with a = +-ratio.  The hull [p, q] ends are the
+    least and largest of the maps' fixed points, the images of those under
+    every map, and the fixed points of every two-map composition.  All lie
+    on K, and each end of the hull is one of them: an end that a
+    preserving map reaches is its fixed point, and one that a reversing map
+    reaches is that map's image of the other end, itself a fixed point or,
+    when a second reversing map reaches it, making the end a fixed point
+    of the two maps' composition.
+
+    Returns p, the hull length, the ratios, the reversing maps, and, per
+    orientation (row 0 as is, row 1 mirrored), each map's hull start and
+    the first-level gaps (u, v), all measured from the node's hull start.
     """
-    if isinstance(m, PointSet):
-        pts = m.points[:, 0]
-        return np.stack([pts - delta, pts + delta], axis=1)
+    ratios = ifs.ratios
+    flips = np.array([m.rotation is not None and m.rotation[0, 0] < 0 for m in ifs.maps])
+    a = np.where(flips, -ratios, ratios)
+    t = np.array([m.translation[0] for m in ifs.maps])
+    fixed = t / (1.0 - a)
+    ends = np.concatenate([
+        fixed,
+        (a[:, None] * fixed[None, :] + t[:, None]).ravel(),
+        ((a[:, None] * t[None, :] + t[:, None]) / (1.0 - a[:, None] * a[None, :])).ravel(),
+    ])
+    p, q = float(ends.min()), float(ends.max())
+    first = np.minimum(a * p, a * q) + t
+    last = np.maximum(a * p, a * q) + t
+    order = np.argsort(first, kind="stable")
+    u, v = last[order][:-1], first[order][1:]
+    if np.any(u - v > _OVERLAP_TOL * (q - p)):
+        raise ArgumentError(
+            "exact 1-D path needs an attractor whose first-level hulls do not overlap"
+        )
+    v = np.maximum(u, v)
+    kids = np.stack([first - p, q - last])
+    gaps_u = np.stack([u - p, q - v])
+    gaps_v = np.stack([v - p, q - u])
+    return p, q - p, ratios, flips, kids, gaps_u, gaps_v
+
+
+def _excess_table(ratios, gaps, deltas):
+    """Sorted scales and the excess of a cylinder at each, per delta.
+
+    A cylinder of scale S has gaps of lengths S g_k at its first level and
+    its children's gaps below; the excess E(S) = sum_k max(S g_k - 2 delta,
+    0) + sum_i E(S r_i) is the length those gaps keep outside the
+    delta-neighborhood, and it depends on the scale alone.  The table holds
+    every scale that children products reach from 1 while S max(g) >
+    2 delta for the least delta (as floats, the products a descent
+    computes), one row per distinct scale as in ``sets.cut_size``, and one
+    column per delta of ``deltas``; E is 0 below it.
+    """
+    levels = [np.ones(1)]
+    while levels[-1].size:
+        kids = np.unique(levels[-1][:, None] * ratios)
+        levels.append(kids[kids * gaps.max() > 2.0 * deltas.min()])
+    scales = np.unique(np.concatenate(levels))
+    excess = np.zeros((scales.size, deltas.size))
+    column = np.arange(deltas.size)
+    for level in reversed(levels[:-1]):
+        own = np.clip(level[:, None, None] * gaps - 2.0 * deltas[:, None], 0.0, None).sum(axis=2)
+        kids = _lookup(scales, excess, (level[:, None] * ratios)[:, :, None], column).sum(axis=1)
+        excess[np.searchsorted(scales, level)] = own + kids
+    return scales, excess
+
+
+def _lookup(scales, excess, s, k):
+    """Excess at scales ``s`` in delta columns ``k``; 0 at a scale the table does not hold."""
+    idx = np.minimum(np.searchsorted(scales, s), scales.size - 1)
+    return np.where(scales[idx] == s, excess[idx, k], 0.0)
+
+
+def _attractor_length_in(ifs: IFS, delta, lo, hi):
+    """Length of the delta-neighborhood of a 1-D attractor K inside each
+    window [lo[i], hi[i]], exact up to rounding; ``delta``, ``lo`` and
+    ``hi`` broadcast together.
+
+    With hull [p, q] and every gap (u, v) of [p, q] minus K,
+
+        |N_delta(K) & [a, b]| = |[p - delta, q + delta] & [a, b]|
+                                - sum over gaps of |(u + delta, v - delta) & [a, b]|.
+
+    The gaps are the first-level gaps scaled into every cylinder.  A
+    cylinder wholly inside a window removes its scale's excess
+    (``_excess_table``); one wholly outside removes nothing; only the
+    cylinders that straddle a window end are descended, their own gaps
+    clipped to the window.  A descent stops once scale * max gap <= 2
+    delta, below which no gap outlives the shrinking.  A reversing map
+    mirrors its child's layout.  Each window costs O(depth * maps), and
+    its length does not depend on the other windows of the call.
+    """
+    delta, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, lo, hi)))
+    p, span, ratios, flips, kids, gaps_u, gaps_v = _gap_layout(ifs)
+    length = np.clip(np.minimum(hi, p + span + delta) - np.maximum(lo, p - delta), 0.0, None)
+    gaps = gaps_v[0] - gaps_u[0]
+    gmax = gaps.max()
+    a, b, d = lo.ravel(), hi.ravel(), delta.ravel()
+    # the windows whose delta some gap outlives; their deltas lead the sorted table columns
+    w = np.flatnonzero(2.0 * d < gmax)
+    if not w.size:
+        return length
+    deltas, k = np.unique(d, return_inverse=True)
+    scales, excess = _excess_table(ratios, gaps, deltas[2.0 * deltas < gmax])
+    removed = np.zeros(a.size)
+    # the frontier: window, hull start, scale and orientation of each node
+    x = np.full(w.size, p)
+    s = np.ones(w.size)
+    f = np.zeros(w.size, dtype=np.intp)
+    while w.size:
+        end = x + s * span
+        inside = (a[w] <= x) & (end <= b[w])
+        held = w[inside]
+        removed += np.bincount(held, weights=_lookup(scales, excess, s[inside], k[held]), minlength=a.size)
+        cross = ~inside & (end > a[w]) & (x < b[w]) & (s * gmax > 2.0 * d[w])
+        w, x, s, f = w[cross], x[cross], s[cross], f[cross]
+        u = x[:, None] + s[:, None] * gaps_u[f] + d[w, None]
+        v = x[:, None] + s[:, None] * gaps_v[f] - d[w, None]
+        cut = np.clip(np.minimum(v, b[w, None]) - np.maximum(u, a[w, None]), 0.0, None)
+        removed += np.bincount(w, weights=cut.sum(axis=1), minlength=a.size)
+        x = (x[:, None] + s[:, None] * kids[f]).ravel()
+        s = (s[:, None] * ratios).ravel()
+        f = (f[:, None] ^ flips).ravel()
+        w = np.repeat(w, ratios.size)
+    return np.clip(length - removed.reshape(length.shape), 0.0, None)
+
+
+def neighborhood_length_1d(m: SetModel, delta, lo, hi):
+    """Length of the delta-neighborhood of a 1-D point set or attractor
+    inside each window [lo[i], hi[i]]; ``delta``, ``lo`` and ``hi``
+    broadcast together.  The one exact path of the estimators.
+
+    Raises ``ArgumentError`` for an attractor whose first-level hulls
+    overlap.
+    """
     if isinstance(m, IFSAttractor):
-        centers, radii = cylinder_cut(m.ifs, _cut_target(m.ifs, delta, _INTERVAL_RESOLUTION))
-        c = centers[:, 0]
-        return np.stack([c - radii - delta, c + radii + delta], axis=1)
-    raise ArgumentError("exact 1-D path supports point sets and attractors only")
+        return _attractor_length_in(m.ifs, delta, lo, hi)
+    if not isinstance(m, PointSet):
+        raise ArgumentError("exact 1-D path supports point sets and attractors only")
+    delta, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, lo, hi)))
+    pts = m.points[:, 0]
+    out = np.empty(delta.shape)
+    for d in np.unique(delta):
+        at = delta == d
+        out[at] = _union_length_in(_merge_union(np.stack([pts - d, pts + d], axis=1)), lo[at], hi[at])
+    return out
 
 
 def _interval_model(m: SetModel):
-    """Whether the estimators measure m by exact 1-D interval arithmetic."""
+    """Whether the estimators measure m by the exact 1-D path."""
     return m.ambient_dim == 1 and isinstance(m, (PointSet, IFSAttractor))
 
 
@@ -167,6 +307,7 @@ def _interval_model(m: SetModel):
 
 _CUT_CAP = 5_000_000  # largest proxy cut an attractor hit test may use
 _WALK_FACTOR = 16  # walk once the cut has more balls per query point (gasket crossover: about 10-12)
+_DISTANCE_BLOCK = 16_384  # rows per exact-distance pass of _hit_counts
 
 
 class _DistanceOracle:
@@ -225,7 +366,10 @@ def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
 
     Every delta reads the same clouds.  Models with an exact distance make
     one distance pass per cloud (a point-set tree query bounded by the
-    largest delta) and count each delta against it.
+    largest delta) and count each delta against it.  The pass runs
+    ``_DISTANCE_BLOCK`` rows at a time, so its temporaries stay small; each
+    point's distance does not depend on the rows around it, so the counts
+    are those of one pass over the whole cloud.
 
     Attractors test each delta against a proxy cut whose resolution follows
     the scale.  Each delta's cut size is counted from the map ratios first
@@ -277,10 +421,12 @@ def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
         return counts
     dmax = float(deltas.max())
     oracle = _DistanceOracle(m, dmax, metric=metric)
+    counts[:] = 0
     for i, pts in enumerate(clouds):
-        dist = oracle(pts, dmax)
-        for j, d in enumerate(deltas):
-            counts[i, j] = np.count_nonzero(dist < d)
+        for lo in range(0, len(pts), _DISTANCE_BLOCK):
+            dist = oracle(pts[lo : lo + _DISTANCE_BLOCK], dmax)
+            for j, d in enumerate(deltas):
+                counts[i, j] += np.count_nonzero(dist < d)
     return counts
 
 
@@ -305,8 +451,8 @@ def neighborhood_measure(
 ):
     """Volume of B(center, r) intersected with the delta-neighborhood of m.
 
-    Monte Carlo with binomial standard error; exact interval arithmetic in
-    ambient dimension 1 for point sets and attractors.
+    Monte Carlo with binomial standard error; exact lengths in ambient
+    dimension 1 for point sets and attractors (``neighborhood_length_1d``).
     """
     if not (0 < delta < r):
         raise ArgumentError("requires 0 < delta < r")
@@ -314,7 +460,7 @@ def neighborhood_measure(
         raise ArgumentError("samples must be >= 1000")
     if _interval_model(m):
         c = float(np.asarray(center).reshape(-1)[0])
-        val = float(_union_length_in(_merge_union(model_intervals_1d(m, delta)), c - r, c + r))
+        val = float(neighborhood_length_1d(m, delta, c - r, c + r))
         return MeasureEstimate(value=val, std_error=0.0, samples=0, method="exact_1d")
     n = m.ambient_dim
     if rng is None:
@@ -344,9 +490,7 @@ def _window_volumes(m, scales, samples_per_scale, rng, metric):
         rng = np.random.default_rng(0)
     lo, hi = model_window(m, margin=float(scales.max()) * 1.5)
     if _interval_model(m):
-        vols = np.array(
-            [_union_length_in(_merge_union(model_intervals_1d(m, d)), lo[0], hi[0]) for d in scales]
-        )
+        vols = neighborhood_length_1d(m, scales, lo[0], hi[0])
     else:
         pts = rng.uniform(lo, hi, size=(samples_per_scale, m.ambient_dim))
         counts = _hit_counts(m, [pts], scales, metric=metric, resolution=_WINDOW_RESOLUTION)[0]
@@ -462,7 +606,10 @@ def fit_lsp(
     delta = ratio * r, and each (r, delta) cell averages the measures over
     the centers.  The model log H = (1-kappa)*n log delta + kappa*n log r +
     const is fitted by least squares and kappa read off the r coefficient.
-    Envelope constants are reported relative to the fitted exponents.
+    In ambient dimension 1, point sets and attractors read exact lengths
+    instead of clouds (``neighborhood_length_1d``), every cell of an r in
+    one call.  Envelope constants are reported relative to the fitted
+    exponents.
 
     Cells that share an r share their draws, so their errors are
     correlated and ``kappa_stderr`` (the ordinary least-squares standard
@@ -477,7 +624,6 @@ def fit_lsp(
     n = m.ambient_dim
     exact = _interval_model(m)
     rows = []
-    unions = {}  # exact path: merged delta-neighbourhood per distinct delta
     for r in r_grid:
         # one draw per r serves every delta = ratio * r: vals[j, i] is the
         # measure at delta j around center i
@@ -485,10 +631,7 @@ def fit_lsp(
         centers = sample_on_set(m, centers_per_cell, rng)
         if exact:
             c0 = centers[:, 0]
-            for d in deltas:
-                if d not in unions:
-                    unions[d] = _merge_union(model_intervals_1d(m, d))
-            vals = np.array([_union_length_in(unions[d], c0 - r, c0 + r) for d in deltas])
+            vals = neighborhood_length_1d(m, deltas[:, None], c0 - r, c0 + r)
             errs = np.zeros_like(vals)
         else:
             clouds = [sample_in_ball(c, r, samples, rng, metric=metric) for c in centers]

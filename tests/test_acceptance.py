@@ -15,7 +15,7 @@ from lspkit.cantor import assign_mass, build_cantor, holder_check, verify_levels
 from lspkit.cli import bundled_config, run
 from lspkit.covering import Ball, BallFamily, build_caj, family_is_disjoint, five_r_cover, five_r_covers
 from lspkit.dimfun import Gauge, GaugePair, corollary_exponent, mtp_radius
-from lspkit.measure import box_dimensions, fit_lsp, model_intervals_1d, _merge_union, _union_length_in
+from lspkit.measure import box_dimensions, fit_lsp, neighborhood_length_1d
 from lspkit.randomsim import RandomScheme, covering_exponent, coverage_frequency
 from lspkit.sets import (
     IFS,
@@ -177,12 +177,11 @@ def test_accept_4_covering_selections():
         _check_caj_geometry(net, upsilon, A, K, tol=2e-6)
         envelope = (1.0 / upsilon) ** LOG23
         assert envelope / 4 <= len(net.points) <= envelope * 4
-        # (iv) with exact 1-D interval measures
-        union = _merge_union(model_intervals_1d(K, upsilon))
-        vol_a = _union_length_in(union, A.center[0] - A.radius, A.center[0] + A.radius)
-        vol_half = _union_length_in(union, A.center[0] - A.radius / 2, A.center[0] + A.radius / 2)
+        # (iv) with the exact 1-D neighbourhood lengths of A and A/2
+        half_widths = A.radius * np.array([1.0, 0.5])
+        vol_a, vol_half = neighborhood_length_1d(K, upsilon, A.center[0] - half_widths, A.center[0] + half_widths)
         vol_l = len(net.points) * 2 * upsilon
-        assert vol_l <= vol_a * (1 + 1e-2)  # interval union carries resolution slack
+        assert vol_l <= vol_a
         assert vol_half <= 14.0 * vol_l
 
 

@@ -7,11 +7,12 @@ import pytest
 
 from lspkit import measure
 from lspkit.errors import ArgumentError, EstimationError
+from lspkit.cli import bundled_config
 from lspkit.measure import (
     box_dimensions,
     fit_lsp,
     minkowski_content,
-    model_intervals_1d,
+    neighborhood_length_1d,
     neighborhood_measure,
     regress_lsp,
     sample_in_ball,
@@ -31,8 +32,11 @@ from lspkit.sets import (
     PointSet,
     Polyline,
     cut_hits,
+    cylinder_cut,
     distance_to_set,
+    model_from_json,
     model_window,
+    sample_on_set,
     _norm,
     transform_model,
 )
@@ -414,6 +418,26 @@ def test_hit_counts_query_only_previous_hits(monkeypatch, deltas, resolution, ne
     assert walked == walks
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        PointSet(np.random.default_rng(15).uniform(0.0, 1.0, size=(100, 2))),
+        Polyline(np.array([[0.0, 0.1], [0.6, 0.5], [1.0, 0.2]])),
+        AffinePlane(np.array([0.0, 0.3]), np.array([[1.0, 0.0]]), extent=2.0),
+    ],
+    ids=["point-tree", "tilted-polyline", "line"],
+)
+def test_blocked_distance_pass_counts_like_one_pass(model):
+    block = measure._DISTANCE_BLOCK
+    rng = np.random.default_rng(23)
+    clouds = [rng.uniform(-0.2, 1.2, size=(rows, 2)) for rows in (block - 1, block, block + 1, 2 * block + 3)]
+    deltas = np.array(_DELTAS)
+    oracle = _DistanceOracle(model, deltas.max())
+    whole = [oracle(pts, deltas.max()) for pts in clouds]
+    want = [[np.count_nonzero(dist < d) for d in deltas] for dist in whole]
+    assert np.array_equal(_hit_counts(model, clouds, deltas), want)
+
+
 _GASKET_SCALES = [0.12, 0.06, 0.03, 0.015, 0.0075, 0.00375, 0.001875, 0.0009375]  # boxdim_sierpinski
 
 
@@ -520,20 +544,101 @@ def test_box_dimensions_extra_scale_leaves_shared_volumes_unchanged():
     assert {x: more[x] for x in base} == base
 
 
-def test_cantor_intervals_cover_neighborhood():
-    K = middle_third()
-    delta = 1e-3
-    spans = model_intervals_1d(K, delta)
-    rng = np.random.default_rng(13)
-    xs = rng.uniform(-0.1, 1.1, size=400)
-    d = distance_to_set(K, xs[:, None], tol=1e-9)
-    inside_spans = np.array(
-        [bool(np.any((spans[:, 0] <= x) & (x <= spans[:, 1]))) for x in xs]
-    )
-    # every true neighborhood point lies in the interval union
-    assert np.all(inside_spans[d < delta])
-    # and the union only exceeds the neighborhood by the resolution slack
-    assert not np.any(inside_spans & (d > delta * 1.05))
+def cantor_1d(*maps):
+    """1-D attractor of maps (ratio, translation, reversing); every test set spans [0, 1]."""
+    rev = np.array([[-1.0]])
+    return IFSAttractor(IFS(tuple(IFSMap(r, np.array([t]), rev if flip else None) for r, t, flip in maps), True))
+
+
+_SETS_1D = {
+    "middle-third": cantor_1d((1 / 3, 0.0, False), (1 / 3, 2 / 3, False)),
+    "reflected": cantor_1d((1 / 3, 1 / 3, True), (1 / 3, 2 / 3, False)),  # x -> -x/3 + 1/3: the middle third
+    "unequal": cantor_1d((0.5, 0.0, False), (0.3, 0.7, False)),
+    "three-maps": cantor_1d((0.25, 0.0, False), (0.2, 0.6, True), (0.3, 0.7, False)),
+}
+# windows inside the hull [0, 1], around it, straddling an end, and outside it
+_WINDOWS = np.array([
+    [0.1, 0.2], [0.3, 0.7], [0.05, 0.95], [0.2, 0.2001],
+    [-0.5, 1.5], [0.0, 1.0],
+    [0.9, 1.2], [-0.3, 0.01],
+    [2.0, 3.0], [-1.0, -0.5],
+])
+
+
+def _hull_union_length(model, delta, lo, hi):
+    """Oracle: at a level L where ratio_max**L (times the largest gap, at
+    most the hull length 1) <= 2 delta, N_delta(K) is exactly the union of
+    the level-L hulls, each widened by delta."""
+    rmax = float(np.max(model.ifs.ratios))
+    hulls, level = np.array([[0.0, 1.0]]), 0
+    while rmax**level > 2 * delta:
+        hulls = np.concatenate(
+            [np.sort(mp.apply(hulls.reshape(-1, 1)).reshape(-1, 2), axis=1) for mp in model.ifs.maps]
+        )
+        level += 1
+    spans = np.stack([hulls[:, 0] - delta, hulls[:, 1] + delta], axis=1)
+    return np.array([_merge_length(spans, lo=a, hi=b) for a, b in zip(lo, hi)])
+
+
+@pytest.mark.parametrize("name", sorted(_SETS_1D))
+@pytest.mark.parametrize("delta", [0.1, 0.01, 1e-3, 1e-4])
+def test_attractor_length_matches_hull_union(name, delta):
+    model = _SETS_1D[name]
+    lo, hi = _WINDOWS.T
+    got = neighborhood_length_1d(model, delta, lo, hi)
+    np.testing.assert_allclose(got, _hull_union_length(model, delta, lo, hi), rtol=1e-12, atol=0)
+    assert got[-2:].tolist() == [0.0, 0.0]
+    # windows and deltas broadcast; each length stands alone
+    both = neighborhood_length_1d(model, np.array([[delta], [delta / 3]]), lo, hi)
+    assert np.array_equal(both[0], got)
+    assert [float(neighborhood_length_1d(model, delta, a, b)) for a, b in _WINDOWS] == got.tolist()
+
+
+def test_reflected_middle_third_has_the_same_lengths():
+    lo, hi = _WINDOWS.T
+    deltas = np.geomspace(0.2, 1e-6, 13)[:, None]
+    want = neighborhood_length_1d(_SETS_1D["middle-third"], deltas, lo, hi)
+    np.testing.assert_allclose(neighborhood_length_1d(_SETS_1D["reflected"], deltas, lo, hi), want, rtol=1e-12, atol=0)
+
+
+def test_attractor_length_of_no_windows():
+    got = neighborhood_length_1d(middle_third(), 0.01, np.empty(0), np.empty(0))
+    assert got.shape == (0,)
+
+
+def test_overlapping_first_level_hulls_are_refused():
+    with pytest.raises(ArgumentError, match="overlap"):
+        neighborhood_length_1d(cantor_1d((0.6, 0.0, False), (0.6, 0.4, False)), 0.01, 0.0, 1.0)
+    # hulls that touch are not an overlap: two halves make the interval [0, 1]
+    halves = cantor_1d((0.5, 0.0, False), (0.5, 0.5, False))
+    assert float(neighborhood_length_1d(halves, 0.01, -1.0, 2.0)) == pytest.approx(1.02, rel=1e-12)
+
+
+def _proxy_length(model, delta, lo, hi):
+    """The estimators' former 1-D attractor length: the union of the
+    cylinder cut at contraction 0.02 delta / (2 r0), each ball widened by delta."""
+    centers, radii = cylinder_cut(model.ifs, _cut_target(model.ifs, delta, 0.02))
+    c = centers[:, 0]
+    return _union_length_in(_merge_union(np.stack([c - radii - delta, c + radii + delta], axis=1)), lo, hi)
+
+
+def test_exact_length_lies_below_the_cut_proxy():
+    # the proxy's balls (radius <= 0.01 delta) are centred on K, so it lies
+    # between the exact lengths at delta and at 1.02 delta
+    cells = []
+    mink = bundled_config("minkowski_cantor.json")
+    model = model_from_json(mink["model"])
+    lo, hi = model_window(model, margin=1.5 * max(mink["scales"]))
+    cells += [(d, lo, hi) for d in mink["scales"]]
+    fit = bundled_config("fit_lsp_cantor.json")["grids"]
+    c = sample_on_set(model, 4, np.random.default_rng(22))[:, 0]
+    cells += [(r * ratio, c - r, c + r) for r in fit["r"] for ratio in fit["delta_ratios"]]
+    for d, a, b in cells:
+        exact = neighborhood_length_1d(model, d, a, b)
+        proxy = _proxy_length(model, d, a, b)
+        assert np.all(exact <= proxy * (1 + 1e-12))
+        assert np.all(proxy <= neighborhood_length_1d(model, 1.02 * d, a, b) * (1 + 1e-12))
+    assert len(cells) == 8 + 36
 
 
 def test_euclidean_sample_in_ball_pinned():
