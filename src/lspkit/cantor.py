@@ -570,6 +570,36 @@ def build_cantor(params: ConstructionParams) -> CantorTree:
     return tree
 
 
+def check_tree_params(tree: CantorTree, params: ConstructionParams):
+    """Raise ``ArgumentError`` naming the first way a tree differs from the
+    parameters it is verified under: its root against the domain, a center
+    that is not 1-D, its constants against the parameters' constants (JSON
+    floats round-trip exactly), or its gauge case against the pair's.
+
+    The stages, and the gauge pair beyond its case, stay unbound; the
+    audits P2 and P5 test them in part.
+    """
+    root, domain = tree.root, params.domain
+    if not (np.array_equal(root.center, domain.center) and root.radius == domain.radius):
+        raise ArgumentError(
+            f"tree root B({root.center.tolist()}, {root.radius!r}) is not the config's domain "
+            f"B({domain.center.tolist()}, {domain.radius!r})"
+        )
+    # a 1-D tree holds its root center as (1,) and a level's centers as (m,)
+    levels = (c for locs in tree.levels for loc in locs for c in (loc.a_center, loc.c_center))
+    if root.center.shape != (1,) or any(c.ndim != 1 for c in levels):
+        raise ArgumentError("tree holds a center that is not 1-D")
+    consts = _ambient_constants(params)
+    for key in sorted(consts.keys() | tree.constants.keys()):
+        if tree.constants.get(key) != consts.get(key):
+            raise ArgumentError(
+                f"tree constant {key} = {tree.constants.get(key)!r}, the config gives {consts.get(key)!r}"
+            )
+    case = _classify_case(params.gauges)
+    if tree.case != case:
+        raise ArgumentError(f"tree case ({tree.case}) is not the config pair's case ({case})")
+
+
 def tree_fingerprint(tree: CantorTree) -> str:
     h = hashlib.sha256()
     h.update(json.dumps(tree.constants, sort_keys=True).encode())

@@ -32,6 +32,7 @@ from .cantor import (
     ConstructionParams,
     assign_mass,
     build_cantor,
+    check_tree_params,
     format_tree,
     holder_check,
     tree_fingerprint,
@@ -99,12 +100,21 @@ _CANTOR = {
     **dict.fromkeys(["c5", "d2"], _POSITIVE),
     **dict.fromkeys(["pump_total", "holder_mass_factor"], _NUMBER),
 }
+# cantor-build's own keys; cantor-verify accepts them too, so a build's
+# config plus its tree verifies
+_CANTOR_BUILD = {
+    "master_seed": _SEED,
+    # 0 skips the mass-bound check; its arrays are O(trials)
+    "holder_trials": {"type": "integer", "minimum": 0, "maximum": 1_000_000},
+    "save_tree": {"type": "boolean"},
+}
 
 SCHEMAS = {
     "transform": {
         "type": "object",
         "required": ["pair", "upsilon"],
-        "properties": {"pair": _PAIR, "upsilon": {"type": "number", "exclusiveMinimum": 0}},
+        # transform draws nothing; it takes the master_seed that --seed sets
+        "properties": {"master_seed": _SEED, "pair": _PAIR, "upsilon": {"type": "number", "exclusiveMinimum": 0}},
     },
     "fit-lsp": {
         "type": "object",
@@ -189,18 +199,12 @@ SCHEMAS = {
     "cantor-build": {
         "type": "object",
         "required": ["master_seed", "domain", "pair", "eta", "stages"],
-        "properties": {
-            "master_seed": _SEED,
-            **_CANTOR,
-            # 0 skips the mass-bound check; its arrays are O(trials)
-            "holder_trials": {"type": "integer", "minimum": 0, "maximum": 1_000_000},
-            "save_tree": {"type": "boolean"},
-        },
+        "properties": {**_CANTOR, **_CANTOR_BUILD},
     },
     "cantor-verify": {
         "type": "object",
         "required": ["tree", "domain", "pair", "eta", "stages"],
-        "properties": {**_CANTOR, "tree": {"type": "string"}},
+        "properties": {**_CANTOR, **_CANTOR_BUILD, "tree": {"type": "string"}},
     },
     "randsim": {
         "type": "object",
@@ -223,12 +227,23 @@ SCHEMAS = {
             "J": {"type": "integer", "minimum": 1},
             "trials": {"type": "integer", "minimum": 1},
             "x": {"type": "array", "items": {"type": "number"}},
+            "N_list": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+            "rules": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": ["name", "exponent"],
+                    "properties": {"name": {"type": "string"}, "exponent": _NUMBER},
+                },
+            },
         },
         "if": {"required": ["mode"], "properties": {"mode": {"const": "bc-diagnostic"}}},
         "then": {"required": ["rules"]},
         "else": {"required": ["N_list"]},
     },
 }
+for _schema in SCHEMAS.values():
+    _schema["additionalProperties"] = False  # a top-level key no command reads is a typo
 _VALIDATORS = {command: validator_for(schema)(schema) for command, schema in SCHEMAS.items()}
 
 
@@ -483,6 +498,7 @@ def _run_cantor_verify(cfg, rng):
     except (OSError, KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
         raise ArgumentError(f"cannot read tree: {type(exc).__name__}: {exc}") from exc
     params = _cantor_params(cfg)
+    check_tree_params(tree, params)
     audit = verify_levels(tree, params)
     return {
         "audit_ok": audit.ok,

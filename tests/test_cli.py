@@ -7,11 +7,48 @@ from pathlib import Path
 import pytest
 from jsonschema.validators import validator_for
 
-from lspkit import cli, covering, errors, measure
+from lspkit import cli, covering, errors, measure, sets
 from lspkit.cli import SCHEMAS, bundled_config, main, run
 
 # a readable JSON file that is not a Cantor tree
 _NOT_A_TREE = resources.files("lspkit.configs") / "boxdim_point.json"
+# overrides under which the bundled audit's saved tree ({tree}; {tree_2d} is
+# the same tree with its root center made 2-D) does not belong to the
+# config, and the message that names the first mismatch
+_FOREIGN_TREE = [
+    (("tree={tree}", "domain.center=[5.0]"), "tree root B([0.0], 20.0) is not the config's domain B([5.0], 20.0)"),
+    (("tree={tree}", "domain.radius=85"), "tree root B([0.0], 20.0) is not the config's domain B([0.0], 85.0)"),
+    (("tree={tree_2d}", "domain.center=[0.0,0.0]"), "tree holds a center that is not 1-D"),
+    (("tree={tree}", "c5=0.5"), "tree constant c5 = 1.2, the config gives 0.5"),
+    (("tree={tree}", "pair.f.s=1.5"), "tree case (a) is not the config pair's case (b)"),
+]
+# a 1-D attractor whose first-level hulls [0, 0.3] and [0.2, 0.5] overlap (the third is [0.8, 1])
+_OVERLAPPING = (
+    'model.maps=[{"ratio":0.3,"translation":[0.0]},{"ratio":0.3,"translation":[0.2]},'
+    '{"ratio":0.2,"translation":[0.8]}]'
+)
+
+
+@pytest.fixture(scope="module")
+def saved_trees(tmp_path_factory):
+    """Paths of the bundled audit's saved tree and of a copy with a 2-D root."""
+    out = tmp_path_factory.mktemp("audit")
+    cfg = {**bundled_config("cantor_audit.json"), "holder_trials": 0, "save_tree": True}
+    assert run("cantor-build", cfg, out_dir=out)[0] == 0
+    tree = json.loads((out / "tree.json").read_text())
+    tree["root"]["center"] = [0.0, 0.0]
+    (out / "tree_2d.json").write_text(json.dumps(tree))
+    return {"{tree}": str(out / "tree.json"), "{tree_2d}": str(out / "tree_2d.json")}
+
+
+def _set_args(overrides, trees=None):
+    """``--set`` arguments, with the saved-tree placeholders filled in."""
+    args = []
+    for ov in overrides:
+        for key, path in (trees or {}).items():
+            ov = ov.replace(key, path)
+        args += ["--set", ov]
+    return args
 
 
 def test_transform_report():
@@ -130,15 +167,59 @@ def test_invalid_config_exits_2(tmp_path):
         ("cantor-build", "cantor_audit.json", None, "d2=0"),
         ("cantor-build", "cantor_audit.json", None, "holder_mass_factor=abc"),
         ("cantor-build", "cantor_audit.json", None, "save_tree=abc"),
+        # a top-level key no command reads
+        ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scael=5"),
+        ("fit-lsp", "fit_lsp_cantor.json", None, "grid=5"),
+        ("randsim", "randsim_bc.json", None, "rule=5"),
+        ("cantor-verify", "cantor_audit.json", None, ("tree={tree}", "treee=x")),
+        # keys randsim reads, typed
+        ("randsim", "randsim_points_tau2.json", None, "N_list=[64,0,256,512]"),
+        ("randsim", "randsim_bc.json", None, 'rules=[{"name":"inverse"}]'),
+        # a 1-D attractor the exact path cannot measure
+        ("minkowski", "minkowski_cantor.json", None, _OVERLAPPING),
+        ("fit-lsp", "fit_lsp_cantor.json", None, _OVERLAPPING),
+        # a saved tree verified under parameters that did not build it
+        *[("cantor-verify", "cantor_audit.json", None, overrides) for overrides, _ in _FOREIGN_TREE],
     ],
 )
-def test_missing_or_invalid_keys_exit_2(tmp_path, command, name, drop, override):
+def test_missing_or_invalid_keys_exit_2(request, tmp_path, command, name, drop, override):
     cfg = bundled_config(name)
     cfg.pop(drop, None)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    argv = [command, "--config", str(path)] + (["--set", override] if override else [])
-    assert main(argv) == 2
+    overrides = (override,) if isinstance(override, str) else override or ()
+    trees = request.getfixturevalue("saved_trees") if any("{tree" in ov for ov in overrides) else None
+    assert main([command, "--config", str(path)] + _set_args(overrides, trees)) == 2
+
+
+@pytest.mark.parametrize("overrides, message", _FOREIGN_TREE)
+def test_cantor_verify_names_the_first_mismatch(capsys, saved_trees, overrides, message):
+    argv = ["cantor-verify", "--config", "bundled:cantor_audit.json"]
+    assert main(argv + _set_args(["tree={tree}"], saved_trees)) == 0
+    capsys.readouterr()
+    assert main(argv + _set_args(overrides, saved_trees)) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("fit-lsp", bundled_config("fit_lsp_cantor.json")),
+        ("minkowski", bundled_config("minkowski_cantor.json")),
+        ("boxdim", {k: v for k, v in bundled_config("minkowski_cantor.json").items() if k != "dimension"}),
+    ],
+    ids=["fit-lsp", "minkowski", "boxdim"],
+)
+def test_1d_attractors_build_no_cylinder_cut(monkeypatch, tmp_path, command, config):
+    # the exact 1-D path reads lengths from the gap structure alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("cylinder_cut called on a 1-D attractor")
+
+    monkeypatch.setattr(sets, "cylinder_cut", refuse)
+    monkeypatch.setattr(measure, "cylinder_cut", refuse)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 0
 
 
 @pytest.mark.parametrize("command", sorted(SCHEMAS))
