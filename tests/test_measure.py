@@ -545,13 +545,14 @@ def test_box_dimensions_extra_scale_leaves_shared_volumes_unchanged():
 
 
 def cantor_1d(*maps):
-    """1-D attractor of maps (ratio, translation, reversing); every test set spans [0, 1]."""
+    """1-D attractor of (ratio, translation, reversing) maps."""
     rev = np.array([[-1.0]])
     return IFSAttractor(IFS(tuple(IFSMap(r, np.array([t]), rev if flip else None) for r, t, flip in maps), True))
 
 
+# every set spans [0, 1]
 _SETS_1D = {
-    "middle-third": cantor_1d((1 / 3, 0.0, False), (1 / 3, 2 / 3, False)),
+    "middle-third": middle_third(),
     "reflected": cantor_1d((1 / 3, 1 / 3, True), (1 / 3, 2 / 3, False)),  # x -> -x/3 + 1/3: the middle third
     "unequal": cantor_1d((0.5, 0.0, False), (0.3, 0.7, False)),
     "three-maps": cantor_1d((0.25, 0.0, False), (0.2, 0.6, True), (0.3, 0.7, False)),
@@ -592,6 +593,7 @@ def test_attractor_length_matches_hull_union(name, delta):
     both = neighborhood_length_1d(model, np.array([[delta], [delta / 3]]), lo, hi)
     assert np.array_equal(both[0], got)
     assert [float(neighborhood_length_1d(model, delta, a, b)) for a, b in _WINDOWS] == got.tolist()
+    assert neighborhood_length_1d(model, delta, np.empty(0), np.empty(0)).shape == (0,)
 
 
 def test_reflected_middle_third_has_the_same_lengths():
@@ -599,11 +601,6 @@ def test_reflected_middle_third_has_the_same_lengths():
     deltas = np.geomspace(0.2, 1e-6, 13)[:, None]
     want = neighborhood_length_1d(_SETS_1D["middle-third"], deltas, lo, hi)
     np.testing.assert_allclose(neighborhood_length_1d(_SETS_1D["reflected"], deltas, lo, hi), want, rtol=1e-12, atol=0)
-
-
-def test_attractor_length_of_no_windows():
-    got = neighborhood_length_1d(middle_third(), 0.01, np.empty(0), np.empty(0))
-    assert got.shape == (0,)
 
 
 def test_overlapping_first_level_hulls_are_refused():
