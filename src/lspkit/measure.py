@@ -399,7 +399,7 @@ def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
     stay within a few hundred ulps.
     """
     deltas = np.asarray(deltas, dtype=float)
-    counts = np.empty((len(clouds), len(deltas)), dtype=np.int64)
+    counts = np.zeros((len(clouds), len(deltas)), dtype=np.int64)
     if isinstance(m, IFSAttractor):
         z0, r0 = attractor_bounds(m.ifs)
         balls = [cut_size(m.ifs, _cut_target(m.ifs, d, resolution), cap=_CUT_CAP) for d in deltas]
@@ -421,7 +421,6 @@ def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
         return counts
     dmax = float(deltas.max())
     oracle = _DistanceOracle(m, dmax, metric=metric)
-    counts[:] = 0
     for i, pts in enumerate(clouds):
         for lo in range(0, len(pts), _DISTANCE_BLOCK):
             dist = oracle(pts[lo : lo + _DISTANCE_BLOCK], dmax)
