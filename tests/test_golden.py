@@ -20,6 +20,9 @@ the exact bit: every float is stored as ``float.hex``.  They are
   ratio 0.3996 on perfbench's grid (its finest cells are the deepest 1-D
   attractor cells any workload reaches), and the box dimension of a
   five-point set;
+- the Minkowski content of a 10 x 10 grid of points in the plane at 20,000
+  samples per scale: a point set of more than 64 points, whose hits are
+  tested on a KD-tree over the points;
 - Euclidean five-r covers in dimensions 8 and 16, where the norm's lane
   order matters, and a sup five-r cover in dimension 3;
 - covering selections: ``kgb`` on a shifted van der Corput region, on the
@@ -144,6 +147,10 @@ def variant_configs():
     out["fit_lsp_cantor_r0.4"] = ("fit-lsp", {**bundled_config("fit_lsp_cantor.json"), "model": model, "grids": grids})
     points = {"variant": "points", "points": [[0.3], [0.31], [0.5], [0.502], [0.9]]}
     out["boxdim_five_points"] = ("boxdim", {**bundled_config("boxdim_point.json"), "model": points})
+    grid = {"variant": "points", "points": [[(i + 0.5) / 10, (j + 0.5) / 10] for i in range(10) for j in range(10)]}
+    out["minkowski_grid10"] = ("minkowski", {
+        **bundled_config("minkowski_point.json"), "model": grid, "samples_per_scale": 20_000,
+    })
     five_r = {**bundled_config("cover_five_r.json"), "metric": "euclidean", "count": 400, "radius_range": [0.3, 0.6]}
     for dim in (8, 16):
         out[f"cover_five_r_euclidean_dim{dim}"] = ("cover", {**five_r, "dim": dim})
