@@ -56,13 +56,31 @@ _GAUGE = {
         "s": {"type": "number"},
         "samples": {"type": "array"},
     },
+    "additionalProperties": False,
 }
 _PAIR = {
     "type": "object",
     "required": ["f", "g"],
     "properties": {"f": _GAUGE, "g": _GAUGE, "kappa": {"type": "number"}},
+    "additionalProperties": False,
 }
-_MODEL = {"type": "object", "required": ["variant"]}
+# the keys sets.model_from_json reads, over every variant
+_MODEL = {
+    "type": "object",
+    "required": ["variant"],
+    "properties": {
+        **dict.fromkeys(["variant", "points", "base", "basis", "extent", "center", "radius", "vertices", "osc"], {}),
+        "maps": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "properties": dict.fromkeys(["ratio", "translation", "rotation"], {}),
+                "additionalProperties": False,
+            },
+        },
+    },
+    "additionalProperties": False,
+}
 _SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}  # a Philox key word
 _SCALES = {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 4}
 # Monte Carlo sizes: fit-lsp holds centers_per_cell clouds of samples points
@@ -76,6 +94,7 @@ _BALL = {
     "type": "object",
     "required": ["center", "radius"],
     "properties": {"center": {"type": "array", "items": _NUMBER, "minItems": 1}, "radius": _POSITIVE},
+    "additionalProperties": False,
 }
 # the keys _stages_from_config reads; a grid cloud (the default type) needs its range and plateaus
 _STAGES = {
@@ -86,6 +105,7 @@ _STAGES = {
         "j_max": {"type": "integer"},
         **dict.fromkeys(["lo", "hi", "gamma", "radius_exponent", "radius_scale"], _NUMBER),
     },
+    "additionalProperties": False,
     "if": {"required": ["type"], "properties": {"type": {"const": "vdc-points"}}},
     "else": {"required": ["lo", "hi", "plateaus"]},
 }
@@ -131,6 +151,7 @@ SCHEMAS = {
                     "samples": _SAMPLES,
                     "centers_per_cell": _CENTERS,
                 },
+                "additionalProperties": False,
             },
             "metric": _METRIC,
         },
@@ -221,6 +242,7 @@ SCHEMAS = {
                     "kappa": {"type": "number"},
                     "n": {"type": "integer"},
                 },
+                "additionalProperties": False,
             },
             "mode": {"enum": ["covering-exponent", "bc-diagnostic"]},
             "N": {"type": "integer", "minimum": 1},
@@ -234,6 +256,7 @@ SCHEMAS = {
                     "type": "object",
                     "required": ["name", "exponent"],
                     "properties": {"name": {"type": "string"}, "exponent": _NUMBER},
+                    "additionalProperties": False,
                 },
             },
         },
@@ -243,7 +266,7 @@ SCHEMAS = {
     },
 }
 for _schema in SCHEMAS.values():
-    _schema["additionalProperties"] = False  # a top-level key no command reads is a typo
+    _schema["additionalProperties"] = False  # a key no command reads is a typo, nested ones too
 _VALIDATORS = {command: validator_for(schema)(schema) for command, schema in SCHEMAS.items()}
 
 

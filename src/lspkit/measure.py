@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ArgumentError, EstimationError
 from .sets import (
@@ -46,6 +45,23 @@ from .sets import (
 
 DEFAULT_SAMPLES = 100_000
 _WINDOW_RESOLUTION = 0.4  # attractor proxy resolution of the window estimators
+
+
+def __getattr__(name):
+    """``cKDTree``, with scipy.spatial imported on its first read (PEP 562).
+
+    Importing scipy.spatial takes longer than importing the rest of
+    ``lspkit.cli``, and only a distance oracle that builds a tree needs it,
+    so commands that build none never load scipy.  The class is bound into
+    the module's globals, so later reads, and rebinding ``measure.cKDTree``,
+    work as for an eager import; ``_DistanceOracle`` reads that global.
+    """
+    if name != "cKDTree":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.spatial import cKDTree
+
+    globals()["cKDTree"] = cKDTree
+    return cKDTree
 
 
 @dataclass
@@ -329,9 +345,12 @@ class _DistanceOracle:
         self.tree = None
         if isinstance(m, IFSAttractor):
             pts, _ = cylinder_cut(m.ifs, _cut_target(m.ifs, scale, resolution), cap=_CUT_CAP)
-            self.tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
         elif isinstance(m, PointSet) and len(m.points) > 64:
-            self.tree = cKDTree(m.points, balanced_tree=False, compact_nodes=False)
+            pts = m.points
+        else:
+            return
+        kdtree = globals().get("cKDTree") or __getattr__("cKDTree")
+        self.tree = kdtree(pts, balanced_tree=False, compact_nodes=False)
 
     def __call__(self, pts, bound=np.inf):
         """Distances to the model; a tree query reads inf from ``bound`` on."""

@@ -1,6 +1,8 @@
 import importlib.resources as resources
 import importlib.util
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -26,6 +28,12 @@ _FOREIGN_TREE = [
 _OVERLAPPING = (
     'model.maps=[{"ratio":0.3,"translation":[0.0]},{"ratio":0.3,"translation":[0.2]},'
     '{"ratio":0.2,"translation":[0.8]}]'
+)
+
+# the bundled middle-third Cantor set with its first map's rotation misspelt
+_MISSPELT_MAP = (
+    'model.maps=[{"ratio":0.3333333333333333,"translation":[0.0],"rotaton":[[1.0]]},'
+    '{"ratio":0.3333333333333333,"translation":[0.6666666666666666]}]'
 )
 
 
@@ -172,6 +180,16 @@ def test_invalid_config_exits_2(tmp_path):
         ("fit-lsp", "fit_lsp_cantor.json", None, "grid=5"),
         ("randsim", "randsim_bc.json", None, "rule=5"),
         ("cantor-verify", "cantor_audit.json", None, ("tree={tree}", "treee=x")),
+        # a nested key no command reads
+        ("boxdim", "boxdim_point.json", None, "model.foo=1"),
+        ("fit-lsp", "fit_lsp_point.json", None, "grids.sample=5"),
+        ("randsim", "randsim_bc.json", None, "scheme.tauu=2"),
+        ("cantor-build", "cantor_audit.json", None, "domain.radiuss=3"),
+        ("cantor-build", "cantor_audit.json", None, "pair.f.ss=0.5"),
+        ("cantor-build", "cantor_audit.json", None, "stages.hii=20"),
+        ("cover", "cover_kgb_vdc.json", None, "region.centre=[0.5]"),
+        ("minkowski", "minkowski_cantor.json", None, _MISSPELT_MAP),
+        ("randsim", "randsim_bc.json", None, 'rules=[{"name":"inverse","exponent":1.0,"exp":2.0}]'),
         # keys randsim reads, typed
         ("randsim", "randsim_points_tau2.json", None, "N_list=[64,0,256,512]"),
         ("randsim", "randsim_bc.json", None, 'rules=[{"name":"inverse"}]'),
@@ -272,6 +290,34 @@ def test_perfbench_tracer_installs_and_uninstalls():
     assert tr.totals()["covering.build_kgb"]["calls"] == 1
     assert (measure.cKDTree, cli.run, covering.build_kgb) == originals
     assert time.perf_counter() - t0 < 1.0
+
+
+# bundled configs whose commands build no KD-tree, and so load no scipy module
+_TREELESS = [
+    ("transform", "transform_demo.json"),
+    ("cover", "cover_five_r.json"),
+    ("cover", "cover_caj_line.json"),
+    ("cover", "cover_kgb_vdc.json"),
+    ("cantor-build", "cantor_audit.json"),
+    ("randsim", "randsim_bc.json"),
+    ("fit-lsp", "fit_lsp_line.json"),
+]
+
+
+def test_scipy_loads_with_the_first_kdtree():
+    # a fresh interpreter, so no other test has imported scipy yet
+    script = f"""
+import json, sys
+sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
+from lspkit.cli import bundled_config, run
+for command, name in {_TREELESS!r}:
+    assert run(command, bundled_config(name))[0] == 0
+treeless = sorted(mod for mod in sys.modules if mod.split(".")[0] == "scipy")
+assert run("boxdim", bundled_config("boxdim_sierpinski.json"), overrides=["samples_per_scale=20000"])[0] == 0
+print(json.dumps({{"treeless": treeless, "gasket": "scipy.spatial" in sys.modules}}))
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == {"treeless": [], "gasket": True}
 
 
 def test_kgb_shortfall_exits_3(tmp_path):
