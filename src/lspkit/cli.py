@@ -266,7 +266,7 @@ SCHEMAS = {
     },
 }
 for _schema in SCHEMAS.values():
-    _schema["additionalProperties"] = False  # a key no command reads is a typo, nested ones too
+    _schema["additionalProperties"] = False  # a top-level key no command reads is a typo
 _VALIDATORS = {command: validator_for(schema)(schema) for command, schema in SCHEMAS.items()}
 
 

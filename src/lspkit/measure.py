@@ -101,19 +101,23 @@ def sample_in_ball(center, r, k, rng, metric="sup"):
     center = np.asarray(center, dtype=float)
     n = center.shape[0]
     if metric == "sup":
-        return center + rng.uniform(-r, r, size=(k, n))
-    out = np.empty((k, n))
-    got = 0
-    # batches sized to the acceptance rate (plus 1 % and 16 rows); the points
-    # kept are the first k of the uniform stream whatever the batch sizes
-    rate = ball_volume(n, 1.0, "euclidean") / 2.0**n
-    while got < k:
-        cand = rng.uniform(-r, r, size=(int((k - got) / rate * 1.01) + 16, n))
-        keep = np.compress(_sum_squares(cand) <= r * r, cand, axis=0)
-        take = min(len(keep), k - got)
-        out[got : got + take] = keep[:take]
-        got += take
-    out += center
+        out = rng.uniform(-r, r, size=(k, n))
+    else:
+        out = np.empty((k, n))
+        got = 0
+        # batches sized to the acceptance rate (plus 1 % and 16 rows); the points
+        # kept are the first k of the uniform stream whatever the batch sizes
+        rate = ball_volume(n, 1.0, "euclidean") / 2.0**n
+        while got < k:
+            cand = rng.uniform(-r, r, size=(int((k - got) / rate * 1.01) + 16, n))
+            keep = np.compress(_sum_squares(cand) <= r * r, cand, axis=0)
+            take = min(len(keep), k - got)
+            out[got : got + take] = keep[:take]
+            got += take
+    # column by column: numpy adds a broadcast row of a few numbers to every
+    # row several times slower than it adds one number to a column
+    for j in range(n):
+        out[:, j] += center[j]
     return out
 
 

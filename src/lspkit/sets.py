@@ -630,7 +630,7 @@ def distance_to_set(m: SetModel, x, tol=1e-9, metric="sup", wrap=False):
     elif isinstance(m, AffinePlane):
         d = _plane_distance(m, pts, metric)
     elif isinstance(m, Circle) or isinstance(m, Sphere):
-        d = np.abs(np.linalg.norm(pts - m.center, axis=1) - m.radius)
+        d = np.abs(_norm(pts - m.center, "euclidean") - m.radius)
     elif isinstance(m, Polyline):
         d = _polyline_distance(m, pts, metric)
     elif isinstance(m, IFSAttractor):
