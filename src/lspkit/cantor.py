@@ -54,6 +54,8 @@ AUDIT_RTOL = 1e-9
 MAX_SUBLEVELS = 64  # P5 sublevel budget of one local level
 MAX_NODES = 2_000_000  # target-ball budget of one local level
 FORMAT_MAX_LEAVES = 60  # larger local levels print as counts only
+D2 = 2.0  # P2 cardinality constant, recorded in a tree's constants
+MASS_FACTOR = 2.5  # a local level's mass target is MASS_FACTOR * eta
 
 
 @dataclass
@@ -65,9 +67,6 @@ class ConstructionParams:
     depth: int = 2
     g_floor: int = 1
     c5: float = 1.0
-    d2: float = 2.0
-    pump_total: float | None = None
-    holder_mass_factor: float = 2.5
 
     def __post_init__(self):
         if not (self.eta > 1):
@@ -176,7 +175,7 @@ def _ambient_constants(params: ConstructionParams):
         "c5": params.c5,
         "c6": c6,
         "c7": c7,
-        "d2": params.d2,
+        "d2": D2,
         "hg_b0": hg_b0,
         "eta": params.eta,
     }
@@ -341,7 +340,7 @@ def _build_local_level(params, consts, B: Ball, node):
             f"{cap_first:.3g} of the parent ball; no disjoint selection can satisfy it",
             node=node,
         )
-    pump = params.pump_total if params.pump_total is not None else params.holder_mass_factor * params.eta
+    pump = MASS_FACTOR * params.eta
 
     # per-sublevel arrays: selection balls (center, radius, j, sublevel) and
     # target balls (center, radius, j, sublevel, selection row)

@@ -44,7 +44,7 @@ from .covering import Ball, BallFamily, build_caj, build_kgb, family_is_disjoint
 from .dimfun import GaugePair, corollary_exponent, gauge_from_json, mtp_radius, verify_gauge_pair
 from .errors import ArgumentError, DomainError, RangeError, ToolkitError, UnsupportedCombination
 from .measure import box_dimensions, fit_lsp, minkowski_content, scaling_fit_to_json
-from .randomsim import RandomScheme, covering_exponent, coverage_frequency
+from .randomsim import MAX_N, RandomScheme, covering_exponent, coverage_frequency
 from .sets import model_from_json
 from .stages import GridCloudStages, VdcPointStages
 
@@ -103,7 +103,7 @@ _STAGES = {
         "type": {"enum": ["grid-cloud", "vdc-points"]},
         "plateaus": {"type": "array", "items": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}},
         "j_max": {"type": "integer"},
-        **dict.fromkeys(["lo", "hi", "gamma", "radius_exponent", "radius_scale"], _NUMBER),
+        **dict.fromkeys(["lo", "hi"], _NUMBER),
     },
     "additionalProperties": False,
     "if": {"required": ["type"], "properties": {"type": {"const": "vdc-points"}}},
@@ -117,8 +117,7 @@ _CANTOR = {
     "stages": {**_STAGES, "required": ["type"]},
     "depth": {"type": "integer", "minimum": 2},
     "g_floor": {"type": "integer"},
-    **dict.fromkeys(["c5", "d2"], _POSITIVE),
-    **dict.fromkeys(["pump_total", "holder_mass_factor"], _NUMBER),
+    "c5": _POSITIVE,
 }
 # cantor-build's own keys; cantor-verify accepts them too, so a build's
 # config plus its tree verifies
@@ -198,7 +197,7 @@ SCHEMAS = {
             # caj and kgb
             "model": _MODEL,
             "region": _BALL,
-            "pool": {"type": "integer", "minimum": 100},
+            "pool": {"type": "integer", "minimum": 100, "maximum": 1_000_000},  # ~0.3 GB on a gasket
             "stages": _STAGES,
             "pair": _PAIR,
             "g_start": {"type": "integer", "minimum": 1},
@@ -245,11 +244,13 @@ SCHEMAS = {
                 "additionalProperties": False,
             },
             "mode": {"enum": ["covering-exponent", "bc-diagnostic"]},
-            "N": {"type": "integer", "minimum": 1},
+            # bc-diagnostic: about 50 MB per rule per million stages, and
+            # 50 MB per million trials in each dimension
+            "N": {"type": "integer", "minimum": 1, "maximum": 1_000_000},
             "J": {"type": "integer", "minimum": 1},
-            "trials": {"type": "integer", "minimum": 1},
+            "trials": {"type": "integer", "minimum": 1, "maximum": 1_000_000},
             "x": {"type": "array", "items": {"type": "number"}},
-            "N_list": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+            "N_list": {"type": "array", "items": {"type": "integer", "minimum": 1, "maximum": MAX_N}},
             "rules": {
                 "type": "array",
                 "items": {
@@ -308,6 +309,16 @@ def _non_finite_path(node, path="config"):
     return None
 
 
+def _given(block, **casts):
+    """The keys of ``block`` named in ``casts``, each cast by its function;
+    a key the config leaves out is left out, so the callee's default holds."""
+    return {key: cast(block[key]) for key, cast in casts.items() if key in block}
+
+
+def _ball(block):
+    return Ball(block["center"], float(block["radius"]))
+
+
 def _pair_from_config(block):
     return GaugePair(
         f=gauge_from_json(block["f"]),
@@ -323,18 +334,10 @@ def _stages_from_config(block):
             lo=float(block["lo"]),
             hi=float(block["hi"]),
             plateaus=tuple((int(j), float(u)) for j, u in block["plateaus"]),
-            gamma=float(block.get("gamma", 0.04)),
-            j_max=int(block.get("j_max", 2**24)),
+            **_given(block, j_max=int),
         )
     if kind == "vdc-points":
-        expo = float(block.get("radius_exponent", 1.0))
-        scale = float(block.get("radius_scale", 1.0))
-        return VdcPointStages(
-            radius_fn=lambda j: scale * float(j) ** (-expo),
-            lo=float(block.get("lo", 0.0)),
-            hi=float(block.get("hi", 1.0)),
-            j_max=int(block.get("j_max", 10**6)),
-        )
+        return VdcPointStages(**_given(block, lo=float, hi=float, j_max=int))
     raise ArgumentError(f"unknown stage provider type {kind!r}")
 
 
@@ -381,10 +384,9 @@ def _run_fit_lsp(cfg, rng):
         model,
         r_grid=np.asarray(grids["r"], dtype=float),
         delta_ratios=np.asarray(grids["delta_ratios"], dtype=float),
-        samples=int(grids.get("samples", 100_000)),
         rng=rng,
-        centers_per_cell=int(grids.get("centers_per_cell", 4)),
-        metric=cfg.get("metric", "sup"),
+        **_given(grids, samples=int, centers_per_cell=int),
+        **_given(cfg, metric=str),
     )
     tables = [("cells.csv", ["log_r", "log_delta", "log_measure", "stderr"], fit.points)]
     return {"fit": scaling_fit_to_json(fit)}, tables
@@ -395,9 +397,8 @@ def _run_boxdim(cfg, rng):
     lower, upper = box_dimensions(
         model,
         scales=np.asarray(cfg["scales"], dtype=float),
-        samples_per_scale=int(cfg.get("samples_per_scale", 100_000)),
         rng=rng,
-        metric=cfg.get("metric", "sup"),
+        **_given(cfg, samples_per_scale=int, metric=str),
     )
     tables = [("scales.csv", ["log_delta", "log_volume"], lower.points)]
     return {"lower": scaling_fit_to_json(lower), "upper": scaling_fit_to_json(upper)}, tables
@@ -409,24 +410,22 @@ def _run_minkowski(cfg, rng):
         model,
         d=float(cfg["dimension"]),
         scales=np.asarray(cfg["scales"], dtype=float),
-        samples_per_scale=int(cfg.get("samples_per_scale", 100_000)),
         rng=rng,
-        metric=cfg.get("metric", "sup"),
+        **_given(cfg, samples_per_scale=int, metric=str),
     )
     return {"lower": lo, "upper": hi, "ratio": hi / lo if lo > 0 else math.inf}, []
 
 
 def _run_cover(cfg, rng):
-    results = {}
-    op = cfg.get("op", "five-r")
-    metric = cfg.get("metric", "sup")
+    op = cfg["op"]
+    metric_kw = _given(cfg, metric=str)
     if op == "five-r":
         lo, hi = cfg.get("radius_range", [0.01, 0.05])
         if not lo <= hi:
             raise ArgumentError(f"radius_range must have low <= high, got {[lo, hi]}")
         radii = rng.uniform(lo, hi, size=int(cfg.get("count", 100)))
         centers = rng.uniform(0.0, 1.0, size=(len(radii), int(cfg.get("dim", 2))))
-        fam = BallFamily(centers, radii, metric)
+        fam = BallFamily(centers, radii, **metric_kw)
         out = five_r_cover(fam)
         results = {
             "input": len(fam.radii),
@@ -436,10 +435,8 @@ def _run_cover(cfg, rng):
         }
     elif op == "caj":
         model = model_from_json(cfg["model"])
-        region = Ball(np.asarray(cfg["region"]["center"], dtype=float), float(cfg["region"]["radius"]))
-        net = build_caj(
-            region, model, float(cfg["upsilon"]), rng=rng, pool=int(cfg.get("pool", 10_000)), metric=metric
-        )
+        upsilon = float(cfg["upsilon"])
+        net = build_caj(_ball(cfg["region"]), model, upsilon, rng=rng, **_given(cfg, pool=int), **metric_kw)
         results = {"cardinality": len(net.points), "pool_size": net.pool_size}
     elif op == "kgb":
         stages = _stages_from_config(cfg["stages"])
@@ -447,15 +444,14 @@ def _run_cover(cfg, rng):
         if "pair" in cfg:
             pair = _pair_from_config(cfg["pair"])
             seq = lambda j: (stages.model(j), mtp_radius(pair, stages.upsilon(j)))
-        region = Ball(np.asarray(cfg["region"]["center"], dtype=float), float(cfg["region"]["radius"]))
         res = build_kgb(
-            region,
+            _ball(cfg["region"]),
             int(cfg.get("g_start", 1)),
             seq,
             int(cfg.get("j_max", stages.j_max)),
             float(cfg.get("target_fraction", 0.05)),
-            c5=float(cfg.get("c5", 1.0)),
-            metric=metric,
+            **_given(cfg, c5=float),
+            **metric_kw,
         )
         results = {
             "selected": len(res.selected),
@@ -469,16 +465,11 @@ def _run_cover(cfg, rng):
 
 def _cantor_params(cfg):
     return ConstructionParams(
-        domain=Ball(np.asarray(cfg["domain"]["center"], dtype=float), float(cfg["domain"]["radius"])),
+        domain=_ball(cfg["domain"]),
         gauges=_pair_from_config(cfg["pair"]),
         eta=float(cfg["eta"]),
         stages=_stages_from_config(cfg["stages"]),
-        depth=int(cfg.get("depth", 2)),
-        g_floor=int(cfg.get("g_floor", 1)),
-        c5=float(cfg.get("c5", 1.0)),
-        d2=float(cfg.get("d2", 2.0)),
-        pump_total=cfg.get("pump_total"),
-        holder_mass_factor=float(cfg.get("holder_mass_factor", 2.5)),
+        **_given(cfg, depth=int, g_floor=int, c5=float),
     )
 
 
@@ -569,7 +560,7 @@ def _run_randsim(cfg, rng):
             [_power_rule(float(rule["exponent"])) for rule in rules],
             int(cfg.get("J", 1)),
             int(cfg.get("N", 400)),
-            trials=int(cfg.get("trials", 1000)),
+            **_given(cfg, trials=int),
         )
         return {
             rule["name"]: {
@@ -601,6 +592,8 @@ def run(command, config, out_dir=None, overrides=(), seed=None, threads=1):
     """
     import pathlib
 
+    if not isinstance(config, dict):
+        raise ArgumentError(f"{command}: config is not a JSON object")
     cfg = copy.deepcopy(config)  # overrides must not reach the caller's nested dicts
     for ov in overrides:
         if "=" not in ov:

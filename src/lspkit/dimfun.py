@@ -113,22 +113,15 @@ def invert_gauge(g: Gauge, y):
 
 @dataclass(frozen=True)
 class GaugePair:
-    """A pair (f, g) with scaling fraction kappa in [0, 1).
-
-    ``lambda_doubling`` may be supplied when known; otherwise it is estimated
-    by :func:`verify_gauge_pair`.
-    """
+    """A pair (f, g) with scaling fraction kappa in [0, 1)."""
 
     f: Gauge
     g: Gauge
     kappa: float
-    lambda_doubling: float | None = None
 
     def __post_init__(self):
         if not (0 <= self.kappa < 1):
             raise ArgumentError("kappa must lie in [0, 1)")
-        if self.lambda_doubling is not None and not (self.lambda_doubling > 1):
-            raise ArgumentError("lambda_doubling must exceed 1")
 
 
 @dataclass

@@ -34,7 +34,9 @@ from .sets import (
     transform_model,
 )
 
-_MAX_N = 50_000_000  # largest window start N that covering_exponent counts
+# largest window start N that covering_exponent counts: a window holds
+# N + 1 stages, about 160 MB per million, so 2**22 peaks near 0.7 GB
+MAX_N = 2**22
 _TRANSLATION_TAG = 0  # Philox key word 1 of the stage translations
 _TRIAL_TAG = 917  # Philox key word 1 of the coverage-trial re-draws
 _BLOCK_DRAWS = 2**16  # about this many uniforms per block of coverage stages
@@ -285,7 +287,7 @@ def covering_exponent(scheme: RandomScheme, N_list) -> CoveringFit:
         m = round(N**scheme.tau)
         # counting is exact through integer interval unions, so the limit is
         # index precision and the per-window interval count, not grid memory
-        if m > 2**48 or N > _MAX_N:
+        if m > 2**48 or N > MAX_N:
             raise ArgumentError(f"box indexing for N={N} exceeds the supported range; lower N")
         side = 1.0 / m
         # a translated line covers every box of each row its interval meets

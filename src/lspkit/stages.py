@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ArgumentError
 from .sets import PointSet
 
+GAMMA = 0.04  # plateau decay: radii fall as j**-GAMMA within a plateau
+
 
 def van_der_corput(indices):
     """Base-2 radical inverse of the given positive integers (vectorized)."""
@@ -44,9 +46,10 @@ def van_der_corput(indices):
 
 @dataclass
 class VdcPointStages:
-    """One van der Corput point per stage, radii from a callable."""
+    """One van der Corput point per stage, radii from a callable (1/j by
+    default)."""
 
-    radius_fn: callable
+    radius_fn: callable = lambda j: float(j) ** -1.0
     lo: float = 0.0
     hi: float = 1.0
     j_max: int = 10**6
@@ -67,7 +70,7 @@ class GridCloudStages:
     """Dyadic grid clouds over [lo, hi] with a plateau radius schedule.
 
     ``model(j)`` is the regular grid of ``2**floor(log2 j)`` cell midpoints;
-    ``upsilon(j)`` follows ``a_k * (j_k / j)**gamma`` on the plateau starting
+    ``upsilon(j)`` follows ``a_k * (j_k / j)**GAMMA`` on the plateau starting
     at ``j_k``, so radii decay slowly within a plateau and drop at the
     configured breakpoints.
     """
@@ -75,7 +78,6 @@ class GridCloudStages:
     lo: float
     hi: float
     plateaus: tuple  # ((j_start, upsilon_start), ...) with j_start ascending
-    gamma: float = 0.04
     j_max: int = 2**24
     _clouds: dict = field(default_factory=dict, repr=False)
 
@@ -93,7 +95,7 @@ class GridCloudStages:
 
     def _plateau_value(self, k, j):
         j0, u0 = self.plateaus[k]
-        return u0 * (j0 / j) ** self.gamma
+        return u0 * (j0 / j) ** GAMMA
 
     @property
     def j_min(self):

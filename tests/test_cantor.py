@@ -46,7 +46,6 @@ OVERSIZED = {
     "depth": 2,
     "g_floor": 8,
     "c5": 5.0,
-    "d2": 2.0,
 }
 
 
@@ -98,7 +97,7 @@ def test_selection_shortfall_names_node_and_sublevel():
     # target (a single sparse stage block before the truncation index)
     params = cantor_params("cantor_audit.json")
     params.stages = GridCloudStages(
-        lo=-20.0, hi=20.0, plateaus=((512, 1e-5),), gamma=0.04, j_max=600,
+        lo=-20.0, hi=20.0, plateaus=((512, 1e-5),), j_max=600,
     )
     with pytest.raises(ConstructionError) as exc:
         build_cantor(params)
@@ -122,8 +121,7 @@ def test_scan_truncation_names_node_and_sublevel():
 
     params = cantor_params("cantor_audit.json")
     params.stages = GridCloudStages(
-        lo=-20.0, hi=20.0, plateaus=((512, 0.02), (4096, 2.2e-4)),
-        gamma=0.04, j_max=4200,
+        lo=-20.0, hi=20.0, plateaus=((512, 0.02), (4096, 2.2e-4)), j_max=4200,
     )
     with pytest.raises(TruncationError) as exc:
         build_cantor(params)
@@ -433,13 +431,12 @@ def test_p1_disjointness_across_parameter_variations(seed):
             break
     stages = GridCloudStages(
         lo=-radius, hi=radius,
-        plateaus=((512, 0.02), (4096, 2.2e-4), (2**21, 2.7e-9)),
-        gamma=0.04, j_max=2**24,
+        plateaus=((512, 0.02), (4096, 2.2e-4), (2**21, 2.7e-9)), j_max=2**24,
     )
     params = ConstructionParams(
         domain=Ball(np.array([0.0]), radius),
         gauges=SQRT_PAIR, eta=eta, stages=stages, depth=2, g_floor=64,
-        c5=c5, d2=2.0,
+        c5=c5,
     )
     tree = build_cantor(params)
     report = verify_levels(tree, params)

@@ -84,6 +84,18 @@ def test_invalid_config_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "config, args",
+    [([1, 2], ["--seed", "3"]), ([1, 2], ["--set", "a=1"]), ("x", ["--seed", "3"])],
+    ids=["list-seed", "list-set", "string-seed"],
+)
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, config, args):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["transform", "--config", str(path)] + args) == 2
+    assert capsys.readouterr().err == "validation error: transform: config is not a JSON object\n"
+
+
+@pytest.mark.parametrize(
     "command, name, drop, override",
     [
         ("cover", "cover_kgb_vdc.json", "stages", None),
@@ -156,7 +168,6 @@ def test_invalid_config_exits_2(tmp_path):
         ("cover", "cover_caj_line.json", None, "pool=99"),
         ("cover", "cover_kgb_vdc.json", None, "stages=5"),
         ("cover", "cover_kgb_vdc.json", None, "stages.type=grid-cloud"),
-        ("cover", "cover_kgb_vdc.json", None, "stages.radius_exponent=abc"),
         ("cover", "cover_kgb_vdc.json", None, "pair=5"),
         ("cover", "cover_kgb_vdc.json", None, "g_start=0"),
         ("cover", "cover_kgb_vdc.json", None, "j_max=abc"),
@@ -166,15 +177,19 @@ def test_invalid_config_exits_2(tmp_path):
         ("cover", "cover_caj_line.json", None, "region.center=[0.3]"),
         ("cover", "cover_kgb_vdc.json", None, "region.center=[0.5,0.5]"),
         # the keys cantor-build reads
-        ("cantor-build", "cantor_audit.json", None, "pump_total=abc"),
         ("cantor-build", "cantor_audit.json", None, "domain.radius=abc"),
         ("cantor-build", "cantor_audit.json", None, "stages.lo=abc"),
         ("cantor-build", "cantor_audit.json", None, "stages.plateaus=[[512]]"),
         ("cantor-build", "cantor_audit.json", None, "g_floor=abc"),
         ("cantor-build", "cantor_audit.json", None, "c5=0"),
-        ("cantor-build", "cantor_audit.json", None, "d2=0"),
-        ("cantor-build", "cantor_audit.json", None, "holder_mass_factor=abc"),
         ("cantor-build", "cantor_audit.json", None, "save_tree=abc"),
+        # the construction constants, fixed in the library, at the values they were fixed at
+        ("cantor-build", "cantor_audit.json", None, "d2=2.0"),
+        ("cantor-build", "cantor_audit.json", None, "pump_total=5.0"),
+        ("cantor-build", "cantor_audit.json", None, "holder_mass_factor=2.5"),
+        ("cantor-build", "cantor_audit.json", None, "stages.gamma=0.04"),
+        ("cover", "cover_kgb_vdc.json", None, "stages.radius_exponent=1.0"),
+        ("cover", "cover_kgb_vdc.json", None, "stages.radius_scale=1.0"),
         # a top-level key no command reads
         ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scael=5"),
         ("fit-lsp", "fit_lsp_cantor.json", None, "grid=5"),
@@ -193,6 +208,11 @@ def test_invalid_config_exits_2(tmp_path):
         # keys randsim reads, typed
         ("randsim", "randsim_points_tau2.json", None, "N_list=[64,0,256,512]"),
         ("randsim", "randsim_bc.json", None, 'rules=[{"name":"inverse"}]'),
+        # size keys past the bounds that keep a run under about 1 GB
+        ("randsim", "randsim_points_tau2.json", None, f"N_list=[64,128,256,{2**22 + 1}]"),
+        ("randsim", "randsim_bc.json", None, "N=1000001"),
+        ("randsim", "randsim_bc.json", None, "trials=1000001"),
+        ("cover", "cover_caj_line.json", None, "pool=1000001"),
         # a 1-D attractor the exact path cannot measure
         ("minkowski", "minkowski_cantor.json", None, _OVERLAPPING),
         ("fit-lsp", "fit_lsp_cantor.json", None, _OVERLAPPING),

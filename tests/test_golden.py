@@ -41,8 +41,9 @@ test fails rather than compare loosely.  Regenerate on purpose with
 
     PYTHONPATH=src python tests/test_golden.py --variants
 
-Either run prints, before it writes, each entry whose pinned value changes
-with the largest relative gap between its old and new numbers.
+Either run prints, before it writes, each entry whose pinned value changes,
+with the top-level fields that changed and the largest relative gap between
+the old and new numbers of its results.
 """
 
 import hashlib
@@ -266,14 +267,34 @@ def test_float_gap():
 
 
 def print_changes(path, old, new):
-    """Print each entry of the manifest at ``path`` that a rewrite changes."""
+    """Print each entry of the manifest at ``path`` that a rewrite changes,
+    with the top-level fields that differ and, when ``results`` is one of
+    them, the largest relative gap between its old and new numbers."""
     for name in sorted(old.keys() | new.keys()):
         if name not in new:
             print(f"{path.name} {name}: removed")
         elif name not in old:
             print(f"{path.name} {name}: new")
         elif old[name] != new[name]:
-            print(f"{path.name} {name}: changed, largest relative float gap {float_gap(old[name], new[name]):.3g}")
+            a, b = old[name], new[name]
+            fields = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+            line = f"{path.name} {name}: changed {', '.join(fields)}"
+            if "results" in a and "results" in b and a["results"] != b["results"]:
+                line += f"; largest relative float gap in results {float_gap(a['results'], b['results']):.3g}"
+            print(line)
+
+
+def test_print_changes_names_the_changed_fields(capsys):
+    one, two = (1.0).hex(), (2.0).hex()
+    old = {"a": {"config": {"d2": 2.0}, "results": [one]}, "b": {"results": [one]}, "c": {}}
+    new = {"a": {"config": {}, "results": [one]}, "b": {"results": [two], "tree_sha256": "f"}, "d": {}}
+    print_changes(VARIANTS, old, new)
+    assert capsys.readouterr().out.splitlines() == [
+        "variants.json a: changed config",
+        "variants.json b: changed results, tree_sha256; largest relative float gap in results 0.5",
+        "variants.json c: removed",
+        "variants.json d: new",
+    ]
 
 
 def _read(path, key=None):
