@@ -95,15 +95,18 @@ def ball_volume(n, r, metric="sup"):
     return math.pi ** (n / 2) / math.gamma(n / 2 + 1) * r**n
 
 
-def sample_in_ball(center, r, k, rng, metric="sup"):
-    """Uniform samples inside B(center, r); rejection from the box for the
-    Euclidean case (fine in the catalogue dimensions)."""
+def sample_in_ball(center, r, k, rng, metric="sup", out=None):
+    """Uniform samples inside B(center, r), written into ``out`` if given; rejection
+    from the box for the Euclidean case (fine in the catalogue dimensions)."""
     center = np.asarray(center, dtype=float)
     n = center.shape[0]
+    out = np.empty((k, n)) if out is None else out
     if metric == "sup":
-        out = rng.uniform(-r, r, size=(k, n))
+        # rng.uniform(-r, r)'s arithmetic, -r + 2r * u, written in place
+        rng.random(out=out)
+        out *= 2.0 * r
+        out += -r
     else:
-        out = np.empty((k, n))
         got = 0
         # batches sized to the acceptance rate (plus 1 % and 16 rows); the points
         # kept are the first k of the uniform stream whatever the batch sizes
@@ -645,6 +648,9 @@ def fit_lsp(
         raise ArgumentError("every delta must stay below its paired r")
     n = m.ambient_dim
     exact = _interval_model(m)
+    if not exact:
+        # every r refills the same clouds, so their pages are touched once
+        clouds = np.empty((centers_per_cell, samples, n))
     rows = []
     for r in r_grid:
         # one draw per r serves every delta = ratio * r: vals[j, i] is the
@@ -656,7 +662,8 @@ def fit_lsp(
             vals = neighborhood_length_1d(m, deltas[:, None], c0 - r, c0 + r)
             errs = np.zeros_like(vals)
         else:
-            clouds = [sample_in_ball(c, r, samples, rng, metric=metric) for c in centers]
+            for c, cloud in zip(centers, clouds):
+                sample_in_ball(c, r, samples, rng, metric=metric, out=cloud)
             counts = _hit_counts(m, clouds, deltas, metric=metric)
             vals, errs = _mc_volume(ball_volume(n, r, metric), counts.T, samples)
         for d, v, e in zip(deltas, vals, errs):

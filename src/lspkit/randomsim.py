@@ -29,7 +29,6 @@ from .sets import (
     PointSet,
     SetModel,
     _norm,
-    _spanned_axes,
     distance_to_set,
     transform_model,
 )
@@ -122,7 +121,7 @@ def _torus_distances(base: SetModel, trans, x):
     if isinstance(base, PointSet):
         q = _frac(base.points[None, :, :] + trans[:, None, :])
         return _norm(_wrapped_dist(q, x), "sup").min(axis=1)
-    free = _spanned_axes(base.basis) if isinstance(base, AffinePlane) else None
+    free = base.free_axes if isinstance(base, AffinePlane) else None
     if free is not None:
         # a translated coordinate plane only moves along its unspanned axes
         q = _frac(base.base[~free] + trans[:, ~free])
@@ -273,7 +272,7 @@ def covering_exponent(scheme: RandomScheme, N_list) -> CoveringFit:
         isinstance(base, AffinePlane)
         and scheme.n == 2
         and base.plane_dim == 1
-        and (free := _spanned_axes(base.basis)) is not None
+        and (free := base.free_axes) is not None
     ):
         axis = int(np.flatnonzero(~free)[0])
         offset, line = base.base[axis], True

@@ -35,7 +35,7 @@ coordinate mod 1 and take the minimum over unit shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -113,6 +113,8 @@ class AffinePlane:
     base: np.ndarray
     basis: np.ndarray
     extent: float = 1.0
+    # mask of the coordinate axes the basis spans, or None (``_spanned_axes``)
+    free_axes: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         base = np.asarray(self.base, dtype=float)
@@ -124,6 +126,7 @@ class AffinePlane:
             raise ArgumentError("basis rows must be orthonormal to 1e-12")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "free_axes", _spanned_axes(basis))
 
     @property
     def ambient_dim(self):
@@ -557,15 +560,14 @@ def _sup_segment_min(c, d):
 
 
 def _plane_distance(m: AffinePlane, pts, metric):
+    if metric != "euclidean" and m.free_axes is not None:
+        # axis-aligned span: free coordinates drop out of the sup distance
+        return _norm(pts[:, ~m.free_axes] - m.base[~m.free_axes], "sup")
     diff = pts - m.base
     if metric == "euclidean":
         resid = diff - (diff @ m.basis.T) @ m.basis
         return np.linalg.norm(resid, axis=1)
     n, l = m.ambient_dim, m.plane_dim
-    free = _spanned_axes(m.basis)
-    if free is not None:
-        # axis-aligned span: free coordinates drop out of the sup distance
-        return _norm(diff[:, ~free], "sup")
     if l == n - 1:
         # hyperplane: closed form |normal . diff| / ||normal||_1
         _, _, vt = np.linalg.svd(m.basis, full_matrices=True)

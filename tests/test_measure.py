@@ -657,3 +657,23 @@ def test_euclidean_sample_in_ball_keeps_the_first_accepted_draws(n):
     accepted = stream[np.sum(stream * stream, axis=1) <= r * r][:k]
     pts = sample_in_ball(np.zeros(n), r, k, np.random.default_rng(19), metric="euclidean")
     assert np.array_equal(pts, accepted)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0 / 3.0, 0.0109375, 123.456])
+def test_sup_sample_in_ball_is_the_uniform_stream(r):
+    # the in-place draw keeps rng.uniform(-r, r)'s bits, so every sup-metric
+    # Monte Carlo estimate is unchanged by it
+    center = np.array([0.3, -0.7, 2.5])
+    ref = np.random.default_rng(4).uniform(-r, r, size=(3000, 3)) + center
+    pts = sample_in_ball(center, r, 3000, np.random.default_rng(4))
+    assert np.array_equal(pts, ref)
+
+
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+def test_sample_in_ball_fills_out(metric):
+    center = np.array([0.2, 0.4])
+    fresh = sample_in_ball(center, 0.3, 2000, np.random.default_rng(8), metric=metric)
+    out = np.full((2000, 2), np.nan)
+    got = sample_in_ball(center, 0.3, 2000, np.random.default_rng(8), metric=metric, out=out)
+    assert got is out
+    assert np.array_equal(out, fresh)

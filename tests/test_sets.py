@@ -93,6 +93,16 @@ def test_plane_distance():
     )
 
 
+def test_coordinate_plane_sup_distance_reads_its_fixed_axes():
+    # the xz-plane through (1, 2, 3) spans axes 0 and 2: the sup distance is |y - 2|
+    plane = AffinePlane(np.array([1.0, 2.0, 3.0]), np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+    assert plane.free_axes.tolist() == [True, False, True]
+    pts = np.array([[5.0, -1.5, 0.0], [0.0, 2.25, 9.0], [1.0, 2.0, 3.0]])
+    assert distance_to_set(plane, pts).tolist() == [3.5, 0.25, 0.0]
+    # a tilted line spans no coordinate subspace
+    assert AffinePlane(np.zeros(2), np.array([[0.6, 0.8]])).free_axes is None
+
+
 def test_line_in_3d_sup_distance_lp():
     line = AffinePlane(np.zeros(3), np.array([[1.0, 1.0, 0.0]]) / math.sqrt(2))
     d = distance_to_set(line, [1.0, 0.0, 0.3], metric="sup")
