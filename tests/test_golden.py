@@ -30,8 +30,10 @@ the exact bit: every float is stored as ``float.hex``.  They are
   of its target (pinned as the error it raises); ``caj`` on a shifted line
   region and on a circle (a sampled pool);
 - Cantor builds: the audit at domain radii 17 and 23, the holder config
-  at eta 4, and two builds that save their tree, the bundled audit and the
-  holder config at eta 8, whose ``tree.json`` is pinned by its SHA-256.
+  at eta 4, and builds that save their tree, whose ``tree.json`` is pinned
+  by its SHA-256: the bundled audit, and the holder config at eta 8 on
+  domain radii 85, 60 and 110 (at 110 the deep sublevel's cover pool spans
+  16 blocks of 2**16 points).
 
 A variant that raises a ``ToolkitError`` pins the error's type, message and
 achieved fraction instead of a results block.
@@ -176,6 +178,13 @@ def variant_configs():
     out["cantor_holder_eta8"] = ("cantor-build", {
         **bundled_config("cantor_holder.json"), "eta": 8.0, "c5": 90.0 / 85.0, "save_tree": True,
     })
+    holder = bundled_config("cantor_holder.json")
+    for radius in (60.0, 110.0):
+        out[f"cantor_holder_eta8_radius{radius:g}"] = ("cantor-build", {
+            **holder, "eta": 8.0, "c5": 90.0 / radius, "save_tree": True,
+            "domain": {**holder["domain"], "radius": radius},
+            "stages": {**holder["stages"], "lo": -radius, "hi": radius},
+        })
     return out
 
 
