@@ -27,6 +27,13 @@ order.  Each ``LocalLevel`` holds its selection ("a") and target ("c") balls
 as flat arrays, built one sublevel at a time, and names its parent ball by
 ``(parent_level, parent_index)``, a row of ``balls(parent_level)``; mass
 assignment, the audits and the builder all resolve parents by that row.
+
+Memory follows the balls the builder selects.  A stage cloud
+(``stages.sorted_points(j)``) is read only through ``len``, slices,
+integer-array gathers and ``.searchsorted``, which a ``stages.GridView``
+computes on demand; a deep sublevel filters and sweeps its cover pool
+``BLOCK`` points at a time; and ``tree_to_json`` keeps the ball arrays,
+which the writer encodes one at a time (``json_default``).
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ MAX_NODES = 2_000_000  # target-ball budget of one local level
 FORMAT_MAX_LEAVES = 60  # larger local levels print as counts only
 D2 = 2.0  # P2 cardinality constant, recorded in a tree's constants
 MASS_FACTOR = 2.5  # a local level's mass target is MASS_FACTOR * eta
+BLOCK = 2**16  # points per slice of a cover pool or a stage cloud
 
 
 @dataclass
@@ -63,7 +71,7 @@ class ConstructionParams:
     domain: Ball
     gauges: GaugePair
     eta: float
-    stages: object  # provider with model(j), upsilon(j), sorted_points(j), j_max
+    stages: object  # provider with model(j), upsilon(j), sorted_points(j) (a sorted 1-D cloud), j_max
     depth: int = 2
     g_floor: int = 1
     c5: float = 1.0
@@ -294,8 +302,8 @@ def _caj_nets(params, a_centers, a_radii, j, upsilon):
     """
     cloud = params.stages.sorted_points(j)
     sep = 6.0 * upsilon
-    i0 = np.searchsorted(cloud, a_centers - 0.5 * a_radii)
-    i1 = np.searchsorted(cloud, a_centers + 0.5 * a_radii)
+    i0 = cloud.searchsorted(a_centers - 0.5 * a_radii)
+    i1 = cloud.searchsorted(a_centers + 0.5 * a_radii)
     rows, owner = _slice_rows(i0, i1)
     pts = cloud[rows]
     close = (owner[1:] == owner[:-1]) & (np.diff(pts) <= sep)
@@ -474,6 +482,29 @@ def _sweep_chain(pool, sep):
     return keep
 
 
+def _cover_chain(pool, b_lo, b_hi, sep, block=BLOCK):
+    """The points of the sorted ``pool`` outside every interval
+    [b_lo[k], b_hi[k]] (``b_lo`` sorted, ``b_hi`` its running maximum) that
+    one ``_sweep_chain(leftover, sep)`` over all of them keeps.
+
+    The pool is filtered and swept ``block`` points at a time.  The sweep's
+    predicate is monotone along the sorted pool, so a slice's next kept point
+    is its first point p with ``p - last >= sep``, ``last`` being the last
+    point kept before it, and the slice's chain runs from there.
+    """
+    kept, last = [], -math.inf
+    for s in range(0, len(pool), block):
+        pts = pool[s : s + block]
+        idx = np.searchsorted(b_lo, pts, side="right") - 1
+        inside = (idx >= 0) & (pts <= np.where(idx >= 0, b_hi[np.maximum(idx, 0)], -np.inf))
+        pts = pts[~inside & (pts - last >= sep)]
+        if len(pts):
+            pts = pts[_sweep_chain(pts, sep)]
+            kept.append(pts)
+            last = pts[-1]
+    return np.concatenate(kept) if kept else pool[:0]
+
+
 def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radius, node):
     """Cover the leftover region with d_min-radius balls and pick one
     transformed-radius ball on the stage cloud inside each, until the
@@ -481,7 +512,8 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
 
     The cover balls are a chain over the sorted pool of candidate centers:
     the first point, then each first point at least ``2 d_min (1 - 1e-12)``
-    past the last kept one (``_sweep_chain``), so they are disjoint.
+    past the last kept one, so they are disjoint; ``_cover_chain`` filters
+    and sweeps the pool one block at a time.
     """
     pair = params.gauges
     half_lo = B.center[0] - 0.5 * B.radius
@@ -493,14 +525,12 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
     b_lo = (leaf_center - 4.0 * leaf_radius)[order]
     b_hi = np.maximum.accumulate((leaf_center + 4.0 * leaf_radius)[order])
 
+    # greedy same-radius disjoint cover of the leftover; the candidate pool
+    # is freed before the hosts are searched
     step = d_min / 2.0
     pool = np.arange(half_lo + d_min, half_hi - d_min + step / 4, step)
-    if len(pool):
-        idx = np.searchsorted(b_lo, pool, side="right") - 1
-        inside = (idx >= 0) & (pool <= np.where(idx >= 0, b_hi[np.maximum(idx, 0)], -np.inf))
-        pool = pool[~inside]
-    # greedy same-radius disjoint cover of the leftover
-    covers = pool[_sweep_chain(pool, 2.0 * d_min * (1 - 1e-12))]
+    covers = _cover_chain(pool, b_lo, b_hi, 2.0 * d_min * (1 - 1e-12))
+    del pool
     if len(covers) == 0:
         raise ConstructionError(
             f"sublevel {i}: leftover region produced no cover balls", node=node, sublevel=i
@@ -516,7 +546,7 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
         room = d_min - 3.0 * tilde
         if room > 0:
             cloud = params.stages.sorted_points(j)
-            pos = np.searchsorted(cloud, unhosted)
+            pos = cloud.searchsorted(unhosted)
             left = cloud[np.clip(pos - 1, 0, len(cloud) - 1)]
             right = cloud[np.clip(pos, 0, len(cloud) - 1)]
             host = np.where(np.abs(unhosted - left) <= np.abs(unhosted - right), left, right)
@@ -665,6 +695,14 @@ def ball_mass_upper(tree: CantorTree, mass: MassAssignment, D: Ball) -> float:
 # audits
 
 
+def _min_gap(cloud):
+    """Smallest gap between neighbouring points of a sorted cloud (inf for
+    fewer than two), read in overlapping slices of ``BLOCK + 1`` points so
+    that a grid view computes one slice at a time."""
+    gaps = [np.min(np.diff(cloud[s : s + BLOCK + 1])) for s in range(0, len(cloud) - 1, BLOCK)]
+    return min(gaps, default=math.inf)
+
+
 def _neighborhood_in_window(cloud, u, centers, half_widths, gap):
     """Lengths of (cloud-point u-neighborhood) intersected with the windows
     [c - w, c + w], vectorized.  When the point intervals are disjoint (2u
@@ -673,8 +711,8 @@ def _neighborhood_in_window(cloud, u, centers, half_widths, gap):
     and each window reads its length from the union."""
     lo = centers - half_widths
     hi = centers + half_widths
-    i0 = np.searchsorted(cloud, lo - u)
-    i1 = np.searchsorted(cloud, hi + u)
+    i0 = cloud.searchsorted(lo - u)
+    i1 = cloud.searchsorted(hi + u)
     if 2.0 * u < gap:
         rows, owner = _slice_rows(i0, i1)
         p = cloud[rows]
@@ -688,7 +726,7 @@ def _neighborhood_in_window(cloud, u, centers, half_widths, gap):
 
 def _points_on_stage(params, j, centers, tol):
     cloud = params.stages.sorted_points(int(j))
-    pos = np.searchsorted(cloud, centers)
+    pos = cloud.searchsorted(centers)
     best = np.full(len(centers), np.inf)
     for off in (-1, 0):
         k = np.clip(pos + off, 0, len(cloud) - 1)
@@ -779,7 +817,7 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
                 sel = np.nonzero(loc.a_j == j)[0]
                 u = params.stages.upsilon(int(j))
                 cloud = params.stages.sorted_points(int(j))
-                gap = np.min(np.diff(cloud)) if len(cloud) > 1 else math.inf
+                gap = _min_gap(cloud)
                 ca = loc.a_center[sel]
                 ra = loc.a_radius[sel]
                 vol_a = _neighborhood_in_window(cloud, u, ca, ra, gap)
@@ -1017,8 +1055,16 @@ def format_tree(tree: CantorTree, mass: MassAssignment | None = None) -> str:
 
 
 # array fields ``a_<key>`` and ``c_<key>`` form the "a" and "c" blocks of a
-# local level, written as lists
+# local level; they stay arrays, which the writer encodes as lists one at a
+# time (``json_default``)
 _BLOCKS = ("a", "c")
+
+
+def json_default(obj):
+    """``json.dumps`` default for ``tree_to_json``: an array becomes its
+    list only while the encoder writes it, so no whole-tree list is built;
+    any other number is written as a float."""
+    return obj.tolist() if isinstance(obj, np.ndarray) else float(obj)
 
 
 def _local_to_json(loc: LocalLevel) -> dict:
@@ -1027,7 +1073,7 @@ def _local_to_json(loc: LocalLevel) -> dict:
         v = getattr(loc, f.name)
         block, _, key = f.name.partition("_")
         if block in _BLOCKS:
-            out.setdefault(block, {})[key] = v.tolist()
+            out.setdefault(block, {})[key] = v
         else:
             out[f.name] = np.asarray(v).tolist() if isinstance(v, list) else v
     return out
@@ -1046,6 +1092,9 @@ def _local_from_json(e) -> LocalLevel:
 
 
 def tree_to_json(tree: CantorTree) -> dict:
+    """The tree as a JSON-ready dict whose ball arrays stay ndarrays; write
+    it with ``json.dumps(..., default=json_default)``.  ``tree_from_json``
+    reads both this dict and its parsed JSON text."""
     return {
         "root": {"center": tree.root.center.tolist(), "radius": tree.root.radius},
         # the builder has one metric; the key keeps saved trees byte-identical

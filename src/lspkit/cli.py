@@ -35,6 +35,7 @@ from .cantor import (
     check_tree_params,
     format_tree,
     holder_check,
+    json_default,
     tree_fingerprint,
     tree_from_json,
     tree_to_json,
@@ -635,8 +636,9 @@ def run(command, config, out_dir=None, overrides=(), seed=None, threads=1):
             _write_csv(out / "tables" / name, header, rows)
         for name, payload in extra.items():
             with open(out / name, "w") as fh:
-                # one dumps call: json.dump on a file runs the pure-Python encoder
-                fh.write(json.dumps(payload, default=float))
+                # one dumps call: json.dump on a file runs the pure-Python encoder;
+                # the payload's arrays become lists one at a time
+                fh.write(json.dumps(payload, default=json_default))
     return 0, report
 
 

@@ -5,13 +5,15 @@ A provider exposes ``model(j)``, ``upsilon(j)``, and ``j_max``.  The bundled
 providers are deterministic: a single low-discrepancy point per stage, or
 dyadic grid clouds (the point count doubles at powers of two) with a
 piecewise radius schedule whose plateaus put the stage radii at the scales a
-construction needs.
+construction needs.  A grid cloud is also served as a ``GridView``, which
+computes only the points its caller indexes or searches, so no stage holds
+its cloud.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,21 +67,91 @@ class VdcPointStages:
         return self.model(j), self.upsilon(j)
 
 
+class GridView:
+    """The sorted cell midpoints of a regular grid of ``size`` cells over
+    [lo, hi], computed on demand.
+
+    Element k is ``lo + (hi - lo) * (k + 0.5) / size``, the same operations
+    in the same order as the array ``lo + (hi - lo) * (np.arange(size) +
+    0.5) / size``, so every element, slice and gather equals that array's
+    bit for bit.  Rounding is monotone, so the elements are sorted.  The
+    view supports ``len``, slices, non-negative integer and integer-array
+    indices, ``np.asarray`` and ``searchsorted``; it holds no element.
+    """
+
+    __slots__ = ("lo", "hi", "size")
+
+    def __init__(self, lo, hi, size):
+        self.lo, self.hi, self.size = lo, hi, int(size)
+
+    def __len__(self):
+        return self.size
+
+    def _at(self, k):
+        return self.lo + (self.hi - self.lo) * (k + 0.5) / self.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._at(np.arange(*key.indices(self.size)))
+        k = np.asarray(key)
+        if k.dtype.kind not in "iu":
+            raise IndexError("a grid view takes integer, integer-array and slice indices")
+        if k.size and (k.min() < 0 or k.max() >= self.size):
+            raise IndexError(f"index out of range for a grid of {self.size} points")
+        return self._at(k)
+
+    def __array__(self, dtype=None, copy=None):
+        grid = self[:]
+        return grid if dtype is None else grid.astype(dtype, copy=False)
+
+    def searchsorted(self, v):
+        """``np.searchsorted(np.asarray(self), v)`` (side left): for each v,
+        the first k with ``self[k] >= v``, or ``size`` if there is none.
+
+        The index is guessed from the formula and then settled with exact
+        comparisons against the computed elements: the guess brackets the
+        answer, and a bisection over the bracket (the whole grid where the
+        guess misses) finds it.
+        """
+        shape = np.shape(v)
+        v = np.asarray(v, dtype=float).ravel()
+        n = self.size
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            guess = np.ceil((v - self.lo) / (self.hi - self.lo) * n - 0.5)
+        # NaN sorts after every element, as in np.searchsorted
+        guess = np.clip(np.nan_to_num(guess, nan=n), 0, n).astype(np.intp)
+        a = np.maximum(guess - 1, 0)
+        b = np.minimum(guess + 1, n)
+        # the answer lies in [a, b] unless an element below a reaches v or
+        # the element at b falls short of it
+        a[(a > 0) & (self._at(a - 1) >= v)] = 0
+        b[(b < n) & ~(self._at(b) >= v)] = n
+        todo = np.nonzero(a < b)[0]
+        while len(todo):
+            mid = (a[todo] + b[todo]) // 2
+            up = self._at(mid) >= v[todo]
+            b[todo[up]] = mid[up]
+            a[todo[~up]] = mid[~up] + 1
+            todo = todo[a[todo] < b[todo]]
+        return a.reshape(shape)[()]
+
+
 @dataclass
 class GridCloudStages:
     """Dyadic grid clouds over [lo, hi] with a plateau radius schedule.
 
-    ``model(j)`` is the regular grid of ``2**floor(log2 j)`` cell midpoints;
-    ``upsilon(j)`` follows ``a_k * (j_k / j)**GAMMA`` on the plateau starting
-    at ``j_k``, so radii decay slowly within a plateau and drop at the
-    configured breakpoints.
+    ``model(j)`` is the regular grid of ``2**floor(log2 j)`` cell midpoints,
+    and ``sorted_points(j)`` the same points as a ``GridView`` that computes
+    them on demand, so a stage costs memory only for the points its caller
+    reads; ``upsilon(j)`` follows ``a_k * (j_k / j)**GAMMA`` on the plateau
+    starting at ``j_k``, so radii decay slowly within a plateau and drop at
+    the configured breakpoints.
     """
 
     lo: float
     hi: float
     plateaus: tuple  # ((j_start, upsilon_start), ...) with j_start ascending
     j_max: int = 2**24
-    _clouds: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.plateaus = tuple((int(j), float(u)) for j, u in self.plateaus)
@@ -114,14 +186,10 @@ class GridCloudStages:
         return 1 << int(math.floor(math.log2(max(j, 1))))
 
     def sorted_points(self, j):
-        size = self.cloud_size(j)
-        if size not in self._clouds:
-            grid = self.lo + (self.hi - self.lo) * (np.arange(size) + 0.5) / size
-            self._clouds[size] = grid
-        return self._clouds[size]
+        return GridView(self.lo, self.hi, self.cloud_size(j))
 
     def model(self, j):
-        return PointSet(self.sorted_points(j)[:, None])
+        return PointSet(np.asarray(self.sorted_points(j))[:, None])
 
     def __call__(self, j):
         return self.model(j), self.upsilon(j)

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 import types
 from dataclasses import fields
 from fractions import Fraction
@@ -16,6 +17,7 @@ from lspkit.cantor import (
     MassAssignment,
     _ambient_constants,
     _caj_nets,
+    _cover_chain,
     _neighborhood_in_window,
     _stage_radii,
     _sweep_chain,
@@ -24,11 +26,13 @@ from lspkit.cantor import (
     build_cantor,
     format_tree,
     holder_check,
+    json_default,
     tree_fingerprint,
     tree_from_json,
     tree_to_json,
     verify_levels,
 )
+from lspkit.cli import bundled_config
 from lspkit.covering import Ball, greedy_net
 from lspkit.dimfun import Gauge, GaugePair, eval_gauge
 from lspkit.errors import ConstructionError
@@ -260,9 +264,10 @@ def test_tree_json_roundtrip(audit_tree):
 
 def test_tree_json_roundtrip_every_field(audit_tree):
     _, tree = audit_tree
-    d = json.loads(json.dumps(tree_to_json(tree), default=float))
+    text = json.dumps(tree_to_json(tree), default=json_default)
+    d = json.loads(text)
     back = tree_from_json(d)
-    assert tree_to_json(back) == d
+    assert json.dumps(tree_to_json(back), default=json_default) == text
     for got, want in zip(back.levels[0], tree.levels[0]):
         for f in fields(LocalLevel):
             a, b = getattr(got, f.name), getattr(want, f.name)
@@ -271,6 +276,41 @@ def test_tree_json_roundtrip_every_field(audit_tree):
                 assert np.array_equal(a, b), f.name
             else:
                 assert a == b, f.name
+
+
+def _lists(obj):
+    """The tree dict with every array as a list: the whole-tree form that was
+    written before the writer took one array at a time."""
+    if isinstance(obj, dict):
+        return {k: _lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_lists(v) for v in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+def test_tree_writer_matches_whole_list_writer(audit_tree):
+    _, tree = audit_tree
+    d = tree_to_json(tree)
+    assert json.dumps(d, default=json_default) == json.dumps(_lists(d), default=float)
+
+
+def test_wide_holder_build_stays_small():
+    # eta 8 on B(0, 110): the deep sublevel's cover pool spans 16 blocks and
+    # its stage clouds reach 2**21 points; none is held whole (the build
+    # peaked at 57.9 MB traced when they were)
+    cfg = bundled_config("cantor_holder.json")
+    radius = 110.0
+    params = cantor_params(
+        cfg, eta=8.0, c5=90.0 / radius, domain={**cfg["domain"], "radius": radius},
+        stages={**cfg["stages"], "lo": -radius, "hi": radius},
+    )
+    tracemalloc.start()
+    try:
+        build_cantor(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon, metric):
@@ -630,6 +670,39 @@ def test_sweep_chain_matches_loop(seed):
         pool = np.unique([a, np.nextafter(below, -np.inf), below, y, np.nextafter(y, np.inf)])
         assert np.array_equal(_sweep_chain(pool, sep), _sweep_loop(pool, sep))
     assert len(_sweep_chain(edge[:0], sep)) == 0
+
+
+def _filtered_sweep(pool, b_lo, b_hi, sep):
+    """Reference: filter the whole pool, then one ``_sweep_chain`` over it."""
+    idx = np.searchsorted(b_lo, pool, side="right") - 1
+    inside = (idx >= 0) & (pool <= np.where(idx >= 0, b_hi[np.maximum(idx, 0)], -np.inf))
+    pool = pool[~inside]
+    return pool[_sweep_chain(pool, sep)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 2**16])
+@pytest.mark.parametrize("seed", range(3))
+def test_cover_chain_matches_one_sweep(block, seed):
+    rng = np.random.default_rng(seed)
+    d_min = float(rng.uniform(1e-4, 1e-3))
+    sep = 2.0 * d_min * (1 - 1e-12)
+    step = d_min / 2.0
+    # the builder's pool crossing zero, with leaf 4-dilates cut out of it
+    n = 3000 if block < 2**16 else 200_000
+    pool = np.arange(-0.3 * n * step, 0.7 * n * step, step)
+    leaf = rng.uniform(pool[0], pool[-1], 40)
+    half = rng.uniform(0.0, 30 * d_min, 40)
+    order = np.argsort(leaf - half)
+    b_lo, b_hi = (leaf - half)[order], np.maximum.accumulate((leaf + half)[order])
+    want = _filtered_sweep(pool, b_lo, b_hi, sep)
+    assert np.array_equal(_cover_chain(pool, b_lo, b_hi, sep, block), want)
+    # spacings of exactly sep and one ulp either side, around zero
+    near = [sep, np.nextafter(sep, 0.0), np.nextafter(sep, 1.0), sep / 3, 2 * sep]
+    edge = -500 * sep + np.cumsum(rng.choice(near, 1000))
+    none = np.array([-np.inf]), np.array([-np.inf])
+    assert np.array_equal(_cover_chain(edge, *none, sep, block), edge[_sweep_chain(edge, sep)])
+    # a pool the leaves cover entirely keeps nothing
+    assert len(_cover_chain(pool, pool[:1] - 1.0, pool[-1:] + 1.0, sep, block)) == 0
 
 
 def test_stage_radii_one_call_per_stage(audit_tree):

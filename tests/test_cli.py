@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,20 @@ def saved_trees(tmp_path_factory):
     tree["root"]["center"] = [0.0, 0.0]
     (out / "tree_2d.json").write_text(json.dumps(tree))
     return {"{tree}": str(out / "tree.json"), "{tree_2d}": str(out / "tree_2d.json")}
+
+
+def test_audit_build_with_saved_tree_stays_small(tmp_path):
+    # no stage cloud, cover pool or whole-tree list is held: the bundled audit
+    # with its tree write peaked at 39.8 MB traced when they were
+    cfg = {**bundled_config("cantor_audit.json"), "save_tree": True}
+    tracemalloc.start()
+    try:
+        code, _ = run("cantor-build", cfg, out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and (tmp_path / "tree.json").stat().st_size > 4_000_000
+    assert peak < 20e6
 
 
 def _set_args(overrides, trees=None):

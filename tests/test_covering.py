@@ -183,7 +183,7 @@ def test_build_kgb_uses_every_cloud_point():
     stages = GridCloudStages(lo=0.0, hi=1.0, plateaus=((16384, 1e-5),))
     res = build_kgb(Ball(np.array([0.5]), 0.3), 16384, stages, stages.j_max, 0.2)
     assert set(res.js.tolist()) == {16384} and set(res.radii.tolist()) == {1e-5}
-    cloud = stages.sorted_points(16384)
+    cloud = np.asarray(stages.sorted_points(16384))
     reach = cloud[np.abs(cloud - 0.5) + 3e-5 <= 0.3 * (1 + 1e-12)]
     assert 1 < len(res.radii) < len(reach)
     assert np.array_equal(res.selected[:, 0], reach[: len(res.radii)])

@@ -117,6 +117,22 @@ def test_stage_uniforms_rows_are_per_stage_philox_draws(k):
         assert np.array_equal(row, gen.random(k))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 20260818, 2**63 + 5, 2**64 - 1])
+def test_stage_uniforms_are_the_top_53_bits_of_raw_words(seed):
+    # one Generator.random pass gives the doubles of the raw-word conversion
+    for tag in (0, 917):
+        for k in (1, 2, 3, 4, 5, 1000, 2001):
+            b = -(-k // 4)
+            for J, N in ((1, 1), (1, 9), (37, 45), (1000, 1002)):
+                key = np.array([seed, tag], dtype=np.uint64)
+                raw = np.random.Philox(key=key, counter=J * b).random_raw((N - J + 1) * b * 4)
+                want = ((raw >> np.uint64(11)) * 2.0**-53).reshape(N - J + 1, 4 * b)[:, :k]
+                assert np.array_equal(stage_uniforms(seed, tag, J, N, k), want)
+                out = np.empty((N - J + 1, 4 * b))
+                got = stage_uniforms(seed, tag, J, N, k, out=out)
+                assert np.array_equal(got, want) and np.shares_memory(got, out)
+
+
 def test_stage_uniforms_accept_the_largest_seed():
     seed = 2**64 - 1
     key = np.array([seed, 0], dtype=np.uint64)
@@ -230,6 +246,17 @@ def test_multi_rule_coverage_matches_single_rule_calls():
     for rule, diag in zip(rules, together):
         (alone,) = coverage_frequency(sch, [0.3], [rule], 1, 300, trials=1000)
         _same_diagnostic(diag, alone)
+
+
+def test_coverage_calls_each_rule_once_per_stage():
+    # 1000 trials make blocks of 65 stages: each rule is called for a block's
+    # stages when the block is measured, once per stage, in stage order
+    sch = point_scheme(seed=53)
+    calls = []
+    rules = [lambda j, r=r: calls.append((r, int(j))) or r / j for r in (1.0, 0.5)]
+    coverage_frequency(sch, [0.3], rules, 1, 200, trials=1000)
+    blocks = [range(lo, min(lo + 65, 201)) for lo in range(1, 201, 65)]
+    assert calls == [(r, j) for js in blocks for r in (1.0, 0.5) for j in js]
 
 
 def test_coverage_blocks_match_stage_by_stage():
