@@ -296,8 +296,8 @@ def test_tree_writer_matches_whole_list_writer(audit_tree):
 
 def test_wide_holder_build_stays_small():
     # eta 8 on B(0, 110): the deep sublevel's cover pool spans 16 blocks and
-    # its stage clouds reach 2**21 points; none is held whole (the build
-    # peaked at 57.9 MB traced when they were)
+    # its stage clouds reach 2**21 points; none is held whole (holding them,
+    # the build peaks at 61.8 MB traced)
     cfg = bundled_config("cantor_holder.json")
     radius = 110.0
     params = cantor_params(

@@ -51,8 +51,8 @@ def saved_trees(tmp_path_factory):
 
 
 def test_audit_build_with_saved_tree_stays_small(tmp_path):
-    # no stage cloud, cover pool or whole-tree list is held: the bundled audit
-    # with its tree write peaked at 39.8 MB traced when they were
+    # no stage cloud, cover pool or whole-tree list is held; holding them, the
+    # bundled audit with its tree write peaks at 42.6 MB traced
     cfg = {**bundled_config("cantor_audit.json"), "save_tree": True}
     tracemalloc.start()
     try:
