@@ -31,9 +31,14 @@ assignment, the audits and the builder all resolve parents by that row.
 Memory follows the balls the builder selects.  A stage cloud
 (``stages.sorted_points(j)``) is read only through ``len``, slices,
 integer-array gathers and ``.searchsorted``, which a ``stages.GridView``
-computes on demand; a deep sublevel filters and sweeps its cover pool
-``BLOCK`` points at a time; and ``tree_to_json`` keeps the ball arrays,
-which the writer encodes one at a time (``json_default``).
+computes on demand; and a deep sublevel filters and sweeps its cover pool
+``BLOCK`` points at a time.
+
+Every center is a point of its stage cloud, so a saved tree (``tree_to_json``,
+format ``TREE_FORMAT``) stores each ball as its index into the cloud, and
+each block's radius, stage index and sublevel once per run of equal values;
+``tree_from_json`` gathers the centers back from the same stages, bit for
+bit, and refuses a tree whose grid differs from theirs.
 """
 
 from __future__ import annotations
@@ -605,8 +610,9 @@ def check_tree_params(tree: CantorTree, params: ConstructionParams):
     that is not 1-D, its constants against the parameters' constants (JSON
     floats round-trip exactly), or its gauge case against the pair's.
 
-    The stages, and the gauge pair beyond its case, stay unbound; the
-    audits P2 and P5 test them in part.
+    The stage grid is bound when the tree is read (``tree_from_json``); the
+    stage radii, and the gauge pair beyond its case, stay unbound here, and
+    the audits P2 and P5 test them in part.
     """
     root, domain = tree.root, params.domain
     if not (np.array_equal(root.center, domain.center) and root.radius == domain.radius):
@@ -681,14 +687,6 @@ def assign_mass(tree: CantorTree, params: ConstructionParams, exact=False) -> Ma
             parent_exact = exacts
             exact_levels.append(exacts)
     return MassAssignment(mu=mu_levels, exact=exact_levels)
-
-
-def ball_mass_upper(tree: CantorTree, mass: MassAssignment, D: Ball) -> float:
-    """Upper bound for the limit measure of D: total mass of deepest-level
-    balls meeting D."""
-    centers, radii = tree.leaves()
-    hit = np.abs(centers - D.center) < radii + D.radius
-    return float(np.sum(mass.mu[-1][hit]))
 
 
 # ---------------------------------------------------------------------------
@@ -1054,10 +1052,9 @@ def format_tree(tree: CantorTree, mass: MassAssignment | None = None) -> str:
 # serialization
 
 
-# array fields ``a_<key>`` and ``c_<key>`` form the "a" and "c" blocks of a
-# local level; they stay arrays, which the writer encodes as lists one at a
-# time (``json_default``)
-_BLOCKS = ("a", "c")
+TREE_FORMAT = 2  # the tree.json layout that tree_to_json writes and tree_from_json reads
+_BLOCKS = ("a", "c")  # LocalLevel's selection and target ball columns, a_<key> and c_<key>
+_RUN_KEYS = ("sublevel", "j", "radius")  # constant along a run of one block's balls
 
 
 def json_default(obj):
@@ -1067,49 +1064,149 @@ def json_default(obj):
     return obj.tolist() if isinstance(obj, np.ndarray) else float(obj)
 
 
-def _local_to_json(loc: LocalLevel) -> dict:
+def _block_to_json(loc: LocalLevel, block, stages):
+    """One block of a local level as runs of equal (sublevel, j, radius) and
+    each ball's index into its run's stage cloud."""
+    col = {key: getattr(loc, f"{block}_{key}") for key in ("center", *_RUN_KEYS)}
+    n = len(col["center"])
+    cut = np.flatnonzero(np.any([np.diff(col[key]) != 0 for key in _RUN_KEYS], axis=0)) + 1
+    start = np.concatenate([[0], cut]) if n else np.zeros(0, dtype=np.int64)
+    index, size = np.empty(n, dtype=np.int64), []
+    for s, e in zip(start, np.append(cut, n)):
+        j = int(col["j"][s])
+        cloud = stages.sorted_points(j)
+        centers = col["center"][s:e]
+        k = np.minimum(cloud.searchsorted(centers), len(cloud) - 1)
+        off = np.flatnonzero(cloud[k].view(np.int64) != centers.view(np.int64))
+        if len(off):
+            raise ConstructionError(
+                f"{block}-ball {s + off[0]} center {centers[off[0]]!r} is not a point of "
+                f"the stage-{j} cloud, so the tree cannot be saved",
+                node=(loc.parent_level, loc.parent_index),
+            )
+        index[s:e] = k
+        size.append(len(cloud))
+    runs = {"start": start.tolist(), **{key: col[key][start].tolist() for key in _RUN_KEYS}, "size": size}
+    return {"runs": runs, "index": index}
+
+
+def _local_to_json(loc: LocalLevel, stages) -> dict:
     out = {}
     for f in fields(LocalLevel):
         v = getattr(loc, f.name)
-        block, _, key = f.name.partition("_")
-        if block in _BLOCKS:
-            out.setdefault(block, {})[key] = v
-        else:
+        if f.name.partition("_")[0] not in _BLOCKS:
             out[f.name] = np.asarray(v).tolist() if isinstance(v, list) else v
+    out["a"] = _block_to_json(loc, "a", stages)
+    out["c"] = {**_block_to_json(loc, "c", stages), "aidx": loc.c_aidx}
     return out
 
 
-def _local_from_json(e) -> LocalLevel:
-    kw = {}
-    for f in fields(LocalLevel):
-        block, _, key = f.name.partition("_")
-        if block in _BLOCKS:
-            kw[f.name] = np.array(e[block][key], dtype=float if key in ("center", "radius") else np.int64)
-        else:
-            v = e[f.name]
-            kw[f.name] = list(v) if isinstance(v, list) else v
-    return LocalLevel(**kw)
+def _ints(v, what):
+    """A JSON list of integers as an int64 array; anything else is refused,
+    so that no float is truncated."""
+    a = np.asarray(v)
+    if a.ndim != 1 or (a.size and a.dtype.kind != "i"):
+        raise ArgumentError(f"{what} is not a list of integers")
+    return a.astype(np.int64)
 
 
-def tree_to_json(tree: CantorTree) -> dict:
-    """The tree as a JSON-ready dict whose ball arrays stay ndarrays; write
-    it with ``json.dumps(..., default=json_default)``.  ``tree_from_json``
-    reads both this dict and its parsed JSON text."""
+def _block_from_json(b, stages, tag):
+    runs = b["runs"]
+    start = _ints(runs["start"], f"{tag} run start")
+    sublevel, j, size = (_ints(runs[key], f"{tag} run {key}") for key in ("sublevel", "j", "size"))
+    radius = np.asarray(runs["radius"], dtype=float)
+    index = _ints(b["index"], f"{tag} index")
+    if radius.ndim != 1 or any(len(c) != len(start) for c in (sublevel, j, size, radius)):
+        raise ArgumentError(f"{tag} runs have columns of unequal lengths")
+    bounds = np.append(start, len(index))
+    counts = np.diff(bounds)
+    if bounds[0] != 0 or np.any(counts <= 0):
+        raise ArgumentError(f"{tag} run starts are not 0-based and strictly increasing below {len(index)}")
+    center = np.empty(len(index))
+    for r, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+        cloud = stages.sorted_points(int(j[r]))
+        if len(cloud) != size[r]:
+            raise ArgumentError(
+                f"{tag} run {r} was built on a stage-{j[r]} cloud of {size[r]} points; "
+                f"the config's stages give {len(cloud)}"
+            )
+        k = index[s:e]
+        if np.any((k < 0) | (k >= size[r])):
+            raise ArgumentError(f"{tag} index lies outside its stage cloud")
+        center[s:e] = cloud[k]
     return {
-        "root": {"center": tree.root.center.tolist(), "radius": tree.root.radius},
-        # the builder has one metric; the key keeps saved trees byte-identical
-        # to those of earlier versions
-        "metric": "sup",
-        "constants": tree.constants,
-        "case": tree.case,
-        "levels": [[_local_to_json(loc) for loc in locs] for locs in tree.levels],
+        "center": center,
+        "radius": np.repeat(radius, counts),
+        "j": np.repeat(j, counts),
+        "sublevel": np.repeat(sublevel, counts),
     }
 
 
-def tree_from_json(obj) -> CantorTree:
+def _local_from_json(e, stages, level, li, parents) -> LocalLevel:
+    """Local level ``li`` of tree level ``level``, whose parent must be one
+    of the ``parents`` balls of the level above."""
+    tag = f"L{level}/{li}"
+    kw = {}
+    for block in _BLOCKS:
+        for key, v in _block_from_json(e[block], stages, f"{tag} {block}").items():
+            kw[f"{block}_{key}"] = v
+    aidx = _ints(e["c"]["aidx"], f"{tag} c aidx")
+    if len(aidx) != len(kw["c_center"]) or np.any((aidx < 0) | (aidx >= len(kw["a_center"]))):
+        raise ArgumentError(f"{tag} c aidx does not name one a-ball per c-ball")
+    kw["c_aidx"] = aidx
+    for f in fields(LocalLevel):
+        if f.name not in kw:
+            v = e[f.name]
+            kw[f.name] = list(v) if isinstance(v, list) else v
+    parent = (kw["parent_level"], kw["parent_index"])
+    if tuple(map(type, parent)) != (int, int) or parent[0] != level - 1 or not 0 <= parent[1] < parents:
+        raise ArgumentError(f"{tag} parent {parent} is not one of the {parents} balls of level {level - 1}")
+    return LocalLevel(**kw)
+
+
+def tree_to_json(tree: CantorTree, stages) -> dict:
+    """The tree as a JSON-ready dict in format ``TREE_FORMAT``: each block of
+    a local level holds runs of equal (sublevel, j, radius), with the size of
+    the run's stage cloud ``stages.sorted_points(j)``, and each ball's index
+    into that cloud.  A center that is not a point of its cloud raises
+    ``ConstructionError``.  The index arrays stay ndarrays; write the dict
+    with ``json.dumps(..., default=json_default)``.  ``tree_from_json`` reads
+    both this dict and its parsed JSON text."""
+    return {
+        "format": TREE_FORMAT,
+        "grid": {"lo": stages.lo, "hi": stages.hi},
+        "root": {"center": tree.root.center.tolist(), "radius": tree.root.radius},
+        "constants": tree.constants,
+        "case": tree.case,
+        "levels": [[_local_to_json(loc, stages) for loc in locs] for locs in tree.levels],
+    }
+
+
+def tree_from_json(obj, stages) -> CantorTree:
+    """The tree that ``tree_to_json(tree, stages)`` wrote, its centers
+    gathered from ``stages.sorted_points(j)``.
+
+    The tree is bound to the stages it is read with: its grid must be their
+    [lo, hi] and each run's cloud size theirs.  A tree of another format, a
+    mismatch, or a malformed run, index or ``aidx`` raises ``ArgumentError``.
+    """
+    fmt = obj.get("format") if isinstance(obj, dict) else None
+    if fmt != TREE_FORMAT:
+        raise ArgumentError(f"tree format {fmt!r}: this version reads format {TREE_FORMAT} only; rebuild the tree")
+    if not hasattr(stages, "sorted_points"):
+        raise ArgumentError("a saved tree is read against point-cloud stages, and these have no clouds")
+    grid = (obj["grid"]["lo"], obj["grid"]["hi"])
+    if grid != (stages.lo, stages.hi):
+        raise ArgumentError(f"tree grid {list(grid)} is not the config's stage grid {[stages.lo, stages.hi]}")
+    if not isinstance(obj["constants"], dict):
+        raise ArgumentError("tree constants are not an object")
+    levels, parents = [], 1  # the root is the one ball of level 1
+    for k, locs in enumerate(obj["levels"]):
+        levels.append([_local_from_json(e, stages, k + 2, li, parents) for li, e in enumerate(locs)])
+        parents = sum(len(loc.c_center) for loc in levels[-1])
     return CantorTree(
         root=Ball(np.array(obj["root"]["center"]), obj["root"]["radius"]),
         constants=obj["constants"],
-        levels=[[_local_from_json(e) for e in locs] for locs in obj["levels"]],
-        case=obj.get("case", "a"),
+        levels=levels,
+        case=obj["case"],
     )

@@ -502,17 +502,17 @@ def _run_cantor_build(cfg, rng):
         }
     if len(loc.c_radius) <= FORMAT_MAX_LEAVES:
         print(format_tree(tree, mass), file=sys.stderr)
-    extra = {"tree.json": tree_to_json(tree)} if cfg.get("save_tree", True) else {}
+    extra = {"tree.json": tree_to_json(tree, params.stages)} if cfg.get("save_tree", True) else {}
     return results, [], extra
 
 
 def _run_cantor_verify(cfg, rng):
+    params = _cantor_params(cfg)  # the reader binds the tree to its stages
     try:
         with open(cfg["tree"]) as fh:
-            tree = tree_from_json(json.load(fh))
-    except (OSError, KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+            tree = tree_from_json(json.load(fh), params.stages)
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON and ArgumentError
         raise ArgumentError(f"cannot read tree: {type(exc).__name__}: {exc}") from exc
-    params = _cantor_params(cfg)
     check_tree_params(tree, params)
     audit = verify_levels(tree, params)
     return {

@@ -22,7 +22,6 @@ from lspkit.cantor import (
     _stage_radii,
     _sweep_chain,
     assign_mass,
-    ball_mass_upper,
     build_cantor,
     format_tree,
     holder_check,
@@ -58,6 +57,22 @@ def audit_tree():
     params = cantor_params("cantor_audit.json")
     tree = build_cantor(params)
     return params, tree
+
+
+def _wide_holder_params():
+    """eta 8 on B(0, 110), the widest domain perfbench's holder jobs draw."""
+    cfg = bundled_config("cantor_holder.json")
+    radius = 110.0
+    return cantor_params(
+        cfg, eta=8.0, c5=90.0 / radius, domain={**cfg["domain"], "radius": radius},
+        stages={**cfg["stages"], "lo": -radius, "hi": radius},
+    )
+
+
+@pytest.fixture(scope="module")
+def wide_holder_tree():
+    params = _wide_holder_params()
+    return params, build_cantor(params)
 
 
 def test_build_passes_all_audits(audit_tree):
@@ -209,6 +224,14 @@ def test_mass_formula_two_selections_equal_weights():
     assert np.allclose(mus[2:], 1 / 16)
 
 
+def ball_mass_upper(tree, mass, D):
+    """Upper bound for the limit measure of D: total mass of deepest-level
+    balls meeting D."""
+    centers, radii = tree.leaves()
+    hit = np.abs(centers - D.center) < radii + D.radius
+    return float(np.sum(mass.mu[-1][hit]))
+
+
 def test_ball_mass_upper(audit_tree):
     params, tree = audit_tree
     mass = assign_mass(tree, params)
@@ -258,24 +281,49 @@ def test_mass_concentration_blows_up_holder(audit_tree):
 
 def test_tree_json_roundtrip(audit_tree):
     params, tree = audit_tree
-    back = tree_from_json(tree_to_json(tree))
+    back = tree_from_json(tree_to_json(tree, params.stages), params.stages)
     assert tree_fingerprint(back) == tree_fingerprint(tree)
 
 
-def test_tree_json_roundtrip_every_field(audit_tree):
-    _, tree = audit_tree
-    text = json.dumps(tree_to_json(tree), default=json_default)
-    d = json.loads(text)
-    back = tree_from_json(d)
-    assert json.dumps(tree_to_json(back), default=json_default) == text
-    for got, want in zip(back.levels[0], tree.levels[0]):
-        for f in fields(LocalLevel):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            if isinstance(b, np.ndarray):
-                assert a.dtype == b.dtype and a.shape == b.shape, f.name
-                assert np.array_equal(a, b), f.name
-            else:
-                assert a == b, f.name
+@pytest.mark.parametrize("which", ["audit_tree", "wide_holder_tree"])
+def test_tree_json_roundtrip_every_field(request, which):
+    params, tree = request.getfixturevalue(which)
+    text = json.dumps(tree_to_json(tree, params.stages), default=json_default)
+    back = tree_from_json(json.loads(text), params.stages)
+    assert json.dumps(tree_to_json(back, params.stages), default=json_default) == text
+    assert len(back.levels) == len(tree.levels)
+    for got_level, want_level in zip(back.levels, tree.levels):
+        assert len(got_level) == len(want_level)
+        for got, want in zip(got_level, want_level):
+            for f in fields(LocalLevel):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                    assert np.array_equal(a, b), f.name
+                else:
+                    assert a == b, f.name
+    assert tree_fingerprint(back) == tree_fingerprint(tree)
+
+
+def test_tree_json_stores_runs_and_cloud_indices(audit_tree):
+    params, tree = audit_tree
+    d = tree_to_json(tree, params.stages)
+    assert (d["format"], d["grid"]) == (2, {"lo": -20.0, "hi": 20.0})
+    loc = tree.levels[0][0]
+    for block in ("a", "c"):
+        runs, index = d["levels"][0][0][block]["runs"], d["levels"][0][0][block]["index"]
+        sublevel = getattr(loc, f"{block}_sublevel")
+        assert runs["sublevel"] == [1, 2] and runs["start"] == [0, int(np.argmax(sublevel == 2))]
+        assert runs["size"] == [len(params.stages.sorted_points(j)) for j in runs["j"]]
+        assert index.dtype == np.int64 and len(index) == len(sublevel)
+
+
+def test_tree_writer_refuses_a_center_off_its_cloud(audit_tree):
+    params, tree = audit_tree
+    off = copy.deepcopy(tree)
+    off.levels[0][0].c_center[7] = np.nextafter(off.levels[0][0].c_center[7], np.inf)
+    with pytest.raises(ConstructionError, match="c-ball 7 center .* is not a point of the stage-4096 cloud"):
+        tree_to_json(off, params.stages)
 
 
 def _lists(obj):
@@ -289,8 +337,8 @@ def _lists(obj):
 
 
 def test_tree_writer_matches_whole_list_writer(audit_tree):
-    _, tree = audit_tree
-    d = tree_to_json(tree)
+    params, tree = audit_tree
+    d = tree_to_json(tree, params.stages)
     assert json.dumps(d, default=json_default) == json.dumps(_lists(d), default=float)
 
 
@@ -298,12 +346,7 @@ def test_wide_holder_build_stays_small():
     # eta 8 on B(0, 110): the deep sublevel's cover pool spans 16 blocks and
     # its stage clouds reach 2**21 points; none is held whole (holding them,
     # the build peaks at 61.8 MB traced)
-    cfg = bundled_config("cantor_holder.json")
-    radius = 110.0
-    params = cantor_params(
-        cfg, eta=8.0, c5=90.0 / radius, domain={**cfg["domain"], "radius": radius},
-        stages={**cfg["stages"], "lo": -radius, "hi": radius},
-    )
+    params = _wide_holder_params()
     tracemalloc.start()
     try:
         build_cantor(params)

@@ -1,6 +1,7 @@
 import importlib.resources as resources
 import importlib.util
 import json
+import operator
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import pytest
 from jsonschema.validators import validator_for
 
 from lspkit import cli, covering, errors, measure, sets
+from lspkit.cantor import tree_from_json
 from lspkit.cli import SCHEMAS, bundled_config, main, run
 
 # a readable JSON file that is not a Cantor tree
@@ -24,7 +26,52 @@ _FOREIGN_TREE = [
     (("tree={tree_2d}", "domain.center=[0.0,0.0]"), "tree holds a center that is not 1-D"),
     (("tree={tree}", "c5=0.5"), "tree constant c5 = 1.2, the config gives 0.5"),
     (("tree={tree}", "pair.f.s=1.5"), "tree case (a) is not the config pair's case (b)"),
+    (
+        ("tree={tree}", "stages.type=vdc-points"),
+        "cannot read tree: ArgumentError: a saved tree is read against point-cloud stages, and these have no clouds",
+    ),
+    (
+        ("tree={tree}", "stages.lo=-19", "stages.hi=21"),
+        "cannot read tree: ArgumentError: tree grid [-20.0, 20.0] is not the config's stage grid [-19.0, 21.0]",
+    ),
 ]
+# edited copies of the bundled audit's saved tree: each placeholder's edit of
+# (tree, its root local level), and the reason ``cannot read tree`` gives
+# for refusing it (None: the copy reads, and belongs to another config)
+_EDITED_TREES = {
+    "{tree_2d}": (lambda t, loc: t["root"].update(center=[0.0, 0.0]), None),
+    "{tree_v1}": (lambda t, loc: t.pop("format"), "tree format None: this version reads format 2 only"),
+    "{tree_index_negative}": (
+        lambda t, loc: operator.setitem(loc["a"]["index"], 3, -1),
+        "L2/0 a index lies outside its stage cloud",
+    ),
+    "{tree_index_past_cloud}": (
+        lambda t, loc: operator.setitem(loc["c"]["index"], 0, loc["c"]["runs"]["size"][0]),
+        "L2/0 c index lies outside its stage cloud",
+    ),
+    "{tree_index_float}": (
+        lambda t, loc: operator.setitem(loc["c"]["index"], 5, 3.7),
+        "L2/0 c index is not a list of integers",
+    ),
+    "{tree_start_1}": (
+        lambda t, loc: operator.setitem(loc["a"]["runs"]["start"], 0, 1),
+        "L2/0 a run starts are not 0-based and strictly increasing below 23811",
+    ),
+    "{tree_start_repeated}": (
+        lambda t, loc: operator.setitem(loc["c"]["runs"]["start"], 1, 0),
+        "L2/0 c run starts are not 0-based and strictly increasing below 70923",
+    ),
+    "{tree_aidx_short}": (lambda t, loc: loc["c"]["aidx"].pop(), "L2/0 c aidx does not name one a-ball per c-ball"),
+    "{tree_parent}": (
+        lambda t, loc: loc.update(parent_index=1),
+        "L2/0 parent (1, 1) is not one of the 1 balls of level 1",
+    ),
+    "{tree_constants}": (lambda t, loc: t.update(constants=[]), "tree constants are not an object"),
+    "{tree_cloud_size}": (
+        lambda t, loc: operator.setitem(loc["c"]["runs"]["size"], 1, 2**22),
+        "L2/0 c run 1 was built on a stage-2097152 cloud of 4194304 points; the config's stages give 2097152",
+    ),
+}
 # a 1-D attractor whose first-level hulls [0, 0.3] and [0.2, 0.5] overlap (the third is [0.8, 1])
 _OVERLAPPING = (
     'model.maps=[{"ratio":0.3,"translation":[0.0]},{"ratio":0.3,"translation":[0.2]},'
@@ -40,14 +87,20 @@ _MISSPELT_MAP = (
 
 @pytest.fixture(scope="module")
 def saved_trees(tmp_path_factory):
-    """Paths of the bundled audit's saved tree and of a copy with a 2-D root."""
+    """Paths of the bundled audit's saved tree and of its edited copies
+    (``_EDITED_TREES``)."""
     out = tmp_path_factory.mktemp("audit")
     cfg = {**bundled_config("cantor_audit.json"), "holder_trials": 0, "save_tree": True}
     assert run("cantor-build", cfg, out_dir=out)[0] == 0
-    tree = json.loads((out / "tree.json").read_text())
-    tree["root"]["center"] = [0.0, 0.0]
-    (out / "tree_2d.json").write_text(json.dumps(tree))
-    return {"{tree}": str(out / "tree.json"), "{tree_2d}": str(out / "tree_2d.json")}
+    text = (out / "tree.json").read_text()
+    paths = {"{tree}": str(out / "tree.json")}
+    for key, (edit, _) in _EDITED_TREES.items():
+        tree = json.loads(text)
+        edit(tree, tree["levels"][0][0])
+        path = out / f"{key.strip('{}')}.json"
+        path.write_text(json.dumps(tree))
+        paths[key] = str(path)
+    return paths
 
 
 def test_audit_build_with_saved_tree_stays_small(tmp_path):
@@ -60,8 +113,10 @@ def test_audit_build_with_saved_tree_stays_small(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and (tmp_path / "tree.json").stat().st_size > 4_000_000
-    assert peak < 20e6
+    assert code == 0 and peak < 20e6
+    with open(tmp_path / "tree.json") as fh:
+        (loc,) = tree_from_json(json.load(fh), cli._cantor_params(cfg).stages).levels[0]
+    assert (len(loc.a_center), len(loc.c_center)) == (23_811, 70_923)
 
 
 def _set_args(overrides, trees=None):
@@ -233,6 +288,8 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, config, args):
         ("fit-lsp", "fit_lsp_cantor.json", None, _OVERLAPPING),
         # a saved tree verified under parameters that did not build it
         *[("cantor-verify", "cantor_audit.json", None, overrides) for overrides, _ in _FOREIGN_TREE],
+        # a saved tree that cannot be read
+        *[("cantor-verify", "cantor_audit.json", None, f"tree={key}") for key, (_, why) in _EDITED_TREES.items() if why],
     ],
 )
 def test_missing_or_invalid_keys_exit_2(request, tmp_path, command, name, drop, override):
@@ -252,6 +309,14 @@ def test_cantor_verify_names_the_first_mismatch(capsys, saved_trees, overrides, 
     capsys.readouterr()
     assert main(argv + _set_args(overrides, saved_trees)) == 2
     assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize("key, why", [(key, why) for key, (_, why) in _EDITED_TREES.items() if why])
+def test_cantor_verify_names_why_a_tree_cannot_be_read(capsys, saved_trees, key, why):
+    argv = ["cantor-verify", "--config", "bundled:cantor_audit.json"]
+    assert main(argv + _set_args([f"tree={key}"], saved_trees)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: cannot read tree: ArgumentError: ") and why in err
 
 
 @pytest.mark.parametrize(
@@ -305,7 +370,7 @@ def test_error_classes_map_to_exit_codes(monkeypatch, capsys, exc, code):
     assert capsys.readouterr().err == f"{prefix}: x\n"
 
 
-def test_perfbench_tracer_installs_and_uninstalls():
+def test_perfbench_tracer_installs_and_uninstalls(tmp_path):
     t0 = time.perf_counter()
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py"
@@ -325,6 +390,31 @@ def test_perfbench_tracer_installs_and_uninstalls():
     assert tr.totals()["covering.build_kgb"]["calls"] == 1
     assert (measure.cKDTree, cli.run, covering.build_kgb) == originals
     assert time.perf_counter() - t0 < 1.0
+
+    # a traced cantor-build that saves its tree, then a traced cantor-verify
+    # of it, each against its untraced run
+    originals = (cli.run, cli.tree_to_json, cli.tree_from_json)
+    build = {**bundled_config("cantor_audit.json"), "holder_trials": 0, "save_tree": True}
+    verify = {**build, "tree": str(tmp_path / "untraced" / "tree.json")}
+    untraced = [
+        cli.run("cantor-build", build, out_dir=tmp_path / "untraced")[1]["results"],
+        cli.run("cantor-verify", verify)[1]["results"],
+    ]
+    tr = tracer.Tracer()
+    try:
+        tracer.install(tr)
+        traced = [
+            cli.run("cantor-build", build, out_dir=tmp_path / "traced")[1]["results"],
+            cli.run("cantor-verify", {**verify, "tree": str(tmp_path / "traced" / "tree.json")})[1]["results"],
+        ]
+    finally:
+        tr.uninstall()
+    assert traced == untraced
+    assert (tmp_path / "traced" / "tree.json").read_bytes() == (tmp_path / "untraced" / "tree.json").read_bytes()
+    totals = tr.totals()
+    assert totals["cantor.tree_to_json"]["calls"] == totals["cantor.tree_from_json"]["calls"] == 1
+    assert totals["cantor.tree_to_json"]["errors"] == totals["cantor.tree_from_json"]["errors"] == 0
+    assert (cli.run, cli.tree_to_json, cli.tree_from_json) == originals
 
 
 # bundled configs whose commands build no KD-tree, and so load no scipy module
