@@ -10,7 +10,7 @@ Desk-scale notes baked into this module:
 
 * The ambient gauge g must be the power law matching the ambient dimension
   (the Lebesgue volume of balls is then exactly ``2**n * g(r)``); the
-  construction is implemented for 1-D domains with point-cloud stage
+  construction is implemented for 1-D domains with grid-cloud stage
   providers, which is what the bundled configurations use.
 * Sublevel radii collapse at least 18-fold per sublevel (separation times
   the one-third fit), so the per-sublevel ball count multiplies accordingly;
@@ -31,8 +31,9 @@ assignment, the audits and the builder all resolve parents by that row.
 Memory follows the balls the builder selects.  A stage cloud
 (``stages.sorted_points(j)``) is read only through ``len``, slices,
 integer-array gathers and ``.searchsorted``, which a ``stages.GridView``
-computes on demand; and a deep sublevel filters and sweeps its cover pool
-``BLOCK`` points at a time.
+computes on demand; and the first sublevel's K_{G,B} selection and a deep
+sublevel's cover pool are swept ``BLOCK`` points at a time, by one sweep
+(``covering._chain_blocks``).
 
 Every center is a point of its stage cloud, so a saved tree (``tree_to_json``,
 format ``TREE_FORMAT``) stores each ball as its index into the cloud, and
@@ -51,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .covering import Ball, build_kgb, greedy_net
+from .covering import BLOCK, Ball, _cover_chain, build_kgb, greedy_net
 from .dimfun import GaugePair, eval_gauge, mtp_radius, ratio_direction_at, verify_gauge_pair
 from .errors import (
     ArgumentError,
@@ -68,7 +69,6 @@ MAX_NODES = 2_000_000  # target-ball budget of one local level
 FORMAT_MAX_LEAVES = 60  # larger local levels print as counts only
 D2 = 2.0  # P2 cardinality constant, recorded in a tree's constants
 MASS_FACTOR = 2.5  # a local level's mass target is MASS_FACTOR * eta
-BLOCK = 2**16  # points per slice of a cover pool or a stage cloud
 
 
 @dataclass
@@ -76,7 +76,7 @@ class ConstructionParams:
     domain: Ball
     gauges: GaugePair
     eta: float
-    stages: object  # provider with model(j), upsilon(j), sorted_points(j) (a sorted 1-D cloud), j_max
+    stages: object  # provider with upsilon(j), sorted_points(j) (a sorted 1-D cloud), j_max
     depth: int = 2
     g_floor: int = 1
     c5: float = 1.0
@@ -277,14 +277,15 @@ def _scan_first_ok(params, consts, lo, b_radius, eps, **kw):
 
 
 # ---------------------------------------------------------------------------
-# local-level assembly (1-D point-cloud stage providers)
+# local-level assembly (1-D grid-cloud stage providers)
 
 
 def _require_supported(params):
+    # keyed on the grid: a van der Corput provider serves sorted_points too
     if params.domain.ambient_dim != 1:
         raise UnsupportedCombination("the builder is implemented for 1-D domains")
-    if not hasattr(params.stages, "sorted_points"):
-        raise UnsupportedCombination("the builder needs a point-cloud stage provider")
+    if not hasattr(params.stages, "cloud_size"):
+        raise UnsupportedCombination("the builder needs a grid-cloud stage provider")
 
 
 def _slice_rows(i0, i1):
@@ -431,7 +432,7 @@ def _first_sublevel(params, B, g_start, target, vol_b, node):
     """Sublevel 1: a K_{G,B} selection of transformed-radius balls from stage
     ``g_start`` on, covering the share of B that the mass target asks for."""
     pair = params.gauges
-    seq = lambda j: (params.stages.model(j), mtp_radius(pair, params.stages.upsilon(j)))
+    seq = lambda j: (params.stages.sorted_points(j), mtp_radius(pair, params.stages.upsilon(j)))
     frac = min(1.0, (2.0**B.ambient_dim * target) / (params.c5 * vol_b))
     try:
         kgb = build_kgb(B, g_start, seq, params.stages.j_max, frac, c5=params.c5)
@@ -442,72 +443,9 @@ def _first_sublevel(params, B, g_start, target, vol_b, node):
             node=node,
             sublevel=1,
         ) from exc
-    mass = 0.0
-    for r in kgb.radii:  # sequential sum: the last ulp decides later counts
-        mass += eval_gauge(pair.g, r)
+    # a sequential sum, as np.cumsum adds: the last ulp decides later counts
+    mass = float(np.cumsum(eval_gauge(pair.g, kgb.radii))[-1])
     return kgb.selected[:, 0], kgb.radii, kgb.js, mass
-
-
-def _sweep_chain(pool, sep):
-    """Mask of the points that a left-to-right sweep over the sorted ``pool``
-    keeps when it keeps the first point and then each point with
-    ``pool[u] - last kept >= sep``.
-
-    The predicate ``pool[u] - pool[t] >= sep`` is monotone in u (rounding
-    is monotone), so ``nxt[t]``, the first u > t meeting it, is found by
-    ``searchsorted`` and then settled with the exact predicate; the kept
-    points are the chain ``0 -> nxt[0] -> ...``, marked by pointer doubling.
-    """
-    n = len(pool)
-    keep = np.zeros(n, dtype=bool)
-    if n == 0:
-        return keep
-    t = np.arange(n)
-
-    def reached(u):  # the exact predicate; n stands for "no such point"
-        return (u >= n) | (pool[np.minimum(u, n - 1)] - pool >= sep)
-
-    nxt = np.maximum(np.searchsorted(pool, pool + sep), t + 1)
-    while np.any(short := ~reached(nxt)):
-        nxt[short] += 1
-    while np.any(over := (nxt - 1 > t) & reached(nxt - 1)):
-        nxt[over] -= 1
-    # after k rounds ``chain`` holds the first 2**k chain points and ``jump``
-    # is nxt applied 2**k times; n is the sentinel, its own successor
-    jump = np.append(nxt, n)
-    chain = np.zeros(1, dtype=np.intp)
-    while True:
-        step = jump[chain]
-        step = step[step < n]
-        if len(step) == 0:
-            break
-        chain = np.concatenate([chain, step])
-        jump = jump[jump]
-    keep[chain] = True
-    return keep
-
-
-def _cover_chain(pool, b_lo, b_hi, sep, block=BLOCK):
-    """The points of the sorted ``pool`` outside every interval
-    [b_lo[k], b_hi[k]] (``b_lo`` sorted, ``b_hi`` its running maximum) that
-    one ``_sweep_chain(leftover, sep)`` over all of them keeps.
-
-    The pool is filtered and swept ``block`` points at a time.  The sweep's
-    predicate is monotone along the sorted pool, so a slice's next kept point
-    is its first point p with ``p - last >= sep``, ``last`` being the last
-    point kept before it, and the slice's chain runs from there.
-    """
-    kept, last = [], -math.inf
-    for s in range(0, len(pool), block):
-        pts = pool[s : s + block]
-        idx = np.searchsorted(b_lo, pts, side="right") - 1
-        inside = (idx >= 0) & (pts <= np.where(idx >= 0, b_hi[np.maximum(idx, 0)], -np.inf))
-        pts = pts[~inside & (pts - last >= sep)]
-        if len(pts):
-            pts = pts[_sweep_chain(pts, sep)]
-            kept.append(pts)
-            last = pts[-1]
-    return np.concatenate(kept) if kept else pool[:0]
 
 
 def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radius, node):
@@ -879,6 +817,47 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
 # mass bound check
 
 
+def _holder_draws(rng, trials, c, logs, b0):
+    """Centers and radii of ``holder_check``'s trial balls, drawn from
+    ``rng`` exactly as this scalar loop draws them::
+
+        for t in range(trials):
+            rad[t] = exp(rng.uniform(log_lo, log_hi if t % 2 == 0 else log_cap))
+            if t % 4 < 2:
+                x[t] = rng.uniform(*b0)
+            else:
+                k = rng.integers(0, len(c))
+                x[t] = c[k] + rng.uniform(-2.0 * rad[t], 2.0 * rad[t])
+
+    Only the leaf indices are drawn one call at a time: ``integers`` takes a
+    variable number of raw words (Lemire's bounded method) and keeps half a
+    word between calls, while each double takes one word.  The doubles owed
+    before each index, and after the last, are filled by one ``rng.random``
+    call, and ``uniform``'s arithmetic ``low + (high - low) * u`` is applied
+    as arrays, so every value and the generator's final state are the
+    loop's.  The radii keep ``math.exp``, as ``np.exp`` may round
+    differently.
+    """
+    log_lo, log_hi, log_cap = logs
+    t_all = np.arange(trials)
+    near = np.nonzero(t_all % 4 >= 2)[0]  # trials drawn near a leaf
+    leaf = np.empty(len(near), dtype=np.intp)
+    u = np.empty(2 * trials)  # the doubles in stream order: trial t's radius at 2t, center at 2t + 1
+    random, integers, n = rng.random, rng.integers, len(c)
+    pos = 0
+    for i, t in enumerate(near.tolist()):
+        random(out=u[pos : 2 * t + 1])
+        pos = 2 * t + 1
+        leaf[i] = integers(0, n)
+    random(out=u[pos:])
+    high = np.where(t_all % 2 == 0, log_hi, log_cap)
+    rad = np.fromiter(map(math.exp, (log_lo + (high - log_lo) * u[0::2]).tolist()), float, trials)
+    x = b0[0] + (b0[1] - b0[0]) * u[1::2]
+    r2 = 2.0 * rad[near]
+    x[near] = c[leaf] + (-r2 + (r2 - -r2) * u[1::2][near])
+    return x, rad
+
+
 def holder_check(
     tree: CantorTree,
     mass: MassAssignment,
@@ -898,9 +877,10 @@ def holder_check(
 
     Trial t draws log r(D) uniformly up to log r(B0) (even t) or up to the
     cap (odd t), then the center uniformly in B0 (t % 4 < 2) or within
-    2 r(D) of a uniformly chosen leaf center.  One loop makes exactly these
-    scalar draws, so the generator stream and its final state do not depend
-    on how the balls are scored.  Leaves are sorted by center, so the leaves
+    2 r(D) of a uniformly chosen leaf center (``_holder_draws``).  The draws
+    come first, in the stream a loop of scalar draws would make, so the
+    generator stream and its final state do not depend on how the balls are
+    scored.  Leaves are sorted by center, so the leaves
     a ball can meet form a window; the leaves deep inside the ball are
     certain hits, and only the two edge bands go through the hit predicate
     ``|c - x| < r + r(D)``.  The maxima are exact: trials are ranked by a
@@ -931,19 +911,8 @@ def holder_check(
     log_cap = math.log(min(radius_cap, r_hi))
 
     # the draws: half the radii probe the resolved band below the cap
-    x = np.empty(trials)
-    rad = np.empty(trials)
-    uniform, integers, exp = rng.uniform, rng.integers, math.exp
-    b0_lo = tree.root.center[0] - tree.root.radius
-    b0_hi = tree.root.center[0] + tree.root.radius
-    for t in range(trials):
-        rad_t = exp(uniform(log_lo, log_hi if t % 2 == 0 else log_cap))
-        if t % 4 < 2:
-            x[t] = uniform(b0_lo, b0_hi)
-        else:
-            k = integers(0, len(c))
-            x[t] = c[k] + uniform(-2.0 * rad_t, 2.0 * rad_t)
-        rad[t] = rad_t
+    b0 = (tree.root.center[0] - tree.root.radius, tree.root.center[0] + tree.root.radius)
+    x, rad = _holder_draws(rng, trials, c, (log_lo, log_hi, log_cap), b0)
 
     # window [i0, i1) of leaves a ball can meet, core [k0, k1) of certain hits.
     # A core leaf lies more than ``slack`` inside the ball's edge; rounding of
@@ -1193,7 +1162,7 @@ def tree_from_json(obj, stages) -> CantorTree:
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt != TREE_FORMAT:
         raise ArgumentError(f"tree format {fmt!r}: this version reads format {TREE_FORMAT} only; rebuild the tree")
-    if not hasattr(stages, "sorted_points"):
+    if not hasattr(stages, "cloud_size"):  # a grid, as in _require_supported
         raise ArgumentError("a saved tree is read against point-cloud stages, and these have no clouds")
     grid = (obj["grid"]["lo"], obj["grid"]["hi"])
     if grid != (stages.lo, stages.hi):

@@ -444,7 +444,7 @@ def _run_cover(cfg, rng):
         seq = stages
         if "pair" in cfg:
             pair = _pair_from_config(cfg["pair"])
-            seq = lambda j: (stages.model(j), mtp_radius(pair, stages.upsilon(j)))
+            seq = lambda j: (stages.sorted_points(j), mtp_radius(pair, stages.upsilon(j)))
         res = build_kgb(
             _ball(cfg["region"]),
             int(cfg.get("g_start", 1)),

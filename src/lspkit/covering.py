@@ -4,8 +4,10 @@ two-stage ball selections used by the nested construction.
 A ball family is held as arrays, centers (m, n) and radii (m,): a
 ``BallFamily``, the K_{G,B} selection's ``KgbResult``, and a C(A; j)
 selection, which is the ``NetResult`` of its centers at one radius.  The
-K_{G,B} stage sets are finite point sets, and every distinct point of a
-stage is a candidate center.
+K_{G,B} stages are sorted 1-D clouds (``stages.sorted_points(j)``), and every
+distinct point of a stage is a candidate center.  Sorted clouds are thinned
+by one sweep (``_chain_blocks``), read ``BLOCK`` points at a time, which the
+Cantor builder's cover pools share.
 
 Disjointness is for open balls throughout: two balls are disjoint when the
 distance between centers is at least the sum of radii (tangency counts as
@@ -24,6 +26,7 @@ from .measure import ball_volume
 from .sets import PointSet, SetModel, _norm, sample_on_set
 
 _DISJOINT_SLACK = 1e-12  # relative slack so float tangency still counts
+BLOCK = 2**16  # points per slice of a swept pool or stage cloud
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,6 @@ class BallFamily:
             raise ArgumentError("ball radius must be positive")
 
 
-def balls_disjoint(b1: Ball, b2: Ball, metric="sup"):
-    return _norm(b1.center - b2.center, metric) >= (b1.radius + b2.radius) * (1 - _DISJOINT_SLACK)
-
-
-def ball_contains(outer: Ball, inner: Ball, metric="sup"):
-    return _norm(outer.center - inner.center, metric) + inner.radius <= outer.radius * (1 + 1e-12)
-
-
 _PAIR_BLOCK = 1 << 20  # coordinate differences per broadcast block
 
 
@@ -75,15 +70,16 @@ def _row_blocks(rows, cols, dim):
 
 
 def family_is_disjoint(fam: BallFamily):
-    """True when every two balls of the family are disjoint (``balls_disjoint``,
-    tangency counts), checked one broadcast row block at a time."""
+    """True when every two balls of the family are disjoint: the distance of
+    their centers is at least ``(r_1 + r_2) * (1 - _DISJOINT_SLACK)``, so
+    tangency counts.  Checked one broadcast row block at a time."""
     c, r = fam.centers, fam.radii
     if len(r) < 2:
         return True
     col = np.arange(len(r))
     for s, e in _row_blocks(len(r), len(r), c.shape[1]):
         dist = _norm(c[s:e, None, :] - c[None, :, :], fam.metric)
-        # a NaN distance is not apart, as in balls_disjoint
+        # a NaN distance is not apart
         apart = dist >= (r[s:e, None] + r[None, :]) * (1 - _DISJOINT_SLACK)
         if np.any(~apart & (col[s:e, None] < col[None, :])):
             return False
@@ -92,7 +88,8 @@ def family_is_disjoint(fam: BallFamily):
 
 def five_r_covers(inputs: BallFamily, selected: BallFamily):
     """True when every input ball sits inside the 5-dilate of some selected
-    ball (``ball_contains``), checked one broadcast row block at a time."""
+    ball: ``dist + r <= 5 r_s * (1 + 1e-12)``.  Checked one broadcast row
+    block at a time."""
     c, r = inputs.centers, inputs.radii
     sc, sr = selected.centers, selected.radii
     if not len(r):
@@ -182,6 +179,110 @@ def separated_net(m: SetModel, region: Ball, sep, candidates=10_000, rng=None, m
 
 
 # ---------------------------------------------------------------------------
+# sorted 1-D sweeps
+
+
+def _sweep_chain(pool, sep):
+    """Mask of the points that a left-to-right sweep over the sorted ``pool``
+    keeps when it keeps the first point and then each point with
+    ``pool[u] - last kept >= sep``.
+
+    The predicate ``pool[u] - pool[t] >= sep`` is monotone in u (rounding
+    is monotone), so ``nxt[t]``, the first u > t meeting it, is found by
+    ``searchsorted`` and then settled with the exact predicate; the kept
+    points are the chain ``0 -> nxt[0] -> ...``, marked by pointer doubling.
+    """
+    n = len(pool)
+    keep = np.zeros(n, dtype=bool)
+    if n == 0:
+        return keep
+    t = np.arange(n)
+
+    def reached(u):  # the exact predicate; n stands for "no such point"
+        return (u >= n) | (pool[np.minimum(u, n - 1)] - pool >= sep)
+
+    nxt = np.maximum(np.searchsorted(pool, pool + sep), t + 1)
+    while np.any(short := ~reached(nxt)):
+        nxt[short] += 1
+    while np.any(over := (nxt - 1 > t) & reached(nxt - 1)):
+        nxt[over] -= 1
+    # after k rounds ``chain`` holds the first 2**k chain points and ``jump``
+    # is nxt applied 2**k times; n is the sentinel, its own successor
+    jump = np.append(nxt, n)
+    chain = np.zeros(1, dtype=np.intp)
+    while True:
+        step = jump[chain]
+        step = step[step < n]
+        if len(step) == 0:
+            break
+        chain = np.concatenate([chain, step])
+        jump = jump[jump]
+    keep[chain] = True
+    return keep
+
+
+def _chain_blocks(pool, start, stop, blocked, sep, block):
+    """The points of the sorted ``pool[start:stop]`` that one sweep keeps,
+    one array per slice of ``block`` points: the sweep skips the points that
+    ``blocked(pts)`` masks and keeps each other point at least ``sep`` past
+    the last kept one (``_sweep_chain``).
+
+    The sweep's predicate is monotone along the sorted pool, so a slice's
+    next kept point is its first unblocked point p with ``p - last >= sep``,
+    ``last`` being the last point kept before it, and the slice's chain runs
+    from there.  Only one slice is held at a time.
+    """
+    last = -math.inf
+    for s in range(start, stop, block):
+        pts = pool[s : min(s + block, stop)]
+        pts = pts[~blocked(pts) & (pts - last >= sep)]
+        if len(pts):
+            pts = pts[_sweep_chain(pts, sep)]
+            last = pts[-1]
+        yield pts
+
+
+def _cover_chain(pool, b_lo, b_hi, sep, block=BLOCK):
+    """The points of the sorted ``pool`` outside every interval
+    [b_lo[k], b_hi[k]] (``b_lo`` sorted, ``b_hi`` its running maximum) that
+    one ``_sweep_chain(leftover, sep)`` over all of them keeps, swept
+    ``block`` points at a time (``_chain_blocks``)."""
+
+    def inside(pts):
+        idx = np.searchsorted(b_lo, pts, side="right") - 1
+        return (idx >= 0) & (pts <= np.where(idx >= 0, b_hi[np.maximum(idx, 0)], -np.inf))
+
+    kept = [pts for pts in _chain_blocks(pool, 0, len(pool), inside, sep, block) if len(pts)]
+    return np.concatenate(kept) if kept else pool[:0]
+
+
+def _first_true(cloud, pred, k):
+    """First index of the sorted ``cloud`` whose point meets ``pred``, for a
+    predicate that is false and then true along the cloud, found by stepping
+    from the guess ``k`` with the exact predicate."""
+    while k < len(cloud) and not pred(cloud[k]):
+        k += 1
+    while k > 0 and pred(cloud[k - 1]):
+        k -= 1
+    return k
+
+
+def _range_in(cloud, center, half, inside):
+    """Index range [lo, hi) of the points x of the sorted ``cloud`` with
+    ``inside(x - center)``, for a test that holds on one interval about
+    ``center`` and is monotone in |x - center|; ``center -+ half`` are the
+    guessed ends, settled with the exact test.
+
+    Left of the center the test turns true along the cloud, right of it
+    false, so the range runs from the first point that is right of the
+    center or inside, to the first that is right of it and outside.
+    """
+    lo = _first_true(cloud, lambda x: x >= center or inside(x - center), int(cloud.searchsorted(center - half)))
+    hi = _first_true(cloud, lambda x: x > center and not inside(x - center), int(cloud.searchsorted(center + half)))
+    return lo, max(lo, hi)
+
+
+# ---------------------------------------------------------------------------
 # the two selection procedures
 
 
@@ -213,51 +314,90 @@ def build_kgb(B: Ball, G, seq, j_max, target_fraction, c5=1.0, metric="sup") -> 
     """Disjoint transformed-radius balls on the stage sets capturing a fixed
     fraction of a ball's volume.
 
-    ``seq(j)`` returns (a ``PointSet``, tilde_upsilon_j) with tilde_upsilon
-    positive and non-increasing.  Candidates B(x, 3*tilde_upsilon_j) inside
-    B, for every distinct point x of the stage set, are collected stage by
-    stage, greedily thinned to a disjoint family (equivalent to the 5r
-    greedy since radii decrease in j), scaled back by 1/3, and truncated at
-    the first index where vol of the union reaches
+    ``seq(j)`` returns (the stage's sorted 1-D cloud, tilde_upsilon_j), as a
+    ``stages`` provider does when called, with tilde_upsilon positive and
+    non-increasing; B must be 1-D.  Candidates B(x, 3*tilde_upsilon_j)
+    inside B, for every distinct point x of the stage cloud, are collected
+    stage by stage, greedily thinned to a disjoint family (equivalent to the
+    5r greedy since radii decrease in j), scaled back by 1/3, and truncated
+    at the first index where vol of the union reaches
     ``target_fraction * c5 * vol(B)``.
+
+    Each stage is one sorted pass, with no per-candidate loop.  The
+    candidates inside B form one index range of the cloud (``_range_in``),
+    read ``BLOCK`` points at a time, so no stage is materialized.  A
+    candidate is dropped when the nearest earlier kept center on either
+    side blocks it: the kept balls are disjoint and, up to the schedule's
+    1e-12 tolerance, no smaller than this stage's, so a farther center lies
+    beyond a whole kept ball and cannot reach the candidate.  The rest
+    share one radius, so the greedy over them is ``_sweep_chain``, and one
+    ``np.cumsum`` (which adds in order, as the greedy does) finds the early
+    exit.
     """
     if not (0 < target_fraction <= 1):
         raise ArgumentError("target_fraction must lie in (0, 1]")
     n = B.ambient_dim
     vol_b = ball_volume(n, B.radius, metric)
     target = target_fraction * c5 * vol_b
-    sel_centers, sel_radii3 = np.empty((1024, n)), np.empty(1024)
-    count = 0
-    radii, js = [], []
+    reach = B.radius * (1 + 1e-12)
+    kept, kept_r3 = np.empty(0), np.empty(0)  # earlier stages' kept centers, sorted, and 3-dilate radii
+    picks = []  # (centers, tilde, j) per stage that kept a ball
     acc = 0.0
     prev_tilde = math.inf
     j = G
     while j <= j_max:
-        model, tilde = seq(j)
-        if model.ambient_dim != n:
-            raise ArgumentError(f"region has dimension {n}, stage {j} has dimension {model.ambient_dim}")
+        cloud, tilde = seq(j)
+        if n != 1:
+            raise ArgumentError(f"region has dimension {n}, stage {j} has dimension 1")
         if not (0 < tilde <= prev_tilde * (1 + 1e-12)):
             raise ArgumentError("tilde radii must be positive and non-increasing in j")
         prev_tilde = tilde
-        if 3.0 * tilde < B.radius:  # otherwise no candidate can fit
-            cand = np.unique(model.points, axis=0)
-            cand = cand[_norm(cand - B.center, metric) + 3.0 * tilde <= B.radius * (1 + 1e-12)]
-            for x in cand:
-                dist = _norm(sel_centers[:count] - x, metric)
-                if np.any(dist < (sel_radii3[:count] + 3.0 * tilde) * (1 - _DISJOINT_SLACK)):
+        r3 = 3.0 * tilde
+        if r3 < B.radius:  # otherwise no candidate can fit
+            vol = ball_volume(n, tilde, metric)
+            lo, hi = _range_in(
+                cloud, B.center[0], reach - r3, lambda d: _norm(np.asarray(d)[..., None], metric) + r3 <= reach
+            )
+
+            def blocked(pts):
+                out = np.zeros(len(pts), dtype=bool)
+                if not len(kept):
+                    return out
+                pos = np.searchsorted(kept, pts)
+                for k in (pos - 1, pos):  # the nearest kept center on each side
+                    has = (k >= 0) & (k < len(kept))
+                    k = k[has]
+                    dist = _norm((kept[k] - pts[has])[:, None], metric)
+                    out[has] |= dist < (kept_r3[k] + r3) * (1 - _DISJOINT_SLACK)
+                return out
+
+            stage = []
+            # kept points of one stage are at least sep apart; in 1-D the
+            # metric's norm of a difference d >= 0 is d (sqrt(d * d) == d in
+            # binary floating point, Boldo 2015), so the sweep's raw
+            # difference makes the same test
+            for pts in _chain_blocks(cloud, lo, hi, blocked, (r3 + r3) * (1 - _DISJOINT_SLACK), BLOCK):
+                if not len(pts):
                     continue
-                if count == len(sel_radii3):  # grow; only rows [:count] are read
-                    sel_centers = np.resize(sel_centers, (2 * count, n))
-                    sel_radii3 = np.resize(sel_radii3, 2 * count)
-                sel_centers[count] = x
-                sel_radii3[count] = 3.0 * tilde
-                count += 1
-                radii.append(tilde)
-                js.append(j)
-                acc += ball_volume(n, tilde, metric)
+                cum = np.cumsum(np.concatenate([[acc], np.full(len(pts), vol)]))[1:]
+                stop = int(np.searchsorted(cum, target))  # the first cum >= target, if any
+                stage.append(pts[: stop + 1])
+                acc = float(cum[min(stop, len(pts) - 1)])
                 if acc >= target:
-                    selected = sel_centers[:count].copy()
-                    return KgbResult(selected, np.array(radii), np.array(js, dtype=np.int64), acc / vol_b, j)
+                    break
+            if stage:
+                pts = np.concatenate(stage)
+                picks.append((pts, tilde, j))
+                if acc >= target:
+                    return KgbResult(
+                        np.concatenate([p for p, _, _ in picks])[:, None],
+                        np.concatenate([np.full(len(p), t) for p, t, _ in picks]),
+                        np.concatenate([np.full(len(p), jj, dtype=np.int64) for p, _, jj in picks]),
+                        acc / vol_b,
+                        j,
+                    )
+                at = np.searchsorted(kept, pts)
+                kept, kept_r3 = np.insert(kept, at, pts), np.insert(kept_r3, at, r3)
         j += 1
     raise CoverageShortfall(
         f"covered fraction {acc / vol_b:.3g} of target {target_fraction * c5:.3g} by j_max={j_max}",

@@ -1,13 +1,14 @@
-"""Stage-set providers: sequences j -> (set model, radius) used by the
-covering selections and the nested construction.
+"""Stage-set providers: sequences j -> (sorted 1-D cloud, radius) used by
+the covering selections and the nested construction.
 
-A provider exposes ``model(j)``, ``upsilon(j)``, and ``j_max``.  The bundled
-providers are deterministic: a single low-discrepancy point per stage, or
-dyadic grid clouds (the point count doubles at powers of two) with a
-piecewise radius schedule whose plateaus put the stage radii at the scales a
-construction needs.  A grid cloud is also served as a ``GridView``, which
-computes only the points its caller indexes or searches, so no stage holds
-its cloud.
+A provider exposes ``sorted_points(j)``, ``upsilon(j)`` and ``j_max``, and
+calling it with j gives ``(sorted_points(j), upsilon(j))``, the stage
+protocol of ``covering.build_kgb``.  The bundled providers are
+deterministic: a single low-discrepancy point per stage, or dyadic grid
+clouds (the point count doubles at powers of two) with a piecewise radius
+schedule whose plateaus put the stage radii at the scales a construction
+needs.  A grid cloud is served as a ``GridView``, which computes only the
+points its caller indexes or searches, so no stage holds its cloud.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .sets import PointSet
 
 GAMMA = 0.04  # plateau decay: radii fall as j**-GAMMA within a plateau
 
@@ -59,12 +59,12 @@ class VdcPointStages:
     def upsilon(self, j):
         return float(self.radius_fn(j))
 
-    def model(self, j):
-        x = self.lo + (self.hi - self.lo) * float(van_der_corput([j])[0])
-        return PointSet(np.array([[x]]))
+    def sorted_points(self, j):
+        """The stage's one point, as a one-point array."""
+        return np.array([self.lo + (self.hi - self.lo) * float(van_der_corput([j])[0])])
 
     def __call__(self, j):
-        return self.model(j), self.upsilon(j)
+        return self.sorted_points(j), self.upsilon(j)
 
 
 class GridView:
@@ -140,10 +140,9 @@ class GridView:
 class GridCloudStages:
     """Dyadic grid clouds over [lo, hi] with a plateau radius schedule.
 
-    ``model(j)`` is the regular grid of ``2**floor(log2 j)`` cell midpoints,
-    and ``sorted_points(j)`` the same points as a ``GridView`` that computes
-    them on demand, so a stage costs memory only for the points its caller
-    reads; ``upsilon(j)`` follows ``a_k * (j_k / j)**GAMMA`` on the plateau
+    ``sorted_points(j)`` is the regular grid of ``2**floor(log2 j)`` cell
+    midpoints, as a ``GridView`` that computes them on demand, so a stage
+    costs memory only for the points its caller reads; ``upsilon(j)`` follows ``a_k * (j_k / j)**GAMMA`` on the plateau
     starting at ``j_k``, so radii decay slowly within a plateau and drop at
     the configured breakpoints.
     """
@@ -188,8 +187,5 @@ class GridCloudStages:
     def sorted_points(self, j):
         return GridView(self.lo, self.hi, self.cloud_size(j))
 
-    def model(self, j):
-        return PointSet(np.asarray(self.sorted_points(j))[:, None])
-
     def __call__(self, j):
-        return self.model(j), self.upsilon(j)
+        return self.sorted_points(j), self.upsilon(j)

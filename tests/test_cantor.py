@@ -17,10 +17,9 @@ from lspkit.cantor import (
     MassAssignment,
     _ambient_constants,
     _caj_nets,
-    _cover_chain,
+    _holder_draws,
     _neighborhood_in_window,
     _stage_radii,
-    _sweep_chain,
     assign_mass,
     build_cantor,
     format_tree,
@@ -32,10 +31,10 @@ from lspkit.cantor import (
     verify_levels,
 )
 from lspkit.cli import bundled_config
-from lspkit.covering import Ball, greedy_net
+from lspkit.covering import Ball, _cover_chain, _sweep_chain, greedy_net
 from lspkit.dimfun import Gauge, GaugePair, eval_gauge
-from lspkit.errors import ConstructionError
-from lspkit.stages import GridCloudStages
+from lspkit.errors import ConstructionError, UnsupportedCombination
+from lspkit.stages import GridCloudStages, GridView, VdcPointStages
 
 from cantor_params import SQRT_PAIR, cantor_params
 
@@ -676,6 +675,44 @@ def test_holder_check_matches_loop_tied_ratios():
     mass = MassAssignment(mu=[rng.integers(1, 10, n) / 10.0])
     rep = _assert_holder_matches_loop(tree, mass, params, 4000, 0, radius_cap=2.0)
     assert rep.worst_ball.radius > 0.5
+
+
+def _holder_draws_loop(rng, trials, c, logs, b0):
+    """Reference: the scalar draws, one trial at a time."""
+    log_lo, log_hi, log_cap = logs
+    x, rad = np.empty(trials), np.empty(trials)
+    for t in range(trials):
+        rad[t] = math.exp(rng.uniform(log_lo, log_hi if t % 2 == 0 else log_cap))
+        if t % 4 < 2:
+            x[t] = rng.uniform(*b0)
+        else:
+            k = rng.integers(0, len(c))
+            x[t] = c[k] + rng.uniform(-2.0 * rad[t], 2.0 * rad[t])
+    return x, rad
+
+
+@pytest.mark.parametrize("trials", [1000, 1001, 1002, 1003, 10_000])
+@pytest.mark.parametrize("seed", [1, 20260813])
+def test_holder_draws_match_scalar_loop(trials, seed):
+    # every center and radius, the generator's final state (its buffered
+    # half word included) and its next draws equal the scalar loop's, for
+    # a leaf count below 2**32 (32-bit index draws) and for one above
+    logs = (math.log(2e-5), math.log(20.0), math.log(0.9))
+    for c in (np.sort(np.random.default_rng(seed).uniform(-20.0, 20.0, 23_811)), GridView(-5.0, 5.0, 2**33)):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _holder_draws(rng_a, trials, c, logs, (-20.0, 20.0))
+        want = _holder_draws_loop(rng_b, trials, c, logs, (-20.0, 20.0))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert rng_a.integers(0, 7) == rng_b.integers(0, 7) and rng_a.random() == rng_b.random()
+
+
+def test_builder_refuses_point_stages():
+    # a van der Corput provider serves sorted_points, but it is not a grid
+    params = cantor_params("cantor_audit.json")
+    params.stages = VdcPointStages()
+    with pytest.raises(UnsupportedCombination, match="grid-cloud"):
+        build_cantor(params)
 
 
 def _sweep_loop(pool, sep):

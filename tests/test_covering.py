@@ -1,14 +1,17 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lspkit import covering
 from lspkit.covering import (
     Ball,
     BallFamily,
-    ball_contains,
-    balls_disjoint,
+    KgbResult,
     build_caj,
     build_kgb,
     family_is_disjoint,
@@ -17,8 +20,19 @@ from lspkit.covering import (
     separated_net,
 )
 from lspkit.errors import ArgumentError, CoverageShortfall
+from lspkit.measure import ball_volume
 from lspkit.sets import IFS, AffinePlane, IFSAttractor, IFSMap, PointSet, _norm
-from lspkit.stages import GridCloudStages, VdcPointStages
+from lspkit.stages import GridCloudStages, GridView, VdcPointStages
+
+
+def balls_disjoint(b1: Ball, b2: Ball, metric="sup"):
+    """Reference: two open balls are disjoint (tangency counts)."""
+    return _norm(b1.center - b2.center, metric) >= (b1.radius + b2.radius) * (1 - covering._DISJOINT_SLACK)
+
+
+def ball_contains(outer: Ball, inner: Ball, metric="sup"):
+    """Reference: ``inner`` lies inside ``outer``."""
+    return _norm(outer.center - inner.center, metric) + inner.radius <= outer.radius * (1 + 1e-12)
 
 
 def _random_family(rng, count, dim, lo, hi):
@@ -143,8 +157,8 @@ def test_build_kgb_vdc_points():
     assert res.selected.shape == (len(res.radii), 1) and len(res.js) == len(res.radii)
     # every ball is the stage point at the transformed radius of its index
     for x, r, j in zip(res.selected[:, 0], res.radii, res.js):
-        model, tilde = stages(int(j))
-        assert x == model.points[0, 0] and r == tilde
+        cloud, tilde = stages(int(j))
+        assert cloud.tolist() == [x] and r == tilde
     # oracle: (i) 3A inside B, (ii) 3-dilates pairwise disjoint
     assert np.all(np.abs(res.selected[:, 0] - 0.5) + 3 * res.radii <= 0.4 + 1e-12)
     assert family_is_disjoint(BallFamily(res.selected, 3.0 * res.radii))
@@ -190,12 +204,15 @@ def test_build_kgb_uses_every_cloud_point():
 
 
 def test_build_kgb_planar_grid_stages():
-    # stage j is the (2**j + 1)-point grid of the square [-1, 1]**2
+    # stage j is the (2**j + 1)-point grid of the square [-1, 1]**2; every
+    # stage provider is 1-D and build_kgb refuses a 2-D region
+    # (test_region_dimension_must_match_the_set), so the geometry runs on
+    # the per-candidate oracle, which takes any dimension
     def seq(j):
         axis = np.linspace(-1.0, 1.0, 2**j + 1)
         return PointSet(np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)), 2.0**-j
 
-    res = build_kgb(Ball(np.zeros(2), 1.0), 1, seq, 40, 0.1)
+    res = _build_kgb_loop(Ball(np.zeros(2), 1.0), 1, seq, 40, 0.1)
     assert res.achieved_fraction >= 0.1
     # the central ball of stage 2 blocks stages 3 and 4; a small truncation index
     assert set(res.js.tolist()) == {2, 5, 7, 8} and res.n0 == 8
@@ -211,6 +228,171 @@ def test_kgb_determinism():
     r1 = build_kgb(Ball(np.array([0.5]), 0.4), 10, stages, 10_000, 0.05)
     r2 = build_kgb(Ball(np.array([0.5]), 0.4), 10, stages, 10_000, 0.05)
     assert np.array_equal(r1.js, r2.js) and np.array_equal(r1.selected, r2.selected)
+
+
+def _build_kgb_loop(B, G, seq, j_max, target_fraction, c5=1.0, metric="sup"):
+    """Reference: the greedy one candidate at a time, over ``seq(j) ->
+    (PointSet, tilde)`` in any dimension; each candidate is tested against
+    every kept ball."""
+    n = B.ambient_dim
+    vol_b = ball_volume(n, B.radius, metric)
+    target = target_fraction * c5 * vol_b
+    centers, radii3, radii, js = np.empty((0, n)), np.empty(0), [], []
+    acc = 0.0
+    for j in range(G, j_max + 1):
+        model, tilde = seq(j)
+        if not 3.0 * tilde < B.radius:
+            continue
+        cand = np.unique(model.points, axis=0)
+        cand = cand[_norm(cand - B.center, metric) + 3.0 * tilde <= B.radius * (1 + 1e-12)]
+        for x in cand:
+            dist = _norm(centers - x, metric)
+            if np.any(dist < (radii3 + 3.0 * tilde) * (1 - covering._DISJOINT_SLACK)):
+                continue
+            centers = np.vstack([centers, x])
+            radii3 = np.append(radii3, 3.0 * tilde)
+            radii.append(tilde)
+            js.append(j)
+            acc += ball_volume(n, tilde, metric)
+            if acc >= target:
+                return KgbResult(centers, np.array(radii), np.array(js, dtype=np.int64), acc / vol_b, j)
+    raise CoverageShortfall("short", achieved_fraction=acc / vol_b)
+
+
+def _as_point_sets(seq):
+    """The oracle's stages: each sorted 1-D cloud as a ``PointSet``."""
+
+    def point_seq(j):
+        cloud, tilde = seq(j)
+        return PointSet(np.asarray(cloud)[:, None]), tilde
+
+    return point_seq
+
+
+def _kgb_outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except CoverageShortfall as exc:
+        return exc.achieved_fraction
+
+
+def _assert_same_kgb(got, want):
+    """Both selections are equal, or both fell short at the same fraction."""
+    assert type(got) is type(want)
+    if isinstance(want, KgbResult):
+        assert np.array_equal(got.selected, want.selected)
+        assert np.array_equal(got.radii, want.radii)
+        assert np.array_equal(got.js, want.js) and got.js.dtype == want.js.dtype
+        assert got.achieved_fraction == want.achieved_fraction and got.n0 == want.n0
+    else:
+        assert got == want
+
+
+@st.composite
+def _kgb_cases(draw):
+    """A 1-D region, stages (van der Corput points, grid clouds, or sorted
+    lattice clouds with duplicates and exactly tangent neighbours), and a
+    radius schedule of plateaus with ties."""
+    kind = draw(st.sampled_from(["vdc", "grid", "lattice"]))
+    # dyadic lattice steps and radii make tangencies and volume sums exact;
+    # h / 6 (1 + 1e-13) puts lattice neighbours inside the disjointness
+    # slack, and a radius of B shrunk by 4e-13 puts tangent candidates
+    # inside the containment slack
+    h = 2.0 ** -draw(st.integers(3, 7))
+    lo = draw(st.integers(-8, 0)) * h
+    hi = lo + draw(st.integers(8, 64)) * h
+    G = draw(st.integers(1, 40))
+    j_max = G + draw(st.integers(0, 60))
+    # plateaus: a non-increasing radius per break, held over its stages
+    breaks = sorted(draw(st.lists(st.integers(G, j_max), min_size=1, max_size=4)))
+    radii = st.sampled_from([h / 3, 0.3 * h, h / 4, h / 6, h / 6 * (1 + 1e-13), h / 8, h / 48])
+    values = sorted(draw(st.lists(radii, min_size=len(breaks), max_size=len(breaks))), reverse=True)
+    seeds = draw(st.integers(0, 2**16))
+
+    def tilde(j):
+        k = max([0] + [i for i, b in enumerate(breaks) if b <= j])
+        return values[k]
+
+    def cloud(j):
+        if kind == "vdc":
+            return VdcPointStages(lo=lo, hi=hi).sorted_points(j)
+        if kind == "grid":
+            return GridView(lo, hi, 1 << int(math.log2(j)))
+        rng = np.random.default_rng(seeds + j)
+        return np.sort(lo + h * rng.integers(0, round((hi - lo) / h) + 1, int(rng.integers(1, 80))))
+
+    center = draw(st.sampled_from([lo, hi, 0.5 * (lo + hi)])) + draw(st.integers(-4, 4)) * h / 2
+    radius = draw(st.sampled_from([3.5 * h, 8 * h, 16 * h, 0.5 * (hi - lo), hi - lo]))
+    B = Ball(np.array([center]), radius * draw(st.sampled_from([1.0, 1 - 4e-13])))
+    fraction = draw(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.4, 0.5, 1.0]))
+    c5 = draw(st.sampled_from([0.5, 1.0, 1.3]))
+    metric = draw(st.sampled_from(["sup", "euclidean"]))
+    block = draw(st.sampled_from([1, 2, 3, 7, covering.BLOCK]))
+    return B, G, (lambda j: (cloud(j), tilde(j))), j_max, fraction, c5, metric, block
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_kgb_cases())
+def test_build_kgb_matches_loop(case):
+    # every selection, radius, stage, early exit and shortfall of the sorted
+    # sweep equals the per-candidate greedy's, also when a stage is swept
+    # in blocks of a few points
+    B, G, seq, j_max, fraction, c5, metric, block = case
+    with mock.patch.object(covering, "BLOCK", block):
+        got = _kgb_outcome(build_kgb, B, G, seq, j_max, fraction, c5=c5, metric=metric)
+    want = _kgb_outcome(_build_kgb_loop, B, G, _as_point_sets(seq), j_max, fraction, c5=c5, metric=metric)
+    _assert_same_kgb(got, want)
+
+
+def test_build_kgb_matches_loop_on_bundled_stages():
+    # the audit's grid-cloud stages: early exits inside the first stage and
+    # shortfalls that sweep every later stage against the kept balls, in
+    # whole stages and in blocks of 7 points
+    stages = GridCloudStages(lo=-20.0, hi=20.0, plateaus=((512, 0.02), (4096, 2.2e-4)), j_max=2**13)
+    for B, G, j_max, fractions in (
+        (Ball(np.array([0.3]), 6.0), 512, 600, (0.2, 0.3)),
+        (Ball(np.array([-19.5]), 3.0), 4090, 4110, (0.15, 0.6)),
+        (Ball(np.array([1.0]), 0.05), 4096, 4100, (0.01, 1.0)),
+    ):
+        for fraction in fractions:
+            want = _kgb_outcome(_build_kgb_loop, B, G, _as_point_sets(stages), j_max, fraction)
+            for block in (covering.BLOCK, 7):
+                with mock.patch.object(covering, "BLOCK", block):
+                    _assert_same_kgb(_kgb_outcome(build_kgb, B, G, stages, j_max, fraction), want)
+
+
+def test_build_kgb_stops_where_the_volume_meets_the_target():
+    # 15 tangent balls of volume 1/4 fit in B(8, 8); the target 1.0 is met
+    # exactly by the fourth, which ends the selection
+    seq = lambda j: (np.arange(16.0), 0.125)
+    want = _build_kgb_loop(Ball(np.array([8.0]), 8.0), 1, _as_point_sets(seq), 1, 1 / 16)
+    assert want.selected[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0] and want.achieved_fraction == 1 / 16
+    for block in (covering.BLOCK, 3):
+        with mock.patch.object(covering, "BLOCK", block):
+            _assert_same_kgb(build_kgb(Ball(np.array([8.0]), 8.0), 1, seq, 1, 1 / 16), want)
+
+
+def test_build_kgb_scan_near_2_24_holds_no_stage():
+    # a shortfall that walks the stages around j = 2**24, whose clouds hold
+    # 2**23 and 2**24 points: only the points in B are read, a block at a
+    # time (materialized, each stage's cloud was 67-134 MB before np.unique
+    # copied it)
+    stages = GridCloudStages(lo=0.0, hi=1.0, plateaus=((2**24 - 8, 1e-9),), j_max=2**24 + 8)
+    B = Ball(np.array([0.5]), 1e-4)
+    seen = []
+    tracemalloc.start()
+    try:
+        with pytest.raises(CoverageShortfall) as exc:
+            build_kgb(B, 2**24 - 8, lambda j: seen.append(j) or stages(j), stages.j_max, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen == list(range(2**24 - 8, 2**24 + 9))
+    # every in-B point of 2**23 is kept at the first stage and every one of
+    # 2**24 (the grids share no point) at stage 2**24: 1,678 + 3,355 balls
+    # of volume 2 tilde
+    assert exc.value.achieved_fraction == pytest.approx(5_033 * 2e-9 / 2e-4, rel=1e-3)
+    assert peak < 1e6
 
 
 def _balls(fam):

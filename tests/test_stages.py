@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lspkit.cantor import _min_gap
-from lspkit.stages import GridCloudStages, GridView
+from lspkit.stages import GridCloudStages, GridView, VdcPointStages, van_der_corput
 
 
 def materialized(lo, hi, size):
@@ -81,5 +81,16 @@ def test_sorted_points_allocates_no_cloud():
         tracemalloc.stop()
     assert len(view) == 2**24 and k.tolist() == [0, 2**23, 2**24]
     assert peak < 1e6
-    model = stages.model(1000)
-    assert np.array_equal(model.points[:, 0], materialized(-85.0, 85.0, 512))
+    assert np.array_equal(np.asarray(stages.sorted_points(1000)), materialized(-85.0, 85.0, 512))
+
+
+def test_providers_serve_the_stage_protocol():
+    # calling a provider gives (sorted_points(j), upsilon(j)); a van der
+    # Corput stage is its one point
+    grid = GridCloudStages(lo=-2.0, hi=3.0, plateaus=((4, 0.5), (64, 0.01)))
+    vdc = VdcPointStages(lo=-2.0, hi=3.0)
+    for j in (4, 5, 63, 64, 1000):
+        cloud, u = grid(j)
+        assert isinstance(cloud, GridView) and len(cloud) == grid.cloud_size(j) and u == grid.upsilon(j)
+        point, u = vdc(j)
+        assert point.tolist() == [-2.0 + 5.0 * float(van_der_corput([j])[0])] and u == 1.0 / j
