@@ -33,7 +33,8 @@ the exact bit: every float is stored as ``float.hex``.  They are
   at eta 4, and builds that save their tree, whose ``tree.json`` is pinned
   by its SHA-256: the bundled audit, and the holder config at eta 8 on
   domain radii 85, 60 and 110 (at 110 the deep sublevel's cover pool spans
-  16 blocks of 2**16 points).
+  16 blocks of 2**16 points), and the audit with its last plateau raised
+  to 5.3e-9, whose deep sublevel hosts its covers in two stages.
 
 A variant that raises a ``ToolkitError`` pins the error's type, message and
 achieved fraction instead of a results block.
@@ -175,6 +176,11 @@ def variant_configs():
         out[f"cantor_audit_radius{radius:g}"] = ("cantor-build", {**audit, "domain": domain, "stages": stages})
     out["cantor_holder_eta4"] = ("cantor-build", {**bundled_config("cantor_holder.json"), "eta": 4.0, "c5": 90.0 / 85.0})
     out["cantor_audit_tree"] = ("cantor-build", {**audit, "save_tree": True})
+    # stage 2**21 hosts about a third of the deep sublevel's mass, 2**22 the rest
+    plateaus = [*audit["stages"]["plateaus"][:2], [2097152, 5.3e-9]]
+    out["cantor_audit_two_stage"] = ("cantor-build", {
+        **audit, "save_tree": True, "stages": {**audit["stages"], "plateaus": plateaus},
+    })
     out["cantor_holder_eta8"] = ("cantor-build", {
         **bundled_config("cantor_holder.json"), "eta": 8.0, "c5": 90.0 / 85.0, "save_tree": True,
     })
