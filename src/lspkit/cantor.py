@@ -28,12 +28,16 @@ as flat arrays, built one sublevel at a time, and names its parent ball by
 ``(parent_level, parent_index)``, a row of ``balls(parent_level)``; mass
 assignment, the audits and the builder all resolve parents by that row.
 
-Memory follows the balls the builder selects.  A stage cloud
+Memory and time follow the balls the builder selects.  A stage cloud
 (``stages.sorted_points(j)``) is read only through ``len``, slices,
 integer-array gathers and ``.searchsorted``, which a ``stages.GridView``
 computes on demand; and the first sublevel's K_{G,B} selection and a deep
 sublevel's cover pool are swept ``BLOCK`` points at a time, by one sweep
-(``covering._chain_blocks``).
+(``covering._chain_blocks``).  A deep sublevel hosts its covers as the
+sweep yields them and stops sweeping once its mass target is met.  The
+audit decides whether a grid's point intervals are disjoint from the grid
+spacing, scanning the gaps only when rounding could decide it
+(``_points_disjoint``), and reads a column's distinct values from its runs.
 
 Every center is a point of its stage cloud, so a saved tree (``tree_to_json``,
 format ``TREE_FORMAT``) stores each ball as its index into the cloud, and
@@ -45,6 +49,7 @@ bit, and refuses a tree whose grid differs from theirs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -52,7 +57,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .covering import BLOCK, Ball, _cover_chain, build_kgb, greedy_net
+from .covering import BLOCK, Ball, _chain_blocks, build_kgb, greedy_net
 from .dimfun import GaugePair, eval_gauge, mtp_radius, ratio_direction_at, verify_gauge_pair
 from .errors import (
     ArgumentError,
@@ -62,6 +67,7 @@ from .errors import (
     UnsupportedCombination,
 )
 from .measure import _merge_union, _union_length_in, ball_volume
+from .stages import GridView
 
 AUDIT_RTOL = 1e-9
 MAX_SUBLEVELS = 64  # P5 sublevel budget of one local level
@@ -455,8 +461,13 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
 
     The cover balls are a chain over the sorted pool of candidate centers:
     the first point, then each first point at least ``2 d_min (1 - 1e-12)``
-    past the last kept one, so they are disjoint; ``_cover_chain`` filters
-    and sweeps the pool one block at a time.
+    past the last kept one, so they are disjoint.  The pool is swept one
+    block at a time (``covering._chain_blocks``), and each stage hosts the
+    covers as the sweep yields them, in order: a stage that meets the
+    target stops the sweep there, and a stage that falls short has examined
+    every cover, so the next stage searches those it left unhosted.  The
+    picks, the mass and the truncation count are those of hosting the whole
+    chain stage by stage.
     """
     pair = params.gauges
     half_lo = B.center[0] - 0.5 * B.radius
@@ -468,45 +479,57 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
     b_lo = (leaf_center - 4.0 * leaf_radius)[order]
     b_hi = np.maximum.accumulate((leaf_center + 4.0 * leaf_radius)[order])
 
-    # greedy same-radius disjoint cover of the leftover; the candidate pool
-    # is freed before the hosts are searched
+    def inside(pts):  # in some interval [b_lo[k], b_hi[k]]
+        idx = np.searchsorted(b_lo, pts, side="right") - 1
+        return (idx >= 0) & (pts <= np.where(idx >= 0, b_hi[np.maximum(idx, 0)], -np.inf))
+
+    # greedy same-radius disjoint cover of the leftover, swept lazily
     step = d_min / 2.0
     pool = np.arange(half_lo + d_min, half_hi - d_min + step / 4, step)
-    covers = _cover_chain(pool, b_lo, b_hi, 2.0 * d_min * (1 - 1e-12))
-    del pool
-    if len(covers) == 0:
+    sweep = _chain_blocks(pool, 0, len(pool), inside, 2.0 * d_min * (1 - 1e-12), BLOCK)
+    sweep = (covers for covers in sweep if len(covers))
+    first = next(sweep, None)
+    if first is None:
         raise ConstructionError(
             f"sublevel {i}: leftover region produced no cover balls", node=node, sublevel=i
         )
+    unhosted = [first]  # swept blocks of covers no stage has hosted; the rest of the sweep follows
 
     mass = 0.0
     j = g_prime
-    unhosted = covers
     picks = []  # (centers, radius, j) per stage block
-    while mass < target and j <= params.stages.j_max and len(unhosted):
+    while mass < target and j <= params.stages.j_max and any(len(covers) for covers in unhosted):
         u = params.stages.upsilon(j)
         tilde = mtp_radius(pair, u)
         room = d_min - 3.0 * tilde
         if room > 0:
             cloud = params.stages.sorted_points(j)
-            pos = cloud.searchsorted(unhosted)
-            left = cloud[np.clip(pos - 1, 0, len(cloud) - 1)]
-            right = cloud[np.clip(pos, 0, len(cloud) - 1)]
-            host = np.where(np.abs(unhosted - left) <= np.abs(unhosted - right), left, right)
-            ok = np.abs(host - unhosted) <= room
-            need = int(math.ceil((target - mass) / eval_gauge(pair.g, tilde)))
-            take = host[ok][:need]
-            picks.append((take, tilde, j))
-            mass += len(take) * eval_gauge(pair.g, tilde)
+            g_tilde = eval_gauge(pair.g, tilde)
+            need = int(math.ceil((target - mass) / g_tilde))
+            take, left, got = [], [], 0
+            for covers in itertools.chain(unhosted, sweep):
+                pos = cloud.searchsorted(covers)
+                below = cloud[np.clip(pos - 1, 0, len(cloud) - 1)]
+                above = cloud[np.clip(pos, 0, len(cloud) - 1)]
+                host = np.where(np.abs(covers - below) <= np.abs(covers - above), below, above)
+                ok = np.abs(host - covers) <= room
+                take.append(host[ok][: need - got])
+                got += len(take[-1])
+                if got == need and mass + got * g_tilde >= target:
+                    break  # the stage meets the target: no later cover is read
+                left.append(covers[~ok])
+            picks.append((np.concatenate(take), tilde, j))
+            mass += got * g_tilde
             if mass >= target:
                 break
-            unhosted = unhosted[~ok]
+            unhosted = left
         # advance to the next dyadic block; radii shrink, clouds densify
         j = max(1 << (int(math.floor(math.log2(max(j, 1)))) + 1), j + 1)
     if mass < target:
         raise TruncationError(
             f"sublevel {i}: mass {mass:.3g} below target {target:.3g} "
-            f"({len(unhosted)} cover balls unhosted by stage {j})",
+            f"({sum(len(covers) for covers in itertools.chain(unhosted, sweep))} cover balls "
+            f"unhosted by stage {j})",
             node=node,
             sublevel=i,
         )
@@ -587,10 +610,24 @@ def tree_fingerprint(tree: CantorTree) -> str:
 # mass assignment
 
 
+def _run_starts(col):
+    """Indices where a run of equal values of the 1-D ``col`` starts."""
+    return np.flatnonzero(np.concatenate([[True], col[1:] != col[:-1]]))[: len(col)]
+
+
+def _distinct(col):
+    """``np.unique(col)`` of a column made of runs of equal values, which
+    sorts only the first value of each run."""
+    return np.unique(col[_run_starts(col)])
+
+
 def _stage_radii(stages, js):
-    """``stages.upsilon(j)`` for every entry of ``js``, one call per distinct j."""
-    uniq, inverse = np.unique(js, return_inverse=True)
-    return np.array([stages.upsilon(int(j)) for j in uniq])[inverse]
+    """``stages.upsilon(j)`` for every entry of ``js``, one call per distinct
+    j, read from the runs of equal j."""
+    start = _run_starts(js)
+    uniq, inverse = np.unique(js[start], return_inverse=True)
+    radii = np.array([stages.upsilon(int(j)) for j in uniq])
+    return np.repeat(radii[inverse], np.diff(np.append(start, len(js))))
 
 
 def assign_mass(tree: CantorTree, params: ConstructionParams, exact=False) -> MassAssignment:
@@ -639,17 +676,50 @@ def _min_gap(cloud):
     return min(gaps, default=math.inf)
 
 
-def _neighborhood_in_window(cloud, u, centers, half_widths, gap):
+# Element k of a grid view is lo + (hi - lo) * (k + 1/2) / size, computed
+# with four roundings (k + 1/2 is exact), each of relative error at most
+# eps / 2.  With S = |lo| + |hi|, an element lies within 2.01 eps S of the
+# exact point, a computed gap within 4.3 eps S of the exact spacing
+# (hi - lo) / size, and the computed spacing within 0.5 eps S of it.  A
+# result below the normal range adds at most half the smallest subnormal per
+# rounding.  The margin is over six times the sum, so 2u below the computed
+# spacing less the margin is below every gap, and 2u at or above the spacing
+# plus the margin is at or above every gap.
+_GRID_GAP_RTOL = 32.0 * np.finfo(float).eps
+_GRID_GAP_ATOL = 16.0 * np.finfo(float).smallest_subnormal
+
+
+def _points_disjoint(cloud, u):
+    """``2u < _min_gap(cloud)``: whether the u-intervals about the points of
+    the sorted cloud are pairwise disjoint.
+
+    On a grid view of two or more points the answer is read from the
+    spacing ``(hi - lo) / size`` when 2u lies farther than the rounding
+    margin from it, since every computed gap lies within the margin of the
+    spacing; inside the margin, as on a grid whose points round to ties,
+    and for any other cloud, the gaps are scanned.
+    """
+    if isinstance(cloud, GridView) and len(cloud) > 1:
+        h = (cloud.hi - cloud.lo) / cloud.size
+        margin = _GRID_GAP_RTOL * (abs(cloud.lo) + abs(cloud.hi)) + _GRID_GAP_ATOL
+        if 2.0 * u < h - margin:
+            return True
+        if 2.0 * u >= h + margin:
+            return False
+    return bool(2.0 * u < _min_gap(cloud))
+
+
+def _neighborhood_in_window(cloud, u, centers, half_widths, disjoint):
     """Lengths of (cloud-point u-neighborhood) intersected with the windows
-    [c - w, c + w], vectorized.  When the point intervals are disjoint (2u
-    below the cloud gap) each point's share is summed relative to the point;
-    otherwise the intervals of every point the windows reach are merged once
-    and each window reads its length from the union."""
+    [c - w, c + w], vectorized.  When the point intervals are ``disjoint``
+    (``_points_disjoint``) each point's share is summed relative to the
+    point; otherwise the intervals of every point the windows reach are
+    merged once and each window reads its length from the union."""
     lo = centers - half_widths
     hi = centers + half_widths
     i0 = cloud.searchsorted(lo - u)
     i1 = cloud.searchsorted(hi + u)
-    if 2.0 * u < gap:
+    if disjoint:
         rows, owner = _slice_rows(i0, i1)
         p = cloud[rows]
         # work relative to each point so the tiny interval length does
@@ -712,7 +782,7 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
             # (i) radii match the stage radius; centers on the stage set
             if not np.allclose(r, ua[loc.c_aidx], rtol=1e-12, atol=0):
                 p2_viol.append((tag, "radius-mismatch", None))
-            for j in np.unique(loc.c_j):
+            for j in _distinct(loc.c_j):
                 sel = loc.c_j == j
                 tol = max(1e-12, 1e-9 * params.stages.upsilon(int(j)))
                 on = _points_on_stage(params, j, c[sel], tol)
@@ -725,7 +795,7 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
             if np.any(np.abs(c - ac) + 3.0 * r > ar * (1 + AUDIT_RTOL)):
                 p2_viol.append((tag, "3L-outside-A", None))
             # 3A disjoint within each sublevel + inside parent
-            for i in np.unique(loc.a_sublevel):
+            for i in _distinct(loc.a_sublevel):
                 sel = loc.a_sublevel == i
                 ac_i = loc.a_center[sel]
                 ar_i = loc.a_radius[sel]
@@ -749,15 +819,15 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
             vol_l_per_a = np.bincount(
                 loc.c_aidx, weights=2.0 * r, minlength=len(loc.a_radius)
             )
-            for j in np.unique(loc.a_j):
+            for j in _distinct(loc.a_j):
                 sel = np.nonzero(loc.a_j == j)[0]
                 u = params.stages.upsilon(int(j))
                 cloud = params.stages.sorted_points(int(j))
-                gap = _min_gap(cloud)
+                disjoint = _points_disjoint(cloud, u)
                 ca = loc.a_center[sel]
                 ra = loc.a_radius[sel]
-                vol_a = _neighborhood_in_window(cloud, u, ca, ra, gap)
-                vol_half = _neighborhood_in_window(cloud, u, ca, ra / 2.0, gap)
+                vol_a = _neighborhood_in_window(cloud, u, ca, ra, disjoint)
+                vol_half = _neighborhood_in_window(cloud, u, ca, ra / 2.0, disjoint)
                 vol_l = vol_l_per_a[sel]
                 for t in np.nonzero(vol_l > vol_a * (1 + 1e-9))[0]:
                     p2_viol.append((tag, "iv-upper", int(sel[t])))
@@ -771,14 +841,14 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
 
             # P3 per sublevel
             vg_b = eval_gauge(pair.g, parent.radius)
-            for i in np.unique(loc.a_sublevel):
+            for i in _distinct(loc.a_sublevel):
                 sel = loc.a_sublevel == i
                 mass = float(np.sum(eval_gauge(pair.g, loc.a_radius[sel])))
                 if mass < consts["c6"] * vg_b * (1 - AUDIT_RTOL):
                     p3_viol.append((tag, int(i), mass, consts["c6"] * vg_b))
 
             # P4 between consecutive sublevels
-            subs = sorted(np.unique(loc.c_sublevel))
+            subs = _distinct(loc.c_sublevel).tolist()
             for a, b in zip(subs[:-1], subs[1:]):
                 fa = eval_gauge(pair.f, loc.c_radius[loc.c_sublevel == a])
                 fb = eval_gauge(pair.f, loc.c_radius[loc.c_sublevel == b])
@@ -796,11 +866,11 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
                 formula = root_sublevel_count(consts, params.eta)
             else:
                 formula = child_sublevel_count(consts, pair, parent.radius)
-            built = len(np.unique(loc.a_sublevel))
+            built = len(_distinct(loc.a_sublevel))
             if loc.l_b != formula or built != formula:
                 p5_viol.append((tag, loc.l_b, formula, built))
             leaf_counts = np.array(
-                [child_sublevel_count(consts, pair, float(rr)) for rr in np.unique(loc.c_radius)]
+                [child_sublevel_count(consts, pair, float(rr)) for rr in _distinct(loc.c_radius)]
             )
             if np.any(leaf_counts < 2):
                 p5_viol.append((tag, "leaf-l_b<2", int(np.min(leaf_counts))))

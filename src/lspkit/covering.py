@@ -242,20 +242,6 @@ def _chain_blocks(pool, start, stop, blocked, sep, block):
         yield pts
 
 
-def _cover_chain(pool, b_lo, b_hi, sep, block=BLOCK):
-    """The points of the sorted ``pool`` outside every interval
-    [b_lo[k], b_hi[k]] (``b_lo`` sorted, ``b_hi`` its running maximum) that
-    one ``_sweep_chain(leftover, sep)`` over all of them keeps, swept
-    ``block`` points at a time (``_chain_blocks``)."""
-
-    def inside(pts):
-        idx = np.searchsorted(b_lo, pts, side="right") - 1
-        return (idx >= 0) & (pts <= np.where(idx >= 0, b_hi[np.maximum(idx, 0)], -np.inf))
-
-    kept = [pts for pts in _chain_blocks(pool, 0, len(pool), inside, sep, block) if len(pts)]
-    return np.concatenate(kept) if kept else pool[:0]
-
-
 def _first_true(cloud, pred, k):
     """First index of the sorted ``cloud`` whose point meets ``pred``, for a
     predicate that is false and then true along the cloud, found by stepping

@@ -76,7 +76,9 @@ class GridView:
     0.5) / size``, so every element, slice and gather equals that array's
     bit for bit.  Rounding is monotone, so the elements are sorted.  The
     view supports ``len``, slices, non-negative integer and integer-array
-    indices, ``np.asarray`` and ``searchsorted``; it holds no element.
+    indices, ``np.asarray`` and ``searchsorted``; it holds no element.  A
+    search computes the two elements about each value's formula guess, and
+    more only for the values whose guess misses.
     """
 
     __slots__ = ("lo", "hi", "size")
@@ -108,10 +110,14 @@ class GridView:
         """``np.searchsorted(np.asarray(self), v)`` (side left): for each v,
         the first k with ``self[k] >= v``, or ``size`` if there is none.
 
-        The index is guessed from the formula and then settled with exact
-        comparisons against the computed elements: the guess brackets the
-        answer, and a bisection over the bracket (the whole grid where the
-        guess misses) finds it.
+        The index g is guessed from the formula and settled with exact
+        comparisons against the computed elements.  One vector check,
+        ``self[g - 1] < v <= self[g]`` (with g = 0 and g = size passing
+        their missing side), accepts a right guess: the elements are
+        sorted, so no earlier one reaches v.  Only the values that fail it,
+        NaN among them, are searched further: the guess brackets the answer,
+        and a bisection over the bracket (the whole grid where the guess
+        misses) finds it.
         """
         shape = np.shape(v)
         v = np.asarray(v, dtype=float).ravel()
@@ -120,8 +126,11 @@ class GridView:
             guess = np.ceil((v - self.lo) / (self.hi - self.lo) * n - 0.5)
         # NaN sorts after every element, as in np.searchsorted
         guess = np.clip(np.nan_to_num(guess, nan=n), 0, n).astype(np.intp)
-        a = np.maximum(guess - 1, 0)
-        b = np.minimum(guess + 1, n)
+        ok = ((guess == 0) | (self._at(guess - 1) < v)) & ((guess == n) | (self._at(guess) >= v))
+        miss = np.flatnonzero(~ok)
+        v = v[miss]
+        a = np.maximum(guess[miss] - 1, 0)
+        b = np.minimum(guess[miss] + 1, n)
         # the answer lies in [a, b] unless an element below a reaches v or
         # the element at b falls short of it
         a[(a > 0) & (self._at(a - 1) >= v)] = 0
@@ -133,7 +142,8 @@ class GridView:
             b[todo[up]] = mid[up]
             a[todo[~up]] = mid[~up] + 1
             todo = todo[a[todo] < b[todo]]
-        return a.reshape(shape)[()]
+        guess[miss] = a
+        return guess.reshape(shape)[()]
 
 
 @dataclass

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lspkit import cantor
 from lspkit.cantor import (
     ConstructionParams,
     LocalLevel,
@@ -17,8 +18,11 @@ from lspkit.cantor import (
     MassAssignment,
     _ambient_constants,
     _caj_nets,
+    _deep_sublevel,
+    _distinct,
     _holder_draws,
     _neighborhood_in_window,
+    _points_disjoint,
     _stage_radii,
     assign_mass,
     build_cantor,
@@ -31,9 +35,9 @@ from lspkit.cantor import (
     verify_levels,
 )
 from lspkit.cli import bundled_config
-from lspkit.covering import Ball, _cover_chain, _sweep_chain, greedy_net
-from lspkit.dimfun import Gauge, GaugePair, eval_gauge
-from lspkit.errors import ConstructionError, UnsupportedCombination
+from lspkit.covering import BLOCK, Ball, _chain_blocks, _sweep_chain, greedy_net
+from lspkit.dimfun import Gauge, GaugePair, eval_gauge, mtp_radius
+from lspkit.errors import ConstructionError, TruncationError, UnsupportedCombination
 from lspkit.stages import GridCloudStages, GridView, VdcPointStages
 
 from cantor_params import SQRT_PAIR, cantor_params
@@ -752,6 +756,21 @@ def test_sweep_chain_matches_loop(seed):
     assert len(_sweep_chain(edge[:0], sep)) == 0
 
 
+def _cover_chain(pool, b_lo, b_hi, sep, block=BLOCK):
+    """The points of the sorted ``pool`` outside every interval
+    [b_lo[k], b_hi[k]] (``b_lo`` sorted, ``b_hi`` its running maximum) that
+    one ``_sweep_chain(leftover, sep)`` over all of them keeps, swept
+    ``block`` points at a time (``_chain_blocks``): the whole cover chain
+    at once, which ``_deep_sublevel`` sweeps only as far as it hosts."""
+
+    def inside(pts):
+        idx = np.searchsorted(b_lo, pts, side="right") - 1
+        return (idx >= 0) & (pts <= np.where(idx >= 0, b_hi[np.maximum(idx, 0)], -np.inf))
+
+    kept = [pts for pts in _chain_blocks(pool, 0, len(pool), inside, sep, block) if len(pts)]
+    return np.concatenate(kept) if kept else pool[:0]
+
+
 def _filtered_sweep(pool, b_lo, b_hi, sep):
     """Reference: filter the whole pool, then one ``_sweep_chain`` over it."""
     idx = np.searchsorted(b_lo, pool, side="right") - 1
@@ -785,6 +804,138 @@ def test_cover_chain_matches_one_sweep(block, seed):
     assert len(_cover_chain(pool, pool[:1] - 1.0, pool[-1:] + 1.0, sep, block)) == 0
 
 
+def _deep_sublevel_eager(params, B, i, g_prime, d_min, target, leaf_center, leaf_radius, node):
+    """Reference: the eager hosting loop of ``_deep_sublevel``, which makes
+    every cover ball first and then hosts them stage by stage."""
+    pair = params.gauges
+    half_lo = B.center[0] - 0.5 * B.radius
+    half_hi = B.center[0] + 0.5 * B.radius
+    order = np.argsort(leaf_center - 4.0 * leaf_radius)
+    b_lo = (leaf_center - 4.0 * leaf_radius)[order]
+    b_hi = np.maximum.accumulate((leaf_center + 4.0 * leaf_radius)[order])
+    step = d_min / 2.0
+    pool = np.arange(half_lo + d_min, half_hi - d_min + step / 4, step)
+    covers = _cover_chain(pool, b_lo, b_hi, 2.0 * d_min * (1 - 1e-12), cantor.BLOCK)
+    if len(covers) == 0:
+        raise ConstructionError(
+            f"sublevel {i}: leftover region produced no cover balls", node=node, sublevel=i
+        )
+    mass = 0.0
+    j = g_prime
+    unhosted = covers
+    picks = []
+    while mass < target and j <= params.stages.j_max and len(unhosted):
+        u = params.stages.upsilon(j)
+        tilde = mtp_radius(pair, u)
+        room = d_min - 3.0 * tilde
+        if room > 0:
+            cloud = params.stages.sorted_points(j)
+            pos = cloud.searchsorted(unhosted)
+            left = cloud[np.clip(pos - 1, 0, len(cloud) - 1)]
+            right = cloud[np.clip(pos, 0, len(cloud) - 1)]
+            host = np.where(np.abs(unhosted - left) <= np.abs(unhosted - right), left, right)
+            ok = np.abs(host - unhosted) <= room
+            need = int(math.ceil((target - mass) / eval_gauge(pair.g, tilde)))
+            take = host[ok][:need]
+            picks.append((take, tilde, j))
+            mass += len(take) * eval_gauge(pair.g, tilde)
+            if mass >= target:
+                break
+            unhosted = unhosted[~ok]
+        j = max(1 << (int(math.floor(math.log2(max(j, 1)))) + 1), j + 1)
+    if mass < target:
+        raise TruncationError(
+            f"sublevel {i}: mass {mass:.3g} below target {target:.3g} "
+            f"({len(unhosted)} cover balls unhosted by stage {j})",
+            node=node,
+            sublevel=i,
+        )
+    return (
+        np.concatenate([t for t, _, _ in picks]),
+        np.concatenate([np.full(len(t), r) for t, r, _ in picks]),
+        np.concatenate([np.full(len(t), jj, dtype=np.int64) for t, _, jj in picks]),
+        mass,
+    )
+
+
+def _outcome(fn, *args):
+    """A deep sublevel's (centers, radii, js, mass), or its error's type and message."""
+    try:
+        return fn(*args)
+    except (ConstructionError, TruncationError) as exc:
+        return type(exc), str(exc)
+
+
+# On the audit's stages with d_min = 3 tilde(2**21) + 1e-6, stage 2**21
+# hosts 334 of the 3,187 covers of B(0, 1), each carrying g(tilde) =
+# 5.2e-5 of mass, stage 2**22 hosts the others, and all of them carry 0.163.
+_D_MIN = 3 * 2.7e-9**0.5 + 1e-6
+_HOSTING_CASES = {
+    "met-in-first-stage": dict(target=0.01),
+    "second-stage-hosts-the-rest": dict(target=0.05),
+    "no-room-up-to-j_max": dict(d_min=1e-4),
+    "j_max-after-first-stage": dict(target=0.05, j_max=2**21 + 1),
+    "every-cover-hosted": dict(target=1.0),
+    "no-cover-pool": dict(leaves=([0.0], [1.0])),
+}
+
+
+@pytest.mark.parametrize("block", [7, 64, BLOCK])
+@pytest.mark.parametrize("case", sorted(_HOSTING_CASES))
+def test_deep_sublevel_matches_eager_hosting(monkeypatch, case, block):
+    kw = {"d_min": _D_MIN, "target": 0.01, "leaves": ([5.0], [0.01]), **_HOSTING_CASES[case]}
+    audit = bundled_config("cantor_audit.json")
+    stages = {**audit["stages"], "j_max": kw.get("j_max", audit["stages"]["j_max"])}
+    leaf_center, leaf_radius = (np.array(v, dtype=float) for v in kw["leaves"])
+    args = (cantor_params(audit, stages=stages), Ball([0.0], 1.0), 2, 2**21, kw["d_min"], kw["target"],
+            leaf_center, leaf_radius, (1, 0))
+    monkeypatch.setattr(cantor, "BLOCK", block)
+    got, want = _outcome(_deep_sublevel, *args), _outcome(_deep_sublevel_eager, *args)
+    if isinstance(want[1], str):  # the error and its message, with the unhosted count
+        assert got == want
+        assert got[0] is (ConstructionError if case == "no-cover-pool" else TruncationError)
+        unhosted = {"no-room-up-to-j_max": 5000, "j_max-after-first-stage": 2853, "every-cover-hosted": 0}
+        assert case == "no-cover-pool" or f"({unhosted[case]} cover balls unhosted" in got[1]
+        return
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    centers, radii, js, mass = got
+    assert mass >= kw["target"] and mass == want[3]
+    stages = sorted(set(js.tolist()))
+    assert stages == ([2**21, 2**22] if case == "second-stage-hosts-the-rest" else [2**21])
+
+
+def test_deep_sublevel_stops_the_sweep_at_the_target(monkeypatch):
+    # the first stage meets the target within its first covers, so most of
+    # the pool is never swept
+    params = cantor_params("cantor_audit.json")
+    swept = []
+
+    def chain_blocks(pool, start, stop, blocked, sep, block):
+        for pts in _chain_blocks(pool, start, stop, blocked, sep, block):
+            swept.append(block)
+            yield pts
+
+    monkeypatch.setattr(cantor, "_chain_blocks", chain_blocks)
+    monkeypatch.setattr(cantor, "BLOCK", 64)
+    leaf = np.array([5.0]), np.array([0.01])
+    _deep_sublevel(params, Ball([0.0], 1.0), 2, 2**21, _D_MIN, 0.002, *leaf, (1, 0))
+    pool_blocks = math.ceil((1.0 - 2 * _D_MIN) / (_D_MIN / 2) / 64)
+    assert 0 < len(swept) < pool_blocks / 4
+
+
+def test_distinct_reads_runs():
+    rng = np.random.default_rng(5)
+    for col in (
+        np.repeat(rng.integers(0, 9, 40), rng.integers(1, 6, 40)),
+        np.repeat(rng.choice([0.5, 0.25, 1e-9, 3.0], 30), rng.integers(1, 4, 30)),
+        np.array([2, 2, 1, 1, 2]),
+        np.empty(0),
+    ):
+        assert np.array_equal(_distinct(col), np.unique(col))
+        assert _distinct(col).dtype == np.unique(col).dtype
+
+
 def test_stage_radii_one_call_per_stage(audit_tree):
     params, tree = audit_tree
     loc = tree.levels[0][0]
@@ -793,6 +944,7 @@ def test_stage_radii_one_call_per_stage(audit_tree):
     got = _stage_radii(stages, loc.a_j)
     assert sorted(calls) == sorted(set(loc.a_j.tolist()))
     assert np.array_equal(got, np.array([params.stages.upsilon(int(j)) for j in loc.a_j]))
+    assert _stage_radii(stages, np.empty(0, dtype=np.int64)).shape == (0,)
 
 
 def _window_loop(cloud, u, centers, half_widths):
@@ -817,10 +969,12 @@ def test_neighborhood_in_window_overlapping_intervals():
     centers = np.concatenate([rng.uniform(-0.1, 1.1, size=40), [cloud[0], cloud[-1], -0.5, 1.5]])
     half = np.concatenate([rng.exponential(0.05, size=40), [0.01, 0.02, 0.1, 0.1]])
     for u in (gap / 2, 0.002, 0.05):
-        got = _neighborhood_in_window(cloud, u, centers, half, gap)
+        assert not _points_disjoint(cloud, u)
+        got = _neighborhood_in_window(cloud, u, centers, half, False)
         np.testing.assert_allclose(got, _window_loop(cloud, u, centers, half), rtol=1e-12, atol=1e-15)
         assert np.array_equal(got[-2:], [0.0, 0.0])
         assert got[-4] > 0 and got[-3] > 0
-    outside = _neighborhood_in_window(cloud, 0.01, np.array([-0.5, 1.5]), np.array([0.1, 0.1]), gap)
+    disjoint = _points_disjoint(cloud, 0.01)
+    outside = _neighborhood_in_window(cloud, 0.01, np.array([-0.5, 1.5]), np.array([0.1, 0.1]), disjoint)
     assert np.array_equal(outside, [0.0, 0.0])
-    assert _neighborhood_in_window(cloud, 0.01, np.empty(0), np.empty(0), gap).shape == (0,)
+    assert _neighborhood_in_window(cloud, 0.01, np.empty(0), np.empty(0), disjoint).shape == (0,)

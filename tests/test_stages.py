@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from lspkit.cantor import _min_gap
+from lspkit import cantor
+from lspkit.cantor import _GRID_GAP_ATOL, _GRID_GAP_RTOL, _min_gap, _points_disjoint
 from lspkit.stages import GridCloudStages, GridView, VdcPointStages, van_der_corput
 
 
@@ -59,6 +62,68 @@ def test_grid_view_search_with_tied_points(size):
     assert len(np.unique(grid)) < size
     v = probes(grid, lo, hi, np.random.default_rng(size))
     assert np.array_equal(view.searchsorted(v), np.searchsorted(grid, v))
+
+
+@st.composite
+def _grids(draw):
+    """(lo, hi, size) of a sorted grid: sizes that are and are not powers of
+    two, spans from far below the coordinates' ulp (tied points) to 1e4,
+    and offsets near zero and near 1e6."""
+    lo = draw(st.one_of(st.floats(-100.0, 100.0), st.floats(1e6 - 1.0, 1e6 + 1.0), st.just(-1e6)))
+    hi = lo + draw(st.floats(-13.0, 4.0).map(lambda e: 10.0**e))
+    size = draw(st.one_of(st.integers(1, 5000), st.integers(0, 17).map(lambda e: 2**e)))
+    return lo, hi, size
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_grids(), st.data())
+def test_grid_view_search_matches_np_searchsorted(grid_args, data):
+    lo, hi, size = grid_args
+    grid = materialized(lo, hi, size)
+    view = GridView(lo, hi, size)
+    idx = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=40)))
+    at = grid[idx]
+    free = data.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20))
+    v = np.concatenate([
+        at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf),
+        [lo, hi, -np.inf, np.inf, np.nan], np.asarray(free, dtype=float),
+    ])
+    assert np.array_equal(view.searchsorted(v), np.searchsorted(grid, v))
+
+
+def _gap_grids():
+    """Grids for the gap decision: the audit's finest cloud, an offset one,
+    a grid that is not a power of two, and one whose points round to ties."""
+    return [(-20.0, 20.0, 2**21), (1e6, 1e6 + 3.0, 3000), (-0.3, 7.1, 777), (1.0e6, 1.0e6 + 1e-7, 1000)]
+
+
+@pytest.mark.parametrize("lo, hi, size", _gap_grids())
+def test_gap_decision_matches_min_gap(monkeypatch, lo, hi, size):
+    # 2u < min gap decided from the spacing must be the exact decision, at
+    # 2u = h (1 +- k eps) and at both edges of the rounding margin
+    view, grid = GridView(lo, hi, size), materialized(lo, hi, size)
+    gap = _min_gap(grid)
+    scans = []
+    monkeypatch.setattr(cantor, "_min_gap", lambda cloud: scans.append(1) or _min_gap(cloud))
+    h = (hi - lo) / size
+    margin = _GRID_GAP_RTOL * (abs(lo) + abs(hi)) + _GRID_GAP_ATOL
+    eps = np.finfo(float).eps
+    two_u = [h * (1 + sign * k * eps) for k in (0, 1, 2, 4, 64, 1e4, 1e8, 1e12) for sign in (-1, 1)]
+    for edge in (h - margin, h + margin):
+        two_u += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+    two_u += [gap, np.nextafter(gap, -np.inf), np.nextafter(gap, np.inf), 0.0, np.inf, np.nan]
+    for u in np.array(two_u) / 2.0:
+        scans.clear()
+        got = _points_disjoint(view, u)
+        # outside twice the margin the spacing decides, with no scan
+        assert not (abs(2.0 * u - h) > 2 * margin and scans), (u, h, margin)
+        assert got == bool(2.0 * u < gap) == _points_disjoint(grid, u)
+    tied = len(np.unique(grid)) < size
+    assert tied == (hi - lo < 1e-6)  # the last grid's points round to ties
+    if tied:  # the spacing lies far inside the margin, so the gaps are scanned
+        scans.clear()
+        _points_disjoint(view, h / 2.0)
+        assert scans
 
 
 def test_grid_view_rejects_bad_indices():
