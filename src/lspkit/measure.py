@@ -16,8 +16,8 @@ refused with ``ArgumentError``.
 
 Hit tests use the configured metric for every model, attractors included:
 a point hits when a proxy cut center lies within delta of it in that
-metric.  Only ``sets.distance_to_set`` measures attractors (and circles
-and spheres) in the Euclidean norm whatever the metric.
+metric.  Only ``sets.distance_to_set`` measures circles and spheres in
+the Euclidean norm whatever the metric; it does not measure attractors.
 """
 
 from __future__ import annotations
@@ -62,14 +62,6 @@ def __getattr__(name):
 
     globals()["cKDTree"] = cKDTree
     return cKDTree
-
-
-@dataclass
-class MeasureEstimate:
-    value: float
-    std_error: float
-    samples: int
-    method: str  # monte_carlo | exact_1d | grid
 
 
 @dataclass
@@ -463,37 +455,6 @@ def _mc_volume(vol, hits, samples):
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def neighborhood_measure(
-    m: SetModel,
-    center,
-    r,
-    delta,
-    samples=DEFAULT_SAMPLES,
-    rng=None,
-    metric="sup",
-):
-    """Volume of B(center, r) intersected with the delta-neighborhood of m.
-
-    Monte Carlo with binomial standard error; exact lengths in ambient
-    dimension 1 for point sets and attractors (``neighborhood_length_1d``).
-    """
-    if not (0 < delta < r):
-        raise ArgumentError("requires 0 < delta < r")
-    if samples < 1000:
-        raise ArgumentError("samples must be >= 1000")
-    if _interval_model(m):
-        c = float(np.asarray(center).reshape(-1)[0])
-        val = float(neighborhood_length_1d(m, delta, c - r, c + r))
-        return MeasureEstimate(value=val, std_error=0.0, samples=0, method="exact_1d")
-    n = m.ambient_dim
-    if rng is None:
-        rng = np.random.default_rng(0)
-    pts = sample_in_ball(center, r, samples, rng, metric=metric)
-    hits = _hit_counts(m, [pts], [delta], metric=metric)[0, 0]
-    value, err = _mc_volume(ball_volume(n, r, metric), hits, samples)
-    return MeasureEstimate(value=float(value), std_error=float(err), samples=samples, method="monte_carlo")
 
 
 def _window_volumes(m, scales, samples_per_scale, rng, metric):

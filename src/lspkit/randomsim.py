@@ -7,12 +7,12 @@ construction, a stage's draws do not depend on the window it is simulated
 in, and any run is reproducible bit for bit.  A whole window of stages is
 one call into numpy's Philox.  Tag 0 draws the stage translations, tag 917
 the re-draws of the coverage trials.  Every query measures torus distances
-through one kernel (vectorized for point sets and axis-aligned planes), and
-the coverage diagnostic measures each block of stages once for all of its
-radius rules.  The module provides membership queries, Borel-Cantelli
-frequency diagnostics, and a covering-exponent estimator for matched-scale
-tail unions, whose fitted slope is compared against the predicted value
-kappa*s + 1/tau.
+through one kernel, for all translations at once (attractor bases have no
+distance query and are refused), and the coverage diagnostic measures each
+block of stages once for all of its radius rules.  The module provides
+Borel-Cantelli frequency diagnostics and a covering-exponent estimator for
+matched-scale tail unions, whose fitted slope is compared against the
+predicted value kappa*s + 1/tau.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .sets import (
     SetModel,
     _norm,
     distance_to_set,
-    transform_model,
 )
 
 # largest window start N that covering_exponent counts: a window holds
@@ -57,6 +56,8 @@ class RandomScheme:
             raise ArgumentError("requires s - kappa*s > 0")
         if not (self.tau > 1.0 / (self.s - self.kappa * self.s)):
             raise ArgumentError("requires tau > 1 / (s - kappa*s)")
+        if self.n != self.base.ambient_dim:
+            raise ArgumentError(f"n = {self.n} differs from the base's dimension {self.base.ambient_dim}")
 
 
 def stage_uniforms(seed, tag, J, N, k, out=None) -> np.ndarray:
@@ -86,17 +87,6 @@ def draw_isometry(scheme: RandomScheme, j) -> Isometry:
     return Isometry(translation=t, wrap=True)
 
 
-def stage_radius(scheme: RandomScheme, j, mode="standard", t=None):
-    if mode == "standard":
-        return float(j) ** (-scheme.tau)
-    if mode == "transformed":
-        if t is None:
-            raise ArgumentError("transformed mode needs the target exponent t")
-        expo = scheme.tau * (scheme.kappa * scheme.s - t) / (scheme.s - scheme.kappa * scheme.s)
-        return float(j) ** expo
-    raise ArgumentError(f"unknown radius mode {mode!r}")
-
-
 def _translations(scheme, J, N):
     """Stage translations for j in [J, N], one row per stage."""
     return stage_uniforms(scheme.master_seed, _TRANSLATION_TAG, J, N, scheme.n)
@@ -117,8 +107,9 @@ def _wrapped_dist(a, b):
 def _torus_distances(base: SetModel, trans, x):
     """Sup-metric torus distance from x to base + t for each row t of trans.
 
-    Point sets and axis-aligned planes are computed for all rows at once; any
-    other base is translated and queried one row at a time.
+    Point sets and axis-aligned planes are computed for all rows at once.
+    Any other base takes one wrapped query for all rows, since the torus
+    distance from x to base + t is the torus distance from x - t to base.
     """
     if isinstance(base, PointSet):
         q = _frac(base.points[None, :, :] + trans[:, None, :])
@@ -128,30 +119,7 @@ def _torus_distances(base: SetModel, trans, x):
         # a translated coordinate plane only moves along its unspanned axes
         q = _frac(base.base[~free] + trans[:, ~free])
         return _norm(_wrapped_dist(q, x[~free]), "sup")
-    return np.array(
-        [
-            distance_to_set(
-                transform_model(base, Isometry(translation=t, wrap=True)), x, metric="sup", wrap=True
-            )
-            for t in trans
-        ]
-    )
-
-
-def hit_indices(scheme: RandomScheme, x, radii="standard", J=1, N=1000, t=None):
-    """Stage indices j in [J, N] whose stage set's radius_j-neighborhood
-    contains x (torus metric).
-
-    ``radii="standard"`` uses j**-tau; ``radii="transformed"`` uses the
-    enlarged radii matched to a target exponent t.
-    """
-    if J > N:
-        raise ArgumentError("requires J <= N")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    js = np.arange(J, N + 1)
-    rads = np.array([stage_radius(scheme, j, radii, t) for j in js])
-    d = _torus_distances(scheme.base, _translations(scheme, J, N), x)
-    return js[d < rads]
+    return distance_to_set(base, x - trans, metric="sup", wrap=True)
 
 
 @dataclass

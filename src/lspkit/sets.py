@@ -2,34 +2,32 @@
 
 The catalogue covers point sets, affine planes, parametric manifolds
 (circle / sphere / polyline), and self-similar attractors of contracting
-similarity systems.  Distances are exact closed forms except for attractors,
-where a branch-and-bound over cylinder words returns a value within a caller
-tolerance of the true distance, and sup-metric planes in n >= 3 that are
-neither hyperplanes nor coordinate planes, which solve one Chebyshev LP per
-point.  The sup-metric polyline distance is an exact closed form: the
-minimum of a convex piecewise-linear function of the segment parameter over
-its kinks (``_sup_segment_min``).
+similarity systems.  ``distance_to_set`` gives exact closed forms for every
+model but attractors, except sup-metric planes in n >= 3 that are neither
+hyperplanes nor coordinate planes, which solve one Chebyshev LP per point.
+The sup-metric polyline distance is an exact closed form: the minimum of a
+convex piecewise-linear function of the segment parameter over its kinks
+(``_sup_segment_min``).
 
-Attractors have one cylinder-tree engine: ``_expand`` turns a frontier of
-word nodes (scale, linear part, offset) into their children and reference
-centers.  ``cylinder_cut`` keeps expanding until every word's contraction
-is at most a target; ``cut_size`` counts that cut from the ratios alone;
-``cut_hits`` walks (point, node) pairs to decide which points lie within
-delta of a cut center without building the cut; and
-``distance_to_attractor`` expands only the nodes that can still beat a
-query point's best distance.
+Attractors are measured through their cylinder tree, never through
+``distance_to_set``, which refuses them.  ``_expand`` is the one engine: it
+turns a frontier of word nodes (scale, linear part, offset) into their
+children and reference centers.  ``cylinder_cut`` keeps expanding until
+every word's contraction is at most a target; ``cut_size`` counts that cut
+from the ratios alone; and ``cut_hits`` walks (point, node) pairs to decide
+which points lie within delta of a cut center without building the cut.
 
 Metric conventions: the ambient metric is the sup norm by default (balls are
 boxes, which keeps volumes exact in the estimators) with Euclidean
 selectable.  ``_norm`` is the one kernel for the norm of a difference in
 the configured metric, computed as a cKDTree query computes it, and every
 module calls it (Euclidean sums go through ``_sum_squares``).
-``distance_to_set`` measures circles, spheres, and attractors in the
-Euclidean norm, their natural exact geometry, whatever the metric; the
-attractor hit tests (``cut_hits``, and the estimators' proxy trees) use
-the configured metric.  Mixing the two norms only moves the constants
-in scaling estimates, never the exponents.  Torus variants reduce per
-coordinate mod 1 and take the minimum over unit shifts.
+``distance_to_set`` measures circles and spheres in the Euclidean norm,
+their natural exact geometry, whatever the metric; the attractor hit tests
+(``cut_hits``, and the estimators' proxy trees) use the configured metric.
+Mixing the two norms only moves the constants in scaling estimates, never
+the exponents.  Torus variants reduce per coordinate mod 1, into the unit
+box at the model's window corner, and take the minimum over unit shifts.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ArgumentError, UnsupportedCombination
+from .errors import ArgumentError
 
 ORTHO_TOL = 1e-12
 SAMPLE_TOL = 1e-9  # attractor samples use words whose cylinders are below this radius
@@ -273,16 +271,8 @@ class Isometry:
         return out
 
 
-def _is_signed_permutation(rot):
-    mat = np.abs(np.asarray(rot))
-    return bool(
-        np.all(np.isclose(mat.sum(axis=0), 1.0, atol=1e-9))
-        and np.all(np.isclose(mat.max(axis=0), 1.0, atol=1e-9))
-    )
-
-
 # ---------------------------------------------------------------------------
-# cylinder tree: one frontier engine for word cuts and attractor distances
+# cylinder tree: one frontier engine for word cuts and hit tests
 
 
 def _invariant_ball(ifs: IFS, maps):
@@ -472,44 +462,6 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
     return hit
 
 
-_QUERY_BLOCK = 32  # query points sharing one frontier
-_TABLE_ROWS = 4096  # frontier children per point-distance table
-
-
-def distance_to_attractor(model: IFSAttractor, pts, tol=1e-9):
-    """Euclidean distance from each query point to the attractor, within tol.
-
-    Branch-and-bound on the cylinder-tree frontier that ``cylinder_cut``
-    also expands.  Each child's reference center lies on the attractor, so
-    its distance bounds the answer from above; a child stays live while its
-    ball radius exceeds tol and its lower bound |x - c| - rad beats the
-    current best of some query point.  Query points share a frontier in
-    blocks of ``_QUERY_BLOCK``, and children are scored ``_TABLE_ROWS`` at a
-    time, so memory stays linear in the frontier.
-    """
-    ifs = model.ifs
-    z0, r0 = attractor_bounds(ifs)
-    pts = np.asarray(pts, dtype=float)
-    parts, root = _cylinder_tree(ifs)
-    out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], _QUERY_BLOCK):
-        block = pts[lo : lo + _QUERY_BLOCK]
-        best = np.linalg.norm(block - z0, axis=1)  # z0 is on the attractor
-        nodes = root
-        while nodes[0].size:
-            nodes, centers = _expand(nodes, parts, z0)
-            rad = nodes[0] * r0
-            live = rad > tol
-            for i in range(0, rad.size, _TABLE_ROWS):
-                rows = slice(i, i + _TABLE_ROWS)
-                d = np.linalg.norm(block[None, :, :] - centers[rows, None, :], axis=2)
-                np.minimum(best, d.min(axis=0), out=best)
-                live[rows] &= np.any(d - rad[rows, None] < best[None, :], axis=1)
-            nodes = _select(nodes, live)
-        out[lo : lo + _QUERY_BLOCK] = best
-    return out
-
-
 # ---------------------------------------------------------------------------
 # distances
 
@@ -608,26 +560,31 @@ def _polyline_distance(m: Polyline, pts, metric):
     return np.min(_sup_segment_min(c, seg[None, :, :]), axis=1)
 
 
-def distance_to_set(m: SetModel, x, tol=1e-9, metric="sup", wrap=False):
+def distance_to_set(m: SetModel, x, metric="sup", wrap=False):
     """Distance from x (one point or a batch) to the model.
 
-    Exact closed forms / projections everywhere except attractors, which are
-    resolved to within ``tol``.  Circles, spheres, and attractors use the
-    Euclidean set-distance regardless of ``metric`` (see module docstring).
-    With ``wrap`` the query is taken on the unit torus via minimum over unit
-    shifts of the point.
+    Exact closed forms / projections for every model but an attractor,
+    which raises ``ArgumentError``.  Circles and spheres use the Euclidean
+    set-distance regardless of ``metric`` (see module docstring).  With
+    ``wrap`` the query is taken on the unit torus: each point is reduced
+    mod 1 into the unit box at the low corner of ``model_window(m)`` and
+    measured with its unit shifts.  That is exact for a model whose window
+    has sides of at most 1, since no farther shift can then be nearer.
     """
+    if isinstance(m, IFSAttractor):
+        raise ArgumentError("distance_to_set does not measure an IFS attractor; use cylinder_cut or cut_hits")
     n = m.ambient_dim
     pts = _as_points(x, n)
     if wrap:
+        lo = model_window(m)[0]
+        pts = pts - lo
+        pts -= np.floor(pts)
+        pts += lo
         shifts = np.array(list(product((-1.0, 0.0, 1.0), repeat=n)))
         cand = pts[:, None, :] + shifts[None, :, :]
-        flat = cand.reshape(-1, n)
-        d = distance_to_set(m, flat, tol=tol, metric=metric, wrap=False)
+        d = distance_to_set(m, cand.reshape(-1, n), metric=metric)
         d = d.reshape(len(pts), -1).min(axis=1)
-        return d if np.ndim(x) == 2 else float(d[0])
-
-    if isinstance(m, PointSet):
+    elif isinstance(m, PointSet):
         d = np.min(_norm(pts[:, None, :] - m.points[None, :, :], metric), axis=1)
     elif isinstance(m, AffinePlane):
         d = _plane_distance(m, pts, metric)
@@ -635,8 +592,6 @@ def distance_to_set(m: SetModel, x, tol=1e-9, metric="sup", wrap=False):
         d = np.abs(_norm(pts - m.center, "euclidean") - m.radius)
     elif isinstance(m, Polyline):
         d = _polyline_distance(m, pts, metric)
-    elif isinstance(m, IFSAttractor):
-        d = distance_to_attractor(m, pts, tol=tol)
     else:
         raise ArgumentError(f"unknown set model {type(m).__name__}")
     return d if np.ndim(x) == 2 else float(d[0])
@@ -686,74 +641,6 @@ def sample_on_set(m: SetModel, k, rng):
                 if np.any(mask):
                     pts[mask] = mp.apply(pts[mask])
         return pts
-    raise ArgumentError(f"unknown set model {type(m).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# similarity dimension
-
-
-def similarity_dimension(ifs: IFS):
-    """Solve sum ratios**d = 1 by bisection to 1e-12."""
-    ratios = ifs.ratios
-    lo, hi = 0.0, 1.0
-    while np.sum(ratios**hi) > 1.0:
-        hi *= 2.0
-        if hi > 64:
-            raise ArgumentError("similarity dimension out of range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.sum(ratios**mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
-
-
-# ---------------------------------------------------------------------------
-# isometry action
-
-
-def transform_model(m: SetModel, iso: Isometry) -> SetModel:
-    """Image of the model under the isometry; distances are equivariant.
-
-    Equivariance is exact in the Euclidean metric for any orthogonal
-    rotation, and in the sup metric when the rotation is a signed
-    permutation.  Wrapped isometries require a signed-permutation (or
-    identity) rotation, since only those act on the torus.
-    """
-    n = m.ambient_dim
-    if iso.rotation is not None and iso.wrap and not _is_signed_permutation(iso.rotation):
-        raise UnsupportedCombination("torus wrap requires an axis-preserving rotation")
-    rot = iso.rotation
-
-    def mov(points):
-        return iso.apply(points)
-
-    if isinstance(m, PointSet):
-        return PointSet(mov(m.points))
-    if isinstance(m, AffinePlane):
-        basis = m.basis if rot is None else m.basis @ rot.T
-        return AffinePlane(mov(m.base), basis, extent=m.extent)
-    if isinstance(m, Circle):
-        return Circle(mov(m.center), m.radius)
-    if isinstance(m, Sphere):
-        return Sphere(mov(m.center), m.radius)
-    if isinstance(m, Polyline):
-        return Polyline(mov(m.vertices))
-    if isinstance(m, IFSAttractor):
-        if iso.wrap:
-            raise UnsupportedCombination("torus wrap of an attractor is not supported")
-        maps = []
-        for mp in m.ifs.maps:
-            a = mp.rotation if mp.rotation is not None else np.eye(n)
-            q = rot if rot is not None else np.eye(n)
-            new_rot = q @ a @ q.T
-            new_t = q @ mp.translation + iso.translation - mp.ratio * (new_rot @ iso.translation)
-            maps.append(IFSMap(mp.ratio, new_t, None if rot is None and mp.rotation is None else new_rot))
-        return IFSAttractor(IFS(tuple(maps), m.ifs.osc_declared))
     raise ArgumentError(f"unknown set model {type(m).__name__}")
 
 

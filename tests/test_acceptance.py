@@ -24,10 +24,10 @@ from lspkit.sets import (
     IFSMap,
     PointSet,
     Polyline,
-    distance_to_set,
 )
 
 from cantor_params import cantor_params
+from set_oracles import set_distance
 
 LOG23 = math.log(2) / math.log(3)
 
@@ -191,7 +191,7 @@ def _check_caj_geometry(net, upsilon, A, model, tol=1e-9):
     centers = net.points
     assert np.all(np.max(np.abs(centers - A.center), axis=1) + 3 * upsilon <= A.radius * (1 + 1e-12))
     assert family_is_disjoint(BallFamily(centers, np.full(len(centers), 3.0 * upsilon)))
-    assert np.max(distance_to_set(model, centers, tol=tol / 2)) <= tol
+    assert np.max(set_distance(model, centers, tol=tol / 2)) <= tol
 
 
 @pytest.fixture(scope="module")

@@ -153,6 +153,23 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["randsim", "--config", str(bad)]) == 2
 
 
+_GASKET = {"variant": "ifs", "maps": [{"ratio": 0.5, "translation": t} for t in ([0, 0], [0.5, 0], [0.25, 0.5])]}
+
+
+@pytest.mark.parametrize(
+    "base, code, err",
+    [
+        ({"variant": "polyline", "vertices": [[0.1, 0.1], [0.5, 0.7], [0.9, 0.2]]}, 0, ""),
+        (_GASKET, 2, "validation error: distance_to_set does not measure an IFS attractor; use cylinder_cut or cut_hits\n"),
+    ],
+    ids=["polyline", "ifs"],
+)
+def test_bc_diagnostic_on_a_2d_base(capsys, base, code, err):
+    overrides = [f"scheme.base={json.dumps(base)}", "scheme.n=2", "x=[0.3,0.3]", "N=50"]
+    assert main(["randsim", "--config", "bundled:randsim_bc.json"] + _set_args(overrides)) == code
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize(
     "config, args",
     [([1, 2], ["--seed", "3"]), ([1, 2], ["--set", "a=1"]), ("x", ["--seed", "3"])],
@@ -180,6 +197,9 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, config, args):
         ("randsim", "randsim_bc.json", None, "J=500"),
         ("randsim", "randsim_bc.json", None, "trials=abc"),
         ("randsim", "randsim_bc.json", None, "x=[0.3,0.2]"),
+        # a scheme dimension that is not the base's
+        ("randsim", "randsim_bc.json", None, ("scheme.n=0", "x=[]")),
+        ("randsim", "randsim_bc.json", None, ("scheme.n=2", "x=[0.3,0.3]")),
         ("randsim", "randsim_points_tau2.json", None, "scheme.s=0"),
         ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=0"),
         ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=-5"),

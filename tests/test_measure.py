@@ -9,16 +9,17 @@ from lspkit import measure
 from lspkit.errors import ArgumentError, EstimationError
 from lspkit.cli import bundled_config
 from lspkit.measure import (
+    ball_volume,
     box_dimensions,
     fit_lsp,
     minkowski_content,
     neighborhood_length_1d,
-    neighborhood_measure,
     regress_lsp,
     sample_in_ball,
     _DistanceOracle,
     _cut_target,
     _hit_counts,
+    _mc_volume,
     _merge_union,
     _union_length_in,
 )
@@ -38,8 +39,9 @@ from lspkit.sets import (
     model_window,
     sample_on_set,
     _norm,
-    transform_model,
 )
+
+from set_oracles import transform_model
 
 
 def middle_third():
@@ -48,27 +50,29 @@ def middle_third():
     )
 
 
+def _mc_measure(m, center, r, delta, samples, rng):
+    """Monte Carlo volume of B(center, r) in the delta-neighborhood of m, and
+    its binomial standard error, from the estimators' kernels."""
+    pts = sample_in_ball(center, r, samples, rng)
+    hits = _hit_counts(m, [pts], [delta])[0, 0]
+    return _mc_volume(ball_volume(len(center), r), hits, samples)
+
+
 def test_exact_point_interval():
-    est = neighborhood_measure(PointSet(np.array([[0.0]])), [0.0], 0.5, 0.1)
-    assert est.method == "exact_1d"
-    assert est.std_error == 0.0
-    assert est.value == pytest.approx(0.2, rel=1e-12)
+    assert neighborhood_length_1d(PointSet(np.array([[0.0]])), 0.1, -0.5, 0.5) == pytest.approx(0.2, rel=1e-12)
 
 
 def test_line_rectangle_mc():
     line = AffinePlane(np.zeros(2), np.array([[1.0, 0.0]]), extent=2.0)
-    est = neighborhood_measure(
-        line, [0.0, 0.0], 0.5, 0.1, samples=200_000, rng=np.random.default_rng(1)
-    )
-    assert est.method == "monte_carlo"
-    assert abs(est.value - 0.2) <= 3 * est.std_error
+    value, err = _mc_measure(line, [0.0, 0.0], 0.5, 0.1, 200_000, np.random.default_rng(1))
+    assert abs(value - 0.2) <= 3 * err
 
 
 def test_circle_against_grid_quadrature():
     circ = Circle(np.zeros(2), 1.0)
     center = np.array([1.0, 0.0])  # on the circle
     r, delta = 0.2, 0.02
-    est = neighborhood_measure(circ, center, r, delta, samples=1_000_000, rng=np.random.default_rng(2))
+    value, err = _mc_measure(circ, center, r, delta, 1_000_000, np.random.default_rng(2))
     # brute-force quadrature oracle at resolution 1e-4 over the sup ball
     h = 1e-4
     xs = np.arange(center[0] - r + h / 2, center[0] + r, h)
@@ -76,7 +80,7 @@ def test_circle_against_grid_quadrature():
     xx, yy = np.meshgrid(xs, ys)
     inside = np.abs(np.hypot(xx, yy) - 1.0) < delta
     oracle = inside.sum() * h * h
-    assert abs(est.value - oracle) <= 3 * est.std_error + 1e-4
+    assert abs(value - oracle) <= 3 * err + 1e-4
 
 
 def test_mc_agrees_with_exact_on_random_1d_instances():
@@ -87,7 +91,7 @@ def test_mc_agrees_with_exact_on_random_1d_instances():
         r = rng.uniform(0.2, 0.6)
         delta = r * rng.uniform(0.05, 0.5)
         center = rng.uniform(-1, 1, size=1)
-        exact = neighborhood_measure(model, center, r, delta).value
+        exact = neighborhood_length_1d(model, delta, center[0] - r, center[0] + r)
         # independent Monte-Carlo estimate of the same quantity
         n = 40_000
         pts = rng.uniform(center[0] - r, center[0] + r, size=(n, 1))
@@ -97,27 +101,13 @@ def test_mc_agrees_with_exact_on_random_1d_instances():
         assert abs(mc - exact) <= 3 * se + 1e-9
 
 
-def test_neighborhood_preconditions():
-    with pytest.raises(ArgumentError):
-        neighborhood_measure(PointSet(np.array([[0.0]])), [0.0], 0.1, 0.1)
-    line = AffinePlane(np.zeros(2), np.array([[1.0, 0.0]]))
-    with pytest.raises(ArgumentError):
-        neighborhood_measure(line, [0.0, 0.0], 0.5, 0.1, samples=10)
-
-
 def test_neighborhood_monotone_in_delta_and_r():
     line = AffinePlane(np.zeros(2), np.array([[1.0, 0.0]]), extent=2.0)
     rng = np.random.default_rng(4)
-    vals = []
-    for delta in (0.02, 0.05, 0.1):
-        est = neighborhood_measure(line, [0.0, 0.0], 0.5, delta, samples=100_000, rng=rng)
-        vals.append((est.value, est.std_error))
+    vals = [_mc_measure(line, [0.0, 0.0], 0.5, delta, 100_000, rng) for delta in (0.02, 0.05, 0.1)]
     for (v1, e1), (v2, e2) in zip(vals, vals[1:]):
         assert v2 >= v1 - 3 * (e1 + e2)
-    vals = []
-    for r in (0.3, 0.5, 0.8):
-        est = neighborhood_measure(line, [0.0, 0.0], r, 0.02, samples=100_000, rng=rng)
-        vals.append((est.value, est.std_error))
+    vals = [_mc_measure(line, [0.0, 0.0], r, 0.02, 100_000, rng) for r in (0.3, 0.5, 0.8)]
     for (v1, e1), (v2, e2) in zip(vals, vals[1:]):
         assert v2 >= v1 - 3 * (e1 + e2)
 

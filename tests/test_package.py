@@ -1,0 +1,37 @@
+import ast
+from collections import Counter
+from pathlib import Path
+
+import lspkit
+
+PACKAGE = Path(lspkit.__file__).parent
+
+# public names that nothing in the package reads, each with its reason
+UNREFERENCED = {
+    # perfbench's tracer wraps it for its randomsim.draw_isometry metrics;
+    # it goes when the tracer reads spans from the package instead
+    "randomsim.draw_isometry",
+}
+
+
+def _reads(node):
+    """Names and attribute names read anywhere under ``node``."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)
+    )
+
+
+def test_every_public_name_is_used_in_the_package():
+    # a public function or class that no code in the package reads outside
+    # its own body serves only its tests: move it beside them as an oracle
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    unread = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                if reads[node.name] - _reads(node)[node.name] <= 0:
+                    unread.add(f"{module}.{node.name}")
+    assert unread == UNREFERENCED

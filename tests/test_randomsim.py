@@ -9,14 +9,13 @@ from lspkit.randomsim import (
     _frac,
     _interval_union_count,
     _torus_distances,
+    _translations,
     covering_exponent,
     coverage_frequency,
     draw_isometry,
-    hit_indices,
-    stage_radius,
     stage_uniforms,
 )
-from lspkit.sets import AffinePlane, Circle, Isometry, PointSet, distance_to_set, transform_model
+from lspkit.sets import AffinePlane, Circle, PointSet, Polyline, Sphere, distance_to_set
 
 _S = math.sqrt(0.5)  # a unit direction at 45 degrees is (_S, _S)
 
@@ -184,28 +183,15 @@ def test_point_hit_probability():
     assert abs(p - 2 * delta) <= 3 * sigma
 
 
-def test_hit_indices_reproducible_and_consistent():
-    sch = point_scheme()
-    h1 = hit_indices(sch, [0.3], radii="standard", J=1, N=5000)
-    h2 = hit_indices(sch, [0.3], radii="standard", J=1, N=5000)
-    assert np.array_equal(h1, h2)
-
-
-def test_transformed_radius_exponent_arithmetic():
-    sch = point_scheme(tau=2.0)
-    # at the critical exponent the transformed radius is 1/j
-    t = sch.kappa * sch.s + 1.0 / sch.tau
-    for j in (2, 10, 37):
-        assert stage_radius(sch, j, "transformed", t) == pytest.approx(1.0 / j, rel=1e-12)
-
-
 def test_hit_count_matches_poisson_binomial():
     sch = point_scheme(tau=2.0, seed=31)
     N = 10_000
-    hits = hit_indices(sch, [0.4], radii="transformed", J=1, N=N, t=0.5)
+    rads = 1.0 / np.arange(1, N + 1)  # the radii transformed to t = 0.5
+    d = _torus_distances(sch.base, _translations(sch, 1, N), np.array([0.4]))
+    hits = np.count_nonzero(d < rads)
     mean = sum(min(1.0, 2.0 / j) for j in range(1, N + 1))
     var = sum(min(1.0, 2.0 / j) * (1 - min(1.0, 2.0 / j)) for j in range(1, N + 1))
-    assert abs(len(hits) - mean) <= 3 * math.sqrt(var) + 1.0
+    assert abs(hits - mean) <= 3 * math.sqrt(var) + 1.0
 
 
 def test_bc_classifications():
@@ -222,8 +208,10 @@ def test_bc_classifications():
 def test_bc_transformed_radii_critical_vs_supercritical():
     sch = point_scheme(tau=2.0, seed=43)
     t_crit = 0.5
-    rule_crit = lambda j: stage_radius(sch, j, "transformed", t_crit)
-    rule_conv = lambda j: stage_radius(sch, j, "transformed", t_crit + 0.2)
+    # the radii transformed to t are j**expo(t)
+    expo = lambda t: sch.tau * (sch.kappa * sch.s - t) / (sch.s - sch.kappa * sch.s)
+    rule_crit = lambda j: float(j) ** expo(t_crit)
+    rule_conv = lambda j: float(j) ** expo(t_crit + 0.2)
     div, conv = coverage_frequency(sch, [0.3], [rule_crit, rule_conv], 1, 1024, trials=1000)
     assert div.classification == "divergent"
     assert conv.classification == "convergent"
@@ -281,6 +269,15 @@ def test_bc_window_invariance():
     assert np.array_equal(short.p_hat, long.p_hat[:200])
 
 
+def _shift_reference(base, trans, x):
+    """Torus distance from x to base + t for each row t: the least distance
+    from x - t to the copies base + k, every k_i in -3..3."""
+    n = trans.shape[1]
+    shifts = np.stack(np.meshgrid(*[np.arange(-3.0, 4.0)] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    q = (x - trans)[:, None, :] + shifts[None, :, :]
+    return distance_to_set(base, q.reshape(-1, n), metric="sup").reshape(len(trans), -1).min(axis=1)
+
+
 @pytest.mark.parametrize(
     "base",
     [
@@ -288,19 +285,17 @@ def test_bc_window_invariance():
         AffinePlane(np.array([0.0, 0.5]), np.array([[1.0, 0.0]])),
         AffinePlane(np.array([0.0, 0.5]), np.array([[_S, _S]])),
         Circle(np.array([0.5, 0.5]), 0.2),
+        Circle(np.array([1.9, -0.3]), 0.2),
+        Polyline(np.array([[0.1, 0.1], [0.5, 0.7], [0.9, 0.2]])),
+        Sphere(np.array([0.5, 0.4, 0.6]), 0.3),
     ],
-    ids=["points", "line", "tilted-line", "circle"],
+    ids=["points", "line", "tilted-line", "circle", "circle-off-cube", "polyline", "sphere"],
 )
 def test_torus_distances_match_per_translation_reference(base):
-    trans = np.random.default_rng(5).uniform(0.0, 1.0, size=(200, 2))
-    x = np.array([0.3, 0.8])
-    ref = [
-        distance_to_set(
-            transform_model(base, Isometry(translation=t, wrap=True)), x, metric="sup", wrap=True
-        )
-        for t in trans
-    ]
-    np.testing.assert_allclose(_torus_distances(base, trans, x), ref, rtol=0, atol=1e-12)
+    n = base.ambient_dim
+    trans = np.random.default_rng(5).uniform(0.0, 1.0, size=(200, n))
+    x = np.array([0.3, 0.8, 0.55][:n])
+    np.testing.assert_allclose(_torus_distances(base, trans, x), _shift_reference(base, trans, x), rtol=0, atol=1e-12)
 
 
 def test_bc_tilted_line_hit_probability():

@@ -24,9 +24,9 @@ from lspkit.sets import (
     model_from_json,
     _norm,
     sample_on_set,
-    similarity_dimension,
-    transform_model,
 )
+
+from set_oracles import distance_to_attractor, set_distance, transform_model
 
 
 def middle_third():
@@ -178,8 +178,14 @@ def test_tilted_polyline_sup_distance_matches_lp(n):
 
 def test_cantor_distance():
     K = middle_third()
-    assert distance_to_set(K, [0.5], tol=1e-8) == pytest.approx(1 / 6, abs=1e-6)
-    assert distance_to_set(K, [0.0], tol=1e-8) == pytest.approx(0.0, abs=1e-6)
+    assert set_distance(K, [0.5], tol=1e-8) == pytest.approx(1 / 6, abs=1e-6)
+    assert set_distance(K, [0.0], tol=1e-8) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_distance_to_set_refuses_attractors():
+    for x, wrap in (([0.5], False), ([[0.5], [0.2]], True)):
+        with pytest.raises(ArgumentError, match="IFS attractor"):
+            distance_to_set(middle_third(), x, wrap=wrap)
 
 
 def test_circle_sphere_polyline_distances():
@@ -201,7 +207,7 @@ def test_sample_on_set():
 
     K = middle_third()
     pts = sample_on_set(K, 100, np.random.default_rng(1))
-    d = distance_to_set(K, pts, tol=1e-8)
+    d = distance_to_attractor(K, pts, tol=1e-8)
     assert np.max(d) <= 1e-6
 
     ps = PointSet(np.array([[0.0], [1.0], [2.0]]))
@@ -253,15 +259,7 @@ def test_cylinder_cut_matches_word_oracle(ifs, target):
     assert np.max(np.abs(centers - ref_c)) <= 1e-12
 
 
-def test_similarity_dimension():
-    two_thirds = IFS((IFSMap(1 / 3, np.array([0.0])), IFSMap(1 / 3, np.array([2 / 3]))), True)
-    assert similarity_dimension(two_thirds) == pytest.approx(math.log(2) / math.log(3), abs=1e-9)
-    three_halves = IFS(
-        tuple(IFSMap(0.5, np.array([float(k), 0.0])) for k in range(3)), True
-    )
-    assert similarity_dimension(three_halves) == pytest.approx(math.log(3) / math.log(2), abs=1e-9)
-    pair_half = IFS((IFSMap(0.5, np.array([0.0])), IFSMap(0.5, np.array([0.5]))), True)
-    assert similarity_dimension(pair_half) == pytest.approx(1.0, abs=1e-9)
+def test_ifs_needs_two_maps():
     with pytest.raises(ArgumentError):
         IFS((IFSMap(0.5, np.array([0.0])),), True)
 
@@ -293,8 +291,8 @@ def test_distance_equivariance(seed):
         theta = rng.uniform(0, 2 * math.pi)
         iso = Isometry(translation=rng.uniform(-1, 1, size=2), rotation=rotation(theta))
         x = rng.uniform(-2, 2, size=2)
-        before = distance_to_set(m, x, tol=1e-9, metric="euclidean")
-        after = distance_to_set(transform_model(m, iso), iso.apply(x), tol=1e-9, metric="euclidean")
+        before = set_distance(m, x, tol=1e-9, metric="euclidean")
+        after = set_distance(transform_model(m, iso), iso.apply(x), tol=1e-9, metric="euclidean")
         tol = 1e-6 if isinstance(m, IFSAttractor) else 1e-9
         assert after == pytest.approx(before, abs=tol, rel=tol)
 
@@ -412,7 +410,7 @@ def test_attractor_distance_bracketed_by_cut_rotated():
     centers, radii = cylinder_cut(ifs, 0.002)
     xs = np.random.default_rng(8).uniform(-0.2, 1.2, size=(60, 2))
     tol = 1e-9
-    got = distance_to_set(K, xs, tol=tol, metric="euclidean")
+    got = distance_to_attractor(K, xs, tol=tol)
     d = np.linalg.norm(xs[:, None, :] - centers[None, :, :], axis=2)
     # centers lie on K and the balls cover it
     assert np.all(np.min(d - radii[None, :], axis=1) <= got)
@@ -485,6 +483,6 @@ def test_model_json_roundtrip():
     for obj, m in MODEL_JSON.values():
         back = model_from_json(obj)
         x = rng.uniform(0, 1, size=m.ambient_dim)
-        assert distance_to_set(back, x, metric="euclidean") == pytest.approx(
-            distance_to_set(m, x, metric="euclidean"), rel=1e-9, abs=1e-9
+        assert set_distance(back, x, metric="euclidean") == pytest.approx(
+            set_distance(m, x, metric="euclidean"), rel=1e-9, abs=1e-9
         )
