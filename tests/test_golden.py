@@ -34,7 +34,9 @@ the exact bit: every float is stored as ``float.hex``.  They are
   by its SHA-256: the bundled audit, and the holder config at eta 8 on
   domain radii 85, 60 and 110 (at 110 the deep sublevel's cover pool spans
   16 blocks of 2**16 points), and the audit with its last plateau raised
-  to 5.3e-9, whose deep sublevel hosts its covers in two stages.
+  to 5.3e-9, whose deep sublevel hosts its covers in two stages;
+- ``randsim`` bc-diagnostics of 200 stages on two bases in the plane whose
+  windows fit in the unit box: a circle and a polyline.
 
 A variant that raises a ``ToolkitError`` pins the error's type, message and
 achieved fraction instead of a results block.
@@ -191,6 +193,13 @@ def variant_configs():
             "domain": {**holder["domain"], "radius": radius},
             "stages": {**holder["stages"], "lo": -radius, "hi": radius},
         })
+    bc = bundled_config("randsim_bc.json")
+    for name, base in (
+        ("circle", {"variant": "circle", "center": [0.5, 0.5], "radius": 0.2}),
+        ("polyline", {"variant": "polyline", "vertices": [[0.1, 0.1], [0.5, 0.7], [0.9, 0.2]]}),
+    ):
+        scheme = {**bc["scheme"], "base": base, "n": 2}
+        out[f"randsim_bc_{name}"] = ("randsim", {**bc, "scheme": scheme, "x": [0.3, 0.8], "N": 200})
     return out
 
 
