@@ -6,31 +6,27 @@ stage j owns its own run of counter blocks.  So stages are independent by
 construction, a stage's draws do not depend on the window it is simulated
 in, and any run is reproducible bit for bit.  A whole window of stages is
 one call into numpy's Philox.  Tag 0 draws the stage translations, tag 917
-the re-draws of the coverage trials.  Every query measures torus distances
-through one kernel, for all translations at once (attractor bases have no
-distance query and are refused), and the coverage diagnostic measures each
-block of stages once for all of its radius rules.  The module provides
-Borel-Cantelli frequency diagnostics and a covering-exponent estimator for
-matched-scale tail unions, whose fitted slope is compared against the
-predicted value kappa*s + 1/tau.
+the re-draws of the coverage trials.  The torus lives here alone:
+``_torus_distances`` measures all translations at once by one exact rule per
+kind of base, and a scheme refuses a base that no rule measures
+(``_torus_rule``).  The coverage diagnostic measures each block of stages
+once for all of its radius rules.  The module provides Borel-Cantelli
+frequency diagnostics and a covering-exponent estimator for matched-scale
+tail unions, whose fitted slope is compared against the predicted value
+kappa*s + 1/tau.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedCombination
 from .measure import ScalingFit, _ols_line
-from .sets import (
-    AffinePlane,
-    Isometry,
-    PointSet,
-    SetModel,
-    _norm,
-    distance_to_set,
-)
+from .sets import AffinePlane, IFSAttractor, Isometry, PointSet, SetModel, _norm, distance_to_set, model_window
 
 # largest window start N that covering_exponent counts: a window holds
 # N + 1 stages, about 160 MB per million, so 2**22 peaks near 0.7 GB
@@ -58,6 +54,7 @@ class RandomScheme:
             raise ArgumentError("requires tau > 1 / (s - kappa*s)")
         if self.n != self.base.ambient_dim:
             raise ArgumentError(f"n = {self.n} differs from the base's dimension {self.base.ambient_dim}")
+        _torus_rule(self.base)
 
 
 def stage_uniforms(seed, tag, J, N, k, out=None) -> np.ndarray:
@@ -84,7 +81,7 @@ def stage_uniforms(seed, tag, J, N, k, out=None) -> np.ndarray:
 def draw_isometry(scheme: RandomScheme, j) -> Isometry:
     """Uniform torus translation for stage j, reproducible from the seed."""
     t = stage_uniforms(scheme.master_seed, _TRANSLATION_TAG, j, j, scheme.n)[0]
-    return Isometry(translation=t, wrap=True)
+    return Isometry(translation=t)
 
 
 def _translations(scheme, J, N):
@@ -104,22 +101,58 @@ def _wrapped_dist(a, b):
     return np.minimum(d, 1.0 - d)
 
 
-def _torus_distances(base: SetModel, trans, x):
-    """Sup-metric torus distance from x to base + t for each row t of trans.
+def _torus_rule(base: SetModel):
+    """What ``_torus_distances`` measures ``base`` by: None for a point set or a
+    coordinate plane, a hyperplane's primitive integer normal with entries of
+    at most 64, or the unit shifts of a bounded base whose window sides are at
+    most 3 (at most 5**n shifts).  Raises ``ArgumentError`` naming any other base."""
+    if isinstance(base, IFSAttractor):
+        raise ArgumentError("distance_to_set does not measure an IFS attractor; use cylinder_cut or cut_hits")
+    if isinstance(base, PointSet) or (isinstance(base, AffinePlane) and base.free_axes is not None):
+        return None
+    if isinstance(base, AffinePlane):
+        normal = np.linalg.svd(base.basis, full_matrices=True)[2][-1]
+        # the least integral multiple of normal / max|normal| is primitive
+        scaled = np.arange(1, 65)[:, None] * (normal / np.abs(normal).max())
+        whole = np.all(np.abs(scaled - np.rint(scaled)) < 1e-9, axis=1)
+        if base.plane_dim < base.ambient_dim - 1 or not whole.any():
+            raise ArgumentError(f"randsim cannot measure a tilted plane of dimension {base.plane_dim} in dimension "
+                                f"{base.ambient_dim} on the torus: only coordinate planes and hyperplanes whose "
+                                "normal is an integer vector with entries of at most 64 are exact")
+        return np.rint(scaled[np.argmax(whole)])
+    lo, hi = model_window(base)
+    widths = hi - lo
+    if np.any(widths > 3):
+        raise ArgumentError(f"randsim cannot measure a {type(base).__name__.lower()} whose window is "
+                            f"{float(widths.max()):.6g} wide on the torus: a window side may be at most 3")
+    return np.array(list(product(*(range(-1, max(1, math.ceil(w)) + 1) for w in widths))), dtype=float)
 
-    Point sets and axis-aligned planes are computed for all rows at once.
-    Any other base takes one wrapped query for all rows, since the torus
-    distance from x to base + t is the torus distance from x - t to base.
-    """
+
+def _torus_distances(base: SetModel, trans, x):
+    """Sup-metric torus distance from x to base + t, that is from q = x - t to
+    the base, for each row t of trans.  Point sets and coordinate planes
+    reduce mod 1.  A hyperplane of primitive integer normal nu is at
+    dist(nu . (q - b), Z) / ||nu||_1: its integer translates are the level
+    sets nu . (p - b) in Z, and l1 is the sup norm's dual.  A bounded base
+    reduces q into the unit box at its window's low corner and takes the
+    shifts -1 .. max(1, ceil(w_i)) on each axis i of window width w_i; a
+    farther shift is farther in that coordinate from every base point than
+    the one before it, so it never wins, in the sup or the Euclidean norm."""
+    x = _frac(x)
     if isinstance(base, PointSet):
         q = _frac(base.points[None, :, :] + trans[:, None, :])
         return _norm(_wrapped_dist(q, x), "sup").min(axis=1)
-    free = base.free_axes if isinstance(base, AffinePlane) else None
-    if free is not None:
+    rule = _torus_rule(base)
+    if rule is None:
         # a translated coordinate plane only moves along its unspanned axes
-        q = _frac(base.base[~free] + trans[:, ~free])
-        return _norm(_wrapped_dist(q, x[~free]), "sup")
-    return distance_to_set(base, x - trans, metric="sup", wrap=True)
+        q = _frac(base.base[~base.free_axes] + trans[:, ~base.free_axes])
+        return _norm(_wrapped_dist(q, x[~base.free_axes]), "sup")
+    if isinstance(base, AffinePlane):
+        level = (x - trans - base.base) @ rule
+        return np.abs(level - np.rint(level)) / np.abs(rule).sum()
+    lo = model_window(base)[0]
+    cand = (_frac(x - trans - lo) + lo)[:, None, :] + rule[None, :, :]
+    return distance_to_set(base, cand.reshape(-1, base.ambient_dim), metric="sup").reshape(len(trans), -1).min(axis=1)
 
 
 @dataclass

@@ -26,8 +26,7 @@ module calls it (Euclidean sums go through ``_sum_squares``).
 their natural exact geometry, whatever the metric; the attractor hit tests
 (``cut_hits``, and the estimators' proxy trees) use the configured metric.
 Mixing the two norms only moves the constants in scaling estimates, never
-the exponents.  Torus variants reduce per coordinate mod 1, into the unit
-box at the model's window corner, and take the minimum over unit shifts.
+the exponents.
 """
 
 from __future__ import annotations
@@ -246,11 +245,10 @@ SetModel = PointSet | AffinePlane | Circle | Sphere | Polyline | IFSAttractor
 
 @dataclass(frozen=True)
 class Isometry:
-    """Rigid motion x -> rotation @ x + translation, optionally mod 1 (torus)."""
+    """Rigid motion x -> rotation @ x + translation."""
 
     translation: np.ndarray
     rotation: np.ndarray | None = None
-    wrap: bool = False
 
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=float)
@@ -265,10 +263,7 @@ class Isometry:
         x = np.asarray(x, dtype=float)
         if self.rotation is not None:
             x = x @ self.rotation.T
-        out = x + self.translation
-        if self.wrap:
-            out = np.mod(out, 1.0)
-        return out
+        return x + self.translation
 
 
 # ---------------------------------------------------------------------------
@@ -560,31 +555,17 @@ def _polyline_distance(m: Polyline, pts, metric):
     return np.min(_sup_segment_min(c, seg[None, :, :]), axis=1)
 
 
-def distance_to_set(m: SetModel, x, metric="sup", wrap=False):
+def distance_to_set(m: SetModel, x, metric="sup"):
     """Distance from x (one point or a batch) to the model.
 
     Exact closed forms / projections for every model but an attractor,
     which raises ``ArgumentError``.  Circles and spheres use the Euclidean
-    set-distance regardless of ``metric`` (see module docstring).  With
-    ``wrap`` the query is taken on the unit torus: each point is reduced
-    mod 1 into the unit box at the low corner of ``model_window(m)`` and
-    measured with its unit shifts.  That is exact for a model whose window
-    has sides of at most 1, since no farther shift can then be nearer.
+    set-distance regardless of ``metric`` (see module docstring).
     """
     if isinstance(m, IFSAttractor):
         raise ArgumentError("distance_to_set does not measure an IFS attractor; use cylinder_cut or cut_hits")
-    n = m.ambient_dim
-    pts = _as_points(x, n)
-    if wrap:
-        lo = model_window(m)[0]
-        pts = pts - lo
-        pts -= np.floor(pts)
-        pts += lo
-        shifts = np.array(list(product((-1.0, 0.0, 1.0), repeat=n)))
-        cand = pts[:, None, :] + shifts[None, :, :]
-        d = distance_to_set(m, cand.reshape(-1, n), metric=metric)
-        d = d.reshape(len(pts), -1).min(axis=1)
-    elif isinstance(m, PointSet):
+    pts = _as_points(x, m.ambient_dim)
+    if isinstance(m, PointSet):
         d = np.min(_norm(pts[:, None, :] - m.points[None, :, :], metric), axis=1)
     elif isinstance(m, AffinePlane):
         d = _plane_distance(m, pts, metric)

@@ -5,11 +5,13 @@ and ``sets.distance_to_set`` refuses them; ``distance_to_attractor`` is the
 reference distance the tests check attractor geometry against (acceptance 4
 among them).  ``transform_model`` moves a model by an isometry, to build
 rotated and shifted fixtures and to check that distances are equivariant.
+``torus_distance`` is the reference that ``randomsim``'s torus rules are
+checked against.
 """
 
 import numpy as np
 
-from lspkit.errors import ArgumentError, UnsupportedCombination
+from lspkit.errors import ArgumentError
 from lspkit.sets import (
     IFS,
     AffinePlane,
@@ -76,25 +78,14 @@ def set_distance(m: SetModel, x, tol=1e-9, metric="sup"):
     return d if np.ndim(x) == 2 else float(d[0])
 
 
-def _is_signed_permutation(rot):
-    mat = np.abs(np.asarray(rot))
-    return bool(
-        np.all(np.isclose(mat.sum(axis=0), 1.0, atol=1e-9))
-        and np.all(np.isclose(mat.max(axis=0), 1.0, atol=1e-9))
-    )
-
-
 def transform_model(m: SetModel, iso: Isometry) -> SetModel:
     """Image of the model under the isometry; distances are equivariant.
 
     Equivariance is exact in the Euclidean metric for any orthogonal
     rotation, and in the sup metric when the rotation is a signed
-    permutation.  Wrapped isometries require a signed-permutation (or
-    identity) rotation, since only those act on the torus.
+    permutation.
     """
     n = m.ambient_dim
-    if iso.rotation is not None and iso.wrap and not _is_signed_permutation(iso.rotation):
-        raise UnsupportedCombination("torus wrap requires an axis-preserving rotation")
     rot = iso.rotation
     if isinstance(m, PointSet):
         return PointSet(iso.apply(m.points))
@@ -108,8 +99,6 @@ def transform_model(m: SetModel, iso: Isometry) -> SetModel:
     if isinstance(m, Polyline):
         return Polyline(iso.apply(m.vertices))
     if isinstance(m, IFSAttractor):
-        if iso.wrap:
-            raise UnsupportedCombination("torus wrap of an attractor is not supported")
         maps = []
         for mp in m.ifs.maps:
             a = mp.rotation if mp.rotation is not None else np.eye(n)
@@ -119,3 +108,13 @@ def transform_model(m: SetModel, iso: Isometry) -> SetModel:
             maps.append(IFSMap(mp.ratio, new_t, None if rot is None and mp.rotation is None else new_rot))
         return IFSAttractor(IFS(tuple(maps), m.ifs.osc_declared))
     raise ArgumentError(f"unknown set model {type(m).__name__}")
+
+
+def torus_distance(base: SetModel, trans, x, reach=4):
+    """Sup-metric torus distance from x to base + t for each row t of trans,
+    by brute force: the least distance from x - t to the copies base + k,
+    every k_i in -reach..reach."""
+    n = trans.shape[1]
+    shifts = np.stack(np.meshgrid(*[np.arange(-reach, reach + 1.0)] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    q = (x - trans)[:, None, :] + shifts[None, :, :]
+    return distance_to_set(base, q.reshape(-1, n), metric="sup").reshape(len(trans), -1).min(axis=1)

@@ -1,6 +1,7 @@
 import importlib.resources as resources
 import importlib.util
 import json
+import math
 import operator
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from jsonschema.validators import validator_for
 
-from lspkit import cli, covering, errors, measure, sets
+from lspkit import cli, covering, errors, measure, randomsim, sets
 from lspkit.cantor import tree_from_json
 from lspkit.cli import SCHEMAS, bundled_config, main, run
 
@@ -161,13 +162,39 @@ _GASKET = {"variant": "ifs", "maps": [{"ratio": 0.5, "translation": t} for t in 
     [
         ({"variant": "polyline", "vertices": [[0.1, 0.1], [0.5, 0.7], [0.9, 0.2]]}, 0, ""),
         (_GASKET, 2, "validation error: distance_to_set does not measure an IFS attractor; use cylinder_cut or cut_hits\n"),
+        (
+            {"variant": "plane", "base": [0.0, 0.5], "basis": [[math.cos(1.0), math.sin(1.0)]]},
+            2,
+            "validation error: randsim cannot measure a tilted plane of dimension 1 in dimension 2 on the "
+            "torus: only coordinate planes and hyperplanes whose normal is an integer vector with entries "
+            "of at most 64 are exact\n",
+        ),
+        (
+            {"variant": "circle", "center": [0.5, 0.5], "radius": 1.6},
+            2,
+            "validation error: randsim cannot measure a circle whose window is 3.2 wide on the torus: "
+            "a window side may be at most 3\n",
+        ),
     ],
-    ids=["polyline", "ifs"],
+    ids=["polyline", "ifs", "irrational-line", "circle-r1.6"],
 )
 def test_bc_diagnostic_on_a_2d_base(capsys, base, code, err):
     overrides = [f"scheme.base={json.dumps(base)}", "scheme.n=2", "x=[0.3,0.3]", "N=50"]
     assert main(["randsim", "--config", "bundled:randsim_bc.json"] + _set_args(overrides)) == code
     assert capsys.readouterr().err == err
+
+
+def test_bc_diagnostic_refuses_a_3d_tilted_line_before_drawing(monkeypatch, capsys):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a stage was drawn")
+
+    monkeypatch.setattr(randomsim, "stage_uniforms", no_draws)
+    base = {"variant": "plane", "base": [0.0, 0.0, 0.0], "basis": [[0.6, 0.8, 0.0]]}
+    overrides = [f"scheme.base={json.dumps(base)}", "scheme.n=3", "x=[0.3,0.3,0.3]"]
+    assert main(["randsim", "--config", "bundled:randsim_bc.json"] + _set_args(overrides)) == 2
+    assert capsys.readouterr().err.startswith(
+        "validation error: randsim cannot measure a tilted plane of dimension 1 in dimension 3 on the torus"
+    )
 
 
 @pytest.mark.parametrize(
@@ -302,6 +329,7 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, config, args):
         ("randsim", "randsim_points_tau2.json", None, f"N_list=[64,128,256,{2**22 + 1}]"),
         ("randsim", "randsim_bc.json", None, "N=1000001"),
         ("randsim", "randsim_bc.json", None, "trials=1000001"),
+        ("randsim", "randsim_bc.json", None, "rules=" + json.dumps([{"name": "r", "exponent": 1.0}] * 33)),
         ("cover", "cover_caj_line.json", None, "pool=1000001"),
         # a 1-D attractor the exact path cannot measure
         ("minkowski", "minkowski_cantor.json", None, _OVERLAPPING),

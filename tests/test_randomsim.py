@@ -15,7 +15,9 @@ from lspkit.randomsim import (
     draw_isometry,
     stage_uniforms,
 )
-from lspkit.sets import AffinePlane, Circle, PointSet, Polyline, Sphere, distance_to_set
+from lspkit.sets import AffinePlane, Circle, Isometry, PointSet, Polyline, Sphere
+
+from set_oracles import torus_distance, transform_model
 
 _S = math.sqrt(0.5)  # a unit direction at 45 degrees is (_S, _S)
 
@@ -269,33 +271,66 @@ def test_bc_window_invariance():
     assert np.array_equal(short.p_hat, long.p_hat[:200])
 
 
-def _shift_reference(base, trans, x):
-    """Torus distance from x to base + t for each row t: the least distance
-    from x - t to the copies base + k, every k_i in -3..3."""
-    n = trans.shape[1]
-    shifts = np.stack(np.meshgrid(*[np.arange(-3.0, 4.0)] * n, indexing="ij"), axis=-1).reshape(-1, n)
-    q = (x - trans)[:, None, :] + shifts[None, :, :]
-    return distance_to_set(base, q.reshape(-1, n), metric="sup").reshape(len(trans), -1).min(axis=1)
-
-
 @pytest.mark.parametrize(
     "base",
     [
         PointSet(np.array([[0.1, 0.2], [0.6, 0.9], [0.95, 0.05]])),
         AffinePlane(np.array([0.0, 0.5]), np.array([[1.0, 0.0]])),
         AffinePlane(np.array([0.0, 0.5]), np.array([[_S, _S]])),
+        AffinePlane(np.array([0.2, 0.5]), np.array([[0.6, 0.8]])),
+        AffinePlane(np.array([0.1, 0.4, 0.7]), np.array([[_S, _S, 0.0], [0.0, 0.0, 1.0]])),
         Circle(np.array([0.5, 0.5]), 0.2),
+        Circle(np.array([0.5, 0.5]), 1.2),
         Circle(np.array([1.9, -0.3]), 0.2),
         Polyline(np.array([[0.1, 0.1], [0.5, 0.7], [0.9, 0.2]])),
+        Polyline(np.array([[-0.9, 0.2], [1.8, 0.35]])),
         Sphere(np.array([0.5, 0.4, 0.6]), 0.3),
+        Sphere(np.array([0.5, 0.4, 0.6]), 0.8),
     ],
-    ids=["points", "line", "tilted-line", "circle", "circle-off-cube", "polyline", "sphere"],
+    ids=[
+        "points", "line", "tilted-line", "line-0.6-0.8", "plane-normal-1-1-0", "circle", "circle-r1.2",
+        "circle-off-cube", "polyline", "wide-polyline", "sphere", "sphere-r0.8",
+    ],
 )
 def test_torus_distances_match_per_translation_reference(base):
     n = base.ambient_dim
     trans = np.random.default_rng(5).uniform(0.0, 1.0, size=(200, n))
     x = np.array([0.3, 0.8, 0.55][:n])
-    np.testing.assert_allclose(_torus_distances(base, trans, x), _shift_reference(base, trans, x), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_torus_distances(base, trans, x), torus_distance(base, trans, x), rtol=0, atol=1e-12)
+
+
+def test_torus_distances_translation_equivariance():
+    # moving the base and x by one translation keeps every torus distance,
+    # and x + s leaves the unit box
+    rng = np.random.default_rng(3)
+    ps = PointSet(rng.uniform(0, 1, size=(4, 2)))
+    trans = rng.uniform(0, 1, size=(200, 2))
+    for _ in range(50):
+        iso = Isometry(translation=rng.uniform(0, 1, size=2))
+        x = rng.uniform(0, 1, size=2)
+        before = _torus_distances(ps, trans, x)
+        after = _torus_distances(transform_model(ps, iso), trans, iso.apply(x))
+        np.testing.assert_allclose(after, before, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        PointSet(np.array([[0.5, 0.5]])),
+        AffinePlane(np.array([0.0, 0.5]), np.array([[1.0, 0.0]])),
+        Circle(np.array([0.5, 0.5]), 0.2),
+    ],
+    ids=["point", "line", "circle"],
+)
+def test_bc_diagnostic_reads_x_on_the_torus(base):
+    # x + k is x on the torus; x is dyadic so that x + k is exact
+    sch = RandomScheme(base=base, tau=2.0, s=2.0, kappa=0.0, master_seed=61, n=2)
+    x = np.array([0.3125, 0.8125])
+    rules = [lambda j: 1.0 / j, lambda j: j**-2.0]
+    want = coverage_frequency(sch, x, rules, 1, 100, trials=1000)
+    for k in (-1, 2, 5):
+        for a, b in zip(coverage_frequency(sch, x + k, rules, 1, 100, trials=1000), want):
+            _same_diagnostic(a, b)
 
 
 def test_bc_tilted_line_hit_probability():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from lspkit.errors import ArgumentError, UnsupportedCombination
+from lspkit.errors import ArgumentError
 from lspkit.sets import (
     IFS,
     AffinePlane,
@@ -183,9 +183,8 @@ def test_cantor_distance():
 
 
 def test_distance_to_set_refuses_attractors():
-    for x, wrap in (([0.5], False), ([[0.5], [0.2]], True)):
-        with pytest.raises(ArgumentError, match="IFS attractor"):
-            distance_to_set(middle_third(), x, wrap=wrap)
+    with pytest.raises(ArgumentError, match="IFS attractor"):
+        distance_to_set(middle_third(), [0.5])
 
 
 def test_circle_sphere_polyline_distances():
@@ -307,28 +306,6 @@ def middle_third_2d():
             True,
         )
     )
-
-
-def test_wrapped_equivariance_translations():
-    rng = np.random.default_rng(3)
-    ps = PointSet(rng.uniform(0, 1, size=(4, 2)))
-    for _ in range(200):
-        iso = Isometry(translation=rng.uniform(0, 1, size=2), wrap=True)
-        x = rng.uniform(0, 1, size=2)
-        before = distance_to_set(ps, x, metric="sup", wrap=True)
-        after = distance_to_set(transform_model(ps, iso), iso.apply(x), metric="sup", wrap=True)
-        assert after == pytest.approx(before, abs=1e-9)
-
-
-def test_wrap_with_general_rotation_rejected():
-    ps = PointSet(np.array([[0.2, 0.2]]))
-    iso = Isometry(translation=np.zeros(2), rotation=rotation(0.3), wrap=True)
-    with pytest.raises(UnsupportedCombination):
-        transform_model(ps, iso)
-    # signed permutations act on the torus and are allowed
-    perm = Isometry(translation=np.zeros(2), rotation=np.array([[0.0, 1.0], [1.0, 0.0]]), wrap=True)
-    out = transform_model(ps, perm)
-    assert np.allclose(out.points, [[0.2, 0.2]])
 
 
 def unequal_2d():
