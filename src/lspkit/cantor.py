@@ -40,10 +40,15 @@ spacing, scanning the gaps only when rounding could decide it
 (``_points_disjoint``), and reads a column's distinct values from its runs.
 
 Every center is a point of its stage cloud, so a saved tree (``tree_to_json``,
-format ``TREE_FORMAT``) stores each ball as its index into the cloud, and
-each block's radius, stage index and sublevel once per run of equal values;
-``tree_from_json`` gathers the centers back from the same stages, bit for
-bit, and refuses a tree whose grid differs from theirs.
+format ``TREE_FORMAT``) stores each selection ball as its index into the
+cloud, and each block's radius, stage index and sublevel once per run of
+equal values.  A selection ball's target balls are netted from its own
+stage cloud, near its center, and are mostly consecutive points of it, so
+the target balls are stored as groups of consecutive indices under one
+owner, each group placed relative to its owner's index, with the group
+columns run-length coded.  ``tree_from_json`` gathers the centers back from
+the same stages, bit for bit, and refuses a tree whose grid differs from
+theirs.
 """
 
 from __future__ import annotations
@@ -1091,9 +1096,10 @@ def format_tree(tree: CantorTree, mass: MassAssignment | None = None) -> str:
 # serialization
 
 
-TREE_FORMAT = 2  # the tree.json layout that tree_to_json writes and tree_from_json reads
+TREE_FORMAT = 3  # the tree.json layout that tree_to_json writes and tree_from_json reads
 _BLOCKS = ("a", "c")  # LocalLevel's selection and target ball columns, a_<key> and c_<key>
 _RUN_KEYS = ("sublevel", "j", "radius")  # constant along a run of one block's balls
+_GROUP_KEYS = ("owner", "first", "count")  # the c block's group columns, each run-length coded
 
 
 def json_default(obj):
@@ -1126,7 +1132,26 @@ def _block_to_json(loc: LocalLevel, block, stages):
         index[s:e] = k
         size.append(len(cloud))
     runs = {"start": start.tolist(), **{key: col[key][start].tolist() for key in _RUN_KEYS}, "size": size}
-    return {"runs": runs, "index": index}
+    return runs, index
+
+
+def _rle(col):
+    """``[values, lengths]`` of the runs of equal values of the 1-D ``col``."""
+    start = _run_starts(col)
+    return [col[start], np.diff(np.append(start, len(col)))]
+
+
+def _groups_to_json(index, aidx, a_index):
+    """The c block's balls as groups, the maximal runs of balls with one
+    owner and consecutive cloud indices: each group's step from the previous
+    group's owner (the first steps from -1), its first cloud index less its
+    owner's, and its ball count."""
+    n = len(index)
+    new = np.concatenate([[True], (np.diff(aidx) != 0) | (np.diff(index) != 1)])[:n]
+    g = np.flatnonzero(new)
+    owner = aidx[g]
+    cols = (np.diff(owner, prepend=-1), index[g] - a_index[owner], np.diff(np.append(g, n)))
+    return {key: _rle(col) for key, col in zip(_GROUP_KEYS, cols)}
 
 
 def _local_to_json(loc: LocalLevel, stages) -> dict:
@@ -1135,8 +1160,10 @@ def _local_to_json(loc: LocalLevel, stages) -> dict:
         v = getattr(loc, f.name)
         if f.name.partition("_")[0] not in _BLOCKS:
             out[f.name] = np.asarray(v).tolist() if isinstance(v, list) else v
-    out["a"] = _block_to_json(loc, "a", stages)
-    out["c"] = {**_block_to_json(loc, "c", stages), "aidx": loc.c_aidx}
+    a_runs, a_index = _block_to_json(loc, "a", stages)
+    c_runs, c_index = _block_to_json(loc, "c", stages)
+    out["a"] = {"runs": a_runs, "index": a_index}
+    out["c"] = {"runs": c_runs, "groups": _groups_to_json(c_index, loc.c_aidx, a_index)}
     return out
 
 
@@ -1149,12 +1176,37 @@ def _ints(v, what):
     return a.astype(np.int64)
 
 
-def _block_from_json(b, stages, tag):
-    runs = b["runs"]
+def _unrle(pair, what):
+    """The column that ``_rle`` coded as ``pair``.  Like a built local level,
+    it holds at most ``MAX_NODES`` entries, so no run length can ask for
+    more memory than a build would."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ArgumentError(f"{what} is not a [values, lengths] pair")
+    values, lengths = _ints(pair[0], what), _ints(pair[1], f"{what} lengths")
+    if len(lengths) != len(values) or np.any((lengths <= 0) | (lengths > MAX_NODES)) or lengths.sum() > MAX_NODES:
+        raise ArgumentError(f"{what} lengths are not one positive length per value, at most {MAX_NODES} in all")
+    return np.repeat(values, lengths)
+
+
+def _groups_from_json(groups, a_index, tag):
+    """Each c-ball's cloud index and a-ball row, from the groups that
+    ``_groups_to_json`` wrote."""
+    step, first, count = (_unrle(groups[key], f"{tag} c group {key}") for key in _GROUP_KEYS)
+    if not len(step) == len(first) == len(count):
+        raise ArgumentError(f"{tag} c group columns have unequal lengths")
+    owner = np.cumsum(step) - 1
+    if np.any((owner < 0) | (owner >= len(a_index))):
+        raise ArgumentError(f"{tag} c group owner is not one of the {len(a_index)} a-balls")
+    if np.any((count <= 0) | (count > MAX_NODES)) or count.sum() > MAX_NODES:
+        raise ArgumentError(f"{tag} c group counts are not positive, at most {MAX_NODES} in all")
+    offset = a_index[owner] + first - (np.cumsum(count) - count)  # a group's index less its first row
+    return np.arange(count.sum()) + np.repeat(offset, count), np.repeat(owner, count)
+
+
+def _block_from_json(runs, index, stages, tag):
     start = _ints(runs["start"], f"{tag} run start")
     sublevel, j, size = (_ints(runs[key], f"{tag} run {key}") for key in ("sublevel", "j", "size"))
     radius = np.asarray(runs["radius"], dtype=float)
-    index = _ints(b["index"], f"{tag} index")
     if radius.ndim != 1 or any(len(c) != len(start) for c in (sublevel, j, size, radius)):
         raise ArgumentError(f"{tag} runs have columns of unequal lengths")
     bounds = np.append(start, len(index))
@@ -1185,14 +1237,12 @@ def _local_from_json(e, stages, level, li, parents) -> LocalLevel:
     """Local level ``li`` of tree level ``level``, whose parent must be one
     of the ``parents`` balls of the level above."""
     tag = f"L{level}/{li}"
-    kw = {}
-    for block in _BLOCKS:
-        for key, v in _block_from_json(e[block], stages, f"{tag} {block}").items():
+    a_index = _ints(e["a"]["index"], f"{tag} a index")
+    c_index, c_aidx = _groups_from_json(e["c"]["groups"], a_index, tag)
+    kw = {"c_aidx": c_aidx}
+    for block, index in zip(_BLOCKS, (a_index, c_index)):
+        for key, v in _block_from_json(e[block]["runs"], index, stages, f"{tag} {block}").items():
             kw[f"{block}_{key}"] = v
-    aidx = _ints(e["c"]["aidx"], f"{tag} c aidx")
-    if len(aidx) != len(kw["c_center"]) or np.any((aidx < 0) | (aidx >= len(kw["a_center"]))):
-        raise ArgumentError(f"{tag} c aidx does not name one a-ball per c-ball")
-    kw["c_aidx"] = aidx
     for f in fields(LocalLevel):
         if f.name not in kw:
             v = e[f.name]
@@ -1204,13 +1254,20 @@ def _local_from_json(e, stages, level, li, parents) -> LocalLevel:
 
 
 def tree_to_json(tree: CantorTree, stages) -> dict:
-    """The tree as a JSON-ready dict in format ``TREE_FORMAT``: each block of
-    a local level holds runs of equal (sublevel, j, radius), with the size of
-    the run's stage cloud ``stages.sorted_points(j)``, and each ball's index
-    into that cloud.  A center that is not a point of its cloud raises
-    ``ConstructionError``.  The index arrays stay ndarrays; write the dict
-    with ``json.dumps(..., default=json_default)``.  ``tree_from_json`` reads
-    both this dict and its parsed JSON text."""
+    """The tree as a JSON-ready dict in format ``TREE_FORMAT``.
+
+    Each block of a local level holds runs of equal (sublevel, j, radius),
+    with the size of the run's stage cloud ``stages.sorted_points(j)``.  The
+    ``a`` block then holds each selection ball's index into its cloud.  The
+    ``c`` block holds its target balls as groups, the maximal runs of balls
+    with one owner and consecutive cloud indices; its ``groups`` columns
+    ``owner`` (the step from the previous group's owner), ``first`` (the
+    group's first cloud index less its owner's) and ``count`` are each
+    run-length coded as ``[values, lengths]``.  A center that is not a point
+    of its cloud raises ``ConstructionError``.  The index and group arrays
+    stay ndarrays; write the dict with ``json.dumps(...,
+    default=json_default)``.  ``tree_from_json`` reads both this dict and
+    its parsed JSON text."""
     return {
         "format": TREE_FORMAT,
         "grid": {"lo": stages.lo, "hi": stages.hi},
@@ -1227,7 +1284,9 @@ def tree_from_json(obj, stages) -> CantorTree:
 
     The tree is bound to the stages it is read with: its grid must be their
     [lo, hi] and each run's cloud size theirs.  A tree of another format, a
-    mismatch, or a malformed run, index or ``aidx`` raises ``ArgumentError``.
+    mismatch, or a malformed run, index or group raises ``ArgumentError``;
+    so does a local level of more than ``MAX_NODES`` target balls, which
+    no build writes.
     """
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt != TREE_FORMAT:

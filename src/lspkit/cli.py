@@ -311,6 +311,40 @@ def _non_finite_path(node, path="config"):
     return None
 
 
+# what a failed schema keyword asks of the value it checks
+_SCHEMA_ASKS = {
+    "type": "of type {}",
+    "enum": "one of {}",
+    "minimum": "at least {}",
+    "maximum": "at most {}",
+    "exclusiveMinimum": "above {}",
+    "minItems": "at least {}",
+    "maxItems": "at most {}",
+}
+
+
+def _brief(value):
+    """A config value in a few words: an array or object by its size, any
+    other value as JSON, cut at 40 characters."""
+    if isinstance(value, list):
+        return f"{len(value)} item{'s' * (len(value) != 1)}"
+    if isinstance(value, dict):
+        return f"an object of {len(value)} key{'s' * (len(value) != 1)}"
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _schema_refusal(error):
+    """A schema error as the path of the value in the config, the value in
+    brief and what the failed keyword asks of it."""
+    path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in error.absolute_path).lstrip(".") or "config"
+    ask = _SCHEMA_ASKS.get(error.validator)
+    if ask is None:  # required and additionalProperties: jsonschema names the keys, not the value
+        return f"{path}: {error.message}"
+    asked = error.validator_value
+    return f"{path}: {_brief(error.instance)}, {ask.format(asked if isinstance(asked, str) else json.dumps(asked))}"
+
+
 def _given(block, **casts):
     """The keys of ``block`` named in ``casts``, each cast by its function;
     a key the config leaves out is left out, so the callee's default holds."""
@@ -611,7 +645,7 @@ def run(command, config, out_dir=None, overrides=(), seed=None, threads=1):
         raise ArgumentError(f"{command}: {bad} is not a finite number")
     error = best_match(_VALIDATORS[command].iter_errors(cfg))
     if error is not None:
-        raise ArgumentError(f"{command}: config failed schema validation: {error.message}")
+        raise ArgumentError(f"{command}: config failed schema validation: {_schema_refusal(error)}")
     rng = np.random.default_rng(int(cfg.get("master_seed", 0)))
     t0 = time.time()
     fn = COMMANDS[command]

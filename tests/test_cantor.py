@@ -294,8 +294,14 @@ def test_tree_json_roundtrip_every_field(request, which):
     text = json.dumps(tree_to_json(tree, params.stages), default=json_default)
     back = tree_from_json(json.loads(text), params.stages)
     assert json.dumps(tree_to_json(back, params.stages), default=json_default) == text
-    assert len(back.levels) == len(tree.levels)
-    for got_level, want_level in zip(back.levels, tree.levels):
+    _assert_same_levels(back, tree)
+    assert tree_fingerprint(back) == tree_fingerprint(tree)
+
+
+def _assert_same_levels(got_tree, want_tree):
+    """Every field of every local level is equal, arrays in dtype and shape too."""
+    assert len(got_tree.levels) == len(want_tree.levels)
+    for got_level, want_level in zip(got_tree.levels, want_tree.levels):
         assert len(got_level) == len(want_level)
         for got, want in zip(got_level, want_level):
             for f in fields(LocalLevel):
@@ -305,20 +311,76 @@ def test_tree_json_roundtrip_every_field(request, which):
                     assert np.array_equal(a, b), f.name
                 else:
                     assert a == b, f.name
-    assert tree_fingerprint(back) == tree_fingerprint(tree)
 
 
 def test_tree_json_stores_runs_and_cloud_indices(audit_tree):
     params, tree = audit_tree
     d = tree_to_json(tree, params.stages)
-    assert (d["format"], d["grid"]) == (2, {"lo": -20.0, "hi": 20.0})
-    loc = tree.levels[0][0]
+    assert (d["format"], d["grid"]) == (3, {"lo": -20.0, "hi": 20.0})
+    loc, e = tree.levels[0][0], d["levels"][0][0]
     for block in ("a", "c"):
-        runs, index = d["levels"][0][0][block]["runs"], d["levels"][0][0][block]["index"]
+        runs = e[block]["runs"]
         sublevel = getattr(loc, f"{block}_sublevel")
         assert runs["sublevel"] == [1, 2] and runs["start"] == [0, int(np.argmax(sublevel == 2))]
         assert runs["size"] == [len(params.stages.sorted_points(j)) for j in runs["j"]]
-        assert index.dtype == np.int64 and len(index) == len(sublevel)
+    index = e["a"]["index"]
+    assert index.dtype == np.int64 and len(index) == len(loc.a_center)
+    # every selection ball owns one group: 255 sublevel-1 balls keep one
+    # child, their own center; each of the 23,556 deep ones three
+    # consecutive points, starting one before its own
+    groups = {key: [col.tolist() for col in rle] for key, rle in e["c"]["groups"].items()}
+    assert groups == {
+        "owner": [[1], [23_811]],
+        "first": [[0, -1], [255, 23_556]],
+        "count": [[1, 3], [255, 23_556]],
+    }
+
+
+def _grid_local(a_index, a_j, c_index, c_j, c_aidx, stages):
+    """A local level under the root whose balls are the given indices into
+    their stage clouds, with the stage radii of their j."""
+    def block(index, js):
+        index, js = np.asarray(index, dtype=np.int64), np.asarray(js, dtype=np.int64)
+        center = np.array([stages.sorted_points(int(j))[int(k)] for k, j in zip(index, js)])
+        radius = np.array([stages.upsilon(int(j)) for j in js])
+        return center, radius, js, np.ones(len(js), dtype=np.int64)
+
+    return LocalLevel(
+        1, 0, 1, math.inf, [16], [0.5], [0.25],
+        *block(a_index, a_j), *block(c_index, c_j), np.asarray(c_aidx, dtype=np.int64),
+    )
+
+
+def test_tree_json_groups_roundtrip_synthetic():
+    # the layouts the bundled audit tree does not show: owners out of order
+    # (two j in one sublevel), children that skip cloud points (a greedy-net
+    # slice), one-child slices at the owner's own index, a group across a
+    # run boundary, and blocks without target balls
+    stages = GridCloudStages(lo=-1.0, hi=1.0, plateaus=((16, 0.01), (64, 0.001)), j_max=128)
+    locs = [
+        _grid_local(
+            [3, 9, 40, 50], [16, 16, 64, 64],
+            [39, 40, 41, 50, 2, 4, 6, 7, 9], [64, 64, 64, 64, 16, 16, 16, 16, 16],
+            [2, 2, 2, 3, 0, 0, 0, 0, 1], stages,
+        ),
+        _grid_local([5, 6], [16, 16], [6, 5, 6, 7], [16, 16, 16, 16], [1, 0, 0, 0], stages),
+        _grid_local([5, 6], [16, 64], [5, 6, 63], [16, 64, 64], [0, 0, 1], stages),
+        _grid_local([5, 6], [16, 16], [], [], [], stages),
+        _grid_local([], [], [], [], [], stages),
+    ]
+    root = Ball(np.array([0.0]), 1.0)
+    tree = CantorTree(root=root, constants={"eta": 2.0}, levels=[locs])
+    d = tree_to_json(tree, stages)
+    owner, first, count = (d["levels"][0][0]["c"]["groups"][key] for key in ("owner", "first", "count"))
+    assert [col.tolist() for col in owner] == [[3, 1, -3, 0, 1], [1, 1, 1, 2, 1]]
+    assert np.repeat(*first).tolist() == [-1, 0, -1, 1, 3, 0]
+    assert np.repeat(*count).tolist() == [3, 1, 1, 1, 2, 1]
+    assert np.repeat(*d["levels"][0][2]["c"]["groups"]["count"]).tolist() == [2, 1]
+    text = json.dumps(d, default=json_default)
+    for obj in (d, json.loads(text)):
+        back = tree_from_json(obj, stages)
+        assert json.dumps(tree_to_json(back, stages), default=json_default) == text
+        _assert_same_levels(back, tree)
 
 
 def test_tree_writer_refuses_a_center_off_its_cloud(audit_tree):

@@ -41,18 +41,22 @@ _FOREIGN_TREE = [
 # for refusing it (None: the copy reads, and belongs to another config)
 _EDITED_TREES = {
     "{tree_2d}": (lambda t, loc: t["root"].update(center=[0.0, 0.0]), None),
-    "{tree_v1}": (lambda t, loc: t.pop("format"), "tree format None: this version reads format 2 only"),
+    "{tree_v1}": (lambda t, loc: t.pop("format"), "tree format None: this version reads format 3 only"),
+    "{tree_v2}": (
+        lambda t, loc: t.update(format=2),
+        "tree format 2: this version reads format 3 only; rebuild the tree",
+    ),
     "{tree_index_negative}": (
         lambda t, loc: operator.setitem(loc["a"]["index"], 3, -1),
         "L2/0 a index lies outside its stage cloud",
     ),
     "{tree_index_past_cloud}": (
-        lambda t, loc: operator.setitem(loc["c"]["index"], 0, loc["c"]["runs"]["size"][0]),
+        lambda t, loc: operator.setitem(loc["c"]["groups"]["first"][0], 0, loc["c"]["runs"]["size"][0]),
         "L2/0 c index lies outside its stage cloud",
     ),
-    "{tree_index_float}": (
-        lambda t, loc: operator.setitem(loc["c"]["index"], 5, 3.7),
-        "L2/0 c index is not a list of integers",
+    "{tree_first_float}": (
+        lambda t, loc: operator.setitem(loc["c"]["groups"]["first"][0], 1, 3.7),
+        "L2/0 c group first is not a list of integers",
     ),
     "{tree_start_1}": (
         lambda t, loc: operator.setitem(loc["a"]["runs"]["start"], 0, 1),
@@ -62,7 +66,40 @@ _EDITED_TREES = {
         lambda t, loc: operator.setitem(loc["c"]["runs"]["start"], 1, 0),
         "L2/0 c run starts are not 0-based and strictly increasing below 70923",
     ),
-    "{tree_aidx_short}": (lambda t, loc: loc["c"]["aidx"].pop(), "L2/0 c aidx does not name one a-ball per c-ball"),
+    "{tree_owner_past}": (
+        lambda t, loc: operator.setitem(loc["c"]["groups"]["owner"][0], 0, 2),
+        "L2/0 c group owner is not one of the 23811 a-balls",
+    ),
+    "{tree_count_zero}": (
+        lambda t, loc: operator.setitem(loc["c"]["groups"]["count"][0], 0, 0),
+        "L2/0 c group counts are not positive",
+    ),
+    # 100 one-child groups end before the c block's second run starts, at row 255
+    "{tree_counts_short}": (
+        lambda t, loc: loc["c"].update(groups={"owner": [[1], [100]], "first": [[0], [100]], "count": [[1], [100]]}),
+        "L2/0 c run starts are not 0-based and strictly increasing below 100",
+    ),
+    "{tree_group_columns}": (
+        lambda t, loc: operator.setitem(loc["c"]["groups"]["owner"][1], 0, 23_812),
+        "L2/0 c group columns have unequal lengths",
+    ),
+    "{tree_run_length_zero}": (
+        lambda t, loc: operator.setitem(loc["c"]["groups"]["first"][1], 0, 0),
+        "L2/0 c group first lengths are not one positive length per value",
+    ),
+    # no built local level holds more than cantor.MAX_NODES target balls
+    "{tree_run_too_long}": (
+        lambda t, loc: operator.setitem(loc["c"]["groups"]["count"][1], 1, 10**12),
+        "L2/0 c group count lengths are not one positive length per value, at most 2000000 in all",
+    ),
+    "{tree_count_huge}": (
+        lambda t, loc: operator.setitem(loc["c"]["groups"]["count"][0], 1, 10**9),
+        "L2/0 c group counts are not positive, at most 2000000 in all",
+    ),
+    "{tree_group_pair}": (
+        lambda t, loc: loc["c"]["groups"]["count"].pop(),
+        "L2/0 c group count is not a [values, lengths] pair",
+    ),
     "{tree_parent}": (
         lambda t, loc: loc.update(parent_index=1),
         "L2/0 parent (1, 1) is not one of the 1 balls of level 1",
@@ -102,6 +139,13 @@ def saved_trees(tmp_path_factory):
         path.write_text(json.dumps(tree))
         paths[key] = str(path)
     return paths
+
+
+def test_saved_audit_tree_fits_its_byte_budget(saved_trees):
+    # the selection balls' cloud indices alone take 197,164 bytes; the
+    # target balls' groups and the runs take a few hundred more (with a
+    # per-ball index and a-ball column, the tree took 1,250,954 bytes)
+    assert Path(saved_trees["{tree}"]).stat().st_size <= 400_000
 
 
 def test_audit_build_with_saved_tree_stays_small(tmp_path):
@@ -348,6 +392,36 @@ def test_missing_or_invalid_keys_exit_2(request, tmp_path, command, name, drop, 
     overrides = (override,) if isinstance(override, str) else override or ()
     trees = request.getfixturevalue("saved_trees") if any("{tree" in ov for ov in overrides) else None
     assert main([command, "--config", str(path)] + _set_args(overrides, trees)) == 2
+
+
+@pytest.mark.parametrize(
+    "command, name, override, message",
+    [
+        ("randsim", "randsim_bc.json", "rules=" + json.dumps([{"name": "r", "exponent": 1.0}] * 34),
+         "rules: 34 items, at most 32"),
+        ("randsim", "randsim_bc.json", "N=1000001", "N: 1000001, at most 1000000"),
+        ("randsim", "randsim_bc.json", 'rules=[{"name": "r", "exponent": "steep"}]',
+         'rules[0].exponent: "steep", of type number'),
+        ("randsim", "randsim_bc.json", 'rules=[{"name": "r", "exponent": []}]',
+         "rules[0].exponent: 0 items, of type number"),
+        ("randsim", "randsim_bc.json", "scheme.n=" + "n" * 50,
+         'scheme.n: "' + "n" * 36 + '..., of type integer'),
+        ("randsim", "randsim_bc.json", "name=r",
+         "config: Additional properties are not allowed ('name' was unexpected)"),
+        ("cantor-build", "cantor_audit.json", "eta=1", "eta: 1, above 1"),
+        ("cantor-build", "cantor_audit.json", 'stages.type="grid"',
+         'stages.type: "grid", one of ["grid-cloud", "vdc-points"]'),
+        ("cantor-verify", "cantor_audit.json", "eta=2", "config: 'tree' is a required property"),
+        ("fit-lsp", "fit_lsp_cantor.json", "grids.r=[0.1,0.2,0.3]", "grids.r: 3 items, at least 4"),
+        ("cover", "cover_caj_line.json", 'upsilon={"a": 1}', "upsilon: an object of 1 key, of type number"),
+    ],
+)
+def test_schema_refusals_name_the_path_and_the_bound(capsys, command, name, override, message):
+    # the refusal names where the value sits and what its keyword asks, and
+    # summarises the value, so a long array or string is not echoed
+    assert main([command, "--config", f"bundled:{name}", "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: {command}: config failed schema validation: {message}\n"
 
 
 @pytest.mark.parametrize("overrides, message", _FOREIGN_TREE)

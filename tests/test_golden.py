@@ -183,6 +183,13 @@ def variant_configs():
     out["cantor_audit_two_stage"] = ("cantor-build", {
         **audit, "save_tree": True, "stages": {**audit["stages"], "plateaus": plateaus},
     })
+    # sublevel 1 selects on the 2**15-point grid, whose spacing 40 / 2**15 is
+    # within the separation 6 upsilon: each selection ball's target balls are
+    # a greedy net of its slice, every other point of it
+    plateaus = [audit["stages"]["plateaus"][0], [32768, 0.00022], audit["stages"]["plateaus"][2]]
+    out["cantor_audit_greedy_nets"] = ("cantor-build", {
+        **audit, "save_tree": True, "stages": {**audit["stages"], "plateaus": plateaus},
+    })
     out["cantor_holder_eta8"] = ("cantor-build", {
         **bundled_config("cantor_holder.json"), "eta": 8.0, "c5": 90.0 / 85.0, "save_tree": True,
     })
