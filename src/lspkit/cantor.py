@@ -1,10 +1,11 @@
-"""Finite-depth nested ball construction with mass assignment and audits.
+"""The first local level of the nested ball construction, with mass
+assignment and audits.
 
-Builds, inside a domain ball, local levels of selection balls (radius = the
-transformed stage radius) subdivided into target balls (radius = the stage
-radius), sublevel by sublevel, under the separation/mass properties P0-P5;
-assigns the telescoping probability mass; and checks the resulting measure
-against the gauge of random balls.
+Builds, inside a domain ball (the root), the local level of selection balls
+(radius = the transformed stage radius) subdivided into target balls
+(radius = the stage radius), sublevel by sublevel, under the
+separation/mass properties P0-P5; assigns the telescoping probability mass;
+and checks the resulting measure against the gauge of random balls.
 
 Desk-scale notes baked into this module:
 
@@ -19,14 +20,16 @@ Desk-scale notes baked into this module:
   instead front-loaded through per-sublevel mass targets proportional to the
   strength parameter eta, preserving the eta-scaling of the measure
   denominator that the mass bound needs.
+* A tree is its root and the one local level under it; its target balls are
+  the leaves.  A leaf cannot carry a local level of its own: the root's P3
+  capacity check caps c6 at 0.245, G1 puts f(u) > 3 g(u) at every stage
+  radius a leaf takes, so a leaf's level would need at least 13 sublevels,
+  each at least 18 times finer than the one before, which is under 1e-16
+  of the leaf's radius.
 
-The tree is stored as 1-D arrays addressed by row; a center is one
-coordinate.  Tree level 1 is the root; ``CantorTree.balls(level)`` returns
-the centers and radii of a level, whose rows run through its local levels in
-order.  Each ``LocalLevel`` holds its selection ("a") and target ("c") balls
-as flat arrays, built one sublevel at a time, and names its parent ball by
-``(parent_level, parent_index)``, a row of ``balls(parent_level)``; mass
-assignment, the audits and the builder all resolve parents by that row.
+The ``LocalLevel`` holds its selection ("a") and target ("c") balls as flat
+1-D arrays addressed by row, built one sublevel at a time; a center is one
+coordinate, and ``c_aidx`` names each target ball's selection ball by row.
 
 Memory and time follow the balls the builder selects.  A stage cloud
 (``stages.sorted_points(j)``) is read only through ``len``, slices,
@@ -58,7 +61,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 
 import numpy as np
 
@@ -77,7 +79,7 @@ from .stages import GridView
 AUDIT_RTOL = 1e-9
 MAX_SUBLEVELS = 64  # P5 sublevel budget of one local level
 MAX_NODES = 2_000_000  # target-ball budget of one local level
-FORMAT_MAX_LEAVES = 60  # larger local levels print as counts only
+FORMAT_MAX_LEAVES = 60  # a larger level prints as counts only
 D2 = 2.0  # P2 cardinality constant, recorded in a tree's constants
 MASS_FACTOR = 2.5  # a local level's mass target is MASS_FACTOR * eta
 
@@ -88,7 +90,6 @@ class ConstructionParams:
     gauges: GaugePair
     eta: float
     stages: object  # provider with upsilon(j), sorted_points(j) (a sorted 1-D cloud), j_max
-    depth: int = 2
     g_floor: int = 1
     c5: float = 1.0
 
@@ -99,8 +100,6 @@ class ConstructionParams:
 
 @dataclass
 class LocalLevel:
-    parent_level: int
-    parent_index: int
     l_b: int
     eps_b: float
     g_primes: list
@@ -121,27 +120,14 @@ class LocalLevel:
 class CantorTree:
     root: Ball
     constants: dict
-    levels: list  # levels[k] = list of LocalLevel producing the (k+2)-level balls
+    level: LocalLevel  # the local level under the root; its target balls are the leaves
     case: str = "a"
 
-    def balls(self, level):
-        """Ball arrays (centers (m,), radii (m,)) of tree level ``level``;
-        level 1 is the root, and the rows of a deeper level run through its
-        local levels in order, so ``(level, row)`` names one ball."""
-        if level == 1:
-            return self.root.center, np.array([self.root.radius], dtype=float)
-        locs = self.levels[level - 2]
-        return np.concatenate([l.c_center for l in locs]), np.concatenate([l.c_radius for l in locs])
-
-    def leaves(self):
-        """Deepest-level ball arrays (centers, radii)."""
-        return self.balls(len(self.levels) + 1)
-
-
-@dataclass
-class MassAssignment:
-    mu: list  # per tree level: array aligned with the level's c-balls
-    exact: list | None = None  # optional Fractions mirroring mu
+    @property
+    def levels(self):
+        # read only by perfbench's tracer (``_obs_build_cantor`` reads
+        # ``levels[0][0]``); the package reads ``level``
+        return [[self.level]]
 
 
 @dataclass
@@ -336,22 +322,18 @@ def _caj_nets(params, a_centers, a_radii, j, upsilon):
     return centers[order], owners[order]
 
 
-def _build_local_level(params, consts, B: Ball, node):
-    """Selection and target balls of the local level under ball B, the
-    ``node = (level, row)`` of the tree."""
+def _build_local_level(params, consts):
+    """Selection and target balls of the local level under the root B."""
     pair = params.gauges
+    B = params.domain
     n = B.ambient_dim
     vg_b = eval_gauge(pair.g, B.radius)
     vol_b = ball_volume(n, B.radius)
-    if node[0] == 1:
-        l_b = root_sublevel_count(consts, params.eta)
-    else:
-        l_b = child_sublevel_count(consts, pair, B.radius)
+    l_b = root_sublevel_count(consts, params.eta)
     if l_b > MAX_SUBLEVELS:
         raise ConstructionError(
             f"P5 sublevel count {l_b} exceeds the budget {MAX_SUBLEVELS}; "
-            "the radius ladder makes such levels infeasible at desk scale",
-            node=node,
+            "the radius ladder makes such levels infeasible at desk scale"
         )
     eps = epsilon_b(consts, pair, B.radius, l_b)
     floor_mass = consts["c6"] * vg_b
@@ -362,8 +344,7 @@ def _build_local_level(params, consts, B: Ball, node):
     if floor_mass * 1.02 > cap_first:
         raise ConstructionError(
             f"P3 per-sublevel mass {floor_mass:.3g} exceeds the packing capacity "
-            f"{cap_first:.3g} of the parent ball; no disjoint selection can satisfy it",
-            node=node,
+            f"{cap_first:.3g} of the parent ball; no disjoint selection can satisfy it"
         )
     pump = MASS_FACTOR * params.eta
 
@@ -381,9 +362,7 @@ def _build_local_level(params, consts, B: Ball, node):
         cap = cap_first if i == 1 else cap_deep
         if floor_mass * 1.02 > cap:
             raise ConstructionError(
-                f"sublevel {i}: P3 floor {floor_mass:.3g} exceeds capacity {cap:.3g}",
-                node=node,
-                sublevel=i,
+                f"sublevel {i}: P3 floor {floor_mass:.3g} exceeds capacity {cap:.3g}", sublevel=i
             )
         target = min(want, cap)
         sub_targets.append(target)
@@ -396,21 +375,19 @@ def _build_local_level(params, consts, B: Ball, node):
                 params, consts, g_primes[-1] if i > 1 else params.g_floor, B.radius, eps, **scan_kw
             )
         except TruncationError as exc:
-            raise TruncationError(str(exc), node=node, sublevel=i) from exc
+            raise TruncationError(str(exc), sublevel=i) from exc
         g_primes.append(g_prime)
 
         if i == 1:
-            centers, radii, js, mass_i = _first_sublevel(params, B, g_prime, target, vol_b, node)
+            centers, radii, js, mass_i = _first_sublevel(params, B, g_prime, target, vol_b)
         else:
             leaf_center, leaf_radius = (np.concatenate([p[k] for p in c_parts]) for k in (0, 1))
             centers, radii, js, mass_i = _deep_sublevel(
-                params, B, i, g_prime, d_min, target, leaf_center, leaf_radius, node
+                params, B, i, g_prime, d_min, target, leaf_center, leaf_radius
             )
         if mass_i < floor_mass:
             raise ConstructionError(
-                f"sublevel {i} mass {mass_i:.3g} fell below the P3 floor {floor_mass:.3g}",
-                node=node,
-                sublevel=i,
+                f"sublevel {i} mass {mass_i:.3g} fell below the P3 floor {floor_mass:.3g}", sublevel=i
             )
         total_mass += mass_i
         sub_masses.append(mass_i)
@@ -428,18 +405,14 @@ def _build_local_level(params, consts, B: Ball, node):
             d_min = min(d_min, u)
         n_a += len(js)
         if n_c > MAX_NODES:
-            raise ConstructionError(
-                f"node budget {MAX_NODES} exceeded at sublevel {i}",
-                node=node,
-                sublevel=i,
-            )
+            raise ConstructionError(f"node budget {MAX_NODES} exceeded at sublevel {i}", sublevel=i)
 
     # the a_* then the c_* fields of LocalLevel, in order
     blocks = [np.concatenate(col) for parts in (a_parts, c_parts) for col in zip(*parts)]
-    return LocalLevel(node[0], node[1], l_b, eps, g_primes, sub_targets, sub_masses, *blocks)
+    return LocalLevel(l_b, eps, g_primes, sub_targets, sub_masses, *blocks)
 
 
-def _first_sublevel(params, B, g_start, target, vol_b, node):
+def _first_sublevel(params, B, g_start, target, vol_b):
     """Sublevel 1: a K_{G,B} selection of transformed-radius balls from stage
     ``g_start`` on, covering the share of B that the mass target asks for."""
     pair = params.gauges
@@ -451,7 +424,6 @@ def _first_sublevel(params, B, g_start, target, vol_b, node):
         raise ConstructionError(
             f"sublevel 1 selection covered only fraction "
             f"{exc.achieved_fraction:.3g} of its target",
-            node=node,
             sublevel=1,
         ) from exc
     # a sequential sum, as np.cumsum adds: the last ulp decides later counts
@@ -459,7 +431,7 @@ def _first_sublevel(params, B, g_start, target, vol_b, node):
     return kgb.selected[:, 0], kgb.radii, kgb.js, mass
 
 
-def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radius, node):
+def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radius):
     """Cover the leftover region with d_min-radius balls and pick one
     transformed-radius ball on the stage cloud inside each, until the
     sublevel mass target is met; returns (centers, radii, js, mass).
@@ -496,7 +468,7 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
     first = next(sweep, None)
     if first is None:
         raise ConstructionError(
-            f"sublevel {i}: leftover region produced no cover balls", node=node, sublevel=i
+            f"sublevel {i}: leftover region produced no cover balls", sublevel=i
         )
     unhosted = [first]  # swept blocks of covers no stage has hosted; the rest of the sweep follows
 
@@ -535,7 +507,6 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
             f"sublevel {i}: mass {mass:.3g} below target {target:.3g} "
             f"({sum(len(covers) for covers in itertools.chain(unhosted, sweep))} cover balls "
             f"unhosted by stage {j})",
-            node=node,
             sublevel=i,
         )
     return (
@@ -547,7 +518,7 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
 
 
 def build_cantor(params: ConstructionParams) -> CantorTree:
-    """Build the nested tree to the requested depth, enforcing P0-P5."""
+    """Build the root's local level, enforcing P0-P5."""
     _require_supported(params)
     pair = params.gauges
     report = verify_gauge_pair(pair)
@@ -560,14 +531,7 @@ def build_cantor(params: ConstructionParams) -> CantorTree:
             + (" where the two measures are proportional" if case == "c" else "")
         )
     consts = _ambient_constants(params)
-    tree = CantorTree(root=params.domain, constants=consts, levels=[], case=case)
-    for level in range(1, params.depth):
-        centers, radii = tree.balls(level)
-        tree.levels.append([
-            _build_local_level(params, consts, Ball(centers[row], float(radii[row])), (level, row))
-            for row in range(len(radii))
-        ])
-    return tree
+    return CantorTree(root=params.domain, constants=consts, level=_build_local_level(params, consts), case=case)
 
 
 def check_tree_params(tree: CantorTree, params: ConstructionParams):
@@ -586,9 +550,8 @@ def check_tree_params(tree: CantorTree, params: ConstructionParams):
             f"tree root B({root.center.tolist()}, {root.radius!r}) is not the config's domain "
             f"B({domain.center.tolist()}, {domain.radius!r})"
         )
-    # a 1-D tree holds its root center as (1,) and a level's centers as (m,)
-    levels = (c for locs in tree.levels for loc in locs for c in (loc.a_center, loc.c_center))
-    if root.center.shape != (1,) or any(c.ndim != 1 for c in levels):
+    # a 1-D tree holds its root center as (1,) and its level's centers as (m,)
+    if root.center.shape != (1,) or tree.level.a_center.ndim != 1 or tree.level.c_center.ndim != 1:
         raise ArgumentError("tree holds a center that is not 1-D")
     consts = _ambient_constants(params)
     for key in sorted(consts.keys() | tree.constants.keys()):
@@ -604,10 +567,9 @@ def check_tree_params(tree: CantorTree, params: ConstructionParams):
 def tree_fingerprint(tree: CantorTree) -> str:
     h = hashlib.sha256()
     h.update(json.dumps(tree.constants, sort_keys=True).encode())
-    for locs in tree.levels:
-        for loc in locs:
-            for arr in (loc.a_center, loc.a_radius, loc.a_j, loc.c_center, loc.c_radius, loc.c_j):
-                h.update(np.ascontiguousarray(arr).tobytes())
+    loc = tree.level
+    for arr in (loc.a_center, loc.a_radius, loc.a_j, loc.c_center, loc.c_radius, loc.c_j):
+        h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
 
@@ -635,38 +597,16 @@ def _stage_radii(stages, js):
     return np.repeat(radii[inverse], np.diff(np.append(start, len(js))))
 
 
-def assign_mass(tree: CantorTree, params: ConstructionParams, exact=False) -> MassAssignment:
-    """Telescoping mass: the root carries 1; each target ball splits its
-    selection ball's share, with selection shares proportional to
-    h(stage radius)**(1/(1-kappa)) within the local level."""
+def assign_mass(tree: CantorTree, params: ConstructionParams) -> np.ndarray:
+    """The leaves' masses, aligned with the target balls.  Telescoping mass:
+    the root carries 1; each target ball splits its selection ball's share,
+    with selection shares proportional to h(stage radius)**(1/(1-kappa))."""
     pair = params.gauges
-    kappa = pair.kappa
-    mu_levels = []
-    exact_levels = [] if exact else None
-    parent_mu, parent_exact = np.ones(1), [Fraction(1)]  # the root row
-    for locs in tree.levels:
-        mus, exacts = [], []
-        for loc in locs:
-            # weight h(upsilon)^(1/(1-kappa)) evaluated from the stage radii
-            stage_u = _stage_radii(params.stages, loc.a_j)
-            fu = eval_gauge(pair.f, stage_u)
-            gu = eval_gauge(pair.g, stage_u)
-            w = (fu / gu**kappa) ** (1.0 / (1.0 - kappa))
-            denom = float(np.sum(w))
-            counts = np.bincount(loc.c_aidx, minlength=len(loc.a_radius))
-            pm = float(parent_mu[loc.parent_index])
-            mus.append(pm * w[loc.c_aidx] / (denom * counts[loc.c_aidx]))
-            if exact:
-                wf = [Fraction(float(x)) for x in w]
-                df = sum(wf, Fraction(0))
-                pf = parent_exact[loc.parent_index]
-                exacts.extend(pf * wf[a] / (df * int(counts[a])) for a in loc.c_aidx)
-        parent_mu = np.concatenate(mus) if mus else np.empty(0)
-        mu_levels.append(parent_mu)
-        if exact:
-            parent_exact = exacts
-            exact_levels.append(exacts)
-    return MassAssignment(mu=mu_levels, exact=exact_levels)
+    loc = tree.level
+    stage_u = _stage_radii(params.stages, loc.a_j)
+    w = (eval_gauge(pair.f, stage_u) / eval_gauge(pair.g, stage_u) ** pair.kappa) ** (1.0 / (1.0 - pair.kappa))
+    counts = np.bincount(loc.c_aidx, minlength=len(loc.a_radius))
+    return w[loc.c_aidx] / (float(np.sum(w)) * counts[loc.c_aidx])
 
 
 # ---------------------------------------------------------------------------
@@ -766,119 +706,103 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
 
     p1_viol, p2_viol, p3_viol, p4_viol, p5_viol = [], [], [], [], []
     p2_details = {"d1_hat": math.inf, "d2_hat": 0.0, "iv_max_ratio": 0.0}
+    loc, root = tree.level, tree.root
+    c = loc.c_center
+    r = loc.c_radius
+    # P1: 3-dilates pairwise disjoint and inside the root
+    p1_viol += [("overlap", float(x)) for x in _overlapping_dilates(c, r)]
+    outside = np.abs(c - root.center[0]) + 3.0 * r > root.radius * (1 + AUDIT_RTOL)
+    p1_viol += [("outside-parent", float(x)) for x in c[outside]]
 
-    for lev_idx, locs in enumerate(tree.levels):
-        parent_centers, parent_radii = tree.balls(lev_idx + 1)
-        for li, loc in enumerate(locs):
-            row = loc.parent_index
-            parent = Ball(parent_centers[row], float(parent_radii[row]))
-            tag = f"L{lev_idx + 2}/{li}"
-            c = loc.c_center
-            r = loc.c_radius
-            # P1: 3-dilates pairwise disjoint and inside parent
-            p1_viol += [(tag, "overlap", float(x)) for x in _overlapping_dilates(c, r)]
-            outside = np.abs(c - parent.center[0]) + 3.0 * r > parent.radius * (1 + AUDIT_RTOL)
-            p1_viol += [(tag, "outside-parent", float(x)) for x in c[outside]]
-
-            # P2 per selection ball
-            ua = _stage_radii(params.stages, loc.a_j)
-            counts = np.bincount(loc.c_aidx, minlength=len(loc.a_radius))
-            p2_viol += [(tag, "empty-selection", int(k)) for k in np.nonzero(counts == 0)[0]]
-            # (i) radii match the stage radius; centers on the stage set
-            if not np.allclose(r, ua[loc.c_aidx], rtol=1e-12, atol=0):
-                p2_viol.append((tag, "radius-mismatch", None))
-            for j in _distinct(loc.c_j):
-                sel = loc.c_j == j
-                tol = max(1e-12, 1e-9 * params.stages.upsilon(int(j)))
-                on = _points_on_stage(params, j, c[sel], tol)
-                if not np.all(on):
-                    p2_viol.append((tag, "center-off-stage", int(j)))
-            # (ii) 3L inside A; (iii) handled by P1 within A via construction,
-            # checked here per selection ball
-            ac = loc.a_center[loc.c_aidx]
-            ar = loc.a_radius[loc.c_aidx]
-            if np.any(np.abs(c - ac) + 3.0 * r > ar * (1 + AUDIT_RTOL)):
-                p2_viol.append((tag, "3L-outside-A", None))
-            # 3A disjoint within each sublevel + inside parent
-            for i in _distinct(loc.a_sublevel):
-                sel = loc.a_sublevel == i
-                ac_i = loc.a_center[sel]
-                ar_i = loc.a_radius[sel]
-                if len(_overlapping_dilates(ac_i, ar_i)):
-                    p2_viol.append((tag, "3A-overlap", int(i)))
-                if np.any(
-                    np.abs(ac_i - parent.center[0]) + 3.0 * ar_i
-                    > parent.radius * (1 + AUDIT_RTOL)
-                ):
-                    p2_viol.append((tag, "3A-outside-parent", int(i)))
-            # (v) cardinality envelope relative to (f/g)^(kappa/(1-kappa))
-            fu = eval_gauge(pair.f, ua)
-            gu = eval_gauge(pair.g, ua)
-            envelope = (fu / gu) ** (pair.kappa / (1.0 - pair.kappa))
-            with np.errstate(divide="ignore"):
-                ratios = counts / envelope
-            p2_details["d1_hat"] = min(p2_details["d1_hat"], float(np.min(ratios)))
-            p2_details["d2_hat"] = max(p2_details["d2_hat"], float(np.max(ratios)))
-            # (iv) measure sandwich, exact 1-D intervals against the stage cloud
-            iv_bound = 2.0 * 7.0 * (consts["c2"] / consts["c1"])
-            vol_l_per_a = np.bincount(
-                loc.c_aidx, weights=2.0 * r, minlength=len(loc.a_radius)
+    # P2 per selection ball
+    ua = _stage_radii(params.stages, loc.a_j)
+    counts = np.bincount(loc.c_aidx, minlength=len(loc.a_radius))
+    p2_viol += [("empty-selection", int(k)) for k in np.nonzero(counts == 0)[0]]
+    # (i) radii match the stage radius; centers on the stage set
+    if not np.allclose(r, ua[loc.c_aidx], rtol=1e-12, atol=0):
+        p2_viol.append(("radius-mismatch", None))
+    for j in _distinct(loc.c_j):
+        sel = loc.c_j == j
+        tol = max(1e-12, 1e-9 * params.stages.upsilon(int(j)))
+        on = _points_on_stage(params, j, c[sel], tol)
+        if not np.all(on):
+            p2_viol.append(("center-off-stage", int(j)))
+    # (ii) 3L inside A; (iii) handled by P1 within A via construction,
+    # checked here per selection ball
+    ac = loc.a_center[loc.c_aidx]
+    ar = loc.a_radius[loc.c_aidx]
+    if np.any(np.abs(c - ac) + 3.0 * r > ar * (1 + AUDIT_RTOL)):
+        p2_viol.append(("3L-outside-A", None))
+    # 3A disjoint within each sublevel + inside the root
+    for i in _distinct(loc.a_sublevel):
+        sel = loc.a_sublevel == i
+        ac_i = loc.a_center[sel]
+        ar_i = loc.a_radius[sel]
+        if len(_overlapping_dilates(ac_i, ar_i)):
+            p2_viol.append(("3A-overlap", int(i)))
+        if np.any(np.abs(ac_i - root.center[0]) + 3.0 * ar_i > root.radius * (1 + AUDIT_RTOL)):
+            p2_viol.append(("3A-outside-parent", int(i)))
+    # (v) cardinality envelope relative to (f/g)^(kappa/(1-kappa))
+    fu = eval_gauge(pair.f, ua)
+    gu = eval_gauge(pair.g, ua)
+    envelope = (fu / gu) ** (pair.kappa / (1.0 - pair.kappa))
+    with np.errstate(divide="ignore"):
+        ratios = counts / envelope
+    p2_details["d1_hat"] = min(p2_details["d1_hat"], float(np.min(ratios)))
+    p2_details["d2_hat"] = max(p2_details["d2_hat"], float(np.max(ratios)))
+    # (iv) measure sandwich, exact 1-D intervals against the stage cloud
+    iv_bound = 2.0 * 7.0 * (consts["c2"] / consts["c1"])
+    vol_l_per_a = np.bincount(loc.c_aidx, weights=2.0 * r, minlength=len(loc.a_radius))
+    for j in _distinct(loc.a_j):
+        sel = np.nonzero(loc.a_j == j)[0]
+        u = params.stages.upsilon(int(j))
+        cloud = params.stages.sorted_points(int(j))
+        disjoint = _points_disjoint(cloud, u)
+        ca = loc.a_center[sel]
+        ra = loc.a_radius[sel]
+        vol_a = _neighborhood_in_window(cloud, u, ca, ra, disjoint)
+        vol_half = _neighborhood_in_window(cloud, u, ca, ra / 2.0, disjoint)
+        vol_l = vol_l_per_a[sel]
+        for t in np.nonzero(vol_l > vol_a * (1 + 1e-9))[0]:
+            p2_viol.append(("iv-upper", int(sel[t])))
+        for t in np.nonzero(vol_half > iv_bound * vol_l)[0]:
+            p2_viol.append(("iv-lower", int(sel[t])))
+        pos = vol_l > 0
+        if np.any(pos):
+            p2_details["iv_max_ratio"] = max(
+                p2_details["iv_max_ratio"], float(np.max(vol_half[pos] / vol_l[pos]))
             )
-            for j in _distinct(loc.a_j):
-                sel = np.nonzero(loc.a_j == j)[0]
-                u = params.stages.upsilon(int(j))
-                cloud = params.stages.sorted_points(int(j))
-                disjoint = _points_disjoint(cloud, u)
-                ca = loc.a_center[sel]
-                ra = loc.a_radius[sel]
-                vol_a = _neighborhood_in_window(cloud, u, ca, ra, disjoint)
-                vol_half = _neighborhood_in_window(cloud, u, ca, ra / 2.0, disjoint)
-                vol_l = vol_l_per_a[sel]
-                for t in np.nonzero(vol_l > vol_a * (1 + 1e-9))[0]:
-                    p2_viol.append((tag, "iv-upper", int(sel[t])))
-                for t in np.nonzero(vol_half > iv_bound * vol_l)[0]:
-                    p2_viol.append((tag, "iv-lower", int(sel[t])))
-                pos = vol_l > 0
-                if np.any(pos):
-                    p2_details["iv_max_ratio"] = max(
-                        p2_details["iv_max_ratio"], float(np.max(vol_half[pos] / vol_l[pos]))
-                    )
 
-            # P3 per sublevel
-            vg_b = eval_gauge(pair.g, parent.radius)
-            for i in _distinct(loc.a_sublevel):
-                sel = loc.a_sublevel == i
-                mass = float(np.sum(eval_gauge(pair.g, loc.a_radius[sel])))
-                if mass < consts["c6"] * vg_b * (1 - AUDIT_RTOL):
-                    p3_viol.append((tag, int(i), mass, consts["c6"] * vg_b))
+    # P3 per sublevel
+    vg_b = eval_gauge(pair.g, root.radius)
+    for i in _distinct(loc.a_sublevel):
+        sel = loc.a_sublevel == i
+        mass = float(np.sum(eval_gauge(pair.g, loc.a_radius[sel])))
+        if mass < consts["c6"] * vg_b * (1 - AUDIT_RTOL):
+            p3_viol.append((int(i), mass, consts["c6"] * vg_b))
 
-            # P4 between consecutive sublevels
-            subs = _distinct(loc.c_sublevel).tolist()
-            for a, b in zip(subs[:-1], subs[1:]):
-                fa = eval_gauge(pair.f, loc.c_radius[loc.c_sublevel == a])
-                fb = eval_gauge(pair.f, loc.c_radius[loc.c_sublevel == b])
-                ga = eval_gauge(pair.g, loc.c_radius[loc.c_sublevel == a])
-                gb = eval_gauge(pair.g, loc.c_radius[loc.c_sublevel == b])
-                ha = fa / ga**pair.kappa
-                hb = fb / gb**pair.kappa
-                if np.max(fb) > 0.5 * np.min(fa) * (1 + AUDIT_RTOL):
-                    p4_viol.append((tag, int(a), int(b), "f"))
-                if np.max(hb) > 0.5 * np.min(ha) * (1 + AUDIT_RTOL):
-                    p4_viol.append((tag, int(a), int(b), "h"))
+    # P4 between consecutive sublevels
+    subs = _distinct(loc.c_sublevel).tolist()
+    for a, b in zip(subs[:-1], subs[1:]):
+        fa = eval_gauge(pair.f, loc.c_radius[loc.c_sublevel == a])
+        fb = eval_gauge(pair.f, loc.c_radius[loc.c_sublevel == b])
+        ga = eval_gauge(pair.g, loc.c_radius[loc.c_sublevel == a])
+        gb = eval_gauge(pair.g, loc.c_radius[loc.c_sublevel == b])
+        ha = fa / ga**pair.kappa
+        hb = fb / gb**pair.kappa
+        if np.max(fb) > 0.5 * np.min(fa) * (1 + AUDIT_RTOL):
+            p4_viol.append((int(a), int(b), "f"))
+        if np.max(hb) > 0.5 * np.min(ha) * (1 + AUDIT_RTOL):
+            p4_viol.append((int(a), int(b), "h"))
 
-            # P5: recorded sublevel count equals formula; leaf formula >= 2
-            if loc.parent_level == 1:
-                formula = root_sublevel_count(consts, params.eta)
-            else:
-                formula = child_sublevel_count(consts, pair, parent.radius)
-            built = len(_distinct(loc.a_sublevel))
-            if loc.l_b != formula or built != formula:
-                p5_viol.append((tag, loc.l_b, formula, built))
-            leaf_counts = np.array(
-                [child_sublevel_count(consts, pair, float(rr)) for rr in _distinct(loc.c_radius)]
-            )
-            if np.any(leaf_counts < 2):
-                p5_viol.append((tag, "leaf-l_b<2", int(np.min(leaf_counts))))
+    # P5: recorded sublevel count equals formula; leaf formula >= 2
+    formula = root_sublevel_count(consts, params.eta)
+    built = len(_distinct(loc.a_sublevel))
+    if loc.l_b != formula or built != formula:
+        p5_viol.append((loc.l_b, formula, built))
+    leaf_counts = np.array([child_sublevel_count(consts, pair, float(rr)) for rr in _distinct(loc.c_radius)])
+    if np.any(leaf_counts < 2):
+        p5_viol.append(("leaf-l_b<2", int(np.min(leaf_counts))))
 
     props["P1"] = PropertyAudit("P1", not p1_viol, p1_viol)
     props["P2"] = PropertyAudit("P2", not p2_viol, p2_viol, p2_details)
@@ -935,16 +859,17 @@ def _holder_draws(rng, trials, c, logs, b0):
 
 def holder_check(
     tree: CantorTree,
-    mass: MassAssignment,
+    mu,
     params: ConstructionParams,
     trials=10_000,
     rng=None,
     radius_cap=None,
 ) -> HolderReport:
-    """Max over random balls D of mass(D) * eta / f(r(D)).
+    """Max over random balls D of mass(D) * eta / f(r(D)), with ``mu`` the
+    leaves' masses (``assign_mass``).
 
     The reported maximum is restricted to trials resolving the construction:
-    balls meeting at least two deepest-level balls with radius at most
+    balls meeting at least two leaves with radius at most
     ``radius_cap`` (default: eight times the coarsest selection radius).
     Above that radius the truncated tree saturates (an untruncated
     construction would keep subdividing); those trials and single-ball
@@ -969,17 +894,15 @@ def holder_check(
         rng = np.random.default_rng(0)
     pair = params.gauges
     eta = params.eta
-    centers, radii = tree.leaves()
-    mu = mass.mu[-1]
-    order = np.argsort(centers)
-    c = centers[order]
-    r = radii[order]
+    order = np.argsort(tree.level.c_center)
+    c = tree.level.c_center[order]
+    r = tree.level.c_radius[order]
     m = mu[order]
     rmax_leaf = float(np.max(r))
     if radius_cap is None:
         # the coarsest resolved structure: selection balls pack at six times
         # their radius, so pairs of them are first jointly visible here
-        radius_cap = 8.0 * float(np.max(np.concatenate([l.a_radius for l in tree.levels[0]])))
+        radius_cap = 8.0 * float(np.max(tree.level.a_radius))
     r_lo = float(np.min(r))
     r_hi = tree.root.radius
     log_lo, log_hi = math.log(r_lo), math.log(r_hi)
@@ -1053,42 +976,28 @@ def holder_check(
     )
 
 
-def format_tree(tree: CantorTree, mass: MassAssignment | None = None) -> str:
-    """Plain-text rendering of a small tree (root, selection balls, leaves)."""
+def format_tree(tree: CantorTree, mu=None) -> str:
+    """Plain-text rendering of a small tree (root, selection balls, leaves),
+    with the leaves' masses ``mu`` (``assign_mass``) when given."""
+    loc = tree.level
     lines = [
         f"root B(center={tree.root.center.tolist()}, radius={tree.root.radius:g})",
         f"constants: c6={tree.constants['c6']:.4g} c5={tree.constants['c5']:.4g} "
         f"eta={tree.constants['eta']:g}",
+        f"local level: l_B={loc.l_b} sublevel masses={[round(m, 4) for m in loc.sub_masses]}",
     ]
-    for lev_idx, locs in enumerate(tree.levels):
-        level_no = lev_idx + 2
-        end = 0
-        for loc in locs:
-            start, end = end, end + len(loc.c_center)  # the local level's rows
-            lines.append(
-                f"level {level_no} local level (parent L{loc.parent_level}#{loc.parent_index}): "
-                f"l_B={loc.l_b} sublevel masses={[round(m, 4) for m in loc.sub_masses]}"
-            )
-            if len(loc.c_center) > FORMAT_MAX_LEAVES:
-                lines.append(
-                    f"  {len(loc.a_center)} selection balls, {len(loc.c_center)} leaves "
-                    "(too many to print)"
-                )
-                continue
-            for k in range(len(loc.a_center)):
-                leaf_idx = np.nonzero(loc.c_aidx == k)[0]
-                lines.append(
-                    f"  (A;{int(loc.a_j[k])}) sub{int(loc.a_sublevel[k])} "
-                    f"c={loc.a_center[k]:.6g} r={loc.a_radius[k]:.4g} "
-                    f"#C={len(leaf_idx)}"
-                )
-                for i in leaf_idx:
-                    mu = ""
-                    if mass is not None:
-                        mu = f" mu={mass.mu[lev_idx][start + i]:.4g}"
-                    lines.append(
-                        f"    L c={loc.c_center[i]:.6g} r={loc.c_radius[i]:.4g}{mu}"
-                    )
+    if len(loc.c_center) > FORMAT_MAX_LEAVES:
+        lines.append(f"  {len(loc.a_center)} selection balls, {len(loc.c_center)} leaves (too many to print)")
+        return "\n".join(lines)
+    for k in range(len(loc.a_center)):
+        leaf_idx = np.nonzero(loc.c_aidx == k)[0]
+        lines.append(
+            f"  (A;{int(loc.a_j[k])}) sub{int(loc.a_sublevel[k])} "
+            f"c={loc.a_center[k]:.6g} r={loc.a_radius[k]:.4g} #C={len(leaf_idx)}"
+        )
+        for i in leaf_idx:
+            m = "" if mu is None else f" mu={mu[i]:.4g}"
+            lines.append(f"    L c={loc.c_center[i]:.6g} r={loc.c_radius[i]:.4g}{m}")
     return "\n".join(lines)
 
 
@@ -1096,7 +1005,7 @@ def format_tree(tree: CantorTree, mass: MassAssignment | None = None) -> str:
 # serialization
 
 
-TREE_FORMAT = 3  # the tree.json layout that tree_to_json writes and tree_from_json reads
+TREE_FORMAT = 4  # the tree.json layout that tree_to_json writes and tree_from_json reads
 _BLOCKS = ("a", "c")  # LocalLevel's selection and target ball columns, a_<key> and c_<key>
 _RUN_KEYS = ("sublevel", "j", "radius")  # constant along a run of one block's balls
 _GROUP_KEYS = ("owner", "first", "count")  # the c block's group columns, each run-length coded
@@ -1126,8 +1035,7 @@ def _block_to_json(loc: LocalLevel, block, stages):
         if len(off):
             raise ConstructionError(
                 f"{block}-ball {s + off[0]} center {centers[off[0]]!r} is not a point of "
-                f"the stage-{j} cloud, so the tree cannot be saved",
-                node=(loc.parent_level, loc.parent_index),
+                f"the stage-{j} cloud, so the tree cannot be saved"
             )
         index[s:e] = k
         size.append(len(cloud))
@@ -1154,7 +1062,7 @@ def _groups_to_json(index, aidx, a_index):
     return {key: _rle(col) for key, col in zip(_GROUP_KEYS, cols)}
 
 
-def _local_to_json(loc: LocalLevel, stages) -> dict:
+def _level_to_json(loc: LocalLevel, stages) -> dict:
     out = {}
     for f in fields(LocalLevel):
         v = getattr(loc, f.name)
@@ -1188,42 +1096,42 @@ def _unrle(pair, what):
     return np.repeat(values, lengths)
 
 
-def _groups_from_json(groups, a_index, tag):
+def _groups_from_json(groups, a_index):
     """Each c-ball's cloud index and a-ball row, from the groups that
     ``_groups_to_json`` wrote."""
-    step, first, count = (_unrle(groups[key], f"{tag} c group {key}") for key in _GROUP_KEYS)
+    step, first, count = (_unrle(groups[key], f"c group {key}") for key in _GROUP_KEYS)
     if not len(step) == len(first) == len(count):
-        raise ArgumentError(f"{tag} c group columns have unequal lengths")
+        raise ArgumentError("c group columns have unequal lengths")
     owner = np.cumsum(step) - 1
     if np.any((owner < 0) | (owner >= len(a_index))):
-        raise ArgumentError(f"{tag} c group owner is not one of the {len(a_index)} a-balls")
+        raise ArgumentError(f"c group owner is not one of the {len(a_index)} a-balls")
     if np.any((count <= 0) | (count > MAX_NODES)) or count.sum() > MAX_NODES:
-        raise ArgumentError(f"{tag} c group counts are not positive, at most {MAX_NODES} in all")
+        raise ArgumentError(f"c group counts are not positive, at most {MAX_NODES} in all")
     offset = a_index[owner] + first - (np.cumsum(count) - count)  # a group's index less its first row
     return np.arange(count.sum()) + np.repeat(offset, count), np.repeat(owner, count)
 
 
-def _block_from_json(runs, index, stages, tag):
-    start = _ints(runs["start"], f"{tag} run start")
-    sublevel, j, size = (_ints(runs[key], f"{tag} run {key}") for key in ("sublevel", "j", "size"))
+def _block_from_json(runs, index, stages, block):
+    start = _ints(runs["start"], f"{block} run start")
+    sublevel, j, size = (_ints(runs[key], f"{block} run {key}") for key in ("sublevel", "j", "size"))
     radius = np.asarray(runs["radius"], dtype=float)
     if radius.ndim != 1 or any(len(c) != len(start) for c in (sublevel, j, size, radius)):
-        raise ArgumentError(f"{tag} runs have columns of unequal lengths")
+        raise ArgumentError(f"{block} runs have columns of unequal lengths")
     bounds = np.append(start, len(index))
     counts = np.diff(bounds)
     if bounds[0] != 0 or np.any(counts <= 0):
-        raise ArgumentError(f"{tag} run starts are not 0-based and strictly increasing below {len(index)}")
+        raise ArgumentError(f"{block} run starts are not 0-based and strictly increasing below {len(index)}")
     center = np.empty(len(index))
     for r, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
         cloud = stages.sorted_points(int(j[r]))
         if len(cloud) != size[r]:
             raise ArgumentError(
-                f"{tag} run {r} was built on a stage-{j[r]} cloud of {size[r]} points; "
+                f"{block} run {r} was built on a stage-{j[r]} cloud of {size[r]} points; "
                 f"the config's stages give {len(cloud)}"
             )
         k = index[s:e]
         if np.any((k < 0) | (k >= size[r])):
-            raise ArgumentError(f"{tag} index lies outside its stage cloud")
+            raise ArgumentError(f"{block} index lies outside its stage cloud")
         center[s:e] = cloud[k]
     return {
         "center": center,
@@ -1233,30 +1141,25 @@ def _block_from_json(runs, index, stages, tag):
     }
 
 
-def _local_from_json(e, stages, level, li, parents) -> LocalLevel:
-    """Local level ``li`` of tree level ``level``, whose parent must be one
-    of the ``parents`` balls of the level above."""
-    tag = f"L{level}/{li}"
-    a_index = _ints(e["a"]["index"], f"{tag} a index")
-    c_index, c_aidx = _groups_from_json(e["c"]["groups"], a_index, tag)
+def _level_from_json(e, stages) -> LocalLevel:
+    a_index = _ints(e["a"]["index"], "a index")
+    c_index, c_aidx = _groups_from_json(e["c"]["groups"], a_index)
     kw = {"c_aidx": c_aidx}
     for block, index in zip(_BLOCKS, (a_index, c_index)):
-        for key, v in _block_from_json(e[block]["runs"], index, stages, f"{tag} {block}").items():
+        for key, v in _block_from_json(e[block]["runs"], index, stages, block).items():
             kw[f"{block}_{key}"] = v
     for f in fields(LocalLevel):
         if f.name not in kw:
             v = e[f.name]
             kw[f.name] = list(v) if isinstance(v, list) else v
-    parent = (kw["parent_level"], kw["parent_index"])
-    if tuple(map(type, parent)) != (int, int) or parent[0] != level - 1 or not 0 <= parent[1] < parents:
-        raise ArgumentError(f"{tag} parent {parent} is not one of the {parents} balls of level {level - 1}")
     return LocalLevel(**kw)
 
 
 def tree_to_json(tree: CantorTree, stages) -> dict:
     """The tree as a JSON-ready dict in format ``TREE_FORMAT``.
 
-    Each block of a local level holds runs of equal (sublevel, j, radius),
+    The local level is the ``level`` object.  Each of its blocks holds runs
+    of equal (sublevel, j, radius),
     with the size of the run's stage cloud ``stages.sorted_points(j)``.  The
     ``a`` block then holds each selection ball's index into its cloud.  The
     ``c`` block holds its target balls as groups, the maximal runs of balls
@@ -1274,7 +1177,7 @@ def tree_to_json(tree: CantorTree, stages) -> dict:
         "root": {"center": tree.root.center.tolist(), "radius": tree.root.radius},
         "constants": tree.constants,
         "case": tree.case,
-        "levels": [[_local_to_json(loc, stages) for loc in locs] for locs in tree.levels],
+        "level": _level_to_json(tree.level, stages),
     }
 
 
@@ -1285,8 +1188,8 @@ def tree_from_json(obj, stages) -> CantorTree:
     The tree is bound to the stages it is read with: its grid must be their
     [lo, hi] and each run's cloud size theirs.  A tree of another format, a
     mismatch, or a malformed run, index or group raises ``ArgumentError``;
-    so does a local level of more than ``MAX_NODES`` target balls, which
-    no build writes.
+    so does a level of more than ``MAX_NODES`` target balls, which no build
+    writes.
     """
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt != TREE_FORMAT:
@@ -1298,13 +1201,9 @@ def tree_from_json(obj, stages) -> CantorTree:
         raise ArgumentError(f"tree grid {list(grid)} is not the config's stage grid {[stages.lo, stages.hi]}")
     if not isinstance(obj["constants"], dict):
         raise ArgumentError("tree constants are not an object")
-    levels, parents = [], 1  # the root is the one ball of level 1
-    for k, locs in enumerate(obj["levels"]):
-        levels.append([_local_from_json(e, stages, k + 2, li, parents) for li, e in enumerate(locs)])
-        parents = sum(len(loc.c_center) for loc in levels[-1])
     return CantorTree(
         root=Ball(np.array(obj["root"]["center"]), obj["root"]["radius"]),
         constants=obj["constants"],
-        levels=levels,
+        level=_level_from_json(obj["level"], stages),
         case=obj["case"],
     )

@@ -116,7 +116,6 @@ _CANTOR = {
     "pair": _PAIR,
     "eta": {"type": "number", "exclusiveMinimum": 1},
     "stages": {**_STAGES, "required": ["type"]},
-    "depth": {"type": "integer", "minimum": 2},
     "g_floor": {"type": "integer"},
     "c5": _POSITIVE,
 }
@@ -263,9 +262,17 @@ SCHEMAS = {
                 },
             },
         },
-        "if": {"required": ["mode"], "properties": {"mode": {"const": "bc-diagnostic"}}},
-        "then": {"required": ["rules"]},
-        "else": {"required": ["N_list"]},
+        # one pair per mode, so that a mode outside the enum fails on its enum alone
+        "allOf": [
+            {
+                "if": {"required": ["mode"], "properties": {"mode": {"const": "bc-diagnostic"}}},
+                "then": {"required": ["rules"]},
+            },
+            {
+                "if": {"properties": {"mode": {"const": "covering-exponent"}}},  # or no mode
+                "then": {"required": ["N_list"]},
+            },
+        ],
     },
 }
 for _schema in SCHEMAS.values():
@@ -505,19 +512,19 @@ def _cantor_params(cfg):
         gauges=_pair_from_config(cfg["pair"]),
         eta=float(cfg["eta"]),
         stages=_stages_from_config(cfg["stages"]),
-        **_given(cfg, depth=int, g_floor=int, c5=float),
+        **_given(cfg, g_floor=int, c5=float),
     )
 
 
 def _run_cantor_build(cfg, rng):
     params = _cantor_params(cfg)
     tree = build_cantor(params)
-    mass = assign_mass(tree, params)
+    mu = assign_mass(tree, params)
     audit = verify_levels(tree, params)
     hold = None
     if cfg.get("holder_trials"):
-        hold = holder_check(tree, mass, params, trials=int(cfg["holder_trials"]), rng=rng)
-    loc = tree.levels[0][0]
+        hold = holder_check(tree, mu, params, trials=int(cfg["holder_trials"]), rng=rng)
+    loc = tree.level
     results = {
         "fingerprint": tree_fingerprint(tree),
         "l_b": loc.l_b,
@@ -536,7 +543,7 @@ def _run_cantor_build(cfg, rng):
             "single_ball_trials": hold.single_ball_trials,
         }
     if len(loc.c_radius) <= FORMAT_MAX_LEAVES:
-        print(format_tree(tree, mass), file=sys.stderr)
+        print(format_tree(tree, mu), file=sys.stderr)
     extra = {"tree.json": tree_to_json(tree, params.stages)} if cfg.get("save_tree", True) else {}
     return results, [], extra
 

@@ -38,11 +38,10 @@ class CoverageShortfall(ToolkitError):
 
 
 class ConstructionError(ToolkitError):
-    """The nested-ball construction failed at a named node/sublevel."""
+    """The nested-ball construction failed, at a named sublevel when one applies."""
 
-    def __init__(self, message, node=None, sublevel=None):
+    def __init__(self, message, sublevel=None):
         super().__init__(message)
-        self.node = node
         self.sublevel = sublevel
 
 

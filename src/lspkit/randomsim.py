@@ -107,7 +107,8 @@ def _torus_rule(base: SetModel):
     at most 64, or the unit shifts of a bounded base whose window sides are at
     most 3 (at most 5**n shifts).  Raises ``ArgumentError`` naming any other base."""
     if isinstance(base, IFSAttractor):
-        raise ArgumentError("distance_to_set does not measure an IFS attractor; use cylinder_cut or cut_hits")
+        raise ArgumentError("randsim cannot measure an IFS attractor on the torus: a base may be a point set, "
+                            "a plane, a circle, a sphere or a polyline")
     if isinstance(base, PointSet) or (isinstance(base, AffinePlane) and base.free_axes is not None):
         return None
     if isinstance(base, AffinePlane):

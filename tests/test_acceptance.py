@@ -211,15 +211,15 @@ def test_accept_5_cantor_audit(audit_bundle):
         assert set(report.properties) == {"P0", "P1", "P2", "P3", "P4", "P5"}
 
         t1 = copy.deepcopy(tree)
-        t1.levels[0][0].c_center[5] = t1.levels[0][0].c_center[6]  # colliding balls
+        t1.level.c_center[5] = t1.level.c_center[6]  # colliding balls
         assert not verify_levels(t1, params).properties["P1"].passed
 
         t2 = copy.deepcopy(tree)
-        t2.levels[0][0].l_b = 1
+        t2.level.l_b = 1
         assert not verify_levels(t2, params).properties["P5"].passed
 
         t3 = copy.deepcopy(tree)
-        loc = t3.levels[0][0]
+        loc = t3.level
         deep = np.nonzero(loc.c_sublevel == 2)[0][0]
         loc.c_radius[deep] = float(np.max(loc.c_radius))
         assert not verify_levels(t3, params).properties["P4"].passed
@@ -231,10 +231,10 @@ def test_accept_6_holder_mass_bound():
         for eta in (2.0, 4.0, 8.0):
             params = cantor_params("cantor_holder.json", eta=eta)
             tree = build_cantor(params)
-            mass = assign_mass(tree, params)
+            mu = assign_mass(tree, params)
             assert verify_levels(tree, params).ok
             reports[eta] = holder_check(
-                tree, mass, params, trials=10_000, rng=np.random.default_rng(601)
+                tree, mu, params, trials=10_000, rng=np.random.default_rng(601)
             )
         r2, r4, r8 = (reports[e] for e in (2.0, 4.0, 8.0))
         assert r2.qualifying_trials >= 100 and r8.qualifying_trials >= 100

@@ -15,7 +15,6 @@ from lspkit.cantor import (
     LocalLevel,
     CantorTree,
     HolderReport,
-    MassAssignment,
     _ambient_constants,
     _caj_nets,
     _deep_sublevel,
@@ -49,7 +48,6 @@ OVERSIZED = {
     "pair": {"f": {"kind": "power", "s": 0.5}, "g": {"kind": "power", "s": 1.0}},
     "eta": 2.0,
     "stages": {"type": "grid-cloud", "lo": 0.0, "hi": 1.0, "plateaus": [[8, 5e-4], [4096, 1e-8]], "j_max": 2**22},
-    "depth": 2,
     "g_floor": 8,
     "c5": 5.0,
 }
@@ -82,18 +80,9 @@ def test_build_passes_all_audits(audit_tree):
     params, tree = audit_tree
     report = verify_levels(tree, params)
     assert report.ok, {k: v.violations[:3] for k, v in report.properties.items() if not v.passed}
-    loc = tree.levels[0][0]
+    loc = tree.level
     assert loc.l_b == 2  # halving property is actually exercised
     assert all(m >= tree.constants["c6"] * 20.0 for m in loc.sub_masses)
-
-
-def test_depth_one_is_trivially_valid():
-    params = cantor_params("cantor_audit.json")
-    params.depth = 1
-    tree = build_cantor(params)
-    assert tree.levels == []
-    report = verify_levels(tree, params)
-    assert report.ok
 
 
 def test_case_classification_rejects_non_growing_ratios():
@@ -114,7 +103,7 @@ def test_oversized_parameters_fail_loudly():
         build_cantor(cantor_params(OVERSIZED))
 
 
-def test_selection_shortfall_names_node_and_sublevel():
+def test_selection_shortfall_names_its_sublevel():
     # stage schedule truncated so the first sublevel cannot amass its mass
     # target (a single sparse stage block before the truncation index)
     params = cantor_params("cantor_audit.json")
@@ -126,18 +115,7 @@ def test_selection_shortfall_names_node_and_sublevel():
     assert exc.value.sublevel == 1
 
 
-def test_depth_three_exceeds_sublevel_budget():
-    # below the root the sublevel-count formula scales like the gauge ratio
-    # at the leaf radius, far past any buildable count; the attempt must
-    # fail loudly rather than degrade
-    params = cantor_params("cantor_audit.json")
-    params.depth = 3
-    with pytest.raises(ConstructionError) as exc:
-        build_cantor(params)
-    assert "budget" in str(exc.value)
-
-
-def test_scan_truncation_names_node_and_sublevel():
+def test_scan_truncation_names_its_sublevel():
     # the deep sublevel's entry scan exhausts the truncation index
     from lspkit.errors import TruncationError
 
@@ -156,12 +134,28 @@ def test_determinism_fingerprint():
     assert tree_fingerprint(build_cantor(p1)) == tree_fingerprint(build_cantor(p2))
 
 
+def _exact_mass(tree, params):
+    """Oracle: the leaf masses as Fractions, from weights evaluated one
+    selection ball at a time and summed exactly."""
+    pair, loc = params.gauges, tree.level
+    w = []
+    for j in loc.a_j:
+        u = params.stages.upsilon(int(j))
+        h = eval_gauge(pair.f, u) / eval_gauge(pair.g, u) ** pair.kappa
+        w.append(Fraction(float(h ** (1.0 / (1.0 - pair.kappa)))))
+    total = sum(w, Fraction(0))
+    counts = np.bincount(loc.c_aidx, minlength=len(w))
+    return [w[a] / (total * int(counts[a])) for a in loc.c_aidx]
+
+
 def test_mass_assignment_root_and_sums(audit_tree):
     params, tree = audit_tree
-    mass = assign_mass(tree, params)
-    assert float(np.sum(mass.mu[-1])) == pytest.approx(1.0, abs=1e-12)
-    exact = assign_mass(tree, params, exact=True)
-    assert sum(exact.exact[-1], Fraction(0)) == 1
+    mu = assign_mass(tree, params)
+    assert mu.shape == tree.level.c_radius.shape
+    assert float(np.sum(mu)) == pytest.approx(1.0, abs=1e-12)
+    exact = _exact_mass(tree, params)
+    assert sum(exact, Fraction(0)) == 1
+    np.testing.assert_allclose(mu, [float(x) for x in exact], rtol=1e-13, atol=0)
 
 
 def _synthetic_tree(counts, weights_radius):
@@ -175,8 +169,6 @@ def _synthetic_tree(counts, weights_radius):
             c_center.append(a_centers[k] + (t - cnt / 2) * 1e-3)
             c_aidx.append(k)
     loc = LocalLevel(
-        parent_level=1,
-        parent_index=0,
         l_b=1,
         eps_b=math.inf,
         g_primes=[512],
@@ -193,7 +185,7 @@ def _synthetic_tree(counts, weights_radius):
         c_aidx=np.array(c_aidx, dtype=np.int64),
     )
     root = Ball(np.array([0.0]), 20.0)
-    return CantorTree(root=root, constants={}, levels=[[loc]])
+    return CantorTree(root=root, constants={}, level=loc)
 
 
 class _FixedStage:
@@ -209,41 +201,37 @@ class _FixedStage:
 def test_mass_formula_single_selection():
     tree = _synthetic_tree([4], [0.5])
     params = ConstructionParams(
-        domain=tree.root, gauges=SQRT_PAIR, eta=2.0, stages=_FixedStage(0.25), depth=2
+        domain=tree.root, gauges=SQRT_PAIR, eta=2.0, stages=_FixedStage(0.25)
     )
-    mass = assign_mass(tree, params)
-    assert np.allclose(mass.mu[-1], 0.25)
+    assert np.allclose(assign_mass(tree, params), 0.25)
 
 
 def test_mass_formula_two_selections_equal_weights():
     # equal stage radii (equal weights), child counts 2 and 8
     tree = _synthetic_tree([2, 8], [0.5, 0.5])
     params = ConstructionParams(
-        domain=tree.root, gauges=SQRT_PAIR, eta=2.0, stages=_FixedStage(0.25), depth=2
+        domain=tree.root, gauges=SQRT_PAIR, eta=2.0, stages=_FixedStage(0.25)
     )
-    mass = assign_mass(tree, params)
-    mus = mass.mu[-1]
+    mus = assign_mass(tree, params)
     assert np.allclose(mus[:2], 1 / 4)
     assert np.allclose(mus[2:], 1 / 16)
 
 
-def ball_mass_upper(tree, mass, D):
-    """Upper bound for the limit measure of D: total mass of deepest-level
-    balls meeting D."""
-    centers, radii = tree.leaves()
-    hit = np.abs(centers - D.center) < radii + D.radius
-    return float(np.sum(mass.mu[-1][hit]))
+def ball_mass_upper(tree, mu, D):
+    """Upper bound for the limit measure of D: total mass of the leaves
+    meeting D."""
+    hit = np.abs(tree.level.c_center - D.center) < tree.level.c_radius + D.radius
+    return float(np.sum(mu[hit]))
 
 
 def test_ball_mass_upper(audit_tree):
     params, tree = audit_tree
-    mass = assign_mass(tree, params)
-    assert ball_mass_upper(tree, mass, Ball(np.array([0.0]), 25.0)) == pytest.approx(1.0)
-    assert ball_mass_upper(tree, mass, Ball(np.array([500.0]), 1.0)) == 0.0
-    centers, radii = tree.leaves()
+    mu = assign_mass(tree, params)
+    assert ball_mass_upper(tree, mu, Ball(np.array([0.0]), 25.0)) == pytest.approx(1.0)
+    assert ball_mass_upper(tree, mu, Ball(np.array([500.0]), 1.0)) == 0.0
     k = 17
-    one = ball_mass_upper(tree, mass, Ball(centers[k], float(radii[k])))
-    assert one == pytest.approx(float(mass.mu[-1][k]), rel=1e-12)
+    one = ball_mass_upper(tree, mu, Ball(tree.level.c_center[k], float(tree.level.c_radius[k])))
+    assert one == pytest.approx(float(mu[k]), rel=1e-12)
 
 
 def test_fault_injection_flags_three_classes(audit_tree):
@@ -251,19 +239,19 @@ def test_fault_injection_flags_three_classes(audit_tree):
 
     # fault 1: one child ball dilated threefold -> separation breaks
     t1 = copy.deepcopy(tree)
-    t1.levels[0][0].c_radius[5] *= 3.0
+    t1.level.c_radius[5] *= 3.0
     rep = verify_levels(t1, params)
     assert not rep.properties["P1"].passed or not rep.properties["P2"].passed
 
     # fault 2: recorded sublevel count forced to 1 -> P5 mismatch
     t2 = copy.deepcopy(tree)
-    t2.levels[0][0].l_b = 1
+    t2.level.l_b = 1
     rep = verify_levels(t2, params)
     assert not rep.properties["P5"].passed
 
     # fault 3: a deep-sublevel ball inflated to the coarse radius -> halving breaks
     t3 = copy.deepcopy(tree)
-    loc = t3.levels[0][0]
+    loc = t3.level
     deep = np.nonzero(loc.c_sublevel == 2)[0][0]
     loc.c_radius[deep] = float(np.max(loc.c_radius))
     rep = verify_levels(t3, params)
@@ -272,12 +260,10 @@ def test_fault_injection_flags_three_classes(audit_tree):
 
 def test_mass_concentration_blows_up_holder(audit_tree):
     params, tree = audit_tree
-    mass = assign_mass(tree, params)
-    base = holder_check(tree, mass, params, trials=2000, rng=np.random.default_rng(2))
-    skew = assign_mass(tree, params)
-    mu = np.zeros_like(skew.mu[-1])
-    mu[0] = 1.0
-    skew.mu[-1] = mu
+    mu = assign_mass(tree, params)
+    base = holder_check(tree, mu, params, trials=2000, rng=np.random.default_rng(2))
+    skew = np.zeros_like(mu)
+    skew[0] = 1.0
     spiked = holder_check(tree, skew, params, trials=2000, rng=np.random.default_rng(2))
     assert spiked.max_ratio > 10 * base.max_ratio
 
@@ -294,30 +280,28 @@ def test_tree_json_roundtrip_every_field(request, which):
     text = json.dumps(tree_to_json(tree, params.stages), default=json_default)
     back = tree_from_json(json.loads(text), params.stages)
     assert json.dumps(tree_to_json(back, params.stages), default=json_default) == text
-    _assert_same_levels(back, tree)
+    _assert_same_level(back, tree)
     assert tree_fingerprint(back) == tree_fingerprint(tree)
 
 
-def _assert_same_levels(got_tree, want_tree):
-    """Every field of every local level is equal, arrays in dtype and shape too."""
-    assert len(got_tree.levels) == len(want_tree.levels)
-    for got_level, want_level in zip(got_tree.levels, want_tree.levels):
-        assert len(got_level) == len(want_level)
-        for got, want in zip(got_level, want_level):
-            for f in fields(LocalLevel):
-                a, b = getattr(got, f.name), getattr(want, f.name)
-                if isinstance(b, np.ndarray):
-                    assert a.dtype == b.dtype and a.shape == b.shape, f.name
-                    assert np.array_equal(a, b), f.name
-                else:
-                    assert a == b, f.name
+def _assert_same_level(got_tree, want_tree):
+    """Every field of the local level is equal, arrays in dtype and shape too."""
+    for f in fields(LocalLevel):
+        a, b = getattr(got_tree.level, f.name), getattr(want_tree.level, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
 
 
 def test_tree_json_stores_runs_and_cloud_indices(audit_tree):
     params, tree = audit_tree
     d = tree_to_json(tree, params.stages)
-    assert (d["format"], d["grid"]) == (3, {"lo": -20.0, "hi": 20.0})
-    loc, e = tree.levels[0][0], d["levels"][0][0]
+    assert (d["format"], d["grid"]) == (4, {"lo": -20.0, "hi": 20.0})
+    assert list(d) == ["format", "grid", "root", "constants", "case", "level"]
+    loc, e = tree.level, d["level"]
+    assert list(e) == ["l_b", "eps_b", "g_primes", "sub_targets", "sub_masses", "a", "c"]
     for block in ("a", "c"):
         runs = e[block]["runs"]
         sublevel = getattr(loc, f"{block}_sublevel")
@@ -337,7 +321,7 @@ def test_tree_json_stores_runs_and_cloud_indices(audit_tree):
 
 
 def _grid_local(a_index, a_j, c_index, c_j, c_aidx, stages):
-    """A local level under the root whose balls are the given indices into
+    """A tree on B(0, 1) whose level's balls are the given indices into
     their stage clouds, with the stage radii of their j."""
     def block(index, js):
         index, js = np.asarray(index, dtype=np.int64), np.asarray(js, dtype=np.int64)
@@ -345,10 +329,11 @@ def _grid_local(a_index, a_j, c_index, c_j, c_aidx, stages):
         radius = np.array([stages.upsilon(int(j)) for j in js])
         return center, radius, js, np.ones(len(js), dtype=np.int64)
 
-    return LocalLevel(
-        1, 0, 1, math.inf, [16], [0.5], [0.25],
+    loc = LocalLevel(
+        1, math.inf, [16], [0.5], [0.25],
         *block(a_index, a_j), *block(c_index, c_j), np.asarray(c_aidx, dtype=np.int64),
     )
+    return CantorTree(root=Ball(np.array([0.0]), 1.0), constants={"eta": 2.0}, level=loc)
 
 
 def test_tree_json_groups_roundtrip_synthetic():
@@ -357,7 +342,7 @@ def test_tree_json_groups_roundtrip_synthetic():
     # slice), one-child slices at the owner's own index, a group across a
     # run boundary, and blocks without target balls
     stages = GridCloudStages(lo=-1.0, hi=1.0, plateaus=((16, 0.01), (64, 0.001)), j_max=128)
-    locs = [
+    trees = [
         _grid_local(
             [3, 9, 40, 50], [16, 16, 64, 64],
             [39, 40, 41, 50, 2, 4, 6, 7, 9], [64, 64, 64, 64, 16, 16, 16, 16, 16],
@@ -368,25 +353,24 @@ def test_tree_json_groups_roundtrip_synthetic():
         _grid_local([5, 6], [16, 16], [], [], [], stages),
         _grid_local([], [], [], [], [], stages),
     ]
-    root = Ball(np.array([0.0]), 1.0)
-    tree = CantorTree(root=root, constants={"eta": 2.0}, levels=[locs])
-    d = tree_to_json(tree, stages)
-    owner, first, count = (d["levels"][0][0]["c"]["groups"][key] for key in ("owner", "first", "count"))
+    dicts = [tree_to_json(tree, stages) for tree in trees]
+    owner, first, count = (dicts[0]["level"]["c"]["groups"][key] for key in ("owner", "first", "count"))
     assert [col.tolist() for col in owner] == [[3, 1, -3, 0, 1], [1, 1, 1, 2, 1]]
     assert np.repeat(*first).tolist() == [-1, 0, -1, 1, 3, 0]
     assert np.repeat(*count).tolist() == [3, 1, 1, 1, 2, 1]
-    assert np.repeat(*d["levels"][0][2]["c"]["groups"]["count"]).tolist() == [2, 1]
-    text = json.dumps(d, default=json_default)
-    for obj in (d, json.loads(text)):
-        back = tree_from_json(obj, stages)
-        assert json.dumps(tree_to_json(back, stages), default=json_default) == text
-        _assert_same_levels(back, tree)
+    assert np.repeat(*dicts[2]["level"]["c"]["groups"]["count"]).tolist() == [2, 1]
+    for tree, d in zip(trees, dicts):
+        text = json.dumps(d, default=json_default)
+        for obj in (d, json.loads(text)):
+            back = tree_from_json(obj, stages)
+            assert json.dumps(tree_to_json(back, stages), default=json_default) == text
+            _assert_same_level(back, tree)
 
 
 def test_tree_writer_refuses_a_center_off_its_cloud(audit_tree):
     params, tree = audit_tree
     off = copy.deepcopy(tree)
-    off.levels[0][0].c_center[7] = np.nextafter(off.levels[0][0].c_center[7], np.inf)
+    off.level.c_center[7] = np.nextafter(off.level.c_center[7], np.inf)
     with pytest.raises(ConstructionError, match="c-ball 7 center .* is not a point of the stage-4096 cloud"):
         tree_to_json(off, params.stages)
 
@@ -487,11 +471,10 @@ class _UniformStages:
         return self._cloud
 
 
-def _local(node, a_center, a_radius, c_center, c_radius, c_aidx):
+def _local(a_center, a_radius, c_center, c_radius, c_aidx):
     na, nc = len(a_center), len(c_center)
     return LocalLevel(
-        parent_level=node[0], parent_index=node[1], l_b=1, eps_b=math.inf,
-        g_primes=[512], sub_targets=[0.0], sub_masses=[0.0],
+        l_b=1, eps_b=math.inf, g_primes=[512], sub_targets=[0.0], sub_masses=[0.0],
         a_center=np.array(a_center), a_radius=np.full(na, a_radius),
         a_j=np.full(na, 512, dtype=np.int64), a_sublevel=np.ones(na, dtype=np.int64),
         c_center=np.array(c_center), c_radius=np.full(nc, c_radius),
@@ -500,69 +483,40 @@ def _local(node, a_center, a_radius, c_center, c_radius, c_aidx):
     )
 
 
-def _two_level_tree():
-    """Root -> three level-2 balls -> level-3 local levels under rows 2 and 0
-    (in that order), so each level-3 parent is found by its row."""
-    level2 = [_local((1, 0), [-8.0, 8.0], 4.0, [-9.0, -7.0, 8.0], 0.25, [0, 0, 1])]
-    level3 = [
-        _local((2, 2), [8.0], 0.05, [7.95, 8.05], 0.005, [0, 0]),
-        _local((2, 0), [-9.1, -8.9], 0.02, [-9.1, -8.9], 0.002, [0, 1]),
-    ]
-    leaves = [7.95, 8.05, -9.1, -8.9]
+def _small_tree():
+    """B(0, 20) over two selection balls, with two leaves and one."""
+    leaves = [-9.0, -7.0, 8.0]
     params = ConstructionParams(
         domain=Ball(np.array([0.0]), 20.0), gauges=SQRT_PAIR, eta=2.0,
-        stages=_UniformStages(0.002, np.array(leaves + [-9.0, -7.0, 8.0])), depth=3,
+        stages=_UniformStages(0.25, np.array(leaves + [19.5])),
     )
-    tree = CantorTree(
-        root=params.domain, constants=_ambient_constants(params), levels=[level2, level3],
-    )
-    return tree, params
+    level = _local([-8.0, 8.0], 4.0, leaves, 0.25, [0, 0, 1])
+    return CantorTree(root=params.domain, constants=_ambient_constants(params), level=level), params
 
 
-def test_parent_rows_two_levels():
-    tree, params = _two_level_tree()
-    centers, radii = tree.balls(1)
-    assert centers.tolist() == [0.0] and radii.tolist() == [20.0]
-    assert tree.balls(2)[0].tolist() == [-9.0, -7.0, 8.0]
-    assert tree.leaves()[0].tolist() == [7.95, 8.05, -9.1, -8.9]
-
-    mass = assign_mass(tree, params, exact=True)
-    assert mass.mu[0].tolist() == [0.25, 0.25, 0.5]
-    end = 0
-    for loc in tree.levels[1]:
-        start, end = end, end + len(loc.c_radius)
-        assert float(np.sum(mass.mu[1][start:end])) == mass.mu[0][loc.parent_index]
-        assert sum(mass.exact[1][start:end], Fraction(0)) == mass.exact[0][loc.parent_index]
-
-    outside = [v for v in verify_levels(tree, params).properties["P1"].violations if v[1] == "outside-parent"]
+def test_p1_flags_a_leaf_outside_the_root():
+    tree, params = _small_tree()
+    mu = assign_mass(tree, params)
+    assert mu.tolist() == [0.25, 0.25, 0.5] and _exact_mass(tree, params) == [0.25, 0.25, 0.5]
+    outside = [v for v in verify_levels(tree, params).properties["P1"].violations if v[0] == "outside-parent"]
     assert outside == []
-    # move a child of row 0 (center -9) into row 1 (center -7): it is inside
-    # some level-2 ball, but not inside its own parent
-    tree.levels[1][1].c_center[0] = -7.0
-    outside = [v for v in verify_levels(tree, params).properties["P1"].violations if v[1] == "outside-parent"]
-    assert outside == [("L3/1", "outside-parent", -7.0)]
+    # move the leaf at 8 to 19.5: its 3-dilate reaches 20.25, past the root
+    tree.level.c_center[2] = 19.5
+    outside = [v for v in verify_levels(tree, params).properties["P1"].violations if v[0] == "outside-parent"]
+    assert outside == [("outside-parent", 19.5)]
 
 
-def test_format_tree_two_levels():
-    tree, params = _two_level_tree()
+def test_format_tree_one_level():
+    tree, params = _small_tree()
     assert format_tree(tree, assign_mass(tree, params)) == "\n".join([
         "root B(center=[0.0], radius=20)",
         "constants: c6=0.05 c5=1 eta=2",
-        "level 2 local level (parent L1#0): l_B=1 sublevel masses=[0.0]",
+        "local level: l_B=1 sublevel masses=[0.0]",
         "  (A;512) sub1 c=-8 r=4 #C=2",
         "    L c=-9 r=0.25 mu=0.25",
         "    L c=-7 r=0.25 mu=0.25",
         "  (A;512) sub1 c=8 r=4 #C=1",
         "    L c=8 r=0.25 mu=0.5",
-        "level 3 local level (parent L2#2): l_B=1 sublevel masses=[0.0]",
-        "  (A;512) sub1 c=8 r=0.05 #C=2",
-        "    L c=7.95 r=0.005 mu=0.25",
-        "    L c=8.05 r=0.005 mu=0.25",
-        "level 3 local level (parent L2#0): l_B=1 sublevel masses=[0.0]",
-        "  (A;512) sub1 c=-9.1 r=0.02 #C=1",
-        "    L c=-9.1 r=0.002 mu=0.125",
-        "  (A;512) sub1 c=-8.9 r=0.02 #C=1",
-        "    L c=-8.9 r=0.002 mu=0.125",
     ])
 
 
@@ -583,7 +537,7 @@ def test_p1_disjointness_across_parameter_variations(seed):
     )
     params = ConstructionParams(
         domain=Ball(np.array([0.0]), radius),
-        gauges=SQRT_PAIR, eta=eta, stages=stages, depth=2, g_floor=64,
+        gauges=SQRT_PAIR, eta=eta, stages=stages, g_floor=64,
         c5=c5,
     )
     tree = build_cantor(params)
@@ -597,24 +551,22 @@ def test_holder_eta_independence():
     for eta in (2.0, 4.0):
         p = cantor_params("cantor_holder.json", eta=eta)
         tree = build_cantor(p)
-        mass = assign_mass(tree, p)
-        reports[eta] = holder_check(tree, mass, p, trials=4000, rng=np.random.default_rng(3))
+        reports[eta] = holder_check(tree, assign_mass(tree, p), p, trials=4000, rng=np.random.default_rng(3))
     ratio = reports[4.0].max_ratio / reports[2.0].max_ratio
     assert 0.5 <= ratio <= 2.0
 
 
-def _holder_check_loop(tree, mass, params, trials, rng, radius_cap=None):
+def _holder_check_loop(tree, mu, params, trials, rng, radius_cap=None):
     """Reference: one Python iteration per trial, scalar draws and scoring."""
     pair = params.gauges
     eta = params.eta
-    centers, radii = tree.leaves()
-    order = np.argsort(centers)
-    c = centers[order]
-    r = radii[order]
-    m = mass.mu[-1][order]
+    order = np.argsort(tree.level.c_center)
+    c = tree.level.c_center[order]
+    r = tree.level.c_radius[order]
+    m = mu[order]
     rmax_leaf = float(np.max(r))
     if radius_cap is None:
-        radius_cap = 8.0 * float(np.max(np.concatenate([l.a_radius for l in tree.levels[0]])))
+        radius_cap = 8.0 * float(np.max(tree.level.a_radius))
     r_lo = float(np.min(r))
     r_hi = tree.root.radius
     log_lo, log_hi = math.log(r_lo), math.log(r_hi)
@@ -657,10 +609,10 @@ def _holder_check_loop(tree, mass, params, trials, rng, radius_cap=None):
     )
 
 
-def _assert_holder_matches_loop(tree, mass, params, trials, seed, radius_cap=None):
+def _assert_holder_matches_loop(tree, mu, params, trials, seed, radius_cap=None):
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = holder_check(tree, mass, params, trials=trials, rng=rng_a, radius_cap=radius_cap)
-    want = _holder_check_loop(tree, mass, params, trials, rng_b, radius_cap=radius_cap)
+    got = holder_check(tree, mu, params, trials=trials, rng=rng_a, radius_cap=radius_cap)
+    want = _holder_check_loop(tree, mu, params, trials, rng_b, radius_cap=radius_cap)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
     for f in fields(got):
         a, b = getattr(got, f.name), getattr(want, f.name)
@@ -676,13 +628,12 @@ def _assert_holder_matches_loop(tree, mass, params, trials, seed, radius_cap=Non
 @pytest.mark.parametrize("seed", [0, 5])
 def test_holder_check_matches_loop_audit_tree(audit_tree, seed):
     params, tree = audit_tree
-    mass = assign_mass(tree, params)
-    rep = _assert_holder_matches_loop(tree, mass, params, 3000, seed)
+    mu = assign_mass(tree, params)
+    rep = _assert_holder_matches_loop(tree, mu, params, 3000, seed)
     assert rep.qualifying_trials > 0 and rep.single_ball_trials > 0
     # the skewed mass of test_mass_concentration_blows_up_holder
-    skew = assign_mass(tree, params)
-    skew.mu[-1] = np.zeros_like(skew.mu[-1])
-    skew.mu[-1][0] = 1.0
+    skew = np.zeros_like(mu)
+    skew[0] = 1.0
     _assert_holder_matches_loop(tree, skew, params, 3000, seed)
     # a tabulated f (log-linear between samples, with kinks) spanning the
     # radii the trials draw
@@ -690,8 +641,8 @@ def test_holder_check_matches_loop_audit_tree(audit_tree, seed):
     vs = np.sqrt(rs) * (1.0 + 0.3 * (np.arange(len(rs)) % 3))
     tab = copy.copy(params)
     tab.gauges = GaugePair(Gauge.tabulated(zip(rs, np.maximum.accumulate(vs))), SQRT_PAIR.g, 0.0)
-    _assert_holder_matches_loop(tree, mass, tab, 2000, seed)
-    _assert_holder_matches_loop(tree, mass, params, 2000, seed, radius_cap=1e-3)
+    _assert_holder_matches_loop(tree, mu, tab, 2000, seed)
+    _assert_holder_matches_loop(tree, mu, params, 2000, seed, radius_cap=1e-3)
 
 
 @pytest.mark.parametrize("eta", [2.0, 4.0, 8.0])
@@ -709,17 +660,15 @@ def test_holder_check_matches_loop_overlapping_leaves(seed):
     n = 400
     centers = np.round(rng.uniform(-3.0, 3.0, n), 2)
     radii = np.exp(rng.uniform(math.log(1e-4), math.log(0.4), n))
-    loc = _local((1, 0), [-1.5, 1.5], 1.0, centers, 1.0, rng.integers(0, 2, n))
+    loc = _local([-1.5, 1.5], 1.0, centers, 1.0, rng.integers(0, 2, n))
     loc.c_radius = radii
     params = ConstructionParams(
-        domain=Ball(np.array([0.0]), 4.0), gauges=SQRT_PAIR, eta=3.0,
-        stages=_UniformStages(1.0, centers), depth=2,
+        domain=Ball(np.array([0.0]), 4.0), gauges=SQRT_PAIR, eta=3.0, stages=_UniformStages(1.0, centers),
     )
-    tree = CantorTree(root=params.domain, constants=_ambient_constants(params), levels=[[loc]])
+    tree = CantorTree(root=params.domain, constants=_ambient_constants(params), level=loc)
     assert not verify_levels(tree, params).properties["P1"].passed
     mu = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.7)
-    mass = MassAssignment(mu=[mu / mu.sum()])
-    rep = _assert_holder_matches_loop(tree, mass, params, 4000, seed)
+    rep = _assert_holder_matches_loop(tree, mu / mu.sum(), params, 4000, seed)
     assert rep.qualifying_trials > 0 and rep.single_ball_trials > 0
 
 
@@ -732,14 +681,13 @@ def test_holder_check_matches_loop_tied_ratios():
     rng = np.random.default_rng(0)
     n = 300
     centers = np.round(rng.choice([-3.0, -1.0, 1.0, 3.0], n) + rng.uniform(0.0, 0.1, n), 3)
-    loc = _local((1, 0), [-1.5, 1.5], 1.0, centers, 0.3, rng.integers(0, 2, n))
+    loc = _local([-1.5, 1.5], 1.0, centers, 0.3, rng.integers(0, 2, n))
     pair = GaugePair(Gauge.tabulated([(1e-4, 1e-2), (0.5, 0.5**0.5), (100.0, 0.5**0.5)]), SQRT_PAIR.g, 0.0)
     params = ConstructionParams(
-        domain=Ball(np.array([0.0]), 4.0), gauges=pair, eta=3.0, stages=_FixedStage(1.0), depth=2
+        domain=Ball(np.array([0.0]), 4.0), gauges=pair, eta=3.0, stages=_FixedStage(1.0)
     )
-    tree = CantorTree(root=params.domain, constants={}, levels=[[loc]])
-    mass = MassAssignment(mu=[rng.integers(1, 10, n) / 10.0])
-    rep = _assert_holder_matches_loop(tree, mass, params, 4000, 0, radius_cap=2.0)
+    tree = CantorTree(root=params.domain, constants={}, level=loc)
+    rep = _assert_holder_matches_loop(tree, rng.integers(1, 10, n) / 10.0, params, 4000, 0, radius_cap=2.0)
     assert rep.worst_ball.radius > 0.5
 
 
@@ -866,7 +814,7 @@ def test_cover_chain_matches_one_sweep(block, seed):
     assert len(_cover_chain(pool, pool[:1] - 1.0, pool[-1:] + 1.0, sep, block)) == 0
 
 
-def _deep_sublevel_eager(params, B, i, g_prime, d_min, target, leaf_center, leaf_radius, node):
+def _deep_sublevel_eager(params, B, i, g_prime, d_min, target, leaf_center, leaf_radius):
     """Reference: the eager hosting loop of ``_deep_sublevel``, which makes
     every cover ball first and then hosts them stage by stage."""
     pair = params.gauges
@@ -880,7 +828,7 @@ def _deep_sublevel_eager(params, B, i, g_prime, d_min, target, leaf_center, leaf
     covers = _cover_chain(pool, b_lo, b_hi, 2.0 * d_min * (1 - 1e-12), cantor.BLOCK)
     if len(covers) == 0:
         raise ConstructionError(
-            f"sublevel {i}: leftover region produced no cover balls", node=node, sublevel=i
+            f"sublevel {i}: leftover region produced no cover balls", sublevel=i
         )
     mass = 0.0
     j = g_prime
@@ -909,7 +857,6 @@ def _deep_sublevel_eager(params, B, i, g_prime, d_min, target, leaf_center, leaf
         raise TruncationError(
             f"sublevel {i}: mass {mass:.3g} below target {target:.3g} "
             f"({len(unhosted)} cover balls unhosted by stage {j})",
-            node=node,
             sublevel=i,
         )
     return (
@@ -950,7 +897,7 @@ def test_deep_sublevel_matches_eager_hosting(monkeypatch, case, block):
     stages = {**audit["stages"], "j_max": kw.get("j_max", audit["stages"]["j_max"])}
     leaf_center, leaf_radius = (np.array(v, dtype=float) for v in kw["leaves"])
     args = (cantor_params(audit, stages=stages), Ball([0.0], 1.0), 2, 2**21, kw["d_min"], kw["target"],
-            leaf_center, leaf_radius, (1, 0))
+            leaf_center, leaf_radius)
     monkeypatch.setattr(cantor, "BLOCK", block)
     got, want = _outcome(_deep_sublevel, *args), _outcome(_deep_sublevel_eager, *args)
     if isinstance(want[1], str):  # the error and its message, with the unhosted count
@@ -981,7 +928,7 @@ def test_deep_sublevel_stops_the_sweep_at_the_target(monkeypatch):
     monkeypatch.setattr(cantor, "_chain_blocks", chain_blocks)
     monkeypatch.setattr(cantor, "BLOCK", 64)
     leaf = np.array([5.0]), np.array([0.01])
-    _deep_sublevel(params, Ball([0.0], 1.0), 2, 2**21, _D_MIN, 0.002, *leaf, (1, 0))
+    _deep_sublevel(params, Ball([0.0], 1.0), 2, 2**21, _D_MIN, 0.002, *leaf)
     pool_blocks = math.ceil((1.0 - 2 * _D_MIN) / (_D_MIN / 2) / 64)
     assert 0 < len(swept) < pool_blocks / 4
 
@@ -1000,7 +947,7 @@ def test_distinct_reads_runs():
 
 def test_stage_radii_one_call_per_stage(audit_tree):
     params, tree = audit_tree
-    loc = tree.levels[0][0]
+    loc = tree.level
     calls = []
     stages = types.SimpleNamespace(upsilon=lambda j: calls.append(j) or params.stages.upsilon(j))
     got = _stage_radii(stages, loc.a_j)

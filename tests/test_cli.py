@@ -37,77 +37,78 @@ _FOREIGN_TREE = [
     ),
 ]
 # edited copies of the bundled audit's saved tree: each placeholder's edit of
-# (tree, its root local level), and the reason ``cannot read tree`` gives
+# (tree, its local level), and the reason ``cannot read tree`` gives
 # for refusing it (None: the copy reads, and belongs to another config)
 _EDITED_TREES = {
     "{tree_2d}": (lambda t, loc: t["root"].update(center=[0.0, 0.0]), None),
-    "{tree_v1}": (lambda t, loc: t.pop("format"), "tree format None: this version reads format 3 only"),
+    "{tree_v1}": (lambda t, loc: t.pop("format"), "tree format None: this version reads format 4 only"),
     "{tree_v2}": (
         lambda t, loc: t.update(format=2),
-        "tree format 2: this version reads format 3 only; rebuild the tree",
+        "tree format 2: this version reads format 4 only; rebuild the tree",
+    ),
+    # the format-3 layout: one local level in a list of lists, naming its parent ball
+    "{tree_v3}": (
+        lambda t, loc: t.update(format=3, levels=[[{**t.pop("level"), "parent_level": 1, "parent_index": 0}]]),
+        "tree format 3: this version reads format 4 only; rebuild the tree",
     ),
     "{tree_index_negative}": (
         lambda t, loc: operator.setitem(loc["a"]["index"], 3, -1),
-        "L2/0 a index lies outside its stage cloud",
+        "a index lies outside its stage cloud",
     ),
     "{tree_index_past_cloud}": (
         lambda t, loc: operator.setitem(loc["c"]["groups"]["first"][0], 0, loc["c"]["runs"]["size"][0]),
-        "L2/0 c index lies outside its stage cloud",
+        "c index lies outside its stage cloud",
     ),
     "{tree_first_float}": (
         lambda t, loc: operator.setitem(loc["c"]["groups"]["first"][0], 1, 3.7),
-        "L2/0 c group first is not a list of integers",
+        "c group first is not a list of integers",
     ),
     "{tree_start_1}": (
         lambda t, loc: operator.setitem(loc["a"]["runs"]["start"], 0, 1),
-        "L2/0 a run starts are not 0-based and strictly increasing below 23811",
+        "a run starts are not 0-based and strictly increasing below 23811",
     ),
     "{tree_start_repeated}": (
         lambda t, loc: operator.setitem(loc["c"]["runs"]["start"], 1, 0),
-        "L2/0 c run starts are not 0-based and strictly increasing below 70923",
+        "c run starts are not 0-based and strictly increasing below 70923",
     ),
     "{tree_owner_past}": (
         lambda t, loc: operator.setitem(loc["c"]["groups"]["owner"][0], 0, 2),
-        "L2/0 c group owner is not one of the 23811 a-balls",
+        "c group owner is not one of the 23811 a-balls",
     ),
     "{tree_count_zero}": (
         lambda t, loc: operator.setitem(loc["c"]["groups"]["count"][0], 0, 0),
-        "L2/0 c group counts are not positive",
+        "c group counts are not positive",
     ),
     # 100 one-child groups end before the c block's second run starts, at row 255
     "{tree_counts_short}": (
         lambda t, loc: loc["c"].update(groups={"owner": [[1], [100]], "first": [[0], [100]], "count": [[1], [100]]}),
-        "L2/0 c run starts are not 0-based and strictly increasing below 100",
+        "c run starts are not 0-based and strictly increasing below 100",
     ),
     "{tree_group_columns}": (
         lambda t, loc: operator.setitem(loc["c"]["groups"]["owner"][1], 0, 23_812),
-        "L2/0 c group columns have unequal lengths",
+        "c group columns have unequal lengths",
     ),
     "{tree_run_length_zero}": (
         lambda t, loc: operator.setitem(loc["c"]["groups"]["first"][1], 0, 0),
-        "L2/0 c group first lengths are not one positive length per value",
+        "c group first lengths are not one positive length per value",
     ),
     # no built local level holds more than cantor.MAX_NODES target balls
     "{tree_run_too_long}": (
         lambda t, loc: operator.setitem(loc["c"]["groups"]["count"][1], 1, 10**12),
-        "L2/0 c group count lengths are not one positive length per value, at most 2000000 in all",
+        "c group count lengths are not one positive length per value, at most 2000000 in all",
     ),
     "{tree_count_huge}": (
         lambda t, loc: operator.setitem(loc["c"]["groups"]["count"][0], 1, 10**9),
-        "L2/0 c group counts are not positive, at most 2000000 in all",
+        "c group counts are not positive, at most 2000000 in all",
     ),
     "{tree_group_pair}": (
         lambda t, loc: loc["c"]["groups"]["count"].pop(),
-        "L2/0 c group count is not a [values, lengths] pair",
-    ),
-    "{tree_parent}": (
-        lambda t, loc: loc.update(parent_index=1),
-        "L2/0 parent (1, 1) is not one of the 1 balls of level 1",
+        "c group count is not a [values, lengths] pair",
     ),
     "{tree_constants}": (lambda t, loc: t.update(constants=[]), "tree constants are not an object"),
     "{tree_cloud_size}": (
         lambda t, loc: operator.setitem(loc["c"]["runs"]["size"], 1, 2**22),
-        "L2/0 c run 1 was built on a stage-2097152 cloud of 4194304 points; the config's stages give 2097152",
+        "c run 1 was built on a stage-2097152 cloud of 4194304 points; the config's stages give 2097152",
     ),
 }
 # a 1-D attractor whose first-level hulls [0, 0.3] and [0.2, 0.5] overlap (the third is [0.8, 1])
@@ -134,7 +135,7 @@ def saved_trees(tmp_path_factory):
     paths = {"{tree}": str(out / "tree.json")}
     for key, (edit, _) in _EDITED_TREES.items():
         tree = json.loads(text)
-        edit(tree, tree["levels"][0][0])
+        edit(tree, tree["level"])
         path = out / f"{key.strip('{}')}.json"
         path.write_text(json.dumps(tree))
         paths[key] = str(path)
@@ -160,7 +161,7 @@ def test_audit_build_with_saved_tree_stays_small(tmp_path):
         tracemalloc.stop()
     assert code == 0 and peak < 20e6
     with open(tmp_path / "tree.json") as fh:
-        (loc,) = tree_from_json(json.load(fh), cli._cantor_params(cfg).stages).levels[0]
+        loc = tree_from_json(json.load(fh), cli._cantor_params(cfg).stages).level
     assert (len(loc.a_center), len(loc.c_center)) == (23_811, 70_923)
 
 
@@ -205,7 +206,8 @@ _GASKET = {"variant": "ifs", "maps": [{"ratio": 0.5, "translation": t} for t in 
     "base, code, err",
     [
         ({"variant": "polyline", "vertices": [[0.1, 0.1], [0.5, 0.7], [0.9, 0.2]]}, 0, ""),
-        (_GASKET, 2, "validation error: distance_to_set does not measure an IFS attractor; use cylinder_cut or cut_hits\n"),
+        (_GASKET, 2, "validation error: randsim cannot measure an IFS attractor on the torus: a base may be a point "
+                     "set, a plane, a circle, a sphere or a polyline\n"),
         (
             {"variant": "plane", "base": [0.0, 0.5], "basis": [[math.cos(1.0), math.sin(1.0)]]},
             2,
@@ -356,6 +358,7 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, config, args):
         ("fit-lsp", "fit_lsp_cantor.json", None, "grid=5"),
         ("randsim", "randsim_bc.json", None, "rule=5"),
         ("cantor-verify", "cantor_audit.json", None, ("tree={tree}", "treee=x")),
+        ("cantor-verify", "cantor_audit.json", None, ("tree={tree}", "depth=2")),
         # a nested key no command reads
         ("boxdim", "boxdim_point.json", None, "model.foo=1"),
         ("fit-lsp", "fit_lsp_point.json", None, "grids.sample=5"),
@@ -409,6 +412,11 @@ def test_missing_or_invalid_keys_exit_2(request, tmp_path, command, name, drop, 
         ("randsim", "randsim_bc.json", "name=r",
          "config: Additional properties are not allowed ('name' was unexpected)"),
         ("cantor-build", "cantor_audit.json", "eta=1", "eta: 1, above 1"),
+        # a tree is its root and one local level, so there is no depth to set
+        ("cantor-build", "cantor_audit.json", "depth=2",
+         "config: Additional properties are not allowed ('depth' was unexpected)"),
+        ("randsim", "randsim_bc.json", "mode=x", 'mode: "x", one of ["covering-exponent", "bc-diagnostic"]'),
+        ("randsim", "randsim_points_tau2.json", "mode=x", 'mode: "x", one of ["covering-exponent", "bc-diagnostic"]'),
         ("cantor-build", "cantor_audit.json", 'stages.type="grid"',
          'stages.type: "grid", one of ["grid-cloud", "vdc-points"]'),
         ("cantor-verify", "cantor_audit.json", "eta=2", "config: 'tree' is a required property"),
@@ -422,6 +430,27 @@ def test_schema_refusals_name_the_path_and_the_bound(capsys, command, name, over
     assert main([command, "--config", f"bundled:{name}", "--set", override]) == 2
     err = capsys.readouterr().err
     assert err == f"validation error: {command}: config failed schema validation: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name, drop, mode, key",
+    [
+        ("randsim_points_tau2.json", "N_list", None, "N_list"),
+        ("randsim_points_tau2.json", "N_list", "covering-exponent", "N_list"),
+        ("randsim_bc.json", "rules", "bc-diagnostic", "rules"),
+    ],
+)
+def test_randsim_names_the_key_its_mode_requires(tmp_path, capsys, name, drop, mode, key):
+    cfg = bundled_config(name)
+    cfg.pop(drop)
+    cfg.pop("mode", None)
+    if mode is not None:
+        cfg["mode"] = mode
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["randsim", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: randsim: config failed schema validation: config: '{key}' is a required property\n"
 
 
 @pytest.mark.parametrize("overrides, message", _FOREIGN_TREE)

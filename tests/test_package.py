@@ -35,3 +35,15 @@ def test_every_public_name_is_used_in_the_package():
                 if reads[node.name] - _reads(node)[node.name] <= 0:
                     unread.add(f"{module}.{node.name}")
     assert unread == UNREFERENCED
+
+
+def test_cantor_tree_levels_is_read_outside_the_package_only():
+    # CantorTree.levels ([[level]]) serves perfbench's tracer; the package
+    # reads the one local level as ``tree.level``
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "levels"
+    ]
+    assert readers == []
