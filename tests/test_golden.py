@@ -36,7 +36,12 @@ the exact bit: every float is stored as ``float.hex``.  They are
   16 blocks of 2**16 points), and the audit with its last plateau raised
   to 5.3e-9, whose deep sublevel hosts its covers in two stages;
 - ``randsim`` bc-diagnostics of 200 stages on two bases in the plane whose
-  windows fit in the unit box: a circle and a polyline.
+  windows fit in the unit box: a circle and a polyline;
+- sup-metric tilted sets: the box dimension of perfbench's pass-0
+  ``boxdim_polyline`` segment at 60,000 samples per scale, and the Minkowski
+  content of a tilted line in R^3 (codimension 2) at the schema's least
+  1,000 samples per scale and of a tilted line in the plane (a hyperplane)
+  at 20,000.
 
 A variant that raises a ``ToolkitError`` pins the error's type, message and
 achieved fraction instead of a results block.
@@ -207,6 +212,20 @@ def variant_configs():
     ):
         scheme = {**bc["scheme"], "base": base, "n": 2}
         out[f"randsim_bc_{name}"] = ("randsim", {**bc, "scheme": scheme, "x": [0.3, 0.8], "N": 200})
+    segment = bundled_config("boxdim_segment.json")
+    out["boxdim_sup_polyline"] = ("boxdim", {
+        **segment, "model": {"variant": "polyline", "vertices": [[0.0, 0.0], [1.6, 0.1]]},
+        "scales": [2.0 ** (-5.0 - 6.7 * i / 7) for i in range(8)], "samples_per_scale": 60_000,
+    })
+    minkowski = bundled_config("minkowski_segment.json")
+    out["minkowski_sup_line_3d"] = ("minkowski", {
+        **minkowski, "samples_per_scale": 1000, "scales": [2.0**-e for e in range(1, 9)],
+        "model": {"variant": "plane", "base": [0.1, 0.2, 0.3], "basis": [[0.48, 0.6, 0.64]]},
+    })
+    out["minkowski_sup_line_2d"] = ("minkowski", {
+        **minkowski, "samples_per_scale": 20_000,
+        "model": {"variant": "plane", "base": [0.5, 0.5], "basis": [[0.6, 0.8]]},
+    })
     return out
 
 
