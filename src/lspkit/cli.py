@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
@@ -44,7 +45,7 @@ from .cantor import (
 from .covering import Ball, BallFamily, build_caj, build_kgb, family_is_disjoint, five_r_cover, five_r_covers
 from .dimfun import GaugePair, corollary_exponent, gauge_from_json, mtp_radius, verify_gauge_pair
 from .errors import ArgumentError, DomainError, RangeError, ToolkitError, UnsupportedCombination
-from .measure import box_dimensions, fit_lsp, minkowski_content, scaling_fit_to_json
+from .measure import box_dimensions, fit_lsp, minkowski_content
 from .randomsim import MAX_N, RandomScheme, covering_exponent, coverage_frequency
 from .sets import model_from_json
 from .stages import GridCloudStages, VdcPointStages
@@ -432,7 +433,7 @@ def _run_fit_lsp(cfg, rng):
         **_given(cfg, metric=str),
     )
     tables = [("cells.csv", ["log_r", "log_delta", "log_measure", "stderr"], fit.points)]
-    return {"fit": scaling_fit_to_json(fit)}, tables
+    return {"fit": asdict(fit)}, tables
 
 
 def _run_boxdim(cfg, rng):
@@ -444,7 +445,7 @@ def _run_boxdim(cfg, rng):
         **_given(cfg, samples_per_scale=int, metric=str),
     )
     tables = [("scales.csv", ["log_delta", "log_volume"], lower.points)]
-    return {"lower": scaling_fit_to_json(lower), "upper": scaling_fit_to_json(upper)}, tables
+    return {"lower": asdict(lower), "upper": asdict(upper)}, tables
 
 
 def _run_minkowski(cfg, rng):
@@ -591,7 +592,7 @@ def _run_randsim(cfg, rng):
             )
         ]
         return {
-            "fit": scaling_fit_to_json(out.fit),
+            "fit": asdict(out.fit),
             "predicted": out.predicted,
             "per_j_constants": out.per_j_constants,
         }, tables

@@ -486,29 +486,40 @@ def _window_volumes(m, scales, samples_per_scale, rng, metric):
     return scales, vols
 
 
+def _least_squares(a, y):
+    """Coefficients of y ~ a, their standard errors and the residuals."""
+    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+    resid = y - a @ coef
+    cov = float(resid @ resid) / max(len(y) - a.shape[1], 1) * np.linalg.inv(a.T @ a)
+    return coef, [math.sqrt(max(v, 0.0)) for v in np.diag(cov)], resid
+
+
 def _ols_line(x, y):
-    a = np.vstack([x, np.ones_like(x)]).T
-    coef, res, *_ = np.linalg.lstsq(a, y, rcond=None)
-    fitted = a @ coef
-    resid = y - fitted
-    dof = max(len(x) - 2, 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(a.T @ a)
-    return coef[0], coef[1], math.sqrt(max(cov[0, 0], 0.0)), resid
+    coef, se, resid = _least_squares(np.vstack([x, np.ones_like(x)]).T, y)
+    return coef[0], coef[1], se[0], resid
 
 
 def _support_slopes(x, y):
-    """Slopes of the least-gap support lines below and above the points."""
-    from scipy.optimize import linprog
-
-    n = len(x)
+    """Slopes of the support lines below and above the points (x, y) that
+    are highest, resp. lowest, at mean(x): the lower and upper convex-hull
+    edges that span it, from Andrew's monotone chain (Inf. Process. Lett. 9,
+    1979).  At a hull vertex, up to 1e-12 of the x span, every slope between
+    its two edges is optimal and the left edge's is taken.  x needs 2
+    distinct values.
+    """
+    reach = float(np.mean(x)) - 1e-12 * float(np.ptp(x))
     out = []
-    for sign in (1.0, -1.0):
-        c = -sign * np.array([n, float(np.sum(x))])
-        a_ub = sign * np.vstack([np.ones(n), x]).T
-        b_ub = sign * y
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * 2, method="highs")
-        out.append(res.x[1] if res.success else float("nan"))
+    for sign in (1.0, -1.0):  # the upper hull is the lower hull of (x, -y)
+        hull = []
+        for p in sorted(zip(x.tolist(), (sign * y).tolist())):
+            while len(hull) >= 2:
+                (ax, ay), (bx, by) = hull[-2:]
+                if (bx - ax) * (p[1] - ay) > (by - ay) * (p[0] - ax):
+                    break  # b lies below the chord from a to p: keep it
+                hull.pop()
+            hull.append(p)
+        (x0, y0), (x1, y1) = next((a, b) for a, b in zip(hull, hull[1:]) if b[0] >= reach)
+        out.append(sign * (y1 - y0) / (x1 - x0))
     return out[0], out[1]  # below, above
 
 
@@ -516,16 +527,18 @@ def box_dimensions(m: SetModel, scales, samples_per_scale=DEFAULT_SAMPLES, rng=N
     """Lower/upper box-dimension fits from neighborhood volumes.
 
     The central estimate is n minus the least-squares slope of log volume
-    against log delta; the lower/upper split fits the support lines touching
-    the residual envelope from below and above.
+    against log delta; the lower/upper split is n minus the slopes of the
+    convex-hull edges below and above the points that span the mean log
+    delta (``_support_slopes``).  Where the mean is a hull vertex, as for an
+    odd number of evenly spaced scales, the edge toward finer scales is taken.
     """
     n = m.ambient_dim
     sc, vols = _window_volumes(m, scales, samples_per_scale, rng, metric)
     keep = vols > 0
-    if np.count_nonzero(keep) < 3:
-        raise EstimationError("too few scales with positive measure")
     x = np.log(sc[keep])
     y = np.log(vols[keep])
+    if x.size < 3 or np.ptp(x) == 0:
+        raise EstimationError("too few distinct scales with positive measure")
     slope, intercept, slope_se, resid = _ols_line(x, y)
     s_lo, s_hi = _support_slopes(x, y)
     dims = sorted([n - s_lo, n - s_hi])
@@ -560,18 +573,13 @@ def regress_lsp(log_delta, log_r, log_h):
     lh = np.asarray(log_h, dtype=float)
     if np.std(ld) < 1e-12 or np.std(lr) < 1e-12:
         raise ArgumentError("delta and r grids must both vary")
-    a = np.vstack([ld, lr, np.ones_like(ld)]).T
-    coef, *_ = np.linalg.lstsq(a, lh, rcond=None)
-    resid = lh - a @ coef
-    dof = max(len(lh) - 3, 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(a.T @ a)
+    coef, se, resid = _least_squares(np.vstack([ld, lr, np.ones_like(ld)]).T, lh)
     return {
         "delta_exp": float(coef[0]),
         "r_exp": float(coef[1]),
         "intercept": float(coef[2]),
-        "delta_exp_stderr": math.sqrt(max(cov[0, 0], 0.0)),
-        "r_exp_stderr": math.sqrt(max(cov[1, 1], 0.0)),
+        "delta_exp_stderr": se[0],
+        "r_exp_stderr": se[1],
         "residuals": resid,
     }
 
@@ -640,7 +648,7 @@ def fit_lsp(
     kappa_se = reg["r_exp_stderr"] / n
     scale = np.exp(ld * (1 - kappa_hat) * n + lr * kappa_hat * n)
     ratios = hs / scale
-    fit = LspFit(
+    return LspFit(
         exponent=reg["r_exp"],
         exponent_stderr=reg["r_exp_stderr"],
         intercept=reg["intercept"],
@@ -651,22 +659,4 @@ def fit_lsp(
         c3_hat=float(np.min(ratios)),
         c4_hat=float(np.max(ratios)),
     )
-    return fit
 
-
-def scaling_fit_to_json(fit: ScalingFit) -> dict:
-    out = {
-        "exponent": fit.exponent,
-        "exponent_stderr": fit.exponent_stderr,
-        "intercept": fit.intercept,
-        "residual_max": fit.residual_max,
-        "points": fit.points,
-    }
-    if isinstance(fit, LspFit):
-        out.update(
-            kappa_hat=fit.kappa_hat,
-            kappa_stderr=fit.kappa_stderr,
-            c3_hat=fit.c3_hat,
-            c4_hat=fit.c4_hat,
-        )
-    return out

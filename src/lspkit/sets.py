@@ -3,11 +3,10 @@
 The catalogue covers point sets, affine planes, parametric manifolds
 (circle / sphere / polyline), and self-similar attractors of contracting
 similarity systems.  ``distance_to_set`` gives exact closed forms for every
-model but attractors, except sup-metric planes in n >= 3 that are neither
-hyperplanes nor coordinate planes, which solve one Chebyshev LP per point.
-The sup-metric polyline distance is an exact closed form: the minimum of a
-convex piecewise-linear function of the segment parameter over its kinks
-(``_sup_segment_min``).
+model but attractors: a tilted plane's sup distance is the largest
+|v . (x - base)| over its dual vertices v (``AffinePlane.sup_duals``), and a
+polyline's is the minimum of a convex piecewise-linear function of the
+segment parameter over its kinks (``_sup_segment_min``).
 
 Attractors are measured through their cylinder tree, never through
 ``distance_to_set``, which refuses them.  ``_expand`` is the one engine: it
@@ -33,7 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
+from itertools import combinations, product
 
 import numpy as np
 
@@ -41,6 +41,8 @@ from .errors import ArgumentError
 
 ORTHO_TOL = 1e-12
 SAMPLE_TOL = 1e-9  # attractor samples use words whose cylinders are below this radius
+MAX_DUAL_ZERO_SETS = 1024  # C(n, l + 1) a tilted sup plane may enumerate: any plane in n <= 12
+_DUAL_ROWS = 1024  # points per block of a tilted sup plane's (rows, duals) array, 8 MB at the cap
 
 
 def _as_points(x, n):
@@ -132,6 +134,24 @@ class AffinePlane:
     @property
     def plane_dim(self):
         return self.basis.shape[0]
+
+    @cached_property
+    def sup_duals(self):
+        """Rows v with sup distance max_v |v . (x - base)|, computed on first use:
+        the vertices of {y orthogonal to the span : ||y||_1 <= 1} (l1 is the
+        sup norm's dual), one per sign pair, with repeats.  Each zero set of
+        n - l - 1 coordinates gives W^T z, W the orthonormal complement rows
+        and z the last right singular vector of W's columns there; every vertex
+        is one, and no row leaves the set, so none overshoots.
+        """
+        l, n = self.basis.shape
+        if math.comb(n, l + 1) > MAX_DUAL_ZERO_SETS:
+            raise ArgumentError(f"a tilted sup-metric plane of dimension {l} in dimension {n} has C({n}, {l + 1}) = "
+                                f"{math.comb(n, l + 1)} dual zero sets, above {MAX_DUAL_ZERO_SETS}")
+        comp = np.linalg.svd(self.basis, full_matrices=True)[2][l:]
+        zeros = np.array(list(combinations(range(n), n - l - 1)), dtype=np.intp)
+        v = np.linalg.svd(comp.T[zeros], full_matrices=True)[2][:, -1] @ comp
+        return v / np.abs(v).sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -512,26 +532,15 @@ def _plane_distance(m: AffinePlane, pts, metric):
         return _norm(pts[:, ~m.free_axes] - m.base[~m.free_axes], "sup")
     diff = pts - m.base
     if metric == "euclidean":
-        resid = diff - (diff @ m.basis.T) @ m.basis
-        return np.linalg.norm(resid, axis=1)
-    n, l = m.ambient_dim, m.plane_dim
-    if l == n - 1:
-        # hyperplane: closed form |normal . diff| / ||normal||_1
-        _, _, vt = np.linalg.svd(m.basis, full_matrices=True)
-        normal = vt[-1]
-        return np.abs(diff @ normal) / np.abs(normal).sum()
-    # general low-dimensional plane under sup norm: Chebyshev projection LP
-    from scipy.optimize import linprog
-
-    out = np.empty(len(pts))
-    for i, d in enumerate(diff):
-        c = np.zeros(l + 1)
-        c[-1] = 1.0
-        rows = np.hstack([m.basis.T, -np.ones((n, 1))])
-        a_ub = np.vstack([rows, -np.hstack([m.basis.T, np.ones((n, 1))])])
-        b_ub = np.concatenate([d, -d])
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * (l + 1))
-        out[i] = res.x[-1]
+        return np.linalg.norm(diff - (diff @ m.basis.T) @ m.basis, axis=1)
+    duals = m.sup_duals
+    out = np.empty(len(diff))
+    for lo in range(0, len(diff), _DUAL_ROWS):
+        d = diff[lo : lo + _DUAL_ROWS]
+        dots = d[:, :1] * duals[:, 0]
+        for i in range(1, diff.shape[1]):  # coordinate by coordinate: the same bits in any block
+            dots += d[:, i, None] * duals[:, i]
+        np.abs(dots, out=dots).max(axis=1, out=out[lo : lo + _DUAL_ROWS])
     return out
 
 

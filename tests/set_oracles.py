@@ -6,8 +6,12 @@ reference distance the tests check attractor geometry against (acceptance 4
 among them).  ``transform_model`` moves a model by an isometry, to build
 rotated and shifted fixtures and to check that distances are equivariant.
 ``torus_distance`` is the reference that ``randomsim``'s torus rules are
-checked against.
+checked against.  ``support_slopes_lp`` and ``plane_distance_lp`` are the
+linear programs that ``measure._support_slopes`` and the sup-metric distance
+to a tilted plane solve in closed form.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -108,6 +112,58 @@ def transform_model(m: SetModel, iso: Isometry) -> SetModel:
             maps.append(IFSMap(mp.ratio, new_t, None if rot is None and mp.rotation is None else new_rot))
         return IFSAttractor(IFS(tuple(maps), m.ifs.osc_declared))
     raise ArgumentError(f"unknown set model {type(m).__name__}")
+
+
+def support_slopes_lp(x, y):
+    """Reference for ``measure._support_slopes``: the slopes b of the lines
+    a + b x below (above) every point (x, y) with the largest (least)
+    a + b mean(x), each solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    n = len(x)
+    out = []
+    for sign in (1.0, -1.0):
+        c = -sign * np.array([n, float(np.sum(x))])
+        a_ub = sign * np.vstack([np.ones(n), x]).T
+        res = linprog(c, A_ub=a_ub, b_ub=sign * y, bounds=[(None, None)] * 2, method="highs")
+        assert res.success
+        out.append(res.x[1])
+    return out[0], out[1]
+
+
+def plane_distance_lp(m: AffinePlane, pts):
+    """Reference sup-metric distance from each point to the plane: the least
+    z with |d - B^T t| <= z coordinatewise, d = x - base, one HiGHS linear
+    program in (t, z) per point, its vertex then re-solved exactly.
+
+    HiGHS stops within its tolerances (1e-7), here up to about 1e-9 above
+    the least z.  Each set of l + 1 coordinates whose residual d - B^T t
+    comes within 1e-6 max|d| of HiGHS's z gives the t of B^T t + s z = d on
+    those coordinates, s the residuals' signs; the least max|d - B^T t| over
+    these t and HiGHS's own is returned.  Each is the value at a real t, so
+    the reference is never below the distance.
+    """
+    from scipy.optimize import linprog
+
+    n, l = m.ambient_dim, m.plane_dim
+    cost = np.zeros(l + 1)
+    cost[-1] = 1.0
+    ones = np.ones((n, 1))
+    a_ub = np.vstack([np.hstack([m.basis.T, -ones]), -np.hstack([m.basis.T, ones])])
+    out = []
+    for d in np.atleast_2d(pts) - m.base:
+        res = linprog(cost, A_ub=a_ub, b_ub=np.concatenate([d, -d]), bounds=[(None, None)] * (l + 1), method="highs")
+        assert res.success
+        resid = d - m.basis.T @ res.x[:l]
+        best = np.abs(resid).max()
+        near = np.flatnonzero(np.abs(resid) >= res.x[-1] - 1e-6 * np.abs(d).max())
+        for rows in map(list, combinations(near, l + 1)):
+            a = np.hstack([m.basis.T[rows], np.sign(resid[rows])[:, None]])
+            if abs(np.linalg.det(a)) > 1e-9:
+                t = np.linalg.solve(a, d[rows])[:l]
+                best = min(best, np.abs(d - m.basis.T @ t).max())
+        out.append(best)
+    return np.array(out)
 
 
 def torus_distance(base: SetModel, trans, x, reach=4):

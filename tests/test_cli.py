@@ -16,6 +16,8 @@ from lspkit import cli, covering, errors, measure, randomsim, sets
 from lspkit.cantor import tree_from_json
 from lspkit.cli import SCHEMAS, bundled_config, main, run
 
+from test_golden import bundled_names, command_of
+
 # a readable JSON file that is not a Cantor tree
 _NOT_A_TREE = resources.files("lspkit.configs") / "boxdim_point.json"
 # overrides under which the bundled audit's saved tree ({tree}; {tree_2d} is
@@ -116,6 +118,13 @@ _OVERLAPPING = (
     'model.maps=[{"ratio":0.3,"translation":[0.0]},{"ratio":0.3,"translation":[0.2]},'
     '{"ratio":0.2,"translation":[0.8]}]'
 )
+
+# a tilted 5-plane in R^13, each basis row (0.6, 0.8) on its own pair of axes
+_WIDE_PLANE = {
+    "variant": "plane",
+    "base": [0.0] * 13,
+    "basis": [[0.0] * (2 * j) + [0.6, 0.8] + [0.0] * (11 - 2 * j) for j in range(5)],
+}
 
 # the bundled middle-third Cantor set with its first map's rotation misspelt
 _MISSPELT_MAP = (
@@ -378,6 +387,8 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, config, args):
         ("randsim", "randsim_bc.json", None, "trials=1000001"),
         ("randsim", "randsim_bc.json", None, "rules=" + json.dumps([{"name": "r", "exponent": 1.0}] * 33)),
         ("cover", "cover_caj_line.json", None, "pool=1000001"),
+        # a tilted sup-metric plane past the dual zero-set cap: C(13, 6) = 1716
+        ("minkowski", "minkowski_segment.json", None, ("samples_per_scale=1000", f"model={json.dumps(_WIDE_PLANE)}")),
         # a 1-D attractor the exact path cannot measure
         ("minkowski", "minkowski_cantor.json", None, _OVERLAPPING),
         ("fit-lsp", "fit_lsp_cantor.json", None, _OVERLAPPING),
@@ -568,20 +579,13 @@ def test_perfbench_tracer_installs_and_uninstalls(tmp_path):
     assert (cli.run, cli.tree_to_json, cli.tree_from_json) == originals
 
 
-# bundled configs whose commands build no KD-tree, and so load no scipy module
-_TREELESS = [
-    ("transform", "transform_demo.json"),
-    ("cover", "cover_five_r.json"),
-    ("cover", "cover_caj_line.json"),
-    ("cover", "cover_kgb_vdc.json"),
-    ("cantor-build", "cantor_audit.json"),
-    ("randsim", "randsim_bc.json"),
-    ("fit-lsp", "fit_lsp_line.json"),
-]
+# every bundled config but the gasket's box dimension builds no KD-tree, and so loads no scipy module
+_TREELESS = [(command_of(name), name) for name in bundled_names() if name != "boxdim_sierpinski.json"]
 
 
 def test_scipy_loads_with_the_first_kdtree():
-    # a fresh interpreter, so no other test has imported scipy yet
+    # a fresh interpreter, so no other test has imported scipy yet; the
+    # gasket's proxy trees load scipy.spatial, and nothing loads scipy.optimize
     script = f"""
 import json, sys
 sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
@@ -590,10 +594,11 @@ for command, name in {_TREELESS!r}:
     assert run(command, bundled_config(name))[0] == 0
 treeless = sorted(mod for mod in sys.modules if mod.split(".")[0] == "scipy")
 assert run("boxdim", bundled_config("boxdim_sierpinski.json"), overrides=["samples_per_scale=20000"])[0] == 0
-print(json.dumps({{"treeless": treeless, "gasket": "scipy.spatial" in sys.modules}}))
+print(json.dumps({{"treeless": treeless, "gasket": "scipy.spatial" in sys.modules,
+                  "optimize": "scipy.optimize" in sys.modules}}))
 """
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout) == {"treeless": [], "gasket": True}
+    assert json.loads(out.stdout) == {"treeless": [], "gasket": True, "optimize": False}
 
 
 def test_kgb_shortfall_exits_3(tmp_path):

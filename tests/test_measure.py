@@ -41,7 +41,7 @@ from lspkit.sets import (
     _norm,
 )
 
-from set_oracles import transform_model
+from set_oracles import support_slopes_lp, transform_model
 
 
 def middle_third():
@@ -163,6 +163,53 @@ def test_fit_lsp_cantor():
 def test_fit_lsp_rejects_flat_grids():
     with pytest.raises(ArgumentError):
         fit_lsp(PointSet(np.array([[0.0]])), [0.1, 0.1], [0.9, 0.9])
+
+
+def test_support_slopes_match_the_lp():
+    # on random inputs, where mean(x) is no hull vertex, the hull edges that
+    # span it are the unique optima of the support-line programs
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        k = int(rng.integers(2, 12))
+        x = rng.uniform(-9.0, -1.0, size=k)
+        y = 1.5 * x + rng.normal(size=k)
+        assert measure._support_slopes(x, y) == pytest.approx(support_slopes_lp(x, y), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [0.0, 1.0, 2.0],
+        [0.0, 0.5, 1.0, 1.0, 2.0],  # a repeated x on the vertex
+        # seven halving scales: mean(x) falls 8.9e-16 left of the middle point
+        np.log(2.0 ** -np.arange(6, 13)),
+        # and 4.4e-16 right of it
+        np.log(2.0 ** -np.arange(2, 9)),
+    ],
+    ids=["exact", "repeated", "mean-left", "mean-right"],
+)
+def test_support_slopes_take_the_left_edge_at_a_vertex(x):
+    # mean(x) on a hull vertex: every slope between its two edges is optimal,
+    # and the edge left of the vertex is taken, whichever side of it the
+    # rounded mean falls
+    x = np.asarray(x, dtype=float)
+    mid = np.median(x)
+    kink = np.abs(x - mid)
+    # a V below: the lower hull turns at the vertex, from slope -1 to 1
+    lower, upper = measure._support_slopes(x, kink)
+    assert lower == -1.0 and upper == pytest.approx((kink[-1] - kink[0]) / (x[-1] - x[0]), abs=1e-12)
+    # a V above: the upper hull turns there, from slope 1 to -1
+    lower, upper = measure._support_slopes(x, -kink)
+    assert upper == 1.0 and lower == pytest.approx(-(kink[-1] - kink[0]) / (x[-1] - x[0]), abs=1e-12)
+
+
+def test_box_dimensions_need_two_distinct_scales_with_measure(monkeypatch):
+    # three repeated scales keep measure and the fine one none: no support
+    # line has a slope
+    volumes = (np.array([0.1, 0.1, 0.1, 1e-3]), np.array([0.5, 0.5, 0.5, 0.0]))
+    monkeypatch.setattr(measure, "_window_volumes", lambda *args: volumes)
+    with pytest.raises(EstimationError, match="too few distinct scales with positive measure"):
+        box_dimensions(PointSet(np.zeros((1, 2))), [0.1, 0.1, 0.1, 1e-3])
 
 
 def test_box_dimension_preconditions_and_degenerate():

@@ -47,3 +47,26 @@ def test_cantor_tree_levels_is_read_outside_the_package_only():
         if isinstance(node, ast.Attribute) and node.attr == "levels"
     ]
     assert readers == []
+
+
+
+def _imported(node):
+    """Dotted names an import statement may load: the modules, and for
+    ``from m import a`` also ``m.a``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_no_module_imports_scipy_optimize():
+    # support lines come from the convex hull and plane distances from the
+    # dual vertices, so the package solves no linear program
+    imports = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.") for name in _imported(node))
+    ]
+    assert imports == []

@@ -3,8 +3,11 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from lspkit import sets
 from lspkit.errors import ArgumentError
 from lspkit.sets import (
     IFS,
@@ -26,7 +29,7 @@ from lspkit.sets import (
     sample_on_set,
 )
 
-from set_oracles import distance_to_attractor, set_distance, transform_model
+from set_oracles import distance_to_attractor, plane_distance_lp, set_distance, transform_model
 
 
 def middle_third():
@@ -84,7 +87,7 @@ def test_plane_distance():
     xaxis = AffinePlane(np.zeros(2), np.array([[1.0, 0.0]]))
     assert distance_to_set(xaxis, [7.0, -2.0]) == pytest.approx(2.0)
     assert distance_to_set(xaxis, [7.0, -2.0], metric="euclidean") == pytest.approx(2.0)
-    # non-axis-aligned line in the plane: hyperplane closed form under sup
+    # non-axis-aligned line in the plane: one dual vertex, its normal over its l1 norm
     diag = AffinePlane(np.zeros(2), np.array([[1.0, 1.0]]) / math.sqrt(2))
     # sup distance to {y=x} from (1, 0): the point (0.5, 0.5) realizes 0.5
     assert distance_to_set(diag, [1.0, 0.0], metric="sup") == pytest.approx(0.5)
@@ -103,14 +106,84 @@ def test_coordinate_plane_sup_distance_reads_its_fixed_axes():
     assert AffinePlane(np.zeros(2), np.array([[0.6, 0.8]])).free_axes is None
 
 
-def test_line_in_3d_sup_distance_lp():
-    line = AffinePlane(np.zeros(3), np.array([[1.0, 1.0, 0.0]]) / math.sqrt(2))
-    d = distance_to_set(line, [1.0, 0.0, 0.3], metric="sup")
-    # brute force over the line parameter
-    t = np.linspace(-3, 3, 200001)
-    pts = t[:, None] * (np.array([1.0, 1.0, 0.0]) / math.sqrt(2))
-    brute = np.min(np.max(np.abs(pts - np.array([1.0, 0.0, 0.3])), axis=1))
-    assert d == pytest.approx(brute, abs=1e-4)
+@st.composite
+def _planes(draw):
+    """A plane of dimension l < n <= 8 through a base, with query points.
+
+    The basis is the orthonormalised span of rows whose entries are small
+    integers or multiples of 1/1024, so zero coordinates, shared magnitudes,
+    coordinate axes inside a tilted span and whole coordinate planes all
+    turn up.  (HiGHS treats matrix entries below 1e-9 as zero, so a drawn
+    entry that small would test the oracle's presolve, not the distance.)"""
+    n = draw(st.integers(2, 8))
+    l = draw(st.integers(1, n - 1))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-1024, 1024).map(lambda k: k / 1024)).map(float)
+    rows = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=l, max_size=l)))
+    q, r = np.linalg.qr(rows.T)
+    if np.abs(np.diag(r)).min() < 1e-3:
+        rows = np.eye(n)[:l]  # a coordinate plane in place of a rank-deficient draw
+        q = rows.T
+    coord = st.floats(-3.0, 3.0)
+    base = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    pts = np.array(draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=4)))
+    return q.T, base, pts
+
+
+def _case(basis, pts, base=None):
+    basis = np.atleast_2d(np.asarray(basis, dtype=float))
+    base = np.zeros(basis.shape[1]) if base is None else np.asarray(base, dtype=float)
+    return basis, base, np.atleast_2d(np.asarray(pts, dtype=float))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_planes())
+# a line in R^3 off every axis, 0.5 from (1, 0, 0.3)
+@example(_case(np.array([[1.0, 1.0, 0.0]]) / math.sqrt(2), [[1.0, 0.0, 0.3], [0.2, -0.4, 2.0]]))
+# degenerate bases: zero entries and entries of equal size
+@example(_case([[0.6, 0.8, 0.0]], [[1.0, 0.0, 0.3], [-0.5, 0.7, -1.2]], base=[0.1, 0.2, 0.3]))
+@example(_case(np.array([[1.0, 1.0, 1.0, 0.0, 0.0]]) / math.sqrt(3), [[1.0, -1.0, 0.5, 0.2, -2.0], [0.3] * 5]))
+# a tilted plane that contains the first coordinate axis
+@example(_case([[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.8, 0.0]], [[5.0, 1.0, -1.0, 0.5], [0.0, 0.3, 0.4, -0.2]]))
+def test_tilted_plane_sup_distance_matches_the_lp(case):
+    # the dual-vertex form (or a coordinate plane's slice) equals the
+    # Chebyshev projection LP
+    basis, base, pts = case
+    plane = AffinePlane(base, basis)
+    got = distance_to_set(plane, pts, metric="sup")
+    assert got == pytest.approx(plane_distance_lp(plane, pts), rel=1e-12, abs=1e-12)
+
+
+def test_hyperplane_has_one_dual_vertex():
+    line = AffinePlane(np.array([0.5, 0.5]), np.array([[0.6, 0.8]]))
+    assert line.sup_duals.shape == (1, 2)
+    assert np.abs(line.sup_duals[0]) == pytest.approx([0.8 / 1.4, 0.6 / 1.4], rel=1e-15)
+
+
+def test_tilted_plane_distance_does_not_depend_on_its_block():
+    # the dot products are summed coordinate by coordinate, so a point's
+    # distance is the same bits whatever block it lands in
+    rows = sets._DUAL_ROWS
+    rng = np.random.default_rng(8)
+    basis = np.linalg.qr(rng.normal(size=(5, 2)))[0].T
+    plane = AffinePlane(rng.normal(size=5), basis)
+    pts = rng.uniform(-2.0, 2.0, size=(2 * rows + 7, 5))
+    whole = distance_to_set(plane, pts)
+    parts = [distance_to_set(plane, pts[lo : lo + size]) for lo, size in ((0, 1), (1, rows + 3), (rows + 4, 2 * rows))]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_tilted_sup_plane_past_the_zero_set_cap_is_refused():
+    # C(12, 6) = 924 zero sets are enumerated; C(13, 6) = 1716 are refused
+    rng = np.random.default_rng(4)
+    for n, l in ((12, 5), (13, 5)):
+        plane = AffinePlane(np.zeros(n), np.linalg.qr(rng.normal(size=(n, l)))[0].T)
+        pts = rng.uniform(-1.0, 1.0, size=(3, n))
+        assert distance_to_set(plane, pts, metric="euclidean").shape == (3,)
+        if math.comb(n, l + 1) <= sets.MAX_DUAL_ZERO_SETS:
+            assert distance_to_set(plane, pts) == pytest.approx(plane_distance_lp(plane, pts), abs=1e-12)
+        else:
+            with pytest.raises(ArgumentError, match=r"plane of dimension 5 in dimension 13 has C\(13, 6\) = 1716"):
+                distance_to_set(plane, pts)
 
 
 def _chebyshev_lp(c, d):
