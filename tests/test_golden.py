@@ -34,7 +34,10 @@ the exact bit: every float is stored as ``float.hex``.  They are
   by its SHA-256: the bundled audit, and the holder config at eta 8 on
   domain radii 85, 60 and 110 (at 110 the deep sublevel's cover pool spans
   16 blocks of 2**16 points), and the audit with its last plateau raised
-  to 5.3e-9, whose deep sublevel hosts its covers in two stages;
+  to 5.3e-9, whose deep sublevel hosts its covers in two stages; and the
+  holder config at eta 8 with its domain and stages shifted by -37.5 and by
+  +37.5, which shows how the deep sublevel's covers move with the
+  domain's position;
 - ``randsim`` bc-diagnostics of 200 stages on two bases in the plane whose
   windows fit in the unit box: a circle and a polyline;
 - sup-metric tilted sets: the box dimension of perfbench's pass-0
@@ -199,6 +202,13 @@ def variant_configs():
         **bundled_config("cantor_holder.json"), "eta": 8.0, "c5": 90.0 / 85.0, "save_tree": True,
     })
     holder = bundled_config("cantor_holder.json")
+    # the eta-8 build with its domain and stages shifted together
+    for offset in (-37.5, 37.5):
+        out[f"cantor_holder_eta8_offset{offset:+g}"] = ("cantor-build", {
+            **holder, "eta": 8.0, "c5": 90.0 / 85.0,
+            "domain": {**holder["domain"], "center": [offset]},
+            "stages": {**holder["stages"], "lo": offset - 85.0, "hi": offset + 85.0},
+        })
     for radius in (60.0, 110.0):
         out[f"cantor_holder_eta8_radius{radius:g}"] = ("cantor-build", {
             **holder, "eta": 8.0, "c5": 90.0 / radius, "save_tree": True,
