@@ -34,13 +34,14 @@ coordinate, and ``c_aidx`` names each target ball's selection ball by row.
 Memory and time follow the balls the builder selects.  A stage cloud
 (``stages.sorted_points(j)``) is read only through ``len``, slices,
 integer-array gathers and ``.searchsorted``, which a ``stages.GridView``
-computes on demand; and the first sublevel's K_{G,B} selection and a deep
-sublevel's cover pool are swept ``BLOCK`` points at a time, by one sweep
-(``covering._chain_blocks``).  A deep sublevel hosts its covers as the
-sweep yields them and stops sweeping once its mass target is met.  The
-audit decides whether a grid's point intervals are disjoint from the grid
-spacing, scanning the gaps only when rounding could decide it
-(``_points_disjoint``), and reads a column's distinct values from its runs.
+computes on demand; the first sublevel's K_{G,B} selection sweeps its
+stages ``BLOCK`` points at a time (``covering._chain_blocks``).  A deep
+sublevel's cover pool is a ``GridView`` too: its covers are chosen by index,
+every fourth point of each run the placed balls leave free, so they do not
+depend on where the domain sits.  The audit decides whether a grid's point
+intervals are disjoint from the grid spacing, scanning the gaps only when
+rounding could decide it (``_points_disjoint``), and reads a column's
+distinct values from its runs.
 
 Every center is a point of its stage cloud, so a saved tree (``tree_to_json``,
 format ``TREE_FORMAT``) stores each selection ball as its index into the
@@ -57,14 +58,13 @@ theirs.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .covering import BLOCK, Ball, _chain_blocks, build_kgb, greedy_net
+from .covering import BLOCK, Ball, build_kgb, greedy_net
 from .dimfun import GaugePair, eval_gauge, mtp_radius, ratio_direction_at, verify_gauge_pair
 from .errors import (
     ArgumentError,
@@ -436,85 +436,59 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
     transformed-radius ball on the stage cloud inside each, until the
     sublevel mass target is met; returns (centers, radii, js, mass).
 
-    The cover balls are a chain over the sorted pool of candidate centers:
-    the first point, then each first point at least ``2 d_min (1 - 1e-12)``
-    past the last kept one, so they are disjoint.  The pool is swept one
-    block at a time (``covering._chain_blocks``), and each stage hosts the
-    covers as the sweep yields them, in order: a stage that meets the
-    target stops the sweep there, and a stage that falls short has examined
-    every cover, so the next stage searches those it left unhosted.  The
-    picks, the mass and the truncation count are those of hosting the whole
-    chain stage by stage.
+    The covers are chosen by index from a ``GridView`` pool of step d_min/2
+    over half of B, point k at ``half_lo + d_min + k * step``.  Each merged
+    4-dilate of a placed target ball blocks the index range of the pool
+    points it holds (closed intervals), and the covers are every fourth
+    index of each free run, so they are 2 d_min apart and disjoint.  No run
+    carries a phase from the one before: a target radius is at least d_min,
+    so a blocked range spans at least 16 steps.  Each stage hosts every
+    remaining cover on its nearest cloud point, takes the first hosts within
+    ``d_min - 3 tilde`` up to the target, and leaves the rest to the next.
     """
     pair = params.gauges
-    half_lo = B.center[0] - 0.5 * B.radius
-    half_hi = B.center[0] + 0.5 * B.radius
+    step = d_min / 2.0
+    lo = B.center[0] - 0.5 * B.radius + d_min - 0.5 * step
+    size = max(int(math.floor(B.radius / step)) - 3, 0)  # k * step <= B.radius - 2 d_min
+    pool = GridView(lo, lo + size * step, size)
     # leftover region: half of B minus the 4-dilates of every target ball
     # placed so far; cover centers outside 4L with radius <= r(L) cannot
     # touch 3L, which preserves P1 across sublevels
-    order = np.argsort(leaf_center - 4.0 * leaf_radius)
-    b_lo = (leaf_center - 4.0 * leaf_radius)[order]
-    b_hi = np.maximum.accumulate((leaf_center + 4.0 * leaf_radius)[order])
-
-    def inside(pts):  # in some interval [b_lo[k], b_hi[k]]
-        idx = np.searchsorted(b_lo, pts, side="right") - 1
-        return (idx >= 0) & (pts <= np.where(idx >= 0, b_hi[np.maximum(idx, 0)], -np.inf))
-
-    # greedy same-radius disjoint cover of the leftover, swept lazily
-    step = d_min / 2.0
-    pool = np.arange(half_lo + d_min, half_hi - d_min + step / 4, step)
-    sweep = _chain_blocks(pool, 0, len(pool), inside, 2.0 * d_min * (1 - 1e-12), BLOCK)
-    sweep = (covers for covers in sweep if len(covers))
-    first = next(sweep, None)
-    if first is None:
-        raise ConstructionError(
-            f"sublevel {i}: leftover region produced no cover balls", sublevel=i
-        )
-    unhosted = [first]  # swept blocks of covers no stage has hosted; the rest of the sweep follows
+    starts, ends, _ = _merge_union(np.column_stack([leaf_center - 4.0 * leaf_radius, leaf_center + 4.0 * leaf_radius]))
+    run_lo = np.append(0, pool.searchsorted(np.nextafter(ends, np.inf)))
+    run_hi = np.append(pool.searchsorted(starts), size)
+    count = np.maximum(-((run_lo - run_hi) // 4), 0)  # ceil(run length / 4)
+    covers = pool[4 * np.arange(count.sum()) + np.repeat(run_lo - 4 * (np.cumsum(count) - count), count)]
+    if len(covers) == 0:
+        raise ConstructionError(f"sublevel {i}: leftover region produced no cover balls", sublevel=i)
 
     mass = 0.0
     j = g_prime
-    picks = []  # (centers, radius, j) per stage block
-    while mass < target and j <= params.stages.j_max and any(len(covers) for covers in unhosted):
-        u = params.stages.upsilon(j)
-        tilde = mtp_radius(pair, u)
+    picks = []  # (centers, radii, js) per stage
+    while mass < target and j <= params.stages.j_max and len(covers):
+        tilde = mtp_radius(pair, params.stages.upsilon(j))
         room = d_min - 3.0 * tilde
         if room > 0:
             cloud = params.stages.sorted_points(j)
             g_tilde = eval_gauge(pair.g, tilde)
-            need = int(math.ceil((target - mass) / g_tilde))
-            take, left, got = [], [], 0
-            for covers in itertools.chain(unhosted, sweep):
-                pos = cloud.searchsorted(covers)
-                below = cloud[np.clip(pos - 1, 0, len(cloud) - 1)]
-                above = cloud[np.clip(pos, 0, len(cloud) - 1)]
-                host = np.where(np.abs(covers - below) <= np.abs(covers - above), below, above)
-                ok = np.abs(host - covers) <= room
-                take.append(host[ok][: need - got])
-                got += len(take[-1])
-                if got == need and mass + got * g_tilde >= target:
-                    break  # the stage meets the target: no later cover is read
-                left.append(covers[~ok])
-            picks.append((np.concatenate(take), tilde, j))
-            mass += got * g_tilde
-            if mass >= target:
-                break
-            unhosted = left
+            pos = cloud.searchsorted(covers)
+            below = cloud[np.clip(pos - 1, 0, len(cloud) - 1)]
+            above = cloud[np.clip(pos, 0, len(cloud) - 1)]
+            host = np.where(np.abs(covers - below) <= np.abs(covers - above), below, above)
+            ok = np.abs(host - covers) <= room
+            take = host[ok][: int(math.ceil((target - mass) / g_tilde))]
+            picks.append((take, np.full(len(take), tilde), np.full(len(take), j, dtype=np.int64)))
+            mass += len(take) * g_tilde
+            covers = covers[~ok]
         # advance to the next dyadic block; radii shrink, clouds densify
         j = max(1 << (int(math.floor(math.log2(max(j, 1)))) + 1), j + 1)
     if mass < target:
         raise TruncationError(
             f"sublevel {i}: mass {mass:.3g} below target {target:.3g} "
-            f"({sum(len(covers) for covers in itertools.chain(unhosted, sweep))} cover balls "
-            f"unhosted by stage {j})",
+            f"({len(covers)} cover balls unhosted by stage {j})",
             sublevel=i,
         )
-    return (
-        np.concatenate([t for t, _, _ in picks]),
-        np.concatenate([np.full(len(t), r) for t, r, _ in picks]),
-        np.concatenate([np.full(len(t), jj, dtype=np.int64) for t, _, jj in picks]),
-        mass,
-    )
+    return (*map(np.concatenate, zip(*picks)), mass)
 
 
 def build_cantor(params: ConstructionParams) -> CantorTree:

@@ -457,7 +457,8 @@ def _run_minkowski(cfg, rng):
         rng=rng,
         **_given(cfg, samples_per_scale=int, metric=str),
     )
-    return {"lower": lo, "upper": hi, "ratio": hi / lo if lo > 0 else math.inf}, []
+    # strict JSON has no Infinity: a lower content of 0 has no ratio
+    return {"lower": lo, "upper": hi, "ratio": hi / lo if lo > 0 else None}, []
 
 
 def _run_cover(cfg, rng):

@@ -5,9 +5,8 @@ A ball family is held as arrays, centers (m, n) and radii (m,): a
 ``BallFamily``, the K_{G,B} selection's ``KgbResult``, and a C(A; j)
 selection, which is the ``NetResult`` of its centers at one radius.  The
 K_{G,B} stages are sorted 1-D clouds (``stages.sorted_points(j)``), and every
-distinct point of a stage is a candidate center.  Sorted clouds are thinned
-by one sweep (``_chain_blocks``), read ``BLOCK`` points at a time, which the
-Cantor builder's cover pools share.
+distinct point of a stage is a candidate center.  A stage's cloud is thinned
+by one sweep (``_chain_blocks``), read ``BLOCK`` points at a time.
 
 Disjointness is for open balls throughout: two balls are disjoint when the
 distance between centers is at least the sum of radii (tangency counts as
@@ -26,7 +25,7 @@ from .measure import ball_volume
 from .sets import PointSet, SetModel, _norm, sample_on_set
 
 _DISJOINT_SLACK = 1e-12  # relative slack so float tangency still counts
-BLOCK = 2**16  # points per slice of a swept pool or stage cloud
+BLOCK = 2**16  # points per slice of a swept stage cloud or audited grid
 
 
 @dataclass(frozen=True)

@@ -531,6 +531,9 @@ def box_dimensions(m: SetModel, scales, samples_per_scale=DEFAULT_SAMPLES, rng=N
     convex-hull edges below and above the points that span the mean log
     delta (``_support_slopes``).  Where the mean is a hull vertex, as for an
     odd number of evenly spaced scales, the edge toward finer scales is taken.
+    Only ``exponent`` differs between the two fits: both carry the
+    least-squares fit's ``intercept``, ``exponent_stderr`` and ``residual_max``,
+    not those of their own support lines.
     """
     n = m.ambient_dim
     sc, vols = _window_volumes(m, scales, samples_per_scale, rng, metric)

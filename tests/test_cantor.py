@@ -392,9 +392,9 @@ def test_tree_writer_matches_whole_list_writer(audit_tree):
 
 
 def test_wide_holder_build_stays_small():
-    # eta 8 on B(0, 110): the deep sublevel's cover pool spans 16 blocks and
-    # its stage clouds reach 2**21 points; none is held whole (holding them,
-    # the build peaks at 61.8 MB traced)
+    # eta 8 on B(0, 110): the deep sublevel's cover pool spans 1.2 million
+    # points and its stage clouds reach 2**21 points; none is held whole
+    # (holding them, the build peaks at 61.8 MB traced)
     params = _wide_holder_params()
     tracemalloc.start()
     try:
@@ -403,6 +403,29 @@ def test_wide_holder_build_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 30e6
+
+
+def test_eta8_tree_moves_with_its_domain():
+    # the eta-8 holder build with its domain and stages shifted together:
+    # the same ball counts and masses at every offset, and the same leaves
+    # less the offset, up to one spacing of the leaf's stage cloud
+    cfg = bundled_config("cantor_holder.json")
+    radius = cfg["domain"]["radius"]
+    trees = {}
+    for offset in (-37.5, 0.0, 37.5):
+        params = cantor_params(
+            cfg, eta=8.0, c5=90.0 / radius, domain={**cfg["domain"], "center": [offset]},
+            stages={**cfg["stages"], "lo": offset - radius, "hi": offset + radius},
+        )
+        trees[offset] = build_cantor(params).level
+    base = trees[0.0]
+    spacing = 2.0 * radius / (1 << np.floor(np.log2(base.c_j)).astype(np.int64))
+    for offset, loc in trees.items():
+        assert len(loc.c_center) == len(base.c_center) and loc.sub_masses == base.sub_masses
+        assert np.array_equal(np.bincount(loc.a_sublevel), np.bincount(base.a_sublevel))
+        assert np.array_equal(np.bincount(loc.c_sublevel), np.bincount(base.c_sublevel))
+        assert np.array_equal(loc.c_j, base.c_j)
+        assert np.all(np.abs((loc.c_center - offset) - base.c_center) <= spacing * (1 + 1e-9))
 
 
 def _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon, metric):
@@ -770,8 +793,9 @@ def _cover_chain(pool, b_lo, b_hi, sep, block=BLOCK):
     """The points of the sorted ``pool`` outside every interval
     [b_lo[k], b_hi[k]] (``b_lo`` sorted, ``b_hi`` its running maximum) that
     one ``_sweep_chain(leftover, sep)`` over all of them keeps, swept
-    ``block`` points at a time (``_chain_blocks``): the whole cover chain
-    at once, which ``_deep_sublevel`` sweeps only as far as it hosts."""
+    ``block`` points at a time (``_chain_blocks``): the sweep that
+    ``build_kgb`` runs over each stage cloud, its blocks collected into one
+    array."""
 
     def inside(pts):
         idx = np.searchsorted(b_lo, pts, side="right") - 1
@@ -796,7 +820,7 @@ def test_cover_chain_matches_one_sweep(block, seed):
     d_min = float(rng.uniform(1e-4, 1e-3))
     sep = 2.0 * d_min * (1 - 1e-12)
     step = d_min / 2.0
-    # the builder's pool crossing zero, with leaf 4-dilates cut out of it
+    # a regular pool crossing zero, with intervals cut out of it
     n = 3000 if block < 2**16 else 200_000
     pool = np.arange(-0.3 * n * step, 0.7 * n * step, step)
     leaf = rng.uniform(pool[0], pool[-1], 40)
@@ -814,49 +838,54 @@ def test_cover_chain_matches_one_sweep(block, seed):
     assert len(_cover_chain(pool, pool[:1] - 1.0, pool[-1:] + 1.0, sep, block)) == 0
 
 
-def _deep_sublevel_eager(params, B, i, g_prime, d_min, target, leaf_center, leaf_radius):
-    """Reference: the eager hosting loop of ``_deep_sublevel``, which makes
-    every cover ball first and then hosts them stage by stage."""
+def _deep_sublevel_loop(params, B, i, g_prime, d_min, target, leaf_center, leaf_radius):
+    """Reference: ``_deep_sublevel`` by scalar loops.  It walks the indices
+    of the pool (point k at ``half_lo + d_min + k * d_min / 2``), skips each
+    point that some leaf 4-dilate holds (closed intervals, tested one by
+    one), keeps an index at least 4 past the last one kept, and then hosts
+    the covers stage by stage, one cover at a time."""
     pair = params.gauges
-    half_lo = B.center[0] - 0.5 * B.radius
-    half_hi = B.center[0] + 0.5 * B.radius
-    order = np.argsort(leaf_center - 4.0 * leaf_radius)
-    b_lo = (leaf_center - 4.0 * leaf_radius)[order]
-    b_hi = np.maximum.accumulate((leaf_center + 4.0 * leaf_radius)[order])
     step = d_min / 2.0
-    pool = np.arange(half_lo + d_min, half_hi - d_min + step / 4, step)
-    covers = _cover_chain(pool, b_lo, b_hi, 2.0 * d_min * (1 - 1e-12), cantor.BLOCK)
-    if len(covers) == 0:
+    lo = B.center[0] - 0.5 * B.radius + d_min - 0.5 * step
+    size = int(math.floor(B.radius / step)) - 3
+    pool = GridView(lo, lo + size * step, size)[:].tolist()
+    dilates = list(zip((leaf_center - 4.0 * leaf_radius).tolist(), (leaf_center + 4.0 * leaf_radius).tolist()))
+    covers, last = [], -math.inf
+    for k, x in enumerate(pool):
+        if k - last >= 4 and not any(a <= x <= b for a, b in dilates):
+            covers.append(x)
+            last = k
+    if not covers:
         raise ConstructionError(
             f"sublevel {i}: leftover region produced no cover balls", sublevel=i
         )
     mass = 0.0
     j = g_prime
-    unhosted = covers
     picks = []
-    while mass < target and j <= params.stages.j_max and len(unhosted):
-        u = params.stages.upsilon(j)
-        tilde = mtp_radius(pair, u)
+    while mass < target and j <= params.stages.j_max and covers:
+        tilde = mtp_radius(pair, params.stages.upsilon(j))
         room = d_min - 3.0 * tilde
         if room > 0:
             cloud = params.stages.sorted_points(j)
-            pos = cloud.searchsorted(unhosted)
-            left = cloud[np.clip(pos - 1, 0, len(cloud) - 1)]
-            right = cloud[np.clip(pos, 0, len(cloud) - 1)]
-            host = np.where(np.abs(unhosted - left) <= np.abs(unhosted - right), left, right)
-            ok = np.abs(host - unhosted) <= room
-            need = int(math.ceil((target - mass) / eval_gauge(pair.g, tilde)))
-            take = host[ok][:need]
-            picks.append((take, tilde, j))
-            mass += len(take) * eval_gauge(pair.g, tilde)
-            if mass >= target:
-                break
-            unhosted = unhosted[~ok]
+            g_tilde = eval_gauge(pair.g, tilde)
+            need = math.ceil((target - mass) / g_tilde)
+            take, left = [], []
+            for x in covers:
+                pos = int(cloud.searchsorted(x))
+                near = [float(cloud[q]) for q in (pos - 1, pos) if 0 <= q < len(cloud)]
+                host = min(near, key=lambda y: abs(x - y))  # the lower one at a tie
+                if abs(host - x) > room:
+                    left.append(x)
+                elif len(take) < need:
+                    take.append(host)
+            picks.append((np.array(take, dtype=float), tilde, j))
+            mass += len(take) * g_tilde
+            covers = left
         j = max(1 << (int(math.floor(math.log2(max(j, 1)))) + 1), j + 1)
     if mass < target:
         raise TruncationError(
             f"sublevel {i}: mass {mass:.3g} below target {target:.3g} "
-            f"({len(unhosted)} cover balls unhosted by stage {j})",
+            f"({len(covers)} cover balls unhosted by stage {j})",
             sublevel=i,
         )
     return (
@@ -889,48 +918,55 @@ _HOSTING_CASES = {
 }
 
 
-@pytest.mark.parametrize("block", [7, 64, BLOCK])
+def _leaves_ending_on_pool_points(d_min, rng, m=30):
+    """Leaves of radius 2 d_min in B(0, 1) whose 4-dilates start or end
+    exactly on a point of the deep sublevel's pool for B(0, 1)."""
+    step = d_min / 2.0
+    lo = -0.5 + d_min - 0.5 * step
+    size = int(math.floor(1.0 / step)) - 3
+    pool = GridView(lo, lo + size * step, size)
+    r = 2.0 * d_min
+    centers = []
+    for x in pool[rng.integers(0, size, 4 * m)].tolist():
+        centers += [c for c, end in ((x + 4.0 * r, x), (x - 4.0 * r, x)) if c - 4.0 * r == end or c + 4.0 * r == end]
+    return np.array(centers[:m]), np.full(min(m, len(centers)), r)
+
+
+@pytest.mark.parametrize("layout", [None, 0, 1, 2, "ends"])
 @pytest.mark.parametrize("case", sorted(_HOSTING_CASES))
-def test_deep_sublevel_matches_eager_hosting(monkeypatch, case, block):
+def test_deep_sublevel_matches_scalar_loop(case, layout):
+    # each case on its own leaves, and on them plus leaves drawn at random
+    # in B(0, 1) with radii of at least d_min, or leaves whose 4-dilates
+    # end exactly on pool points
     kw = {"d_min": _D_MIN, "target": 0.01, "leaves": ([5.0], [0.01]), **_HOSTING_CASES[case]}
     audit = bundled_config("cantor_audit.json")
     stages = {**audit["stages"], "j_max": kw.get("j_max", audit["stages"]["j_max"])}
     leaf_center, leaf_radius = (np.array(v, dtype=float) for v in kw["leaves"])
+    if layout == "ends":
+        more = _leaves_ending_on_pool_points(kw["d_min"], np.random.default_rng(7))
+        assert len(more[0]) == 30
+        leaf_center, leaf_radius = np.append(leaf_center, more[0]), np.append(leaf_radius, more[1])
+    elif layout is not None:
+        rng = np.random.default_rng(layout)
+        m = int(rng.integers(1, 40))
+        leaf_center = np.append(leaf_center, rng.uniform(-0.6, 0.6, m))
+        leaf_radius = np.append(leaf_radius, kw["d_min"] * rng.uniform(1.0, 30.0, m))
     args = (cantor_params(audit, stages=stages), Ball([0.0], 1.0), 2, 2**21, kw["d_min"], kw["target"],
             leaf_center, leaf_radius)
-    monkeypatch.setattr(cantor, "BLOCK", block)
-    got, want = _outcome(_deep_sublevel, *args), _outcome(_deep_sublevel_eager, *args)
+    got, want = _outcome(_deep_sublevel, *args), _outcome(_deep_sublevel_loop, *args)
     if isinstance(want[1], str):  # the error and its message, with the unhosted count
         assert got == want
         assert got[0] is (ConstructionError if case == "no-cover-pool" else TruncationError)
         unhosted = {"no-room-up-to-j_max": 5000, "j_max-after-first-stage": 2853, "every-cover-hosted": 0}
-        assert case == "no-cover-pool" or f"({unhosted[case]} cover balls unhosted" in got[1]
+        assert layout is not None or case == "no-cover-pool" or f"({unhosted[case]} cover balls unhosted" in got[1]
         return
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     centers, radii, js, mass = got
     assert mass >= kw["target"] and mass == want[3]
-    stages = sorted(set(js.tolist()))
-    assert stages == ([2**21, 2**22] if case == "second-stage-hosts-the-rest" else [2**21])
-
-
-def test_deep_sublevel_stops_the_sweep_at_the_target(monkeypatch):
-    # the first stage meets the target within its first covers, so most of
-    # the pool is never swept
-    params = cantor_params("cantor_audit.json")
-    swept = []
-
-    def chain_blocks(pool, start, stop, blocked, sep, block):
-        for pts in _chain_blocks(pool, start, stop, blocked, sep, block):
-            swept.append(block)
-            yield pts
-
-    monkeypatch.setattr(cantor, "_chain_blocks", chain_blocks)
-    monkeypatch.setattr(cantor, "BLOCK", 64)
-    leaf = np.array([5.0]), np.array([0.01])
-    _deep_sublevel(params, Ball([0.0], 1.0), 2, 2**21, _D_MIN, 0.002, *leaf)
-    pool_blocks = math.ceil((1.0 - 2 * _D_MIN) / (_D_MIN / 2) / 64)
-    assert 0 < len(swept) < pool_blocks / 4
+    if layout is None:
+        stages = sorted(set(js.tolist()))
+        assert stages == ([2**21, 2**22] if case == "second-stage-hosts-the-rest" else [2**21])
 
 
 def test_distinct_reads_runs():

@@ -16,7 +16,7 @@ from lspkit import cli, covering, errors, measure, randomsim, sets
 from lspkit.cantor import tree_from_json
 from lspkit.cli import SCHEMAS, bundled_config, main, run
 
-from test_golden import bundled_names, command_of
+from test_golden import bundled_names, command_of, variant_configs
 
 # a readable JSON file that is not a Cantor tree
 _NOT_A_TREE = resources.files("lspkit.configs") / "boxdim_point.json"
@@ -673,6 +673,19 @@ def test_cover_caj_bundled():
     code, report = run("cover", bundled_config("cover_caj_line.json"))
     assert code == 0
     assert 8 <= report["results"]["cardinality"] <= 32
+
+
+def test_minkowski_report_is_strict_json(tmp_path):
+    # the finest scale of this pin has no hit, so the lower content is 0 and
+    # the report writes no Infinity for the ratio
+    command, cfg = variant_configs()["minkowski_sup_line_3d"]
+    assert run(command, cfg, out_dir=tmp_path)[0] == 0
+
+    def refuse(name):
+        raise ValueError(f"report.json holds {name}, which strict JSON forbids")
+
+    results = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)["results"]
+    assert results["lower"] == 0.0 and results["upper"] > 0 and results["ratio"] is None
 
 
 def test_tables_written(tmp_path):
