@@ -37,11 +37,11 @@ integer-array gathers and ``.searchsorted``, which a ``stages.GridView``
 computes on demand; the first sublevel's K_{G,B} selection sweeps its
 stages ``BLOCK`` points at a time (``covering._chain_blocks``).  A deep
 sublevel's cover pool is a ``GridView`` too: its covers are chosen by index,
-every fourth point of each run the placed balls leave free, so they do not
-depend on where the domain sits.  The audit decides whether a grid's point
-intervals are disjoint from the grid spacing, scanning the gaps only when
-rounding could decide it (``_points_disjoint``), and reads a column's
-distinct values from its runs.
+every fourth point of each run the placed balls leave free, so they move
+with the domain.  The audit decides whether a grid's point intervals are
+disjoint from the grid spacing, scanning the gaps only when rounding could
+decide it (``_points_disjoint``), and reads a column's distinct values
+from its runs.
 
 Every center is a point of its stage cloud, so a saved tree (``tree_to_json``,
 format ``TREE_FORMAT``) stores each selection ball as its index into the

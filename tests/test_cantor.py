@@ -392,7 +392,7 @@ def test_tree_writer_matches_whole_list_writer(audit_tree):
 
 
 def test_wide_holder_build_stays_small():
-    # eta 8 on B(0, 110): the deep sublevel's cover pool spans 1.2 million
+    # eta 8 on B(0, 110): the deep sublevel's cover pool holds a million
     # points and its stage clouds reach 2**21 points; none is held whole
     # (holding them, the build peaks at 61.8 MB traced)
     params = _wide_holder_params()
@@ -767,7 +767,7 @@ def test_sweep_chain_matches_loop(seed):
     rng = np.random.default_rng(seed)
     d_min = float(rng.uniform(1e-6, 1e-3))
     sep = 2.0 * d_min * (1 - 1e-12)
-    # the builder's pool: a d_min/2 grid with removed gaps
+    # a d_min/2 grid with removed gaps
     step = d_min / 2.0
     pool = np.arange(-7.0 + d_min, 9.0 - d_min + step / 4, step)[:20000]
     for lo in rng.uniform(pool[0], pool[-1], 30):
@@ -838,17 +838,23 @@ def test_cover_chain_matches_one_sweep(block, seed):
     assert len(_cover_chain(pool, pool[:1] - 1.0, pool[-1:] + 1.0, sep, block)) == 0
 
 
-def _deep_sublevel_loop(params, B, i, g_prime, d_min, target, leaf_center, leaf_radius):
-    """Reference: ``_deep_sublevel`` by scalar loops.  It walks the indices
-    of the pool (point k at ``half_lo + d_min + k * d_min / 2``), skips each
-    point that some leaf 4-dilate holds (closed intervals, tested one by
-    one), keeps an index at least 4 past the last one kept, and then hosts
-    the covers stage by stage, one cover at a time."""
-    pair = params.gauges
+def _cover_pool(B, d_min):
+    """A deep sublevel's pool of cover centers under the root B: point k at
+    ``half_lo + d_min + k * d_min / 2``, up to ``half_hi - d_min``."""
     step = d_min / 2.0
     lo = B.center[0] - 0.5 * B.radius + d_min - 0.5 * step
     size = int(math.floor(B.radius / step)) - 3
-    pool = GridView(lo, lo + size * step, size)[:].tolist()
+    return GridView(lo, lo + size * step, size)
+
+
+def _deep_sublevel_loop(params, B, i, g_prime, d_min, target, leaf_center, leaf_radius):
+    """Reference: ``_deep_sublevel`` by scalar loops.  It walks the indices
+    of the pool, skips each point that some leaf 4-dilate holds (closed
+    intervals, tested one by one), keeps an index at least 4 past the last
+    one kept, and then hosts the covers stage by stage, one cover at a
+    time."""
+    pair = params.gauges
+    pool = _cover_pool(B, d_min)[:].tolist()
     dilates = list(zip((leaf_center - 4.0 * leaf_radius).tolist(), (leaf_center + 4.0 * leaf_radius).tolist()))
     covers, last = [], -math.inf
     for k, x in enumerate(pool):
@@ -921,13 +927,10 @@ _HOSTING_CASES = {
 def _leaves_ending_on_pool_points(d_min, rng, m=30):
     """Leaves of radius 2 d_min in B(0, 1) whose 4-dilates start or end
     exactly on a point of the deep sublevel's pool for B(0, 1)."""
-    step = d_min / 2.0
-    lo = -0.5 + d_min - 0.5 * step
-    size = int(math.floor(1.0 / step)) - 3
-    pool = GridView(lo, lo + size * step, size)
+    pool = _cover_pool(Ball([0.0], 1.0), d_min)
     r = 2.0 * d_min
     centers = []
-    for x in pool[rng.integers(0, size, 4 * m)].tolist():
+    for x in pool[rng.integers(0, len(pool), 4 * m)].tolist():
         centers += [c for c, end in ((x + 4.0 * r, x), (x - 4.0 * r, x)) if c - 4.0 * r == end or c + 4.0 * r == end]
     return np.array(centers[:m]), np.full(min(m, len(centers)), r)
 

@@ -32,8 +32,8 @@ the exact bit: every float is stored as ``float.hex``.  They are
 - Cantor builds: the audit at domain radii 17 and 23, the holder config
   at eta 4, and builds that save their tree, whose ``tree.json`` is pinned
   by its SHA-256: the bundled audit, and the holder config at eta 8 on
-  domain radii 85, 60 and 110 (at 110 the deep sublevel's cover pool spans
-  16 blocks of 2**16 points), and the audit with its last plateau raised
+  domain radii 85, 60 and 110 (at 110 the deep sublevel's cover pool holds
+  a million points), and the audit with its last plateau raised
   to 5.3e-9, whose deep sublevel hosts its covers in two stages; and the
   holder config at eta 8 with its domain and stages shifted by -37.5 and by
   +37.5, which shows how the deep sublevel's covers move with the
