@@ -13,7 +13,12 @@ the exact bit: every float is stored as ``float.hex``.  They are
 - gasket variants (ratios 0.45 and 0.491, the Euclidean metric, Minkowski
   content) at the bundled gasket scales and 50,000 samples per scale, so
   the coarse scales test their hits on a proxy tree and the fine ones walk
-  the cylinder tree;
+  the cylinder tree; the gasket at a scale ladder whose every other step
+  is above 0.8, so those scales test every window point; and a
+  three-map IFS in the plane whose first and last maps rotate;
+- a ``fit-lsp`` on the gasket, the one estimator that tests a 2-D
+  attractor at proxy resolution 0.05, on a coarse grid whose finest cut
+  stays under the 5 M-ball cap;
 - the exact 1-D interval path: Minkowski content of two-map Cantor sets
   (ratios 0.45 and 0.2, and the middle third with its first map reflected)
   at the bundled ``minkowski_cantor`` scales, a ``fit-lsp`` Cantor fit at
@@ -143,6 +148,19 @@ def variant_configs():
     out = {f"boxdim_r{r}": ("boxdim", {**base, "model": gasket(r)}) for r in (0.5, 0.45, 0.491)}
     out["boxdim_r0.5_euclidean"] = ("boxdim", {**base, "model": gasket(0.5), "metric": "euclidean"})
     out["minkowski_r0.5"] = ("minkowski", {**base, "model": gasket(0.5), "dimension": math.log2(3)})
+    # each scale above 0.8 times the previous one tests every window point
+    out["boxdim_r0.5_unnested"] = ("boxdim", {**base, "scales": [0.12, 0.1, 0.03, 0.025, 0.0075, 0.00625, 0.0012, 0.001]})
+    c, s = math.cos(0.7), math.sin(0.7)
+    rotating = [
+        {"ratio": 0.45, "translation": [0.0, 0.0], "rotation": [[c, -s], [s, c]]},
+        {"ratio": 0.4, "translation": [0.6, 0.1]},
+        {"ratio": 0.35, "translation": [0.2, 0.6], "rotation": [[c, s], [-s, c]]},
+    ]
+    out["boxdim_rotating"] = ("boxdim", {**base, "model": {"variant": "ifs", "maps": rotating, "osc": True}})
+    fit = bundled_config("fit_lsp_line.json")
+    grids = {"r": [0.5, 0.35, 0.25, 0.18], "delta_ratios": [0.25, 0.125, 0.0625, 0.03125],
+             "samples": 10_000, "centers_per_cell": 2}
+    out["fit_lsp_gasket"] = ("fit-lsp", {**fit, "model": gasket(0.5), "grids": grids})
     cantor = bundled_config("minkowski_cantor.json")
     for r in (0.45, 0.2):
         maps = [{"ratio": r, "translation": [t]} for t in (0.0, 1.0 - r)]
