@@ -16,7 +16,9 @@ refused with ``ArgumentError``.
 
 Hit tests use the configured metric for every model, attractors included:
 a point hits when a proxy cut center lies within delta of it in that
-metric.  Only ``sets.distance_to_set`` measures circles and spheres in
+metric.  An attractor's hits at every scale come from one walk of its
+cylinder tree (``sets.cut_hits``), which builds neither the cut nor a
+KD-tree.  Only ``sets.distance_to_set`` measures circles and spheres in
 the Euclidean norm whatever the metric; it does not measure attractors.
 """
 
@@ -37,7 +39,7 @@ from .sets import (
     attractor_bounds,
     cut_hits,
     cut_size,
-    cylinder_cut,
+    cylinder_cut,  # unread here; perfbench's tracer wraps measure.cylinder_cut
     distance_to_set,
     model_window,
     sample_on_set,
@@ -321,35 +323,27 @@ def _interval_model(m: SetModel):
 
 
 _CUT_CAP = 5_000_000  # largest proxy cut an attractor hit test may use
-_WALK_FACTOR = 16  # walk once the cut has more balls per query point (gasket crossover: about 10-12)
 _DISTANCE_BLOCK = 16_384  # rows per exact-distance pass of _hit_counts
 
 
 class _DistanceOracle:
-    """Vectorized distance evaluator matched to a working scale.
+    """Vectorized distance evaluator for the models with an exact distance.
 
-    Attractors are replaced by a KD-tree over cylinder reference points at a
-    resolution proportional to the scale; the proportionality constant is the
-    same at every scale, so the substitution shifts measure estimates by a
-    common factor and leaves every fitted exponent unbiased.  Trees are built
-    with sliding-midpoint splits and uncompacted nodes, which build faster;
-    nearest-neighbour distances do not depend on the tree's shape.  Queries
-    use the configured metric, for attractors too.
+    A point set of more than 64 points is queried on a KD-tree over its
+    points, built with sliding-midpoint splits and uncompacted nodes, which
+    build faster; nearest-neighbour distances do not depend on the tree's
+    shape.  Every other model reads ``distance_to_set``.  Attractors have
+    no oracle: ``_hit_counts`` walks their cylinder tree (``sets.cut_hits``).
     """
 
-    def __init__(self, m: SetModel, scale, metric="sup", resolution=0.05):
+    def __init__(self, m: SetModel, metric="sup"):
         self.m = m
         self.metric = metric
         self.p = np.inf if metric == "sup" else 2
         self.tree = None
-        if isinstance(m, IFSAttractor):
-            pts, _ = cylinder_cut(m.ifs, _cut_target(m.ifs, scale, resolution), cap=_CUT_CAP)
-        elif isinstance(m, PointSet) and len(m.points) > 64:
-            pts = m.points
-        else:
-            return
-        kdtree = globals().get("cKDTree") or __getattr__("cKDTree")
-        self.tree = kdtree(pts, balanced_tree=False, compact_nodes=False)
+        if isinstance(m, PointSet) and len(m.points) > 64:
+            kdtree = globals().get("cKDTree") or __getattr__("cKDTree")
+            self.tree = kdtree(m.points, balanced_tree=False, compact_nodes=False)
 
     def __call__(self, pts, bound=np.inf):
         """Distances to the model; a tree query reads inf from ``bound`` on."""
@@ -358,25 +352,28 @@ class _DistanceOracle:
             return d
         return distance_to_set(self.m, pts, metric=self.metric)
 
-    def hits(self, pts, delta):
-        """Boolean mask of points within delta of the model (bounded query)."""
-        return self(pts, delta) < delta
 
+def _cell_order(pts):
+    """Order of ``pts`` along a Z-order curve over a grid of their bounding
+    box, so that points close in the order lie close in space.
 
-def _hit_test(m: IFSAttractor, delta, rows, balls, metric, resolution):
-    """The hit test at one delta for ``rows`` query points against the proxy
-    cut of ``balls`` balls: a function from points to a hit mask.
-
-    It walks the cylinder tree per point (``sets.cut_hits``) once the cut
-    has more than ``_WALK_FACTOR`` balls per query point, and otherwise
-    queries a proxy tree built over the cut; both give the same mask bit
-    for bit, so the choice only moves the cost.
+    The key has 16 bits: 16 // n bits of cell index on each of the first
+    min(n, 16) axes, interleaved through a table of each index spread
+    apart.  It is built one column at a time, so no temporary is larger
+    than a column, and sorted by numpy's radix sort.
     """
-    if balls > _WALK_FACTOR * rows:
-        target = _cut_target(m.ifs, delta, resolution)
-        return lambda pts: cut_hits(m.ifs, pts, delta, target, metric)
-    oracle = _DistanceOracle(m, delta, metric=metric, resolution=resolution)
-    return lambda pts: oracle.hits(pts, delta)
+    axes = min(pts.shape[1], 16)
+    bits = 16 // axes
+    v = np.arange(2**bits)
+    spread = sum(((v >> b) & 1) << (axes * b) for b in range(bits)).astype(np.uint16)
+    key = np.zeros(len(pts), dtype=np.uint16)
+    for i in range(axes):
+        col = pts[:, i]
+        lo, hi = col.min(), col.max()
+        cell = col - lo
+        cell *= (2**bits - 1) / (hi - lo if hi > lo else 1.0)
+        key |= spread[cell.astype(np.intp)] << i
+    return np.argsort(key, kind="stable")
 
 
 def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
@@ -390,11 +387,13 @@ def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
     are those of one pass over the whole cloud.
 
     Attractors test each delta against a proxy cut whose resolution follows
-    the scale.  Each delta's cut size is counted from the map ratios first
-    (``sets.cut_size``), so an over-cap cut raises before any hit test, and
-    ``_hit_test`` picks a tree or a walk from it.  The deltas are walked
-    from coarse to fine, and a finer delta tests only the points that hit
-    at the previous one, whenever
+    the scale, by one walk of the cylinder tree (``sets.cut_hits``).  Each
+    delta's cut size is counted from the map ratios first
+    (``sets.cut_size``), so an over-cap cut raises before any hit test.
+    Each cloud is put once in Z-order (``_cell_order``), which keeps the
+    walk's blocks of consecutive points tight; a count does not depend on
+    the order.  The deltas are walked from coarse to fine, and a finer
+    delta tests only the points that hit at the previous one, whenever
     delta <= delta_prev * (1 - resolution / 2) - slack; otherwise (a repeated
     delta, or a ratio above that bound) it tests every point.  The counts
     are those of a full test at every delta, because a point that misses
@@ -420,7 +419,10 @@ def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
     counts = np.zeros((len(clouds), len(deltas)), dtype=np.int64)
     if isinstance(m, IFSAttractor):
         z0, r0 = attractor_bounds(m.ifs)
-        balls = [cut_size(m.ifs, _cut_target(m.ifs, d, resolution), cap=_CUT_CAP) for d in deltas]
+        targets = [_cut_target(m.ifs, d, resolution) for d in deltas]
+        for target in targets:
+            cut_size(m.ifs, target, cap=_CUT_CAP)
+        clouds = [np.take(pts, _cell_order(pts), axis=0) for pts in clouds]
         extent_slack = 1e-12 * (float(np.linalg.norm(z0)) + r0)
         live = [None] * len(clouds)  # rows of each cloud that hit at prev; None: all
         prev = None
@@ -428,17 +430,14 @@ def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
             d = deltas[j]
             if prev is None or not d <= prev * (1.0 - resolution / 2) - (1e-9 * prev + extent_slack):
                 live = [None] * len(clouds)
-            queries = [pts if rows is None else pts[rows] for pts, rows in zip(clouds, live)]
-            test = _hit_test(m, d, sum(len(q) for q in queries), balls[j], metric, resolution)
-            for i, q in enumerate(queries):
-                hit = test(q)
+            for i, pts in enumerate(clouds):
+                hit = cut_hits(m.ifs, pts if live[i] is None else pts[live[i]], d, targets[j], metric)
                 live[i] = np.flatnonzero(hit) if live[i] is None else live[i][hit]
                 counts[i, j] = live[i].size
-            del test, queries
             prev = d
         return counts
     dmax = float(deltas.max())
-    oracle = _DistanceOracle(m, dmax, metric=metric)
+    oracle = _DistanceOracle(m, metric=metric)
     for i, pts in enumerate(clouds):
         for lo in range(0, len(pts), _DISTANCE_BLOCK):
             dist = oracle(pts[lo : lo + _DISTANCE_BLOCK], dmax)

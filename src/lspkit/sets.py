@@ -13,8 +13,11 @@ Attractors are measured through their cylinder tree, never through
 turns a frontier of word nodes (scale, linear part, offset) into their
 children and reference centers.  ``cylinder_cut`` keeps expanding until
 every word's contraction is at most a target; ``cut_size`` counts that cut
-from the ratios alone; and ``cut_hits`` walks (point, node) pairs to decide
-which points lie within delta of a cut center without building the cut.
+from the ratios alone; and ``cut_hits``, the one attractor hit test,
+decides which points lie within delta of a cut center without building the
+cut: it walks (block, node) pairs, then (point, node) pairs, and prunes
+each node by its box, or by its hub ball when a map rotates
+(``_node_bounds``).
 
 Metric conventions: the ambient metric is the sup norm by default (balls are
 boxes, which keeps volumes exact in the estimators) with Euclidean
@@ -22,8 +25,8 @@ selectable.  ``_norm`` is the one kernel for the norm of a difference in
 the configured metric, computed as a cKDTree query computes it, and every
 module calls it (Euclidean sums go through ``_sum_squares``).
 ``distance_to_set`` measures circles and spheres in the Euclidean norm,
-their natural exact geometry, whatever the metric; the attractor hit tests
-(``cut_hits``, and the estimators' proxy trees) use the configured metric.
+their natural exact geometry, whatever the metric; the attractor hit test
+``cut_hits`` uses the configured metric.
 Mixing the two norms only moves the constants in scaling estimates, never
 the exponents.
 """
@@ -313,7 +316,8 @@ def attractor_bounds(ifs: IFS):
 def _cylinder_tree(ifs: IFS):
     """Per-map (ratios, linear parts, translations) and the root node.
 
-    When no map rotates, the linear parts are None: a word's linear part is
+    A node is (scales, linear parts, offsets), its offsets held by
+    coordinate, one row per axis.  When no map rotates, the linear parts are None: a word's linear part is
     then its contraction product times the identity, carried as that scalar.
     """
     n = ifs.ambient_dim
@@ -323,37 +327,49 @@ def _cylinder_tree(ifs: IFS):
         eye = np.eye(n)
         rmats = np.stack([m.ratio * (m.rotation if m.rotation is not None else eye) for m in ifs.maps])
         mats = eye[None, :, :]
-    return (ifs.ratios, rmats, trans), (np.ones(1), mats, np.zeros((1, n)))
+    return (ifs.ratios, rmats, trans), (np.ones(1), mats, np.zeros((n, 1)))
 
 
 def _expand(nodes, parts, z0):
     """Children of the live nodes (scales, linear parts, offsets).
 
-    Child ``p * k + a`` composes parent ``p`` with map ``a``.  Returns the
-    child nodes and each child's reference center, its image of ``z0``: a
-    point of the attractor at the middle of a ball of radius scale * r0 that
-    contains the child cylinder.
+    Child ``a * p + i`` composes parent ``i`` of the p parents with map
+    ``a``.  Returns the child nodes and each child's reference center, its
+    image of ``z0``: a point of the attractor at the middle of a ball of
+    radius scale * r0 that contains the child cylinder.  Offsets and
+    centers are held by coordinate, (n, children), so that each step reads
+    and writes whole rows, which numpy runs several times faster than
+    rows of n numbers.
     """
     scales, mats, offs = nodes
     ratios, rmats, trans = parts
-    n = offs.shape[1]
-    s2 = (scales[:, None] * ratios[None, :]).reshape(-1)
+    n = offs.shape[0]
+    s2 = np.multiply.outer(ratios, scales).reshape(-1)
     if mats is None:
         m2 = None
-        o2 = scales[:, None, None] * trans[None, :, :]
+        o2 = np.multiply.outer(trans.T, scales)
         o2 += offs[:, None, :]
-        o2 = o2.reshape(-1, n)
-        centers = s2[:, None] * z0[None, :]
+        o2 = o2.reshape(n, -1)
+        centers = np.multiply.outer(z0, s2)
         centers += o2
     else:
+        # composed parent by parent, then put in the map-major order
         m2 = np.einsum("kij,mjl->kmil", mats, rmats).reshape(-1, n, n)
-        o2 = (np.einsum("kij,mj->kmi", mats, trans) + offs[:, None, :]).reshape(-1, n)
+        o2 = (np.einsum("kij,mj->kmi", mats, trans) + offs.T[:, None, :]).reshape(-1, n)
         centers = o2 + np.einsum("kij,j->ki", m2, z0)
+        order = np.arange(m2.shape[0]).reshape(-1, len(ratios)).T.reshape(-1)
+        m2 = m2[order]
+        o2 = np.ascontiguousarray(o2[order].T)
+        centers = np.ascontiguousarray(centers[order].T)
     return (s2, m2, o2), centers
 
 
-def _select(nodes, mask):
-    return tuple(None if a is None else a[mask] for a in nodes)
+def _select(nodes, rows):
+    """The nodes at ``rows``, a mask or an index array."""
+    scales, mats, offs = nodes
+    if rows.dtype == bool:
+        rows = np.flatnonzero(rows)
+    return scales[rows], None if mats is None else mats[rows], np.take(offs, rows, axis=1)
 
 
 def cut_size(ifs: IFS, target, cap=10_000_000):
@@ -399,81 +415,186 @@ def cylinder_cut(ifs: IFS, target, cap=10_000_000):
     if target >= 1.0:
         return z0[None, :].copy(), np.array([r0])
     parts, nodes = _cylinder_tree(ifs)
+    k = len(ifs.maps)
     done_c, done_s = [], []
     while nodes[0].size:
         nodes, centers = _expand(nodes, parts, z0)
+        # into word order: child a * p + i extends parent i by map a
+        order = np.arange(centers.shape[1]).reshape(k, -1).T.reshape(-1)
+        nodes = _select(nodes, order)
         scales = nodes[0]
         fin = scales <= target
-        if fin.all():  # the whole level lands (equal ratios): keep it uncopied
-            done_s.append(scales)
-            done_c.append(centers)
-            break
-        if fin.any():
-            done_s.append(scales[fin])
-            done_c.append(centers[fin])
-            nodes = _select(nodes, ~fin)
+        done_s.append(scales[fin])
+        done_c.append(np.take(centers, order[fin], axis=1).T)
+        nodes = _select(nodes, ~fin)
     del nodes, scales, centers  # free the last level before joining
-    if len(done_c) == 1:
-        return done_c[0], done_s[0] * r0
     return np.concatenate(done_c, axis=0), np.concatenate(done_s) * r0
 
 
-_WALK_BLOCK = 2048  # query points per walker block
+_WALK_BLOCK = 32  # consecutive query points per block of the block phase
+_PAIR_CHUNK = 16384  # most (point, node) pairs the point phase tests in one step
+
+
+def _node_bounds(ifs: IFS, z0, metric):
+    """Distance from boxes to the nodes' parts of the attractor, and the
+    size of the attractor's bound.
+
+    When no map rotates, the attractor lies in the box of the maps' fixed
+    points p_a = t_a / (1 - r_a): its support function is
+    h(u) = max_a <p_a, u>, since max_a (<t_a, u> + r_a h(u)) = h(u), the
+    largest term being the one of the map whose <p_a, u> is largest.  A
+    node x -> s x + o maps that box to s * box + o, so a node's part of the
+    attractor lies in its box.  When a map rotates, the bound is the hub
+    ball B(hub, rho) about the mean of all the fixed points
+    (``_invariant_ball``), mapped to the ball of radius s * rho about the
+    node's image of the hub.
+
+    The returned ``gap(dlo, dhi, nodes)`` is the ``metric`` distance from
+    each box [c + dlo, c + dhi] to its node's bound, c the node's reference
+    center and dlo, dhi held by coordinate.  Each norm is at most the
+    Euclidean one, so the distance to a Euclidean ball is at least the
+    distance to its center less its radius.
+    """
+    if all(m.rotation is None for m in ifs.maps):
+        fixed = np.stack([m.translation / (1.0 - m.ratio) for m in ifs.maps])
+        lo, hi, rho = fixed.min(axis=0) - z0, fixed.max(axis=0) - z0, 0.0
+        size = float(np.max(hi - lo))
+    else:
+        hub, rho = _invariant_ball(ifs, ifs.maps)
+        lo = hi = hub - z0
+        size = 2.0 * rho
+
+    def gap(dlo, dhi, nodes):
+        scales, mats, _ = nodes
+        h = None if mats is None else (mats @ lo).T  # the nodes' images of hub - z0
+        out = None
+        for i in range(len(lo)):
+            if h is None:
+                g = np.maximum(scales * lo[i] - dhi[i], dlo[i] - scales * hi[i])
+            else:
+                g = np.maximum(h[i] - dhi[i], dlo[i] - h[i])
+            np.maximum(g, 0.0, out=g)
+            if out is None:
+                out = g * g if metric == "euclidean" else g
+            elif metric == "euclidean":
+                out += g * g
+            else:
+                np.maximum(out, g, out=out)
+        if metric == "euclidean":
+            np.sqrt(out, out=out)
+        return out if h is None else out - scales * rho
+
+    return gap, size
 
 
 def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
     """Mask of the points within ``delta`` of a center of ``cylinder_cut(ifs, target)``.
 
-    Walks (point, node) pairs down the cylinder tree instead of building
-    the cut, so the work follows the points and the depth, not the cut
-    size.  The hub ball B(hub, rho) is the invariant ball about the mean of
-    all the maps' fixed points (for the gasket rho is 2/3 against r0 =
-    1.118 about the corner z0).  A node of scale s maps the attractor into
-    the ball of radius s * rho about its image h of the hub, so the centers
-    of all its cut words lie there too.  With x's distances to h and to the
-    node's reference center c in ``metric`` (each norm is at most the
-    Euclidean one):
+    Walks the cylinder tree against the points instead of building the
+    cut, so the work follows the points and the depth, not the cut size.
+    Each node of scale s has a bound that holds its part of the attractor
+    (``_node_bounds``: its box, or its hub ball when a map rotates), so the
+    centers of all its cut words lie there too, and a reference center c,
+    its image of z0.  ``slack`` (1e-9 delta plus 1e-12 of |z0| + r0)
+    absorbs the rounding of the compositions and of the distances.
 
-    - the pair drops once |x - h| - s * rho > delta + slack;
-    - the point hits once |x - c| < delta - slack at a node above the cut:
-      the word that extends the node by map 0 until it reaches the cut has
-      the center c up to rounding, since z0 is the fixed point of map 0;
-    - at a cut word the point hits when ``_norm`` is below delta.
+    - Block phase: the points are taken ``_WALK_BLOCK`` at a time in the
+      order given, each block with its bounding box, and (block, node)
+      pairs descend the tree.  A pair drops once the block's box lies
+      farther than delta + slack from the node's bound.  The whole block
+      hits once its farthest corner lies within delta - slack of c: the
+      word that extends the node by map 0 until it reaches the cut has the
+      center c up to rounding, since z0 is the fixed point of map 0.  A
+      pair goes down to the point phase when the node is a cut word or no
+      larger than the block.
+    - Point phase: (point, node) pairs descend the same way, depth first,
+      at most ``_PAIR_CHUNK`` pairs at a step.  A point hits once
+      |x - c| < delta - slack at a node above the cut and once ``_norm`` is
+      below delta at a cut word, and a pair drops once x lies farther than
+      delta + slack from the node's bound.
 
     Children come from ``_expand`` on the pairs' own nodes, so each cut
     center is the one ``cylinder_cut`` emits bit for bit and the mask
-    equals a bounded cKDTree query on the cut.  ``slack`` (1e-9 delta plus
-    1e-12 of |z0| + r0) absorbs the rounding of the compositions.  Points
-    are walked ``_WALK_BLOCK`` at a time, so the pair arrays stay small.
+    equals a bounded cKDTree query on the cut, whatever the order of the
+    points; points that lie close to their neighbours in that order make
+    tighter blocks and so a faster walk.
     """
     z0, r0 = attractor_bounds(ifs)
     pts = np.asarray(pts, dtype=float)
     if target >= 1.0:
         return _norm(pts - z0, metric) < delta
-    hub, rho = _invariant_ball(ifs, ifs.maps)
+    hit = np.zeros(len(pts), dtype=bool)
+    if not len(pts):
+        return hit
     slack = 1e-9 * delta + 1e-12 * (float(np.linalg.norm(z0)) + r0)
+    gap, size = _node_bounds(ifs, z0, metric)
     parts, root = _cylinder_tree(ifs)
     k = len(ifs.maps)
-    hit = np.zeros(len(pts), dtype=bool)
-    for lo in range(0, len(pts), _WALK_BLOCK):
-        x = pts[lo : lo + _WALK_BLOCK]
-        won = hit[lo : lo + _WALK_BLOCK]
-        who = np.arange(len(x))
-        nodes = _select(root, np.zeros(len(x), dtype=np.intp))
-        while who.size:
-            nodes, centers = _expand(nodes, parts, z0)
-            scales, mats, _ = nodes
-            who = np.repeat(who, k)
-            diff = x[who] - centers
+    x = np.ascontiguousarray(pts.T)  # by coordinate, as the nodes are
+
+    starts = np.arange(0, len(pts), _WALK_BLOCK)
+    lo = np.minimum.reduceat(x, starts, axis=1)
+    hi = np.maximum.reduceat(x, starts, axis=1)
+    width = np.max(hi - lo, axis=0)
+    full = np.zeros(len(starts), dtype=bool)  # blocks that hit whole
+    who = np.arange(len(starts))
+    nodes = _select(root, np.zeros(len(starts), dtype=np.intp))
+    down = []
+    while who.size:
+        nodes, centers = _expand(nodes, parts, z0)
+        scales = nodes[0]
+        who = np.tile(who, k)
+        dlo = np.take(lo, who, axis=1)
+        dlo -= centers
+        dhi = np.take(hi, who, axis=1)
+        dhi -= centers
+        full[who[_norm(np.maximum(-dlo, dhi).T, metric) < delta - slack]] = True
+        keep = gap(dlo, dhi, nodes) <= delta + slack
+        keep &= ~full[who]
+        deep = keep & ((scales <= target) | (scales * size <= width[who]))
+        if deep.any():
+            rows = np.flatnonzero(deep)
+            down.append((who[rows], _select(nodes, rows), np.take(centers, rows, axis=1)))
+        keep &= ~deep
+        rows = np.flatnonzero(keep)
+        who = who[rows]
+        nodes = _select(nodes, rows)
+    hit[:] = np.repeat(full, _WALK_BLOCK)[: len(pts)]
+
+    def walk(stack):
+        step = max(1, _PAIR_CHUNK // k)
+        while stack:
+            who, nodes, centers = stack.pop()
+            scales = nodes[0]
+            diff = np.take(x, who, axis=1)
+            diff -= centers
             leaf = scales <= target
-            won[who[_norm(diff, metric) < np.where(leaf, delta, delta - slack)]] = True
-            # x - h = (x - c) - (h - c), with h - c the node's image of hub - z0
-            diff -= scales[:, None] * (hub - z0) if mats is None else mats @ (hub - z0)
-            keep = _norm(diff, metric) - scales * rho <= delta + slack
+            hit[who[_norm(diff.T, metric) < np.where(leaf, delta, delta - slack)]] = True
+            keep = gap(diff, diff, nodes) <= delta + slack
             keep &= ~leaf
-            keep &= ~won[who]
-            who = who[keep]
-            nodes = _select(nodes, keep)
+            keep &= ~hit[who]
+            rows = np.flatnonzero(keep)
+            for i in range(0, rows.size, step):
+                part = rows[i : i + step]
+                kids, kid_centers = _expand(_select(nodes, part), parts, z0)
+                stack.append((np.tile(who[part], k), kids, kid_centers))
+
+    # each handed-down (block, node) pair becomes a pair per point of its
+    # block not yet hit, at most _PAIR_CHUNK of them at a time
+    for block, nodes, centers in down:
+        first = block * _WALK_BLOCK
+        rows = np.minimum(len(pts) - first, _WALK_BLOCK)
+        rows[full[block]] = 0
+        ends = np.cumsum(rows)
+        i = 0
+        while i < len(block):
+            j = max(int(np.searchsorted(ends, ends[i] - rows[i] + _PAIR_CHUNK, side="right")), i + 1)
+            pair = np.repeat(np.arange(i, j), rows[i:j])
+            who = first[pair] + np.arange(pair.size) - (ends[pair] - rows[pair] - (ends[i] - rows[i]))
+            keep = np.flatnonzero(~hit[who])
+            pair = pair[keep]
+            walk([(who[keep], _select(nodes, pair), np.take(centers, pair, axis=1))])
+            i = j
     return hit
 
 

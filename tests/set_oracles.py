@@ -6,7 +6,9 @@ reference distance the tests check attractor geometry against (acceptance 4
 among them).  ``transform_model`` moves a model by an isometry, to build
 rotated and shifted fixtures and to check that distances are equivariant.
 ``torus_distance`` is the reference that ``randomsim``'s torus rules are
-checked against.  ``support_slopes_lp`` and ``plane_distance_lp`` are the
+checked against.  ``proxy_tree`` and ``proxy_hits`` are the attractor hit
+test that ``sets.cut_hits`` replaced: scipy's cKDTree over the proxy cut
+``sets.cylinder_cut``, queried with the bound delta.  ``support_slopes_lp`` and ``plane_distance_lp`` are the
 linear programs that ``measure._support_slopes`` and the sup-metric distance
 to a tilted plane solve in closed form.
 """
@@ -14,8 +16,10 @@ to a tilted plane solve in closed form.
 from itertools import combinations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from lspkit.errors import ArgumentError
+from lspkit.measure import _CUT_CAP, _cut_target
 from lspkit.sets import (
     IFS,
     AffinePlane,
@@ -32,6 +36,7 @@ from lspkit.sets import (
     _expand,
     _select,
     attractor_bounds,
+    cylinder_cut,
     distance_to_set,
 )
 
@@ -61,6 +66,7 @@ def distance_to_attractor(model: IFSAttractor, pts, tol=1e-9):
         nodes = root
         while nodes[0].size:
             nodes, centers = _expand(nodes, parts, z0)
+            centers = centers.T  # a row per child
             rad = nodes[0] * r0
             live = rad > tol
             for i in range(0, rad.size, _TABLE_ROWS):
@@ -71,6 +77,24 @@ def distance_to_attractor(model: IFSAttractor, pts, tol=1e-9):
             nodes = _select(nodes, live)
         out[lo : lo + _QUERY_BLOCK] = best
     return out
+
+
+def proxy_tree(model: IFSAttractor, delta, resolution=0.05):
+    """scipy's cKDTree over the centers of the proxy cut that the attractor
+    hit tests use at scale ``delta``: ``cylinder_cut`` at the estimators'
+    contraction target, under their cap."""
+    centers, _ = cylinder_cut(model.ifs, _cut_target(model.ifs, delta, resolution), cap=_CUT_CAP)
+    return cKDTree(centers)
+
+
+def proxy_hits(model: IFSAttractor, pts, delta, metric="sup", resolution=0.05, tree=None):
+    """Reference for ``sets.cut_hits`` and the estimators' attractor hit
+    counts: the points whose nearest proxy cut center lies below ``delta``
+    in ``metric``, by a tree query bounded by delta (on ``tree``, else on
+    ``proxy_tree``)."""
+    tree = proxy_tree(model, delta, resolution) if tree is None else tree
+    dist, _ = tree.query(pts, k=1, p=np.inf if metric == "sup" else 2, distance_upper_bound=delta)
+    return dist < delta
 
 
 def set_distance(m: SetModel, x, tol=1e-9, metric="sup"):

@@ -579,26 +579,33 @@ def test_perfbench_tracer_installs_and_uninstalls(tmp_path):
     assert (cli.run, cli.tree_to_json, cli.tree_from_json) == originals
 
 
-# every bundled config but the gasket's box dimension builds no KD-tree, and so loads no scipy module
-_TREELESS = [(command_of(name), name) for name in bundled_names() if name != "boxdim_sierpinski.json"]
-
-
-def test_scipy_loads_with_the_first_kdtree():
-    # a fresh interpreter, so no other test has imported scipy yet; the
-    # gasket's proxy trees load scipy.spatial, and nothing loads scipy.optimize
+def _fresh_run(runs):
+    """Run ``(command, config)`` pairs in a fresh interpreter, where no other
+    test has imported scipy yet, and return the scipy modules it loaded."""
     script = f"""
 import json, sys
 sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})
-from lspkit.cli import bundled_config, run
-for command, name in {_TREELESS!r}:
-    assert run(command, bundled_config(name))[0] == 0
-treeless = sorted(mod for mod in sys.modules if mod.split(".")[0] == "scipy")
-assert run("boxdim", bundled_config("boxdim_sierpinski.json"), overrides=["samples_per_scale=20000"])[0] == 0
-print(json.dumps({{"treeless": treeless, "gasket": "scipy.spatial" in sys.modules,
-                  "optimize": "scipy.optimize" in sys.modules}}))
+from lspkit.cli import run
+for command, cfg in json.loads(sys.stdin.read()):
+    assert run(command, cfg)[0] == 0
+print(json.dumps(sorted(mod for mod in sys.modules if mod.split(".")[0] == "scipy")))
 """
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout) == {"treeless": [], "gasket": True, "optimize": False}
+    out = subprocess.run([sys.executable, "-c", script], input=json.dumps(runs), capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def test_no_bundled_config_loads_scipy():
+    # attractors are walked, not put in a KD-tree, so the gasket loads no scipy either
+    assert _fresh_run([(command_of(name), bundled_config(name)) for name in bundled_names()]) == []
+
+
+def test_scipy_loads_with_the_first_kdtree():
+    # a point set of more than 64 points is queried on a KD-tree, which loads
+    # scipy.spatial; nothing loads scipy.optimize
+    grid = {"variant": "points", "points": [[(i + 0.5) / 10, (j + 0.5) / 10] for i in range(10) for j in range(10)]}
+    cfg = {**bundled_config("minkowski_point.json"), "model": grid, "samples_per_scale": 1000}
+    loaded = _fresh_run([("minkowski", cfg)])
+    assert "scipy.spatial" in loaded and "scipy.optimize" not in loaded
 
 
 def test_kgb_shortfall_exits_3(tmp_path):

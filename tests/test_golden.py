@@ -11,11 +11,12 @@ that moves any of them must regenerate the manifest on purpose:
 the exact bit: every float is stored as ``float.hex``.  They are
 
 - gasket variants (ratios 0.45 and 0.491, the Euclidean metric, Minkowski
-  content) at the bundled gasket scales and 50,000 samples per scale, so
-  the coarse scales test their hits on a proxy tree and the fine ones walk
-  the cylinder tree; the gasket at a scale ladder whose every other step
-  is above 0.8, so those scales test every window point; and a
-  three-map IFS in the plane whose first and last maps rotate;
+  content) at the bundled gasket scales and 50,000 samples per scale,
+  from the coarse scales, where whole blocks of points hit, to the fine
+  ones, whose cuts hold up to 1.6 M balls; the gasket at a scale ladder
+  whose every other step is above 0.8, so those scales test every window
+  point; and a three-map IFS in the plane whose first and last maps
+  rotate, whose nodes are bounded by balls, not boxes;
 - a ``fit-lsp`` on the gasket, the one estimator that tests a 2-D
   attractor at proxy resolution 0.05, on a coarse grid whose finest cut
   stays under the 5 M-ball cap;

@@ -32,16 +32,21 @@ from lspkit.sets import (
     Isometry,
     PointSet,
     Polyline,
+    attractor_bounds,
     cut_hits,
     cylinder_cut,
     distance_to_set,
     model_from_json,
     model_window,
     sample_on_set,
+    _cylinder_tree,
+    _expand,
+    _node_bounds,
     _norm,
+    _select,
 )
 
-from set_oracles import support_slopes_lp, transform_model
+from set_oracles import proxy_hits, proxy_tree, support_slopes_lp, transform_model
 
 
 def middle_third():
@@ -344,6 +349,20 @@ def rotating_ifs():
 _DELTAS = [0.2, 0.08, 0.03, 0.012]
 
 
+def _oracle_hits(model, delta, metric, resolution):
+    """Reference hit test at ``delta``, from points to a mask: the proxy tree
+    for an attractor, else the model's exact distance."""
+    if isinstance(model, IFSAttractor):
+        tree = proxy_tree(model, delta, resolution)
+        return lambda pts: proxy_hits(model, pts, delta, metric, tree=tree)
+    oracle = _DistanceOracle(model, metric=metric)
+    return lambda pts: oracle(pts, delta) < delta
+
+
+def _sorted_rows(a):
+    return a[np.lexsort(a.T[::-1])]
+
+
 def _far_cloud(rng):
     # 0.1-0.15 (sup) right of the gasket's corner (1, 0): hits only at 0.2
     return rng.uniform([1.1, 0.0], [1.15, 0.05], size=(500, 2))
@@ -393,13 +412,8 @@ def test_hit_counts_match_per_delta_oracles(model, metric, deltas, resolution):
     rng = np.random.default_rng(16)
     clouds = [rng.uniform(-0.2, 1.2, size=(3000, 2)) for _ in range(3)] + [_far_cloud(rng)]
     counts = _hit_counts(model, clouds, deltas, metric=metric, resolution=resolution)
-    want = [
-        [
-            np.count_nonzero(_DistanceOracle(model, d, metric=metric, resolution=resolution).hits(pts, d))
-            for d in deltas
-        ]
-        for pts in clouds
-    ]
+    tests = [_oracle_hits(model, d, metric, resolution) for d in deltas]
+    want = [[np.count_nonzero(test(pts)) for test in tests] for pts in clouds]
     assert counts.tolist() == want
     d = np.asarray(deltas)
     if np.all(d[1:] <= d[:-1] * (1 - resolution / 2)):  # nested: a miss stays a miss
@@ -412,47 +426,34 @@ def test_hit_counts_far_cloud_runs_out_of_hits():
 
 
 @pytest.mark.parametrize(
-    "deltas, resolution, nested, walks",
+    "deltas, resolution, nested",
     [
-        (
-            [0.2, 0.08, 0.08, 0.03, 0.012],
-            0.05,
-            [False, True, False, True, True],
-            [False, True, False, True, True],
-        ),
+        ([0.2, 0.08, 0.08, 0.03, 0.012], 0.05, [False, True, False, True, True]),
         # 1 - resolution / 2 = 0.8: 0.0801 / 0.1 lies above it, 0.03199 / 0.04 below
-        ([0.1, 0.0801, 0.04, 0.03199], 0.4, [False, False, True, True], [False] * 4),
+        ([0.1, 0.0801, 0.04, 0.03199], 0.4, [False, False, True, True]),
     ],
     ids=["duplicate", "ratio-edge"],
 )
-def test_hit_counts_query_only_previous_hits(monkeypatch, deltas, resolution, nested, walks):
-    # a nested delta's hit test sees exactly the previous delta's hits; the
+def test_hit_counts_query_only_previous_hits(monkeypatch, deltas, resolution, nested):
+    # a nested delta's walk sees exactly the previous delta's hits; the
     # first delta, a repeated one and one above the ratio test every point.
-    # The spy wraps each delta's hit test, so it sees proxy-tree queries and
-    # cylinder-tree walks alike; ``walks`` records which deltas walk.
+    # The cloud is walked in its own order (``_cell_order``), so the rows
+    # each walk sees are compared as sorted sets of rows.
     m = sierpinski()
     pts = np.random.default_rng(17).uniform(-0.2, 1.2, size=(4000, 2))
-    hits = [_DistanceOracle(m, d, resolution=resolution).hits(pts, d) for d in deltas]
-    queries, walked = [], []
-    hit_test = measure._hit_test
+    hits = [proxy_hits(m, pts, d, resolution=resolution) for d in deltas]
+    queries = []
 
-    def spy(model, delta, rows, balls, *args):
-        test = hit_test(model, delta, rows, balls, *args)
-        walked.append(balls > measure._WALK_FACTOR * rows)
+    def spy(ifs, x, *args):
+        queries.append(np.array(x))
+        return cut_hits(ifs, x, *args)
 
-        def recorded(x):
-            queries.append(np.array(x))
-            return test(x)
-
-        return recorded
-
-    monkeypatch.setattr(measure, "_hit_test", spy)
+    monkeypatch.setattr(measure, "cut_hits", spy)
     counts = _hit_counts(m, [pts], deltas, resolution=resolution)
     assert counts[0].tolist() == [np.count_nonzero(h) for h in hits]
     assert len(queries) == len(deltas)
     for j, got in enumerate(queries):
-        assert np.array_equal(got, pts[hits[j - 1]] if nested[j] else pts)
-    assert walked == walks
+        assert np.array_equal(_sorted_rows(got), _sorted_rows(pts[hits[j - 1]] if nested[j] else pts))
 
 
 @pytest.mark.parametrize(
@@ -469,7 +470,7 @@ def test_blocked_distance_pass_counts_like_one_pass(model):
     rng = np.random.default_rng(23)
     clouds = [rng.uniform(-0.2, 1.2, size=(rows, 2)) for rows in (block - 1, block, block + 1, 2 * block + 3)]
     deltas = np.array(_DELTAS)
-    oracle = _DistanceOracle(model, deltas.max())
+    oracle = _DistanceOracle(model)
     whole = [oracle(pts, deltas.max()) for pts in clouds]
     want = [[np.count_nonzero(dist < d) for d in deltas] for dist in whole]
     assert np.array_equal(_hit_counts(model, clouds, deltas), want)
@@ -497,6 +498,19 @@ def _edge_points(centers, delta, metric, rng, count=1000):
     return c + delta * u
 
 
+def tetrahedral_ifs():
+    """Four maps of ratio 0.4 toward the corners of a tetrahedron in R^3."""
+    corners = [[0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, 0.6]]
+    return IFSAttractor(IFS(tuple(IFSMap(0.4, np.array(c)) for c in corners), True))
+
+
+def _turn_3d():
+    a, b = rotation(0.4), rotation(-0.9)
+    return np.block([[a, np.zeros((2, 1))], [np.zeros((1, 2)), np.ones((1, 1))]]) @ np.block(
+        [[np.ones((1, 1)), np.zeros((1, 2))], [np.zeros((2, 1)), b]]
+    )
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -508,24 +522,30 @@ def _edge_points(centers, delta, metric, rng, count=1000):
         # z0 off the origin, with and without rotated maps
         transform_model(gasket(0.45), Isometry(np.array([0.31, -0.17]))),
         transform_model(mixed_ratio_ifs(), Isometry(np.array([-0.4, 0.23]), rotation(0.3))),
+        # in R^3: boxes, and balls about hubs (every map carries the identity rotation)
+        tetrahedral_ifs(),
+        transform_model(tetrahedral_ifs(), Isometry(np.array([0.2, -0.1, 0.3]), _turn_3d())),
     ],
-    ids=["gasket", "gasket-0.45", "gasket-0.491", "mixed-ratio", "rotating", "moved-gasket", "moved-mixed"],
+    ids=["gasket", "gasket-0.45", "gasket-0.491", "mixed-ratio", "rotating", "moved-gasket", "moved-mixed",
+         "tetrahedral", "moved-tetrahedral"],
 )
 @pytest.mark.parametrize("metric", ["sup", "euclidean"])
 def test_cut_hits_match_proxy_tree(model, metric):
     # the walk reproduces a bounded tree query on the cut bit for bit, at
-    # every bundled gasket scale, on window points and on points at distance
-    # delta from a cut center (and the first points just inside)
+    # every bundled gasket scale (the 1 M-ball cut of the finest left out in
+    # R^3), on window points and on points at distance delta from a cut
+    # center (and the first points just inside)
     rng = np.random.default_rng(21)
+    n = model.ambient_dim
     lo, hi = model_window(model, margin=0.18)
-    window = rng.uniform(lo, hi, size=(5000, 2))
+    window = rng.uniform(lo, hi, size=(5000, n))
     exact = 0
-    for d in _GASKET_SCALES:
+    for d in _GASKET_SCALES[: 7 if n == 3 else None]:
         target = _cut_target(model.ifs, d, 0.4)
-        oracle = _DistanceOracle(model, d, metric=metric, resolution=0.4)
-        centers = oracle.tree.data  # the cut centers
+        tree = proxy_tree(model, d, 0.4)
+        centers = tree.data  # the cut centers
         edge = _edge_points(centers, d, metric, rng)
-        nearest, idx = oracle.tree.query(edge, k=1, p=oracle.p)
+        nearest, idx = tree.query(edge, k=1, p=np.inf if metric == "sup" else 2)
         on = nearest == d  # no cut center is nearer than delta
         # the first points toward the nearest center, in steps of the spacing
         # of the larger coordinate, whose computed distance to it drops below
@@ -535,13 +555,79 @@ def test_cut_hits_match_proxy_tree(model, metric):
             out = _norm(inner - c, metric) >= nearest
             inner[out] += np.sign(c - inner)[out] * np.spacing(np.maximum(np.abs(inner), np.abs(c)))[out]
         pts = np.concatenate([window, edge, inner])
-        want = oracle.hits(pts, d)
+        want = proxy_hits(model, pts, d, metric, tree=tree)
         assert np.array_equal(cut_hits(model.ifs, pts, d, target, metric), want)
         assert not np.any(want[len(window) : len(window) + len(edge)][on])
         if metric == "sup":
             assert np.all(want[len(window) + len(edge) :][on])
         exact += np.count_nonzero(on)
     assert metric != "sup" or exact >= 20
+
+
+@pytest.mark.parametrize(
+    "model", [gasket(0.5), rotating_ifs(), tetrahedral_ifs()], ids=["gasket", "rotating", "tetrahedral"]
+)
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+def test_cut_hits_do_not_depend_on_point_order(model, metric):
+    # the walk's blocks are consecutive points, so any order gives the same
+    # mask: shuffled, reversed, in Z-order, and in runs shorter than a block
+    rng = np.random.default_rng(31)
+    n = model.ambient_dim
+    lo, hi = model_window(model, margin=0.05)
+    near = sample_on_set(model, 1000, rng) + rng.normal(scale=0.01, size=(1000, n))
+    pts = np.concatenate([rng.uniform(lo, hi, size=(3000, n)), near])
+    for d in (0.1, 0.01):
+        target = _cut_target(model.ifs, d, 0.4)
+        want = proxy_hits(model, pts, d, metric, 0.4)
+        for order in (rng.permutation(len(pts)), np.arange(len(pts))[::-1], measure._cell_order(pts)):
+            assert np.array_equal(cut_hits(model.ifs, pts[order], d, target, metric), want[order])
+        for rows in (slice(0, 5), slice(3500, 3501), slice(0, 0)):
+            assert np.array_equal(cut_hits(model.ifs, pts[rows], d, target, metric), want[rows])
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        gasket(0.45),
+        mixed_ratio_ifs(),
+        rotating_ifs(),
+        tetrahedral_ifs(),
+        transform_model(mixed_ratio_ifs(), Isometry(np.array([-0.4, 0.23]), rotation(0.3))),
+    ],
+    ids=["gasket-0.45", "mixed-ratio", "rotating", "tetrahedral", "moved-mixed"],
+)
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+def test_node_bounds_hold_the_cut_centers_below_them(model, metric):
+    # every cut center below a second-level node lies within the walk's
+    # slack of the node's bound; when no map rotates the bound is the box of
+    # the fixed points mapped by the node, and the centers reach within
+    # r0 target of each of its faces (the words a a ... a of the cut tend to
+    # the node's image of the fixed point of map a)
+    ifs = model.ifs
+    z0, r0 = attractor_bounds(ifs)
+    slack = 1e-12 * (float(np.linalg.norm(z0)) + r0)
+    gap, _ = _node_bounds(ifs, z0, metric)
+    parts, nodes = _cylinder_tree(ifs)
+    for _ in range(2):
+        nodes, refs = _expand(nodes, parts, z0)
+    target = 1e-3
+    fixed = np.stack([m.translation / (1.0 - m.ratio) for m in ifs.maps])
+    for i in range(nodes[0].size):
+        node = _select(nodes, np.array([i]))
+        front, below = node, []
+        while front[0].size:
+            front, centers = _expand(front, parts, z0)
+            below.append(centers[:, front[0] <= target])
+            front = _select(front, front[0] > target)
+        below = np.concatenate(below, axis=1)
+        diff = below - refs[:, i : i + 1]
+        assert np.all(gap(diff, diff, _select(node, np.zeros(below.shape[1], dtype=np.intp))) <= slack)
+        if node[1] is None:
+            s, o = node[0][0], node[2][:, 0]
+            box_lo, box_hi = s * fixed.min(axis=0) + o, s * fixed.max(axis=0) + o
+            assert np.all(below >= box_lo[:, None] - slack) and np.all(below <= box_hi[:, None] + slack)
+            reach = r0 * target
+            assert np.all(below.min(axis=1) <= box_lo + reach) and np.all(below.max(axis=1) >= box_hi - reach)
 
 
 @pytest.mark.parametrize(
