@@ -33,6 +33,7 @@ the exponents.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -353,14 +354,21 @@ def _expand(nodes, parts, z0):
         centers = np.multiply.outer(z0, s2)
         centers += o2
     else:
-        # composed parent by parent, then put in the map-major order
-        m2 = np.einsum("kij,mjl->kmil", mats, rmats).reshape(-1, n, n)
+        # m2 = mats @ rmats, summed over j in order as einsum sums it; the
+        # matrix-vector products are einsum's, whose sums run in another
+        # order, taken parent-major (the layout of the pinned results) and
+        # then put in map-major order
+        m2 = rmats[:, None, None, 0, :] * mats[None, :, :, 0, None]
+        for j in range(1, n):
+            m2 += rmats[:, None, None, j, :] * mats[None, :, :, j, None]
+        m2 = m2.reshape(-1, n, n)
+        k, p = len(ratios), len(scales)
+        parent_major = np.arange(k * p).reshape(k, p).T.reshape(-1)
+        map_major = np.arange(k * p).reshape(p, k).T.reshape(-1)
         o2 = (np.einsum("kij,mj->kmi", mats, trans) + offs.T[:, None, :]).reshape(-1, n)
-        centers = o2 + np.einsum("kij,j->ki", m2, z0)
-        order = np.arange(m2.shape[0]).reshape(-1, len(ratios)).T.reshape(-1)
-        m2 = m2[order]
-        o2 = np.ascontiguousarray(o2[order].T)
-        centers = np.ascontiguousarray(centers[order].T)
+        centers = o2 + np.einsum("kij,j->ki", m2[parent_major], z0)
+        o2 = np.ascontiguousarray(o2[map_major].T)
+        centers = np.ascontiguousarray(centers[map_major].T)
     return (s2, m2, o2), centers
 
 
@@ -370,6 +378,15 @@ def _select(nodes, rows):
     if rows.dtype == bool:
         rows = np.flatnonzero(rows)
     return scales[rows], None if mats is None else mats[rows], np.take(offs, rows, axis=1)
+
+
+def _join(a, b):
+    """The nodes of ``a`` followed by those of ``b``."""
+    return (
+        np.concatenate([a[0], b[0]]),
+        None if a[1] is None else np.concatenate([a[1], b[1]]),
+        np.concatenate([a[2], b[2]], axis=1),
+    )
 
 
 def cut_size(ifs: IFS, target, cap=10_000_000):
@@ -432,7 +449,7 @@ def cylinder_cut(ifs: IFS, target, cap=10_000_000):
 
 
 _WALK_BLOCK = 32  # consecutive query points per block of the block phase
-_PAIR_CHUNK = 16384  # most (point, node) pairs the point phase tests in one step
+_PAIR_CHUNK = 32768  # most pairs a walk step expands to, and most points handed down at once
 
 
 def _node_bounds(ifs: IFS, z0, metric):
@@ -507,11 +524,15 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
       center c up to rounding, since z0 is the fixed point of map 0.  A
       pair goes down to the point phase when the node is a cut word or no
       larger than the block.
-    - Point phase: (point, node) pairs descend the same way, depth first,
-      at most ``_PAIR_CHUNK`` pairs at a step.  A point hits once
-      |x - c| < delta - slack at a node above the cut and once ``_norm`` is
-      below delta at a cut word, and a pair drops once x lies farther than
-      delta + slack from the node's bound.
+    - Point phase: (point, node) pairs descend the same way.  A point hits
+      once |x - c| < delta - slack at a node above the cut and once
+      ``_norm`` is below delta at a cut word, and a pair drops once x lies
+      farther than delta + slack from the node's bound.
+
+    Both phases descend depth first and expand at most ``_PAIR_CHUNK`` // k
+    pairs at a step, and the pairs handed down are walked once their blocks
+    hold ``_PAIR_CHUNK`` points, so the arrays stay small however many
+    points there are.
 
     Children come from ``_expand`` on the pairs' own nodes, so each cut
     center is the one ``cylinder_cut`` emits bit for bit and the mask
@@ -537,13 +558,64 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
     hi = np.maximum.reduceat(x, starts, axis=1)
     width = np.max(hi - lo, axis=0)
     full = np.zeros(len(starts), dtype=bool)  # blocks that hit whole
-    who = np.arange(len(starts))
-    nodes = _select(root, np.zeros(len(starts), dtype=np.intp))
-    down = []
-    while who.size:
-        nodes, centers = _expand(nodes, parts, z0)
+    step = max(1, _PAIR_CHUNK // k)
+
+    def walk(who, nodes, centers, test, done):
+        """Depth first from the pairs given: ``test`` marks hits and returns
+        the rows to expand, which wait on a stack; each step expands at most
+        ``step`` pairs off its top, those of points or blocks not ``done``."""
+        stack = []
+        while True:
+            rows = test(who, nodes, centers)
+            if rows.size:
+                stack.append((who[rows], _select(nodes, rows)))
+            if not stack:
+                return
+            who, nodes = stack.pop()
+            while stack and who.size + stack[-1][0].size <= step:
+                more, extra = stack.pop()
+                who, nodes = np.concatenate([who, more]), _join(nodes, extra)
+            if who.size > step:
+                stack.append((who[step:], _select(nodes, np.arange(step, who.size))))
+                who, nodes = who[:step], _select(nodes, np.arange(step))
+            rows = np.flatnonzero(~done[who])
+            nodes, centers = _expand(_select(nodes, rows), parts, z0)
+            who = np.tile(who[rows], k)
+
+    def test_points(who, nodes, centers):
+        diff = np.take(x, who, axis=1)
+        diff -= centers
+        leaf = nodes[0] <= target
+        hit[who[_norm(diff.T, metric) < np.where(leaf, delta, delta - slack)]] = True
+        keep = gap(diff, diff, nodes) <= delta + slack
+        keep &= ~leaf
+        return np.flatnonzero(keep)
+
+    pending = []  # (block, node) pairs handed down, with their nodes' reference centers
+
+    def hand_down():
+        """Walk a pair per point not yet hit of each pending pair's block, at
+        most _PAIR_CHUNK of them at a time."""
+        block, nodes, centers = zip(*pending)
+        block, nodes, centers = np.concatenate(block), functools.reduce(_join, nodes), np.concatenate(centers, axis=1)
+        pending.clear()
+        first = block * _WALK_BLOCK
+        count = np.minimum(len(pts) - first, _WALK_BLOCK)
+        count[full[block]] = 0
+        ends = np.cumsum(count)
+        begin = ends - count
+        i = 0
+        while i < len(block):
+            j = max(int(np.searchsorted(ends, begin[i] + _PAIR_CHUNK, side="right")), i + 1)
+            pair = np.repeat(np.arange(i, j), count[i:j])
+            who = first[pair] + np.arange(pair.size) - (begin[pair] - begin[i])
+            keep = np.flatnonzero(~hit[who])
+            pair = pair[keep]
+            walk(who[keep], _select(nodes, pair), np.take(centers, pair, axis=1), test_points, hit)
+            i = j
+
+    def test_blocks(who, nodes, centers):
         scales = nodes[0]
-        who = np.tile(who, k)
         dlo = np.take(lo, who, axis=1)
         dlo -= centers
         dhi = np.take(hi, who, axis=1)
@@ -552,49 +624,19 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
         keep = gap(dlo, dhi, nodes) <= delta + slack
         keep &= ~full[who]
         deep = keep & ((scales <= target) | (scales * size <= width[who]))
-        if deep.any():
-            rows = np.flatnonzero(deep)
-            down.append((who[rows], _select(nodes, rows), np.take(centers, rows, axis=1)))
+        rows = np.flatnonzero(deep)
+        if rows.size:
+            pending.append((who[rows], _select(nodes, rows), np.take(centers, rows, axis=1)))
+            if sum(len(p[0]) for p in pending) * _WALK_BLOCK >= _PAIR_CHUNK:
+                hand_down()
         keep &= ~deep
-        rows = np.flatnonzero(keep)
-        who = who[rows]
-        nodes = _select(nodes, rows)
-    hit[:] = np.repeat(full, _WALK_BLOCK)[: len(pts)]
+        return np.flatnonzero(keep)
 
-    def walk(stack):
-        step = max(1, _PAIR_CHUNK // k)
-        while stack:
-            who, nodes, centers = stack.pop()
-            scales = nodes[0]
-            diff = np.take(x, who, axis=1)
-            diff -= centers
-            leaf = scales <= target
-            hit[who[_norm(diff.T, metric) < np.where(leaf, delta, delta - slack)]] = True
-            keep = gap(diff, diff, nodes) <= delta + slack
-            keep &= ~leaf
-            keep &= ~hit[who]
-            rows = np.flatnonzero(keep)
-            for i in range(0, rows.size, step):
-                part = rows[i : i + step]
-                kids, kid_centers = _expand(_select(nodes, part), parts, z0)
-                stack.append((np.tile(who[part], k), kids, kid_centers))
-
-    # each handed-down (block, node) pair becomes a pair per point of its
-    # block not yet hit, at most _PAIR_CHUNK of them at a time
-    for block, nodes, centers in down:
-        first = block * _WALK_BLOCK
-        rows = np.minimum(len(pts) - first, _WALK_BLOCK)
-        rows[full[block]] = 0
-        ends = np.cumsum(rows)
-        i = 0
-        while i < len(block):
-            j = max(int(np.searchsorted(ends, ends[i] - rows[i] + _PAIR_CHUNK, side="right")), i + 1)
-            pair = np.repeat(np.arange(i, j), rows[i:j])
-            who = first[pair] + np.arange(pair.size) - (ends[pair] - rows[pair] - (ends[i] - rows[i]))
-            keep = np.flatnonzero(~hit[who])
-            pair = pair[keep]
-            walk([(who[keep], _select(nodes, pair), np.take(centers, pair, axis=1))])
-            i = j
+    blocks = np.arange(len(starts))
+    walk(blocks, _select(root, np.zeros_like(blocks)), np.repeat(z0[:, None], len(starts), axis=1), test_blocks, full)
+    if pending:
+        hand_down()
+    hit |= np.repeat(full, _WALK_BLOCK)[: len(pts)]
     return hit
 
 
