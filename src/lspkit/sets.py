@@ -33,7 +33,6 @@ the exponents.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -380,13 +379,10 @@ def _select(nodes, rows):
     return scales[rows], None if mats is None else mats[rows], np.take(offs, rows, axis=1)
 
 
-def _join(a, b):
-    """The nodes of ``a`` followed by those of ``b``."""
-    return (
-        np.concatenate([a[0], b[0]]),
-        None if a[1] is None else np.concatenate([a[1], b[1]]),
-        np.concatenate([a[2], b[2]], axis=1),
-    )
+def _join(parts):
+    """The nodes of each of ``parts`` in turn."""
+    scales, mats, offs = zip(*parts)
+    return np.concatenate(scales), None if mats[0] is None else np.concatenate(mats), np.concatenate(offs, axis=1)
 
 
 def cut_size(ifs: IFS, target, cap=10_000_000):
@@ -574,7 +570,7 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
             who, nodes = stack.pop()
             while stack and who.size + stack[-1][0].size <= step:
                 more, extra = stack.pop()
-                who, nodes = np.concatenate([who, more]), _join(nodes, extra)
+                who, nodes = np.concatenate([who, more]), _join([nodes, extra])
             if who.size > step:
                 stack.append((who[step:], _select(nodes, np.arange(step, who.size))))
                 who, nodes = who[:step], _select(nodes, np.arange(step))
@@ -597,7 +593,7 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
         """Walk a pair per point not yet hit of each pending pair's block, at
         most _PAIR_CHUNK of them at a time."""
         block, nodes, centers = zip(*pending)
-        block, nodes, centers = np.concatenate(block), functools.reduce(_join, nodes), np.concatenate(centers, axis=1)
+        block, nodes, centers = np.concatenate(block), _join(nodes), np.concatenate(centers, axis=1)
         pending.clear()
         first = block * _WALK_BLOCK
         count = np.minimum(len(pts) - first, _WALK_BLOCK)

@@ -505,10 +505,8 @@ def tetrahedral_ifs():
 
 
 def _turn_3d():
-    a, b = rotation(0.4), rotation(-0.9)
-    return np.block([[a, np.zeros((2, 1))], [np.zeros((1, 2)), np.ones((1, 1))]]) @ np.block(
-        [[np.ones((1, 1)), np.zeros((1, 2))], [np.zeros((2, 1)), b]]
-    )
+    """An orthogonal map of R^3 that moves every coordinate axis."""
+    return np.linalg.qr(np.array([[2.0, 1.0, 0.0], [0.5, 1.0, 1.0], [0.0, 0.3, 1.0]]))[0]
 
 
 @pytest.mark.parametrize(
@@ -534,7 +532,8 @@ def test_cut_hits_match_proxy_tree(model, metric):
     # the walk reproduces a bounded tree query on the cut bit for bit, at
     # every bundled gasket scale (the 1 M-ball cut of the finest left out in
     # R^3), on window points and on points at distance delta from a cut
-    # center (and the first points just inside)
+    # center (and the first points just inside), the latter also in runs of
+    # 64 equal points, so that whole blocks sit at distance delta
     rng = np.random.default_rng(21)
     n = model.ambient_dim
     lo, hi = model_window(model, margin=0.18)
@@ -554,12 +553,12 @@ def test_cut_hits_match_proxy_tree(model, metric):
         for _ in range(8):
             out = _norm(inner - c, metric) >= nearest
             inner[out] += np.sign(c - inner)[out] * np.spacing(np.maximum(np.abs(inner), np.abs(c)))[out]
-        pts = np.concatenate([window, edge, inner])
+        pts = np.concatenate([window, edge, inner, np.repeat(edge[:100], 64, axis=0)])
         want = proxy_hits(model, pts, d, metric, tree=tree)
         assert np.array_equal(cut_hits(model.ifs, pts, d, target, metric), want)
         assert not np.any(want[len(window) : len(window) + len(edge)][on])
         if metric == "sup":
-            assert np.all(want[len(window) + len(edge) :][on])
+            assert np.all(want[len(window) + len(edge) : len(window) + 2 * len(edge)][on])
         exact += np.count_nonzero(on)
     assert metric != "sup" or exact >= 20
 
