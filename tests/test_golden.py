@@ -15,8 +15,9 @@ the exact bit: every float is stored as ``float.hex``.  They are
   from the coarse scales, where whole blocks of points hit, to the fine
   ones, whose cuts hold up to 1.6 M balls; the gasket at a scale ladder
   whose every other step is above 0.8, so those scales test every window
-  point; and a three-map IFS in the plane whose first and last maps
-  rotate, whose nodes are bounded by balls, not boxes;
+  point; a three-map IFS in the plane whose first and last maps
+  rotate, whose nodes are bounded by balls, not boxes; and the four-map
+  gasket in R^3 (ratio 0.5) at scales 0.4 down to 0.4 / 128;
 - a ``fit-lsp`` on the gasket, the one estimator that tests a 2-D
   attractor at proxy resolution 0.05, on a coarse grid whose finest cut
   stays under the 5 M-ball cap;
@@ -158,6 +159,12 @@ def variant_configs():
         {"ratio": 0.35, "translation": [0.2, 0.6], "rotation": [[c, s], [-s, c]]},
     ]
     out["boxdim_rotating"] = ("boxdim", {**base, "model": {"variant": "ifs", "maps": rotating, "osc": True}})
+    # four maps of ratio 0.5 toward the corners of the unit simplex in R^3
+    corners = [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
+    out["boxdim_gasket_3d"] = ("boxdim", {
+        **base, "model": {"variant": "ifs", "maps": [{"ratio": 0.5, "translation": t} for t in corners], "osc": True},
+        "scales": [0.4 * 2.0**-k for k in range(8)],
+    })
     fit = bundled_config("fit_lsp_line.json")
     grids = {"r": [0.5, 0.35, 0.25, 0.18], "delta_ratios": [0.25, 0.125, 0.0625, 0.03125],
              "samples": 10_000, "centers_per_cell": 2}
