@@ -836,7 +836,8 @@ def holder_check(
     mu,
     params: ConstructionParams,
     trials=10_000,
-    rng=None,
+    *,
+    rng,
     radius_cap=None,
 ) -> HolderReport:
     """Max over random balls D of mass(D) * eta / f(r(D)), with ``mu`` the
@@ -864,8 +865,6 @@ def holder_check(
     """
     if trials < 1000:
         raise ArgumentError("trials must be >= 1000")
-    if rng is None:
-        rng = np.random.default_rng(0)
     pair = params.gauges
     eta = params.eta
     order = np.argsort(tree.level.c_center)

@@ -151,7 +151,7 @@ def greedy_net(points, sep, metric="sup"):
     return chosen[:count].copy()
 
 
-def separated_net(m: SetModel, region: Ball, sep, candidates=10_000, rng=None, metric="sup") -> NetResult:
+def separated_net(m: SetModel, region: Ball, sep, candidates=10_000, *, rng, metric="sup") -> NetResult:
     """Greedy sep-separated net on the model inside the region.
 
     The pool is every distinct point of a finite point set inside the region,
@@ -168,8 +168,6 @@ def separated_net(m: SetModel, region: Ball, sep, candidates=10_000, rng=None, m
     if isinstance(m, PointSet):
         pool = np.unique(m.points, axis=0)
     else:
-        if rng is None:
-            rng = np.random.default_rng(0)
         pool = sample_on_set(m, candidates, rng)
     pool = pool[_norm(pool - region.center, metric) < region.radius]
     if len(pool) == 0:
@@ -271,7 +269,7 @@ def _range_in(cloud, center, half, inside):
 # the two selection procedures
 
 
-def build_caj(A: Ball, m: SetModel, upsilon_j, rng=None, pool=10_000, metric="sup") -> NetResult:
+def build_caj(A: Ball, m: SetModel, upsilon_j, *, rng, pool=10_000, metric="sup") -> NetResult:
     """The C(A; j) selection: the balls of radius upsilon centered on the
     points of the returned 6*upsilon-separated net of the model inside half
     of A.

@@ -14,12 +14,13 @@ delta, less each gap shrunk by delta (``_attractor_length_in``).  It needs
 first-level hulls that do not overlap; an attractor whose hulls overlap is
 refused with ``ArgumentError``.
 
-Hit tests use the configured metric for every model, attractors included:
-a point hits when a proxy cut center lies within delta of it in that
-metric.  An attractor's hits at every scale come from one walk of its
-cylinder tree (``sets.cut_hits``), which builds neither the cut nor a
-KD-tree.  Only ``sets.distance_to_set`` measures circles and spheres in
-the Euclidean norm whatever the metric; it does not measure attractors.
+Hit tests use the configured metric for every model, attractors included.
+An attractor's hits at every scale come from one walk of its cylinder tree
+(``sets.cut_hits``) down to a floor of ``_FLOOR`` times the scale, which
+builds neither a cut nor a KD-tree: a point hits when it lies within delta
+of the attractor itself, exact to that floor.  Only ``sets.distance_to_set``
+measures circles and spheres in the Euclidean norm whatever the metric; it
+does not measure attractors.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .sets import (
     _sum_squares,
     attractor_bounds,
     cut_hits,
-    cut_size,
     cylinder_cut,  # unread here; perfbench's tracer wraps measure.cylinder_cut
     distance_to_set,
     model_window,
@@ -46,7 +46,7 @@ from .sets import (
 )
 
 DEFAULT_SAMPLES = 100_000
-_WINDOW_RESOLUTION = 0.4  # attractor proxy resolution of the window estimators
+_FLOOR = 1e-9  # attractor hit tests are exact to _FLOOR * delta (``_hit_counts``)
 
 
 def __getattr__(name):
@@ -152,13 +152,6 @@ def _union_length_in(union, lo, hi):
         return cum[k] - np.maximum(over, 0.0)
 
     return np.maximum(covered(hi) - covered(lo), 0.0)
-
-
-def _cut_target(ifs, scale, resolution):
-    """Contraction target of the proxy cut at a working scale: its balls
-    have radius at most resolution * scale / 2."""
-    _, r0 = attractor_bounds(ifs)
-    return min(resolution * scale / max(2 * r0, 1e-300), 1.0)
 
 
 _OVERLAP_TOL = 1e-12  # first-level hulls may overlap by this share of the hull (rounding)
@@ -322,7 +315,6 @@ def _interval_model(m: SetModel):
 # distance oracles for hit testing
 
 
-_CUT_CAP = 5_000_000  # largest proxy cut an attractor hit test may use
 _DISTANCE_BLOCK = 16_384  # rows per exact-distance pass of _hit_counts
 
 
@@ -376,7 +368,7 @@ def _cell_order(pts):
     return np.argsort(key, kind="stable")
 
 
-def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
+def _hit_counts(m: SetModel, clouds, deltas, metric="sup"):
     """counts[i, j]: points of ``clouds[i]`` within ``deltas[j]`` of m.
 
     Every delta reads the same clouds.  Models with an exact distance make
@@ -386,52 +378,41 @@ def _hit_counts(m: SetModel, clouds, deltas, metric="sup", resolution=0.05):
     point's distance does not depend on the rows around it, so the counts
     are those of one pass over the whole cloud.
 
-    Attractors test each delta against a proxy cut whose resolution follows
-    the scale, by one walk of the cylinder tree (``sets.cut_hits``).  Each
-    delta's cut size is counted from the map ratios first
-    (``sets.cut_size``), so an over-cap cut raises before any hit test.
-    Each cloud is put once in Z-order (``_cell_order``), which keeps the
-    walk's blocks of consecutive points tight; a count does not depend on
-    the order.  The deltas are walked from coarse to fine, and a finer
-    delta tests only the points that hit at the previous one, whenever
-    delta <= delta_prev * (1 - resolution / 2) - slack; otherwise (a repeated
-    delta, or a ratio above that bound) it tests every point.  The counts
-    are those of a full test at every delta, because a point that misses
-    at delta_c misses at every such delta_f:
-
-    - every proxy point is an image of z0, so it lies on the attractor A,
-      and dist(x, proxy) >= dist(x, A);
-    - the cut's Euclidean balls of radius <= resolution * delta / 2 cover A
-      (when ``target`` is clamped to 1, r0 <= resolution * delta / 2), and
-      the sup distance is at most the Euclidean one, so in both metrics
-      dist(x, proxy_delta) <= dist(x, A) + resolution * delta / 2;
-    - a miss at delta_c thus has dist(x, A) >= delta_c (1 - resolution / 2)
-      >= delta_f, and so misses at delta_f;
-    - a point's hit or miss does not depend on the other points tested
-      with it, so each kept point is decided by the same arithmetic as in
-      a full test.
-
-    ``slack`` (1e-9 delta_prev plus 1e-12 of the extent |z0| + r0) absorbs
-    the rounding of the cut's compositions and of the distances, which
-    stay within a few hundred ulps.
+    Attractors walk their cylinder tree (``sets.cut_hits``) down to one
+    floor: the cut at contraction target ``_FLOOR`` * delta / (2 r0), whose
+    balls, centered on the attractor A, have radius at most ``_FLOOR`` *
+    delta / 2, below the walk's ``slack`` (1e-9 delta plus 1e-12 of the
+    extent |z0| + r0, which absorbs the rounding of the compositions and of
+    the distances, a few hundred ulps).  The walk decides such a cut to the
+    slack: a hit lies within delta of a cut center, so of A, and a miss at
+    least delta - slack from A.  Each cloud is put once in Z-order
+    (``_cell_order``), which keeps the walk's blocks of consecutive points
+    tight; a count does not depend on the order.  The deltas are walked
+    from coarse to fine, and a finer delta tests only the points that hit
+    at the previous one, whenever delta <= delta_prev - 2 slack_prev;
+    otherwise (a repeated delta) it tests every point.  The counts are
+    those of a full test at every delta, because a point that misses at
+    delta_c misses at every such delta_f: it lies at least delta_c -
+    slack_c >= delta_f + slack_c from A, farther than delta_f from every
+    cut center even with rounding.  A point's hit or miss does not depend
+    on the other points tested with it, so each kept point is decided by
+    the same arithmetic as in a full test.
     """
     deltas = np.asarray(deltas, dtype=float)
     counts = np.zeros((len(clouds), len(deltas)), dtype=np.int64)
     if isinstance(m, IFSAttractor):
         z0, r0 = attractor_bounds(m.ifs)
-        targets = [_cut_target(m.ifs, d, resolution) for d in deltas]
-        for target in targets:
-            cut_size(m.ifs, target, cap=_CUT_CAP)
         clouds = [np.take(pts, _cell_order(pts), axis=0) for pts in clouds]
         extent_slack = 1e-12 * (float(np.linalg.norm(z0)) + r0)
         live = [None] * len(clouds)  # rows of each cloud that hit at prev; None: all
         prev = None
         for j in np.argsort(-deltas, kind="stable"):
             d = deltas[j]
-            if prev is None or not d <= prev * (1.0 - resolution / 2) - (1e-9 * prev + extent_slack):
+            if prev is None or not d <= prev - 2.0 * (1e-9 * prev + extent_slack):
                 live = [None] * len(clouds)
+            target = _FLOOR * d / (2 * r0)
             for i, pts in enumerate(clouds):
-                hit = cut_hits(m.ifs, pts if live[i] is None else pts[live[i]], d, targets[j], metric)
+                hit = cut_hits(m.ifs, pts if live[i] is None else pts[live[i]], d, target, metric)
                 live[i] = np.flatnonzero(hit) if live[i] is None else live[i][hit]
                 counts[i, j] = live[i].size
             prev = d
@@ -463,22 +444,19 @@ def _window_volumes(m, scales, samples_per_scale, rng, metric):
 
     The window is fixed by the largest scale, and one uniform window sample
     serves every scale: each scale counts its hits among the same points.
-    The attractor proxy resolution is proportional to each scale, so the
-    proxy bias is a scale-independent factor and cancels in slope fits.
-    At ``_WINDOW_RESOLUTION`` (0.4) a scale at most 0.8 times the previous
-    one re-tests only the previous scale's hits (see ``_hit_counts``).
+    An attractor's hits are exact to ``_FLOOR`` times each scale, and a
+    scale below the previous one re-tests only the previous scale's hits
+    (see ``_hit_counts``).
     """
     scales = np.asarray(sorted(scales, reverse=True), dtype=float)
     if len(scales) < 4 or scales.max() / scales.min() < 100:
         raise ArgumentError("need >= 4 scales spanning >= 2 decades")
-    if rng is None:
-        rng = np.random.default_rng(0)
     lo, hi = model_window(m, margin=float(scales.max()) * 1.5)
     if _interval_model(m):
         vols = neighborhood_length_1d(m, scales, lo[0], hi[0])
     else:
         pts = rng.uniform(lo, hi, size=(samples_per_scale, m.ambient_dim))
-        counts = _hit_counts(m, [pts], scales, metric=metric, resolution=_WINDOW_RESOLUTION)[0]
+        counts = _hit_counts(m, [pts], scales, metric=metric)[0]
         vols, _ = _mc_volume(float(np.prod(hi - lo)), counts, samples_per_scale)
     if np.all(vols <= 0):
         raise EstimationError("zero measure at every scale")
@@ -522,7 +500,7 @@ def _support_slopes(x, y):
     return out[0], out[1]  # below, above
 
 
-def box_dimensions(m: SetModel, scales, samples_per_scale=DEFAULT_SAMPLES, rng=None, metric="sup"):
+def box_dimensions(m: SetModel, scales, samples_per_scale=DEFAULT_SAMPLES, *, rng, metric="sup"):
     """Lower/upper box-dimension fits from neighborhood volumes.
 
     The central estimate is n minus the least-squares slope of log volume
@@ -551,7 +529,7 @@ def box_dimensions(m: SetModel, scales, samples_per_scale=DEFAULT_SAMPLES, rng=N
     return lower, upper
 
 
-def minkowski_content(m: SetModel, d, scales, samples_per_scale=DEFAULT_SAMPLES, rng=None, metric="sup"):
+def minkowski_content(m: SetModel, d, scales, samples_per_scale=DEFAULT_SAMPLES, *, rng, metric="sup"):
     """Min and max over scales of delta**-(n-d) * vol of the neighborhood.
 
     Uses the classical normalization (negative exponent on delta), which
@@ -591,7 +569,8 @@ def fit_lsp(
     r_grid,
     delta_ratios,
     samples=DEFAULT_SAMPLES,
-    rng=None,
+    *,
+    rng,
     centers_per_cell=4,
     metric="sup",
 ):
@@ -611,8 +590,6 @@ def fit_lsp(
     correlated and ``kappa_stderr`` (the ordinary least-squares standard
     error) understates the seed-to-seed spread of ``kappa_hat``.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     r_grid = np.asarray(r_grid, dtype=float)
     delta_ratios = np.asarray(delta_ratios, dtype=float)
     if np.any(delta_ratios >= 1.0):

@@ -17,7 +17,10 @@ from the ratios alone; and ``cut_hits``, the one attractor hit test,
 decides which points lie within delta of a cut center without building the
 cut: it walks (block, node) pairs, then (point, node) pairs, and prunes
 each node by its box, or by its hub ball when a map rotates
-(``_node_bounds``).
+(``_node_bounds``).  The estimators walk it to a cut far finer than delta,
+which it decides to its rounding slack, so their hits are those of the
+attractor itself; a walk that needs more than a fixed number of node
+visits per point, as on maps whose images overlap heavily, is refused.
 
 Metric conventions: the ambient metric is the sup norm by default (balls are
 boxes, which keeps volumes exact in the estimators) with Euclidean
@@ -446,6 +449,7 @@ def cylinder_cut(ifs: IFS, target, cap=10_000_000):
 
 _WALK_BLOCK = 32  # consecutive query points per block of the block phase
 _PAIR_CHUNK = 32768  # most pairs a walk step expands to, and most points handed down at once
+_PAIR_BUDGET = 256  # most (block or point, node) pairs a hit test may expand per point
 
 
 def _node_bounds(ifs: IFS, z0, metric):
@@ -509,32 +513,41 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
     (``_node_bounds``: its box, or its hub ball when a map rotates), so the
     centers of all its cut words lie there too, and a reference center c,
     its image of z0.  ``slack`` (1e-9 delta plus 1e-12 of |z0| + r0)
-    absorbs the rounding of the compositions and of the distances.
+    absorbs the rounding of the compositions and of the distances.  A pair
+    drops once its block's box or its point lies farther than ``reach``
+    from the node's bound.
 
     - Block phase: the points are taken ``_WALK_BLOCK`` at a time in the
       order given, each block with its bounding box, and (block, node)
-      pairs descend the tree.  A pair drops once the block's box lies
-      farther than delta + slack from the node's bound.  The whole block
-      hits once its farthest corner lies within delta - slack of c: the
-      word that extends the node by map 0 until it reaches the cut has the
-      center c up to rounding, since z0 is the fixed point of map 0.  A
-      pair goes down to the point phase when the node is a cut word or no
-      larger than the block.
+      pairs descend the tree.  The whole block hits once its farthest
+      corner lies within delta - slack of c: the word that extends the
+      node by map 0 until it reaches the cut has the center c up to
+      rounding, since z0 is the fixed point of map 0.  A pair goes down to
+      the point phase when the node is a cut word or no larger than the
+      block.
     - Point phase: (point, node) pairs descend the same way.  A point hits
       once |x - c| < delta - slack at a node above the cut and once
-      ``_norm`` is below delta at a cut word, and a pair drops once x lies
-      farther than delta + slack from the node's bound.
+      ``_norm`` is below delta at a cut word.
+
+    A cut whose balls are wider than the slack (target * r0 > slack) is
+    decided exactly: ``reach`` is delta + slack, each cut center is the one
+    ``cylinder_cut`` emits bit for bit (children come from ``_expand`` on
+    the pairs' own nodes), and the mask equals a bounded cKDTree query on
+    the cut, whatever the order of the points.  A finer cut resolves the
+    attractor A within the slack, and is decided to it: ``reach`` is just
+    below delta - slack, so a hit lies within delta of A and a miss at
+    least delta - slack from it (less rounding).  Deciding the band between
+    exactly would follow a point at distance delta from a face of A that is
+    flat along a face of the sup ball down to every cut word on that face.
 
     Both phases descend depth first and expand at most ``_PAIR_CHUNK`` // k
     pairs at a step, and the pairs handed down are walked once their blocks
     hold ``_PAIR_CHUNK`` points, so the arrays stay small however many
-    points there are.
-
-    Children come from ``_expand`` on the pairs' own nodes, so each cut
-    center is the one ``cylinder_cut`` emits bit for bit and the mask
-    equals a bounded cKDTree query on the cut, whatever the order of the
-    points; points that lie close to their neighbours in that order make
-    tighter blocks and so a faster walk.
+    points there are; points that lie close to their neighbours in the
+    order given make tighter blocks and so a faster walk.  A call expands
+    at most ``_PAIR_BUDGET`` pairs per point, and raises ``ArgumentError``
+    past it: maps whose images overlap heavily keep too many nodes near
+    each point at every depth.
     """
     z0, r0 = attractor_bounds(ifs)
     pts = np.asarray(pts, dtype=float)
@@ -544,10 +557,12 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
     if not len(pts):
         return hit
     slack = 1e-9 * delta + 1e-12 * (float(np.linalg.norm(z0)) + r0)
+    reach = delta + slack if target * r0 > slack else np.nextafter(delta - slack, 0.0)
     gap, size = _node_bounds(ifs, z0, metric)
     parts, root = _cylinder_tree(ifs)
     k = len(ifs.maps)
     x = np.ascontiguousarray(pts.T)  # by coordinate, as the nodes are
+    budget = _PAIR_BUDGET * len(pts)
 
     starts = np.arange(0, len(pts), _WALK_BLOCK)
     lo = np.minimum.reduceat(x, starts, axis=1)
@@ -560,6 +575,7 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
         """Depth first from the pairs given: ``test`` marks hits and returns
         the rows to expand, which wait on a stack; each step expands at most
         ``step`` pairs off its top, those of points or blocks not ``done``."""
+        nonlocal budget
         stack = []
         while True:
             rows = test(who, nodes, centers)
@@ -575,6 +591,11 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
                 stack.append((who[step:], _select(nodes, np.arange(step, who.size))))
                 who, nodes = who[:step], _select(nodes, np.arange(step))
             rows = np.flatnonzero(~done[who])
+            budget -= rows.size
+            if budget < 0:
+                n, overlap = len(z0), float(np.sum(ifs.ratios ** len(z0)))
+                raise ArgumentError(f"attractor hit test walked more than {_PAIR_BUDGET} cylinder pairs per point: "
+                                    f"the maps' images overlap (sum of ratio**{n} = {overlap:.3g}; above 1 they must)")
             nodes, centers = _expand(_select(nodes, rows), parts, z0)
             who = np.tile(who[rows], k)
 
@@ -583,7 +604,7 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
         diff -= centers
         leaf = nodes[0] <= target
         hit[who[_norm(diff.T, metric) < np.where(leaf, delta, delta - slack)]] = True
-        keep = gap(diff, diff, nodes) <= delta + slack
+        keep = gap(diff, diff, nodes) <= reach
         keep &= ~leaf
         return np.flatnonzero(keep)
 
@@ -617,7 +638,7 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
         dhi = np.take(hi, who, axis=1)
         dhi -= centers
         full[who[_norm(np.maximum(-dlo, dhi).T, metric) < delta - slack]] = True
-        keep = gap(dlo, dhi, nodes) <= delta + slack
+        keep = gap(dlo, dhi, nodes) <= reach
         keep &= ~full[who]
         deep = keep & ((scales <= target) | (scales * size <= width[who]))
         rows = np.flatnonzero(deep)

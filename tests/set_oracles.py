@@ -8,18 +8,20 @@ rotated and shifted fixtures and to check that distances are equivariant.
 ``torus_distance`` is the reference that ``randomsim``'s torus rules are
 checked against.  ``proxy_tree`` and ``proxy_hits`` are the attractor hit
 test that ``sets.cut_hits`` replaced: scipy's cKDTree over the proxy cut
-``sets.cylinder_cut``, queried with the bound delta.  ``support_slopes_lp`` and ``plane_distance_lp`` are the
-linear programs that ``measure._support_slopes`` and the sup-metric distance
-to a tilted plane solve in closed form.
+``sets.cylinder_cut`` at ``proxy_target``, queried with the bound delta.
+``support_slopes_lp`` and ``plane_distance_lp`` are the linear programs that
+``measure._support_slopes`` and the sup-metric distance to a tilted plane
+solve in closed form: the first solved by HiGHS, the second exactly, by
+enumerating its vertices in integer arithmetic.
 """
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from lspkit.errors import ArgumentError
-from lspkit.measure import _CUT_CAP, _cut_target
 from lspkit.sets import (
     IFS,
     AffinePlane,
@@ -79,11 +81,20 @@ def distance_to_attractor(model: IFSAttractor, pts, tol=1e-9):
     return out
 
 
+PROXY_CAP = 5_000_000  # largest proxy cut ``proxy_tree`` builds
+
+
+def proxy_target(ifs: IFS, delta, resolution):
+    """Contraction target of the proxy cut at scale ``delta``: its balls
+    have radius at most resolution * delta / 2."""
+    _, r0 = attractor_bounds(ifs)
+    return min(resolution * delta / (2 * r0), 1.0)
+
+
 def proxy_tree(model: IFSAttractor, delta, resolution=0.05):
-    """scipy's cKDTree over the centers of the proxy cut that the attractor
-    hit tests use at scale ``delta``: ``cylinder_cut`` at the estimators'
-    contraction target, under their cap."""
-    centers, _ = cylinder_cut(model.ifs, _cut_target(model.ifs, delta, resolution), cap=_CUT_CAP)
+    """scipy's cKDTree over the centers of the proxy cut at scale ``delta``:
+    ``cylinder_cut`` at ``proxy_target``, under ``PROXY_CAP``."""
+    centers, _ = cylinder_cut(model.ifs, proxy_target(model.ifs, delta, resolution), cap=PROXY_CAP)
     return cKDTree(centers)
 
 
@@ -155,38 +166,82 @@ def support_slopes_lp(x, y):
     return out[0], out[1]
 
 
+def _gauss_jordan(a):
+    """(D, X) with a X = D I for a square integer matrix a, D = +-det(a), by
+    fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968),
+    whose divisions are exact; (0, None) when a is singular."""
+    k = len(a)
+    rows = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(a)]
+    prev = 1
+    for p in range(k):
+        q = next((i for i in range(p, k) if rows[i][p]), None)
+        if q is None:
+            return 0, None
+        rows[p], rows[q] = rows[q], rows[p]
+        piv = rows[p][p]
+        for i in range(k):
+            if i != p:
+                f = rows[i][p]
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], rows[p])]
+        prev = piv
+    return prev, [r[k:] for r in rows]
+
+
+def _integers(values):
+    """Integers k_i and e with values_i = k_i / 2**e exactly."""
+    fr = [Fraction(v) for v in values]
+    e = max(f.denominator.bit_length() - 1 for f in fr)
+    return [f.numerator << (e - f.denominator.bit_length() + 1) for f in fr], e
+
+
 def plane_distance_lp(m: AffinePlane, pts):
-    """Reference sup-metric distance from each point to the plane: the least
-    z with |d - B^T t| <= z coordinatewise, d = x - base, one HiGHS linear
-    program in (t, z) per point, its vertex then re-solved exactly.
+    """Reference sup-metric distance from each point to the plane, the least
+    z with |d - B^T t| <= z coordinatewise, d = x - base: exact rational
+    arithmetic on the floats given, rounded once at the end.
 
-    HiGHS stops within its tolerances (1e-7), here up to about 1e-9 above
-    the least z.  Each set of l + 1 coordinates whose residual d - B^T t
-    comes within 1e-6 max|d| of HiGHS's z gives the t of B^T t + s z = d on
-    those coordinates, s the residuals' signs; the least max|d - B^T t| over
-    these t and HiGHS's own is returned.  Each is the value at a real t, so
-    the reference is never below the distance.
+    The linear program in (t, z) has an optimal vertex where l + 1 rows S
+    are tight, B_S^T t + s z = d_S with signs s.  Its multipliers are
+    proportional to s_i w_i, w a left null vector of B_S^T, so they are
+    nonnegative only for s = sign(w) on the rows where w is nonzero (either
+    sign where it is zero).  Each such vertex of each S is solved, and the
+    least max|d - B^T t| over them is returned: each is the objective at a
+    real t, so at least the distance, and the optimal vertex is one of
+    them.  The entries are scaled to integers by powers of 2, so each
+    vertex is an integer solve.
     """
-    from scipy.optimize import linprog
-
     n, l = m.ambient_dim, m.plane_dim
-    cost = np.zeros(l + 1)
-    cost[-1] = 1.0
-    ones = np.ones((n, 1))
-    a_ub = np.vstack([np.hstack([m.basis.T, -ones]), -np.hstack([m.basis.T, ones])])
+    flat, _ = _integers(m.basis.T.ravel())
+    bt = [flat[i * l : (i + 1) * l] for i in range(n)]  # 2**e B^T, by row
+    vertices = []  # per vertex: S, and (D, X) with [u; z] = X d_S / D, u = t / 2**e
+    for rows in combinations(range(n), l + 1):
+        for j in range(l + 1):
+            # w_j = -1 and, over the other rows R, sum_R w_i B_i = B_j
+            others = rows[:j] + rows[j + 1 :]
+            det, adj = _gauss_jordan([list(col) for col in zip(*(bt[i] for i in others))])
+            if det:
+                w = [sum(a * b for a, b in zip(r, bt[rows[j]])) * det for r in adj] + [-det * det]
+                break
+        else:
+            continue  # B_S^T has rank below l: no vertex
+        order = others + (rows[j],)
+        zero = [i for i, v in enumerate(w) if v == 0]
+        for flips in product((1, -1), repeat=len(zero)):
+            s = [1 if v > 0 else -1 for v in w]
+            for i, f in zip(zero, flips):
+                s[i] = f
+            det, x = _gauss_jordan([bt[i] + [si] for i, si in zip(order, s)])
+            if det:
+                vertices.append((order, det, x[:l]))
     out = []
-    for d in np.atleast_2d(pts) - m.base:
-        res = linprog(cost, A_ub=a_ub, b_ub=np.concatenate([d, -d]), bounds=[(None, None)] * (l + 1), method="highs")
-        assert res.success
-        resid = d - m.basis.T @ res.x[:l]
-        best = np.abs(resid).max()
-        near = np.flatnonzero(np.abs(resid) >= res.x[-1] - 1e-6 * np.abs(d).max())
-        for rows in map(list, combinations(near, l + 1)):
-            a = np.hstack([m.basis.T[rows], np.sign(resid[rows])[:, None]])
-            if abs(np.linalg.det(a)) > 1e-9:
-                t = np.linalg.solve(a, d[rows])[:l]
-                best = min(best, np.abs(d - m.basis.T @ t).max())
-        out.append(best)
+    for x in np.atleast_2d(pts):
+        d, e = _integers([Fraction(a) - Fraction(b) for a, b in zip(x, m.base)])
+        best = None  # (numerator, denominator) of the least objective
+        for rows, det, x in vertices:
+            u = [sum(a * d[i] for a, i in zip(r, rows)) for r in x]  # det * u
+            num = max(abs(d[i] * det - sum(a * b for a, b in zip(bt[i], u))) for i in range(n))
+            if best is None or num * best[1] < best[0] * abs(det):
+                best = num, abs(det)
+        out.append(float(Fraction(best[0], best[1] << e)))
     return np.array(out)
 
 

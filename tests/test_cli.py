@@ -321,8 +321,6 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, config, args):
         ("minkowski", "minkowski_segment.json", None, "dimension=NaN"),
         ("minkowski", "minkowski_segment.json", None, "scales=[0.1,0.01,0.001,0]"),
         ("fit-lsp", "fit_lsp_line.json", None, "model.extent=NaN"),
-        # a proxy cut over the 5 M-ball cap, refused from its count before any hit test
-        ("boxdim", "boxdim_sierpinski.json", None, "scales=[0.12,0.06,0.03,1e-7]"),
         ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=1e15"),
         ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=1000001"),
         ("minkowski", "minkowski_segment.json", None, "samples_per_scale=1000001"),
@@ -406,6 +404,46 @@ def test_missing_or_invalid_keys_exit_2(request, tmp_path, command, name, drop, 
     overrides = (override,) if isinstance(override, str) else override or ()
     trees = request.getfixturevalue("saved_trees") if any("{tree" in ov for ov in overrides) else None
     assert main([command, "--config", str(path)] + _set_args(overrides, trees)) == 2
+
+
+def test_heavily_overlapping_attractor_exits_2_on_its_walk_budget(tmp_path, capsys):
+    # two maps of ratio 0.9 in the plane overlap (2 * 0.81 > 1): every point
+    # near the attractor stays near ever more nodes, and the walk stops at
+    # its budget of pairs per point, not after minutes
+    cfg = bundled_config("boxdim_sierpinski.json")
+    cfg["model"] = {"variant": "ifs", "osc": False,
+                    "maps": [{"ratio": 0.9, "translation": [0.0, 0.0]}, {"ratio": 0.9, "translation": [0.1, 0.05]}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    assert main(["boxdim", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert "more than 256 cylinder pairs per point" in err and "sum of ratio**2 = 1.62" in err
+
+
+@pytest.mark.parametrize(
+    "model, scales",
+    [
+        # the four-map gasket in R^3 at the bundled gasket scales
+        ({"variant": "ifs", "osc": True, "maps": [
+            {"ratio": 0.5, "translation": t} for t in ([0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5])
+        ]}, None),
+        # the bundled gasket down to 1e-7
+        (None, [0.12, 0.06, 0.03, 1e-7]),
+    ],
+    ids=["gasket-3d", "scale-1e-7"],
+)
+def test_fine_attractor_scales_run(tmp_path, model, scales):
+    # the hit test walks the attractor at any scale; no cut is built or counted
+    cfg = bundled_config("boxdim_sierpinski.json")
+    cfg["model"] = model or cfg["model"]
+    cfg["scales"] = scales or cfg["scales"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["boxdim", "--config", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert 1.4 < report["results"]["lower"]["exponent"] <= report["results"]["upper"]["exponent"] < 2.2
 
 
 @pytest.mark.parametrize(

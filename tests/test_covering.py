@@ -91,7 +91,7 @@ def test_five_r_keeps_descending_radius_order():
 def test_separated_net_on_line():
     # 1-D "line" model: dense point grid stands in for the continuum
     grid = PointSet(np.linspace(-1.5, 1.5, 4001)[:, None])
-    net = separated_net(grid, Ball(np.array([0.0]), 1.0), 0.5, candidates=5000)
+    net = separated_net(grid, Ball(np.array([0.0]), 1.0), 0.5, candidates=5000, rng=np.random.default_rng(0))
     k = len(net.points)
     assert 3 <= k <= 5  # interval packing bound
     d = np.abs(net.points[:, 0][:, None] - net.points[:, 0][None, :])
@@ -99,21 +99,22 @@ def test_separated_net_on_line():
 
 
 def test_separated_net_degenerate_cases():
+    rng = np.random.default_rng(0)
     single = PointSet(np.array([[0.3]]))
-    net = separated_net(single, Ball(np.array([0.3]), 1.0), 0.4)
+    net = separated_net(single, Ball(np.array([0.3]), 1.0), 0.4, rng=rng)
     assert len(net.points) == 1 and net.points[0, 0] == pytest.approx(0.3)
 
     many = PointSet(np.linspace(0, 1, 101)[:, None])
-    net = separated_net(many, Ball(np.array([0.5]), 0.4), 5.0)
+    net = separated_net(many, Ball(np.array([0.5]), 0.4), 5.0, rng=rng)
     assert len(net.points) == 1  # separation above the region diameter
 
-    net = separated_net(single, Ball(np.array([5.0]), 0.5), 0.1)
+    net = separated_net(single, Ball(np.array([5.0]), 0.5), 0.1, rng=rng)
     assert len(net.points) == 0  # empty result, not an error
 
 
 def test_separated_net_pool_counts_distinct_points():
     dup = PointSet(np.repeat(np.linspace(0.0, 1.0, 11), 3)[:, None])
-    net = separated_net(dup, Ball(np.array([0.5]), 0.25), 0.15)
+    net = separated_net(dup, Ball(np.array([0.5]), 0.25), 0.15, rng=np.random.default_rng(0))
     assert net.pool_size == 5  # 0.3, 0.4, 0.5, 0.6, 0.7
     assert net.points[:, 0].tolist() == pytest.approx([0.3, 0.5, 0.7])
 
@@ -130,11 +131,12 @@ def test_build_caj_line():
 
 def test_build_caj_point_and_precondition():
     pt = PointSet(np.array([[0.2, 0.2]]))
-    net = build_caj(Ball(np.array([0.2, 0.2]), 1.0), pt, 0.1)
+    rng = np.random.default_rng(0)
+    net = build_caj(Ball(np.array([0.2, 0.2]), 1.0), pt, 0.1, rng=rng)
     assert len(net.points) == 1
     for upsilon in (0.1, 0.0, -0.01):
         with pytest.raises(ArgumentError):
-            build_caj(Ball(np.array([0.2, 0.2]), 0.5), pt, upsilon)
+            build_caj(Ball(np.array([0.2, 0.2]), 0.5), pt, upsilon, rng=rng)
 
 
 def test_build_caj_cantor_cardinality_envelope():
@@ -174,7 +176,7 @@ def test_build_kgb_rejects_bad_radii():
 def test_region_dimension_must_match_the_set():
     line = AffinePlane(np.array([0.0, 0.0]), np.array([[1.0, 0.0]]))
     with pytest.raises(ArgumentError, match="dimension"):
-        separated_net(line, Ball(np.array([0.3]), 1.0), 0.06)
+        separated_net(line, Ball(np.array([0.3]), 1.0), 0.06, rng=np.random.default_rng(0))
     # the kgb selection refuses at its first stage instead of scanning to j_max
     stages = VdcPointStages(radius_fn=lambda j: 1.0 / j, j_max=10_000)
     seen = []

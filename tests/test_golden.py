@@ -13,14 +13,13 @@ the exact bit: every float is stored as ``float.hex``.  They are
 - gasket variants (ratios 0.45 and 0.491, the Euclidean metric, Minkowski
   content) at the bundled gasket scales and 50,000 samples per scale,
   from the coarse scales, where whole blocks of points hit, to the fine
-  ones, whose cuts hold up to 1.6 M balls; the gasket at a scale ladder
-  whose every other step is above 0.8, so those scales test every window
-  point; a three-map IFS in the plane whose first and last maps
-  rotate, whose nodes are bounded by balls, not boxes; and the four-map
-  gasket in R^3 (ratio 0.5) at scales 0.4 down to 0.4 / 128;
-- a ``fit-lsp`` on the gasket, the one estimator that tests a 2-D
-  attractor at proxy resolution 0.05, on a coarse grid whose finest cut
-  stays under the 5 M-ball cap;
+  ones, each walked to the floor of the hit test; the gasket at a scale
+  ladder of close pairs (0.12 and 0.1, ..., 0.0012 and 0.001); a three-map
+  IFS in the plane whose first and last maps rotate, whose nodes are
+  bounded by balls, not boxes; and the four-map gasket in R^3 (ratio 0.5)
+  at scales 0.4 down to 0.4 / 128;
+- a ``fit-lsp`` on the gasket, whose point clouds sit in balls about
+  points of the attractor;
 - the exact 1-D interval path: Minkowski content of two-map Cantor sets
   (ratios 0.45 and 0.2, and the middle third with its first map reflected)
   at the bundled ``minkowski_cantor`` scales, a ``fit-lsp`` Cantor fit at
@@ -150,7 +149,7 @@ def variant_configs():
     out = {f"boxdim_r{r}": ("boxdim", {**base, "model": gasket(r)}) for r in (0.5, 0.45, 0.491)}
     out["boxdim_r0.5_euclidean"] = ("boxdim", {**base, "model": gasket(0.5), "metric": "euclidean"})
     out["minkowski_r0.5"] = ("minkowski", {**base, "model": gasket(0.5), "dimension": math.log2(3)})
-    # each scale above 0.8 times the previous one tests every window point
+    # close pairs of scales, each finer one 0.83 times the one above it
     out["boxdim_r0.5_unnested"] = ("boxdim", {**base, "scales": [0.12, 0.1, 0.03, 0.025, 0.0075, 0.00625, 0.0012, 0.001]})
     c, s = math.cos(0.7), math.sin(0.7)
     rotating = [

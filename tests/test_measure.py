@@ -1,9 +1,11 @@
+import functools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from lspkit import measure
 from lspkit.errors import ArgumentError, EstimationError
@@ -17,7 +19,6 @@ from lspkit.measure import (
     regress_lsp,
     sample_in_ball,
     _DistanceOracle,
-    _cut_target,
     _hit_counts,
     _mc_volume,
     _merge_union,
@@ -46,7 +47,14 @@ from lspkit.sets import (
     _select,
 )
 
-from set_oracles import proxy_hits, proxy_tree, support_slopes_lp, transform_model
+from set_oracles import (
+    distance_to_attractor,
+    proxy_hits,
+    proxy_target,
+    proxy_tree,
+    support_slopes_lp,
+    transform_model,
+)
 
 
 def middle_third():
@@ -167,7 +175,7 @@ def test_fit_lsp_cantor():
 
 def test_fit_lsp_rejects_flat_grids():
     with pytest.raises(ArgumentError):
-        fit_lsp(PointSet(np.array([[0.0]])), [0.1, 0.1], [0.9, 0.9])
+        fit_lsp(PointSet(np.array([[0.0]])), [0.1, 0.1], [0.9, 0.9], rng=np.random.default_rng(0))
 
 
 def test_support_slopes_match_the_lp():
@@ -214,13 +222,13 @@ def test_box_dimensions_need_two_distinct_scales_with_measure(monkeypatch):
     volumes = (np.array([0.1, 0.1, 0.1, 1e-3]), np.array([0.5, 0.5, 0.5, 0.0]))
     monkeypatch.setattr(measure, "_window_volumes", lambda *args: volumes)
     with pytest.raises(EstimationError, match="too few distinct scales with positive measure"):
-        box_dimensions(PointSet(np.zeros((1, 2))), [0.1, 0.1, 0.1, 1e-3])
+        box_dimensions(PointSet(np.zeros((1, 2))), [0.1, 0.1, 0.1, 1e-3], rng=np.random.default_rng(0))
 
 
 def test_box_dimension_preconditions_and_degenerate():
     seg = Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ArgumentError):
-        box_dimensions(seg, [0.1, 0.05, 0.02])
+        box_dimensions(seg, [0.1, 0.05, 0.02], rng=np.random.default_rng(0))
     # sampling far below the hit density leaves nearly every scale empty
     pt3 = PointSet(np.array([[0.0, 0.0, 0.0]]))
     with pytest.raises(EstimationError):
@@ -241,7 +249,7 @@ def test_window_estimators_share_checks(estimate):
     seg = Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]))
     for scales in ([0.1, 0.05, 0.02], [0.1, 0.05, 0.02, 0.002]):
         with pytest.raises(ArgumentError, match="need >= 4 scales spanning >= 2 decades"):
-            estimate(seg, scales)
+            estimate(seg, scales, rng=np.random.default_rng(0))
     # in 12 dimensions the point's neighborhood fills (2/3)**12 of the window
     # at the largest scale, so 20 window points all miss
     with pytest.raises(EstimationError, match="zero measure at every scale"):
@@ -349,12 +357,17 @@ def rotating_ifs():
 _DELTAS = [0.2, 0.08, 0.03, 0.012]
 
 
-def _oracle_hits(model, delta, metric, resolution):
-    """Reference hit test at ``delta``, from points to a mask: the proxy tree
-    for an attractor, else the model's exact distance."""
+def floor_hits(model, pts, delta, metric="sup"):
+    """One full walk at ``delta`` down to the estimators' floor."""
+    _, r0 = attractor_bounds(model.ifs)
+    return cut_hits(model.ifs, pts, delta, measure._FLOOR * delta / (2 * r0), metric)
+
+
+def _oracle_hits(model, delta, metric):
+    """Reference hit test at ``delta``, from points to a mask: one full walk
+    at the floor for an attractor, else the model's exact distance."""
     if isinstance(model, IFSAttractor):
-        tree = proxy_tree(model, delta, resolution)
-        return lambda pts: proxy_hits(model, pts, delta, metric, tree=tree)
+        return lambda pts: floor_hits(model, pts, delta, metric)
     oracle = _DistanceOracle(model, metric=metric)
     return lambda pts: oracle(pts, delta) < delta
 
@@ -368,26 +381,31 @@ def _far_cloud(rng):
     return rng.uniform([1.1, 0.0], [1.15, 0.05], size=(500, 2))
 
 
+# a delta 1e-9 below the previous one re-tests every point, one 3e-9 below
+# only the previous hits (``_hit_counts``: delta_prev (1 - 2e-9) less 2e-12 r0)
+_NEAR_REPEATS = [0.1, 0.1 * (1 - 1e-9), 0.04, 0.04 * (1 - 3e-9)]
+
+
 @pytest.mark.parametrize(
-    "model, metric, deltas, resolution",
+    "model, metric, deltas",
     [
-        (Polyline(np.array([[0.0, 0.1], [0.6, 0.5], [1.0, 0.2]])), "sup", _DELTAS, 0.05),
-        (AffinePlane(np.array([0.0, 0.3]), np.array([[1.0, 0.0]]), extent=2.0), "sup", _DELTAS, 0.05),
-        (Circle(np.array([0.5, 0.5]), 0.4), "euclidean", _DELTAS, 0.05),
-        (PointSet(np.random.default_rng(15).uniform(0.0, 1.0, size=(100, 2))), "sup", _DELTAS, 0.05),
-        (sierpinski(), "sup", _DELTAS, 0.05),
-        (sierpinski(), "euclidean", _DELTAS, 0.05),
-        (sierpinski(), "euclidean", [0.12, 0.06, 0.03, 0.015, 0.0075, 0.00375], 0.4),
-        (mixed_ratio_ifs(), "sup", _DELTAS, 0.05),
-        (mixed_ratio_ifs(), "euclidean", _DELTAS, 0.4),
-        (rotating_ifs(), "sup", _DELTAS, 0.4),
-        (rotating_ifs(), "euclidean", _DELTAS, 0.05),
-        (sierpinski(), "sup", [0.03, 0.2, 0.012, 0.08], 0.05),
-        (rotating_ifs(), "euclidean", [0.012, 0.08, 0.2, 0.03], 0.4),
-        (sierpinski(), "sup", [0.2, 0.08, 0.08, 0.03], 0.05),
-        # 1 - resolution / 2 = 0.8: 0.0801 / 0.1 lies above it, 0.03199 / 0.04 below
-        (sierpinski(), "sup", [0.1, 0.0801, 0.04, 0.03199], 0.4),
-        (mixed_ratio_ifs(), "euclidean", [0.1, 0.0801, 0.04, 0.03199], 0.4),
+        (Polyline(np.array([[0.0, 0.1], [0.6, 0.5], [1.0, 0.2]])), "sup", _DELTAS),
+        (AffinePlane(np.array([0.0, 0.3]), np.array([[1.0, 0.0]]), extent=2.0), "sup", _DELTAS),
+        (Circle(np.array([0.5, 0.5]), 0.4), "euclidean", _DELTAS),
+        (PointSet(np.random.default_rng(15).uniform(0.0, 1.0, size=(100, 2))), "sup", _DELTAS),
+        (sierpinski(), "sup", _DELTAS),
+        (sierpinski(), "euclidean", _DELTAS),
+        (sierpinski(), "euclidean", [0.12, 0.06, 0.03, 0.015, 0.0075, 0.00375]),
+        (mixed_ratio_ifs(), "sup", _DELTAS),
+        (mixed_ratio_ifs(), "euclidean", _DELTAS),
+        (rotating_ifs(), "sup", _DELTAS),
+        (rotating_ifs(), "euclidean", _DELTAS),
+        (sierpinski(), "sup", [0.03, 0.2, 0.012, 0.08]),
+        (rotating_ifs(), "euclidean", [0.012, 0.08, 0.2, 0.03]),
+        (sierpinski(), "sup", [0.2, 0.08, 0.08, 0.03]),
+        (rotating_ifs(), "sup", [0.08, 0.03, 0.08, 0.012, 0.03]),
+        (sierpinski(), "sup", _NEAR_REPEATS),
+        (mixed_ratio_ifs(), "euclidean", _NEAR_REPEATS),
     ],
     ids=[
         "tilted-polyline",
@@ -404,19 +422,22 @@ def _far_cloud(rng):
         "unsorted",
         "unsorted-rotating",
         "duplicate",
-        "ratio-edge",
-        "ratio-edge-mixed",
+        "duplicates-rotating",
+        "near-repeats",
+        "near-repeats-mixed",
     ],
 )
-def test_hit_counts_match_per_delta_oracles(model, metric, deltas, resolution):
+def test_hit_counts_match_per_delta_oracles(model, metric, deltas):
+    # coarse to fine, repeated and unsorted deltas count as one full test
+    # per delta: a walk to the floor for an attractor
     rng = np.random.default_rng(16)
     clouds = [rng.uniform(-0.2, 1.2, size=(3000, 2)) for _ in range(3)] + [_far_cloud(rng)]
-    counts = _hit_counts(model, clouds, deltas, metric=metric, resolution=resolution)
-    tests = [_oracle_hits(model, d, metric, resolution) for d in deltas]
+    counts = _hit_counts(model, clouds, deltas, metric=metric)
+    tests = [_oracle_hits(model, d, metric) for d in deltas]
     want = [[np.count_nonzero(test(pts)) for test in tests] for pts in clouds]
     assert counts.tolist() == want
     d = np.asarray(deltas)
-    if np.all(d[1:] <= d[:-1] * (1 - resolution / 2)):  # nested: a miss stays a miss
+    if np.all(d[1:] < d[:-1]):  # nested: a miss stays a miss
         assert np.all(np.diff(counts, axis=1) <= 0)
 
 
@@ -426,22 +447,22 @@ def test_hit_counts_far_cloud_runs_out_of_hits():
 
 
 @pytest.mark.parametrize(
-    "deltas, resolution, nested",
+    "deltas, nested",
     [
-        ([0.2, 0.08, 0.08, 0.03, 0.012], 0.05, [False, True, False, True, True]),
-        # 1 - resolution / 2 = 0.8: 0.0801 / 0.1 lies above it, 0.03199 / 0.04 below
-        ([0.1, 0.0801, 0.04, 0.03199], 0.4, [False, False, True, True]),
+        ([0.2, 0.08, 0.08, 0.03, 0.012], [False, True, False, True, True]),
+        (_NEAR_REPEATS, [False, False, True, True]),
     ],
-    ids=["duplicate", "ratio-edge"],
+    ids=["duplicate", "near-repeats"],
 )
-def test_hit_counts_query_only_previous_hits(monkeypatch, deltas, resolution, nested):
+def test_hit_counts_query_only_previous_hits(monkeypatch, deltas, nested):
     # a nested delta's walk sees exactly the previous delta's hits; the
-    # first delta, a repeated one and one above the ratio test every point.
-    # The cloud is walked in its own order (``_cell_order``), so the rows
-    # each walk sees are compared as sorted sets of rows.
+    # first delta, a repeated one and one within 2e-9 below the previous
+    # test every point.  The cloud is walked in its own order
+    # (``_cell_order``), so the rows each walk sees are compared as sorted
+    # sets of rows.
     m = sierpinski()
     pts = np.random.default_rng(17).uniform(-0.2, 1.2, size=(4000, 2))
-    hits = [proxy_hits(m, pts, d, resolution=resolution) for d in deltas]
+    hits = [floor_hits(m, pts, d) for d in deltas]
     queries = []
 
     def spy(ifs, x, *args):
@@ -449,7 +470,7 @@ def test_hit_counts_query_only_previous_hits(monkeypatch, deltas, resolution, ne
         return cut_hits(ifs, x, *args)
 
     monkeypatch.setattr(measure, "cut_hits", spy)
-    counts = _hit_counts(m, [pts], deltas, resolution=resolution)
+    counts = _hit_counts(m, [pts], deltas)
     assert counts[0].tolist() == [np.count_nonzero(h) for h in hits]
     assert len(queries) == len(deltas)
     for j, got in enumerate(queries):
@@ -540,7 +561,7 @@ def test_cut_hits_match_proxy_tree(model, metric):
     window = rng.uniform(lo, hi, size=(5000, n))
     exact = 0
     for d in _GASKET_SCALES[: 7 if n == 3 else None]:
-        target = _cut_target(model.ifs, d, 0.4)
+        target = proxy_target(model.ifs, d, 0.4)
         tree = proxy_tree(model, d, 0.4)
         centers = tree.data  # the cut centers
         edge = _edge_points(centers, d, metric, rng)
@@ -569,19 +590,73 @@ def test_cut_hits_match_proxy_tree(model, metric):
 @pytest.mark.parametrize("metric", ["sup", "euclidean"])
 def test_cut_hits_do_not_depend_on_point_order(model, metric):
     # the walk's blocks are consecutive points, so any order gives the same
-    # mask: shuffled, reversed, in Z-order, and in runs shorter than a block
+    # mask: shuffled, reversed, in Z-order, and in runs shorter than a block;
+    # at a coarse target, the proxy tree's mask, and at the floor, the
+    # walk's own in the given order
     rng = np.random.default_rng(31)
     n = model.ambient_dim
+    _, r0 = attractor_bounds(model.ifs)
     lo, hi = model_window(model, margin=0.05)
     near = sample_on_set(model, 1000, rng) + rng.normal(scale=0.01, size=(1000, n))
     pts = np.concatenate([rng.uniform(lo, hi, size=(3000, n)), near])
     for d in (0.1, 0.01):
-        target = _cut_target(model.ifs, d, 0.4)
-        want = proxy_hits(model, pts, d, metric, 0.4)
-        for order in (rng.permutation(len(pts)), np.arange(len(pts))[::-1], measure._cell_order(pts)):
-            assert np.array_equal(cut_hits(model.ifs, pts[order], d, target, metric), want[order])
-        for rows in (slice(0, 5), slice(3500, 3501), slice(0, 0)):
-            assert np.array_equal(cut_hits(model.ifs, pts[rows], d, target, metric), want[rows])
+        floor = measure._FLOOR * d / (2 * r0)
+        for target, want in (
+            (proxy_target(model.ifs, d, 0.4), proxy_hits(model, pts, d, metric, 0.4)),
+            (floor, cut_hits(model.ifs, pts, d, floor, metric)),
+        ):
+            for order in (rng.permutation(len(pts)), np.arange(len(pts))[::-1], measure._cell_order(pts)):
+                assert np.array_equal(cut_hits(model.ifs, pts[order], d, target, metric), want[order])
+            for rows in (slice(0, 5), slice(3500, 3501), slice(0, 0)):
+                assert np.array_equal(cut_hits(model.ifs, pts[rows], d, target, metric), want[rows])
+
+
+def gasket_3d():
+    """Four maps of ratio 0.5 toward the corners of the unit simplex in R^3."""
+    corners = [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
+    return IFSAttractor(IFS(tuple(IFSMap(0.5, np.array(c)) for c in corners), True))
+
+
+@functools.cache
+def _deep_cut(name):
+    """A cut of about 0.5 M balls (0.26 M in R^3) of one of the floor test's
+    sets, with its KD-tree."""
+    model, target = {
+        "gasket": (gasket(0.5), 2.0**-12),
+        "gasket-0.42": (gasket(0.42), 0.42**12),
+        "rotating": (rotating_ifs(), 1.5e-4),
+        "gasket-3d": (gasket_3d(), 2.0**-9),
+    }[name]
+    centers, radii = cylinder_cut(model.ifs, target)
+    return model, centers, float(radii.max()), cKDTree(centers)
+
+
+@pytest.mark.parametrize("name", ["gasket", "gasket-0.42", "rotating", "gasket-3d"])
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+def test_floor_hits_lie_within_delta_and_misses_beyond_it(name, metric):
+    # at the floor each hit lies within delta of the attractor K and each
+    # miss at least delta (1 - 2e-9) from it, on points at distance delta
+    # from the centers of a coarse cut, which lie on K.  In the sup metric a
+    # few of them lie at distance delta from a face of K, and miss.
+    # Reference distances to K, each at least the distance up to rounding:
+    # Euclidean, the branch-and-bound distance, at most tol above it; sup,
+    # the least distance to a deep cut's centers, at most the cut's ball
+    # radius above it.
+    model, _, radius, tree = _deep_cut(name)
+    rng = np.random.default_rng(41)
+    misses = 0
+    for d in (0.1, 0.01):
+        centers, _ = cylinder_cut(model.ifs, proxy_target(model.ifs, d, 0.4))
+        pts = _edge_points(centers, d, metric, rng, count=300)
+        hit = floor_hits(model, pts, d, metric)
+        if metric == "euclidean":
+            dist, above = distance_to_attractor(model, pts, tol=1e-4 * d), 1e-4 * d
+        else:
+            dist, above = tree.query(pts, k=1, p=np.inf)[0], radius
+        assert np.all(dist[hit] < d + above)
+        assert np.all(dist[~hit] >= d * (1 - 2e-9))
+        misses += np.count_nonzero(~hit)
+    assert misses >= (10 if metric == "sup" and name != "rotating" else 0)
 
 
 @pytest.mark.parametrize(
@@ -736,7 +811,7 @@ def test_overlapping_first_level_hulls_are_refused():
 def _proxy_length(model, delta, lo, hi):
     """The estimators' former 1-D attractor length: the union of the
     cylinder cut at contraction 0.02 delta / (2 r0), each ball widened by delta."""
-    centers, radii = cylinder_cut(model.ifs, _cut_target(model.ifs, delta, 0.02))
+    centers, radii = cylinder_cut(model.ifs, proxy_target(model.ifs, delta, 0.02))
     c = centers[:, 0]
     return _union_length_in(_merge_union(np.stack([c - radii - delta, c + radii + delta], axis=1)), lo, hi)
 

@@ -11,7 +11,7 @@ UNREFERENCED = {
     # perfbench's tracer wraps it for its randomsim.draw_isometry metrics;
     # it goes when the tracer reads spans from the package instead
     "randomsim.draw_isometry",
-    # no hit test builds the proxy cut any more (``sets.cut_hits`` walks the
+    # no hit test builds a cylinder cut (``sets.cut_hits`` walks the
     # cylinder tree); perfbench's tracer wraps it, through ``measure``'s
     # import, for its sets.cylinder_cut metrics, and tests/set_oracles.py
     # builds its proxy tree on it
