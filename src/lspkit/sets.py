@@ -593,7 +593,8 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
             rows = np.flatnonzero(~done[who])
             budget -= rows.size
             if budget < 0:
-                n, overlap = len(z0), float(np.sum(ifs.ratios ** len(z0)))
+                n = len(z0)
+                overlap = float(np.sum(ifs.ratios**n))
                 raise ArgumentError(f"attractor hit test walked more than {_PAIR_BUDGET} cylinder pairs per point: "
                                     f"the maps' images overlap (sum of ratio**{n} = {overlap:.3g}; above 1 they must)")
             nodes, centers = _expand(_select(nodes, rows), parts, z0)
