@@ -246,7 +246,8 @@ SCHEMAS = {
             },
             "mode": {"enum": ["covering-exponent", "bc-diagnostic"]},
             # bc-diagnostic: 22.9 MB per rule per million stages (peak RSS 76, 167 and 259 MB
-            # for 1, 5 and 9 rules at N = 10**6; 32 near 0.8 GB), 50 MB per million trials per dimension
+            # for 1, 5 and 9 rules at N = 10**6; 32 near 0.8 GB), 16 MB per million trials per
+            # dimension (peak RSS 57 and 102 MB for n = 1 and 4), 31 for a base of several points
             "N": {"type": "integer", "minimum": 1, "maximum": 1_000_000},
             "J": {"type": "integer", "minimum": 1},
             "trials": {"type": "integer", "minimum": 1, "maximum": 1_000_000},

@@ -9,8 +9,10 @@ one call into numpy's Philox.  Tag 0 draws the stage translations, tag 917
 the re-draws of the coverage trials.  The torus lives here alone:
 ``_torus_distances`` measures all translations at once by one exact rule per
 kind of base, and a scheme refuses a base that no rule measures
-(``_torus_rule``).  The coverage diagnostic measures each block of stages
-once for all of its radius rules.  The module provides Borel-Cantelli
+(``_torus_rule``).  The coverage diagnostic draws each block of stages into
+one buffer, measures it there in place (points and coordinate planes) with
+one scratch array, and compares it with every radius rule in one boolean
+buffer, all allocated once per call.  The module provides Borel-Cantelli
 frequency diagnostics and a covering-exponent estimator for matched-scale
 tail unions, whose fitted slope is compared against the predicted value
 kappa*s + 1/tau.
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import ArgumentError, UnsupportedCombination
 from .measure import ScalingFit, _ols_line
-from .sets import AffinePlane, IFSAttractor, Isometry, PointSet, SetModel, _norm, distance_to_set, model_window
+from .sets import AffinePlane, IFSAttractor, Isometry, PointSet, SetModel, distance_to_set, model_window
 
 # largest window start N that covering_exponent counts: a window holds
 # N + 1 stages, about 160 MB per million, so 2**22 peaks near 0.7 GB
@@ -96,9 +98,27 @@ def _frac(q):
     return q - np.floor(q)
 
 
-def _wrapped_dist(a, b):
-    d = np.abs(a - b)
-    return np.minimum(d, 1.0 - d)
+def _wrapped_sup(q, x, axes, scratch):
+    """Sup over ``axes`` of the torus distance min(d, 1 - d), d = |frac(q) - x|,
+    along each axis: computed in q, bit for bit as out of place, with
+    ``scratch`` (q's shape) taking the floors and 1 - d.  A view of q."""
+    np.floor(q, out=scratch)
+    q -= scratch
+    q -= x
+    np.abs(q, out=q)
+    np.subtract(1.0, q, out=scratch)
+    np.minimum(q, scratch, out=q)
+    d = q[..., axes[0]]
+    for i in axes[1:]:
+        np.maximum(d, q[..., i], out=d)
+    return d
+
+
+def _scratch_planes(base):
+    """How many arrays of the translations' shape ``_torus_distances`` needs."""
+    if isinstance(base, PointSet) and len(base.points) > 1:
+        return 3
+    return 1 if _torus_rule(base) is None else 0
 
 
 def _torus_rule(base: SetModel):
@@ -129,31 +149,46 @@ def _torus_rule(base: SetModel):
     return np.array(list(product(*(range(-1, max(1, math.ceil(w)) + 1) for w in widths))), dtype=float)
 
 
-def _torus_distances(base: SetModel, trans, x):
+def _torus_distances(base: SetModel, trans, x, scratch=None):
     """Sup-metric torus distance from x to base + t, that is from q = x - t to
-    the base, for each row t of trans.  Point sets and coordinate planes
-    reduce mod 1.  A hyperplane of primitive integer normal nu is at
-    dist(nu . (q - b), Z) / ||nu||_1: its integer translates are the level
-    sets nu . (p - b) in Z, and l1 is the sup norm's dual.  A bounded base
-    reduces q into the unit box at its window's low corner and takes the
-    shifts -1 .. max(1, ceil(w_i)) on each axis i of window width w_i; a
-    farther shift is farther in that coordinate from every base point than
-    the one before it, so it never wins, in the sup or the Euclidean norm."""
+    the base, for each t along the last axis of trans; the result has
+    trans's other axes.  Point sets and coordinate planes reduce mod 1.  A
+    hyperplane of primitive integer normal nu is at dist(nu . (q - b), Z) /
+    ||nu||_1: its integer translates are the level sets nu . (p - b) in Z,
+    and l1 is the sup norm's dual.  A bounded base reduces q into the unit
+    box at its window's low corner and takes the shifts -1 .. max(1,
+    ceil(w_i)) on each axis i of window width w_i; a farther shift is
+    farther in that coordinate from every base point than the one before it,
+    so it never wins, in the sup or the Euclidean norm.  Point sets and
+    coordinate planes are measured in trans (in a copy when ``scratch`` is
+    None); ``scratch`` holds ``_scratch_planes(base)`` arrays of its shape:
+    the floors, and for several points a copy per point and their minimum."""
     x = _frac(x)
-    if isinstance(base, PointSet):
-        q = _frac(base.points[None, :, :] + trans[:, None, :])
-        return _norm(_wrapped_dist(q, x), "sup").min(axis=1)
     rule = _torus_rule(base)
     if rule is None:
-        # a translated coordinate plane only moves along its unspanned axes
-        q = _frac(base.base[~base.free_axes] + trans[:, ~base.free_axes])
-        return _norm(_wrapped_dist(q, x[~base.free_axes]), "sup")
+        if scratch is None:
+            trans, scratch = trans.copy(), np.empty((_scratch_planes(base),) + trans.shape)
+        if isinstance(base, PointSet):
+            axes, points = range(base.ambient_dim), base.points
+        else:  # a translated coordinate plane only moves along its unspanned axes
+            axes, points = np.flatnonzero(~base.free_axes), base.base[None]
+        *others, last = points
+        if others:
+            best = scratch[2][..., 0]
+            best.fill(np.inf)
+            for p in others:
+                np.minimum(best, _wrapped_sup(np.add(trans, p, out=scratch[1]), x, axes, scratch[0]), out=best)
+        d = _wrapped_sup(np.add(trans, last, out=trans), x, axes, scratch[0])
+        return np.minimum(best, d, out=best) if others else d
+    flat = trans.reshape(-1, base.ambient_dim)
     if isinstance(base, AffinePlane):
-        level = (x - trans - base.base) @ rule
-        return np.abs(level - np.rint(level)) / np.abs(rule).sum()
-    lo = model_window(base)[0]
-    cand = (_frac(x - trans - lo) + lo)[:, None, :] + rule[None, :, :]
-    return distance_to_set(base, cand.reshape(-1, base.ambient_dim), metric="sup").reshape(len(trans), -1).min(axis=1)
+        level = (x - flat - base.base) @ rule
+        d = np.abs(level - np.rint(level)) / np.abs(rule).sum()
+    else:
+        lo = model_window(base)[0]
+        cand = (_frac(x - flat - lo) + lo)[:, None, :] + rule[None, :, :]
+        d = distance_to_set(base, cand.reshape(-1, base.ambient_dim), metric="sup").reshape(len(flat), -1).min(axis=1)
+    return d.reshape(trans.shape[:-1])
 
 
 @dataclass
@@ -181,7 +216,10 @@ def coverage_frequency(
     blocks of about 2**16 uniforms, once for all rules, and each rule is
     called for the block's stages only: every rule sees the same draws, and
     its diagnostic is the one a call with that rule alone would return, bit
-    for bit.
+    for bit.  The draws, the scratch planes (``_scratch_planes``) and the
+    comparisons are reused by every block: 8 bytes per trial per coordinate
+    each, and 1 per trial, for the block's stages; the window keeps one hit
+    count per stage per rule.
     """
     if trials < 1000:
         raise ArgumentError("trials must be >= 1000")
@@ -194,17 +232,20 @@ def coverage_frequency(
     hits = np.empty((len(radius_rules), len(js)), dtype=np.int64)
     k = trials * scheme.n
     step = max(1, _BLOCK_DRAWS // k)
-    # one buffer for every block's draws: a fresh one per block leaves the
-    # heap to be trimmed and refaulted (about 14,800 page faults per
-    # 4,000-stage run against about 500)
+    # fresh block-sized temporaries would leave the heap to be trimmed and
+    # refaulted: about 344,000 page faults per 100,000-stage run, not 2,000
     draws = np.empty((step, 4 * -(-k // 4)))
+    scratch = np.empty((_scratch_planes(scheme.base), step, trials, scheme.n))
+    below = np.empty((step, trials), dtype=bool)
     for lo in range(0, len(js), step):
         hi = min(lo + step, len(js))
         trans = stage_uniforms(scheme.master_seed, _TRIAL_TAG, js[lo], js[hi - 1], k, out=draws[: hi - lo])
-        d = _torus_distances(scheme.base, trans.reshape(-1, scheme.n), x).reshape(hi - lo, trials)
+        d = _torus_distances(scheme.base, trans.reshape(hi - lo, trials, scheme.n), x, scratch[:, : hi - lo])
+        hit = below[: hi - lo]
         for rule, row in zip(radius_rules, hits):
             rads = np.array([float(rule(j)) for j in js[lo:hi]])
-            row[lo:hi] = np.count_nonzero(d < rads[:, None], axis=1)
+            np.less(d, rads[:, None], out=hit)
+            np.sum(hit, axis=1, out=row[lo:hi])
     return [_classify(js, h / trials, trials) for h in hits]
 
 
@@ -246,7 +287,7 @@ def _interval_union_count(lo, hi, m):
     wraps = lo_m > hi_m
     starts = np.concatenate([lo_m, np.zeros(np.count_nonzero(wraps), dtype=np.int64)])
     ends = np.concatenate([np.where(wraps, m - 1, hi_m), hi_m[wraps]])
-    order = np.argsort(starts, kind="stable")
+    order = np.argsort(starts)
     starts = starts[order]
     reach = np.maximum.accumulate(ends[order])
     first = np.flatnonzero(np.concatenate([[True], starts[1:] > reach[:-1] + 1]))

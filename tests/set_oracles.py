@@ -9,10 +9,10 @@ rotated and shifted fixtures and to check that distances are equivariant.
 checked against.  ``proxy_tree`` and ``proxy_hits`` are the attractor hit
 test that ``sets.cut_hits`` replaced: scipy's cKDTree over the proxy cut
 ``sets.cylinder_cut`` at ``proxy_target``, queried with the bound delta.
-``support_slopes_lp`` and ``plane_distance_lp`` are the linear programs that
-``measure._support_slopes`` and the sup-metric distance to a tilted plane
-solve in closed form: the first solved by HiGHS, the second exactly, by
-enumerating its vertices in integer arithmetic.
+``support_slopes_exact`` and ``plane_distance_lp`` solve the linear programs
+that ``measure._support_slopes`` and the sup-metric distance to a tilted
+plane solve in closed form, exactly: the first from the pairs of points in
+integer arithmetic, the second by enumerating its vertices.
 """
 
 from fractions import Fraction
@@ -149,20 +149,24 @@ def transform_model(m: SetModel, iso: Isometry) -> SetModel:
     raise ArgumentError(f"unknown set model {type(m).__name__}")
 
 
-def support_slopes_lp(x, y):
-    """Reference for ``measure._support_slopes``: the slopes b of the lines
-    a + b x below (above) every point (x, y) with the largest (least)
-    a + b mean(x), each solved by HiGHS."""
-    from scipy.optimize import linprog
-
-    n = len(x)
+def support_slopes_exact(x, y):
+    """Reference for ``measure._support_slopes``, in exact arithmetic: the
+    slopes, as Fractions, of the lines a + b x below (above) every point
+    (x, y) with the largest (least) a + b mean(x).  Such a line passes
+    through two points strictly either side of the exact mean: a pair whose
+    line is below (above) every point.  Raises ``StopIteration`` when none
+    is, that is when the mean is a hull vertex and the slope is not unique."""
+    (xs, e), (ys, f) = _integers(x), _integers(y)
+    k, total = len(xs), sum(xs)
     out = []
-    for sign in (1.0, -1.0):
-        c = -sign * np.array([n, float(np.sum(x))])
-        a_ub = sign * np.vstack([np.ones(n), x]).T
-        res = linprog(c, A_ub=a_ub, b_ub=sign * y, bounds=[(None, None)] * 2, method="highs")
-        assert res.success
-        out.append(res.x[1])
+    for sign in (1, -1):  # the upper hull is the lower hull of (x, -y)
+        zs = [sign * v for v in ys]
+        i, j = next(
+            (i, j) for i in range(k) for j in range(k)
+            if k * xs[i] < total < k * xs[j]
+            and all((zs[l] - zs[i]) * (xs[j] - xs[i]) >= (zs[j] - zs[i]) * (xs[l] - xs[i]) for l in range(k))
+        )
+        out.append(sign * Fraction(zs[j] - zs[i], xs[j] - xs[i]) * Fraction(2**e, 2**f))
     return out[0], out[1]
 
 

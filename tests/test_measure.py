@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ from set_oracles import (
     proxy_hits,
     proxy_target,
     proxy_tree,
-    support_slopes_lp,
+    support_slopes_exact,
     transform_model,
 )
 
@@ -180,13 +181,16 @@ def test_fit_lsp_rejects_flat_grids():
 
 def test_support_slopes_match_the_lp():
     # on random inputs, where mean(x) is no hull vertex, the hull edges that
-    # span it are the unique optima of the support-line programs
+    # span it are the unique optima of the support-line programs; the slope
+    # (y1 - y0) / (x1 - x0) of an edge's floats takes three roundings, so it
+    # is within 2**-51 of the exact slope, relatively (1.8 * 2**-53 was seen)
     rng = np.random.default_rng(31)
     for _ in range(2000):
         k = int(rng.integers(2, 12))
         x = rng.uniform(-9.0, -1.0, size=k)
         y = 1.5 * x + rng.normal(size=k)
-        assert measure._support_slopes(x, y) == pytest.approx(support_slopes_lp(x, y), rel=1e-12, abs=1e-12)
+        for got, want in zip(measure._support_slopes(x, y), support_slopes_exact(x, y)):
+            assert abs(Fraction(got) - want) <= 2**-51 * abs(want)
 
 
 @pytest.mark.parametrize(

@@ -94,6 +94,18 @@ def test_interval_union_count_matches_loop():
         hi = lo + rng.integers(0, m + 2, size=count)
         want = _interval_union_count_loop(list(zip(lo.tolist(), hi.tolist())), m)
         assert _interval_union_count(lo, hi, m) == want
+    # numpy sorts at most 16 keys stably, so 17-400 ranges drawn from a few
+    # starts reach the unstable sort with many ties: the count must not
+    # depend on how they come out, nor on the input order
+    for m in (2, 17, 59, 2**20):
+        for _ in range(200):
+            count = int(rng.integers(17, 401))
+            lo = rng.choice(rng.integers(-2 * m, 2 * m, size=int(rng.integers(1, 9))), size=count)
+            hi = lo + rng.integers(0, max(1, m // 3), size=count)
+            want = _interval_union_count_loop(list(zip(lo.tolist(), hi.tolist())), m)
+            assert _interval_union_count(lo, hi, m) == want
+            order = rng.permutation(count)
+            assert _interval_union_count(lo[order], hi[order], m) == want
 
 
 def test_frac_is_np_mod_bit_for_bit():
@@ -249,17 +261,31 @@ def test_coverage_calls_each_rule_once_per_stage():
     assert calls == [(r, j) for js in blocks for r in (1.0, 0.5) for j in js]
 
 
-def test_coverage_blocks_match_stage_by_stage():
-    # 300 stages of 1000 trials span several blocks of draws; blocking must
-    # not move any stage's estimate
-    sch = line_scheme(seed=59)
-    rule = lambda j: 0.3 / j
-    (diag,) = coverage_frequency(sch, [0.3, 0.7], [rule], 1, 300, trials=1000)
-    one_by_one = [
-        coverage_frequency(sch, [0.3, 0.7], [rule], j, j, trials=1000)[0].p_hat[0]
-        for j in range(1, 301)
-    ]
+@pytest.mark.parametrize("trials", [1000, 1001])
+@pytest.mark.parametrize(
+    "base",
+    [
+        PointSet(np.array([[0.5]])),
+        PointSet(np.array([[0.1, 0.2], [0.6, 0.9], [0.95, 0.05]])),
+        AffinePlane(np.array([0.0, 0.5]), np.array([[1.0, 0.0]])),
+        AffinePlane(np.array([0.0, 0.5]), np.array([[_S, _S]])),
+        Circle(np.array([0.5, 0.5]), 0.2),
+    ],
+    ids=["point", "three-points", "line", "tilted-line", "circle"],
+)
+def test_coverage_blocks_match_stage_by_stage(base, trials):
+    # 300 stages span several blocks of draws, the last of them partial;
+    # blocking and measuring in place must not move any stage's estimate.
+    # At 1001 trials a stage's k = 1001 n draws are no whole number of
+    # Philox blocks, so each block of stages is a column slice of the draws
+    n = base.ambient_dim
+    sch = RandomScheme(base=base, tau=2.0, s=float(n), kappa=0.0, master_seed=59, n=n)
+    x = np.array([0.3, 0.7][:n])
+    rule = lambda j: 0.3 / math.sqrt(j)
+    (diag,) = coverage_frequency(sch, x, [rule], 1, 300, trials=trials)
+    one_by_one = [coverage_frequency(sch, x, [rule], j, j, trials=trials)[0].p_hat[0] for j in range(1, 301)]
     assert np.array_equal(diag.p_hat, one_by_one)
+    assert np.count_nonzero((0 < diag.p_hat) & (diag.p_hat < 1)) > 100
 
 
 def test_bc_window_invariance():

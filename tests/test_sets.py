@@ -1,5 +1,7 @@
 import math
 from dataclasses import fields, is_dataclass
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -195,17 +197,23 @@ def test_tilted_sup_plane_past_the_zero_set_cap_is_refused():
                 distance_to_set(plane, pts)
 
 
-def _chebyshev_lp(c, d):
-    """Reference: min over t in [0, 1] of max_i |c_i - t d_i| as an LP in (t, z)."""
-    from scipy.optimize import linprog
+def _chebyshev_exact(c, d):
+    """Reference: min over t in [0, 1] of max_i |c_i - t d_i|, exactly.  The
+    objective is the upper envelope of the lines +-(c_i - t d_i), so its
+    least value is at t = 0 or 1 or where two of them cross, each scored in
+    Fractions."""
+    lines = [(s * Fraction(ci), s * Fraction(di)) for ci, di in zip(c, d) for s in (1, -1)]
+    ts = {Fraction(0), Fraction(1)}
+    ts.update((a - e) / (b - g) for (a, b), (e, g) in combinations(lines, 2) if b != g)
+    return min(max(a - t * b for a, b in lines) for t in ts if 0 <= t <= 1)
 
-    n = len(c)
-    ones = np.ones((n, 1))
-    a_ub = np.vstack([np.hstack([-d[:, None], -ones]), np.hstack([d[:, None], -ones])])
-    b_ub = np.concatenate([-c, c])
-    res = linprog([0.0, 1.0], A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, 1.0), (0.0, None)], method="highs")
-    assert res.success
-    return res.x[1]
+
+def _segment_rounding(c, d):
+    """Bound on the rounding of ``_sup_segment_min(c, d)``: 3 ulps of 1 times
+    max |c| + max |d|.  A crossing t takes three roundings, which move the
+    objective by 3 units of 2**-53 max |d|, and an offset |c_i - t d_i| two,
+    of |d| and |c| + |d|: 2.5 ulps in all (0.27 were seen)."""
+    return 3 * np.finfo(float).eps * (np.abs(c).max(axis=-1) + np.abs(d).max(axis=-1))
 
 
 def _golden_section(c, d, steps=200):
@@ -240,8 +248,8 @@ def test_sup_segment_min_matches_lp(n):
     c = np.array([cd[0] for cd in cases])
     d = np.array([cd[1] for cd in cases])
     got = _sup_segment_min(c, d)
-    ref = np.array([_chebyshev_lp(ci, di) for ci, di in cases])
-    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    ref = [_chebyshev_exact(ci, di) for ci, di in cases]
+    assert all(abs(Fraction(g) - r) <= bound for g, r, bound in zip(got, ref, _segment_rounding(c, d)))
     gs = np.array([_golden_section(ci, di) for ci, di in cases])
     assert np.all(got <= gs + 1e-15)
 
@@ -254,8 +262,10 @@ def test_tilted_polyline_sup_distance_matches_lp(n):
         verts[1] = verts[0] + np.array([0.0, 0.0, 0.8])  # one axis-aligned segment
     pts = np.vstack([rng.uniform(-1.5, 1.5, size=(40, n)), verts, 0.5 * (verts[1:] + verts[:-1])])
     got = distance_to_set(Polyline(verts), pts, metric="sup")
-    ref = [min(_chebyshev_lp(p - a, b - a) for a, b in zip(verts[:-1], verts[1:])) for p in pts]
-    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    for g, p in zip(got, pts):
+        c, d = p - verts[:-1], verts[1:] - verts[:-1]
+        ref = min(_chebyshev_exact(ci, di) for ci, di in zip(c, d))
+        assert abs(Fraction(g) - ref) <= _segment_rounding(c, d).max()
 
 
 def test_cantor_distance():
