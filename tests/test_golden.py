@@ -19,7 +19,8 @@ the exact bit: every float is stored as ``float.hex``.  They are
   bounded by balls, not boxes; and the four-map gasket in R^3 (ratio 0.5)
   at scales 0.4 down to 0.4 / 128;
 - a ``fit-lsp`` on the gasket, whose point clouds sit in balls about
-  points of the attractor;
+  points of the attractor, and the bundled line fit on a Euclidean circle
+  (perfbench's pass-0 ``fit_lsp_circle``);
 - the exact 1-D interval path: Minkowski content of two-map Cantor sets
   (ratios 0.45 and 0.2, and the middle third with its first map reflected)
   at the bundled ``minkowski_cantor`` scales, a ``fit-lsp`` Cantor fit at
@@ -45,7 +46,8 @@ the exact bit: every float is stored as ``float.hex``.  They are
   +37.5, which shows how the deep sublevel's covers move with the
   domain's position;
 - ``randsim`` bc-diagnostics of 200 stages on two bases in the plane whose
-  windows fit in the unit box: a circle and a polyline;
+  windows fit in the unit box: a circle and a polyline; and the bundled
+  lines covering exponent at tau = 4;
 - sup-metric tilted sets: the box dimension of perfbench's pass-0
   ``boxdim_polyline`` segment at 60,000 samples per scale, and the Minkowski
   content of a tilted line in R^3 (codimension 2) at the schema's least
@@ -168,6 +170,9 @@ def variant_configs():
     grids = {"r": [0.5, 0.35, 0.25, 0.18], "delta_ratios": [0.25, 0.125, 0.0625, 0.03125],
              "samples": 10_000, "centers_per_cell": 2}
     out["fit_lsp_gasket"] = ("fit-lsp", {**fit, "model": gasket(0.5), "grids": grids})
+    # perfbench's pass-0 fit_lsp_circle: the bundled line fit on a Euclidean circle
+    circle = {"variant": "circle", "center": [0.0, 0.0], "radius": 1.0}
+    out["fit_lsp_circle"] = ("fit-lsp", {**fit, "model": circle, "metric": "euclidean"})
     cantor = bundled_config("minkowski_cantor.json")
     for r in (0.45, 0.2):
         maps = [{"ratio": r, "translation": [t]} for t in (0.0, 1.0 - r)]
@@ -247,6 +252,8 @@ def variant_configs():
     ):
         scheme = {**bc["scheme"], "base": base, "n": 2}
         out[f"randsim_bc_{name}"] = ("randsim", {**bc, "scheme": scheme, "x": [0.3, 0.8], "N": 200})
+    lines = bundled_config("randsim_lines_tau2.json")
+    out["randsim_lines_tau4"] = ("randsim", {**lines, "scheme": {**lines["scheme"], "tau": 4.0}})
     segment = bundled_config("boxdim_segment.json")
     out["boxdim_sup_polyline"] = ("boxdim", {
         **segment, "model": {"variant": "polyline", "vertices": [[0.0, 0.0], [1.6, 0.1]]},
