@@ -790,9 +790,12 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
 # mass bound check
 
 
+_LOW32 = 0xFFFFFFFF
+
+
 def _holder_draws(rng, trials, c, logs, b0):
-    """Centers and radii of ``holder_check``'s trial balls, drawn from
-    ``rng`` exactly as this scalar loop draws them::
+    """Centers and radii of ``holder_check``'s trial balls, drawn from the
+    PCG64 generator ``rng`` exactly as this scalar loop draws them::
 
         for t in range(trials):
             rad[t] = exp(rng.uniform(log_lo, log_hi if t % 2 == 0 else log_cap))
@@ -802,32 +805,79 @@ def _holder_draws(rng, trials, c, logs, b0):
                 k = rng.integers(0, len(c))
                 x[t] = c[k] + rng.uniform(-2.0 * rad[t], 2.0 * rad[t])
 
-    Only the leaf indices are drawn one call at a time: ``integers`` takes a
-    variable number of raw words (Lemire's bounded method) and keeps half a
-    word between calls, while each double takes one word.  The doubles owed
-    before each index, and after the last, are filled by one ``rng.random``
-    call, and ``uniform``'s arithmetic ``low + (high - low) * u`` is applied
-    as arrays, so every value and the generator's final state are the
-    loop's.  The radii keep ``math.exp``, as ``np.exp`` may round
-    differently.
+    The loop's requests are laid out in stream order (the radius, a near
+    trial's index tries, the center) and read from one ``random_raw`` block
+    of the generator's 64-bit words.  A double takes a word w and is
+    ``(w >> 11) * 2**-53``; ``uniform``'s ``low + (high - low) * u`` is
+    applied as arrays.  An index below n = len(c) takes Lemire's bounded
+    method's tries until one is accepted.  For n <= 2**32 a try reads a
+    32-bit half: the half the generator holds over (``has_uint32`` and
+    ``uinteger`` in its state, kept across doubles), else the low half of a
+    fresh word, whose high half it then holds; the try accepts v when
+    (v n mod 2**32) >= (2**32 - n) mod n and gives (v n) >> 32.  For larger
+    n a try takes a whole word, with a 128-bit product.  n = 1 draws
+    nothing.  The first layout gives every index one try; while an index's
+    last try is rejected, the first such index gains a try and the words
+    are decoded again, any word the longer layout needs drawn after the
+    block.  A try is rejected with probability below n / 2**32, so a
+    decode pass is rarely repeated, and the generator ends exactly past
+    the loop's words; its held half is then set as the loop leaves it.
+    The radii keep ``math.exp``, as ``np.exp`` may round differently.
     """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise ArgumentError(f"holder_check needs a PCG64 generator, not {type(bitgen).__name__}")
     log_lo, log_hi, log_cap = logs
-    t_all = np.arange(trials)
-    near = np.nonzero(t_all % 4 >= 2)[0]  # trials drawn near a leaf
-    leaf = np.empty(len(near), dtype=np.intp)
-    u = np.empty(2 * trials)  # the doubles in stream order: trial t's radius at 2t, center at 2t + 1
-    random, integers, n = rng.random, rng.integers, len(c)
-    pos = 0
-    for i, t in enumerate(near.tolist()):
-        random(out=u[pos : 2 * t + 1])
-        pos = 2 * t + 1
-        leaf[i] = integers(0, n)
-    random(out=u[pos:])
-    high = np.where(t_all % 2 == 0, log_hi, log_cap)
-    rad = np.fromiter(map(math.exp, (log_lo + (high - log_lo) * u[0::2]).tolist()), float, trials)
-    x = b0[0] + (b0[1] - b0[0]) * u[1::2]
+    n = len(c)
+    state = bitgen.state
+    held, held_half = state["has_uint32"], state["uinteger"]
+    wide = n > 2**32
+    near = np.nonzero(np.arange(trials) % 4 >= 2)[0]  # trials drawn near a leaf
+    tries = np.full(len(near), int(n > 1))
+    words = np.empty(0, dtype=np.uint64)
+    while True:
+        per = np.full(trials, 2)  # requests of each trial, in stream order
+        per[near] += tries
+        first = np.cumsum(per) - per
+        req = _slice_rows(first[near] + 1, first[near] + 1 + tries)[0]
+        # q counts the tries after the held half: a 32-bit try with even q
+        # takes a fresh word's low half, with odd q the high half of the word
+        # try q - 1 took
+        q = np.arange(len(req)) - (0 if wide else held)
+        fresh = np.ones(int(per.sum()), dtype=bool)
+        fresh[req] = True if wide else q % 2 == 0
+        word = np.cumsum(fresh) - 1
+        if word[-1] >= len(words):
+            words = np.concatenate([words, bitgen.random_raw(word[-1] + 1 - len(words))])
+        if not len(req):
+            break
+        if wide:
+            m = words[word[req]].astype(object) * n
+            accept, value = m % 2**64 >= (2**64 - n) % n, m >> 64
+        else:
+            odd = q % 2
+            half = words[word[req[np.arange(len(req)) - odd]]] >> (32 * odd).astype(np.uint64) & np.uint64(_LOW32)
+            half[q < 0] = held_half
+            m = half * np.uint64(n)  # below 2**64
+            accept, value = m & np.uint64(_LOW32) >= (2**32 - n) % n, m >> np.uint64(32)
+        last = np.cumsum(tries) - 1
+        rejected = np.nonzero(~accept[last])[0]
+        if not len(rejected):
+            break
+        tries[rejected[0]] += 1
+    leaf = value[last].astype(np.intp) if len(req) else np.zeros(len(near), dtype=np.intp)
+    if len(req) and not wide:
+        state = bitgen.state
+        state["has_uint32"] = int(not odd[-1])
+        state["uinteger"] = int(half[-1] if odd[-1] else words[word[req[-1]]] >> np.uint64(32))
+        bitgen.state = state
+    u = (words[word[first]] >> np.uint64(11)) * 2.0**-53
+    v = (words[word[first + per - 1]] >> np.uint64(11)) * 2.0**-53
+    high = np.where(np.arange(trials) % 2 == 0, log_hi, log_cap)
+    rad = np.fromiter(map(math.exp, (log_lo + (high - log_lo) * u).tolist()), float, trials)
+    x = b0[0] + (b0[1] - b0[0]) * v
     r2 = 2.0 * rad[near]
-    x[near] = c[leaf] + (-r2 + (r2 - -r2) * u[1::2][near])
+    x[near] = c[leaf] + (-r2 + (r2 - -r2) * v[near])
     return x, rad
 
 
@@ -852,10 +902,12 @@ def holder_check(
 
     Trial t draws log r(D) uniformly up to log r(B0) (even t) or up to the
     cap (odd t), then the center uniformly in B0 (t % 4 < 2) or within
-    2 r(D) of a uniformly chosen leaf center (``_holder_draws``).  The draws
-    come first, in the stream a loop of scalar draws would make, so the
-    generator stream and its final state do not depend on how the balls are
-    scored.  Leaves are sorted by center, so the leaves
+    2 r(D) of a uniformly chosen leaf center.  ``rng`` must be a PCG64
+    ``Generator`` (``np.random.default_rng``; any other raises
+    ``ArgumentError``): ``_holder_draws`` reads its raw words and gives the
+    values and final state a loop of scalar draws would, so the generator
+    stream does not depend on how the balls are drawn or scored.  Leaves
+    are sorted by center, so the leaves
     a ball can meet form a window; the leaves deep inside the ball are
     certain hits, and only the two edge bands go through the hit predicate
     ``|c - x| < r + r(D)``.  The maxima are exact: trials are ranked by a

@@ -138,16 +138,41 @@ class NetResult:
     pool_size: int
 
 
+# greedy_net screens up to _NET_BLOCK pool points per broadcast, and at most
+# about _NET_PAIRS differences: 128 KB temporaries, which the allocator
+# reuses, where larger ones are mapped and page-faulted afresh on every block
+_NET_BLOCK = 256
+_NET_PAIRS = 1 << 14
+
+
 def greedy_net(points, sep, metric="sup"):
-    """Greedy subset with pairwise distances > sep, maximal for the pool."""
+    """Greedy subset with pairwise distances > sep, maximal for the pool: the
+    points the loop over the pool keeps when it keeps each point, in order,
+    unless it lies within ``sep`` of a point kept before it.
+
+    The pool is read in blocks of up to ``_NET_BLOCK`` points.  One
+    broadcast drops the block's points within ``sep`` of a point kept before
+    the block; the survivors then take the loop's test, one at a time,
+    against the points kept inside the block.  A point's verdict depends only
+    on the points kept before it, and each distance is ``_norm`` of the
+    loop's own difference, so the net is the loop's, ties at exactly ``sep``
+    included.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     chosen = np.empty_like(pts)
-    count = 0
-    for p in pts:
-        if np.any(_norm(chosen[:count] - p, metric) <= sep):
-            continue
-        chosen[count] = p
-        count += 1
+    count = start = 0
+    while start < len(pts):
+        stop = min(len(pts), start + _NET_BLOCK, start + max(1, _NET_PAIRS // max(1, count * pts.shape[1])))
+        block = pts[start:stop]
+        if count:
+            block = block[~np.any(_norm(chosen[None, :count] - block[:, None], metric) <= sep, axis=1)]
+        first = count
+        for p in block:
+            if np.any(_norm(chosen[first:count] - p, metric) <= sep):
+                continue
+            chosen[count] = p
+            count += 1
+        start = stop
     return chosen[:count].copy()
 
 

@@ -36,7 +36,7 @@ from lspkit.cantor import (
 from lspkit.cli import bundled_config
 from lspkit.covering import BLOCK, Ball, _chain_blocks, _sweep_chain, greedy_net
 from lspkit.dimfun import Gauge, GaugePair, eval_gauge, mtp_radius
-from lspkit.errors import ConstructionError, TruncationError, UnsupportedCombination
+from lspkit.errors import ArgumentError, ConstructionError, TruncationError, UnsupportedCombination
 from lspkit.stages import GridCloudStages, GridView, VdcPointStages
 
 from cantor_params import SQRT_PAIR, cantor_params
@@ -731,17 +731,40 @@ def _holder_draws_loop(rng, trials, c, logs, b0):
 @pytest.mark.parametrize("trials", [1000, 1001, 1002, 1003, 10_000])
 @pytest.mark.parametrize("seed", [1, 20260813])
 def test_holder_draws_match_scalar_loop(trials, seed):
-    # every center and radius, the generator's final state (its buffered
-    # half word included) and its next draws equal the scalar loop's, for
-    # a leaf count below 2**32 (32-bit index draws) and for one above
+    # every center and radius, the generator's final state (its held half
+    # word included) and its next draws equal the scalar loop's, from a
+    # generator that holds no half word and from one that holds one, for
+    # leaf counts that take no index draw (1), 32-bit index draws (2 to
+    # 2**31 + 1, where about half the tries are rejected), a bare 32-bit
+    # value (2**32) and 64-bit draws (2**33, and 3 * 2**61, where a quarter
+    # of the tries are rejected)
     logs = (math.log(2e-5), math.log(20.0), math.log(0.9))
-    for c in (np.sort(np.random.default_rng(seed).uniform(-20.0, 20.0, 23_811)), GridView(-5.0, 5.0, 2**33)):
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _holder_draws(rng_a, trials, c, logs, (-20.0, 20.0))
-        want = _holder_draws_loop(rng_b, trials, c, logs, (-20.0, 20.0))
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-        assert rng_a.integers(0, 7) == rng_b.integers(0, 7) and rng_a.random() == rng_b.random()
+    leaves = [
+        np.array([0.5]),
+        np.array([-3.0, 4.0]),
+        np.sort(np.random.default_rng(seed).uniform(-20.0, 20.0, 23_811)),
+        GridView(-5.0, 5.0, 2**32),
+        GridView(-5.0, 5.0, 2**33),
+    ]
+    if trials < 10_000:  # each rejected try costs one more decode of the whole layout
+        leaves += [GridView(-5.0, 5.0, 2**31 + 1), GridView(-5.0, 5.0, 3 * 2**61)]
+    for c in leaves:
+        for held in (False, True):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            if held:
+                assert rng_a.integers(0, 3) == rng_b.integers(0, 3) and rng_a.bit_generator.state["has_uint32"]
+            got = _holder_draws(rng_a, trials, c, logs, (-20.0, 20.0))
+            want = _holder_draws_loop(rng_b, trials, c, logs, (-20.0, 20.0))
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            assert rng_a.integers(0, 7) == rng_b.integers(0, 7) and rng_a.random() == rng_b.random()
+
+
+def test_holder_check_refuses_a_generator_other_than_pcg64(audit_tree):
+    params, tree = audit_tree
+    rng = np.random.Generator(np.random.Philox(3))
+    with pytest.raises(ArgumentError, match="PCG64"):
+        holder_check(tree, assign_mass(tree, params), params, rng=rng)
 
 
 def test_builder_refuses_point_stages():

@@ -17,6 +17,7 @@ from lspkit.covering import (
     family_is_disjoint,
     five_r_cover,
     five_r_covers,
+    greedy_net,
     separated_net,
 )
 from lspkit.errors import ArgumentError, CoverageShortfall
@@ -96,6 +97,38 @@ def test_separated_net_on_line():
     assert 3 <= k <= 5  # interval packing bound
     d = np.abs(net.points[:, 0][:, None] - net.points[:, 0][None, :])
     assert np.all(d[~np.eye(k, dtype=bool)] > 0.5)
+
+
+def _greedy_net_loop(points, sep, metric):
+    """Reference: one pool point at a time against every point kept before it."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    chosen = np.empty_like(pts)
+    count = 0
+    for p in pts:
+        if np.any(_norm(chosen[:count] - p, metric) <= sep):
+            continue
+        chosen[count] = p
+        count += 1
+    return chosen[:count]
+
+
+@pytest.mark.parametrize("size", [1, 255, 256, 257, 10_000])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+def test_greedy_net_matches_scalar_loop(size, dim, metric):
+    # a quarter of the pool on the sep/2 grid, with duplicates and pairs at
+    # exactly sep, the rest uniform, shuffled together in a box that holds
+    # about size/4 separated points; then again with broadcast blocks of a
+    # few hundred differences, so that a block ends before 256 points
+    rng = np.random.default_rng(3 * size + dim)
+    sep = 0.5
+    side = sep * max(1.0, (size / 4) ** (1 / dim))
+    grid = rng.integers(0, int(2 * side / sep) + 1, (size // 4, dim)) * (sep / 2)
+    pool = rng.permutation(np.concatenate([grid, rng.uniform(0.0, side, (size - len(grid), dim))]))
+    want = _greedy_net_loop(pool, sep, metric)
+    assert np.array_equal(greedy_net(pool, sep, metric=metric), want)
+    with mock.patch.object(covering, "_NET_PAIRS", 300):
+        assert np.array_equal(greedy_net(pool, sep, metric=metric), want)
 
 
 def test_separated_net_degenerate_cases():
