@@ -664,10 +664,12 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
 
 def _spanned_axes(basis):
     """Mask of the coordinate axes spanned by orthonormal ``basis`` rows, or
-    None when the span is not a coordinate subspace."""
+    None when the span is not a coordinate subspace.  The test is exact: a
+    span tilted off the axes by as little as 1e-12 is tilted, as the sup
+    distance read from the fixed axes alone would be off by as much."""
     mags = np.abs(basis)
-    free = np.isclose(mags.max(axis=0), 1.0, atol=1e-12)
-    if np.count_nonzero(free) == len(basis) and np.allclose(mags.sum(axis=0)[~free], 0.0, atol=1e-12):
+    free = mags.max(axis=0) == 1.0
+    if np.count_nonzero(free) == len(basis) and not np.any(mags[:, ~free]):
         return free
     return None
 

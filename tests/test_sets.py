@@ -104,8 +104,9 @@ def test_coordinate_plane_sup_distance_reads_its_fixed_axes():
     assert plane.free_axes.tolist() == [True, False, True]
     pts = np.array([[5.0, -1.5, 0.0], [0.0, 2.25, 9.0], [1.0, 2.0, 3.0]])
     assert distance_to_set(plane, pts).tolist() == [3.5, 0.25, 0.0]
-    # a tilted line spans no coordinate subspace
+    # a tilted line spans no coordinate subspace, nor does one 1e-12 off an axis
     assert AffinePlane(np.zeros(2), np.array([[0.6, 0.8]])).free_axes is None
+    assert AffinePlane(np.zeros(4), np.array([[0.0, 0.0, -1.0, -1e-12]])).free_axes is None
 
 
 def _sup_plane_rounding(diff):
@@ -119,13 +120,13 @@ def _sup_plane_rounding(diff):
 def _planes(draw):
     """A plane of dimension l < n <= 8 through a base, with query points.
 
-    The basis is the orthonormalised span of rows whose entries are small
-    integers or multiples of 1/1024, so zero coordinates, shared magnitudes,
-    coordinate axes inside a tilted span and whole coordinate planes all
-    turn up."""
+    The basis is the orthonormalised span of rows of arbitrary floats; a
+    rank-deficient draw (such as the zero rows a search shrinks to) gives a
+    coordinate plane.  The degenerate bases, zero coordinates and shared
+    magnitudes, are the test's examples."""
     n = draw(st.integers(2, 8))
     l = draw(st.integers(1, n - 1))
-    entry = st.one_of(st.integers(-2, 2), st.integers(-1024, 1024).map(lambda k: k / 1024)).map(float)
+    entry = st.floats(-2.0, 2.0, allow_nan=False)
     rows = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=l, max_size=l)))
     q, r = np.linalg.qr(rows.T)
     if np.abs(np.diag(r)).min() < 1e-3:
@@ -150,8 +151,14 @@ def _case(basis, pts, base=None):
 # degenerate bases: zero entries and entries of equal size
 @example(_case([[0.6, 0.8, 0.0]], [[1.0, 0.0, 0.3], [-0.5, 0.7, -1.2]], base=[0.1, 0.2, 0.3]))
 @example(_case(np.array([[1.0, 1.0, 1.0, 0.0, 0.0]]) / math.sqrt(3), [[1.0, -1.0, 0.5, 0.2, -2.0], [0.3] * 5]))
-# a tilted plane that contains the first coordinate axis
+# a tilted plane that contains the first coordinate axis, and a coordinate plane
 @example(_case([[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.8, 0.0]], [[5.0, 1.0, -1.0, 0.5], [0.0, 0.3, 0.4, -0.2]]))
+@example(_case([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], [[5.0, 1.0, -1.0, 0.5], [0.0, 0.3, 0.4, -0.2]], base=[1.0, 2.0, 3.0, 4.0]))
+# the span of rows of small integers and multiples of 1/1024
+@example(_case(np.linalg.qr(np.array([[2.0, -1.0, 0.0, 3 / 1024, 1.0], [0.0, 1.0, -2.0, 1.0, 5 / 1024]]).T)[0].T,
+               [[1.0, -1.0, 0.5, 0.2, -2.0], [0.3] * 5], base=[0.0, 0.5, -0.5, 1.0, 0.25]))
+# a line 1e-12 off the third axis: the distance 1 / (1 + 1e-12), once read as 1
+@example(_case([[0.0, -0.0, -1.0, -1e-12]], [[0.0, 0.0, 0.0, 1.0]]))
 # a point 1e-9 off the base: the distance is 1e-9 / 3, which HiGHS read as 5e-10
 @example(_case(np.array([[-1.0, -2.0]]) / math.sqrt(5), [[0.0, 1e-9]]))
 def test_tilted_plane_sup_distance_matches_the_lp(case):
