@@ -790,9 +790,6 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
 # mass bound check
 
 
-_LOW32 = 0xFFFFFFFF
-
-
 def _holder_draws(rng, trials, c, logs, b0):
     """Centers and radii of ``holder_check``'s trial balls, drawn from the
     PCG64 generator ``rng`` exactly as this scalar loop draws them::
@@ -835,6 +832,7 @@ def _holder_draws(rng, trials, c, logs, b0):
     near = np.nonzero(np.arange(trials) % 4 >= 2)[0]  # trials drawn near a leaf
     tries = np.full(len(near), int(n > 1))
     words = np.empty(0, dtype=np.uint64)
+    low32 = np.uint64(2**32 - 1)
     while True:
         per = np.full(trials, 2)  # requests of each trial, in stream order
         per[near] += tries
@@ -856,10 +854,10 @@ def _holder_draws(rng, trials, c, logs, b0):
             accept, value = m % 2**64 >= (2**64 - n) % n, m >> 64
         else:
             odd = q % 2
-            half = words[word[req[np.arange(len(req)) - odd]]] >> (32 * odd).astype(np.uint64) & np.uint64(_LOW32)
+            half = words[word[req[np.arange(len(req)) - odd]]] >> (32 * odd).astype(np.uint64) & low32
             half[q < 0] = held_half
             m = half * np.uint64(n)  # below 2**64
-            accept, value = m & np.uint64(_LOW32) >= (2**32 - n) % n, m >> np.uint64(32)
+            accept, value = m & low32 >= (2**32 - n) % n, m >> np.uint64(32)
         last = np.cumsum(tries) - 1
         rejected = np.nonzero(~accept[last])[0]
         if not len(rejected):

@@ -118,8 +118,9 @@ def _greedy_net_loop(points, sep, metric):
 def test_greedy_net_matches_scalar_loop(size, dim, metric):
     # a quarter of the pool on the sep/2 grid, with duplicates and pairs at
     # exactly sep, the rest uniform, shuffled together in a box that holds
-    # about size/4 separated points; then again with broadcast blocks of a
-    # few hundred differences, so that a block ends before 256 points
+    # about size/4 separated points.  A net of 10,000 points holds over a
+    # thousand, so its blocks end before 256 points at _NET_PAIRS; the
+    # small pools are netted again with blocks of a few hundred differences
     rng = np.random.default_rng(3 * size + dim)
     sep = 0.5
     side = sep * max(1.0, (size / 4) ** (1 / dim))
@@ -127,8 +128,9 @@ def test_greedy_net_matches_scalar_loop(size, dim, metric):
     pool = rng.permutation(np.concatenate([grid, rng.uniform(0.0, side, (size - len(grid), dim))]))
     want = _greedy_net_loop(pool, sep, metric)
     assert np.array_equal(greedy_net(pool, sep, metric=metric), want)
-    with mock.patch.object(covering, "_NET_PAIRS", 300):
-        assert np.array_equal(greedy_net(pool, sep, metric=metric), want)
+    if size < 10_000:
+        with mock.patch.object(covering, "_NET_PAIRS", 300):
+            assert np.array_equal(greedy_net(pool, sep, metric=metric), want)
 
 
 def test_separated_net_degenerate_cases():
