@@ -20,7 +20,8 @@ the exact bit: every float is stored as ``float.hex``.  They are
   at scales 0.4 down to 0.4 / 128;
 - a ``fit-lsp`` on the gasket, whose point clouds sit in balls about
   points of the attractor, and the bundled line fit on a Euclidean circle
-  (perfbench's pass-0 ``fit_lsp_circle``);
+  (perfbench's pass-0 ``fit_lsp_circle``) and on a Euclidean unit sphere
+  in R^3, which no bundled config or benchmark job samples;
 - the exact 1-D interval path: Minkowski content of two-map Cantor sets
   (ratios 0.45 and 0.2, and the middle third with its first map reflected)
   at the bundled ``minkowski_cantor`` scales, a ``fit-lsp`` Cantor fit at
@@ -173,6 +174,8 @@ def variant_configs():
     # perfbench's pass-0 fit_lsp_circle: the bundled line fit on a Euclidean circle
     circle = {"variant": "circle", "center": [0.0, 0.0], "radius": 1.0}
     out["fit_lsp_circle"] = ("fit-lsp", {**fit, "model": circle, "metric": "euclidean"})
+    sphere = {"variant": "sphere", "center": [0.0, 0.0, 0.0], "radius": 1.0}
+    out["fit_lsp_sphere"] = ("fit-lsp", {**fit, "model": sphere, "metric": "euclidean"})
     cantor = bundled_config("minkowski_cantor.json")
     for r in (0.45, 0.2):
         maps = [{"ratio": r, "translation": [t]} for t in (0.0, 1.0 - r)]
