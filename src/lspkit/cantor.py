@@ -35,7 +35,9 @@ Memory and time follow the balls the builder selects.  A stage cloud
 (``stages.sorted_points(j)``) is read only through ``len``, slices,
 integer-array gathers and ``.searchsorted``, which a ``stages.GridView``
 computes on demand; the first sublevel's K_{G,B} selection sweeps its
-stages ``BLOCK`` points at a time (``covering._chain_blocks``).  A deep
+stages ``BLOCK`` points at a time (``covering._chain_blocks``), and a
+selection ball's target balls are a left-to-right sweep of its slice of
+the stage cloud, every slice in one ``covering._sweep_chain``.  A deep
 sublevel's cover pool is a ``GridView`` too: its covers are chosen by index,
 every fourth point of each run the placed balls leave free, so they move
 with the domain.  The audit decides whether a grid's point intervals are
@@ -46,7 +48,7 @@ from its runs.
 Every center is a point of its stage cloud, so a saved tree (``tree_to_json``,
 format ``TREE_FORMAT``) stores each selection ball as its index into the
 cloud, and each block's radius, stage index and sublevel once per run of
-equal values.  A selection ball's target balls are netted from its own
+equal values.  A selection ball's target balls are swept from its own
 stage cloud, near its center, and are mostly consecutive points of it, so
 the target balls are stored as groups of consecutive indices under one
 owner, each group placed relative to its owner's index, with the group
@@ -64,7 +66,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .covering import BLOCK, Ball, build_kgb, greedy_net
+from .covering import BLOCK, Ball, _nearest, _slice_rows, _sweep_chain, build_kgb
+from .covering import greedy_net  # unread here; perfbench's tracer wraps cantor.greedy_net
 from .dimfun import GaugePair, eval_gauge, mtp_radius, ratio_direction_at, verify_gauge_pair
 from .errors import (
     ArgumentError,
@@ -192,13 +195,7 @@ def _ambient_constants(params: ConstructionParams):
 
 
 def _classify_case(pair: GaugePair):
-    probe = 1e-6
-    direction = ratio_direction_at(pair, probe)
-    if direction == "increasing":
-        return "a"
-    if direction == "decreasing":
-        return "b"
-    return "c"
+    return {"increasing": "a", "decreasing": "b"}.get(ratio_direction_at(pair, 1e-6), "c")
 
 
 def root_sublevel_count(consts, eta):
@@ -206,9 +203,7 @@ def root_sublevel_count(consts, eta):
 
 
 def child_sublevel_count(consts, pair: GaugePair, radius):
-    vf = eval_gauge(pair.f, radius)
-    vg = eval_gauge(pair.g, radius)
-    return int(math.floor(vf / (consts["c6"] * vg))) + 1
+    return int(math.floor(eval_gauge(pair.f, radius) / (consts["c6"] * eval_gauge(pair.g, radius)))) + 1
 
 
 def epsilon_b(consts, pair: GaugePair, radius, l_b):
@@ -216,9 +211,7 @@ def epsilon_b(consts, pair: GaugePair, radius, l_b):
         return math.inf
     gr = eval_gauge(pair.g, radius)
     fr = eval_gauge(pair.f, radius)
-    denom = (consts["c2"] ** 2 * consts["lambda"] ** 2 * consts["d2"] / consts["c1"]) * (
-        gr / fr
-    ) * (l_b - 1)
+    denom = (consts["c2"] ** 2 * consts["lambda"] ** 2 * consts["d2"] / consts["c1"]) * (gr / fr) * (l_b - 1)
     return consts["c1"] / (4.0 * consts["lambda"]) / denom
 
 
@@ -285,41 +278,19 @@ def _require_supported(params):
         raise UnsupportedCombination("the builder needs a grid-cloud stage provider")
 
 
-def _slice_rows(i0, i1):
-    """Flat row indices of the slices [i0[k], i1[k]) and the slice each row
-    belongs to, slice by slice in order."""
-    counts = i1 - i0
-    owner = np.repeat(np.arange(len(i0)), counts)
-    starts = np.cumsum(counts) - counts
-    return np.arange(len(owner)) - starts[owner] + i0[owner], owner
-
-
 def _caj_nets(params, a_centers, a_radii, j, upsilon):
     """Net points of the stage cloud inside half of each selection ball, as
-    flat ``(centers, owner)`` sorted by owning ball.
-
-    A sorted 1-D slice keeps every point under ``greedy_net`` unless some
-    neighbouring gap is within the separation (the last pick is the nearest
-    earlier point), so only such slices are netted; an empty slice yields its
-    ball's own center.
-    """
+    flat ``(centers, owner)`` sorted by owning ball: the sweep of each
+    slice that keeps a point more than 6 upsilon past the last one kept,
+    which on the line is the greedy net.  An empty slice yields its ball's
+    own center."""
     cloud = params.stages.sorted_points(j)
-    sep = 6.0 * upsilon
     i0 = cloud.searchsorted(a_centers - 0.5 * a_radii)
     i1 = cloud.searchsorted(a_centers + 0.5 * a_radii)
-    rows, owner = _slice_rows(i0, i1)
-    pts = cloud[rows]
-    close = (owner[1:] == owner[:-1]) & (np.diff(pts) <= sep)
-    dense = np.unique(owner[1:][close])
-    keep = ~np.isin(owner, dense)
-    empty = np.nonzero(i1 == i0)[0]
-    nets = [greedy_net(cloud[i0[k] : i1[k]][:, None], sep)[:, 0] for k in dense]
-    centers = np.concatenate([pts[keep], *nets, a_centers[empty]])
-    owners = np.concatenate(
-        [owner[keep], *(np.full(len(n), k) for k, n in zip(dense, nets)), empty]
-    )
-    order = np.argsort(owners, kind="stable")
-    return centers[order], owners[order]
+    _, owner, centers = _sweep_chain(cloud, i0, i1, np.nextafter(6.0 * upsilon, np.inf))
+    empty = np.flatnonzero(i1 == i0)
+    at = np.searchsorted(owner, empty)
+    return np.insert(centers, at, a_centers[empty]), np.insert(owner, at, empty)
 
 
 def _build_local_level(params, consts):
@@ -471,10 +442,7 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
         if room > 0:
             cloud = params.stages.sorted_points(j)
             g_tilde = eval_gauge(pair.g, tilde)
-            pos = cloud.searchsorted(covers)
-            below = cloud[np.clip(pos - 1, 0, len(cloud) - 1)]
-            above = cloud[np.clip(pos, 0, len(cloud) - 1)]
-            host = np.where(np.abs(covers - below) <= np.abs(covers - above), below, above)
+            host = _nearest(cloud, covers)
             ok = np.abs(host - covers) <= room
             take = host[ok][: int(math.ceil((target - mass) / g_tilde))]
             picks.append((take, np.full(len(take), tilde), np.full(len(take), j, dtype=np.int64)))
@@ -649,16 +617,6 @@ def _neighborhood_in_window(cloud, u, centers, half_widths, disjoint):
     return _union_length_in(_merge_union(np.stack([p - u, p + u], axis=1)), lo, hi)
 
 
-def _points_on_stage(params, j, centers, tol):
-    cloud = params.stages.sorted_points(int(j))
-    pos = cloud.searchsorted(centers)
-    best = np.full(len(centers), np.inf)
-    for off in (-1, 0):
-        k = np.clip(pos + off, 0, len(cloud) - 1)
-        best = np.minimum(best, np.abs(cloud[k] - centers))
-    return best <= tol
-
-
 def _overlapping_dilates(centers, radii):
     """Centers of the balls whose 3-dilate overlaps that of the next ball in
     center order (a 1-D neighbour sweep), in center order."""
@@ -698,7 +656,7 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
     for j in _distinct(loc.c_j):
         sel = loc.c_j == j
         tol = max(1e-12, 1e-9 * params.stages.upsilon(int(j)))
-        on = _points_on_stage(params, j, c[sel], tol)
+        on = np.abs(_nearest(params.stages.sorted_points(int(j)), c[sel]) - c[sel]) <= tol
         if not np.all(on):
             p2_viol.append(("center-off-stage", int(j)))
     # (ii) 3L inside A; (iii) handled by P1 within A via construction,
@@ -756,18 +714,14 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
             p3_viol.append((int(i), mass, consts["c6"] * vg_b))
 
     # P4 between consecutive sublevels
+    def f_and_h(i):  # f and h = f / g**kappa at the target radii of sublevel i
+        f = eval_gauge(pair.f, loc.c_radius[loc.c_sublevel == i])
+        return {"f": f, "h": f / eval_gauge(pair.g, loc.c_radius[loc.c_sublevel == i]) ** pair.kappa}
+
     subs = _distinct(loc.c_sublevel).tolist()
     for a, b in zip(subs[:-1], subs[1:]):
-        fa = eval_gauge(pair.f, loc.c_radius[loc.c_sublevel == a])
-        fb = eval_gauge(pair.f, loc.c_radius[loc.c_sublevel == b])
-        ga = eval_gauge(pair.g, loc.c_radius[loc.c_sublevel == a])
-        gb = eval_gauge(pair.g, loc.c_radius[loc.c_sublevel == b])
-        ha = fa / ga**pair.kappa
-        hb = fb / gb**pair.kappa
-        if np.max(fb) > 0.5 * np.min(fa) * (1 + AUDIT_RTOL):
-            p4_viol.append((int(a), int(b), "f"))
-        if np.max(hb) > 0.5 * np.min(ha) * (1 + AUDIT_RTOL):
-            p4_viol.append((int(a), int(b), "h"))
+        va, vb = f_and_h(a), f_and_h(b)
+        p4_viol += [(int(a), int(b), k) for k in "fh" if np.max(vb[k]) > 0.5 * np.min(va[k]) * (1 + AUDIT_RTOL)]
 
     # P5: recorded sublevel count equals formula; leaf formula >= 2
     formula = root_sublevel_count(consts, params.eta)
@@ -807,18 +761,18 @@ def _holder_draws(rng, trials, c, logs, b0):
     of the generator's 64-bit words.  A double takes a word w and is
     ``(w >> 11) * 2**-53``; ``uniform``'s ``low + (high - low) * u`` is
     applied as arrays.  An index below n = len(c) takes Lemire's bounded
-    method's tries until one is accepted.  For n <= 2**32 a try reads a
-    32-bit half: the half the generator holds over (``has_uint32`` and
-    ``uinteger`` in its state, kept across doubles), else the low half of a
-    fresh word, whose high half it then holds; the try accepts v when
-    (v n mod 2**32) >= (2**32 - n) mod n and gives (v n) >> 32.  For larger
-    n a try takes a whole word, with a 128-bit product.  n = 1 draws
-    nothing.  The first layout gives every index one try; while an index's
-    last try is rejected, the first such index gains a try and the words
-    are decoded again, any word the longer layout needs drawn after the
-    block.  A try is rejected with probability below n / 2**32, so a
-    decode pass is rarely repeated, and the generator ends exactly past
-    the loop's words; its held half is then set as the loop leaves it.
+    method's tries until one is accepted.  n is at most 2**32 (a level holds
+    at most ``MAX_NODES`` leaves), so a try reads a 32-bit half: the half
+    the generator holds over (``has_uint32`` and ``uinteger`` in its state,
+    kept across doubles), else the low half of a fresh word, whose high half
+    it then holds; the try accepts v when (v n mod 2**32) >= (2**32 - n) mod
+    n and gives (v n) >> 32.  n = 1 draws nothing.  The first layout gives
+    every index one try; while an index's last try is rejected, the first
+    such index gains a try and the words are decoded again, any word the
+    longer layout needs drawn after the block.  A try is rejected with
+    probability below n / 2**32, so a decode pass is rarely repeated, and
+    the generator ends exactly past the loop's words; its held half is then
+    set as the loop leaves it.
     The radii keep ``math.exp``, as ``np.exp`` may round differently.
     """
     bitgen = rng.bit_generator
@@ -828,7 +782,6 @@ def _holder_draws(rng, trials, c, logs, b0):
     n = len(c)
     state = bitgen.state
     held, held_half = state["has_uint32"], state["uinteger"]
-    wide = n > 2**32
     near = np.nonzero(np.arange(trials) % 4 >= 2)[0]  # trials drawn near a leaf
     tries = np.full(len(near), int(n > 1))
     words = np.empty(0, dtype=np.uint64)
@@ -838,33 +791,29 @@ def _holder_draws(rng, trials, c, logs, b0):
         per[near] += tries
         first = np.cumsum(per) - per
         req = _slice_rows(first[near] + 1, first[near] + 1 + tries)[0]
-        # q counts the tries after the held half: a 32-bit try with even q
-        # takes a fresh word's low half, with odd q the high half of the word
-        # try q - 1 took
-        q = np.arange(len(req)) - (0 if wide else held)
+        # q counts the tries after the held half: a try with even q takes a
+        # fresh word's low half, with odd q the high half of the word try
+        # q - 1 took
+        q = np.arange(len(req)) - held
         fresh = np.ones(int(per.sum()), dtype=bool)
-        fresh[req] = True if wide else q % 2 == 0
+        fresh[req] = q % 2 == 0
         word = np.cumsum(fresh) - 1
         if word[-1] >= len(words):
             words = np.concatenate([words, bitgen.random_raw(word[-1] + 1 - len(words))])
         if not len(req):
             break
-        if wide:
-            m = words[word[req]].astype(object) * n
-            accept, value = m % 2**64 >= (2**64 - n) % n, m >> 64
-        else:
-            odd = q % 2
-            half = words[word[req[np.arange(len(req)) - odd]]] >> (32 * odd).astype(np.uint64) & low32
-            half[q < 0] = held_half
-            m = half * np.uint64(n)  # below 2**64
-            accept, value = m & low32 >= (2**32 - n) % n, m >> np.uint64(32)
+        odd = q % 2
+        half = words[word[req[np.arange(len(req)) - odd]]] >> (32 * odd).astype(np.uint64) & low32
+        half[q < 0] = held_half
+        m = half * np.uint64(n)  # below 2**64
+        accept, value = m & low32 >= (2**32 - n) % n, m >> np.uint64(32)
         last = np.cumsum(tries) - 1
         rejected = np.nonzero(~accept[last])[0]
         if not len(rejected):
             break
         tries[rejected[0]] += 1
     leaf = value[last].astype(np.intp) if len(req) else np.zeros(len(near), dtype=np.intp)
-    if len(req) and not wide:
+    if len(req):
         state = bitgen.state
         state["has_uint32"] = int(not odd[-1])
         state["uinteger"] = int(half[-1] if odd[-1] else words[word[req[-1]]] >> np.uint64(32))
@@ -902,8 +851,9 @@ def holder_check(
     cap (odd t), then the center uniformly in B0 (t % 4 < 2) or within
     2 r(D) of a uniformly chosen leaf center.  ``rng`` must be a PCG64
     ``Generator`` (``np.random.default_rng``; any other raises
-    ``ArgumentError``): ``_holder_draws`` reads its raw words and gives the
-    values and final state a loop of scalar draws would, so the generator
+    ``ArgumentError``, as does a level of more than ``MAX_NODES`` leaves):
+    ``_holder_draws`` reads its raw words and gives the values and final
+    state a loop of scalar draws would, so the generator
     stream does not depend on how the balls are drawn or scored.  Leaves
     are sorted by center, so the leaves
     a ball can meet form a window; the leaves deep inside the ball are
@@ -915,6 +865,8 @@ def holder_check(
     """
     if trials < 1000:
         raise ArgumentError("trials must be >= 1000")
+    if len(tree.level.c_center) > MAX_NODES:
+        raise ArgumentError(f"holder_check reads at most {MAX_NODES} leaves, not {len(tree.level.c_center)}")
     pair = params.gauges
     eta = params.eta
     order = np.argsort(tree.level.c_center)

@@ -7,6 +7,9 @@ selection, which is the ``NetResult`` of its centers at one radius.  The
 K_{G,B} stages are sorted 1-D clouds (``stages.sorted_points(j)``), and every
 distinct point of a stage is a candidate center.  A stage's cloud is thinned
 by one sweep (``_chain_blocks``), read ``BLOCK`` points at a time.
+``_sweep_chain`` is the one greedy sweep of sorted 1-D clouds: it thins
+these blocks, and the slices of a stage cloud that hold the nested
+construction's C(A; j) nets.
 
 Disjointness is for open balls throughout: two balls are disjoint when the
 distance between centers is at least the sum of radii (tangency counts as
@@ -204,34 +207,60 @@ def separated_net(m: SetModel, region: Ball, sep, candidates=10_000, *, rng, met
 # sorted 1-D sweeps
 
 
-def _sweep_chain(pool, sep):
-    """Mask of the points that a left-to-right sweep over the sorted ``pool``
-    keeps when it keeps the first point and then each point with
-    ``pool[u] - last kept >= sep``.
+def _slice_rows(i0, i1):
+    """Flat row indices of the slices [i0[k], i1[k]) and the slice each row
+    belongs to, slice by slice in order."""
+    counts = i1 - i0
+    owner = np.repeat(np.arange(len(i0)), counts)
+    starts = np.cumsum(counts) - counts
+    return np.arange(len(owner)) - starts[owner] + i0[owner], owner
 
-    The predicate ``pool[u] - pool[t] >= sep`` is monotone in u (rounding
-    is monotone), so ``nxt[t]``, the first u > t meeting it, is found by
-    ``searchsorted`` and then settled with the exact predicate; the kept
-    points are the chain ``0 -> nxt[0] -> ...``, marked by pointer doubling.
-    """
-    n = len(pool)
-    keep = np.zeros(n, dtype=bool)
-    if n == 0:
-        return keep
-    t = np.arange(n)
 
-    def reached(u):  # the exact predicate; n stands for "no such point"
-        return (u >= n) | (pool[np.minimum(u, n - 1)] - pool >= sep)
+def _nearest(cloud, x):
+    """The point of the sorted ``cloud`` nearest each x, the lower one of
+    two at equal distance."""
+    pos = cloud.searchsorted(x)
+    below = cloud[np.clip(pos - 1, 0, len(cloud) - 1)]
+    above = cloud[np.clip(pos, 0, len(cloud) - 1)]
+    return np.where(np.abs(x - below) <= np.abs(x - above), below, above)
 
-    nxt = np.maximum(np.searchsorted(pool, pool + sep), t + 1)
-    while np.any(short := ~reached(nxt)):
-        nxt[short] += 1
-    while np.any(over := (nxt - 1 > t) & reached(nxt - 1)):
-        nxt[over] -= 1
-    # after k rounds ``chain`` holds the first 2**k chain points and ``jump``
-    # is nxt applied 2**k times; n is the sentinel, its own successor
+
+def _sweep_chain(pool, lo, hi, sep):
+    """The kept indices, the range of each and their points, range by
+    range, of a left-to-right sweep over each index range [lo[k], hi[k]) of
+    the sorted ``pool`` (an array or a ``GridView``) that keeps the range's
+    first point, then each point with ``pool[u] - last kept >= sep``.
+
+    The predicate is monotone in u (rounding is monotone), so ``nxt[t]``,
+    the first later point of t's range meeting it, is t + 1 where that gap
+    meets it, else found by ``searchsorted`` and settled with the exact
+    predicate.  The chains ``first -> nxt[first] -> ...`` are marked by
+    pointer doubling."""
+    lo, hi = np.atleast_1d(lo, hi)
+    rows, owner = _slice_rows(lo, hi)
+    pts = pool[rows]
+    t = np.flatnonzero(~(np.diff(pts) >= sep) & (owner[1:] == owner[:-1]))
+    if not len(t):  # every point is kept
+        return rows, owner, pts
+    n = len(pts)
+    end = np.cumsum(hi - lo)  # one past each range's last flat index
+    nxt = np.arange(1, n + 1)
+    nxt[nxt == end[owner]] = n  # n stands for "no such point"
+    e = end[owner[t]]
+
+    def reached(u):  # the exact predicate, for u in (t, e]
+        return (u >= e) | (pts[np.minimum(u, n - 1)] - pts[t] >= sep)
+
+    u = np.clip(pool.searchsorted(pts[t] + sep) - rows[t] + t, t + 1, e)
+    while np.any(short := ~reached(u)):
+        u[short] += 1
+    while np.any(over := (u - 1 > t) & reached(u - 1)):
+        u[over] -= 1
+    nxt[t] = np.where(u < e, u, n)
+    # after k rounds ``chain`` holds the first 2**k points of each range's
+    # chain and ``jump`` is nxt applied 2**k times; n is its own successor
     jump = np.append(nxt, n)
-    chain = np.zeros(1, dtype=np.intp)
+    chain = (end - (hi - lo))[hi > lo]
     while True:
         step = jump[chain]
         step = step[step < n]
@@ -239,8 +268,9 @@ def _sweep_chain(pool, sep):
             break
         chain = np.concatenate([chain, step])
         jump = jump[jump]
+    keep = np.zeros(n, dtype=bool)
     keep[chain] = True
-    return keep
+    return rows[keep], owner[keep], pts[keep]
 
 
 def _chain_blocks(pool, start, stop, blocked, sep, block):
@@ -259,7 +289,7 @@ def _chain_blocks(pool, start, stop, blocked, sep, block):
         pts = pool[s : min(s + block, stop)]
         pts = pts[~blocked(pts) & (pts - last >= sep)]
         if len(pts):
-            pts = pts[_sweep_chain(pts, sep)]
+            pts = _sweep_chain(pts, 0, len(pts), sep)[2]
             last = pts[-1]
         yield pts
 

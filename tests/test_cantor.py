@@ -34,7 +34,7 @@ from lspkit.cantor import (
     verify_levels,
 )
 from lspkit.cli import bundled_config
-from lspkit.covering import BLOCK, Ball, _chain_blocks, _sweep_chain, greedy_net
+from lspkit.covering import BLOCK, Ball, _chain_blocks, _nearest, _sweep_chain, greedy_net
 from lspkit.dimfun import Gauge, GaugePair, eval_gauge, mtp_radius
 from lspkit.errors import ArgumentError, ConstructionError, TruncationError, UnsupportedCombination
 from lspkit.stages import GridCloudStages, GridView, VdcPointStages
@@ -430,6 +430,7 @@ def test_eta8_tree_moves_with_its_domain():
 
 def _caj_nets_per_ball(cloud, a_centers, a_radii, upsilon, metric):
     """Reference: one greedy_net call per selection ball's cloud slice."""
+    cloud = np.asarray(cloud)
     i0 = np.searchsorted(cloud, a_centers - 0.5 * a_radii)
     i1 = np.searchsorted(cloud, a_centers + 0.5 * a_radii)
     centers, owner = [], []
@@ -454,13 +455,15 @@ class _CloudStage:
 
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("metric", ["sup", "euclidean"])
-@pytest.mark.parametrize("kind", ["mixed", "spaced"])
+@pytest.mark.parametrize("kind", ["mixed", "spaced", "grid"])
 def test_caj_nets_matches_per_ball_greedy(seed, metric, kind):
     # upsilon = 0.25 makes the separation 1.5.  "mixed": half-integer grid
     # points (some gaps exactly 1.5), random points and duplicates.
     # "spaced": every gap is exactly 1.5 or wider, so only the boundary
-    # case decides whether a slice is netted.  The builder has one net; on
-    # the line it must equal the greedy net under either metric
+    # case decides whether a point is kept.  "grid": a dense grid view, its
+    # spacing below 1.5 (at 160 cells exactly 0.5, so three gaps tie with
+    # the separation).  The builder has one net; on the line it must equal
+    # the greedy net under either metric
     rng = np.random.default_rng(seed)
     upsilon = 0.25
     if kind == "mixed":
@@ -468,8 +471,10 @@ def test_caj_nets_matches_per_ball_greedy(seed, metric, kind):
             rng.integers(0, 160, rng.integers(5, 80)) * 0.5,
             rng.uniform(0.0, 80.0, rng.integers(0, 40)),
         ]))
-    else:
+    elif kind == "spaced":
         cloud = np.cumsum(rng.choice([1.5, 2.0, 3.25], 40))
+    else:
+        cloud = GridView(0.0, 80.0, [160, 213, int(rng.integers(54, 600))][seed % 3])
     # some selection balls lie beyond the cloud, so their slices are empty
     a_centers = rng.uniform(-10.0, 95.0, 30)
     a_radii = rng.uniform(0.2, 12.0, 30)
@@ -735,19 +740,17 @@ def test_holder_draws_match_scalar_loop(trials, seed):
     # word included) and its next draws equal the scalar loop's, from a
     # generator that holds no half word and from one that holds one, for
     # leaf counts that take no index draw (1), 32-bit index draws (2 to
-    # 2**31 + 1, where about half the tries are rejected), a bare 32-bit
-    # value (2**32) and 64-bit draws (2**33, and 3 * 2**61, where a quarter
-    # of the tries are rejected)
+    # 2**31 + 1, where about half the tries are rejected) and a bare 32-bit
+    # value (2**32)
     logs = (math.log(2e-5), math.log(20.0), math.log(0.9))
     leaves = [
         np.array([0.5]),
         np.array([-3.0, 4.0]),
         np.sort(np.random.default_rng(seed).uniform(-20.0, 20.0, 23_811)),
         GridView(-5.0, 5.0, 2**32),
-        GridView(-5.0, 5.0, 2**33),
     ]
     if trials < 10_000:  # each rejected try costs one more decode of the whole layout
-        leaves += [GridView(-5.0, 5.0, 2**31 + 1), GridView(-5.0, 5.0, 3 * 2**61)]
+        leaves.append(GridView(-5.0, 5.0, 2**31 + 1))
     for c in leaves:
         for held in (False, True):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -758,6 +761,15 @@ def test_holder_draws_match_scalar_loop(trials, seed):
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
             assert rng_a.integers(0, 7) == rng_b.integers(0, 7) and rng_a.random() == rng_b.random()
+
+
+def test_holder_check_refuses_a_level_past_the_node_budget(audit_tree, monkeypatch):
+    # no build writes such a level; the index draws assume at most 2**32 leaves
+    params, tree = audit_tree
+    mu = assign_mass(tree, params)
+    monkeypatch.setattr(cantor, "MAX_NODES", len(mu) - 1)
+    with pytest.raises(ArgumentError, match=f"at most {len(mu) - 1} leaves"):
+        holder_check(tree, mu, params, rng=np.random.default_rng(0))
 
 
 def test_holder_check_refuses_a_generator_other_than_pcg64(audit_tree):
@@ -775,14 +787,29 @@ def test_builder_refuses_point_stages():
         build_cantor(params)
 
 
-def _sweep_loop(pool, sep):
+def _sweep_loop(pool, sep, strict=False):
+    """Reference: the mask of the points a scalar sweep over ``pool`` keeps,
+    each at least (``strict``: more than) ``sep`` past the last one kept."""
     keep = np.zeros(len(pool), dtype=bool)
     last = -math.inf
     for t, x in enumerate(pool):
-        if x - last >= sep:
+        if x - last > sep if strict else x - last >= sep:
             keep[t] = True
             last = x
     return keep
+
+
+def _assert_sweep_matches_loop(pool, lo, hi, sep, strict=False):
+    """``_sweep_chain`` over the ranges [lo[k], hi[k]) of ``pool`` keeps what
+    the scalar sweep keeps of each range, at ``sep`` or, ``strict``, at the
+    next float above it."""
+    index, owner, pts = _sweep_chain(pool, np.array(lo), np.array(hi), np.nextafter(sep, np.inf) if strict else sep)
+    want = [
+        (a + t, k) for k, (a, b) in enumerate(zip(lo, hi)) for t in np.flatnonzero(_sweep_loop(pool[a:b], sep, strict))
+    ]
+    assert index.tolist() == [i for i, _ in want]
+    assert owner.tolist() == [k for _, k in want]
+    assert np.array_equal(pts, pool[index])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -795,12 +822,17 @@ def test_sweep_chain_matches_loop(seed):
     pool = np.arange(-7.0 + d_min, 9.0 - d_min + step / 4, step)[:20000]
     for lo in rng.uniform(pool[0], pool[-1], 30):
         pool = pool[(pool < lo) | (pool > lo + rng.uniform(0.0, 40 * d_min))]
-    assert np.array_equal(_sweep_chain(pool, sep), _sweep_loop(pool, sep))
+    _assert_sweep_matches_loop(pool, [0], [len(pool)], sep)
+    # many ranges of one pool, in any order and overlapping, with empty
+    # and one-point ranges among them
+    lo = rng.integers(0, len(pool), 60)
+    hi = np.minimum(lo + rng.choice([0, 1, 2, 50, 3000], 60), len(pool))
+    _assert_sweep_matches_loop(pool, lo.tolist(), hi.tolist(), sep)
     # spacings right at the edge of the predicate, far from the origin
     near = [sep, np.nextafter(sep, 0.0), np.nextafter(sep, 1.0), sep / 2, sep / 4, 3 * sep]
     edge = 1234.5 + np.cumsum(rng.choice(near, 5000))
-    assert np.array_equal(_sweep_chain(edge, sep), _sweep_loop(edge, sep))
-    assert np.array_equal(_sweep_chain(edge[:1], sep), [True])
+    _assert_sweep_matches_loop(edge, [0, 0, 4999, 7, 2500], [5000, 1, 5000, 7, 2600], sep)
+    _assert_sweep_matches_loop(edge, [0, 100], [1000, 3000], sep, strict=True)
     # pools crossing zero, where pool[u] - pool[t] rounds: the searchsorted
     # guess can fall short of, or overshoot, the first point meeting the
     # predicate
@@ -808,8 +840,29 @@ def test_sweep_chain_matches_loop(seed):
         y = a + sep
         below = np.nextafter(y, -np.inf)
         pool = np.unique([a, np.nextafter(below, -np.inf), below, y, np.nextafter(y, np.inf)])
-        assert np.array_equal(_sweep_chain(pool, sep), _sweep_loop(pool, sep))
-    assert len(_sweep_chain(edge[:0], sep)) == 0
+        _assert_sweep_matches_loop(pool, [0, 1], [len(pool), len(pool)], sep)
+    assert [len(v) for v in _sweep_chain(edge, 0, 0, sep)] == [0, 0, 0]
+    # a grid view far from the origin, whose computed gaps differ in their
+    # last bits: separations of exactly one of its gaps, or a multiple, and
+    # one ulp either side, in both forms
+    view = GridView(1e6 + seed, 1e6 + seed + 1.0, 4096)
+    gaps = np.unique(np.diff(view[:]))
+    lo = rng.integers(0, len(view), 40)
+    hi = np.minimum(lo + rng.choice([0, 1, 3, 200, 4096], 40), len(view))
+    for gap in (gaps[0], gaps[-1], 2 * gaps[len(gaps) // 2], view[3] - view[0]):
+        for s in (np.nextafter(gap, 0.0), gap, np.nextafter(gap, np.inf)):
+            for strict in (False, True):
+                _assert_sweep_matches_loop(view, lo.tolist(), hi.tolist(), s, strict)
+
+
+def test_nearest_takes_the_lower_point_on_ties():
+    # the deep sublevel's hosts and the P2 audit's on-stage test both read
+    # the nearest cloud point; halfway between two points it is the lower
+    cloud = GridView(-1.0, 1.0, 4)  # -0.75, -0.25, 0.25, 0.75
+    x = np.array([-2.0, -0.5, 0.0, 0.1, 0.5, 0.75, 2.0])
+    want = [-0.75, -0.75, -0.25, 0.25, 0.25, 0.75, 0.75]
+    assert _nearest(cloud, x).tolist() == want
+    assert _nearest(cloud[:], x).tolist() == want
 
 
 def _cover_chain(pool, b_lo, b_hi, sep, block=BLOCK):
@@ -833,7 +886,7 @@ def _filtered_sweep(pool, b_lo, b_hi, sep):
     idx = np.searchsorted(b_lo, pool, side="right") - 1
     inside = (idx >= 0) & (pool <= np.where(idx >= 0, b_hi[np.maximum(idx, 0)], -np.inf))
     pool = pool[~inside]
-    return pool[_sweep_chain(pool, sep)]
+    return _sweep_chain(pool, 0, len(pool), sep)[2]
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 2**16])
@@ -856,7 +909,7 @@ def test_cover_chain_matches_one_sweep(block, seed):
     near = [sep, np.nextafter(sep, 0.0), np.nextafter(sep, 1.0), sep / 3, 2 * sep]
     edge = -500 * sep + np.cumsum(rng.choice(near, 1000))
     none = np.array([-np.inf]), np.array([-np.inf])
-    assert np.array_equal(_cover_chain(edge, *none, sep, block), edge[_sweep_chain(edge, sep)])
+    assert np.array_equal(_cover_chain(edge, *none, sep, block), _sweep_chain(edge, 0, len(edge), sep)[2])
     # a pool the leaves cover entirely keeps nothing
     assert len(_cover_chain(pool, pool[:1] - 1.0, pool[-1:] + 1.0, sep, block)) == 0
 
