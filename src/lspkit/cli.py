@@ -18,6 +18,7 @@ import copy
 import csv
 import json
 import math
+import pathlib
 import sys
 import time
 from dataclasses import asdict
@@ -50,20 +51,25 @@ from .randomsim import MAX_N, RandomScheme, covering_exponent, coverage_frequenc
 from .sets import model_from_json
 from .stages import GridCloudStages, VdcPointStages
 
+_NUMBER = {"type": "number"}
+_VECTOR = {"type": "array", "items": _NUMBER, "minItems": 1}
+_ROWS = {"type": "array", "items": _VECTOR, "minItems": 1}  # model_from_json checks the rows' lengths
+
+
 _GAUGE = {
     "type": "object",
     "required": ["kind"],
     "properties": {
         "kind": {"enum": ["power", "tabulated"]},
-        "s": {"type": "number"},
-        "samples": {"type": "array"},
+        "s": _NUMBER,
+        "samples": {"type": "array", "items": {**_VECTOR, "minItems": 2, "maxItems": 2}},
     },
     "additionalProperties": False,
 }
 _PAIR = {
     "type": "object",
     "required": ["f", "g"],
-    "properties": {"f": _GAUGE, "g": _GAUGE, "kappa": {"type": "number"}},
+    "properties": {"f": _GAUGE, "g": _GAUGE, "kappa": _NUMBER},
     "additionalProperties": False,
 }
 # the keys sets.model_from_json reads, over every variant
@@ -71,12 +77,17 @@ _MODEL = {
     "type": "object",
     "required": ["variant"],
     "properties": {
-        **dict.fromkeys(["variant", "points", "base", "basis", "extent", "center", "radius", "vertices", "osc"], {}),
+        "variant": {"type": "string"},
+        **dict.fromkeys(["points", "basis", "vertices"], _ROWS),
+        **dict.fromkeys(["base", "center"], _VECTOR),
+        **dict.fromkeys(["extent", "radius"], _NUMBER),
+        "osc": {"type": "boolean"},
         "maps": {
             "type": "array",
             "items": {
                 "type": "object",
-                "properties": dict.fromkeys(["ratio", "translation", "rotation"], {}),
+                "required": ["ratio", "translation"],
+                "properties": {"ratio": _NUMBER, "translation": _VECTOR, "rotation": _ROWS},
                 "additionalProperties": False,
             },
         },
@@ -90,12 +101,11 @@ _SCALES = {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, 
 _SAMPLES = {"type": "integer", "minimum": 1000, "maximum": 1_000_000}
 _CENTERS = {"type": "integer", "minimum": 1, "maximum": 16}
 _METRIC = {"enum": ["sup", "euclidean"]}
-_NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _BALL = {
     "type": "object",
     "required": ["center", "radius"],
-    "properties": {"center": {"type": "array", "items": _NUMBER, "minItems": 1}, "radius": _POSITIVE},
+    "properties": {"center": _VECTOR, "radius": _POSITIVE},
     "additionalProperties": False,
 }
 # the keys _stages_from_config reads; a grid cloud (the default type) needs its range and plateaus
@@ -103,7 +113,7 @@ _STAGES = {
     "type": "object",
     "properties": {
         "type": {"enum": ["grid-cloud", "vdc-points"]},
-        "plateaus": {"type": "array", "items": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}},
+        "plateaus": {"type": "array", "items": {**_VECTOR, "minItems": 2, "maxItems": 2}},
         "j_max": {"type": "integer"},
         **dict.fromkeys(["lo", "hi"], _NUMBER),
     },
@@ -386,16 +396,14 @@ def _stages_from_config(block):
     raise ArgumentError(f"unknown stage provider type {kind!r}")
 
 
-def _write_csv(path, header, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _table(name, header, rows):
+    """An output entry: the CSV table ``tables/<name>``."""
+    return f"tables/{name}", lambda fh: csv.writer(fh).writerows([header, *rows])
 
 
 # ---------------------------------------------------------------------------
-# command implementations (each returns a results dict and a list of tables)
+# command implementations (each returns a results dict and a list of output
+# entries, (path under the output directory, function writing the file))
 
 
 def _run_transform(cfg, rng):
@@ -433,8 +441,8 @@ def _run_fit_lsp(cfg, rng):
         **_given(grids, samples=int, centers_per_cell=int),
         **_given(cfg, metric=str),
     )
-    tables = [("cells.csv", ["log_r", "log_delta", "log_measure", "stderr"], fit.points)]
-    return {"fit": asdict(fit)}, tables
+    table = _table("cells.csv", ["log_r", "log_delta", "log_measure", "stderr"], fit.points)
+    return {"fit": asdict(fit)}, [table]
 
 
 def _run_boxdim(cfg, rng):
@@ -445,8 +453,8 @@ def _run_boxdim(cfg, rng):
         rng=rng,
         **_given(cfg, samples_per_scale=int, metric=str),
     )
-    tables = [("scales.csv", ["log_delta", "log_volume"], lower.points)]
-    return {"lower": asdict(lower), "upper": asdict(upper)}, tables
+    table = _table("scales.csv", ["log_delta", "log_volume"], lower.points)
+    return {"lower": asdict(lower), "upper": asdict(upper)}, [table]
 
 
 def _run_minkowski(cfg, rng):
@@ -547,8 +555,13 @@ def _run_cantor_build(cfg, rng):
         }
     if len(loc.c_radius) <= FORMAT_MAX_LEAVES:
         print(format_tree(tree, mu), file=sys.stderr)
-    extra = {"tree.json": tree_to_json(tree, params.stages)} if cfg.get("save_tree", True) else {}
-    return results, [], extra
+    outputs = []
+    if cfg.get("save_tree", True):
+        saved = tree_to_json(tree, params.stages)
+        # one dumps call: json.dump on a file runs the pure-Python encoder;
+        # the tree's arrays become lists one at a time
+        outputs.append(("tree.json", lambda fh: fh.write(json.dumps(saved, default=json_default))))
+    return results, outputs
 
 
 def _run_cantor_verify(cfg, rng):
@@ -586,18 +599,12 @@ def _run_randsim(cfg, rng):
     mode = cfg.get("mode", "covering-exponent")
     if mode == "covering-exponent":
         out = covering_exponent(scheme, cfg["N_list"])
-        tables = [
-            (
-                "counts.csv",
-                ["N", "side", "count"],
-                list(zip(out.n_values, out.sides, out.counts)),
-            )
-        ]
+        table = _table("counts.csv", ["N", "side", "count"], list(zip(out.n_values, out.sides, out.counts)))
         return {
             "fit": asdict(out.fit),
             "predicted": out.predicted,
             "per_j_constants": out.per_j_constants,
-        }, tables
+        }, [table]
     if mode == "bc-diagnostic":
         rules = cfg["rules"]
         diags = coverage_frequency(
@@ -636,8 +643,6 @@ def run(command, config, out_dir=None, overrides=(), seed=None, threads=1):
 
     ``threads`` is accepted for compatibility and has no effect.
     """
-    import pathlib
-
     if not isinstance(config, dict):
         raise ArgumentError(f"{command}: config is not a JSON object")
     cfg = copy.deepcopy(config)  # overrides must not reach the caller's nested dicts
@@ -658,12 +663,7 @@ def run(command, config, out_dir=None, overrides=(), seed=None, threads=1):
         raise ArgumentError(f"{command}: config failed schema validation: {_schema_refusal(error)}")
     rng = np.random.default_rng(int(cfg.get("master_seed", 0)))
     t0 = time.time()
-    fn = COMMANDS[command]
-    if command == "cantor-build":
-        results, tables, extra = fn(cfg, rng)
-    else:
-        results, tables = fn(cfg, rng)
-        extra = {}
+    results, outputs = COMMANDS[command](cfg, rng)
     report = {
         "command": command,
         "version": __version__,
@@ -677,13 +677,10 @@ def run(command, config, out_dir=None, overrides=(), seed=None, threads=1):
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "report.json", "w") as fh:
             json.dump(report, fh, indent=2, default=float)
-        for name, header, rows in tables:
-            _write_csv(out / "tables" / name, header, rows)
-        for name, payload in extra.items():
-            with open(out / name, "w") as fh:
-                # one dumps call: json.dump on a file runs the pure-Python encoder;
-                # the payload's arrays become lists one at a time
-                fh.write(json.dumps(payload, default=json_default))
+        for name, write in outputs:
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            with open(out / name, "w", newline="") as fh:
+                write(fh)
     return 0, report
 
 

@@ -256,8 +256,9 @@ def corollary_exponent(s, kappa, n):
 
 def gauge_from_json(obj) -> Gauge:
     kind = obj.get("kind")
-    if kind == "power":
-        return Gauge.power(obj["s"])
-    if kind == "tabulated":
-        return Gauge.tabulated(obj["samples"])
-    raise ArgumentError(f"unknown gauge kind {kind!r}")
+    key = {"power": "s", "tabulated": "samples"}.get(kind)
+    if key is None:
+        raise ArgumentError(f"unknown gauge kind {kind!r}")
+    if key not in obj:
+        raise ArgumentError(f"a {kind} gauge needs the key {key!r}")
+    return Gauge.power(obj["s"]) if kind == "power" else Gauge.tabulated(obj["samples"])

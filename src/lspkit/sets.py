@@ -43,7 +43,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, ToolkitError
 
 ORTHO_TOL = 1e-12
 SAMPLE_TOL = 1e-9  # attractor samples use words whose cylinders are below this radius
@@ -124,6 +124,10 @@ class AffinePlane:
     def __post_init__(self):
         base = np.asarray(self.base, dtype=float)
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
+        if base.ndim != 1 or basis.ndim != 2 or basis.shape[1] != base.shape[0]:
+            raise ArgumentError("plane basis rows must have the base's dimension")
+        if not self.extent > 0:
+            raise ArgumentError("plane extent must be positive")
         if basis.shape[0] >= base.shape[0]:
             raise ArgumentError("plane dimension must be below the ambient dimension")
         gram = basis @ basis.T
@@ -211,6 +215,20 @@ class Polyline:
         return self.vertices.shape[1]
 
 
+def _rigid_parts(m):
+    """Store the ``translation`` and ``rotation`` of the frozen map ``m`` as
+    float arrays: a vector, and None or an orthogonal matrix of its size."""
+    t = np.asarray(m.translation, dtype=float)
+    if t.ndim != 1:
+        raise ArgumentError("translation must be a vector")
+    object.__setattr__(m, "translation", t)
+    if m.rotation is not None:
+        rot = np.asarray(m.rotation, dtype=float)
+        if rot.shape != (len(t), len(t)) or not np.allclose(rot @ rot.T, np.eye(len(t)), atol=ORTHO_TOL):
+            raise ArgumentError(f"rotation must be an orthogonal {len(t)} x {len(t)} matrix to 1e-12")
+        object.__setattr__(m, "rotation", rot)
+
+
 @dataclass(frozen=True)
 class IFSMap:
     """Contracting similarity x -> ratio * rotation @ x + translation."""
@@ -220,15 +238,9 @@ class IFSMap:
     rotation: np.ndarray | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.translation, dtype=float)
-        object.__setattr__(self, "translation", t)
+        _rigid_parts(self)
         if not (0 < self.ratio < 1):
             raise ArgumentError("similarity ratio must lie in (0, 1)")
-        if self.rotation is not None:
-            rot = np.asarray(self.rotation, dtype=float)
-            if not np.allclose(rot @ rot.T, np.eye(rot.shape[0]), atol=ORTHO_TOL):
-                raise ArgumentError("rotation must be orthogonal to 1e-12")
-            object.__setattr__(self, "rotation", rot)
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
@@ -246,6 +258,8 @@ class IFS:
         maps = tuple(self.maps)
         if len(maps) < 2:
             raise ArgumentError("an IFS needs at least 2 maps")
+        if len({m.translation.shape for m in maps}) > 1:
+            raise ArgumentError("the maps of an IFS must share one dimension")
         object.__setattr__(self, "maps", maps)
 
     @property
@@ -277,13 +291,7 @@ class Isometry:
     rotation: np.ndarray | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.translation, dtype=float)
-        object.__setattr__(self, "translation", t)
-        if self.rotation is not None:
-            rot = np.asarray(self.rotation, dtype=float)
-            if not np.allclose(rot @ rot.T, np.eye(rot.shape[0]), atol=ORTHO_TOL):
-                raise ArgumentError("rotation must be orthogonal to 1e-12")
-            object.__setattr__(self, "rotation", rot)
+        _rigid_parts(self)
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
@@ -846,29 +854,38 @@ def model_window(m: SetModel, margin=0.0):
 
 
 def model_from_json(obj) -> SetModel:
+    """The set model that ``obj`` describes; a missing key, or rows of
+    unequal lengths, raise ``ArgumentError``."""
     variant = obj.get("variant")
-    if variant == "points":
-        return PointSet(np.array(obj["points"], dtype=float))
-    if variant == "plane":
-        return AffinePlane(
-            np.array(obj["base"], dtype=float),
-            np.array(obj["basis"], dtype=float),
-            extent=float(obj.get("extent", 1.0)),
-        )
-    if variant == "circle":
-        return Circle(np.array(obj["center"], dtype=float), float(obj["radius"]))
-    if variant == "sphere":
-        return Sphere(np.array(obj["center"], dtype=float), float(obj["radius"]))
-    if variant == "polyline":
-        return Polyline(np.array(obj["vertices"], dtype=float))
-    if variant == "ifs":
-        maps = tuple(
-            IFSMap(
-                float(e["ratio"]),
-                np.array(e["translation"], dtype=float),
-                np.array(e["rotation"], dtype=float) if "rotation" in e else None,
+    try:
+        if variant == "points":
+            return PointSet(np.array(obj["points"], dtype=float))
+        if variant == "plane":
+            return AffinePlane(
+                np.array(obj["base"], dtype=float),
+                np.array(obj["basis"], dtype=float),
+                extent=float(obj.get("extent", 1.0)),
             )
-            for e in obj["maps"]
-        )
-        return IFSAttractor(IFS(maps, bool(obj.get("osc", True))))
+        if variant == "circle":
+            return Circle(np.array(obj["center"], dtype=float), float(obj["radius"]))
+        if variant == "sphere":
+            return Sphere(np.array(obj["center"], dtype=float), float(obj["radius"]))
+        if variant == "polyline":
+            return Polyline(np.array(obj["vertices"], dtype=float))
+        if variant == "ifs":
+            maps = tuple(
+                IFSMap(
+                    float(e["ratio"]),
+                    np.array(e["translation"], dtype=float),
+                    np.array(e["rotation"], dtype=float) if "rotation" in e else None,
+                )
+                for e in obj["maps"]
+            )
+            return IFSAttractor(IFS(maps, bool(obj.get("osc", True))))
+    except KeyError as exc:
+        raise ArgumentError(f"a {variant} model needs the key {exc}") from exc
+    except ValueError as exc:  # np.array of rows of unequal lengths; the models raise ToolkitErrors
+        if isinstance(exc, ToolkitError):
+            raise
+        raise ArgumentError(f"a {variant} model holds rows of unequal lengths") from exc
     raise ArgumentError(f"unknown model variant {variant!r}")

@@ -1,5 +1,8 @@
+import contextlib
+import copy
 import importlib.resources as resources
 import importlib.util
+import io
 import json
 import math
 import operator
@@ -10,6 +13,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 from lspkit import cli, covering, errors, measure, randomsim, sets
@@ -739,3 +744,97 @@ def test_tables_written(tmp_path):
     table = (tmp_path / "tables" / "counts.csv").read_text().strip().splitlines()
     assert table[0] == "N,side,count"
     assert len(table) == len(cfg["N_list"]) + 1
+
+
+# the fuzzer's values: zero, signs, fractions, NaN and wrong types for any
+# key, and for each bounded integer key (``_fuzz_bounds``) its minimum, one
+# below it and one above its maximum; no size reaches a schema maximum, so
+# no case starts heavy work
+_FUZZ_VALUES = [0, -1, -0.5, 0.5, 1, 2, math.nan, "x", None, True, [], {}]
+# the keys whose values name a variant of the work
+_FUZZ_SWAPS = {
+    "op": ["five-r", "caj", "kgb"],
+    "mode": ["covering-exponent", "bc-diagnostic", "x"],
+    "metric": ["sup", "euclidean"],
+    "type": ["grid-cloud", "vdc-points"],
+    "variant": ["points", "plane", "circle", "sphere", "polyline", "ifs"],
+    "kind": ["power", "tabulated"],
+}
+_DROP = object()
+
+
+def _fuzz_bounds(node, out):
+    """Fill ``out`` with the bound values of each key under the schema
+    ``node`` whose schema has a minimum."""
+    if isinstance(node, dict):
+        for key, sub in node.get("properties", {}).items():
+            if "minimum" in sub:
+                edge = [sub["minimum"] - 1, sub["minimum"], *([sub["maximum"] + 1] if "maximum" in sub else [])]
+                out[key] = sorted({*out.get(key, []), *edge})
+        for sub in node.values():
+            _fuzz_bounds(sub, out)
+    elif isinstance(node, list):
+        for sub in node:
+            _fuzz_bounds(sub, out)
+    return out
+
+
+_FUZZ_BOUNDS = _fuzz_bounds(SCHEMAS, {})
+
+
+def _fuzz_paths(node, path=()):
+    """Every key and list position under a config, as paths from its root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield (*path, key)
+        yield from _fuzz_paths(child, (*path, key))
+
+
+def _fuzz_edit(cfg, path, value):
+    """Drop the key or position at ``path`` (``value`` is ``_DROP``) or set it."""
+    *head, last = path
+    parent = cfg
+    for key in head:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[last]
+    else:
+        parent[last] = copy.deepcopy(value)  # a later edit must not reach the shared list or dict
+
+
+def _cap_stage_scans(cfg, j_max=4096):
+    """End every stage sequence of a config at ``j_max`` at the latest.  A
+    K_{G,B} selection that cannot meet its target reads every stage up to
+    its last, 2**24 by default, which takes hours on a grid; at 4,096 it
+    takes under a second, and the bundled audit, whose deep sublevel needs
+    stage 2**21, exits 3."""
+    stages = cfg.get("stages")
+    if isinstance(stages, dict) and isinstance(stages.get("j_max", j_max), int):
+        stages["j_max"] = min(stages.get("j_max", j_max), j_max)
+    if isinstance(cfg.get("j_max"), int):
+        cfg["j_max"] = min(cfg["j_max"], j_max)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_bundled_configs_exit_0_2_or_3(tmp_path_factory, data):
+    # dropped keys, swapped ops and modes, and zero, negative, NaN and
+    # boundary values in any bundled config, run under its own command or
+    # another: main() returns an exit code of the contract and raises nothing
+    name = data.draw(st.sampled_from(bundled_names()), label="config")
+    cfg = bundled_config(name)
+    command = command_of(name)
+    if data.draw(st.integers(0, 4), label="other command") == 0:
+        command = data.draw(st.sampled_from(sorted(SCHEMAS)), label="command")
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        paths = sorted(_fuzz_paths(cfg), key=repr)
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths), label="path")
+        choices = [_DROP, *_FUZZ_VALUES, *_FUZZ_SWAPS.get(path[-1], []), *_FUZZ_BOUNDS.get(path[-1], [])]
+        _fuzz_edit(cfg, path, data.draw(st.sampled_from(choices), label="value"))
+    _cap_stage_scans(cfg)
+    config = tmp_path_factory.mktemp("fuzz") / "config.json"
+    config.write_text(json.dumps(cfg))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, "--config", str(config)]) in (0, 2, 3)
