@@ -203,7 +203,9 @@ def root_sublevel_count(consts, eta):
 
 
 def child_sublevel_count(consts, pair: GaugePair, radius):
-    return int(math.floor(eval_gauge(pair.f, radius) / (consts["c6"] * eval_gauge(pair.g, radius)))) + 1
+    vf = eval_gauge(pair.f, radius)
+    vg = eval_gauge(pair.g, radius)
+    return int(math.floor(vf / (consts["c6"] * vg))) + 1
 
 
 def epsilon_b(consts, pair: GaugePair, radius, l_b):
@@ -211,7 +213,9 @@ def epsilon_b(consts, pair: GaugePair, radius, l_b):
         return math.inf
     gr = eval_gauge(pair.g, radius)
     fr = eval_gauge(pair.f, radius)
-    denom = (consts["c2"] ** 2 * consts["lambda"] ** 2 * consts["d2"] / consts["c1"]) * (gr / fr) * (l_b - 1)
+    denom = (consts["c2"] ** 2 * consts["lambda"] ** 2 * consts["d2"] / consts["c1"]) * (
+        gr / fr
+    ) * (l_b - 1)
     return consts["c1"] / (4.0 * consts["lambda"]) / denom
 
 

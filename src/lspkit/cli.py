@@ -674,10 +674,7 @@ def run(command, config, out_dir=None, overrides=(), seed=None, threads=1):
     }
     if out_dir is not None:
         out = pathlib.Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "report.json", "w") as fh:
-            json.dump(report, fh, indent=2, default=float)
-        for name, write in outputs:
+        for name, write in [("report.json", lambda fh: json.dump(report, fh, indent=2, default=float)), *outputs]:
             (out / name).parent.mkdir(parents=True, exist_ok=True)
             with open(out / name, "w", newline="") as fh:
                 write(fh)
