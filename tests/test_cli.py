@@ -395,6 +395,24 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, config, args):
         # a 1-D attractor the exact path cannot measure
         ("minkowski", "minkowski_cantor.json", None, _OVERLAPPING),
         ("fit-lsp", "fit_lsp_cantor.json", None, _OVERLAPPING),
+        # model and gauge values that raised a traceback before the config fuzzer found them
+        ("fit-lsp", "fit_lsp_line.json", None, "model.extent=-1"),
+        ("cover", "cover_caj_line.json", None, "model.basis=[[1.0,0.0,0.0]]"),
+        ("boxdim", "boxdim_point.json", None, "model.points=[[0.5],[0.1,0.2]]"),
+        ("boxdim", "boxdim_segment.json", None, "model.variant=sphere"),
+        ("minkowski", "minkowski_cantor.json", None, "model.maps=" + json.dumps([
+            {"ratio": 0.3, "translation": [0.0]}, {"ratio": 0.3, "translation": [0.5, 0.5]},
+        ])),
+        ("minkowski", "minkowski_cantor.json", None, "model.maps=" + json.dumps([
+            {"ratio": 0.3, "translation": [0.0], "rotation": [[1.0, 0.0], [0.0, 1.0]]},
+            {"ratio": 0.3, "translation": [0.7]},
+        ])),
+        ("fit-lsp", "fit_lsp_cantor.json", None, "model.maps=" + json.dumps([
+            {"ratio": None, "translation": [0.0]}, {"ratio": 0.3, "translation": [0.7]},
+        ])),
+        ("randsim", "randsim_lines_tau2.json", None, 'scheme.base.base="x"'),
+        ("cantor-build", "cantor_holder.json", None, 'pair.g={"kind":"power"}'),
+        ("cantor-build", "cantor_holder.json", None, 'pair.f={"kind":"tabulated","samples":[[1.0]]}'),
         # a saved tree verified under parameters that did not build it
         *[("cantor-verify", "cantor_audit.json", None, overrides) for overrides, _ in _FOREIGN_TREE],
         # a saved tree that cannot be read
