@@ -12,7 +12,8 @@ Desk-scale notes baked into this module:
 * The ambient gauge g must be the power law matching the ambient dimension
   (the Lebesgue volume of balls is then exactly ``2**n * g(r)``); the
   construction is implemented for 1-D domains with grid-cloud stage
-  providers, which is what the bundled configurations use.
+  providers (``stages.GridCloudStages``), which the bundled configurations
+  use.
 * Sublevel radii collapse at least 18-fold per sublevel (separation times
   the one-third fit), so the per-sublevel ball count multiplies accordingly;
   feasible configurations keep the sublevel count at or below ~3.  The mass
@@ -77,7 +78,7 @@ from .errors import (
     UnsupportedCombination,
 )
 from .measure import _merge_union, _union_length_in, ball_volume
-from .stages import GridView
+from .stages import GridCloudStages, GridView
 
 AUDIT_RTOL = 1e-9
 MAX_SUBLEVELS = 64  # P5 sublevel budget of one local level
@@ -92,7 +93,7 @@ class ConstructionParams:
     domain: Ball
     gauges: GaugePair
     eta: float
-    stages: object  # provider with upsilon(j), sorted_points(j) (a sorted 1-D cloud), j_max
+    stages: GridCloudStages
     g_floor: int = 1
     c5: float = 1.0
 
@@ -247,7 +248,7 @@ def _stage_ok(params, consts, j, b_radius, eps, d_min=None, min_f=None, min_h=No
 def _scan_first_ok(params, consts, lo, b_radius, eps, **kw):
     """First stage index satisfying the entry conditions (they only become
     easier as the stage radii shrink)."""
-    j = max(lo, getattr(params.stages, "j_min", 1), 1)
+    j = max(lo, params.stages.j_min)
     j_max = params.stages.j_max
     if _stage_ok(params, consts, j, b_radius, eps, **kw):
         return j
@@ -278,7 +279,7 @@ def _require_supported(params):
     # keyed on the grid: a van der Corput provider serves sorted_points too
     if params.domain.ambient_dim != 1:
         raise UnsupportedCombination("the builder is implemented for 1-D domains")
-    if not hasattr(params.stages, "cloud_size"):
+    if not isinstance(params.stages, GridCloudStages):
         raise UnsupportedCombination("the builder needs a grid-cloud stage provider")
 
 
@@ -387,18 +388,22 @@ def _build_local_level(params, consts):
     return LocalLevel(l_b, eps, g_primes, sub_targets, sub_masses, *blocks)
 
 
+def transformed_stages(stages, pair: GaugePair):
+    """The stage sequence ``j -> (stages.sorted_points(j), tilde_upsilon_j)``,
+    each radius transformed by ``mtp_radius``, as ``build_kgb`` takes it."""
+    return lambda j: (stages.sorted_points(j), mtp_radius(pair, stages.upsilon(j)))
+
+
 def _first_sublevel(params, B, g_start, target, vol_b):
     """Sublevel 1: a K_{G,B} selection of transformed-radius balls from stage
     ``g_start`` on, covering the share of B that the mass target asks for."""
     pair = params.gauges
-    seq = lambda j: (params.stages.sorted_points(j), mtp_radius(pair, params.stages.upsilon(j)))
     frac = min(1.0, (2.0**B.ambient_dim * target) / (params.c5 * vol_b))
     try:
-        kgb = build_kgb(B, g_start, seq, params.stages.j_max, frac, c5=params.c5)
+        kgb = build_kgb(B, g_start, transformed_stages(params.stages, pair), params.stages.j_max, frac, c5=params.c5)
     except CoverageShortfall as exc:
         raise ConstructionError(
-            f"sublevel 1 selection covered only fraction "
-            f"{exc.achieved_fraction:.3g} of its target",
+            f"sublevel 1 selection met only {exc.achieved_fraction / (frac * params.c5):.3g} of its target",
             sublevel=1,
         ) from exc
     # a sequential sum, as np.cumsum adds: the last ulp decides later counts
@@ -419,7 +424,8 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
     carries a phase from the one before: a target radius is at least d_min,
     so a blocked range spans at least 16 steps.  Each stage hosts every
     remaining cover on its nearest cloud point, takes the first hosts within
-    ``d_min - 3 tilde`` up to the target, and leaves the rest to the next.
+    ``d_min - 3 tilde`` up to the target, and leaves the rest to the next
+    stage whose cloud differs (``stages.next_change``).
     """
     pair = params.gauges
     step = d_min / 2.0
@@ -452,8 +458,7 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
             picks.append((take, np.full(len(take), tilde), np.full(len(take), j, dtype=np.int64)))
             mass += len(take) * g_tilde
             covers = covers[~ok]
-        # advance to the next dyadic block; radii shrink, clouds densify
-        j = max(1 << (int(math.floor(math.log2(max(j, 1)))) + 1), j + 1)
+        j = params.stages.next_change(j)
     if mass < target:
         raise TruncationError(
             f"sublevel {i}: mass {mass:.3g} below target {target:.3g} "
@@ -1173,7 +1178,7 @@ def tree_from_json(obj, stages) -> CantorTree:
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt != TREE_FORMAT:
         raise ArgumentError(f"tree format {fmt!r}: this version reads format {TREE_FORMAT} only; rebuild the tree")
-    if not hasattr(stages, "cloud_size"):  # a grid, as in _require_supported
+    if not isinstance(stages, GridCloudStages):
         raise ArgumentError("a saved tree is read against point-cloud stages, and these have no clouds")
     grid = (obj["grid"]["lo"], obj["grid"]["hi"])
     if grid != (stages.lo, stages.hi):

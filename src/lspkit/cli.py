@@ -38,6 +38,7 @@ from .cantor import (
     format_tree,
     holder_check,
     json_default,
+    transformed_stages,
     tree_fingerprint,
     tree_from_json,
     tree_to_json,
@@ -108,12 +109,14 @@ _BALL = {
     "properties": {"center": _VECTOR, "radius": _POSITIVE},
     "additionalProperties": False,
 }
+# a plateau: its first stage, an integer of at least 1, and its radius there
+_PLATEAU = {"type": "array", "prefixItems": [{"type": "integer", "minimum": 1}, _NUMBER], "minItems": 2, "maxItems": 2}
 # the keys _stages_from_config reads; a grid cloud (the default type) needs its range and plateaus
 _STAGES = {
     "type": "object",
     "properties": {
         "type": {"enum": ["grid-cloud", "vdc-points"]},
-        "plateaus": {"type": "array", "items": {**_VECTOR, "minItems": 2, "maxItems": 2}},
+        "plateaus": {"type": "array", "items": _PLATEAU},
         "j_max": {"type": "integer"},
         **dict.fromkeys(["lo", "hi"], _NUMBER),
     },
@@ -388,7 +391,7 @@ def _stages_from_config(block):
         return GridCloudStages(
             lo=float(block["lo"]),
             hi=float(block["hi"]),
-            plateaus=tuple((int(j), float(u)) for j, u in block["plateaus"]),
+            plateaus=block["plateaus"],
             **_given(block, j_max=int),
         )
     if kind == "vdc-points":
@@ -494,10 +497,7 @@ def _run_cover(cfg, rng):
         results = {"cardinality": len(net.points), "pool_size": net.pool_size}
     elif op == "kgb":
         stages = _stages_from_config(cfg["stages"])
-        seq = stages
-        if "pair" in cfg:
-            pair = _pair_from_config(cfg["pair"])
-            seq = lambda j: (stages.sorted_points(j), mtp_radius(pair, stages.upsilon(j)))
+        seq = transformed_stages(stages, _pair_from_config(cfg["pair"])) if "pair" in cfg else stages
         res = build_kgb(
             _ball(cfg["region"]),
             int(cfg.get("g_start", 1)),

@@ -1,20 +1,23 @@
 """Stage-set providers: sequences j -> (sorted 1-D cloud, radius) used by
 the covering selections and the nested construction.
 
-A provider exposes ``sorted_points(j)``, ``upsilon(j)`` and ``j_max``, and
-calling it with j gives ``(sorted_points(j), upsilon(j))``, the stage
-protocol of ``covering.build_kgb``.  The bundled providers are
-deterministic: a single low-discrepancy point per stage, or dyadic grid
-clouds (the point count doubles at powers of two) with a piecewise radius
-schedule whose plateaus put the stage radii at the scales a construction
-needs.  A grid cloud is served as a ``GridView``, which computes only the
-points its caller indexes or searches, so no stage holds its cloud.
+Both providers expose ``sorted_points(j)``, ``upsilon(j)``, ``j_max`` and
+their support ``[lo, hi]``; calling one with j gives ``(sorted_points(j),
+upsilon(j))``, the stage protocol of ``covering.build_kgb``, and
+``cantor.transformed_stages`` gives the same with transformed radii.
+``VdcPointStages`` serves one low-discrepancy point per stage.
+``GridCloudStages`` serves dyadic grid clouds of ``cloud_size(j)`` points
+(the count doubles at powers of two, so ``next_change(j)`` is the next one)
+from stage ``j_min`` on, with a piecewise radius schedule whose plateaus
+put the stage radii at the scales a construction needs.  A grid cloud is served as a ``GridView``,
+which computes only the points its caller indexes or searches, so no stage
+holds its cloud.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -152,9 +155,11 @@ class GridCloudStages:
 
     ``sorted_points(j)`` is the regular grid of ``2**floor(log2 j)`` cell
     midpoints, as a ``GridView`` that computes them on demand, so a stage
-    costs memory only for the points its caller reads; ``upsilon(j)`` follows ``a_k * (j_k / j)**GAMMA`` on the plateau
-    starting at ``j_k``, so radii decay slowly within a plateau and drop at
-    the configured breakpoints.
+    costs memory only for the points its caller reads; ``upsilon(j)``
+    follows ``a_k * (j_k / j)**GAMMA`` on the plateau starting at ``j_k``,
+    so radii decay slowly within a plateau and drop at the configured
+    breakpoints.  Plateau starts are integers of at least 1 and
+    ``lo < hi``, so every grid is sorted and every radius real.
     """
 
     lo: float
@@ -163,6 +168,11 @@ class GridCloudStages:
     j_max: int = 2**24
 
     def __post_init__(self):
+        if not -np.inf < self.lo < self.hi < np.inf:
+            raise ArgumentError(f"stages lo {self.lo} and hi {self.hi} must be finite, with lo below hi")
+        for j, _ in self.plateaus:  # 512 or, as JSON may spell it, 512.0
+            if not (isinstance(j, Integral) or isinstance(j, float) and j.is_integer()) or j < 1:
+                raise ArgumentError(f"stages plateau start {j!r} must be an integer of at least 1")
         self.plateaus = tuple((int(j), float(u)) for j, u in self.plateaus)
         if not self.plateaus or any(
             self.plateaus[k][0] >= self.plateaus[k + 1][0] for k in range(len(self.plateaus) - 1)
@@ -192,7 +202,11 @@ class GridCloudStages:
         return self._plateau_value(k, j)
 
     def cloud_size(self, j):
-        return 1 << int(math.floor(math.log2(max(j, 1))))
+        return 1 << (max(int(j), 1).bit_length() - 1)
+
+    def next_change(self, j):
+        """The first stage after j whose cloud differs: the next power of two."""
+        return 1 << int(j).bit_length()
 
     def sorted_points(self, j):
         return GridView(self.lo, self.hi, self.cloud_size(j))

@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import re
+import time
 import tracemalloc
 import types
 from dataclasses import fields
@@ -110,9 +112,18 @@ def test_selection_shortfall_names_its_sublevel():
     params.stages = GridCloudStages(
         lo=-20.0, hi=20.0, plateaus=((512, 1e-5),), j_max=600,
     )
+    start = time.perf_counter()
     with pytest.raises(ConstructionError) as exc:
         build_cantor(params)
+    assert time.perf_counter() - start < 0.5
     assert exc.value.sublevel == 1
+    # the message gives the share of the selection's own target, not of
+    # vol(B): the selection covered 0.081 of vol(B) against a target of 0.189
+    shortfall = exc.value.__cause__
+    target = float(re.fullmatch(r"covered fraction \S+ of target (\S+) by j_max=600", str(shortfall))[1])
+    share = float(re.fullmatch(r"sublevel 1 selection met only (\S+) of its target", str(exc.value))[1])
+    assert share == pytest.approx(shortfall.achieved_fraction / target, rel=5e-3)
+    assert 0.42 < share < 0.44
 
 
 def test_scan_truncation_names_its_sublevel():

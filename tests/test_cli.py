@@ -137,6 +137,29 @@ _MISSPELT_MAP = (
     '{"ratio":0.3333333333333333,"translation":[0.6666666666666666]}]'
 )
 
+# the cover_kgb_grid_cloud pin: the bundled audit's grid stages and pair on
+# the bundled K_{G,B} selection
+_GRID_KGB = tuple(f"{key}={json.dumps(value)}" for key, value in {
+    **{key: bundled_config("cantor_audit.json")[key] for key in ("stages", "pair")},
+    "region": {"center": [0.0], "radius": 20.0}, "g_start": 512, "j_max": 2**24, "c5": 1.2,
+}.items())
+# grid stages GridCloudStages cannot serve (a plateau start below 1 or not
+# an integer, lo >= hi), each with the words that name the refused field
+_GRID_STAGE_REFUSALS = [
+    ("cantor-build", "cantor_audit.json", "stages.plateaus=[[-1,0.02],[4096,0.00022],[2097152,2.7e-09]]",
+     "stages.plateaus[0][0]: -1, at least 1"),
+    ("cantor-build", "cantor_audit.json", "stages.plateaus=[[-5,0.02]]", "stages.plateaus[0][0]: -5, at least 1"),
+    ("cover", "cover_kgb_vdc.json", (*_GRID_KGB, "stages.plateaus=[[-5,0.02]]"), "stages.plateaus[0][0]: -5, at least 1"),
+    ("cantor-build", "cantor_audit.json", "stages.plateaus=[[0,0.02]]", "stages.plateaus[0][0]: 0, at least 1"),
+    ("cantor-build", "cantor_audit.json", "stages.plateaus=[[0.5,0.02]]", "stages.plateaus[0][0]: 0.5, of type integer"),
+    ("cover", "cover_kgb_vdc.json", (*_GRID_KGB, "stages.plateaus=[[0.5,0.02]]"),
+     "stages.plateaus[0][0]: 0.5, of type integer"),
+    ("cantor-build", "cantor_audit.json", ("stages.lo=20", "stages.hi=-20"), "stages lo 20.0 and hi -20.0 must be"),
+    ("cantor-build", "cantor_audit.json", ("stages.lo=20", "stages.hi=20"), "stages lo 20.0 and hi 20.0 must be"),
+    ("cover", "cover_kgb_vdc.json", (*_GRID_KGB, "stages.lo=20", "stages.hi=-20"), "stages lo 20.0 and hi -20.0 must be"),
+    ("cover", "cover_kgb_vdc.json", (*_GRID_KGB, "stages.lo=20", "stages.hi=20"), "stages lo 20.0 and hi 20.0 must be"),
+]
+
 
 @pytest.fixture(scope="module")
 def saved_trees(tmp_path_factory):
@@ -413,6 +436,8 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, config, args):
         ("randsim", "randsim_lines_tau2.json", None, 'scheme.base.base="x"'),
         ("cantor-build", "cantor_holder.json", None, 'pair.g={"kind":"power"}'),
         ("cantor-build", "cantor_holder.json", None, 'pair.f={"kind":"tabulated","samples":[[1.0]]}'),
+        # grid stages GridCloudStages cannot serve
+        *[(command, name, None, overrides) for command, name, overrides, _ in _GRID_STAGE_REFUSALS],
         # a saved tree verified under parameters that did not build it
         *[("cantor-verify", "cantor_audit.json", None, overrides) for overrides, _ in _FOREIGN_TREE],
         # a saved tree that cannot be read
@@ -502,6 +527,13 @@ def test_schema_refusals_name_the_path_and_the_bound(capsys, command, name, over
     assert main([command, "--config", f"bundled:{name}", "--set", override]) == 2
     err = capsys.readouterr().err
     assert err == f"validation error: {command}: config failed schema validation: {message}\n"
+
+
+@pytest.mark.parametrize("command, name, overrides, message", _GRID_STAGE_REFUSALS)
+def test_grid_stage_refusals_name_the_field(capsys, command, name, overrides, message):
+    overrides = (overrides,) if isinstance(overrides, str) else overrides
+    assert main([command, "--config", f"bundled:{name}"] + _set_args(overrides)) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -833,15 +865,20 @@ def _cap_stage_scans(cfg, j_max=4096):
         cfg["j_max"] = min(cfg["j_max"], j_max)
 
 
+# the fuzzer's seed configs: every bundled config and every variants.json pin
+_FUZZ_SEEDS = {**{name: (command_of(name), bundled_config(name)) for name in bundled_names()}, **variant_configs()}
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_mutated_bundled_configs_exit_0_2_or_3(tmp_path_factory, data):
     # dropped keys, swapped ops and modes, and zero, negative, NaN and
-    # boundary values in any bundled config, run under its own command or
-    # another: main() returns an exit code of the contract and raises nothing
-    name = data.draw(st.sampled_from(bundled_names()), label="config")
-    cfg = bundled_config(name)
-    command = command_of(name)
+    # boundary values in any bundled or pinned config, run under its own
+    # command or another: main() returns an exit code of the contract and
+    # raises nothing
+    name = data.draw(st.sampled_from(sorted(_FUZZ_SEEDS)), label="config")
+    command, cfg = _FUZZ_SEEDS[name]
+    cfg = copy.deepcopy(cfg)  # a pin's configs share nested dicts, and an edit must reach none of them
     if data.draw(st.integers(0, 4), label="other command") == 0:
         command = data.draw(st.sampled_from(sorted(SCHEMAS)), label="command")
     for _ in range(data.draw(st.integers(1, 3), label="edits")):

@@ -77,3 +77,23 @@ def test_no_module_imports_scipy_optimize():
         if any(name == "scipy.optimize" or name.startswith("scipy.optimize.") for name in _imported(node))
     ]
     assert imports == []
+
+
+def test_cantor_reads_its_stage_provider_through_named_members():
+    # the grid provider owns its cloud schedule (j_min, next_change) and the
+    # builder's grid test is one isinstance: cantor.py probes no provider
+    # with hasattr or getattr and restates no power-of-two schedule
+    def on_stages(node):
+        return any(isinstance(n, ast.Name) and n.id == "stages" or isinstance(n, ast.Attribute) and n.attr == "stages"
+                   for n in ast.walk(node))
+
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "cantor.py").read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("hasattr", "getattr"):
+            if node.args and on_stages(node.args[0]):
+                found.append(f"{node.func.id}:{node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr in ("log2", "bit_length"):
+            found.append(f"{node.attr}:{node.lineno}")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift):
+            found.append(f"<<:{node.lineno}")
+    assert found == []

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from lspkit import cantor
 from lspkit.cantor import _GRID_GAP_ATOL, _GRID_GAP_RTOL, _min_gap, _points_disjoint
+from lspkit.errors import ArgumentError
 from lspkit.stages import GridCloudStages, GridView, VdcPointStages, van_der_corput
 
 
@@ -159,3 +161,35 @@ def test_providers_serve_the_stage_protocol():
         assert isinstance(cloud, GridView) and len(cloud) == grid.cloud_size(j) and u == grid.upsilon(j)
         point, u = vdc(j)
         assert point.tolist() == [-2.0 + 5.0 * float(van_der_corput([j])[0])] and u == 1.0 / j
+    # a grid's cloud changes at the powers of two: next_change and cloud_size
+    # agree with the floor(log2) formulas they replaced at and beside each
+    for k in range(25):
+        for j in {max(2**k - 1, 1), 2**k, 2**k + 1}:
+            assert grid.next_change(j) == max(1 << (math.floor(math.log2(j)) + 1), j + 1)
+            assert grid.cloud_size(j) == 1 << math.floor(math.log2(max(j, 1)))
+            assert grid.cloud_size(grid.next_change(j)) == 2 * grid.cloud_size(j)
+    assert grid.j_min == 4
+    with pytest.raises(ArgumentError, match="below schedule start"):  # a stage before the first
+        grid(0)
+    assert GridCloudStages(lo=0.0, hi=1.0, plateaus=((512.0, 0.02), (4096, 2.2e-4))).j_min == 512
+
+
+@pytest.mark.parametrize(
+    "lo, hi, plateaus, field",
+    [
+        (-20.0, 20.0, ((-1, 0.02), (4096, 2.2e-4)), "plateau start -1 "),
+        (-20.0, 20.0, ((-5, 0.02),), "plateau start -5 "),
+        (-20.0, 20.0, ((0, 0.02),), "plateau start 0 "),
+        (-20.0, 20.0, ((0.5, 0.02),), "plateau start 0.5 "),
+        (-20.0, 20.0, ((512, 0.02), (math.nan, 0.01)), "plateau start nan "),
+        (20.0, -20.0, ((512, 0.02),), "lo 20.0 and hi -20.0"),
+        (20.0, 20.0, ((512, 0.02),), "lo 20.0 and hi 20.0"),
+        (-math.inf, 20.0, ((512, 0.02),), "lo -inf and hi 20.0"),
+        (math.nan, 20.0, ((512, 0.02),), "lo nan and hi 20.0"),
+    ],
+)
+def test_grid_stages_refuse_what_their_methods_cannot_take(lo, hi, plateaus, field):
+    # a start below 1 makes (j0 / j)**GAMMA complex or divides by zero, a
+    # fractional one was truncated, and lo >= hi reverses or empties the grid
+    with pytest.raises(ArgumentError, match=f"^stages {re.escape(field)}"):
+        GridCloudStages(lo=lo, hi=hi, plateaus=plateaus)
