@@ -46,16 +46,18 @@ disjoint from the grid spacing, scanning the gaps only when rounding could
 decide it (``_points_disjoint``), and reads a column's distinct values
 from its runs.
 
-Every center is a point of its stage cloud, so a saved tree (``tree_to_json``,
-format ``TREE_FORMAT``) stores each selection ball as its index into the
-cloud, and each block's radius, stage index and sublevel once per run of
-equal values.  A selection ball's target balls are swept from its own
-stage cloud, near its center, and are mostly consecutive points of it, so
-the target balls are stored as groups of consecutive indices under one
-owner, each group placed relative to its owner's index, with the group
-columns run-length coded.  ``tree_from_json`` gathers the centers back from
-the same stages, bit for bit, and refuses a tree whose grid differs from
-theirs.
+Every center is a point of its stage cloud, whose size depends on the
+stage index alone, so a saved tree (``tree_to_json``, format
+``TREE_FORMAT``) stores each selection ball as its index into the cloud,
+and codes every per-ball column as runs of equal values (``_rle``): each
+block's radius, stage index and sublevel, and the steps between the
+selection balls' indices.  A selection ball's target balls are swept from
+its own stage cloud, near its center, and are mostly consecutive points of
+it, so the target balls are stored as groups of consecutive indices under
+one owner, each group placed relative to its owner's index, with the group
+columns coded the same way.  ``tree_from_json`` gathers the centers back
+from the same stages, bit for bit, and refuses a tree whose grid differs
+from theirs.
 """
 
 from __future__ import annotations
@@ -989,10 +991,10 @@ def format_tree(tree: CantorTree, mu=None) -> str:
 # serialization
 
 
-TREE_FORMAT = 4  # the tree.json layout that tree_to_json writes and tree_from_json reads
+TREE_FORMAT = 5  # the tree.json layout that tree_to_json writes and tree_from_json reads
 _BLOCKS = ("a", "c")  # LocalLevel's selection and target ball columns, a_<key> and c_<key>
-_RUN_KEYS = ("sublevel", "j", "radius")  # constant along a run of one block's balls
-_GROUP_KEYS = ("owner", "first", "count")  # the c block's group columns, each run-length coded
+_RUN_KEYS = ("sublevel", "j", "radius")  # the per-ball columns both blocks store, run-length coded
+_GROUP_KEYS = ("owner", "first", "count")  # the c block's group columns
 
 
 def json_default(obj):
@@ -1002,29 +1004,23 @@ def json_default(obj):
     return obj.tolist() if isinstance(obj, np.ndarray) else float(obj)
 
 
-def _block_to_json(loc: LocalLevel, block, stages):
-    """One block of a local level as runs of equal (sublevel, j, radius) and
-    each ball's index into its run's stage cloud."""
-    col = {key: getattr(loc, f"{block}_{key}") for key in ("center", *_RUN_KEYS)}
-    n = len(col["center"])
-    cut = np.flatnonzero(np.any([np.diff(col[key]) != 0 for key in _RUN_KEYS], axis=0)) + 1
-    start = np.concatenate([[0], cut]) if n else np.zeros(0, dtype=np.int64)
-    index, size = np.empty(n, dtype=np.int64), []
-    for s, e in zip(start, np.append(cut, n)):
-        j = int(col["j"][s])
+def _cloud_index(loc: LocalLevel, block, stages):
+    """Each ball's index into its stage cloud ``stages.sorted_points(j)``."""
+    center, js = getattr(loc, f"{block}_center"), getattr(loc, f"{block}_j")
+    index = np.empty(len(js), dtype=np.int64)
+    start = _run_starts(js)
+    for s, e in zip(start, np.append(start[1:], len(js))):
+        j = int(js[s])
         cloud = stages.sorted_points(j)
-        centers = col["center"][s:e]
-        k = np.minimum(cloud.searchsorted(centers), len(cloud) - 1)
-        off = np.flatnonzero(cloud[k].view(np.int64) != centers.view(np.int64))
+        k = np.minimum(cloud.searchsorted(center[s:e]), len(cloud) - 1)
+        off = np.flatnonzero(cloud[k].view(np.int64) != center[s:e].view(np.int64))
         if len(off):
             raise ConstructionError(
-                f"{block}-ball {s + off[0]} center {centers[off[0]]!r} is not a point of "
+                f"{block}-ball {s + off[0]} center {center[s + off[0]]!r} is not a point of "
                 f"the stage-{j} cloud, so the tree cannot be saved"
             )
         index[s:e] = k
-        size.append(len(cloud))
-    runs = {"start": start.tolist(), **{key: col[key][start].tolist() for key in _RUN_KEYS}, "size": size}
-    return runs, index
+    return index
 
 
 def _rle(col):
@@ -1052,10 +1048,11 @@ def _level_to_json(loc: LocalLevel, stages) -> dict:
         v = getattr(loc, f.name)
         if f.name.partition("_")[0] not in _BLOCKS:
             out[f.name] = np.asarray(v).tolist() if isinstance(v, list) else v
-    a_runs, a_index = _block_to_json(loc, "a", stages)
-    c_runs, c_index = _block_to_json(loc, "c", stages)
-    out["a"] = {"runs": a_runs, "index": a_index}
-    out["c"] = {"runs": c_runs, "groups": _groups_to_json(c_index, loc.c_aidx, a_index)}
+    a_index, c_index = (_cloud_index(loc, block, stages) for block in _BLOCKS)
+    for block in _BLOCKS:
+        out[block] = {key: _rle(getattr(loc, f"{block}_{key}")) for key in _RUN_KEYS}
+    out["a"]["index"] = _rle(np.diff(a_index, prepend=0))
+    out["c"]["groups"] = _groups_to_json(c_index, loc.c_aidx, a_index)
     return out
 
 
@@ -1068,13 +1065,21 @@ def _ints(v, what):
     return a.astype(np.int64)
 
 
-def _unrle(pair, what):
-    """The column that ``_rle`` coded as ``pair``.  Like a built local level,
-    it holds at most ``MAX_NODES`` entries, so no run length can ask for
-    more memory than a build would."""
+def _floats(v, what):
+    """A JSON list of numbers as a float array."""
+    a = np.asarray(v)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "if"):
+        raise ArgumentError(f"{what} is not a list of numbers")
+    return a.astype(float)
+
+
+def _unrle(pair, what, parse=_ints):
+    """The column that ``_rle`` coded as ``pair``, its values read by
+    ``parse``.  Like a built local level, it holds at most ``MAX_NODES``
+    entries, so no run length can ask for more memory than a build would."""
     if not (isinstance(pair, list) and len(pair) == 2):
         raise ArgumentError(f"{what} is not a [values, lengths] pair")
-    values, lengths = _ints(pair[0], what), _ints(pair[1], f"{what} lengths")
+    values, lengths = parse(pair[0], what), _ints(pair[1], f"{what} lengths")
     if len(lengths) != len(values) or np.any((lengths <= 0) | (lengths > MAX_NODES)) or lengths.sum() > MAX_NODES:
         raise ArgumentError(f"{what} lengths are not one positive length per value, at most {MAX_NODES} in all")
     return np.repeat(values, lengths)
@@ -1095,42 +1100,31 @@ def _groups_from_json(groups, a_index):
     return np.arange(count.sum()) + np.repeat(offset, count), np.repeat(owner, count)
 
 
-def _block_from_json(runs, index, stages, block):
-    start = _ints(runs["start"], f"{block} run start")
-    sublevel, j, size = (_ints(runs[key], f"{block} run {key}") for key in ("sublevel", "j", "size"))
-    radius = np.asarray(runs["radius"], dtype=float)
-    if radius.ndim != 1 or any(len(c) != len(start) for c in (sublevel, j, size, radius)):
-        raise ArgumentError(f"{block} runs have columns of unequal lengths")
-    bounds = np.append(start, len(index))
-    counts = np.diff(bounds)
-    if bounds[0] != 0 or np.any(counts <= 0):
-        raise ArgumentError(f"{block} run starts are not 0-based and strictly increasing below {len(index)}")
-    center = np.empty(len(index))
-    for r, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
-        cloud = stages.sorted_points(int(j[r]))
-        if len(cloud) != size[r]:
-            raise ArgumentError(
-                f"{block} run {r} was built on a stage-{j[r]} cloud of {size[r]} points; "
-                f"the config's stages give {len(cloud)}"
-            )
+def _block_from_json(obj, index, stages, block):
+    """A block's columns, its centers gathered by ``index`` from the clouds
+    of its stages."""
+    col = {key: _unrle(obj[key], f"{block} {key}", _floats if key == "radius" else _ints) for key in _RUN_KEYS}
+    for key, c in col.items():
+        if len(c) != len(index):
+            raise ArgumentError(f"{block} {key} holds {len(c)} entries for {len(index)} {block}-balls")
+    js = col["j"]
+    col["center"] = np.empty(len(index))
+    start = _run_starts(js)
+    for s, e in zip(start, np.append(start[1:], len(js))):
+        cloud = stages.sorted_points(int(js[s]))
         k = index[s:e]
-        if np.any((k < 0) | (k >= size[r])):
-            raise ArgumentError(f"{block} index lies outside its stage cloud")
-        center[s:e] = cloud[k]
-    return {
-        "center": center,
-        "radius": np.repeat(radius, counts),
-        "j": np.repeat(j, counts),
-        "sublevel": np.repeat(sublevel, counts),
-    }
+        if np.any((k < 0) | (k >= len(cloud))):
+            raise ArgumentError(f"{block} index lies outside its stage-{js[s]} cloud")
+        col["center"][s:e] = cloud[k]
+    return col
 
 
 def _level_from_json(e, stages) -> LocalLevel:
-    a_index = _ints(e["a"]["index"], "a index")
+    a_index = np.cumsum(_unrle(e["a"]["index"], "a index"))
     c_index, c_aidx = _groups_from_json(e["c"]["groups"], a_index)
     kw = {"c_aidx": c_aidx}
     for block, index in zip(_BLOCKS, (a_index, c_index)):
-        for key, v in _block_from_json(e[block]["runs"], index, stages, block).items():
+        for key, v in _block_from_json(e[block], index, stages, block).items():
             kw[f"{block}_{key}"] = v
     for f in fields(LocalLevel):
         if f.name not in kw:
@@ -1142,19 +1136,18 @@ def _level_from_json(e, stages) -> LocalLevel:
 def tree_to_json(tree: CantorTree, stages) -> dict:
     """The tree as a JSON-ready dict in format ``TREE_FORMAT``.
 
-    The local level is the ``level`` object.  Each of its blocks holds runs
-    of equal (sublevel, j, radius),
-    with the size of the run's stage cloud ``stages.sorted_points(j)``.  The
-    ``a`` block then holds each selection ball's index into its cloud.  The
-    ``c`` block holds its target balls as groups, the maximal runs of balls
-    with one owner and consecutive cloud indices; its ``groups`` columns
-    ``owner`` (the step from the previous group's owner), ``first`` (the
-    group's first cloud index less its owner's) and ``count`` are each
-    run-length coded as ``[values, lengths]``.  A center that is not a point
-    of its cloud raises ``ConstructionError``.  The index and group arrays
-    stay ndarrays; write the dict with ``json.dumps(...,
-    default=json_default)``.  ``tree_from_json`` reads both this dict and
-    its parsed JSON text."""
+    The local level is the ``level`` object.  Every per-ball column of its
+    two blocks is run-length coded as ``[values, lengths]``: each block's
+    ``sublevel``, ``j`` and ``radius``; the ``a`` block's ``index``, the
+    steps between its selection balls' indices into their stage clouds
+    ``stages.sorted_points(j)``; and the ``c`` block's ``groups``, the
+    maximal runs of target balls with one owner and consecutive cloud
+    indices, as ``owner`` (the step from the previous group's owner),
+    ``first`` (the group's first cloud index less its owner's) and
+    ``count``.  A center that is not a point of its cloud raises
+    ``ConstructionError``.  The columns stay ndarrays; write the dict with
+    ``json.dumps(..., default=json_default)``.  ``tree_from_json`` reads
+    both this dict and its parsed JSON text."""
     return {
         "format": TREE_FORMAT,
         "grid": {"lo": stages.lo, "hi": stages.hi},
@@ -1170,9 +1163,10 @@ def tree_from_json(obj, stages) -> CantorTree:
     gathered from ``stages.sorted_points(j)``.
 
     The tree is bound to the stages it is read with: its grid must be their
-    [lo, hi] and each run's cloud size theirs.  A tree of another format, a
-    mismatch, or a malformed run, index or group raises ``ArgumentError``;
-    so does a level of more than ``MAX_NODES`` target balls, which no build
+    [lo, hi], and each index must lie in its stage's cloud.  A tree of
+    another format, a mismatch, a malformed column or group, or columns
+    that do not hold one entry per ball raise ``ArgumentError``; so does a
+    level of more than ``MAX_NODES`` balls in a block, which no build
     writes.
     """
     fmt = obj.get("format") if isinstance(obj, dict) else None

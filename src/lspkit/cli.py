@@ -109,8 +109,8 @@ _BALL = {
     "properties": {"center": _VECTOR, "radius": _POSITIVE},
     "additionalProperties": False,
 }
-# a plateau: its first stage, an integer of at least 1, and its radius there
-_PLATEAU = {"type": "array", "prefixItems": [{"type": "integer", "minimum": 1}, _NUMBER], "minItems": 2, "maxItems": 2}
+# a plateau: its first stage, an integer of at least 1, and its radius there, above 0
+_PLATEAU = {"type": "array", "prefixItems": [{"type": "integer", "minimum": 1}, _POSITIVE], "minItems": 2, "maxItems": 2}
 # the keys _stages_from_config reads; a grid cloud (the default type) needs its range and plateaus
 _STAGES = {
     "type": "object",

@@ -26,27 +26,12 @@ from .errors import ArgumentError
 GAMMA = 0.04  # plateau decay: radii fall as j**-GAMMA within a plateau
 
 
-def van_der_corput(indices):
-    """Base-2 radical inverse of the given positive integers (vectorized)."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    v = idx.copy()
-    v = ((v & np.uint64(0x5555555555555555)) << np.uint64(1)) | (
-        (v & np.uint64(0xAAAAAAAAAAAAAAAA)) >> np.uint64(1)
-    )
-    v = ((v & np.uint64(0x3333333333333333)) << np.uint64(2)) | (
-        (v & np.uint64(0xCCCCCCCCCCCCCCCC)) >> np.uint64(2)
-    )
-    v = ((v & np.uint64(0x0F0F0F0F0F0F0F0F)) << np.uint64(4)) | (
-        (v & np.uint64(0xF0F0F0F0F0F0F0F0)) >> np.uint64(4)
-    )
-    v = ((v & np.uint64(0x00FF00FF00FF00FF)) << np.uint64(8)) | (
-        (v & np.uint64(0xFF00FF00FF00FF00)) >> np.uint64(8)
-    )
-    v = ((v & np.uint64(0x0000FFFF0000FFFF)) << np.uint64(16)) | (
-        (v & np.uint64(0xFFFF0000FFFF0000)) >> np.uint64(16)
-    )
-    v = (v << np.uint64(32)) | (v >> np.uint64(32))
-    return v.astype(np.float64) * 2.0**-64
+def van_der_corput(j):
+    """Base-2 radical inverse of the integer j, 0 <= j < 2**64: its 64 bits
+    reversed, read as a binary fraction."""
+    if not 0 <= j < 2**64:
+        raise ArgumentError("a van der Corput index must lie in [0, 2**64)")
+    return int(f"{j:064b}"[::-1], 2) * 2.0**-64
 
 
 @dataclass
@@ -64,7 +49,7 @@ class VdcPointStages:
 
     def sorted_points(self, j):
         """The stage's one point, as a one-point array."""
-        return np.array([self.lo + (self.hi - self.lo) * float(van_der_corput([j])[0])])
+        return np.array([self.lo + (self.hi - self.lo) * van_der_corput(j)])
 
     def __call__(self, j):
         return self.sorted_points(j), self.upsilon(j)
@@ -158,8 +143,9 @@ class GridCloudStages:
     costs memory only for the points its caller reads; ``upsilon(j)``
     follows ``a_k * (j_k / j)**GAMMA`` on the plateau starting at ``j_k``,
     so radii decay slowly within a plateau and drop at the configured
-    breakpoints.  Plateau starts are integers of at least 1 and
-    ``lo < hi``, so every grid is sorted and every radius real.
+    breakpoints.  Plateau starts are integers of at least 1, the first at
+    most ``j_max``, plateau radii are positive and ``lo < hi``, so every
+    grid is sorted and every radius real and positive.
     """
 
     lo: float
@@ -174,10 +160,17 @@ class GridCloudStages:
             if not (isinstance(j, Integral) or isinstance(j, float) and j.is_integer()) or j < 1:
                 raise ArgumentError(f"stages plateau start {j!r} must be an integer of at least 1")
         self.plateaus = tuple((int(j), float(u)) for j, u in self.plateaus)
+        for _, u in self.plateaus:
+            if not u > 0:
+                raise ArgumentError(f"stages.plateaus radius {u!r} must be above 0")
         if not self.plateaus or any(
             self.plateaus[k][0] >= self.plateaus[k + 1][0] for k in range(len(self.plateaus) - 1)
         ):
             raise ArgumentError("plateau break indices must be ascending")
+        if self.j_min > self.j_max:
+            start = str(self.j_min)  # a start of over 20 digits is named by its digit count
+            start = start if len(start) <= 20 else f"of {len(start)} digits"
+            raise ArgumentError(f"stages.plateaus first start {start} lies past stages.j_max {self.j_max}")
         # the schedule must be globally non-increasing across breakpoints
         for k in range(len(self.plateaus) - 1):
             jb, ub = self.plateaus[k + 1]

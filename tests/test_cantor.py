@@ -306,20 +306,26 @@ def _assert_same_level(got_tree, want_tree):
             assert a == b, f.name
 
 
-def test_tree_json_stores_runs_and_cloud_indices(audit_tree):
+def test_tree_json_stores_run_length_columns(audit_tree):
     params, tree = audit_tree
     d = tree_to_json(tree, params.stages)
-    assert (d["format"], d["grid"]) == (4, {"lo": -20.0, "hi": 20.0})
+    assert (d["format"], d["grid"]) == (5, {"lo": -20.0, "hi": 20.0})
     assert list(d) == ["format", "grid", "root", "constants", "case", "level"]
     loc, e = tree.level, d["level"]
     assert list(e) == ["l_b", "eps_b", "g_primes", "sub_targets", "sub_masses", "a", "c"]
+    assert list(e["a"]) == ["sublevel", "j", "radius", "index"]
+    assert list(e["c"]) == ["sublevel", "j", "radius", "groups"]
     for block in ("a", "c"):
-        runs = e[block]["runs"]
-        sublevel = getattr(loc, f"{block}_sublevel")
-        assert runs["sublevel"] == [1, 2] and runs["start"] == [0, int(np.argmax(sublevel == 2))]
-        assert runs["size"] == [len(params.stages.sorted_points(j)) for j in runs["j"]]
-    index = e["a"]["index"]
+        for key in ("sublevel", "j", "radius"):
+            values, lengths = e[block][key]
+            assert np.array_equal(np.repeat(values, lengths), getattr(loc, f"{block}_{key}")), (block, key)
+        assert e[block]["sublevel"][0].tolist() == [1, 2]
+    # the steps between the selection balls' cloud indices
+    index = np.cumsum(np.repeat(*e["a"]["index"]))
     assert index.dtype == np.int64 and len(index) == len(loc.a_center)
+    for j in np.unique(loc.a_j):
+        rows = loc.a_j == j
+        assert np.array_equal(params.stages.sorted_points(int(j))[index[rows]], loc.a_center[rows])
     # every selection ball owns one group: 255 sublevel-1 balls keep one
     # child, their own center; each of the 23,556 deep ones three
     # consecutive points, starting one before its own

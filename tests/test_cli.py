@@ -48,35 +48,54 @@ _FOREIGN_TREE = [
 # for refusing it (None: the copy reads, and belongs to another config)
 _EDITED_TREES = {
     "{tree_2d}": (lambda t, loc: t["root"].update(center=[0.0, 0.0]), None),
-    "{tree_v1}": (lambda t, loc: t.pop("format"), "tree format None: this version reads format 4 only"),
+    "{tree_v1}": (lambda t, loc: t.pop("format"), "tree format None: this version reads format 5 only"),
     "{tree_v2}": (
         lambda t, loc: t.update(format=2),
-        "tree format 2: this version reads format 4 only; rebuild the tree",
+        "tree format 2: this version reads format 5 only; rebuild the tree",
     ),
     # the format-3 layout: one local level in a list of lists, naming its parent ball
     "{tree_v3}": (
         lambda t, loc: t.update(format=3, levels=[[{**t.pop("level"), "parent_level": 1, "parent_index": 0}]]),
-        "tree format 3: this version reads format 4 only; rebuild the tree",
+        "tree format 3: this version reads format 5 only; rebuild the tree",
+    ),
+    "{tree_v4}": (
+        lambda t, loc: t.update(format=4),
+        "tree format 4: this version reads format 5 only; rebuild the tree",
     ),
     "{tree_index_negative}": (
-        lambda t, loc: operator.setitem(loc["a"]["index"], 3, -1),
-        "a index lies outside its stage cloud",
+        lambda t, loc: operator.setitem(loc["a"]["index"][0], 0, -1),
+        "a index lies outside its stage-4096 cloud",
     ),
+    # the first target ball sits on its owner's index plus the 4,096 points of its cloud
     "{tree_index_past_cloud}": (
-        lambda t, loc: operator.setitem(loc["c"]["groups"]["first"][0], 0, loc["c"]["runs"]["size"][0]),
-        "c index lies outside its stage cloud",
+        lambda t, loc: operator.setitem(loc["c"]["groups"]["first"][0], 0, 4096),
+        "c index lies outside its stage-4096 cloud",
+    ),
+    # the deep selection balls' indices into the stage-2097152 cloud, read
+    # against the stage-4096 one
+    "{tree_j_edited}": (
+        lambda t, loc: operator.setitem(loc["a"]["j"][0], 1, 4096),
+        "a index lies outside its stage-4096 cloud",
     ),
     "{tree_first_float}": (
         lambda t, loc: operator.setitem(loc["c"]["groups"]["first"][0], 1, 3.7),
         "c group first is not a list of integers",
     ),
-    "{tree_start_1}": (
-        lambda t, loc: operator.setitem(loc["a"]["runs"]["start"], 0, 1),
-        "a run starts are not 0-based and strictly increasing below 23811",
+    "{tree_radius_string}": (
+        lambda t, loc: operator.setitem(loc["c"]["radius"][0], 1, "2.7e-09"),
+        "c radius is not a list of numbers",
     ),
-    "{tree_start_repeated}": (
-        lambda t, loc: operator.setitem(loc["c"]["runs"]["start"], 1, 0),
-        "c run starts are not 0-based and strictly increasing below 70923",
+    "{tree_j_length_zero}": (
+        lambda t, loc: operator.setitem(loc["a"]["j"][1], 0, 0),
+        "a j lengths are not one positive length per value",
+    ),
+    "{tree_radius_short}": (
+        lambda t, loc: operator.setitem(loc["a"]["radius"][1], 1, 23_555),
+        "a radius holds 23810 entries for 23811 a-balls",
+    ),
+    "{tree_sublevel_long}": (
+        lambda t, loc: operator.setitem(loc["c"]["sublevel"][1], 1, 70_669),
+        "c sublevel holds 70924 entries for 70923 c-balls",
     ),
     "{tree_owner_past}": (
         lambda t, loc: operator.setitem(loc["c"]["groups"]["owner"][0], 0, 2),
@@ -86,10 +105,10 @@ _EDITED_TREES = {
         lambda t, loc: operator.setitem(loc["c"]["groups"]["count"][0], 0, 0),
         "c group counts are not positive",
     ),
-    # 100 one-child groups end before the c block's second run starts, at row 255
+    # 100 one-child groups, where the c block's columns hold 70,923 balls
     "{tree_counts_short}": (
         lambda t, loc: loc["c"].update(groups={"owner": [[1], [100]], "first": [[0], [100]], "count": [[1], [100]]}),
-        "c run starts are not 0-based and strictly increasing below 100",
+        "c sublevel holds 70923 entries for 100 c-balls",
     ),
     "{tree_group_columns}": (
         lambda t, loc: operator.setitem(loc["c"]["groups"]["owner"][1], 0, 23_812),
@@ -113,10 +132,6 @@ _EDITED_TREES = {
         "c group count is not a [values, lengths] pair",
     ),
     "{tree_constants}": (lambda t, loc: t.update(constants=[]), "tree constants are not an object"),
-    "{tree_cloud_size}": (
-        lambda t, loc: operator.setitem(loc["c"]["runs"]["size"], 1, 2**22),
-        "c run 1 was built on a stage-2097152 cloud of 4194304 points; the config's stages give 2097152",
-    ),
 }
 # a 1-D attractor whose first-level hulls [0, 0.3] and [0.2, 0.5] overlap (the third is [0.8, 1])
 _OVERLAPPING = (
@@ -143,8 +158,11 @@ _GRID_KGB = tuple(f"{key}={json.dumps(value)}" for key, value in {
     **{key: bundled_config("cantor_audit.json")[key] for key in ("stages", "pair")},
     "region": {"center": [0.0], "radius": 20.0}, "g_start": 512, "j_max": 2**24, "c5": 1.2,
 }.items())
-# grid stages GridCloudStages cannot serve (a plateau start below 1 or not
-# an integer, lo >= hi), each with the words that name the refused field
+# a first plateau start of 401 digits
+_HUGE_START = "1" + "0" * 400
+# grid stages GridCloudStages cannot serve (a plateau start below 1, not an
+# integer or past j_max, a plateau radius of 0 or below, lo >= hi), each
+# with the words that name the refused field
 _GRID_STAGE_REFUSALS = [
     ("cantor-build", "cantor_audit.json", "stages.plateaus=[[-1,0.02],[4096,0.00022],[2097152,2.7e-09]]",
      "stages.plateaus[0][0]: -1, at least 1"),
@@ -154,6 +172,13 @@ _GRID_STAGE_REFUSALS = [
     ("cantor-build", "cantor_audit.json", "stages.plateaus=[[0.5,0.02]]", "stages.plateaus[0][0]: 0.5, of type integer"),
     ("cover", "cover_kgb_vdc.json", (*_GRID_KGB, "stages.plateaus=[[0.5,0.02]]"),
      "stages.plateaus[0][0]: 0.5, of type integer"),
+    ("cantor-build", "cantor_audit.json", "stages.plateaus=[[512,-0.02]]", "stages.plateaus[0][1]: -0.02, above 0"),
+    ("cantor-build", "cantor_audit.json", "stages.plateaus=[[512,0]]", "stages.plateaus[0][1]: 0, above 0"),
+    ("cover", "cover_kgb_vdc.json", (*_GRID_KGB, "stages.plateaus=[[512,0]]"), "stages.plateaus[0][1]: 0, above 0"),
+    ("cantor-build", "cantor_audit.json", "stages.plateaus=[[20000000,0.02]]",
+     "stages.plateaus first start 20000000 lies past stages.j_max 16777216"),
+    ("cantor-build", "cantor_audit.json", f"stages.plateaus=[[{_HUGE_START},0.02]]",
+     "stages.plateaus first start of 401 digits lies past stages.j_max 16777216"),
     ("cantor-build", "cantor_audit.json", ("stages.lo=20", "stages.hi=-20"), "stages lo 20.0 and hi -20.0 must be"),
     ("cantor-build", "cantor_audit.json", ("stages.lo=20", "stages.hi=20"), "stages lo 20.0 and hi 20.0 must be"),
     ("cover", "cover_kgb_vdc.json", (*_GRID_KGB, "stages.lo=20", "stages.hi=-20"), "stages lo 20.0 and hi -20.0 must be"),
@@ -180,10 +205,11 @@ def saved_trees(tmp_path_factory):
 
 
 def test_saved_audit_tree_fits_its_byte_budget(saved_trees):
-    # the selection balls' cloud indices alone take 197,164 bytes; the
-    # target balls' groups and the runs take a few hundred more (with a
-    # per-ball index and a-ball column, the tree took 1,250,954 bytes)
-    assert Path(saved_trees["{tree}"]).stat().st_size <= 400_000
+    # the steps between the selection balls' cloud indices take 25,681
+    # bytes, every other column a few hundred (with the indices listed one
+    # per ball, the tree took 193,973 bytes; with a per-ball index and
+    # a-ball column, 1,250,954)
+    assert Path(saved_trees["{tree}"]).stat().st_size <= 30_000
 
 
 def test_audit_build_with_saved_tree_stays_small(tmp_path):
@@ -534,6 +560,13 @@ def test_grid_stage_refusals_name_the_field(capsys, command, name, overrides, me
     overrides = (overrides,) if isinstance(overrides, str) else overrides
     assert main([command, "--config", f"bundled:{name}"] + _set_args(overrides)) == 2
     assert message in capsys.readouterr().err
+
+
+def test_vdc_stage_past_64_bits_exits_2(capsys):
+    # a van der Corput point is its stage index's 64 bits reversed
+    argv = ["cover", "--config", "bundled:cover_kgb_vdc.json", "--set", f"g_start={2**64}", "--set", f"j_max={2**64}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "validation error: a van der Corput index must lie in [0, 2**64)\n"
 
 
 @pytest.mark.parametrize(

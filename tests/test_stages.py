@@ -13,6 +13,32 @@ from lspkit.errors import ArgumentError
 from lspkit.stages import GridCloudStages, GridView, VdcPointStages, van_der_corput
 
 
+def vectorized_van_der_corput(indices):
+    """Base-2 radical inverse of the given non-negative integers below 2**64,
+    by six mask-and-shift passes over their bits (the package's function
+    before it reversed the bits of one integer), the oracle
+    ``van_der_corput`` must match bit for bit."""
+    idx = np.asarray(indices, dtype=np.uint64)
+    v = idx.copy()
+    v = ((v & np.uint64(0x5555555555555555)) << np.uint64(1)) | (
+        (v & np.uint64(0xAAAAAAAAAAAAAAAA)) >> np.uint64(1)
+    )
+    v = ((v & np.uint64(0x3333333333333333)) << np.uint64(2)) | (
+        (v & np.uint64(0xCCCCCCCCCCCCCCCC)) >> np.uint64(2)
+    )
+    v = ((v & np.uint64(0x0F0F0F0F0F0F0F0F)) << np.uint64(4)) | (
+        (v & np.uint64(0xF0F0F0F0F0F0F0F0)) >> np.uint64(4)
+    )
+    v = ((v & np.uint64(0x00FF00FF00FF00FF)) << np.uint64(8)) | (
+        (v & np.uint64(0xFF00FF00FF00FF00)) >> np.uint64(8)
+    )
+    v = ((v & np.uint64(0x0000FFFF0000FFFF)) << np.uint64(16)) | (
+        (v & np.uint64(0xFFFF0000FFFF0000)) >> np.uint64(16)
+    )
+    v = (v << np.uint64(32)) | (v >> np.uint64(32))
+    return v.astype(np.float64) * 2.0**-64
+
+
 def materialized(lo, hi, size):
     """The grid as one array, the formula ``GridView`` must match bit for bit."""
     return lo + (hi - lo) * (np.arange(size) + 0.5) / size
@@ -151,6 +177,16 @@ def test_sorted_points_allocates_no_cloud():
     assert np.array_equal(np.asarray(stages.sorted_points(1000)), materialized(-85.0, 85.0, 512))
 
 
+def test_van_der_corput_matches_the_vectorized_bit_reversal():
+    edges = [0, 2**40 + 12345, 3**39, 2**63 - 1, 2**64 - 1]
+    for js in (np.arange(1, 200_001), np.array(edges, dtype=np.uint64)):
+        assert [van_der_corput(int(j)) for j in js] == vectorized_van_der_corput(js).tolist()
+    assert van_der_corput(1) == 0.5 and van_der_corput(6) == 0.375
+    for j in (-1, 2**64):
+        with pytest.raises(ArgumentError, match="must lie in"):
+            van_der_corput(j)
+
+
 def test_providers_serve_the_stage_protocol():
     # calling a provider gives (sorted_points(j), upsilon(j)); a van der
     # Corput stage is its one point
@@ -160,7 +196,7 @@ def test_providers_serve_the_stage_protocol():
         cloud, u = grid(j)
         assert isinstance(cloud, GridView) and len(cloud) == grid.cloud_size(j) and u == grid.upsilon(j)
         point, u = vdc(j)
-        assert point.tolist() == [-2.0 + 5.0 * float(van_der_corput([j])[0])] and u == 1.0 / j
+        assert point.tolist() == [-2.0 + 5.0 * van_der_corput(j)] and u == 1.0 / j
     # a grid's cloud changes at the powers of two: next_change and cloud_size
     # agree with the floor(log2) formulas they replaced at and beside each
     for k in range(25):
@@ -193,3 +229,22 @@ def test_grid_stages_refuse_what_their_methods_cannot_take(lo, hi, plateaus, fie
     # fractional one was truncated, and lo >= hi reverses or empties the grid
     with pytest.raises(ArgumentError, match=f"^stages {re.escape(field)}"):
         GridCloudStages(lo=lo, hi=hi, plateaus=plateaus)
+
+
+@pytest.mark.parametrize(
+    "plateaus, j_max, message",
+    [
+        (((512, -0.02),), 2**24, "stages.plateaus radius -0.02 must be above 0"),
+        (((512, 0),), 2**24, "stages.plateaus radius 0.0 must be above 0"),
+        (((512, 0.02), (4096, math.nan)), 2**24, "stages.plateaus radius nan must be above 0"),
+        (((512, 0.02),), 511, "stages.plateaus first start 512 lies past stages.j_max 511"),
+        (((20_000_000, 0.02),), 2**24, "stages.plateaus first start 20000000 lies past stages.j_max 16777216"),
+        (((10**400, 0.02),), 2**24, "stages.plateaus first start of 401 digits lies past stages.j_max 16777216"),
+    ],
+)
+def test_grid_stages_refuse_a_schedule_they_cannot_serve(plateaus, j_max, message):
+    # a radius of 0 or below reached the gauges, and a first start past
+    # j_max was refused only once a stage was read, as a stage below the
+    # schedule's start, echoing every digit of the start
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        GridCloudStages(lo=-20.0, hi=20.0, plateaus=plateaus, j_max=j_max)
