@@ -54,6 +54,8 @@ the exact bit: every float is stored as ``float.hex``.  They are
   content of a tilted line in R^3 (codimension 2) at the schema's least
   1,000 samples per scale and of a tilted line in the plane (a hyperplane)
   at 20,000.
+- the Minkowski content of a Euclidean line in R^8, tilted off every axis,
+  at 20,000 samples per scale, where the norm's lane order matters.
 
 A variant that raises a ``ToolkitError`` pins the error's type, message and
 achieved fraction instead of a results block.
@@ -270,6 +272,11 @@ def variant_configs():
     out["minkowski_sup_line_2d"] = ("minkowski", {
         **minkowski, "samples_per_scale": 20_000,
         "model": {"variant": "plane", "base": [0.5, 0.5], "basis": [[0.6, 0.8]]},
+    })
+    tilt = [1.0, 2.0, 3.0, 4.0, 5.0, 4.0, 3.0, 2.0]
+    out["minkowski_euclidean_line_8d"] = ("minkowski", {
+        **minkowski, "metric": "euclidean", "samples_per_scale": 20_000, "scales": [0.5 * 0.5**k for k in range(8)],
+        "model": {"variant": "plane", "base": [0.5] * 8, "basis": [[v / math.sqrt(84.0) for v in tilt]]},
     })
     return out
 
