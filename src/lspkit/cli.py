@@ -497,12 +497,15 @@ def _run_cover(cfg, rng):
         results = {"cardinality": len(net.points), "pool_size": net.pool_size}
     elif op == "kgb":
         stages = _stages_from_config(cfg["stages"])
+        j_max = int(cfg.get("j_max", stages.j_max))
+        if j_max > stages.j_max:  # the provider serves no stage past its own j_max
+            raise ArgumentError(f"j_max {j_max} lies past stages.j_max {stages.j_max}")
         seq = transformed_stages(stages, _pair_from_config(cfg["pair"])) if "pair" in cfg else stages
         res = build_kgb(
             _ball(cfg["region"]),
             int(cfg.get("g_start", 1)),
             seq,
-            int(cfg.get("j_max", stages.j_max)),
+            j_max,
             float(cfg.get("target_fraction", 0.05)),
             **_given(cfg, c5=float),
             **metric_kw,

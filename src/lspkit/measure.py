@@ -46,6 +46,7 @@ from .sets import (
 )
 
 DEFAULT_SAMPLES = 100_000
+_BALL_BLOCK = 2**20  # most candidate coordinates per block of a Euclidean sample_in_ball draw, 8 MB
 _FLOOR = 1e-9  # attractor hit tests are exact to _FLOOR * delta (``_hit_counts``)
 
 
@@ -91,7 +92,13 @@ def ball_volume(n, r, metric="sup"):
 
 def sample_in_ball(center, r, k, rng, metric="sup", out=None):
     """Uniform samples inside B(center, r), written into ``out`` if given; rejection
-    from the box for the Euclidean case (fine in the catalogue dimensions)."""
+    from the box for the Euclidean case.
+
+    A Euclidean batch is drawn and tested ``_BALL_BLOCK`` coordinates at a
+    time from the one stream, so its memory stays bounded however small the
+    ball's share of the box (2.5e-3 in R^10); the points kept and the
+    generator's end state are those of one draw of the whole batch.
+    """
     center = np.asarray(center, dtype=float)
     n = center.shape[0]
     out = np.empty((k, n)) if out is None else out
@@ -105,12 +112,15 @@ def sample_in_ball(center, r, k, rng, metric="sup", out=None):
         # batches sized to the acceptance rate (plus 1 % and 16 rows); the points
         # kept are the first k of the uniform stream whatever the batch sizes
         rate = ball_volume(n, 1.0, "euclidean") / 2.0**n
+        block = max(1, _BALL_BLOCK // n)
         while got < k:
-            cand = rng.uniform(-r, r, size=(int((k - got) / rate * 1.01) + 16, n))
-            keep = np.compress(_sum_squares(cand) <= r * r, cand, axis=0)
-            take = min(len(keep), k - got)
-            out[got : got + take] = keep[:take]
-            got += take
+            batch = int((k - got) / rate * 1.01) + 16
+            for start in range(0, batch, block):
+                cand = rng.uniform(-r, r, size=(min(block, batch - start), n))
+                keep = np.compress(_sum_squares(cand) <= r * r, cand, axis=0)
+                take = min(len(keep), k - got)
+                out[got : got + take] = keep[:take]
+                got += take
     # column by column: numpy adds a broadcast row of a few numbers to every
     # row several times slower than it adds one number to a column
     for j in range(n):
@@ -444,6 +454,10 @@ def _window_volumes(m, scales, samples_per_scale, rng, metric):
 
     The window is fixed by the largest scale, and one uniform window sample
     serves every scale: each scale counts its hits among the same points.
+    It is ``rng.uniform(lo, hi)``'s draw bit for bit, and leaves the
+    generator in the same state: ``rng.random`` scaled in place to
+    lo + (hi - lo) * u by column below 8 coordinates, where numpy runs a
+    broadcast row of a few numbers several times slower, and by row from 8 on.
     An attractor's hits are exact to ``_FLOOR`` times each scale, and a
     scale below the previous one re-tests only the previous scale's hits
     (see ``_hit_counts``).
@@ -455,9 +469,18 @@ def _window_volumes(m, scales, samples_per_scale, rng, metric):
     if _interval_model(m):
         vols = neighborhood_length_1d(m, scales, lo[0], hi[0])
     else:
-        pts = rng.uniform(lo, hi, size=(samples_per_scale, m.ambient_dim))
+        n = m.ambient_dim
+        pts = rng.random((samples_per_scale, n))
+        span = hi - lo
+        if n < 8:
+            for j in range(n):
+                pts[:, j] *= span[j]
+                pts[:, j] += lo[j]
+        else:
+            pts *= span
+            pts += lo
         counts = _hit_counts(m, [pts], scales, metric=metric)[0]
-        vols, _ = _mc_volume(float(np.prod(hi - lo)), counts, samples_per_scale)
+        vols, _ = _mc_volume(float(np.prod(span)), counts, samples_per_scale)
     if np.all(vols <= 0):
         raise EstimationError("zero measure at every scale")
     return scales, vols

@@ -26,7 +26,9 @@ Metric conventions: the ambient metric is the sup norm by default (balls are
 boxes, which keeps volumes exact in the estimators) with Euclidean
 selectable.  ``_norm`` is the one kernel for the norm of a difference in
 the configured metric, computed as a cKDTree query computes it, and every
-module calls it (Euclidean sums go through ``_sum_squares``).
+module calls it (Euclidean sums go through ``_sum_squares``); given the
+point it measures from, it forms each difference one coordinate column at
+a time, as the distances of ``distance_to_set`` do.
 ``distance_to_set`` measures circles and spheres in the Euclidean norm,
 their natural exact geometry, whatever the metric; the attractor hit test
 ``cut_hits`` uses the configured metric.
@@ -75,7 +77,7 @@ def _sum_squares(diff):
     return total
 
 
-def _norm(diff, metric):
+def _norm(diff, metric, origin=None):
     """Norms of the rows of ``diff`` in ``metric``, as a cKDTree query computes them.
 
     Sup: the largest absolute coordinate.  Euclidean: the square root of
@@ -83,13 +85,38 @@ def _norm(diff, metric):
     fl(delta**2), which every root below delta satisfies, so in both
     metrics a point hits exactly when this distance is below delta.  A
     single row gives a 0-d array.
+
+    With an ``origin``, the norms of the rows of ``diff`` (rows, n) less
+    it, held by coordinate: ``origin[i]`` is a number, or a column of one
+    number per row, for axis i.  Each difference is formed one column at a
+    time as its own contiguous array, which numpy runs several times faster
+    than a broadcast row of a few numbers; the norms are those of the
+    broadcast difference bit for bit.  A Euclidean norm of 8 or more
+    coordinates takes the broadcast difference, whose squares
+    ``_sum_squares`` adds in cKDTree's lanes.
     """
-    if metric == "euclidean":
+    euclidean = metric == "euclidean"
+    if origin is not None and euclidean and diff.shape[-1] >= 8:
+        diff, origin = diff - np.transpose(origin), None
+    if origin is None and euclidean:
         return np.sqrt(_sum_squares(diff))
-    dist = np.abs(diff[..., :1])[..., 0]
-    for i in range(1, diff.shape[-1]):  # column by column: a reduction over a short last axis is slow
-        np.maximum(dist, np.abs(diff[..., i]), out=dist)
-    return dist
+    dist = None
+    for i in range(diff.shape[-1]):  # column by column: a reduction over a short last axis is slow
+        if origin is None:
+            col = np.abs(diff[..., i : i + 1])[..., 0]
+        else:
+            col = diff[:, i] - origin[i]
+            if euclidean:
+                np.multiply(col, col, out=col)
+            else:
+                np.abs(col, out=col)
+        if dist is None:
+            dist = col
+        elif euclidean:
+            dist += col
+        else:
+            np.maximum(dist, col, out=dist)
+    return np.sqrt(dist, out=dist) if euclidean else dist
 
 
 @dataclass(frozen=True)
@@ -560,7 +587,7 @@ def cut_hits(ifs: IFS, pts, delta, target, metric="sup"):
     z0, r0 = attractor_bounds(ifs)
     pts = np.asarray(pts, dtype=float)
     if target >= 1.0:
-        return _norm(pts - z0, metric) < delta
+        return _norm(pts, metric, z0) < delta
     hit = np.zeros(len(pts), dtype=bool)
     if not len(pts):
         return hit
@@ -682,21 +709,20 @@ def _spanned_axes(basis):
     return None
 
 
-def _sup_segment_min(c, d):
+def _sup_segment_min(cs, ds):
     """min over t in [0, 1] of max_i |c_i - t d_i|.
 
-    ``c`` holds query offsets in its last axis and ``d`` the segment
-    direction, broadcast against ``c``.  The objective is convex and
-    piecewise linear in t, so its minimum sits at t = 0 or 1 or at a kink: a
-    zero c_i / d_i or a crossing (c_i -+ c_j) / (d_i -+ d_j), clipped to
-    [0, 1].  Each candidate is scored one coordinate at a time into a running
-    minimum, so no array is larger than ``c``.  A zero denominator gives an
-    infinite candidate, which clips to an end, or a NaN one, which scores NaN
-    and never wins (``fmin`` skips NaN).
+    ``cs`` and ``ds`` are held by coordinate: ``cs[i]`` holds the query
+    offsets along axis i and ``ds[i]`` the segment direction's, broadcast
+    against them.  The objective is convex and piecewise linear in t, so
+    its minimum sits at t = 0 or 1 or at a kink: a zero c_i / d_i or a
+    crossing (c_i -+ c_j) / (d_i -+ d_j), clipped to [0, 1].  Each
+    candidate is scored one coordinate at a time into a running minimum, so
+    no array is larger than an offset column.  A zero denominator gives an
+    infinite candidate, which clips to an end, or a NaN one, which scores
+    NaN and never wins (``fmin`` skips NaN).
     """
-    n = c.shape[-1]
-    cs = [c[..., i] for i in range(n)]
-    ds = [d[..., i] for i in range(n)]
+    n = len(cs)
 
     def candidates():
         yield from (0.0, 1.0)
@@ -720,39 +746,48 @@ def _sup_segment_min(c, d):
 def _plane_distance(m: AffinePlane, pts, metric):
     if metric != "euclidean" and m.free_axes is not None:
         # axis-aligned span: free coordinates drop out of the sup distance
-        return _norm(pts[:, ~m.free_axes] - m.base[~m.free_axes], "sup")
-    diff = pts - m.base
+        fixed = ~m.free_axes
+        return _norm(pts[:, fixed], "sup", m.base[fixed])
     if metric == "euclidean":
-        return np.linalg.norm(diff - (diff @ m.basis.T) @ m.basis, axis=1)
+        diff = pts - m.base
+        return _norm(diff, metric, ((diff @ m.basis.T) @ m.basis).T)  # less its projection on the span
     duals = m.sup_duals
-    out = np.empty(len(diff))
-    for lo in range(0, len(diff), _DUAL_ROWS):
-        d = diff[lo : lo + _DUAL_ROWS]
-        dots = d[:, :1] * duals[:, 0]
-        for i in range(1, diff.shape[1]):  # coordinate by coordinate: the same bits in any block
-            dots += d[:, i, None] * duals[:, i]
-        np.abs(dots, out=dots).max(axis=1, out=out[lo : lo + _DUAL_ROWS])
+    cols = [pts[:, i] - m.base[i] for i in range(len(m.base))]
+    out = np.empty(len(pts))
+    for lo in range(0, len(pts), _DUAL_ROWS):
+        block = np.s_[lo : lo + _DUAL_ROWS]
+        dots = cols[0][block, None] * duals[:, 0]
+        for i in range(1, len(cols)):  # coordinate by coordinate: the same bits in any block
+            dots += cols[i][block, None] * duals[:, i]
+        np.abs(dots, out=dots).max(axis=1, out=out[block])
     return out
 
 
 def _polyline_distance(m: Polyline, pts, metric):
+    """The least distance to a segment, taken one segment at a time.
+
+    Euclidean: to the nearest point a + t (b - a), t clipped to [0, 1].
+    Sup: axis-aligned segments are boxes, whose nearest point clips each
+    coordinate (a number on the axes the segment does not span); a tilted
+    one reads ``_sup_segment_min``.
+    """
     a = m.vertices[:-1]
     b = m.vertices[1:]
     seg = b - a  # (nseg, n)
-    if metric == "euclidean":
-        ap = pts[:, None, :] - a[None, :, :]
-        denom = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
-        t = np.clip(np.sum(ap * seg[None, :, :], axis=2) / denom, 0.0, 1.0)
-        nearest = a[None, :, :] + t[:, :, None] * seg[None, :, :]
-        return np.min(np.linalg.norm(pts[:, None, :] - nearest, axis=2), axis=1)
-    if np.all(np.count_nonzero(seg, axis=1) <= 1):
-        # axis-aligned segments are boxes: per-coordinate outside-distance
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        out = np.maximum(lo[None, :, :] - pts[:, None, :], pts[:, None, :] - hi[None, :, :])
-        return np.min(_norm(np.maximum(out, 0.0), "sup"), axis=1)
-    c = pts[:, None, :] - a[None, :, :]
-    return np.min(_sup_segment_min(c, seg[None, :, :]), axis=1)
+    n = seg.shape[1]
+    boxes = metric != "euclidean" and np.all(np.count_nonzero(seg, axis=1) <= 1)
+    denom = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
+    best = None
+    for aj, sj, lo, hi, dj in zip(a, seg, np.minimum(a, b), np.maximum(a, b), denom):
+        if metric == "euclidean":
+            t = np.clip(np.sum((pts - aj) * sj, axis=1) / dj, 0.0, 1.0)
+            d = _norm(pts, metric, [aj[i] + t * sj[i] for i in range(n)])
+        elif boxes:
+            d = _norm(pts, metric, [np.clip(pts[:, i], lo[i], hi[i]) if lo[i] < hi[i] else lo[i] for i in range(n)])
+        else:
+            d = _sup_segment_min([pts[:, i] - aj[i] for i in range(n)], sj)
+        best = d if best is None else np.minimum(best, d, out=best)
+    return best
 
 
 def distance_to_set(m: SetModel, x, metric="sup"):
@@ -761,16 +796,28 @@ def distance_to_set(m: SetModel, x, metric="sup"):
     Exact closed forms / projections for every model but an attractor,
     which raises ``ArgumentError``.  Circles and spheres use the Euclidean
     set-distance regardless of ``metric`` (see module docstring).
+
+    The kernels work one coordinate column at a time: ``_norm`` forms each
+    difference from a center, a point, a plane's base or a segment's
+    nearest point as its own column, and a point set is measured one point
+    and a polyline one segment at a time into a running minimum, so no
+    (rows, points or segments, n) array is formed.  The distances are
+    those of the broadcast expressions bit for bit (Euclidean plane and
+    polyline residuals summed by ``_norm``).
     """
     if isinstance(m, IFSAttractor):
         raise ArgumentError("distance_to_set does not measure an IFS attractor; use cylinder_cut or cut_hits")
     pts = _as_points(x, m.ambient_dim)
     if isinstance(m, PointSet):
-        d = np.min(_norm(pts[:, None, :] - m.points[None, :, :], metric), axis=1)
+        d = _norm(pts, metric, m.points[0])
+        for p in m.points[1:]:
+            np.minimum(d, _norm(pts, metric, p), out=d)
     elif isinstance(m, AffinePlane):
         d = _plane_distance(m, pts, metric)
     elif isinstance(m, Circle) or isinstance(m, Sphere):
-        d = np.abs(_norm(pts - m.center, "euclidean") - m.radius)
+        d = _norm(pts, "euclidean", m.center)
+        d -= m.radius
+        np.abs(d, out=d)
     elif isinstance(m, Polyline):
         d = _polyline_distance(m, pts, metric)
     else:

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from lspkit import cli, covering, errors, measure, randomsim, sets
+from lspkit import cli, covering, errors, measure, randomsim, sets, stages
 from lspkit.cantor import tree_from_json
 from lspkit.cli import SCHEMAS, bundled_config, main, run
 
@@ -564,9 +564,27 @@ def test_grid_stage_refusals_name_the_field(capsys, command, name, overrides, me
 
 def test_vdc_stage_past_64_bits_exits_2(capsys):
     # a van der Corput point is its stage index's 64 bits reversed
-    argv = ["cover", "--config", "bundled:cover_kgb_vdc.json", "--set", f"g_start={2**64}", "--set", f"j_max={2**64}"]
+    argv = ["cover", "--config", "bundled:cover_kgb_vdc.json"]
+    argv += _set_args([f"g_start={2**64}", f"j_max={2**64}", f"stages.j_max={2**64}"])
     assert main(argv) == 2
     assert capsys.readouterr().err == "validation error: a van der Corput index must lie in [0, 2**64)\n"
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (("j_max=100001",), "j_max 100001 lies past stages.j_max 100000"),
+    ((*_GRID_KGB, "j_max=16777217"), "j_max 16777217 lies past stages.j_max 16777216"),
+    ((*_GRID_KGB, "stages.j_max=4096", "j_max=8192"), "j_max 8192 lies past stages.j_max 4096"),
+], ids=["vdc", "grid", "grid-short"])
+def test_kgb_scan_past_its_stage_provider_exits_2(capsys, monkeypatch, overrides, message):
+    # a K_{G,B} scan ends at the provider's last stage at the latest; a
+    # longer one is refused before any stage is read
+    def unread(self, j):
+        raise AssertionError(f"stage {j} was read")
+
+    for provider in (stages.VdcPointStages, stages.GridCloudStages):
+        monkeypatch.setattr(provider, "sorted_points", unread)
+    assert main(["cover", "--config", "bundled:cover_kgb_vdc.json"] + _set_args(overrides)) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import functools
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -859,6 +861,67 @@ def test_euclidean_sample_in_ball_keeps_the_first_accepted_draws(n):
     pts = sample_in_ball(np.zeros(n), r, k, np.random.default_rng(19), metric="euclidean")
     assert np.array_equal(pts, accepted)
 
+
+def _one_batch_sample_in_ball(r, k, n, rng):
+    """The Euclidean draw before it was blocked: each batch drawn at once."""
+    out, got = np.empty((k, n)), 0
+    rate = ball_volume(n, 1.0, "euclidean") / 2.0**n
+    while got < k:
+        cand = rng.uniform(-r, r, size=(int((k - got) / rate * 1.01) + 16, n))
+        keep = cand[measure._sum_squares(cand) <= r * r]
+        take = min(len(keep), k - got)
+        out[got : got + take] = keep[:take]
+        got += take
+    return out
+
+
+@pytest.mark.parametrize("n, k", [(1, 3000), (2, 3000), (3, 3000), (10, 40)])
+def test_euclidean_sample_in_ball_blocks_keep_the_one_batch_draw(monkeypatch, n, k):
+    # blocks of 1,000 coordinates split every batch; the points kept and the
+    # generator's next draw are those of drawing each batch at once
+    monkeypatch.setattr(measure, "_BALL_BLOCK", 1000)
+    rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+    pts = sample_in_ball(np.zeros(n), 0.3, k, rng, metric="euclidean")
+    assert np.array_equal(pts, _one_batch_sample_in_ball(0.3, k, n, ref))
+    assert rng.random() == ref.random()
+
+
+def test_euclidean_sample_in_ball_memory_is_bounded_in_r10():
+    # the ball holds 2.5e-3 of its box in R^10, so 5,000 samples draw a batch
+    # of 2 million candidate rows, 162 MB at once; drawn in blocks of
+    # _BALL_BLOCK coordinates the peak grows by a few tens of MB
+    script = f"""
+import resource, sys
+sys.path.insert(0, {str(Path(measure.__file__).parents[1])!r})
+import numpy as np
+from lspkit.measure import sample_in_ball
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+pts = sample_in_ball(np.zeros(10), 1.0, 5000, np.random.default_rng(5), metric="euclidean")
+assert pts.shape == (5000, 10) and np.all(np.sum(pts * pts, axis=1) <= 1.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 64 * 1024  # kB
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9])
+def test_window_draw_is_the_uniform_draw(monkeypatch, n):
+    # rng.random scaled in place gives rng.uniform(lo, hi)'s points and leaves
+    # the generator where rng.uniform leaves it
+    clouds = []
+
+    def counts(m, pts, deltas, metric):
+        clouds.extend(pts)
+        return np.ones((len(pts), len(deltas)), dtype=np.int64)
+
+    monkeypatch.setattr(measure, "_hit_counts", counts)
+    m = Polyline(np.random.default_rng(n).uniform(-1.0, 1.0, size=(3, n)))
+    scales = [0.4, 0.1, 0.02, 0.004]
+    rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+    measure._window_volumes(m, scales, 20_000, rng, "sup")
+    lo, hi = model_window(m, margin=1.5 * 0.4)
+    assert np.array_equal(clouds[0], ref.uniform(lo, hi, size=(20_000, n)))
+    assert rng.random() == ref.random()
 
 @pytest.mark.parametrize("r", [0.5, 1.0 / 3.0, 0.0109375, 123.456])
 def test_sup_sample_in_ball_is_the_uniform_stream(r):

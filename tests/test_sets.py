@@ -254,7 +254,7 @@ def test_sup_segment_min_matches_lp(n):
     cases.append((np.zeros(n), np.zeros(n)))  # on a zero-length segment: every kink is 0/0
     c = np.array([cd[0] for cd in cases])
     d = np.array([cd[1] for cd in cases])
-    got = _sup_segment_min(c, d)
+    got = _sup_segment_min(c.T, d.T)
     ref = [_chebyshev_exact(ci, di) for ci, di in cases]
     assert all(abs(Fraction(g) - r) <= bound for g, r, bound in zip(got, ref, _segment_rounding(c, d)))
     gs = np.array([_golden_section(ci, di) for ci, di in cases])
@@ -457,6 +457,143 @@ def test_norm_matches_kdtree(n):
         assert np.array_equal(_norm((pts - data[0]).reshape(100, 200, n), metric), want.reshape(100, 200))
         assert float(_norm(pts[7] - data[0], metric)) == want[7]
 
+
+# ---------------------------------------------------------------------------
+# column-wise kernels against the broadcast expressions they replace
+
+_NS = [1, 2, 3, 7, 8, 9, 16]
+_ROWS = [0, 1, 100_000]
+
+
+def _by_rows(fn, pts, block=2048):
+    """``fn`` on ``pts`` in blocks of rows, joined: the broadcast references
+    are row by row, and blocks keep their (rows, points, n) arrays small."""
+    return np.concatenate([fn(pts[lo : lo + block]) for lo in range(0, max(len(pts), 1), block)])
+
+
+def broadcast_distance(m, pts, metric, euclid=lambda x: _norm(x, "euclidean")):
+    """The broadcast expressions ``distance_to_set`` computed before it
+    worked by column, the Euclidean residuals of planes and polylines
+    measured by ``euclid`` (``np.linalg.norm`` there before)."""
+    if isinstance(m, PointSet):
+        return np.min(_norm(pts[:, None, :] - m.points[None, :, :], metric), axis=1)
+    if isinstance(m, (Circle, Sphere)):
+        return np.abs(_norm(pts - m.center, "euclidean") - m.radius)
+    if isinstance(m, AffinePlane):
+        if metric != "euclidean" and m.free_axes is not None:
+            return _norm(pts[:, ~m.free_axes] - m.base[~m.free_axes], "sup")
+        diff = pts - m.base
+        if metric == "euclidean":
+            return euclid(diff - (diff @ m.basis.T) @ m.basis)
+        dots = diff[:, :1] * m.sup_duals[:, 0]
+        for i in range(1, diff.shape[1]):
+            dots += diff[:, i, None] * m.sup_duals[:, i]
+        return np.abs(dots).max(axis=1)
+    a, b = m.vertices[:-1], m.vertices[1:]
+    seg = b - a
+    if metric == "euclidean":
+        ap = pts[:, None, :] - a[None, :, :]
+        denom = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
+        t = np.clip(np.sum(ap * seg[None, :, :], axis=2) / denom, 0.0, 1.0)
+        nearest = a[None, :, :] + t[:, :, None] * seg[None, :, :]
+        return np.min(euclid(pts[:, None, :] - nearest), axis=1)
+    if np.all(np.count_nonzero(seg, axis=1) <= 1):
+        out = np.maximum(np.minimum(a, b)[None] - pts[:, None, :], pts[:, None, :] - np.maximum(a, b)[None])
+        return np.min(_norm(np.maximum(out, 0.0), "sup"), axis=1)
+    c = pts[:, None, :] - a[None, :, :]
+    return np.min(_sup_segment_min(np.moveaxis(c, -1, 0), seg.T[:, None, :]), axis=1)
+
+
+def _kernel_models(n, rng):
+    """Point sets of 1, 3 and 64 points, a circle or a sphere, planes with
+    free axes and tilted ones, and axis-aligned and tilted polylines of 1
+    and 3 segments, in dimension n."""
+    models = {f"points{k}": PointSet(rng.uniform(-1.0, 1.0, size=(k, n))) for k in (1, 3, 64)}
+    if n == 2:
+        models["circle"] = Circle(np.array([0.3, -0.2]), 0.7)
+    if n == 3:
+        models["sphere"] = Sphere(np.array([0.3, -0.2, 0.1]), 0.7)
+    if n >= 2:
+        models["axis_plane"] = AffinePlane(rng.normal(size=n), np.eye(n)[[n - 1, 0]][: max(1, min(2, n - 1))])
+        models["tilted_plane"] = AffinePlane(rng.normal(size=n), np.linalg.qr(rng.normal(size=(n, 1)))[0].T)
+    steps = np.eye(n)[rng.integers(0, n, size=3)] * rng.uniform(-1.0, 1.0, size=(3, 1))
+    for k in (1, 3):
+        models[f"axis_polyline{k}"] = Polyline(np.cumsum(np.vstack([rng.normal(size=(1, n)), steps[:k]]), axis=0))
+        if n >= 2:
+            models[f"tilted_polyline{k}"] = Polyline(rng.normal(size=(k + 1, n)))
+    return models
+
+
+def _kernel_points(m, rows, rng):
+    """``rows`` query points about the model at several scales, the first
+    few on it: its points, vertices, base or a point of its circle."""
+    n = m.ambient_dim
+    pts = rng.uniform(-2.0, 2.0, size=(rows, n)) * 10.0 ** rng.integers(-3, 1, size=(rows, 1))
+    if isinstance(m, (Circle, Sphere)):
+        on = m.center + m.radius * np.eye(n)[:1]
+    elif isinstance(m, PointSet):
+        on = m.points
+    elif isinstance(m, Polyline):
+        on = m.vertices
+    else:
+        on = m.base[None]
+    on = on[: min(rows, 4)]
+    pts[: len(on)] = on
+    return pts
+
+
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+@pytest.mark.parametrize("n", _NS)
+def test_norm_from_an_origin_is_the_broadcast_norm(n, metric):
+    rng = np.random.default_rng(60 + n)
+    for rows in _ROWS:
+        pts = rng.uniform(-3.0, 3.0, size=(rows, n))
+        point = rng.uniform(-1.0, 1.0, size=n)
+        per_row = rng.uniform(-1.0, 1.0, size=(n, rows))  # held by coordinate
+        assert np.array_equal(_norm(pts, metric, point), _norm(pts - point, metric))
+        assert np.array_equal(_norm(pts, metric, per_row), _norm(pts - per_row.T, metric))
+        assert np.array_equal(_norm(pts, metric, list(per_row)), _norm(pts - per_row.T, metric))
+
+
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+@pytest.mark.parametrize("n", _NS)
+def test_distance_kernels_are_the_broadcast_expressions(n, metric):
+    # every column-wise kernel gives the bits of the broadcast expression it
+    # replaced; the Euclidean plane and polyline residuals go through _norm.
+    # From 7 coordinates on, 10,000 rows stand for 100,000, which would take
+    # seconds a model (a tilted sup polyline scores 2 + n**2 kinks a segment)
+    rng = np.random.default_rng(70 + n)
+    for name, m in _kernel_models(n, rng).items():
+        for rows in _ROWS if n <= 3 else [0, 1, 10_000]:
+            pts = _kernel_points(m, rows, rng)
+            got = distance_to_set(m, pts, metric=metric)
+            want = _by_rows(lambda p: broadcast_distance(m, p, metric), pts)
+            assert got.shape == (rows,)
+            assert np.array_equal(got, want), (name, rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_euclidean_plane_and_polyline_norms_are_linalg_norms_below_8(n):
+    # below 8 coordinates _norm sums the squares left to right, as
+    # np.linalg.norm does, so routing these residuals through it moved no bit
+    rng = np.random.default_rng(80 + n)
+    models = _kernel_models(n, rng)
+    for name in ("tilted_plane", "axis_plane", "tilted_polyline3", "axis_polyline3"):
+        pts = _kernel_points(models[name], 20_000, rng)
+        want = broadcast_distance(models[name], pts, "euclidean", euclid=lambda x: np.linalg.norm(x, axis=-1))
+        assert np.array_equal(distance_to_set(models[name], pts, metric="euclidean"), want), name
+
+
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_cut_hits_root_test_is_the_broadcast_norm(n, metric):
+    # a target of 1 or more tests the points against the first map's fixed point
+    maps = tuple(IFSMap(0.4, np.full(n, t)) for t in (0.0, 0.6))
+    ifs = IFS(maps)
+    z0, _ = attractor_bounds(ifs)
+    pts = np.random.default_rng(90 + n).uniform(-1.0, 1.0, size=(100_000, n))
+    for delta in (0.05, 0.5):
+        assert np.array_equal(sets.cut_hits(ifs, pts, delta, 1.0, metric), _norm(pts - z0, metric) < delta)
 
 def test_osc_cylinder_intersection_count_bounded():
     K = middle_third()
