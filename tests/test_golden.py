@@ -20,8 +20,10 @@ the exact bit: every float is stored as ``float.hex``.  They are
   at scales 0.4 down to 0.4 / 128;
 - a ``fit-lsp`` on the gasket, whose point clouds sit in balls about
   points of the attractor, and the bundled line fit on a Euclidean circle
-  (perfbench's pass-0 ``fit_lsp_circle``) and on a Euclidean unit sphere
-  in R^3, which no bundled config or benchmark job samples;
+  (perfbench's pass-0 ``fit_lsp_circle``), on a Euclidean unit sphere
+  in R^3, which no bundled config or benchmark job samples, on the
+  bundled line tilted to the direction (0.6, 0.8) in the Euclidean metric,
+  and on one point in the plane in each metric;
 - the exact 1-D interval path: Minkowski content of two-map Cantor sets
   (ratios 0.45 and 0.2, and the middle third with its first map reflected)
   at the bundled ``minkowski_cantor`` scales, a ``fit-lsp`` Cantor fit at
@@ -178,6 +180,11 @@ def variant_configs():
     out["fit_lsp_circle"] = ("fit-lsp", {**fit, "model": circle, "metric": "euclidean"})
     sphere = {"variant": "sphere", "center": [0.0, 0.0, 0.0], "radius": 1.0}
     out["fit_lsp_sphere"] = ("fit-lsp", {**fit, "model": sphere, "metric": "euclidean"})
+    tilted = {**fit["model"], "basis": [[0.6, 0.8]]}
+    out["fit_lsp_tilted_line_euclidean"] = ("fit-lsp", {**fit, "model": tilted, "metric": "euclidean"})
+    for metric in ("sup", "euclidean"):
+        point = {"variant": "points", "points": [[0.3, -0.2]]}
+        out[f"fit_lsp_point_2d_{metric}"] = ("fit-lsp", {**fit, "model": point, "metric": metric})
     cantor = bundled_config("minkowski_cantor.json")
     for r in (0.45, 0.2):
         maps = [{"ratio": r, "translation": [t]} for t in (0.0, 1.0 - r)]
