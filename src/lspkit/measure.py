@@ -4,15 +4,26 @@ scaling-exponent regression.
 Volumes are Lebesgue (a constant multiple of the n-dimensional Hausdorff
 measure; the constant cancels in every exponent fit).  Ball/box geometry
 follows the sup norm by default so sampling windows and ball volumes are
-exact.  In ambient dimension 1 with point sets or attractors an exact
-path replaces Monte Carlo, and every estimator reads its lengths from one
-function, ``neighborhood_length_1d``.  A point set's delta-neighborhood is
-merged once into disjoint intervals (``_merge_union``) and each window
-reads its length from them (``_union_length_in``).  An attractor's length
-comes from its gap structure, with no cylinder cut: the hull widened by
-delta, less each gap shrunk by delta (``_attractor_length_in``).  It needs
-first-level hulls that do not overlap; an attractor whose hulls overlap is
-refused with ``ArgumentError``.
+exact.  Both estimators ask ``exact_volumes`` first and sample only where
+it has no answer.  Its exact paths:
+
+- in ambient dimension 1, point sets and attractors, in windows and balls
+  alike, read ``neighborhood_length_1d``.  A point set's delta-neighborhood
+  is merged once into disjoint intervals (``_merge_union``) and each window
+  reads its length from them (``_union_length_in``).  An attractor's length
+  comes from its gap structure, with no cylinder cut: the hull widened by
+  delta, less each gap shrunk by delta (``_attractor_length_in``).  It needs
+  first-level hulls that do not overlap; an attractor whose hulls overlap is
+  refused with ``ArgumentError``;
+- in balls about the set (``fit_lsp``), closed forms that hold about every
+  center on the set, so no center is drawn (``_local_volumes``): one point
+  in either metric, an axis-aligned plane in the sup metric, and a plane,
+  a circle or a sphere in the Euclidean metric.
+
+Everything else is Monte Carlo: windows above dimension 1 (``boxdim`` and
+``minkowski``), and in balls tilted sup planes (a box cut by a slab),
+circles and spheres under the sup metric (a box cut by a shell), polylines,
+point sets of more than one point, and attractors in dimension 2 and up.
 
 Hit tests use the configured metric for every model, attractors included.
 An attractor's hits at every scale come from one walk of its cylinder tree
@@ -33,8 +44,11 @@ import numpy as np
 from .errors import ArgumentError, EstimationError
 from .sets import (
     IFS,
+    AffinePlane,
+    Circle,
     IFSAttractor,
     PointSet,
+    Sphere,
     SetModel,
     _sum_squares,
     attractor_bounds,
@@ -316,9 +330,144 @@ def neighborhood_length_1d(m: SetModel, delta, lo, hi):
     return out
 
 
-def _interval_model(m: SetModel):
-    """Whether the estimators measure m by the exact 1-D path."""
-    return m.ambient_dim == 1 and isinstance(m, (PointSet, IFSAttractor))
+# ---------------------------------------------------------------------------
+# closed-form local volumes
+
+
+def _regularized_beta(x, a, b):
+    """I_x(a, b), the regularized incomplete beta function, for 0 <= x <= 1.
+
+    The recurrence I_x(a, b) = I_x(a + 1, b) + x^a (1 - x)^b / (a B(a, b))
+    (DLMF 8.17.20), summed downward from a: each term is the one before
+    times x (a + b + j) / (a + 1 + j), all positive, so nothing cancels.
+    (Run upward from a = 1/2 or 1, as the half-integer arguments of a
+    plane's volume allow in finitely many steps, it subtracts terms of size
+    x^(1/2) to leave one of size x^a: a line in R^8 at delta = r / 128
+    would keep three digits.)  Past x = (a + 1) / (a + b + 2) it sums
+    1 - I_(1-x)(b, a) (DLMF 8.17.4), whose terms fall faster.
+    """
+    if x <= 0.0 or x >= 1.0:
+        return min(max(x, 0.0), 1.0)
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _regularized_beta(1.0 - x, b, a)
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    term = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta) / a
+    total, j = 0.0, 0
+    while total + term != total:
+        total += term
+        term *= x * (a + b + j) / (a + 1.0 + j)
+        j += 1
+    return total
+
+
+def _disc_segment(rho, b, c):
+    """Area of a disc of radius ``rho`` beyond a chord at signed distance
+    ``b`` from its center, of half-length ``c``.
+
+    A thin segment (angle theta = atan2(c, b) below 0.25) is c^2 (theta -
+    sin theta cos theta) / sin^2 theta, its numerator summed as the series
+    of (2 theta - sin 2 theta) / 2 over theta^2: no cancellation, and no
+    rho^2, which overflows for a circle of radius 1e300.
+    """
+    theta = math.atan2(c, b)
+    if theta >= 0.25:
+        return rho * rho * theta - b * c
+    if theta == 0.0:
+        return 0.0
+    term, total, k = 2.0 * theta / 3.0, 0.0, 1
+    while total + term != total:
+        total += term
+        term *= -4.0 * theta * theta / ((2 * k + 2) * (2 * k + 3))
+        k += 1
+    return c * c * total * (theta / math.sin(theta)) ** 2
+
+
+def _ball_cap(rho, h):
+    """Volume of the cap of height ``h`` (0 <= h <= 2 rho) that a plane cuts
+    from a ball of radius ``rho``."""
+    return math.pi * h * (h * (rho - h / 3.0))
+
+
+def _lens(n, big_r, r, e):
+    """Volume of B(O, big_r + e) & B(x, r) in R^n (n = 2 or 3), |x - O| = big_r.
+
+    With rho = big_r + e, the two spheres meet on the plane at distance
+    a = s - e from x toward O, where s = (r^2 - e^2) / (2 big_r) is the
+    height of the cap B(O, rho) keeps beyond it.  Every quantity is formed
+    from e, r and their ratios to big_r, so nothing squares big_r.
+    """
+    rho = big_r + e
+    if rho <= 0.0 or -e >= r:  # an empty ball, or one clear of B(x, r)
+        return 0.0
+    if e >= r:
+        return ball_volume(n, r, "euclidean")
+    if r - e >= 2.0 * big_r:
+        return ball_volume(n, rho, "euclidean")
+    s = (r - e) / (2.0 * big_r) * (r + e)
+    a = s - e
+    if n == 3:
+        return _ball_cap(r, r - a) + _ball_cap(rho, s)
+    c = math.sqrt(max((r - a) * (r + a), 0.0))
+    return _disc_segment(r, a, c) + _disc_segment(rho, big_r - a, c)
+
+
+def _local_volumes(m: SetModel, deltas, r, metric):
+    """vol(B(x, r) & N_delta(m)) at each delta for any x on m, in closed
+    form (Weyl, Amer. J. Math. 61, 1939), or None where m has none in
+    ``metric``.
+
+    - one point: vol B(delta);
+    - an axis-aligned l-plane in the sup metric: (2r)^l (2 delta)^(n-l);
+    - an l-plane in the Euclidean metric: V_n r^n I_(delta^2/r^2)((n - l)/2,
+      l/2 + 1), the law of the squared norm of a uniform point of the ball
+      projected off the plane;
+    - a Euclidean circle or sphere of radius R: the lens B(O, R + delta) &
+      B(x, r) less the lens B(O, max(R - delta, 0)) & B(x, r).
+    A delta of r or more reads as r.
+    """
+    n = m.ambient_dim
+    if isinstance(m, PointSet) and len(m.points) == 1:
+        return ball_volume(n, np.minimum(deltas, r), metric)
+    if isinstance(m, AffinePlane) and metric == "euclidean":
+        a, b = (n - m.plane_dim) / 2.0, m.plane_dim / 2.0 + 1.0
+        share = [_regularized_beta(min(d / r, 1.0) ** 2, a, b) for d in deltas]
+        return ball_volume(n, r, metric) * np.array(share)
+    if isinstance(m, AffinePlane) and m.free_axes is not None:
+        return (2.0 * r) ** m.plane_dim * (2.0 * np.minimum(deltas, r)) ** (n - m.plane_dim)
+    if isinstance(m, (Circle, Sphere)) and metric == "euclidean":
+        big_r = float(m.radius)
+        return np.array([_lens(n, big_r, r, d) - _lens(n, big_r, r, -d) for d in deltas])
+    return None
+
+
+def exact_volumes(m: SetModel, deltas, region, metric="sup"):
+    """Exact volumes of the delta-neighborhood of m inside ``region``, one
+    per delta of the 1-D array ``deltas``, or None where m has no exact path
+    in ``metric`` and the estimators sample.
+
+    ``region`` is a window ``(lo, hi)`` or balls ``(centers, r)`` of radius
+    r about centers on m; ``centers`` may be None before any are drawn.
+    The answer is ``(vols, centered)``: ``centered`` says whether it depends
+    on the center.  A window gives vols[j]; centered balls give vols[j, i],
+    about center i, and are None while ``centers`` is None; other balls give
+    vols[j], the same about every center on m.
+
+    In dimension 1 a point set or attractor reads ``neighborhood_length_1d``
+    in every region.  Balls about a point, a plane, a circle or a sphere
+    read ``_local_volumes`` where it has a closed form.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    first, second = region
+    balls = np.ndim(second) == 0
+    if m.ambient_dim == 1 and isinstance(m, (PointSet, IFSAttractor)):
+        if not balls:
+            return neighborhood_length_1d(m, deltas, first[0], second[0]), False
+        if first is None:
+            return None
+        c0 = np.asarray(first)[:, 0]
+        return neighborhood_length_1d(m, deltas[:, None], c0 - second, c0 + second), True
+    vols = _local_volumes(m, deltas, float(second), metric) if balls else None
+    return None if vols is None else (vols, False)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +615,9 @@ def _window_volumes(m, scales, samples_per_scale, rng, metric):
     if len(scales) < 4 or scales.max() / scales.min() < 100:
         raise ArgumentError("need >= 4 scales spanning >= 2 decades")
     lo, hi = model_window(m, margin=float(scales.max()) * 1.5)
-    if _interval_model(m):
-        vols = neighborhood_length_1d(m, scales, lo[0], hi[0])
+    exact = exact_volumes(m, scales, (lo, hi), metric)
+    if exact is not None:
+        vols = exact[0]
     else:
         n = m.ambient_dim
         pts = rng.random((samples_per_scale, n))
@@ -599,40 +749,54 @@ def fit_lsp(
 ):
     """Fit the local scaling exponent kappa from neighborhood measures.
 
-    For each r, centers are drawn on the model and one Monte Carlo cloud per
-    center; that one draw (and one distance pass per cloud) serves every
-    delta = ratio * r, and each (r, delta) cell averages the measures over
-    the centers.  The model log H = (1-kappa)*n log delta + kappa*n log r +
-    const is fitted by least squares and kappa read off the r coefficient.
-    In ambient dimension 1, point sets and attractors read exact lengths
-    instead of clouds (``neighborhood_length_1d``), every cell of an r in
-    one call.  Envelope constants are reported relative to the fitted
+    Each (r, delta = ratio * r) cell averages vol(B(x, r) & N_delta(m)) over
+    centers x on the model.  The model log H = (1-kappa)*n log delta +
+    kappa*n log r + const is fitted by least squares and kappa read off the
+    r coefficient.  Envelope constants are reported relative to the fitted
     exponents.
 
-    Cells that share an r share their draws, so their errors are
-    correlated and ``kappa_stderr`` (the ordinary least-squares standard
-    error) understates the seed-to-seed spread of ``kappa_hat``.
+    The volumes come from ``exact_volumes`` where it has them, every cell
+    of an r in one call:
+    - one point, an axis-aligned sup-metric plane, and a Euclidean plane,
+      circle or sphere have a closed form that holds about every center:
+      no center and no cloud is drawn, ``samples`` and
+      ``centers_per_cell`` go unread, and the fit is deterministic;
+    - in ambient dimension 1, point sets and attractors read exact lengths
+      about ``centers_per_cell`` drawn centers (``neighborhood_length_1d``).
+    Every other model (tilted sup planes, sup-metric circles and spheres,
+    polylines, sets of several points, attractors in dimension 2 and up)
+    draws centers and one Monte Carlo cloud of ``samples`` points per
+    center; that one draw (and one distance pass per cloud) serves every
+    delta of an r.
+
+    ``kappa_stderr`` is the ordinary least-squares standard error.  Where
+    cells are sampled, cells that share an r share their draws, so their
+    errors are correlated and it understates the seed-to-seed spread of
+    ``kappa_hat``.  Where every volume is exact, it measures only how far
+    the volumes are from a power law in delta and r.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     delta_ratios = np.asarray(delta_ratios, dtype=float)
     if np.any(delta_ratios >= 1.0):
         raise ArgumentError("every delta must stay below its paired r")
     n = m.ambient_dim
-    exact = _interval_model(m)
-    if not exact:
-        # every r refills the same clouds, so their pages are touched once
-        clouds = np.empty((centers_per_cell, samples, n))
+    clouds = None
     rows = []
     for r in r_grid:
         # one draw per r serves every delta = ratio * r: vals[j, i] is the
         # measure at delta j around center i
         deltas = delta_ratios * r
-        centers = sample_on_set(m, centers_per_cell, rng)
-        if exact:
-            c0 = centers[:, 0]
-            vals = neighborhood_length_1d(m, deltas[:, None], c0 - r, c0 + r)
+        exact = exact_volumes(m, deltas, (None, r), metric)
+        if exact is None:
+            centers = sample_on_set(m, centers_per_cell, rng)
+            exact = exact_volumes(m, deltas, (centers, r), metric)
+        if exact is not None:
+            vals, centered = exact
+            vals = vals if centered else vals[:, None]
             errs = np.zeros_like(vals)
         else:
+            if clouds is None:  # every r refills the same clouds, so their pages are touched once
+                clouds = np.empty((centers_per_cell, samples, n))
             for c, cloud in zip(centers, clouds):
                 sample_in_ball(c, r, samples, rng, metric=metric, out=cloud)
             counts = _hit_counts(m, clouds, deltas, metric=metric)

@@ -191,18 +191,27 @@ class AffinePlane:
         return v / np.abs(v).sum(axis=1, keepdims=True)
 
 
+def _round_parts(m, name, dim):
+    """Store the ``center`` of the frozen circle or sphere ``m`` as a float
+    vector of length ``dim``; a non-finite center or radius, or a radius of
+    0 or less, is refused by name."""
+    c = np.asarray(m.center, dtype=float)
+    if c.shape != (dim,):
+        raise ArgumentError(f"{name} lives in dimension {dim}")
+    if not np.all(np.isfinite(c)):
+        raise ArgumentError(f"{name} center {c.tolist()} must be finite")
+    if not (math.isfinite(m.radius) and m.radius > 0):
+        raise ArgumentError(f"{name} radius {m.radius!r} must be finite and above 0")
+    object.__setattr__(m, "center", c)
+
+
 @dataclass(frozen=True)
 class Circle:
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if c.shape != (2,):
-            raise ArgumentError("circle lives in dimension 2")
-        if self.radius <= 0:
-            raise ArgumentError("radius must be positive")
-        object.__setattr__(self, "center", c)
+        _round_parts(self, "circle", 2)
 
     @property
     def ambient_dim(self):
@@ -215,12 +224,7 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if c.shape != (3,):
-            raise ArgumentError("sphere lives in dimension 3")
-        if self.radius <= 0:
-            raise ArgumentError("radius must be positive")
-        object.__setattr__(self, "center", c)
+        _round_parts(self, "sphere", 3)
 
     @property
     def ambient_dim(self):

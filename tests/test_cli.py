@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -944,3 +945,20 @@ def test_mutated_bundled_configs_exit_0_2_or_3(tmp_path_factory, data):
     config.write_text(json.dumps(cfg))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main([command, "--config", str(config)]) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("radius, kappa", [(1e300, 0.501257584), (1e-300, 0.0)])
+def test_circle_fit_at_extreme_radii_exits_cleanly(tmp_path, capsys, radius, kappa):
+    # the closed form squares no radius: a huge circle is measured as its
+    # tangent line and a tiny one as its center, with no numpy warning
+    cfg = {**bundled_config("fit_lsp_line.json"), "metric": "euclidean",
+           "model": {"variant": "circle", "center": [0.0, 0.0], "radius": radius}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fit-lsp", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err == ""
+    fit = json.loads((tmp_path / "report.json").read_text())["results"]["fit"]
+    assert fit["kappa_hat"] == pytest.approx(kappa, abs=1e-9)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from lspkit import measure
@@ -16,6 +17,7 @@ from lspkit.cli import bundled_config
 from lspkit.measure import (
     ball_volume,
     box_dimensions,
+    exact_volumes,
     fit_lsp,
     minkowski_content,
     neighborhood_length_1d,
@@ -36,6 +38,7 @@ from lspkit.sets import (
     Isometry,
     PointSet,
     Polyline,
+    Sphere,
     attractor_bounds,
     cut_hits,
     cylinder_cut,
@@ -823,7 +826,7 @@ def _proxy_length(model, delta, lo, hi):
 
 
 def test_exact_length_lies_below_the_cut_proxy():
-    # the proxy's balls (radius <= 0.01 delta) are centred on K, so it lies
+    # the proxy's balls (radius <= 0.01 delta) are centered on K, so it lies
     # between the exact lengths at delta and at 1.02 delta
     cells = []
     mink = bundled_config("minkowski_cantor.json")
@@ -941,3 +944,172 @@ def test_sample_in_ball_fills_out(metric):
     got = sample_in_ball(center, 0.3, 2000, np.random.default_rng(8), metric=metric, out=out)
     assert got is out
     assert np.array_equal(out, fresh)
+
+
+# ---------------------------------------------------------------------------
+# closed-form local volumes (``exact_volumes``)
+
+
+def _unit_ball(k):
+    return math.pi ** (k / 2) / math.gamma(k / 2 + 1)
+
+
+_XY = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+# model, metric, a center on the model, r, delta and the seed of its Monte Carlo check
+_LOCAL = {
+    "point-sup": (PointSet(np.array([[0.3, -0.2]])), "sup", [0.3, -0.2], 0.5, 0.125, 101),
+    "point-euclidean-3d": (PointSet(np.array([[0.1, 0.2, 0.3]])), "euclidean", [0.1, 0.2, 0.3], 0.4, 0.2, 102),
+    "plane-sup-3d": (AffinePlane(np.zeros(3), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])), "sup", [0.2, 0.0, -0.1], 0.5, 0.05, 103),
+    "line-euclidean-2d": (AffinePlane(np.array([0.5, 0.5]), np.array([[0.6, 0.8]])), "euclidean", [0.5, 0.5], 0.5, 0.125, 104),
+    "line-euclidean-3d": (AffinePlane(np.zeros(3), np.array([[0.48, 0.6, 0.64]])), "euclidean", [0.0, 0.0, 0.0], 0.5, 0.125, 105),
+    "plane-euclidean-3d": (AffinePlane(np.zeros(3), _XY), "euclidean", [0.3, -0.1, 0.0], 0.5, 0.0625, 106),
+    "line-euclidean-4d": (AffinePlane(np.zeros(4), np.array([[0.5, 0.5, 0.5, 0.5]])), "euclidean", [0.0] * 4, 0.5, 0.25, 107),
+    "circle": (Circle(np.zeros(2), 1.0), "euclidean", [1.0, 0.0], 0.5, 0.125, 108),
+    "circle-inside-ball": (Circle(np.array([0.1, 0.2]), 0.3), "euclidean", [0.4, 0.2], 0.5, 0.125, 109),
+    "circle-below-delta": (Circle(np.zeros(2), 0.1), "euclidean", [0.0, 0.1], 0.5, 0.125, 110),
+    "sphere": (Sphere(np.zeros(3), 1.0), "euclidean", [0.0, 0.0, 1.0], 0.5, 0.125, 111),
+    "sphere-inside-ball": (Sphere(np.array([0.1, 0.0, 0.0]), 0.3), "euclidean", [0.1, 0.3, 0.0], 0.5, 0.125, 112),
+}
+
+
+def _local_exact(m, metric, r, delta):
+    vols, centered = exact_volumes(m, [delta], (None, r), metric)
+    assert not centered and vols.shape == (1,)
+    return float(vols[0])
+
+
+def _local_quadrature(m, metric, r, delta):
+    """vol(B(x, r) & N_delta(m)), x on m, as one 1-D integral: over the
+    offset from a point or a plane, or over the radius about a circle's or
+    a sphere's center, of the slice's measure."""
+    n = m.ambient_dim
+    opts = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
+    if isinstance(m, PointSet) and metric == "sup":
+        return quad(lambda t: (2 * delta) ** (n - 1), -delta, delta, **opts)[0]
+    if isinstance(m, PointSet):
+        return quad(lambda t: _unit_ball(n - 1) * (delta * delta - t * t) ** ((n - 1) / 2), -delta, delta, **opts)[0]
+    if isinstance(m, AffinePlane) and metric == "sup":
+        l = m.plane_dim
+        return quad(lambda t: (2 * r) ** l * (2 * delta) ** (n - l - 1), -delta, delta, **opts)[0]
+    if isinstance(m, AffinePlane):
+        # shells of radius s about the plane, each a (k-1)-sphere times an l-ball
+        l = m.plane_dim
+        k = n - l
+        return quad(lambda s: k * _unit_ball(k) * s ** (k - 1) * _unit_ball(l) * (r * r - s * s) ** (l / 2), 0.0, delta, **opts)[0]
+    big_r = m.radius
+
+    def slice_measure(rho):  # of the sphere of radius rho about the center inside B(x, r)
+        cos = min(max((rho * rho + big_r * big_r - r * r) / (2 * rho * big_r), -1.0), 1.0)
+        if n == 2:
+            return 2 * rho * math.acos(cos)
+        return 2 * math.pi * rho * rho * (1 - cos)
+
+    lo, hi = max(big_r - delta, 0.0), big_r + delta
+    kinks = [x for x in (abs(big_r - r), big_r + r) if lo < x < hi]
+    return quad(slice_measure, lo, hi, points=kinks or None, **opts)[0]
+
+
+@pytest.mark.parametrize("name", _LOCAL)
+def test_local_volumes_match_a_quadrature(name):
+    m, metric, _, r, delta, _ = _LOCAL[name]
+    assert _local_exact(m, metric, r, delta) == pytest.approx(_local_quadrature(m, metric, r, delta), rel=1e-9)
+
+
+@pytest.mark.parametrize("name", _LOCAL)
+def test_local_volumes_match_monte_carlo(name):
+    # 10**6 points of the ball about a center on the model, counted by the
+    # estimators' kernels; 5 binomial standard errors
+    m, metric, center, r, delta, seed = _LOCAL[name]
+    samples = 1_000_000
+    pts = sample_in_ball(np.asarray(center, dtype=float), r, samples, np.random.default_rng(seed), metric=metric)
+    hits = _hit_counts(m, [pts], [delta], metric=metric)[0, 0]
+    value, err = _mc_volume(ball_volume(m.ambient_dim, r, metric), hits, samples)
+    assert abs(value - _local_exact(m, metric, r, delta)) <= 5 * err
+
+
+@pytest.mark.parametrize("n, l", [(8, 1), (6, 3), (9, 7)])
+def test_plane_volumes_keep_their_digits_at_high_codimension(n, l):
+    # the share of the ball is about (delta / r)**(n - l): summed downward,
+    # the series cancels nothing however small it gets
+    plane = AffinePlane(np.zeros(n), np.eye(n)[:l])
+    for delta in (0.5 / 128, 0.25, 0.49):
+        got = _local_exact(plane, "euclidean", 0.5, delta)
+        assert got == pytest.approx(_local_quadrature(plane, "euclidean", 0.5, delta), rel=1e-9)
+
+
+@pytest.mark.parametrize("r, delta", [(0.5, 0.125), (0.3, 0.01), (1.0, 0.99), (2.0, 0.015625)])
+def test_euclidean_line_in_r3_is_the_ball_less_two_caps(r, delta):
+    line = AffinePlane(np.zeros(3), np.array([[0.0, 0.6, 0.8]]))
+    want = 4 * math.pi / 3 * (r**3 - (r * r - delta * delta) ** 1.5)
+    assert _local_exact(line, "euclidean", r, delta) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("x, a, b", [(0.3, 0.5, 0.5), (0.7, 1.0, 1.5), (1e-4, 3.5, 1.5), (0.9, 0.5, 6.0), (0.0, 1.0, 1.0)])
+def test_regularized_beta_matches_a_quadrature(x, a, b):
+    density = lambda t: t ** (a - 1) * (1 - t) ** (b - 1)
+    opts = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
+    want = quad(density, 0.0, x, **opts)[0] / quad(density, 0.0, 1.0, **opts)[0] if x else 0.0
+    assert measure._regularized_beta(x, a, b) == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "model, metric, kappa",
+    [
+        (AffinePlane(np.zeros(2), np.array([[1.0, 0.0]]), extent=2.0), "sup", 0.5),
+        (AffinePlane(np.zeros(3), _XY), "sup", 2 / 3),
+        (PointSet(np.array([[0.3, -0.2]])), "sup", 0.0),
+        (PointSet(np.array([[0.3, -0.2]])), "euclidean", 0.0),
+        (AffinePlane(np.zeros(2), np.array([[0.6, 0.8]])), "euclidean", None),
+        (Circle(np.zeros(2), 1.0), "euclidean", None),
+        (Sphere(np.zeros(3), 1.0), "euclidean", None),
+    ],
+    ids=["line-sup", "plane-sup", "point-sup", "point-euclidean", "line-euclidean", "circle", "sphere"],
+)
+def test_exact_fit_draws_nothing(monkeypatch, model, metric, kappa):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact fit drew a sample")
+
+    monkeypatch.setattr(measure, "sample_in_ball", refuse)
+    monkeypatch.setattr(measure, "sample_on_set", refuse)
+    rng = np.random.default_rng(23)
+    state = rng.bit_generator.state
+    fit = fit_lsp(model, [0.5 * 2.0**-k for k in range(6)], [2.0**-k for k in range(2, 8)], rng=rng, metric=metric)
+    assert rng.bit_generator.state == state
+    assert all(p[3] == 0.0 for p in fit.points)  # no cell carries a sampling error
+    if kappa is not None:
+        assert fit.kappa_hat == pytest.approx(kappa, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model, metric",
+    [
+        (AffinePlane(np.zeros(2), np.array([[0.6, 0.8]])), "sup"),
+        (Circle(np.zeros(2), 1.0), "sup"),
+        (Sphere(np.zeros(3), 1.0), "sup"),
+        (Polyline(np.array([[0.0, 0.0], [1.0, 0.0]])), "euclidean"),
+        (PointSet(np.array([[0.0, 0.0], [0.5, 0.5]])), "euclidean"),
+        (sierpinski(), "sup"),
+    ],
+    ids=["tilted-sup-line", "sup-circle", "sup-sphere", "polyline", "two-points", "gasket"],
+)
+def test_models_without_a_closed_form_sample(model, metric):
+    centers = np.zeros((2, model.ambient_dim))
+    assert exact_volumes(model, [0.01], (centers, 0.1), metric) is None
+    assert exact_volumes(model, [0.01], (None, 0.1), metric) is None
+
+
+def test_windows_sample_above_dimension_one():
+    # only the 1-D path answers a window: a point's box in R^2 is sampled
+    lo, hi = np.full(2, -1.0), np.full(2, 1.0)
+    assert exact_volumes(PointSet(np.zeros((1, 2))), [0.1], (lo, hi)) is None
+    vols, centered = exact_volumes(PointSet(np.zeros((1, 1))), [0.1, 0.2], (lo[:1], hi[:1]))
+    assert not centered and vols.tolist() == [0.2, 0.4]
+
+
+def test_one_dimensional_balls_need_their_centers():
+    cantor = middle_third()
+    assert exact_volumes(cantor, [0.01], (None, 0.1)) is None
+    centers = np.array([[0.0], [1.0]])
+    vols, centered = exact_volumes(cantor, [0.01, 0.001], (centers, 0.1))
+    assert centered and vols.shape == (2, 2)
+    assert vols[0, 0] == neighborhood_length_1d(cantor, 0.01, -0.1, 0.1)

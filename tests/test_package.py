@@ -97,3 +97,19 @@ def test_cantor_reads_its_stage_provider_through_named_members():
         elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift):
             found.append(f"<<:{node.lineno}")
     assert found == []
+
+
+def test_every_measure_name_the_tracer_reads_resolves():
+    # perfbench/tracer.py wraps and patches names it reads on
+    # ``lspkit.measure``; a refactor that drops one of them must fail here,
+    # not only in a traced benchmark run
+    import lspkit.measure
+
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    names = {
+        node.attr
+        for node in ast.walk(ast.parse(tracer.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "measure"
+    }
+    assert {"cylinder_cut", "distance_to_set", "sample_on_set", "cKDTree"} <= names
+    assert sorted(name for name in names if not hasattr(lspkit.measure, name)) == []

@@ -699,3 +699,20 @@ def test_model_json_roundtrip():
         assert set_distance(back, x, metric="euclidean") == pytest.approx(
             set_distance(m, x, metric="euclidean"), rel=1e-9, abs=1e-9
         )
+
+
+@pytest.mark.parametrize("variant, dim", [("circle", 2), ("sphere", 3)])
+@pytest.mark.parametrize(
+    "field, center, radius",
+    [
+        ("center", [math.nan, 0.0, 0.0], 1.0),
+        ("center", [math.inf, 0.0, 0.0], 1.0),
+        ("radius", [0.0, 0.0, 0.0], math.inf),
+        ("radius", [0.0, 0.0, 0.0], math.nan),
+        ("radius", [0.0, 0.0, 0.0], 0.0),
+    ],
+)
+def test_round_models_refuse_what_their_volumes_cannot_take(variant, dim, field, center, radius):
+    obj = {"variant": variant, "center": center[:dim], "radius": radius}
+    with pytest.raises(ArgumentError, match=f"^{variant} {field} "):
+        model_from_json(obj)
