@@ -18,12 +18,19 @@ it has no answer.  Its exact paths:
 - in balls about the set (``fit_lsp``), closed forms that hold about every
   center on the set, so no center is drawn (``_local_volumes``): one point
   in either metric, an axis-aligned plane in the sup metric, and a plane,
-  a circle or a sphere in the Euclidean metric.
+  a circle or a sphere in the Euclidean metric;
+- in windows about a planar attractor with no rotating map whose images
+  tile the hull of its fixed points with triangular gaps (``boxdim`` and
+  ``minkowski`` on the r = 0.5 gasket), a finite sum: the hull's Steiner
+  area less every gap image eroded by delta (``_tiling_volumes``), the
+  class recognised in exact rational arithmetic (``_triangle_tiling``).
 
-Everything else is Monte Carlo: windows above dimension 1 (``boxdim`` and
-``minkowski``), and in balls tilted sup planes (a box cut by a slab),
-circles and spheres under the sup metric (a box cut by a shell), polylines,
-point sets of more than one point, and attractors in dimension 2 and up.
+Everything else is Monte Carlo: the other windows above dimension 1 (the
+r < 0.5 gaskets, rotating maps, attractors in dimension 3 and up, images
+that overlap, and every model but an attractor), and in balls tilted sup
+planes (a box cut by a slab), circles and spheres under the sup metric (a
+box cut by a shell), polylines, point sets of more than one point, and
+attractors in dimension 2 and up.
 
 Hit tests use the configured metric for every model, attractors included.
 An attractor's hits at every scale come from one walk of its cylinder tree
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -441,33 +449,244 @@ def _local_volumes(m: SetModel, deltas, r, metric):
 
 
 def exact_volumes(m: SetModel, deltas, region, metric="sup"):
-    """Exact volumes of the delta-neighborhood of m inside ``region``, one
-    per delta of the 1-D array ``deltas``, or None where m has no exact path
-    in ``metric`` and the estimators sample.
+    """Exact volumes of the delta-neighborhood of m inside ``region``, or
+    None where m has no exact path in ``metric`` and the estimators sample.
 
-    ``region`` is a window ``(lo, hi)`` or balls ``(centers, r)`` of radius
-    r about centers on m; ``centers`` may be None before any are drawn.
-    The answer is ``(vols, centered)``: ``centered`` says whether it depends
-    on the center.  A window gives vols[j]; centered balls give vols[j, i],
-    about center i, and are None while ``centers`` is None; other balls give
-    vols[j], the same about every center on m.
+    ``region`` is a window ``(lo, hi)``, or balls ``(centers, r)`` of radius
+    r about centers on m.  The answer is ``(vols, centered)``: ``centered``
+    says whether it depends on the center.  A window gives vols[j], one per
+    delta of the 1-D array ``deltas``.  Balls that do not depend on the
+    center give vols[j], the same about every center on m.  Centered balls
+    give vols[..., j, i], about center i: ``centers`` holds k centers, or a
+    stack of them, one per radius of ``r`` and one per row of ``deltas``;
+    while ``centers`` is None the answer is ``(None, True)``.
 
     In dimension 1 a point set or attractor reads ``neighborhood_length_1d``
     in every region.  Balls about a point, a plane, a circle or a sphere
-    read ``_local_volumes`` where it has a closed form.
+    read ``_local_volumes`` where it has a closed form, and windows about a
+    planar triangle tiling read ``_tiling_volumes``.
     """
     deltas = np.asarray(deltas, dtype=float)
     first, second = region
-    balls = np.ndim(second) == 0
+    balls = first is None or np.ndim(first) > 1
     if m.ambient_dim == 1 and isinstance(m, (PointSet, IFSAttractor)):
         if not balls:
             return neighborhood_length_1d(m, deltas, first[0], second[0]), False
         if first is None:
-            return None
-        c0 = np.asarray(first)[:, 0]
-        return neighborhood_length_1d(m, deltas[:, None], c0 - second, c0 + second), True
-    vols = _local_volumes(m, deltas, float(second), metric) if balls else None
+            return None, True
+        c0 = np.asarray(first)[..., 0]
+        r = np.asarray(second, dtype=float)[..., None]
+        return neighborhood_length_1d(m, deltas[..., None], (c0 - r)[..., None, :], (c0 + r)[..., None, :]), True
+    if balls:
+        vols = _local_volumes(m, deltas, float(second), metric)
+    else:
+        vols = _tiling_volumes(m.ifs, deltas, first, second, metric) if isinstance(m, IFSAttractor) else None
     return None if vols is None else (vols, False)
+
+
+# ---------------------------------------------------------------------------
+# exact window volumes of self-similar triangle tilings
+
+_TILING_MAPS = 64  # most maps whose first-level gaps are worked out in exact arithmetic
+_TILING_SCALES = 2**16  # most distinct word scales a tiling sum reads
+
+
+def _cross(o, a, b):
+    """(a - o) x (b - o): positive when b lies left of the line from o to a."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _edges(poly):
+    return zip(poly, poly[1:] + poly[:1])
+
+
+def _area(poly):
+    return sum(a[0] * b[1] - a[1] * b[0] for a, b in _edges(poly)) / 2
+
+
+def _lower_chain(points):
+    """The lower convex-hull chain of ``points``, sorted by x and then y,
+    with no three collinear (Andrew's monotone chain, Inf. Process. Lett. 9,
+    1979); reversed points give the upper chain."""
+    chain = []
+    for p in points:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()  # the last vertex does not lie below the chord to p
+        chain.append(p)
+    return chain
+
+
+def _convex_hull(points):
+    """Vertices of the convex hull of exact points, counterclockwise, no
+    three collinear."""
+    pts = sorted(set(points))
+    return _lower_chain(pts)[:-1] + _lower_chain(pts[::-1])[:-1]
+
+
+def _split(poly, p, q):
+    """The parts of the convex polygon ``poly`` on or left of, and on or
+    right of, the line from p to q, and whether each has positive area
+    (``poly`` has)."""
+    side = [_cross(p, q, v) for v in poly]
+    left, right = [], []
+    for k, (a, sa) in enumerate(zip(poly, side)):
+        if sa >= 0:
+            left.append(a)
+        if sa <= 0:
+            right.append(a)
+        b, sb = poly[(k + 1) % len(poly)], side[(k + 1) % len(poly)]
+        if sa * sb < 0:
+            t = sa / (sa - sb)
+            cut = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+            left.append(cut)
+            right.append(cut)
+    return (left, max(side) > 0), (right, min(side) < 0)
+
+
+def _minus(piece, image):
+    """Convex pieces with disjoint interiors whose union is the closure of
+    ``piece`` less the convex ``image``: the part outside each edge of the
+    image and inside the edges before it."""
+    pieces = []
+    for p, q in _edges(image):
+        (piece, inside), (out, outside) = _split(piece, p, q)
+        if outside:
+            pieces.append(out)
+        if not inside:
+            break
+    return pieces
+
+
+def _share_an_edge(a, b):
+    """Whether convex polygons a and b share a boundary segment of positive length."""
+    for p, q in _edges(a):
+        d = (q[0] - p[0], q[1] - p[1])
+        for e in _edges(b):
+            if _cross(p, q, e[0]) == 0 and _cross(p, q, e[1]) == 0:
+                # both on the line: overlap their spans along it, p at 0 and q at d . d
+                t = sorted((v[0] - p[0]) * d[0] + (v[1] - p[1]) * d[1] for v in e)
+                if min(d[0] * d[0] + d[1] * d[1], t[1]) > max(0, t[0]):
+                    return True
+    return False
+
+
+def _triangle_tiling(ifs: IFS):
+    """The hull C and first-level gaps of a planar IFS whose images tile C
+    with triangular gaps, as exact counterclockwise vertex lists, or None.
+
+    With no rotating map, C = conv K is the hull of the maps' fixed points
+    and every image f_i(C) = r_i C + t_i lies in C.  The set is in the class
+    when every edge of C is covered by the images' edges (then dC, every
+    image's boundary and so every gap's boundary lie in K), the images'
+    interiors are disjoint (their areas add up to that of their union), and
+    each component of C less the images is a triangle.  Every test is made
+    in exact rational arithmetic on the float inputs.
+    """
+    from fractions import Fraction  # here, so that importing lspkit.measure alone does not load it
+
+    if ifs.ambient_dim != 2 or len(ifs.maps) > _TILING_MAPS or any(m.rotation is not None for m in ifs.maps):
+        return None
+    maps = [(Fraction(m.ratio), tuple(map(Fraction, m.translation))) for m in ifs.maps]
+    hull = _convex_hull([(t[0] / (1 - r), t[1] / (1 - r)) for r, t in maps])
+    if len(hull) < 3:
+        return None
+    images = [[(r * v[0] + t[0], r * v[1] + t[1]) for v in hull] for r, t in maps]
+    for k, (a, b) in enumerate(_edges(hull)):
+        d = (b[0] - a[0], b[1] - a[1])
+        cover = sorted(
+            ((img[k][0] - a[0]) * d[0] + (img[k][1] - a[1]) * d[1], r)
+            for (r, _), img in zip(maps, images)
+            if _cross(a, b, img[k]) == 0 and _cross(a, b, img[(k + 1) % len(hull)]) == 0
+        )
+        reach, length = 0, d[0] * d[0] + d[1] * d[1]
+        for start, r in cover:
+            if start > reach:
+                return None
+            reach = max(reach, start + r * length)
+        if reach < length:
+            return None
+    pieces = [hull]
+    for image in images:
+        pieces = [part for piece in pieces for part in _minus(piece, image)]
+    if sum(map(_area, pieces)) != _area(hull) * (1 - sum(r * r for r, _ in maps)):
+        return None  # the images overlap
+    # pieces that share an edge belong to one gap (union-find)
+    root = list(range(len(pieces)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, j in combinations(range(len(pieces)), 2):
+        if _share_an_edge(pieces[i], pieces[j]):
+            root[find(j)] = find(i)
+    gaps = []
+    for g in {find(i) for i in range(len(pieces))}:
+        parts = [p for i, p in enumerate(pieces) if find(i) == g]
+        tri = _convex_hull([v for p in parts for v in p])
+        if len(tri) != 3 or _area(tri) != sum(map(_area, parts)):
+            return None
+        gaps.append(tri)
+    return hull, gaps
+
+
+def _edge_width(poly, metric):
+    """Sum of |e| h_Q(n) over the edges e of ``poly``, Q the metric's unit
+    ball and n the edge's unit normal: sum(|e_x| + |e_y|) in the sup metric,
+    the perimeter in the Euclidean one."""
+    sides = [(b[0] - a[0], b[1] - a[1]) for a, b in _edges(poly)]
+    if metric == "sup":
+        return sum(abs(x) + abs(y) for x, y in sides)
+    return math.fsum(math.hypot(x, y) for x, y in sides)
+
+
+def _tiling_volumes(ifs: IFS, deltas, lo, hi, metric):
+    """vol N_delta(K) at each delta for an attractor in ``_triangle_tiling``'s
+    class whose window [lo, hi] holds C + delta Q, or None.
+
+    K is C less every gap image f_w(G), and the boundaries of C and of each
+    gap lie in K, so (Lapidus & Pearse, Acta Appl. Math. 112, 2010)
+
+        vol N_delta(K) = vol(C + delta Q) - sum over w and G of vol(f_w(G) - delta Q).
+
+    The first term is Steiner's area, A + delta W + vol(Q) delta^2, with W
+    ``_edge_width``.  A triangle eroded by delta Q is homothetic to it, by
+    (1 - delta / rho)_+ with rho = 2 area / W.  Words of one float ratio
+    product s are grouped, as ``sets.cut_size`` groups them, carrying the
+    sum of s_w^2 over the group; a group with s rho <= delta for every delta
+    erodes its gaps and its descendants' to nothing, so the sum is finite.
+    """
+    if not deltas.min() > 0:
+        return None
+    tiling = _triangle_tiling(ifs)
+    if tiling is None:
+        return None
+    hull, gaps = tiling
+    corners = np.array(hull, dtype=float)
+    dmax = deltas.max()
+    if np.any(corners.min(axis=0) - dmax < lo) or np.any(corners.max(axis=0) + dmax > hi):
+        return None
+    ball = 4.0 if metric == "sup" else math.pi
+    vols = float(_area(hull)) + float(_edge_width(hull, metric)) * deltas + ball * deltas * deltas
+    areas = [float(_area(g)) for g in gaps]
+    rhos = [float(2 * _area(g) / _edge_width(g, metric)) for g in gaps]
+    ratios, reach = ifs.ratios, max(rhos, default=0.0)
+    removed = np.zeros(deltas.shape)
+    s, mass = np.ones(1), np.ones(1)
+    read = 0
+    while s.size:
+        read += s.size
+        if read > _TILING_SCALES:
+            return None
+        for area, rho in zip(areas, rhos):
+            shrink = np.clip(1.0 - deltas / (s[:, None] * rho), 0.0, None)
+            removed += area * (mass[:, None] * (shrink * shrink)).sum(axis=0)
+        s, group = np.unique(np.multiply.outer(s, ratios), return_inverse=True)
+        mass = np.bincount(group.ravel(), weights=np.multiply.outer(mass, ratios * ratios).ravel())
+        live = s * reach > deltas.min()
+        s, mass = s[live], mass[live]
+    return vols - removed
 
 
 # ---------------------------------------------------------------------------
@@ -652,22 +871,15 @@ def _ols_line(x, y):
 def _support_slopes(x, y):
     """Slopes of the support lines below and above the points (x, y) that
     are highest, resp. lowest, at mean(x): the lower and upper convex-hull
-    edges that span it, from Andrew's monotone chain (Inf. Process. Lett. 9,
-    1979).  At a hull vertex, up to 1e-12 of the x span, every slope between
+    edges that span it, from Andrew's monotone chain (``_lower_chain``).
+    At a hull vertex, up to 1e-12 of the x span, every slope between
     its two edges is optimal and the left edge's is taken.  x needs 2
     distinct values.
     """
     reach = float(np.mean(x)) - 1e-12 * float(np.ptp(x))
     out = []
     for sign in (1.0, -1.0):  # the upper hull is the lower hull of (x, -y)
-        hull = []
-        for p in sorted(zip(x.tolist(), (sign * y).tolist())):
-            while len(hull) >= 2:
-                (ax, ay), (bx, by) = hull[-2:]
-                if (bx - ax) * (p[1] - ay) > (by - ay) * (p[0] - ax):
-                    break  # b lies below the chord from a to p: keep it
-                hull.pop()
-            hull.append(p)
+        hull = _lower_chain(sorted(zip(x.tolist(), (sign * y).tolist())))
         (x0, y0), (x1, y1) = next((a, b) for a, b in zip(hull, hull[1:]) if b[0] >= reach)
         out.append(sign * (y1 - y0) / (x1 - x0))
     return out[0], out[1]  # below, above
@@ -755,14 +967,15 @@ def fit_lsp(
     r coefficient.  Envelope constants are reported relative to the fitted
     exponents.
 
-    The volumes come from ``exact_volumes`` where it has them, every cell
-    of an r in one call:
+    The volumes come from ``exact_volumes`` where it has them:
     - one point, an axis-aligned sup-metric plane, and a Euclidean plane,
-      circle or sphere have a closed form that holds about every center:
-      no center and no cloud is drawn, ``samples`` and
-      ``centers_per_cell`` go unread, and the fit is deterministic;
+      circle or sphere have a closed form that holds about every center,
+      every cell of an r in one call: no center and no cloud is drawn,
+      ``samples`` and ``centers_per_cell`` go unread, and the fit is
+      deterministic;
     - in ambient dimension 1, point sets and attractors read exact lengths
-      about ``centers_per_cell`` drawn centers (``neighborhood_length_1d``).
+      about ``centers_per_cell`` centers drawn for each r in turn, every
+      cell of every r in one call (``neighborhood_length_1d``).
     Every other model (tilted sup planes, sup-metric circles and spheres,
     polylines, sets of several points, attractors in dimension 2 and up)
     draws centers and one Monte Carlo cloud of ``samples`` points per
@@ -780,28 +993,29 @@ def fit_lsp(
     if np.any(delta_ratios >= 1.0):
         raise ArgumentError("every delta must stay below its paired r")
     n = m.ambient_dim
+    deltas = r_grid[:, None] * delta_ratios  # row i: the deltas of r_grid[i]
     clouds = None
-    rows = []
-    for r in r_grid:
-        # one draw per r serves every delta = ratio * r: vals[j, i] is the
-        # measure at delta j around center i
-        deltas = delta_ratios * r
-        exact = exact_volumes(m, deltas, (None, r), metric)
+    cells, centers = [], []  # per r: vals[j, i] and errs[j, i] at delta j about center i
+    for r, ds in zip(r_grid, deltas):
+        exact = exact_volumes(m, ds, (None, r), metric)
+        if exact is None or exact[1]:
+            centers.append(sample_on_set(m, centers_per_cell, rng))
         if exact is None:
-            centers = sample_on_set(m, centers_per_cell, rng)
-            exact = exact_volumes(m, deltas, (centers, r), metric)
-        if exact is not None:
-            vals, centered = exact
-            vals = vals if centered else vals[:, None]
-            errs = np.zeros_like(vals)
-        else:
+            # one draw per r serves every delta = ratio * r
             if clouds is None:  # every r refills the same clouds, so their pages are touched once
                 clouds = np.empty((centers_per_cell, samples, n))
-            for c, cloud in zip(centers, clouds):
+            for c, cloud in zip(centers[-1], clouds):
                 sample_in_ball(c, r, samples, rng, metric=metric, out=cloud)
-            counts = _hit_counts(m, clouds, deltas, metric=metric)
-            vals, errs = _mc_volume(ball_volume(n, r, metric), counts.T, samples)
-        for d, v, e in zip(deltas, vals, errs):
+            counts = _hit_counts(m, clouds, ds, metric=metric)
+            cells.append(_mc_volume(ball_volume(n, r, metric), counts.T, samples))
+        elif not exact[1]:
+            cells.append((exact[0][:, None], np.zeros((len(ds), 1))))
+    if centers and not cells:  # centered exact volumes: every r's cells in one call
+        vals, _ = exact_volumes(m, deltas, (np.stack(centers), r_grid), metric)
+        cells = [(v, np.zeros_like(v)) for v in vals]
+    rows = []
+    for r, ds, (vals, errs) in zip(r_grid, deltas, cells):
+        for d, v, e in zip(ds, vals, errs):
             mean = float(np.mean(v))
             if mean > 0:
                 stderr = float(np.linalg.norm(e)) / len(e)

@@ -867,6 +867,13 @@ def sample_on_set(m: SetModel, k, rng):
         words = rng.integers(0, len(ifs.maps), size=(k, depth))
         pts = np.tile(z0, (k, 1))
         # z0 lies on the attractor, so word images stay exactly on it
+        if all(mp.rotation is None for mp in ifs.maps):
+            # one gather per level: IFSMap.apply's multiply, then add
+            ratios, trans = ifs.ratios, np.stack([mp.translation for mp in ifs.maps])
+            for col in range(depth - 1, -1, -1):
+                w = words[:, col]
+                pts = ratios[w][:, None] * pts + trans[w]
+            return pts
         for col in range(depth - 1, -1, -1):
             for a, mp in enumerate(ifs.maps):
                 mask = words[:, col] == a

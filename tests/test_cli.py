@@ -498,27 +498,39 @@ def test_heavily_overlapping_attractor_exits_2_on_its_walk_budget(tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "model, scales",
+    "model, scales, walks, band",
     [
         # the four-map gasket in R^3 at the bundled gasket scales
         ({"variant": "ifs", "osc": True, "maps": [
             {"ratio": 0.5, "translation": t} for t in ([0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5])
-        ]}, None),
-        # the bundled gasket down to 1e-7
-        (None, [0.12, 0.06, 0.03, 1e-7]),
+        ]}, None, True, (1.4, 2.2)),
+        # the bundled gasket down to 1e-7, which reads the triangle tiling's exact sum
+        (None, [0.12, 0.06, 0.03, 1e-7], False, (1.4, 2.2)),
+        # the gasket at ratio 0.45 (dimension 1.376), outside the tiling class, down to 1e-7
+        ({"variant": "ifs", "osc": True, "maps": [
+            {"ratio": 0.45, "translation": t} for t in ([0.0, 0.0], [0.55, 0.0], [0.275, 0.55])
+        ]}, [0.12, 0.06, 0.03, 1e-7], True, (1.2, 1.6)),
     ],
-    ids=["gasket-3d", "scale-1e-7"],
+    ids=["gasket-3d", "scale-1e-7", "scale-1e-7-r0.45"],
 )
-def test_fine_attractor_scales_run(tmp_path, model, scales):
+def test_fine_attractor_scales_run(tmp_path, monkeypatch, model, scales, walks, band):
     # the hit test walks the attractor at any scale; no cut is built or counted
+    walked = []
+
+    def cut_hits(*args, **kwargs):
+        walked.append(len(args[1]))
+        return sets.cut_hits(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "cut_hits", cut_hits)
     cfg = bundled_config("boxdim_sierpinski.json")
     cfg["model"] = model or cfg["model"]
     cfg["scales"] = scales or cfg["scales"]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["boxdim", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert bool(walked) == walks
     report = json.loads((tmp_path / "report.json").read_text())
-    assert 1.4 < report["results"]["lower"]["exponent"] <= report["results"]["upper"]["exponent"] < 2.2
+    assert band[0] < report["results"]["lower"]["exponent"] <= report["results"]["upper"]["exponent"] < band[1]
 
 
 @pytest.mark.parametrize(

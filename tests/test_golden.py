@@ -11,9 +11,11 @@ that moves any of them must regenerate the manifest on purpose:
 the exact bit: every float is stored as ``float.hex``.  They are
 
 - gasket variants (ratios 0.45 and 0.491, the Euclidean metric, Minkowski
-  content) at the bundled gasket scales and 50,000 samples per scale,
-  from the coarse scales, where whole blocks of points hit, to the fine
-  ones, each walked to the floor of the hit test; the gasket at a scale
+  content) at the bundled gasket scales and 50,000 samples per scale:
+  at ratio 0.5 they read the triangle tiling's exact sum and draw
+  nothing; at 0.45 and 0.491 the points are walked, from the coarse scales,
+  where whole blocks of points hit, to the fine ones, each to the floor of
+  the hit test; the gasket at a scale
   ladder of close pairs (0.12 and 0.1, ..., 0.0012 and 0.001); a three-map
   IFS in the plane whose first and last maps rotate, whose nodes are
   bounded by balls, not boxes; and the four-map gasket in R^3 (ratio 0.5)

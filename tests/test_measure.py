@@ -1099,7 +1099,7 @@ def test_models_without_a_closed_form_sample(model, metric):
 
 
 def test_windows_sample_above_dimension_one():
-    # only the 1-D path answers a window: a point's box in R^2 is sampled
+    # a point's box in R^2 is sampled; the same point in R^1 reads the 1-D path
     lo, hi = np.full(2, -1.0), np.full(2, 1.0)
     assert exact_volumes(PointSet(np.zeros((1, 2))), [0.1], (lo, hi)) is None
     vols, centered = exact_volumes(PointSet(np.zeros((1, 1))), [0.1, 0.2], (lo[:1], hi[:1]))
@@ -1108,8 +1108,142 @@ def test_windows_sample_above_dimension_one():
 
 def test_one_dimensional_balls_need_their_centers():
     cantor = middle_third()
-    assert exact_volumes(cantor, [0.01], (None, 0.1)) is None
+    assert exact_volumes(cantor, [0.01], (None, 0.1)) == (None, True)
     centers = np.array([[0.0], [1.0]])
     vols, centered = exact_volumes(cantor, [0.01, 0.001], (centers, 0.1))
     assert centered and vols.shape == (2, 2)
     assert vols[0, 0] == neighborhood_length_1d(cantor, 0.01, -0.1, 0.1)
+
+
+@pytest.mark.parametrize(
+    "model", [middle_third(), PointSet(np.array([[0.0], [0.3], [0.35]]))], ids=["cantor", "points"]
+)
+def test_centered_volumes_of_every_r_read_as_one_call_per_r(model):
+    # fit_lsp reads every r's cells in one call; each r's lengths are those
+    # of a call of its own, to the bit
+    r_grid = np.array([0.3, 0.1, 1 / 30, 0.01])
+    deltas = r_grid[:, None] * np.array([0.5, 0.1, 0.02])
+    rng = np.random.default_rng(41)
+    centers = np.stack([sample_on_set(model, 3, rng) for _ in r_grid])
+    vols, centered = exact_volumes(model, deltas, (centers, r_grid))
+    assert centered and vols.shape == (4, 3, 3)
+    for r, ds, c, v in zip(r_grid, deltas, centers, vols):
+        assert np.array_equal(exact_volumes(model, ds, (c, r))[0], v)
+
+
+# ---------------------------------------------------------------------------
+# exact window volumes of triangle tilings (``_tiling_volumes``)
+
+
+def _corner_maps(ratio, corners):
+    return IFSAttractor(IFS(tuple(IFSMap(ratio, np.array(c, dtype=float)) for c in corners), True))
+
+
+def two_gap_tiling():
+    """The right-angled gasket with its upper half cut once more at ratio
+    1/4: maps of ratios 1/2, 1/2, 1/4, 1/4 and 1/4, and two triangular gaps,
+    of areas 1/8 and 1/32, that touch at one point."""
+    maps = [(0.5, [0.0, 0.0]), (0.5, [0.5, 0.0]), (0.25, [0.0, 0.5]), (0.25, [0.25, 0.5]), (0.25, [0.0, 0.75])]
+    return IFSAttractor(IFS(tuple(IFSMap(r, np.array(t)) for r, t in maps), True))
+
+
+_GASKET_SCALES = [0.12, 0.06, 0.03, 0.015, 0.0075, 0.00375, 0.001875, 0.0009375]
+_UNNESTED_SCALES = [0.12, 0.1, 0.03, 0.025, 0.0075, 0.00625, 0.0012, 0.001]
+
+
+def _window_exact(m, scales, metric="sup"):
+    lo, hi = model_window(m, margin=1.5 * max(scales))
+    return exact_volumes(m, scales, (lo, hi), metric)
+
+
+@pytest.mark.parametrize(
+    "model, metric, scales, seed",
+    [
+        (gasket(0.5), "sup", _GASKET_SCALES, 201),
+        (gasket(0.5), "euclidean", _GASKET_SCALES, 202),
+        (gasket(0.5), "sup", _UNNESTED_SCALES, 203),
+        (two_gap_tiling(), "sup", _GASKET_SCALES[::2], 204),
+        (two_gap_tiling(), "euclidean", _UNNESTED_SCALES[1::2], 205),
+    ],
+    ids=["gasket-sup", "gasket-euclidean", "gasket-unnested", "two-gaps-sup", "two-gaps-euclidean-unnested"],
+)
+def test_tiling_volumes_match_the_window_estimate(model, metric, scales, seed):
+    # 10**6 uniform points of the window, tested by the walk at every scale; 5 binomial standard errors
+    vols, centered = _window_exact(model, scales, metric)
+    assert not centered
+    lo, hi = model_window(model, margin=1.5 * max(scales))
+    samples = 1_000_000
+    pts = np.random.default_rng(seed).uniform(lo, hi, size=(samples, 2))
+    hits = _hit_counts(model, [pts], scales, metric=metric)[0]
+    value, err = _mc_volume(float(np.prod(hi - lo)), hits, samples)
+    assert np.all(np.abs(value - vols) <= 5 * err)
+
+
+def test_tiling_volumes_are_steiner_from_the_gap_inradius_up():
+    # the gap triangle of the gasket has sup inradius 2 area / sum(|e_x| + |e_y|)
+    # = 0.125 and Euclidean inradius 2 area / perimeter; from there on no
+    # gap survives the erosion and the volume is the hull's Steiner area
+    perimeter = 1.0 + 2.0 * math.hypot(0.5, 1.0)
+    for metric, rho, steiner in [
+        ("sup", 0.125, lambda d: 0.5 + 4.0 * d + 4.0 * d * d),
+        ("euclidean", 0.25 / (0.5 + 2.0 * math.hypot(0.25, 0.5)), lambda d: 0.5 + perimeter * d + math.pi * d * d),
+    ]:
+        deltas = [rho, 0.2, 0.5, 1.0]
+        vols, _ = _window_exact(gasket(0.5), deltas, metric)
+        assert vols.tolist() == [steiner(d) for d in deltas]
+        below, _ = _window_exact(gasket(0.5), [0.999 * rho], metric)
+        assert below[0] < steiner(0.999 * rho)
+
+
+def test_tiling_gaps_are_found_exactly():
+    hull, gaps = measure._triangle_tiling(two_gap_tiling().ifs)
+    assert sorted(hull) == [(0, 0), (0, 1), (1, 0)]
+    assert sorted(sorted(g) for g in gaps) == [
+        [(0, Fraction(1, 2)), (Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 2))],
+        [(0, Fraction(3, 4)), (Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 4))],
+    ]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        gasket(0.45),
+        gasket(0.491),
+        rotating_ifs(),
+        gasket_3d(),
+        _corner_maps(0.9, [[0.0, 0.0], [0.1, 0.05]]),
+        gasket(0.6),
+        _corner_maps(0.375, [[0.0, 0.0], [0.625, 0.0], [0.0, 0.625], [0.625, 0.625]]),
+        # the twelve boundary squares of a 4 x 4 grid: a square gap
+        _corner_maps(0.25, [[i / 4, j / 4] for i in range(4) for j in range(4) if {i, j} & {0, 3}]),
+    ],
+    ids=["gasket-0.45", "gasket-0.491", "rotating", "gasket-3d", "two-maps-0.9", "overlapping-gasket-0.6",
+         "uncovered-square-edges", "square-gap"],
+)
+def test_sets_outside_the_tiling_class_are_walked(model):
+    # every input is exact in binary, so each is refused by the test it fails
+    assert _window_exact(model, _GASKET_SCALES) is None
+
+
+def test_tiling_volumes_need_the_window_to_hold_the_hull_neighborhood():
+    # the hull is the unit-based triangle with apex (0.5, 1)
+    lo, hi = np.full(2, -0.12), np.full(2, 1.12)
+    assert exact_volumes(gasket(0.5), _GASKET_SCALES, (lo, hi)) is not None
+    assert exact_volumes(gasket(0.5), _GASKET_SCALES, (lo, hi - [0.0, 0.01])) is None
+
+
+@pytest.mark.parametrize("estimate", [box_dimensions, functools.partial(minkowski_content, d=math.log2(3))])
+def test_tiling_estimates_draw_and_walk_nothing(monkeypatch, estimate):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact window volume sampled or walked")
+
+    class Refusing(np.random.Generator):
+        random = refuse
+
+    monkeypatch.setattr(measure, "cut_hits", refuse)
+    cfg = bundled_config("boxdim_sierpinski.json")
+    rng = Refusing(np.random.PCG64(cfg["master_seed"]))
+    state = rng.bit_generator.state
+    first = estimate(model_from_json(cfg["model"]), scales=cfg["scales"], rng=rng)
+    assert rng.bit_generator.state == state
+    assert estimate(model_from_json(cfg["model"]), scales=cfg["scales"], rng=np.random.default_rng(1)) == first

@@ -427,6 +427,29 @@ def gasket_ifs():
 
 
 @pytest.mark.parametrize(
+    "ifs",
+    [
+        middle_third().ifs,
+        middle_third_2d().ifs,
+        gasket_ifs(),
+        unequal_2d(),
+        IFS(tuple(IFSMap(0.5, np.array(c)) for c in np.vstack([np.zeros(3), 0.5 * np.eye(3)])), True),
+    ],
+    ids=["middle-third", "middle-third-2d", "gasket", "unequal", "gasket-3d"],
+)
+def test_attractor_samples_are_those_of_the_per_map_loop(ifs):
+    # with no rotating map each level is one gather; an identity rotation
+    # sends the same maps through the per-map loop, whose IFSMap.apply
+    # multiplies by the identity exactly
+    eye = np.eye(ifs.ambient_dim)
+    looped = IFSAttractor(IFS(tuple(IFSMap(m.ratio, m.translation, eye) for m in ifs.maps), True))
+    rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+    for k in (1, 4, 300):
+        assert np.array_equal(sample_on_set(IFSAttractor(ifs), k, rng), sample_on_set(looped, k, ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
     "ifs", [gasket_ifs(), unequal_2d(), rotated_2d()], ids=["equal", "unequal", "rotated"]
 )
 @pytest.mark.parametrize("target", [2.0, 1.0, 0.3, 0.11, 0.042, 0.005, 0.0011])
