@@ -72,13 +72,7 @@ import numpy as np
 from .covering import BLOCK, Ball, _nearest, _slice_rows, _sweep_chain, build_kgb
 from .covering import greedy_net  # unread here; perfbench's tracer wraps cantor.greedy_net
 from .dimfun import GaugePair, eval_gauge, mtp_radius, ratio_direction_at, verify_gauge_pair
-from .errors import (
-    ArgumentError,
-    ConstructionError,
-    CoverageShortfall,
-    TruncationError,
-    UnsupportedCombination,
-)
+from .errors import ArgumentError, ConstructionError, CoverageShortfall
 from .measure import _merge_union, _union_length_in, ball_volume
 from .stages import GridCloudStages, GridView
 
@@ -175,7 +169,7 @@ def _ambient_constants(params: ConstructionParams):
     g = params.gauges.g
     n = params.domain.ambient_dim
     if not (g.kind == "power" and math.isclose(g.s, n)):
-        raise UnsupportedCombination(
+        raise ArgumentError(
             "the construction requires the ambient gauge g = r**n so ball "
             "volumes are exactly 2**n * g(r)"
         )
@@ -260,7 +254,7 @@ def _scan_first_ok(params, consts, lo, b_radius, eps, **kw):
         if _stage_ok(params, consts, hi, b_radius, eps, **kw):
             break
         if hi >= j_max:
-            raise TruncationError(
+            raise ConstructionError(
                 f"no stage index in [{lo}, {j_max}] satisfies the entry conditions"
             )
     lo_s = max(j, hi // 2)
@@ -280,9 +274,9 @@ def _scan_first_ok(params, consts, lo, b_radius, eps, **kw):
 def _require_supported(params):
     # keyed on the grid: a van der Corput provider serves sorted_points too
     if params.domain.ambient_dim != 1:
-        raise UnsupportedCombination("the builder is implemented for 1-D domains")
+        raise ArgumentError("the builder is implemented for 1-D domains")
     if not isinstance(params.stages, GridCloudStages):
-        raise UnsupportedCombination("the builder needs a grid-cloud stage provider")
+        raise ArgumentError("the builder needs a grid-cloud stage provider")
 
 
 def _caj_nets(params, a_centers, a_radii, j, upsilon):
@@ -352,8 +346,8 @@ def _build_local_level(params, consts):
             g_prime = _scan_first_ok(
                 params, consts, g_primes[-1] if i > 1 else params.g_floor, B.radius, eps, **scan_kw
             )
-        except TruncationError as exc:
-            raise TruncationError(str(exc), sublevel=i) from exc
+        except ConstructionError as exc:
+            raise ConstructionError(str(exc), sublevel=i) from exc
         g_primes.append(g_prime)
 
         if i == 1:
@@ -462,7 +456,7 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
             covers = covers[~ok]
         j = params.stages.next_change(j)
     if mass < target:
-        raise TruncationError(
+        raise ConstructionError(
             f"sublevel {i}: mass {mass:.3g} below target {target:.3g} "
             f"({len(covers)} cover balls unhosted by stage {j})",
             sublevel=i,

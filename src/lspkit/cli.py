@@ -46,7 +46,7 @@ from .cantor import (
 )
 from .covering import Ball, BallFamily, build_caj, build_kgb, family_is_disjoint, five_r_cover, five_r_covers
 from .dimfun import GaugePair, corollary_exponent, gauge_from_json, mtp_radius, verify_gauge_pair
-from .errors import ArgumentError, DomainError, RangeError, ToolkitError, UnsupportedCombination
+from .errors import ArgumentError, ToolkitError
 from .measure import box_dimensions, fit_lsp, minkowski_content
 from .randomsim import MAX_N, RandomScheme, covering_exponent, coverage_frequency
 from .sets import model_from_json
@@ -715,7 +715,7 @@ def main(argv=None):
             overrides=args.overrides,
             seed=args.seed,
         )
-    except (ArgumentError, DomainError, RangeError, UnsupportedCombination) as exc:
+    except ArgumentError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except ToolkitError as exc:

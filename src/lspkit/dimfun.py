@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, NumericError, RangeError
+from .errors import ArgumentError, ToolkitError
 
 BISECT_RTOL = 1e-10
 BISECT_MAX_ITER = 200
@@ -69,14 +69,14 @@ def eval_gauge(f: Gauge, r):
     """
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise DomainError("gauge argument must be positive and finite")
+        raise ArgumentError("gauge argument must be positive and finite")
     if f.kind == "power":
         out = arr**f.s
     else:
         rs = np.array([p[0] for p in f.samples])
         vs = np.array([p[1] for p in f.samples])
         if np.any(arr < rs[0] * (1 - 1e-12)) or np.any(arr > rs[-1] * (1 + 1e-12)):
-            raise RangeError("radius outside tabulated hull")
+            raise ArgumentError("radius outside tabulated hull")
         out = np.exp(np.interp(np.log(arr), np.log(rs), np.log(vs)))
     return out if np.ndim(r) else float(out)
 
@@ -89,15 +89,15 @@ def invert_gauge(g: Gauge, y):
     """
     y = float(y)
     if y <= 0 or not math.isfinite(y):
-        raise RangeError("can only invert positive finite values")
+        raise ArgumentError("can only invert positive finite values")
     if g.kind == "power":
         if g.s == 0:
-            raise RangeError("constant gauge (s=0) is not invertible")
+            raise ArgumentError("constant gauge (s=0) is not invertible")
         return y ** (1.0 / g.s)
     rs = [p[0] for p in g.samples]
     vs = [p[1] for p in g.samples]
     if not (vs[0] * (1 - 1e-12) <= y <= vs[-1] * (1 + 1e-12)):
-        raise RangeError("value outside the range of the tabulated gauge")
+        raise ArgumentError("value outside the range of the tabulated gauge")
     lo, hi = rs[0], rs[-1]
     for _ in range(BISECT_MAX_ITER):
         mid = math.sqrt(lo * hi)  # bisect in log space, matching interpolation
@@ -227,17 +227,17 @@ def mtp_radius(pair: GaugePair, upsilon):
     """
     u = float(upsilon)
     if u <= 0:
-        raise DomainError("radius must be positive")
+        raise ArgumentError("radius must be positive")
     fu = eval_gauge(pair.f, u)
     gu = eval_gauge(pair.g, u)
     val = (fu / gu**pair.kappa) ** (1.0 / (1.0 - pair.kappa))
     if not math.isfinite(val) or val <= 0:
-        raise NumericError("non-finite intermediate in radius transform")
+        raise ToolkitError("non-finite intermediate in radius transform")
     out = invert_gauge(pair.g, val)
     if not math.isfinite(out):
-        raise NumericError("non-finite transformed radius")
+        raise ToolkitError("non-finite transformed radius")
     if ratio_direction_at(pair, u) == "increasing" and out < u * (1 - 1e-9):
-        raise NumericError(
+        raise ToolkitError(
             f"transformed radius {out:.6g} fell below input {u:.6g} despite growing f/g"
         )
     return out

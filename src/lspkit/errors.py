@@ -1,28 +1,19 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+The CLI maps them to exit codes by class: an ``ArgumentError`` exits 2
+("validation error"), any other ``ToolkitError`` exits 3 ("numerical
+failure").
+"""
 
 
 class ToolkitError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class DomainError(ToolkitError, ValueError):
-    """Input outside the mathematical domain of an operation (e.g. r <= 0)."""
-
-
-class RangeError(ToolkitError, ValueError):
-    """Requested value outside the representable/invertible range."""
+    """Base class for all toolkit errors: a numerical failure (a non-finite
+    intermediate, an estimator with no usable scale)."""
 
 
 class ArgumentError(ToolkitError, ValueError):
-    """Arguments violate an operation's preconditions."""
-
-
-class NumericError(ToolkitError, ArithmeticError):
-    """A non-finite or unstable intermediate was produced."""
-
-
-class EstimationError(ToolkitError):
-    """An estimator could not produce a usable result (e.g. zero measure at all scales)."""
+    """Arguments violate an operation's preconditions, lie outside its domain
+    or range, or form a combination the toolkit does not support."""
 
 
 class CoverageShortfall(ToolkitError):
@@ -38,16 +29,10 @@ class CoverageShortfall(ToolkitError):
 
 
 class ConstructionError(ToolkitError):
-    """The nested-ball construction failed, at a named sublevel when one applies."""
+    """The nested-ball construction failed (a budget, a floor, or a stage
+    search that exhausted its truncation bound), at a named sublevel when one
+    applies."""
 
     def __init__(self, message, sublevel=None):
         super().__init__(message)
         self.sublevel = sublevel
-
-
-class TruncationError(ConstructionError):
-    """An index search exhausted the configured truncation bound."""
-
-
-class UnsupportedCombination(ToolkitError):
-    """A parameter combination the toolkit deliberately does not support."""

@@ -49,7 +49,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ArgumentError, EstimationError
+from .errors import ArgumentError, ToolkitError
 from .sets import (
     IFS,
     AffinePlane,
@@ -851,7 +851,7 @@ def _window_volumes(m, scales, samples_per_scale, rng, metric):
         counts = _hit_counts(m, [pts], scales, metric=metric)[0]
         vols, _ = _mc_volume(float(np.prod(span)), counts, samples_per_scale)
     if np.all(vols <= 0):
-        raise EstimationError("zero measure at every scale")
+        raise ToolkitError("zero measure at every scale")
     return scales, vols
 
 
@@ -903,7 +903,7 @@ def box_dimensions(m: SetModel, scales, samples_per_scale=DEFAULT_SAMPLES, *, rn
     x = np.log(sc[keep])
     y = np.log(vols[keep])
     if x.size < 3 or np.ptp(x) == 0:
-        raise EstimationError("too few distinct scales with positive measure")
+        raise ToolkitError("too few distinct scales with positive measure")
     slope, intercept, slope_se, resid = _ols_line(x, y)
     s_lo, s_hi = _support_slopes(x, y)
     dims = sorted([n - s_lo, n - s_hi])
@@ -1021,7 +1021,7 @@ def fit_lsp(
                 stderr = float(np.linalg.norm(e)) / len(e)
                 rows.append((math.log(r), math.log(d), math.log(mean), stderr / mean, mean))
     if len(rows) < 4:
-        raise EstimationError("not enough cells with positive measure")
+        raise ToolkitError("not enough cells with positive measure")
     lr, ld, lh, ses, hs = map(np.array, zip(*rows))
     reg = regress_lsp(ld, lr, lh)
     kappa_hat = reg["r_exp"] / n

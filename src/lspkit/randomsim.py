@@ -26,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ArgumentError, UnsupportedCombination
+from .errors import ArgumentError
 from .measure import ScalingFit, _ols_line
 from .sets import AffinePlane, IFSAttractor, Isometry, PointSet, SetModel, distance_to_set, model_window
 
@@ -327,7 +327,7 @@ def covering_exponent(scheme: RandomScheme, N_list) -> CoveringFit:
         axis = int(np.flatnonzero(~free)[0])
         offset, line = base.base[axis], True
     else:
-        raise UnsupportedCombination(
+        raise ArgumentError(
             "covering exponent supports single-point bases (n=1) and "
             "axis-aligned line bases (n=2)"
         )

@@ -38,7 +38,7 @@ from lspkit.cantor import (
 from lspkit.cli import bundled_config
 from lspkit.covering import BLOCK, Ball, _chain_blocks, _nearest, _sweep_chain, greedy_net
 from lspkit.dimfun import Gauge, GaugePair, eval_gauge, mtp_radius
-from lspkit.errors import ArgumentError, ConstructionError, TruncationError, UnsupportedCombination
+from lspkit.errors import ArgumentError, ConstructionError
 from lspkit.stages import GridCloudStages, GridView, VdcPointStages
 
 from cantor_params import SQRT_PAIR, cantor_params
@@ -128,13 +128,11 @@ def test_selection_shortfall_names_its_sublevel():
 
 def test_scan_truncation_names_its_sublevel():
     # the deep sublevel's entry scan exhausts the truncation index
-    from lspkit.errors import TruncationError
-
     params = cantor_params("cantor_audit.json")
     params.stages = GridCloudStages(
         lo=-20.0, hi=20.0, plateaus=((512, 0.02), (4096, 2.2e-4)), j_max=4200,
     )
-    with pytest.raises(TruncationError) as exc:
+    with pytest.raises(ConstructionError, match=r"no stage index in \[\d+, 4200\] satisfies") as exc:
         build_cantor(params)
     assert exc.value.sublevel == 2
 
@@ -800,7 +798,7 @@ def test_builder_refuses_point_stages():
     # a van der Corput provider serves sorted_points, but it is not a grid
     params = cantor_params("cantor_audit.json")
     params.stages = VdcPointStages()
-    with pytest.raises(UnsupportedCombination, match="grid-cloud"):
+    with pytest.raises(ArgumentError, match="grid-cloud"):
         build_cantor(params)
 
 
@@ -982,7 +980,7 @@ def _deep_sublevel_loop(params, B, i, g_prime, d_min, target, leaf_center, leaf_
             covers = left
         j = max(1 << (int(math.floor(math.log2(max(j, 1)))) + 1), j + 1)
     if mass < target:
-        raise TruncationError(
+        raise ConstructionError(
             f"sublevel {i}: mass {mass:.3g} below target {target:.3g} "
             f"({len(covers)} cover balls unhosted by stage {j})",
             sublevel=i,
@@ -999,7 +997,7 @@ def _outcome(fn, *args):
     """A deep sublevel's (centers, radii, js, mass), or its error's type and message."""
     try:
         return fn(*args)
-    except (ConstructionError, TruncationError) as exc:
+    except ConstructionError as exc:
         return type(exc), str(exc)
 
 
@@ -1052,7 +1050,8 @@ def test_deep_sublevel_matches_scalar_loop(case, layout):
     got, want = _outcome(_deep_sublevel, *args), _outcome(_deep_sublevel_loop, *args)
     if isinstance(want[1], str):  # the error and its message, with the unhosted count
         assert got == want
-        assert got[0] is (ConstructionError if case == "no-cover-pool" else TruncationError)
+        assert got[0] is ConstructionError
+        assert ("leftover region produced no cover balls" if case == "no-cover-pool" else "below target") in got[1]
         unhosted = {"no-room-up-to-j_max": 5000, "j_max-after-first-stage": 2853, "every-cover-hosted": 0}
         assert layout is not None or case == "no-cover-pool" or f"({unhosted[case]} cover balls unhosted" in got[1]
         return

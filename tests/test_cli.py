@@ -665,23 +665,16 @@ def test_schemas_are_valid(command):
 
 
 @pytest.mark.parametrize(
-    "exc, code",
-    [
-        (errors.ArgumentError("x"), 2),
-        (errors.DomainError("x"), 2),
-        (errors.RangeError("x"), 2),
-        (errors.UnsupportedCombination("x"), 2),
-        (errors.NumericError("x"), 3),
-        (errors.EstimationError("x"), 3),
-        (errors.CoverageShortfall("x", achieved_fraction=0.1), 3),
-        (errors.ConstructionError("x"), 3),
-        (errors.TruncationError("x"), 3),
-    ],
-    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+    "cls",
+    [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.ToolkitError)],
+    ids=operator.attrgetter("__name__"),
 )
-def test_error_classes_map_to_exit_codes(monkeypatch, capsys, exc, code):
+def test_error_classes_map_to_exit_codes(monkeypatch, capsys, cls):
+    # every class the package defines, so that none can miss the mapping
+    code = 2 if issubclass(cls, errors.ArgumentError) else 3
+
     def fail(cfg, rng):
-        raise exc
+        raise cls("x", achieved_fraction=0.1) if cls is errors.CoverageShortfall else cls("x")
 
     monkeypatch.setitem(cli.COMMANDS, "transform", fail)
     assert main(["transform", "--config", "bundled:transform_demo.json"]) == code

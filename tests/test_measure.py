@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from lspkit import measure
-from lspkit.errors import ArgumentError, EstimationError
+from lspkit.errors import ArgumentError, ToolkitError
 from lspkit.cli import bundled_config
 from lspkit.measure import (
     ball_volume,
@@ -230,7 +230,7 @@ def test_box_dimensions_need_two_distinct_scales_with_measure(monkeypatch):
     # line has a slope
     volumes = (np.array([0.1, 0.1, 0.1, 1e-3]), np.array([0.5, 0.5, 0.5, 0.0]))
     monkeypatch.setattr(measure, "_window_volumes", lambda *args: volumes)
-    with pytest.raises(EstimationError, match="too few distinct scales with positive measure"):
+    with pytest.raises(ToolkitError, match="too few distinct scales with positive measure"):
         box_dimensions(PointSet(np.zeros((1, 2))), [0.1, 0.1, 0.1, 1e-3], rng=np.random.default_rng(0))
 
 
@@ -240,7 +240,7 @@ def test_box_dimension_preconditions_and_degenerate():
         box_dimensions(seg, [0.1, 0.05, 0.02], rng=np.random.default_rng(0))
     # sampling far below the hit density leaves nearly every scale empty
     pt3 = PointSet(np.array([[0.0, 0.0, 0.0]]))
-    with pytest.raises(EstimationError):
+    with pytest.raises(ToolkitError, match="too few distinct scales with positive measure"):
         box_dimensions(
             pt3,
             [1e-3, 1e-4, 1e-5, 1e-6],
@@ -261,7 +261,7 @@ def test_window_estimators_share_checks(estimate):
             estimate(seg, scales, rng=np.random.default_rng(0))
     # in 12 dimensions the point's neighborhood fills (2/3)**12 of the window
     # at the largest scale, so 20 window points all miss
-    with pytest.raises(EstimationError, match="zero measure at every scale"):
+    with pytest.raises(ToolkitError, match="zero measure at every scale"):
         estimate(PointSet(np.zeros((1, 12))), [1e-1, 1e-2, 1e-3, 1e-4], samples_per_scale=20,
                  rng=np.random.default_rng(0))
 

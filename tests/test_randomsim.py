@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lspkit.errors import ArgumentError, UnsupportedCombination
+from lspkit.errors import ArgumentError
 from lspkit.randomsim import (
     RandomScheme,
     _frac,
@@ -372,7 +372,7 @@ def test_bc_tilted_line_hit_probability():
 
 
 def test_covering_exponent_rejects_tilted_line():
-    with pytest.raises(UnsupportedCombination):
+    with pytest.raises(ArgumentError, match="covering exponent supports single-point bases"):
         covering_exponent(tilted_line_scheme(), [2**k for k in range(4, 9)])
 
 
