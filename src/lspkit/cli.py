@@ -247,20 +247,20 @@ SCHEMAS = {
             "master_seed": _SEED,
             "scheme": {
                 "type": "object",
-                "required": ["base", "tau", "s", "n"],
+                "required": ["base", "tau", "s"],
                 "properties": {
                     "base": _MODEL,
                     "tau": {"type": "number"},
                     "s": {"type": "number"},
                     "kappa": {"type": "number"},
-                    "n": {"type": "integer"},
                 },
                 "additionalProperties": False,
             },
             "mode": {"enum": ["covering-exponent", "bc-diagnostic"]},
             # bc-diagnostic: 22.9 MB per rule per million stages (peak RSS 76, 167 and 259 MB
             # for 1, 5 and 9 rules at N = 10**6; 32 near 0.8 GB), 16 MB per million trials per
-            # dimension (peak RSS 57 and 102 MB for n = 1 and 4), 31 for a base of several points
+            # dimension (peak RSS 57 and 102 MB for n = 1 and 4), 31 for a base of several points;
+            # the scheme refuses a base in more than randomsim.MAX_DIM = 16 dimensions
             "N": {"type": "integer", "minimum": 1, "maximum": 1_000_000},
             "J": {"type": "integer", "minimum": 1},
             "trials": {"type": "integer", "minimum": 1, "maximum": 1_000_000},
@@ -597,7 +597,6 @@ def _run_randsim(cfg, rng):
         s=float(sc["s"]),
         kappa=float(sc.get("kappa", 0.0)),
         master_seed=int(cfg["master_seed"]),
-        n=int(sc["n"]),
     )
     mode = cfg.get("mode", "covering-exponent")
     if mode == "covering-exponent":

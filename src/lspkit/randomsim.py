@@ -27,12 +27,17 @@ from itertools import product
 import numpy as np
 
 from .errors import ArgumentError
-from .measure import ScalingFit, _ols_line
+from .measure import ScalingFit, _merge_union, _ols_line
 from .sets import AffinePlane, IFSAttractor, Isometry, PointSet, SetModel, distance_to_set, model_window
 
 # largest window start N that covering_exponent counts: a window holds
 # N + 1 stages, about 160 MB per million, so 2**22 peaks near 0.7 GB
 MAX_N = 2**22
+# a bc-diagnostic holds each trial's coordinates: a 3-point base at a million
+# trials peaks at 163 MB in R^4 and 529 MB in R^16
+MAX_DIM = 16
+# a bounded base is measured once per unit shift of its window
+MAX_SHIFTS = 1024
 _TRANSLATION_TAG = 0  # Philox key word 1 of the stage translations
 _TRIAL_TAG = 917  # Philox key word 1 of the coverage-trial re-draws
 _BLOCK_DRAWS = 2**16  # about this many uniforms per block of coverage stages
@@ -45,7 +50,10 @@ class RandomScheme:
     s: float
     kappa: float
     master_seed: int
-    n: int
+
+    @property
+    def n(self):
+        return self.base.ambient_dim
 
     def __post_init__(self):
         if not (0 <= self.kappa < 1):
@@ -54,8 +62,6 @@ class RandomScheme:
             raise ArgumentError("requires s - kappa*s > 0")
         if not (self.tau > 1.0 / (self.s - self.kappa * self.s)):
             raise ArgumentError("requires tau > 1 / (s - kappa*s)")
-        if self.n != self.base.ambient_dim:
-            raise ArgumentError(f"n = {self.n} differs from the base's dimension {self.base.ambient_dim}")
         _torus_rule(self.base)
 
 
@@ -125,10 +131,15 @@ def _torus_rule(base: SetModel):
     """What ``_torus_distances`` measures ``base`` by: None for a point set or a
     coordinate plane, a hyperplane's primitive integer normal with entries of
     at most 64, or the unit shifts of a bounded base whose window sides are at
-    most 3 (at most 5**n shifts).  Raises ``ArgumentError`` naming any other base."""
+    most 3, at most ``MAX_SHIFTS`` of them.  Raises ``ArgumentError`` naming
+    any other base, and any base in more than ``MAX_DIM`` dimensions."""
     if isinstance(base, IFSAttractor):
         raise ArgumentError("randsim cannot measure an IFS attractor on the torus: a base may be a point set, "
                             "a plane, a circle, a sphere or a polyline")
+    kind = {PointSet: "point set", AffinePlane: "plane"}.get(type(base), type(base).__name__.lower())
+    if base.ambient_dim > MAX_DIM:
+        raise ArgumentError(f"randsim cannot measure a {kind} in dimension {base.ambient_dim} on the torus: "
+                            f"a base may have at most {MAX_DIM} dimensions")
     if isinstance(base, PointSet) or (isinstance(base, AffinePlane) and base.free_axes is not None):
         return None
     if isinstance(base, AffinePlane):
@@ -144,9 +155,14 @@ def _torus_rule(base: SetModel):
     lo, hi = model_window(base)
     widths = hi - lo
     if np.any(widths > 3):
-        raise ArgumentError(f"randsim cannot measure a {type(base).__name__.lower()} whose window is "
+        raise ArgumentError(f"randsim cannot measure a {kind} whose window is "
                             f"{float(widths.max()):.6g} wide on the torus: a window side may be at most 3")
-    return np.array(list(product(*(range(-1, max(1, math.ceil(w)) + 1) for w in widths))), dtype=float)
+    steps = [range(-1, max(1, math.ceil(w)) + 1) for w in widths]
+    shifts = math.prod(map(len, steps))
+    if shifts > MAX_SHIFTS:
+        raise ArgumentError(f"randsim cannot measure a {kind} in dimension {base.ambient_dim} whose window takes "
+                            f"{shifts} unit shifts on the torus: at most {MAX_SHIFTS}")
+    return np.array(list(product(*steps)), dtype=float)
 
 
 def _torus_distances(base: SetModel, trans, x, scratch=None):
@@ -184,10 +200,12 @@ def _torus_distances(base: SetModel, trans, x, scratch=None):
     if isinstance(base, AffinePlane):
         level = (x - flat - base.base) @ rule
         d = np.abs(level - np.rint(level)) / np.abs(rule).sum()
-    else:
+    else:  # one shift at a time: each row's distance is its own, and a minimum is exact
         lo = model_window(base)[0]
-        cand = (_frac(x - flat - lo) + lo)[:, None, :] + rule[None, :, :]
-        d = distance_to_set(base, cand.reshape(-1, base.ambient_dim), metric="sup").reshape(len(flat), -1).min(axis=1)
+        q = _frac(x - flat - lo) + lo
+        d = np.full(len(flat), np.inf)
+        for shift in rule:
+            np.minimum(d, distance_to_set(base, q + shift, metric="sup"), out=d)
     return d.reshape(trans.shape[:-1])
 
 
@@ -273,9 +291,10 @@ def _interval_union_count(lo, hi, m):
     """Number of distinct integer box indices covered by the ranges
     [lo[i], hi[i]] mod m.
 
-    Ranges that wrap the torus seam are split in two; the pieces are sorted
-    by start and merged through the running maximum of their ends, adjacent
-    ranges joining into one.
+    Ranges that wrap the torus seam are split in two, and the pieces are
+    merged as the half-open intervals [lo, hi + 1) by ``_merge_union``, so
+    adjacent ranges join into one; its lengths are exact, every value being
+    below 2**48.
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
@@ -287,12 +306,7 @@ def _interval_union_count(lo, hi, m):
     wraps = lo_m > hi_m
     starts = np.concatenate([lo_m, np.zeros(np.count_nonzero(wraps), dtype=np.int64)])
     ends = np.concatenate([np.where(wraps, m - 1, hi_m), hi_m[wraps]])
-    order = np.argsort(starts)
-    starts = starts[order]
-    reach = np.maximum.accumulate(ends[order])
-    first = np.flatnonzero(np.concatenate([[True], starts[1:] > reach[:-1] + 1]))
-    last = np.concatenate([first[1:] - 1, [len(starts) - 1]])
-    return int(np.sum(reach[last] - starts[first] + 1))
+    return int(_merge_union(np.column_stack([starts, ends + 1]))[2][-1])
 
 
 @dataclass

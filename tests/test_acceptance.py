@@ -257,14 +257,14 @@ def test_accept_7_random_limsup_exponents():
 
         t0 = time.time()
         cf = covering_exponent(
-            RandomScheme(base=pt, tau=2.0, s=1.0, kappa=0.0, master_seed=701, n=1),
+            RandomScheme(base=pt, tau=2.0, s=1.0, kappa=0.0, master_seed=701),
             [2**k for k in range(6, 13)],
         )
         assert abs(cf.fit.exponent - 0.5) <= 0.10
         assert time.time() - t0 <= budget
 
         cf = covering_exponent(
-            RandomScheme(base=pt, tau=4.0, s=1.0, kappa=0.0, master_seed=702, n=1),
+            RandomScheme(base=pt, tau=4.0, s=1.0, kappa=0.0, master_seed=702),
             [2**k for k in range(4, 10)],
         )
         assert abs(cf.fit.exponent - 0.25) <= 0.10
@@ -272,7 +272,7 @@ def test_accept_7_random_limsup_exponents():
         t0 = time.time()
         line = AffinePlane(np.array([0.0, 0.5]), np.array([[1.0, 0.0]]))
         cf = covering_exponent(
-            RandomScheme(base=line, tau=2.0, s=2.0, kappa=0.5, master_seed=703, n=2),
+            RandomScheme(base=line, tau=2.0, s=2.0, kappa=0.5, master_seed=703),
             [2**k for k in range(4, 9)],
         )
         assert abs(cf.fit.exponent - 1.5) <= 0.15
@@ -285,8 +285,7 @@ def test_accept_7_random_limsup_exponents():
 def test_accept_8_borel_cantelli_diagnostic():
     with criterion(8, "Borel-Cantelli diagnostic"):
         sch = RandomScheme(
-            base=PointSet(np.array([[0.5]])), tau=2.0, s=1.0, kappa=0.0,
-            master_seed=801, n=1,
+            base=PointSet(np.array([[0.5]])), tau=2.0, s=1.0, kappa=0.0, master_seed=801
         )
         div, conv = coverage_frequency(
             sch, [0.3], [lambda j: 1.0 / j, lambda j: j**-2.0], 1, 400, trials=1000

@@ -289,7 +289,7 @@ _GASKET = {"variant": "ifs", "maps": [{"ratio": 0.5, "translation": t} for t in 
     ids=["polyline", "ifs", "irrational-line", "circle-r1.6"],
 )
 def test_bc_diagnostic_on_a_2d_base(capsys, base, code, err):
-    overrides = [f"scheme.base={json.dumps(base)}", "scheme.n=2", "x=[0.3,0.3]", "N=50"]
+    overrides = [f"scheme.base={json.dumps(base)}", "x=[0.3,0.3]", "N=50"]
     assert main(["randsim", "--config", "bundled:randsim_bc.json"] + _set_args(overrides)) == code
     assert capsys.readouterr().err == err
 
@@ -300,11 +300,28 @@ def test_bc_diagnostic_refuses_a_3d_tilted_line_before_drawing(monkeypatch, caps
 
     monkeypatch.setattr(randomsim, "stage_uniforms", no_draws)
     base = {"variant": "plane", "base": [0.0, 0.0, 0.0], "basis": [[0.6, 0.8, 0.0]]}
-    overrides = [f"scheme.base={json.dumps(base)}", "scheme.n=3", "x=[0.3,0.3,0.3]"]
+    overrides = [f"scheme.base={json.dumps(base)}", "x=[0.3,0.3,0.3]"]
     assert main(["randsim", "--config", "bundled:randsim_bc.json"] + _set_args(overrides)) == 2
     assert capsys.readouterr().err.startswith(
         "validation error: randsim cannot measure a tilted plane of dimension 1 in dimension 3 on the torus"
     )
+
+
+@pytest.mark.parametrize(
+    "base, n, err",
+    [
+        ({"variant": "points", "points": [[0.5] * 17]}, 17,
+         "a point set in dimension 17 on the torus: a base may have at most 16 dimensions"),
+        ({"variant": "polyline", "vertices": [[0.0] * 7, [0.5] * 7]}, 7,
+         "a polyline in dimension 7 whose window takes 2187 unit shifts on the torus: at most 1024"),
+    ],
+    ids=["points-r17", "polyline-r7"],
+)
+def test_randsim_refuses_a_base_it_cannot_hold(monkeypatch, capsys, base, n, err):
+    monkeypatch.setattr(randomsim, "stage_uniforms", None)  # refused before any stage is drawn
+    overrides = [f"scheme.base={json.dumps(base)}", f"x={json.dumps([0.3] * n)}"]
+    assert main(["randsim", "--config", "bundled:randsim_bc.json"] + _set_args(overrides)) == 2
+    assert capsys.readouterr().err == f"validation error: randsim cannot measure {err}\n"
 
 
 @pytest.mark.parametrize(
@@ -334,9 +351,8 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, config, args):
         ("randsim", "randsim_bc.json", None, "J=500"),
         ("randsim", "randsim_bc.json", None, "trials=abc"),
         ("randsim", "randsim_bc.json", None, "x=[0.3,0.2]"),
-        # a scheme dimension that is not the base's
-        ("randsim", "randsim_bc.json", None, ("scheme.n=0", "x=[]")),
-        ("randsim", "randsim_bc.json", None, ("scheme.n=2", "x=[0.3,0.3]")),
+        # a point x of no dimension; the base's is 1
+        ("randsim", "randsim_bc.json", None, "x=[]"),
         ("randsim", "randsim_points_tau2.json", None, "scheme.s=0"),
         ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=0"),
         ("boxdim", "boxdim_sierpinski.json", None, "samples_per_scale=-5"),
@@ -543,8 +559,11 @@ def test_fine_attractor_scales_run(tmp_path, monkeypatch, model, scales, walks, 
          'rules[0].exponent: "steep", of type number'),
         ("randsim", "randsim_bc.json", 'rules=[{"name": "r", "exponent": []}]',
          "rules[0].exponent: 0 items, of type number"),
-        ("randsim", "randsim_bc.json", "scheme.n=" + "n" * 50,
-         'scheme.n: "' + "n" * 36 + '..., of type integer'),
+        ("randsim", "randsim_bc.json", "scheme.tau=" + "t" * 50,
+         'scheme.tau: "' + "t" * 36 + '..., of type number'),
+        # the base gives the scheme's dimension
+        ("randsim", "randsim_bc.json", "scheme.n=1",
+         "scheme: Additional properties are not allowed ('n' was unexpected)"),
         ("randsim", "randsim_bc.json", "name=r",
          "config: Additional properties are not allowed ('name' was unexpected)"),
         ("cantor-build", "cantor_audit.json", "eta=1", "eta: 1, above 1"),

@@ -264,7 +264,7 @@ def variant_configs():
         ("circle", {"variant": "circle", "center": [0.5, 0.5], "radius": 0.2}),
         ("polyline", {"variant": "polyline", "vertices": [[0.1, 0.1], [0.5, 0.7], [0.9, 0.2]]}),
     ):
-        scheme = {**bc["scheme"], "base": base, "n": 2}
+        scheme = {**bc["scheme"], "base": base}
         out[f"randsim_bc_{name}"] = ("randsim", {**bc, "scheme": scheme, "x": [0.3, 0.8], "N": 200})
     lines = bundled_config("randsim_lines_tau2.json")
     out["randsim_lines_tau4"] = ("randsim", {**lines, "scheme": {**lines["scheme"], "tau": 4.0}})

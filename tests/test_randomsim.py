@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from lspkit.errors import ArgumentError
+from lspkit import randomsim
 from lspkit.randomsim import (
+    MAX_DIM,
+    MAX_SHIFTS,
     RandomScheme,
     _frac,
     _interval_union_count,
     _torus_distances,
+    _torus_rule,
     _translations,
     covering_exponent,
     coverage_frequency,
     draw_isometry,
     stage_uniforms,
 )
-from lspkit.sets import AffinePlane, Circle, Isometry, PointSet, Polyline, Sphere
+from lspkit.sets import AffinePlane, Circle, Isometry, PointSet, Polyline, Sphere, distance_to_set, model_window
 
 from set_oracles import torus_distance, transform_model
 
@@ -24,7 +28,7 @@ _S = math.sqrt(0.5)  # a unit direction at 45 degrees is (_S, _S)
 
 def point_scheme(tau=2.0, seed=7):
     return RandomScheme(
-        base=PointSet(np.array([[0.5]])), tau=tau, s=1.0, kappa=0.0, master_seed=seed, n=1
+        base=PointSet(np.array([[0.5]])), tau=tau, s=1.0, kappa=0.0, master_seed=seed
     )
 
 
@@ -35,7 +39,6 @@ def line_scheme(tau=2.0, seed=11):
         s=2.0,
         kappa=0.5,
         master_seed=seed,
-        n=2,
     )
 
 
@@ -46,14 +49,12 @@ def tilted_line_scheme():
         s=2.0,
         kappa=0.5,
         master_seed=11,
-        n=2,
     )
 
 
 def test_scheme_validates_tau():
     with pytest.raises(ArgumentError):
-        RandomScheme(base=PointSet(np.array([[0.5]])), tau=0.9, s=1.0, kappa=0.0,
-                     master_seed=1, n=1)
+        RandomScheme(base=PointSet(np.array([[0.5]])), tau=0.9, s=1.0, kappa=0.0, master_seed=1)
 
 
 def _interval_union_count_loop(intervals, m):
@@ -279,7 +280,7 @@ def test_coverage_blocks_match_stage_by_stage(base, trials):
     # At 1001 trials a stage's k = 1001 n draws are no whole number of
     # Philox blocks, so each block of stages is a column slice of the draws
     n = base.ambient_dim
-    sch = RandomScheme(base=base, tau=2.0, s=float(n), kappa=0.0, master_seed=59, n=n)
+    sch = RandomScheme(base=base, tau=2.0, s=float(n), kappa=0.0, master_seed=59)
     x = np.array([0.3, 0.7][:n])
     rule = lambda j: 0.3 / math.sqrt(j)
     (diag,) = coverage_frequency(sch, x, [rule], 1, 300, trials=trials)
@@ -325,6 +326,65 @@ def test_torus_distances_match_per_translation_reference(base):
     np.testing.assert_allclose(_torus_distances(base, trans, x), torus_distance(base, trans, x), rtol=0, atol=1e-12)
 
 
+def _bounded_torus_distances_broadcast(base, trans, x):
+    """Reference: a bounded base's torus distances with every shift of every
+    translation in one (rows, shifts, n) array."""
+    flat = trans.reshape(-1, base.ambient_dim)
+    lo = model_window(base)[0]
+    cand = (_frac(_frac(x) - flat - lo) + lo)[:, None, :] + _torus_rule(base)[None, :, :]
+    d = distance_to_set(base, cand.reshape(-1, base.ambient_dim), metric="sup").reshape(len(flat), -1).min(axis=1)
+    return d.reshape(trans.shape[:-1])
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        Circle(np.array([0.5, 0.5]), 0.2),
+        Circle(np.array([1.9, -0.3]), 1.2),
+        Sphere(np.array([0.5, 0.4, 0.6]), 0.2),
+        Sphere(np.array([0.5, 0.4, 0.6]), 1.2),
+        Polyline(np.array([[-0.9, 0.2], [1.8, 0.35]])),
+        Polyline(np.random.default_rng(4).uniform(0.0, 1.0, size=(5, 4))),
+    ],
+    ids=["circle", "circle-r1.2", "sphere", "sphere-r1.2", "wide-polyline", "polyline-4d"],
+)
+def test_bounded_bases_match_the_broadcast_shifts(base):
+    # one shift at a time, bit for bit as every shift at once
+    n = base.ambient_dim
+    rng = np.random.default_rng(8)
+    trans = rng.uniform(0.0, 1.0, size=(3, 400, n))
+    x = rng.uniform(-1.0, 2.0, size=n)
+    assert np.array_equal(_torus_distances(base, trans, x), _bounded_torus_distances_broadcast(base, trans, x))
+
+
+def _scheme(base):
+    return RandomScheme(base=base, tau=2.0, s=1.0, kappa=0.0, master_seed=1)
+
+
+def test_scheme_takes_its_dimension_from_its_base():
+    assert _scheme(PointSet(np.full((3, MAX_DIM), 0.5))).n == MAX_DIM
+    assert _scheme(Circle(np.array([0.5, 0.5]), 0.2)).n == 2
+
+
+def test_scheme_refuses_a_base_in_more_than_max_dim_dimensions():
+    n = MAX_DIM + 1
+    with pytest.raises(ArgumentError, match=f"a point set in dimension {n} on the torus: a base may have at most 16"):
+        _scheme(PointSet(np.full((3, n), 0.5)))
+    with pytest.raises(ArgumentError, match=f"a plane in dimension {n} on the torus"):
+        _scheme(AffinePlane(np.zeros(n), np.eye(n)[:1]))
+
+
+def test_scheme_refuses_a_bounded_base_of_too_many_shifts(monkeypatch):
+    # 4 shifts on each axis of width in (1, 2]: 4**5 = MAX_SHIFTS is measured, a sixth axis is not
+    assert len(_torus_rule(Polyline(np.array([[0.0] * 5, [1.5] * 5])))) == MAX_SHIFTS
+    with pytest.raises(ArgumentError, match="a polyline in dimension 6 whose window takes 4096 unit shifts"):
+        _scheme(Polyline(np.array([[0.0] * 6, [1.5] * 6])))
+    # counted from the widths, before a shift is listed: 3**16 in R^16
+    monkeypatch.setattr(randomsim, "product", None)
+    with pytest.raises(ArgumentError, match="whose window takes 43046721 unit shifts on the torus: at most 1024"):
+        _scheme(Polyline(np.array([[0.1] * 16, [0.2] * 16])))
+
+
 def test_torus_distances_translation_equivariance():
     # moving the base and x by one translation keeps every torus distance,
     # and x + s leaves the unit box
@@ -350,7 +410,7 @@ def test_torus_distances_translation_equivariance():
 )
 def test_bc_diagnostic_reads_x_on_the_torus(base):
     # x + k is x on the torus; x is dyadic so that x + k is exact
-    sch = RandomScheme(base=base, tau=2.0, s=2.0, kappa=0.0, master_seed=61, n=2)
+    sch = RandomScheme(base=base, tau=2.0, s=2.0, kappa=0.0, master_seed=61)
     x = np.array([0.3125, 0.8125])
     rules = [lambda j: 1.0 / j, lambda j: j**-2.0]
     want = coverage_frequency(sch, x, rules, 1, 100, trials=1000)
