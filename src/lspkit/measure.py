@@ -156,11 +156,12 @@ def sample_in_ball(center, r, k, rng, metric="sup", out=None):
 
 def _merge_union(intervals):
     """Sorted disjoint (starts, ends) of a union of intervals, with the
-    cumulative length before each piece (None for an empty union)."""
+    cumulative length before each piece (None for an empty union).  The
+    order of intervals that share a start moves no output."""
     arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
     if len(arr) == 0:
         return None
-    order = np.argsort(arr[:, 0], kind="stable")
+    order = np.argsort(arr[:, 0])
     a = arr[order, 0]
     reach = np.maximum.accumulate(arr[order, 1])
     first = np.flatnonzero(np.concatenate([[True], a[1:] > reach[:-1]]))

@@ -34,7 +34,7 @@ from .sets import AffinePlane, IFSAttractor, Isometry, PointSet, SetModel, dista
 # N + 1 stages, about 160 MB per million, so 2**22 peaks near 0.7 GB
 MAX_N = 2**22
 # a bc-diagnostic holds each trial's coordinates: a 3-point base at a million
-# trials peaks at 163 MB in R^4 and 529 MB in R^16
+# trials peaks at 163 MB in R^4 and 530 MB in R^16
 MAX_DIM = 16
 # a bounded base is measured once per unit shift of its window
 MAX_SHIFTS = 1024

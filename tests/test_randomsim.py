@@ -357,32 +357,22 @@ def test_bounded_bases_match_the_broadcast_shifts(base):
     assert np.array_equal(_torus_distances(base, trans, x), _bounded_torus_distances_broadcast(base, trans, x))
 
 
-def _scheme(base):
-    return RandomScheme(base=base, tau=2.0, s=1.0, kappa=0.0, master_seed=1)
+def test_scheme_refuses_a_base_it_cannot_hold(monkeypatch):
+    def scheme(base):
+        return RandomScheme(base=base, tau=2.0, s=1.0, kappa=0.0, master_seed=1)
 
-
-def test_scheme_takes_its_dimension_from_its_base():
-    assert _scheme(PointSet(np.full((3, MAX_DIM), 0.5))).n == MAX_DIM
-    assert _scheme(Circle(np.array([0.5, 0.5]), 0.2)).n == 2
-
-
-def test_scheme_refuses_a_base_in_more_than_max_dim_dimensions():
-    n = MAX_DIM + 1
-    with pytest.raises(ArgumentError, match=f"a point set in dimension {n} on the torus: a base may have at most 16"):
-        _scheme(PointSet(np.full((3, n), 0.5)))
-    with pytest.raises(ArgumentError, match=f"a plane in dimension {n} on the torus"):
-        _scheme(AffinePlane(np.zeros(n), np.eye(n)[:1]))
-
-
-def test_scheme_refuses_a_bounded_base_of_too_many_shifts(monkeypatch):
+    # the dimension is the base's: MAX_DIM is measured, one more is not
+    assert scheme(PointSet(np.full((3, MAX_DIM), 0.5))).n == MAX_DIM
+    with pytest.raises(ArgumentError, match=f"a plane in dimension {MAX_DIM + 1} on the torus: a base may have"):
+        scheme(AffinePlane(np.zeros(MAX_DIM + 1), np.eye(MAX_DIM + 1)[:1]))
     # 4 shifts on each axis of width in (1, 2]: 4**5 = MAX_SHIFTS is measured, a sixth axis is not
     assert len(_torus_rule(Polyline(np.array([[0.0] * 5, [1.5] * 5])))) == MAX_SHIFTS
     with pytest.raises(ArgumentError, match="a polyline in dimension 6 whose window takes 4096 unit shifts"):
-        _scheme(Polyline(np.array([[0.0] * 6, [1.5] * 6])))
+        scheme(Polyline(np.array([[0.0] * 6, [1.5] * 6])))
     # counted from the widths, before a shift is listed: 3**16 in R^16
     monkeypatch.setattr(randomsim, "product", None)
     with pytest.raises(ArgumentError, match="whose window takes 43046721 unit shifts on the torus: at most 1024"):
-        _scheme(Polyline(np.array([[0.1] * 16, [0.2] * 16])))
+        scheme(Polyline(np.array([[0.1] * 16, [0.2] * 16])))
 
 
 def test_torus_distances_translation_equivariance():
