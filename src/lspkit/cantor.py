@@ -431,7 +431,7 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
     # leftover region: half of B minus the 4-dilates of every target ball
     # placed so far; cover centers outside 4L with radius <= r(L) cannot
     # touch 3L, which preserves P1 across sublevels
-    starts, ends, _ = _merge_union(np.column_stack([leaf_center - 4.0 * leaf_radius, leaf_center + 4.0 * leaf_radius]))
+    starts, ends, _ = _merge_union(leaf_center - 4.0 * leaf_radius, leaf_center + 4.0 * leaf_radius)
     run_lo = np.append(0, pool.searchsorted(np.nextafter(ends, np.inf)))
     run_hi = np.append(pool.searchsorted(starts), size)
     count = np.maximum(-((run_lo - run_hi) // 4), 0)  # ceil(run length / 4)
@@ -619,7 +619,7 @@ def _neighborhood_in_window(cloud, u, centers, half_widths, disjoint):
         seg = np.clip(np.minimum(u, hi[owner] - p) - np.maximum(-u, lo[owner] - p), 0.0, None)
         return np.bincount(owner, weights=seg, minlength=len(centers))
     p = cloud[i0.min(initial=len(cloud)) : i1.max(initial=0)]
-    return _union_length_in(_merge_union(np.stack([p - u, p + u], axis=1)), lo, hi)
+    return _union_length_in(_merge_union(p - u, p + u), lo, hi)
 
 
 def _overlapping_dilates(centers, radii):

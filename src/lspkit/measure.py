@@ -154,16 +154,16 @@ def sample_in_ball(center, r, k, rng, metric="sup", out=None):
 # exact 1-D path
 
 
-def _merge_union(intervals):
-    """Sorted disjoint (starts, ends) of a union of intervals, with the
-    cumulative length before each piece (None for an empty union).  The
-    order of intervals that share a start moves no output."""
-    arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
-    if len(arr) == 0:
+def _merge_union(lo, hi):
+    """Sorted disjoint (starts, ends) of the union of the intervals
+    [lo[i], hi[i]], with the cumulative length before each piece (None for an
+    empty union).  The order of intervals that share a start moves no output."""
+    lo = np.asarray(lo, dtype=float)
+    if len(lo) == 0:
         return None
-    order = np.argsort(arr[:, 0])
-    a = arr[order, 0]
-    reach = np.maximum.accumulate(arr[order, 1])
+    order = np.argsort(lo)
+    a = lo[order]
+    reach = np.maximum.accumulate(np.asarray(hi, dtype=float)[order])
     first = np.flatnonzero(np.concatenate([[True], a[1:] > reach[:-1]]))
     starts = a[first]
     ends = reach[np.concatenate([first[1:] - 1, [len(a) - 1]])]
@@ -335,7 +335,7 @@ def neighborhood_length_1d(m: SetModel, delta, lo, hi):
     out = np.empty(delta.shape)
     for d in np.unique(delta):
         at = delta == d
-        out[at] = _union_length_in(_merge_union(np.stack([pts - d, pts + d], axis=1)), lo[at], hi[at])
+        out[at] = _union_length_in(_merge_union(pts - d, pts + d), lo[at], hi[at])
     return out
 
 

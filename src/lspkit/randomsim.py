@@ -306,7 +306,7 @@ def _interval_union_count(lo, hi, m):
     wraps = lo_m > hi_m
     starts = np.concatenate([lo_m, np.zeros(np.count_nonzero(wraps), dtype=np.int64)])
     ends = np.concatenate([np.where(wraps, m - 1, hi_m), hi_m[wraps]])
-    return int(_merge_union(np.column_stack([starts, ends + 1]))[2][-1])
+    return int(_merge_union(starts, ends + 1)[2][-1])
 
 
 @dataclass

@@ -312,7 +312,7 @@ def test_merge_length():
     assert _merge_length(spans) == pytest.approx(3.0)
     assert _merge_length([(0.0, 1.0)], lo=0.25, hi=0.5) == pytest.approx(0.25)
     assert _merge_length([]) == 0.0
-    assert np.array_equal(_union_length_in(_merge_union(spans), [-1.0, 0.25, 1.5], [5.0, 0.5, 3.5]), [3.0, 0.25, 1.0])
+    assert np.array_equal(_union_length_in(_merge_union(*zip(*spans)), [-1.0, 0.25, 1.5], [5.0, 0.5, 3.5]), [3.0, 0.25, 1.0])
 
 
 def test_union_length_in_matches_merge_length():
@@ -323,10 +323,10 @@ def test_union_length_in_matches_merge_length():
         spans = np.stack([a, a + rng.exponential(0.1, size=k)], axis=1)
         lo = rng.uniform(-1.5, 1.0, size=6)
         hi = lo + rng.exponential(0.5, size=6)
-        got = _union_length_in(_merge_union(spans), lo, hi)
+        got = _union_length_in(_merge_union(*spans.T), lo, hi)
         want = [_merge_length(spans, lo=x, hi=y) for x, y in zip(lo, hi)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    assert np.array_equal(_union_length_in(_merge_union(np.empty((0, 2))), [0.0, 1.0], [1.0, 2.0]), [0.0, 0.0])
+    assert np.array_equal(_union_length_in(_merge_union([], []), [0.0, 1.0], [1.0, 2.0]), [0.0, 0.0])
 
 
 def sierpinski():
@@ -822,7 +822,7 @@ def _proxy_length(model, delta, lo, hi):
     cylinder cut at contraction 0.02 delta / (2 r0), each ball widened by delta."""
     centers, radii = cylinder_cut(model.ifs, proxy_target(model.ifs, delta, 0.02))
     c = centers[:, 0]
-    return _union_length_in(_merge_union(np.stack([c - radii - delta, c + radii + delta], axis=1)), lo, hi)
+    return _union_length_in(_merge_union(c - radii - delta, c + radii + delta), lo, hi)
 
 
 def test_exact_length_lies_below_the_cut_proxy():
