@@ -431,7 +431,7 @@ def _deep_sublevel(params, B, i, g_prime, d_min, target, leaf_center, leaf_radiu
     # leftover region: half of B minus the 4-dilates of every target ball
     # placed so far; cover centers outside 4L with radius <= r(L) cannot
     # touch 3L, which preserves P1 across sublevels
-    starts, ends, _ = _merge_union(leaf_center - 4.0 * leaf_radius, leaf_center + 4.0 * leaf_radius)
+    starts, ends = _merge_union(leaf_center - 4.0 * leaf_radius, leaf_center + 4.0 * leaf_radius)
     run_lo = np.append(0, pool.searchsorted(np.nextafter(ends, np.inf)))
     run_hi = np.append(pool.searchsorted(starts), size)
     count = np.maximum(-((run_lo - run_hi) // 4), 0)  # ceil(run length / 4)

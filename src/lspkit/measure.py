@@ -156,18 +156,16 @@ def sample_in_ball(center, r, k, rng, metric="sup", out=None):
 
 def _merge_union(lo, hi):
     """Sorted disjoint (starts, ends) of the union of the intervals
-    [lo[i], hi[i]], with the cumulative length before each piece (None for an
-    empty union).  The order of intervals that share a start moves no output."""
-    lo = np.asarray(lo, dtype=float)
+    [lo[i], hi[i]], in the inputs' dtypes (None for an empty union).  The
+    order of intervals that share a start moves no output."""
+    lo = np.asarray(lo)
     if len(lo) == 0:
         return None
     order = np.argsort(lo)
     a = lo[order]
-    reach = np.maximum.accumulate(np.asarray(hi, dtype=float)[order])
+    reach = np.maximum.accumulate(np.asarray(hi)[order])
     first = np.flatnonzero(np.concatenate([[True], a[1:] > reach[:-1]]))
-    starts = a[first]
-    ends = reach[np.concatenate([first[1:] - 1, [len(a) - 1]])]
-    return starts, ends, np.concatenate([[0.0], np.cumsum(ends - starts)])
+    return a[first], reach[np.concatenate([first[1:] - 1, [len(a) - 1]])]
 
 
 def _union_length_in(union, lo, hi):
@@ -177,7 +175,8 @@ def _union_length_in(union, lo, hi):
     hi = np.asarray(hi, dtype=float)
     if union is None:
         return np.zeros(np.broadcast(lo, hi).shape)
-    starts, ends, cum = union
+    starts, ends = union
+    cum = np.concatenate([[0.0], np.cumsum(ends - starts)])  # union length before each piece
 
     def covered(x):  # union length in (-inf, x]
         k = np.searchsorted(starts, x, side="right")

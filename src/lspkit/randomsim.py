@@ -292,9 +292,8 @@ def _interval_union_count(lo, hi, m):
     [lo[i], hi[i]] mod m.
 
     Ranges that wrap the torus seam are split in two, and the pieces are
-    merged as the half-open intervals [lo, hi + 1) by ``_merge_union``, so
-    adjacent ranges join into one; its lengths are exact, every value being
-    below 2**48.
+    merged as the half-open integer intervals [lo, hi + 1) by
+    ``_merge_union``, so adjacent ranges join into one.
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
@@ -306,7 +305,8 @@ def _interval_union_count(lo, hi, m):
     wraps = lo_m > hi_m
     starts = np.concatenate([lo_m, np.zeros(np.count_nonzero(wraps), dtype=np.int64)])
     ends = np.concatenate([np.where(wraps, m - 1, hi_m), hi_m[wraps]])
-    return int(_merge_union(starts, ends + 1)[2][-1])
+    starts, ends = _merge_union(starts, ends + 1)
+    return int(np.sum(ends - starts))
 
 
 @dataclass
