@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lspkit.errors import ArgumentError
 from lspkit import randomsim
+from lspkit.errors import ArgumentError
 from lspkit.randomsim import (
     MAX_DIM,
     MAX_SHIFTS,
