@@ -41,10 +41,15 @@ selection ball's target balls are a left-to-right sweep of its slice of
 the stage cloud, every slice in one ``covering._sweep_chain``.  A deep
 sublevel's cover pool is a ``GridView`` too: its covers are chosen by index,
 every fourth point of each run the placed balls leave free, so they move
-with the domain.  The audit decides whether a grid's point intervals are
-disjoint from the grid spacing, scanning the gaps only when rounding could
-decide it (``_points_disjoint``), and reads a column's distinct values
-from its runs.
+with the domain.  The audit costs O(balls) however many grid points a
+ball spans: it decides whether a grid's point intervals are disjoint from
+the grid spacing, scanning the gaps only when rounding could decide it
+(``_points_disjoint``); it measures a window over disjoint intervals in
+closed form from the first and last points it reaches
+(``_neighborhood_in_window``); it tests a leaf center against the grid
+point its index formula names, and searches for the nearest point only
+where that one is off; and it reads a column's distinct values from its
+runs.
 
 Every center is a point of its stage cloud, whose size depends on the
 stage index alone, so a saved tree (``tree_to_json``, format
@@ -82,6 +87,7 @@ MAX_NODES = 2_000_000  # target-ball budget of one local level
 FORMAT_MAX_LEAVES = 60  # a larger level prints as counts only
 D2 = 2.0  # P2 cardinality constant, recorded in a tree's constants
 MASS_FACTOR = 2.5  # a local level's mass target is MASS_FACTOR * eta
+WINDOW_BLOCK = 8192  # audit windows measured at once, so each temporary stays in cache
 
 
 @dataclass
@@ -601,32 +607,78 @@ def _points_disjoint(cloud, u):
     return bool(2.0 * u < _min_gap(cloud))
 
 
+def _clipped_share(p, u, lo, hi):
+    """Length of [p - u, p + u] inside [lo, hi], computed relative to p so
+    that the tiny interval length does not cancel against the ambient
+    coordinate magnitude; written over ``p``."""
+    below = np.subtract(lo, p)
+    np.subtract(hi, p, out=p)
+    np.minimum(p, u, out=p)
+    p -= np.maximum(below, -u, out=below)
+    return np.maximum(p, 0.0, out=p)
+
+
 def _neighborhood_in_window(cloud, u, centers, half_widths, disjoint):
     """Lengths of (cloud-point u-neighborhood) intersected with the windows
-    [c - w, c + w], vectorized.  When the point intervals are ``disjoint``
-    (``_points_disjoint``) each point's share is summed relative to the
-    point; otherwise the intervals of every point the windows reach are
-    merged once and each window reads its length from the union."""
+    [c - w, c + w], vectorized, over the n points each window reaches (from
+    ``searchsorted(c - w - u)`` up to ``searchsorted(c + w + u)``).
+
+    On ``disjoint`` intervals (``_points_disjoint``) a point with a reached
+    neighbour on each side lies more than u inside both window ends, so its
+    share ``min(u, hi - p) - max(-u, lo - p)`` is exactly 2u (u is a double
+    and rounding is monotone).  A window's length is then ``share(first) +
+    share(last) + (n - 2) * 2u`` (n >= 2), ``share(first)`` (n = 1) or 0,
+    in O(1) per window, ``WINDOW_BLOCK`` windows at a time.  Where the first
+    point lies on the rounded search start, the second may lie less than u
+    inside lo, and its own share is taken.  The lengths equal the per-point
+    sums bit for bit for n <= 2, and to the last ulps above.  Otherwise the
+    intervals of every point the windows reach are merged once and each
+    window reads its length from the union."""
+    if not disjoint:
+        lo = centers - half_widths
+        hi = centers + half_widths
+        p = cloud[cloud.searchsorted(lo - u).min(initial=len(cloud)) : cloud.searchsorted(hi + u).max(initial=0)]
+        return _union_length_in(_merge_union(p - u, p + u), lo, hi)
+    out = np.zeros(len(centers))
+    if len(cloud):
+        for s in range(0, len(centers), WINDOW_BLOCK):
+            out[s : s + WINDOW_BLOCK] = _disjoint_lengths(
+                cloud, u, centers[s : s + WINDOW_BLOCK], half_widths[s : s + WINDOW_BLOCK]
+            )
+    return out
+
+
+def _disjoint_lengths(cloud, u, centers, half_widths):
+    """``_neighborhood_in_window`` of disjoint intervals, non-empty cloud."""
     lo = centers - half_widths
     hi = centers + half_widths
-    i0 = cloud.searchsorted(lo - u)
+    start = lo - u
+    i0 = cloud.searchsorted(start)
     i1 = cloud.searchsorted(hi + u)
-    if disjoint:
-        rows, owner = _slice_rows(i0, i1)
-        p = cloud[rows]
-        # work relative to each point so the tiny interval length does
-        # not cancel against the ambient coordinate magnitude
-        seg = np.clip(np.minimum(u, hi[owner] - p) - np.maximum(-u, lo[owner] - p), 0.0, None)
-        return np.bincount(owner, weights=seg, minlength=len(centers))
-    p = cloud[i0.min(initial=len(cloud)) : i1.max(initial=0)]
-    return _union_length_in(_merge_union(p - u, p + u), lo, hi)
+    n = i1 - i0
+    first = cloud[np.minimum(i0, len(cloud) - 1)]
+    on_start = first == start  # then first may lie below lo - u, and the second point short of 2u
+    out = _clipped_share(first, u, lo, hi)
+    out[n == 0] = 0.0
+    many = np.flatnonzero(n >= 2)  # the windows whose last point is not their first
+    if len(many) == len(n):  # a slice, not a gather
+        many = slice(None)
+    out[many] += _clipped_share(cloud[i1[many] - 1], u, lo[many], hi[many]) + (n[many] - 2) * (2.0 * u)
+    second = np.flatnonzero(on_start & (n >= 3))
+    if len(second):
+        out[second] += _clipped_share(cloud[i0[second] + 1], u, lo[second], hi[second]) - 2.0 * u
+    return out
 
 
 def _overlapping_dilates(centers, radii):
     """Centers of the balls whose 3-dilate overlaps that of the next ball in
-    center order (a 1-D neighbour sweep), in center order."""
-    order = np.argsort(centers)
-    c, r = centers[order], radii[order]
+    center order (a 1-D neighbour sweep), in center order.  Sorted centers
+    are read as they are; others come in sorted runs, which a stable sort
+    merges.  Either way tied centers keep their row order."""
+    c, r = centers, radii
+    if not np.all(c[1:] >= c[:-1]):
+        order = np.argsort(centers, kind="stable")
+        c, r = centers[order], radii[order]
     return c[:-1][c[1:] - c[:-1] < 3.0 * (r[1:] + r[:-1]) * (1 - AUDIT_RTOL)]
 
 
@@ -635,6 +687,14 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
 
     P0/P1/P2(geometry)/P4/P5 are exact checks; P3 and the P2 measure clause
     are numeric with the module tolerance.
+
+    The P2(iv) sandwich measures the stage cloud's u-neighbourhood inside
+    each selection ball and its half.  Where the points' u-intervals are
+    disjoint, a window's length is the clipped shares of its first and last
+    points plus 2u for each point between (``_neighborhood_in_window``), so
+    a length over three or more points, and ``p2_details["iv_max_ratio"]``,
+    may differ in the last ulps from a sum over every point.  The cost is
+    O(selection balls + leaves), not O(grid points inside the balls).
     """
     pair = params.gauges
     consts = tree.constants
@@ -659,10 +719,12 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
     if not np.allclose(r, ua[loc.c_aidx], rtol=1e-12, atol=0):
         p2_viol.append(("radius-mismatch", None))
     for j in _distinct(loc.c_j):
-        sel = loc.c_j == j
+        cj = c[loc.c_j == j]
         tol = max(1e-12, 1e-9 * params.stages.upsilon(int(j)))
-        on = np.abs(_nearest(params.stages.sorted_points(int(j)), c[sel]) - c[sel]) <= tol
-        if not np.all(on):
+        cloud = params.stages.sorted_points(int(j))
+        if isinstance(cloud, GridView):  # the nearest point is no farther than the guessed one
+            cj = cj[~(np.abs(cloud[cloud.nearest_index(cj)] - cj) <= tol)]
+        if len(cj) and not np.all(np.abs(_nearest(cloud, cj) - cj) <= tol):
             p2_viol.append(("center-off-stage", int(j)))
     # (ii) 3L inside A; (iii) handled by P1 within A via construction,
     # checked here per selection ball
@@ -719,9 +781,10 @@ def verify_levels(tree: CantorTree, params: ConstructionParams) -> AuditReport:
             p3_viol.append((int(i), mass, consts["c6"] * vg_b))
 
     # P4 between consecutive sublevels
-    def f_and_h(i):  # f and h = f / g**kappa at the target radii of sublevel i
-        f = eval_gauge(pair.f, loc.c_radius[loc.c_sublevel == i])
-        return {"f": f, "h": f / eval_gauge(pair.g, loc.c_radius[loc.c_sublevel == i]) ** pair.kappa}
+    def f_and_h(i):  # f and h = f / g**kappa at the distinct target radii of sublevel i
+        radii = _distinct(loc.c_radius[loc.c_sublevel == i])
+        f = eval_gauge(pair.f, radii)
+        return {"f": f, "h": f / eval_gauge(pair.g, radii) ** pair.kappa}
 
     subs = _distinct(loc.c_sublevel).tolist()
     for a, b in zip(subs[:-1], subs[1:]):

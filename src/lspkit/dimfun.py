@@ -65,20 +65,27 @@ def eval_gauge(f: Gauge, r):
     """Evaluate the gauge at r (scalar or array), r > 0.
 
     Tabulated gauges interpolate log-linearly and reject radii outside the
-    sample hull.
+    sample hull.  A scalar radius is checked with Python comparisons and
+    evaluated as a 0-d array, by the same numpy power an array takes.
     """
     arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
+    if arr.ndim:
+        bad = np.any(arr <= 0) or not np.all(np.isfinite(arr))
+    else:
+        x = float(arr)
+        bad = not 0.0 < x < math.inf
+    if bad:
         raise ArgumentError("gauge argument must be positive and finite")
     if f.kind == "power":
         out = arr**f.s
     else:
+        r_lo, r_hi = f.samples[0][0] * (1 - 1e-12), f.samples[-1][0] * (1 + 1e-12)
+        if (np.any(arr < r_lo) or np.any(arr > r_hi)) if arr.ndim else not r_lo <= x <= r_hi:
+            raise ArgumentError("radius outside tabulated hull")
         rs = np.array([p[0] for p in f.samples])
         vs = np.array([p[1] for p in f.samples])
-        if np.any(arr < rs[0] * (1 - 1e-12)) or np.any(arr > rs[-1] * (1 + 1e-12)):
-            raise ArgumentError("radius outside tabulated hull")
         out = np.exp(np.interp(np.log(arr), np.log(rs), np.log(vs)))
-    return out if np.ndim(r) else float(out)
+    return out if arr.ndim else float(out)
 
 
 def invert_gauge(g: Gauge, y):

@@ -90,6 +90,14 @@ class GridView:
             raise IndexError(f"index out of range for a grid of {self.size} points")
         return self._at(k)
 
+    def nearest_index(self, v):
+        """The index whose formula point is nearest each value, clipped to
+        the grid (NaN gives the last): a guess, since the computed element
+        there may round past a neighbour."""
+        with np.errstate(invalid="ignore"):
+            k = np.rint((np.asarray(v, dtype=float) - self.lo) / (self.hi - self.lo) * self.size - 0.5)
+        return np.fmax(np.fmin(k, self.size - 1), 0).astype(np.intp)
+
     def __array__(self, dtype=None, copy=None):
         grid = self[:]
         return grid if dtype is None else grid.astype(dtype, copy=False)

@@ -23,6 +23,7 @@ from lspkit.cantor import (
     _distinct,
     _holder_draws,
     _neighborhood_in_window,
+    _overlapping_dilates,
     _points_disjoint,
     _stage_radii,
     assign_mass,
@@ -41,6 +42,7 @@ from lspkit.dimfun import Gauge, GaugePair, eval_gauge, mtp_radius
 from lspkit.errors import ArgumentError, ConstructionError
 from lspkit.stages import GridCloudStages, GridView, VdcPointStages
 
+from audit_oracle import verify_levels_rows, window_rows
 from cantor_params import SQRT_PAIR, cantor_params
 
 # a small domain whose P3 floor exceeds the packing capacity of the domain;
@@ -1118,3 +1120,189 @@ def test_neighborhood_in_window_overlapping_intervals():
     outside = _neighborhood_in_window(cloud, 0.01, np.array([-0.5, 1.5]), np.array([0.1, 0.1]), disjoint)
     assert np.array_equal(outside, [0.0, 0.0])
     assert _neighborhood_in_window(cloud, 0.01, np.empty(0), np.empty(0), disjoint).shape == (0,)
+
+
+def _window_cases(points, u, rng):
+    """Centers and half-widths of windows over the sorted ``points``: random
+    windows of up to a few points, empty windows between neighbours,
+    one-point windows, windows ending on p + u or p - u of some point p, and
+    windows past either end of the cloud."""
+    h = float(np.min(np.diff(points)))
+    k = rng.integers(5, len(points) - 6, 60)
+    m = rng.integers(0, 5, 60)
+    c = [rng.uniform(points[0] - 4 * h, points[-1] + 4 * h, 300), (points[k] + points[k + 1]) / 2, points[k]]
+    w = [rng.uniform(0.0, 4 * h, 300), np.full(60, 0.25 * (h - 2 * u)), np.full(60, 0.5 * u)]
+    # ends on p +- u: a window about a point reaching m points past it,
+    # and one stopping u short of the m-th point; then windows whose left
+    # end is p + u and whose right end is q - u
+    c += [points[k], points[k], (points[k] + u + points[k + m + 1] - u) / 2]
+    w += [points[k + m] - points[k] + u, points[k + m + 1] - points[k] - u, (points[k + m + 1] - points[k] - 2 * u) / 2]
+    c += [np.array([points[0] - 2 * h, points[-1] + 2 * h, points[0] - 100 * h, points[-1] + 100 * h])]
+    w += [np.array([3 * h, 3 * h, h, h])]
+    return np.concatenate(c), np.concatenate(w)
+
+
+def _clouds_and_radii():
+    """(cloud, u) pairs on grid views, their arrays and a random sorted
+    array, with u at a tenth, 0.45 and just below half the smallest gap."""
+    rng = np.random.default_rng(77)
+    out = []
+    for view in (GridView(-1.0, 1.0, 1000), GridView(83.0, 85.0, 4096)):
+        h = (view.hi - view.lo) / view.size
+        # below the spacing less _points_disjoint's rounding margin
+        for u in (0.1 * h, 0.45 * h, 0.5 * h * (1 - 1e-9)):
+            out += [(view, u), (np.asarray(view), u)]
+    plain = np.unique(rng.uniform(60.0, 62.0, 600))
+    gap = float(np.min(np.diff(plain)))
+    out += [(plain, u) for u in (0.1 * gap, 0.45 * gap, np.nextafter(gap / 2, 0.0))]
+    return out
+
+
+@pytest.mark.parametrize("case", range(len(_clouds_and_radii())))
+def test_window_lengths_match_row_oracle(case):
+    # the closed form against the per-row kernel: equal up to two points a
+    # window reaches, within n eps of it above
+    cloud, u = _clouds_and_radii()[case]
+    assert _points_disjoint(cloud, u)
+    centers, half = _window_cases(np.asarray(cloud), u, np.random.default_rng(case))
+    got = _neighborhood_in_window(cloud, u, centers, half, True)
+    want = window_rows(cloud, u, centers, half)
+    n = cloud.searchsorted(centers + half + u) - cloud.searchsorted(centers - half - u)
+    assert {0, 1, 2} <= set(n.tolist()) and n.max() >= 5
+    few = n <= 2
+    assert np.array_equal(got[few], want[few])
+    assert np.all(np.abs(got - want) <= n * np.finfo(float).eps * want)
+
+
+def test_window_second_point_short_of_2u():
+    # coordinates crossing -1, where the spacing halves: lo - u rounds onto
+    # the first point from above, so the second point, the first reached
+    # in full on a grid, lies less than u inside lo and adds 6.25h, not 2u
+    h = 2.0**-53
+    cloud = -1.0 + h * np.array([-2.0, 5.0, 12.0, 19.0, 26.0])
+    u = 3.25 * h
+    centers, half = np.array([-1.0 + 18 * h]), np.array([16 * h])
+    assert _points_disjoint(cloud, u)
+    assert centers - half - u == cloud[0]
+    got = _neighborhood_in_window(cloud, u, centers, half, True)
+    want = window_rows(cloud, u, centers, half)
+    assert want[0] == 6.25 * h + 3 * 2 * u
+    assert abs(got[0] - want[0]) <= 5 * np.finfo(float).eps * want[0]
+
+
+def test_window_lengths_cost_o_windows(monkeypatch):
+    # windows spanning 1,000 grid points each: the audit computes a few grid
+    # elements per window, not one per point it spans
+    grid = GridView(-1.0, 1.0, 2**20)
+    h = 2.0 / 2**20
+    u = 0.25 * h
+    centers = grid[np.arange(300) * 3000 + 1500]
+    half = np.full(300, 500 * h)
+    computed = []
+    at = GridView._at
+    monkeypatch.setattr(GridView, "_at", lambda self, k: computed.append(np.size(k)) or at(self, k))
+    got = _neighborhood_in_window(grid, u, centers, half, True)
+    assert sum(computed) <= 8 * len(centers)
+    np.testing.assert_allclose(got, 1000 * 2 * u, rtol=1e-12)
+
+    # so does the whole audit of a level whose selection balls span them
+    stages = GridCloudStages(lo=-1.0, hi=1.0, plateaus=((2**20, u),), j_max=2**21)
+    params = ConstructionParams(domain=Ball(np.array([0.0]), 1.0), gauges=SQRT_PAIR, eta=2.0, stages=stages)
+    loc = _local(centers, 500 * h, centers, u, np.arange(300))
+    loc.a_j[:] = loc.c_j[:] = 2**20
+    tree = CantorTree(root=params.domain, constants=_ambient_constants(params), level=loc)
+    computed.clear()
+    verify_levels(tree, params)
+    assert sum(computed) <= 16 * (len(loc.a_center) + len(loc.c_center))
+    monkeypatch.undo()
+    _assert_audits_equal(tree, params)
+
+
+def _assert_audits_equal(tree, params):
+    """``verify_levels`` and the row oracle agree on every verdict and
+    violation, and on ``p2_details`` within 1e-12 relative."""
+    got, want = verify_levels(tree, params), verify_levels_rows(tree, params)
+    assert got.properties.keys() == want.properties.keys()
+    for name, w in want.properties.items():
+        g = got.properties[name]
+        assert (g.passed, g.violations) == (w.passed, w.violations), name
+        assert g.details.keys() == w.details.keys()
+        for key, v in w.details.items():
+            assert g.details[key] == pytest.approx(v, rel=1e-12, abs=0), key
+    return got
+
+
+def _faulty(tree, fault):
+    """A copy of the tree with one fault injected, as the acceptance and
+    fault-injection tests inject them."""
+    t = copy.deepcopy(tree)
+    loc = t.level
+    if fault == "colliding":
+        loc.c_center[5] = loc.c_center[6]
+    elif fault == "dilated":
+        loc.c_radius[5] *= 3.0
+    elif fault == "sublevel-count":
+        loc.l_b = 1
+    elif fault == "inflated-deep":
+        loc.c_radius[np.nonzero(loc.c_sublevel == 2)[0][0]] = float(np.max(loc.c_radius))
+    return t
+
+
+@pytest.mark.parametrize("fault", [None, "colliding", "dilated", "sublevel-count", "inflated-deep"])
+def test_audit_matches_row_oracle_on_the_audit_tree(audit_tree, fault):
+    params, tree = audit_tree
+    report = _assert_audits_equal(_faulty(tree, fault), params)
+    assert report.ok == (fault is None)
+
+
+@pytest.mark.parametrize("which", ["holder_eta2", "holder_eta4", "holder_eta8", "greedy_nets"])
+def test_audit_matches_row_oracle(which):
+    if which == "greedy_nets":
+        # the golden variant cantor_audit_greedy_nets: target balls are a
+        # greedy net of each selection ball's slice, every other grid point
+        cfg = bundled_config("cantor_audit.json")
+        plateaus = [cfg["stages"]["plateaus"][0], [32768, 0.00022], cfg["stages"]["plateaus"][2]]
+        params = cantor_params(cfg, stages={**cfg["stages"], "plateaus": plateaus})
+    else:
+        params = cantor_params("cantor_holder.json", eta=float(which[len("holder_eta"):]))
+    assert _assert_audits_equal(build_cantor(params), params).ok
+
+
+def test_overlap_sweep_breaks_center_ties_in_row_order():
+    # tied centers of unequal radii: the ball after a tie's left neighbour
+    # is the tie's first row, so the overlaps reported do not depend on a
+    # sort's tie order
+    rng = np.random.default_rng(0)
+    centers = np.round(rng.uniform(-3.0, 3.0, 400), 2)
+    radii = np.exp(rng.uniform(math.log(1e-4), math.log(0.4), 400))
+    order = sorted(range(400), key=lambda i: centers[i])  # a stable sort
+    want = [
+        float(centers[a]) for a, b in zip(order[:-1], order[1:])
+        if centers[b] - centers[a] < 3.0 * (radii[b] + radii[a]) * (1 - cantor.AUDIT_RTOL)
+    ]
+    assert _overlapping_dilates(centers, radii).tolist() == want
+    assert len(set(centers.tolist())) < 400
+
+
+def test_audit_flags_a_leaf_off_its_stage(audit_tree, monkeypatch):
+    params, tree = audit_tree
+    loc = tree.level
+    k = len(loc.c_center) // 2
+    j = int(loc.c_j[k])
+    tol = max(1e-12, 1e-9 * params.stages.upsilon(j))
+    cloud = params.stages.sorted_points(j)
+    nearest_sizes = []
+    nearest = cantor._nearest
+    monkeypatch.setattr(cantor, "_nearest", lambda cl, x: nearest_sizes.append(len(x)) or nearest(cl, x))
+    assert _assert_audits_equal(tree, params).ok
+    assert nearest_sizes == [0] * len(nearest_sizes)  # every leaf passes on its guessed index
+
+    i = int(cloud.nearest_index(loc.c_center[k]))
+    assert cloud[i] == loc.c_center[k]
+    for center in (loc.c_center[k] + 2 * tol, (cloud[i] + cloud[i + 1]) / 2):  # off by 2 tol; a grid midpoint
+        t = copy.deepcopy(tree)
+        t.level.c_center[k] = center
+        nearest_sizes.clear()
+        report = _assert_audits_equal(t, params)
+        assert ("center-off-stage", j) in report.properties["P2"].violations
+        assert sorted(nearest_sizes)[-1] == 1  # only the moved leaf is sent to the nearest-point search

@@ -36,6 +36,39 @@ def test_eval_domain_and_range_errors():
         eval_gauge(tab, 0.01)
 
 
+_TABULATED = Gauge.tabulated([(1e-9, 2e-6), (1e-4, 3e-3), (0.05, 0.2), (1.0, 1.0), (200.0, 40.0)])
+
+
+@pytest.mark.parametrize(
+    "gauge",
+    [Gauge.power(s) for s in (0.3, 0.5, np.log(2) / np.log(3), 1.0, 1.3, 2.0)] + [_TABULATED],
+    ids=lambda g: f"power-{g.s:.4g}" if g.kind == "power" else "tabulated",
+)
+def test_scalar_eval_matches_array_bit_for_bit(gauge):
+    # a scalar takes the array's numpy power: Python's float ** s rounds
+    # differently at some radii on some machines
+    rng = np.random.default_rng(41)
+    r = np.exp(rng.uniform(np.log(1e-9), np.log(200.0), 10_000))
+    want = eval_gauge(gauge, r)
+    for x in (r.tolist(), list(r), [np.asarray(v) for v in r[:500]]):
+        got = np.array([eval_gauge(gauge, v) for v in x])
+        assert all(type(eval_gauge(gauge, v)) is float for v in x[:3])
+        assert np.array_equal(got.view(np.int64), want[: len(got)].view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_scalar_and_array_refusals_read_alike(bad):
+    for gauge in (Gauge.power(0.5), _TABULATED):
+        for r in (bad, np.float64(bad), np.array(bad), np.array([0.5, bad])):
+            with pytest.raises(ArgumentError, match="^gauge argument must be positive and finite$"):
+                eval_gauge(gauge, r)
+    for r in (1e-10, 201.0, np.array([0.5, 201.0])):
+        with pytest.raises(ArgumentError, match="^radius outside tabulated hull$"):
+            eval_gauge(_TABULATED, r)
+    # the hull's relative slack admits radii just past either end
+    assert eval_gauge(_TABULATED, 1e-9 * (1 - 1e-13)) == eval_gauge(_TABULATED, np.array([1e-9 * (1 - 1e-13)]))[0]
+
+
 def test_invert_gauge():
     assert invert_gauge(Gauge.power(2), 0.25) == pytest.approx(0.5, rel=1e-12)
     assert invert_gauge(Gauge.power(1), 0.7) == pytest.approx(0.7, rel=1e-12)
