@@ -87,7 +87,7 @@ MAX_NODES = 2_000_000  # target-ball budget of one local level
 FORMAT_MAX_LEAVES = 60  # a larger level prints as counts only
 D2 = 2.0  # P2 cardinality constant, recorded in a tree's constants
 MASS_FACTOR = 2.5  # a local level's mass target is MASS_FACTOR * eta
-WINDOW_BLOCK = 8192  # audit windows measured at once, so each temporary stays in cache
+WINDOW_BLOCK = 16384  # audit windows measured at once, so that no temporary spans a whole stage
 
 
 @dataclass
