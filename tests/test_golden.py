@@ -50,9 +50,10 @@ the exact bit: every float is stored as ``float.hex``.  They are
   holder config at eta 8 with its domain and stages shifted by -37.5 and by
   +37.5, which shows how the deep sublevel's covers move with the
   domain's position;
-- ``randsim`` bc-diagnostics of 200 stages on two bases in the plane whose
-  windows fit in the unit box: a circle and a polyline; and the bundled
-  lines covering exponent at tau = 4;
+- ``randsim`` bc-diagnostics of 200 stages on six bases in the plane: a
+  circle and a polyline whose windows fit in the unit box, one point, three
+  points, an axis-aligned line and the slope-1 line; and the bundled lines
+  covering exponent at tau = 4;
 - sup-metric tilted sets: the box dimension of perfbench's pass-0
   ``boxdim_polyline`` segment at 60,000 samples per scale, and the Minkowski
   content of a tilted line in R^3 (codimension 2) at the schema's least
@@ -263,6 +264,10 @@ def variant_configs():
     for name, base in (
         ("circle", {"variant": "circle", "center": [0.5, 0.5], "radius": 0.2}),
         ("polyline", {"variant": "polyline", "vertices": [[0.1, 0.1], [0.5, 0.7], [0.9, 0.2]]}),
+        ("point_2d", {"variant": "points", "points": [[0.5, 0.5]]}),
+        ("three_points", {"variant": "points", "points": [[0.1, 0.2], [0.6, 0.9], [0.95, 0.05]]}),
+        ("line", {"variant": "plane", "base": [0.0, 0.5], "basis": [[1.0, 0.0]]}),
+        ("slope1_line", {"variant": "plane", "base": [0.0, 0.5], "basis": [[math.sqrt(0.5), math.sqrt(0.5)]]}),
     ):
         scheme = {**bc["scheme"], "base": base}
         out[f"randsim_bc_{name}"] = ("randsim", {**bc, "scheme": scheme, "x": [0.3, 0.8], "N": 200})
