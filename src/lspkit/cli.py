@@ -257,10 +257,12 @@ SCHEMAS = {
                 "additionalProperties": False,
             },
             "mode": {"enum": ["covering-exponent", "bc-diagnostic"]},
-            # bc-diagnostic: 22.9 MB per rule per million stages (peak RSS 76, 167 and 259 MB
-            # for 1, 5 and 9 rules at N = 10**6; 32 near 0.8 GB), 16 MB per million trials per
-            # dimension (peak RSS 57 and 102 MB for n = 1 and 4), 31 for a base of several points;
-            # the scheme refuses a base in more than randomsim.MAX_DIM = 16 dimensions
+            # bc-diagnostic: 22.8 MB per rule per million stages (peak RSS 78, 169 and 260 MB
+            # for 1, 5 and 9 rules at N = 10**6; 32 near 0.8 GB). A point or plane base holds
+            # nothing per trial (peak RSS 41 MB at a million trials, n = 1 or 4); a base of several
+            # points takes 31 MB per million trials per dimension (72 and 164 MB for n = 1 and 4),
+            # a circle 118 MB at a million; the scheme refuses a base in more than
+            # randomsim.MAX_DIM = 16 dimensions
             "N": {"type": "integer", "minimum": 1, "maximum": 1_000_000},
             "J": {"type": "integer", "minimum": 1},
             "trials": {"type": "integer", "minimum": 1, "maximum": 1_000_000},
@@ -617,14 +619,16 @@ def _run_randsim(cfg, rng):
             int(cfg.get("N", 400)),
             **_given(cfg, trials=int),
         )
-        return {
-            rule["name"]: {
+        out = {}
+        for rule, diag in zip(rules, diags):
+            out[rule["name"]] = {
                 "classification": diag.classification,
                 "last_octave_increment": diag.last_octave_increment,
                 "increment_stderr": diag.increment_stderr,
             }
-            for rule, diag in zip(rules, diags)
-        }, []
+            if diag.expected_partial_sum is not None:  # a point or a plane: the sum of its hit law
+                out[rule["name"]]["expected_partial_sum"] = diag.expected_partial_sum
+        return out, []
     raise ArgumentError(f"unknown randsim mode {mode!r}")
 
 

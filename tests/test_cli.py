@@ -640,6 +640,18 @@ def test_randsim_names_the_key_its_mode_requires(tmp_path, capsys, name, drop, m
     assert err == f"validation error: randsim: config failed schema validation: config: '{key}' is a required property\n"
 
 
+def test_randsim_reports_the_expected_sum_where_a_hit_law_exists():
+    cfg = bundled_config("randsim_bc.json")
+    _, report = run("randsim", cfg)
+    for rule in cfg["rules"]:
+        js = range(cfg["J"], cfg["N"] + 1)
+        want = math.fsum(min(1.0, 2 * j ** -rule["exponent"]) for j in js)
+        assert report["results"][rule["name"]]["expected_partial_sum"] == pytest.approx(want, rel=1e-12)
+    cfg["scheme"]["base"]["points"] = [[0.5], [0.1]]  # several points keep their trials and have no law
+    _, report = run("randsim", cfg)
+    assert all("expected_partial_sum" not in block for block in report["results"].values())
+
+
 @pytest.mark.parametrize("overrides, message", _FOREIGN_TREE)
 def test_cantor_verify_names_the_first_mismatch(capsys, saved_trees, overrides, message):
     argv = ["cantor-verify", "--config", "bundled:cantor_audit.json"]

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from lspkit.randomsim import (
     MAX_DIM,
     MAX_SHIFTS,
     RandomScheme,
+    _binomial_quantiles,
+    _quantile_counts,
     _frac,
+    _hit_law,
     _interval_union_count,
     _torus_distances,
     _torus_rule,
@@ -236,8 +240,8 @@ def _same_diagnostic(a, b):
     assert np.array_equal(a.j_values, b.j_values)
     assert np.array_equal(a.p_hat, b.p_hat)
     assert np.array_equal(a.partial_sums, b.partial_sums)
-    assert (a.classification, a.last_octave_increment, a.increment_stderr) == (
-        b.classification, b.last_octave_increment, b.increment_stderr,
+    assert (a.classification, a.last_octave_increment, a.increment_stderr, a.expected_partial_sum) == (
+        b.classification, b.last_octave_increment, b.increment_stderr, b.expected_partial_sum,
     )
 
 
@@ -252,13 +256,26 @@ def test_multi_rule_coverage_matches_single_rule_calls():
 
 
 def test_coverage_calls_each_rule_once_per_stage():
-    # 1000 trials make blocks of 65 stages: each rule is called for a block's
-    # stages when the block is measured, once per stage, in stage order
+    # 1000 trials of three points in the plane make blocks of 32 stages: each
+    # rule is called for a block's stages when the block is measured, once
+    # per stage, in stage order
+    base = PointSet(np.array([[0.1, 0.2], [0.6, 0.9], [0.95, 0.05]]))
+    sch = RandomScheme(base=base, tau=2.0, s=2.0, kappa=0.0, master_seed=53)
+    calls = []
+    rules = [lambda j, r=r: calls.append((r, int(j))) or r / j for r in (1.0, 0.5)]
+    coverage_frequency(sch, [0.3, 0.7], rules, 1, 200, trials=1000)
+    blocks = [range(lo, min(lo + 32, 201)) for lo in range(1, 201, 32)]
+    assert calls == [(r, j) for js in blocks for r in (1.0, 0.5) for j in js]
+
+
+def test_law_coverage_calls_each_rule_once_per_stage():
+    # a point's stages are counted from its hit law in blocks of 2**14
+    # stages: each rule is called once per stage, rule by rule, block by block
     sch = point_scheme(seed=53)
     calls = []
     rules = [lambda j, r=r: calls.append((r, int(j))) or r / j for r in (1.0, 0.5)]
-    coverage_frequency(sch, [0.3], rules, 1, 200, trials=1000)
-    blocks = [range(lo, min(lo + 65, 201)) for lo in range(1, 201, 65)]
+    coverage_frequency(sch, [0.3], rules, 1, 40_000, trials=1000)
+    blocks = [range(1, 2**14 + 1), range(2**14 + 1, 2**15 + 1), range(2**15 + 1, 40_001)]
     assert calls == [(r, j) for js in blocks for r in (1.0, 0.5) for j in js]
 
 
@@ -357,6 +374,43 @@ def test_bounded_bases_match_the_broadcast_shifts(base):
     assert np.array_equal(_torus_distances(base, trans, x), _bounded_torus_distances_broadcast(base, trans, x))
 
 
+def _bounded_torus_distances_unscreened(base, trans, x):
+    """Reference: a bounded base's torus distances with every shift measured
+    for every row, in the shifts' own order."""
+    flat = trans.reshape(-1, base.ambient_dim)
+    lo = model_window(base)[0]
+    q = _frac(_frac(x) - flat - lo) + lo
+    d = np.full(len(flat), np.inf)
+    for shift in _torus_rule(base):
+        np.minimum(d, distance_to_set(base, q + shift, metric="sup"), out=d)
+    return d.reshape(trans.shape[:-1])
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        Circle(np.array([0.5, 0.5]), 0.2),
+        Circle(np.array([1.9e6, -0.3]), 1.2),
+        Sphere(np.array([0.5, 0.4, 0.6]), 0.8),
+        Polyline(np.array([[0.0] * 5, [1.5] * 5])),
+        Polyline(np.array([[0.1, 0.1], [0.5, 0.7], [0.9, 0.2]])),
+        Polyline(np.array([[0.2, 0.3], [0.2, 0.9], [0.7, 0.9]])),
+    ],
+    ids=["circle", "circle-far-r1.2", "sphere-r0.8", "polyline-5d-cap", "polyline", "axis-polyline"],
+)
+def test_screened_shifts_match_every_shift_bit_for_bit(base):
+    # a row is measured at a shift only when it lies, on every axis, nearer
+    # the shifted window than its running minimum; every minimum stays the
+    # one of measuring all shifts, and so do rows placed on a window's edge
+    n = base.ambient_dim
+    rng = np.random.default_rng(12)
+    trans = rng.uniform(0.0, 1.0, size=(2, 300, n))
+    lo, hi = model_window(base)
+    trans[0, :40] = _frac(0.3 - np.where(rng.random((40, n)) < 0.5, lo, hi))  # q on the window's faces
+    x = np.full(n, 0.3)
+    assert np.array_equal(_torus_distances(base, trans, x), _bounded_torus_distances_unscreened(base, trans, x))
+
+
 def test_scheme_refuses_a_base_it_cannot_hold(monkeypatch):
     def scheme(base):
         return RandomScheme(base=base, tau=2.0, s=1.0, kappa=0.0, master_seed=1)
@@ -446,3 +500,214 @@ def test_covering_exponent_lines_and_constants():
     assert cf.fit.exponent == pytest.approx(1.5, abs=0.15)
     consts = np.array(cf.per_j_constants)
     assert np.max(consts) / np.min(consts) <= 2.0  # stable across a decade of stages
+
+
+# ---------------------------------------------------------------------------
+# hit laws and their binomial counts
+
+_LAW_BASES = [
+    PointSet(np.array([[0.5]])),
+    PointSet(np.array([[0.5, 0.2]])),
+    PointSet(np.array([[0.1, 0.6, 0.9]])),
+    AffinePlane(np.array([0.0, 0.5]), np.array([[1.0, 0.0]])),
+    AffinePlane(np.array([0.3, 0.1, 0.7]), np.array([[0.0, 1.0, 0.0]])),
+    AffinePlane(np.array([0.3, 0.1, 0.7]), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])),
+    AffinePlane(np.array([0.0, 0.5]), np.array([[_S, _S]])),
+    AffinePlane(np.array([0.2, 0.5]), np.array([[0.6, 0.8]])),
+    AffinePlane(np.array([0.1, 0.4, 0.7]), np.array([[_S, _S, 0.0], [0.0, 0.0, 1.0]])),
+]
+_LAW_IDS = ["point-1d", "point-2d", "point-3d", "line", "line-3d", "plane-3d", "slope-1-line",
+            "line-0.6-0.8", "plane-normal-1-1-0"]
+
+
+@pytest.mark.parametrize("base", _LAW_BASES, ids=_LAW_IDS)
+def test_hit_law_matches_the_trial_kernel(base):
+    # F(r) against the share of 200,000 uniform translations that the trial
+    # kernel puts within r of x, to 4 standard errors; r = 0.6 is past every
+    # torus distance, so F is 1 and so is the share
+    n = base.ambient_dim
+    law = _hit_law(base)
+    trans = np.random.default_rng(17).uniform(0.0, 1.0, size=(200_000, n))
+    d = _torus_distances(base, trans, np.array([0.3, 0.8, 0.45][:n]))
+    for r in (0.004, 0.03, 0.1, 0.2, 0.6):
+        f = float(law(np.array([r]))[0])
+        share = float(np.mean(d < r))
+        assert abs(share - f) <= 4 * math.sqrt(f * (1 - f) / len(d)), (r, f, share)
+    assert float(law(np.array([0.6]))[0]) == 1.0
+    assert law(np.array([0.0, -1.0])).tolist() == [0.0, 0.0]
+
+
+def test_hit_laws_in_closed_form():
+    r = np.array([0.01, 0.1, 0.3])
+    assert np.array_equal(_hit_law(PointSet(np.array([[0.5, 0.2, 0.9]])))(r), np.minimum(2 * r, 1) ** 3)
+    assert np.array_equal(_hit_law(_LAW_BASES[4])(r), np.minimum(2 * r, 1) ** 2)  # a line in R^3
+    assert np.array_equal(_hit_law(_LAW_BASES[6])(r), np.minimum(4 * r, 1))  # normal (1, -1)
+    assert np.array_equal(_hit_law(_LAW_BASES[7])(r), np.minimum(14 * r, 1))  # normal (4, -3)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        PointSet(np.array([[0.1, 0.2], [0.6, 0.9]])),
+        Circle(np.array([0.5, 0.5]), 0.2),
+        Sphere(np.array([0.5, 0.4, 0.6]), 0.3),
+        Polyline(np.array([[0.1, 0.1], [0.5, 0.7]])),
+    ],
+    ids=["two-points", "circle", "sphere", "polyline"],
+)
+def test_bases_without_a_hit_law_keep_their_trials(base):
+    assert _hit_law(base) is None
+    n = base.ambient_dim
+    sch = RandomScheme(base=base, tau=2.0, s=float(n), kappa=0.0, master_seed=5)
+    (diag,) = coverage_frequency(sch, np.full(n, 0.3), [lambda j: 0.1], 1, 3, trials=1000)
+    assert diag.expected_partial_sum is None
+
+
+def _chi_square_critical(df, z=3.09):
+    """Wilson-Hilferty's upper quantile of chi-square(df) at normal quantile z (0.001 for 3.09)."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+@pytest.mark.parametrize(
+    ("scheme", "radii"),
+    [(point_scheme(seed=71), (0.001, 0.02, 0.15, 0.35)), (tilted_line_scheme(), (0.0005, 0.01, 0.075, 0.175))],
+    ids=["point", "slope-1-line"],
+)
+def test_law_counts_agree_with_trial_counts_in_distribution(monkeypatch, scheme, radii):
+    # stages cycle through four radii (hit chances 0.002, 0.04, 0.3 and
+    # 0.7), so each residue class mod 4 holds 500 draws of one binomial per
+    # path; a two-sample chi-square over each class's count bins (edges at
+    # the pooled octiles) compares the law's counts with the trials', at the
+    # 0.001 level, on seeds fixed in advance
+    rule = lambda j: radii[j % 4]
+    x = np.full(scheme.n, 0.3)
+    (law,) = coverage_frequency(scheme, x, [rule], 1, 2000, trials=1000)
+    monkeypatch.setattr(randomsim, "_hit_law", lambda base: None)
+    (trial,) = coverage_frequency(scheme, x, [rule], 1, 2000, trials=1000)
+    assert law.expected_partial_sum is not None and trial.expected_partial_sum is None
+    stat, df = 0.0, 0
+    for c in range(4):
+        a, b = (np.rint(diag.p_hat[(law.j_values % 4) == c] * 1000) for diag in (law, trial))
+        edges = np.unique(np.quantile(np.concatenate([a, b]), np.arange(1, 8) / 8))
+        table = np.array([np.bincount(np.searchsorted(edges, v, side="right"), minlength=len(edges) + 1)
+                          for v in (a, b)], dtype=float)
+        table = table[:, table.sum(axis=0) > 0]
+        expect = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+        stat += float(np.sum((table - expect) ** 2 / expect))
+        df += table.shape[1] - 1
+    assert df >= 12
+    assert stat < _chi_square_critical(df), (stat, df)
+
+
+def _log_pmfs(n, p):
+    """{k: log P(Binomial(n, p) = k)} from math.comb, over the k whose
+    probability is not 0.0 in double: walked out from the mode until the
+    log falls below -800, since the probabilities are log-concave."""
+    logs = {}
+    m = min(n, math.floor((n + 1) * p))
+    for step in (1, -1):
+        k, c = m, math.comb(n, m)
+        while 0 <= k <= n:
+            v = math.log(c) + k * math.log(p) + (n - k) * math.log1p(-p)
+            if v < -800:
+                break
+            logs[k] = v
+            c = c * (n - k) // (k + 1) if step == 1 else c * k // (n - k + 1)
+            k += step
+    return logs
+
+
+def _brute_quantiles(n, p, us):
+    """For each u, the least k with P(X <= k) > u from the whole
+    distribution, summed exactly (``math.fsum``) from the tail nearer u:
+    P(X <= k) > u, or P(X > k) < 1 - u; and how close u came to deciding it
+    the other way, relative to u or 1 - u."""
+    if p in (0.0, 1.0):
+        return [(0 if p == 0.0 else n, math.inf) for _ in us]
+    logs = _log_pmfs(n, p)
+    ks = sorted(logs)
+    pmf = [math.exp(logs[k]) for k in ks]
+    out = []
+    for u in us:
+        if u < 0.5:
+            tail, target, inside = lambda i: math.fsum(pmf[: i + 1]), u, lambda t, target: t > target
+        else:
+            tail, target, inside = lambda i: math.fsum(pmf[i + 1:]), 1.0 - u, lambda t, target: t < target
+        lo, hi = 0, len(ks) - 1  # the first i that is inside lies in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if inside(tail(mid), target) else (mid + 1, hi)
+        margin = min(abs(tail(i) - target) / target for i in (lo - 1, lo) if 0 <= i < len(ks))
+        out.append((ks[lo], margin))
+    return out
+
+
+def test_binomial_quantiles_match_full_cdf_inversion():
+    # u at both ends of the doubles a uniform takes, at and beside 1/2 and
+    # in between; n up to 10**6, where a p away from both ends is left out
+    # (math.comb(10**6, 5 * 10**5) alone takes seconds)
+    eps = 2.0**-53
+    us = [eps, 1e-12, 1e-6, 0.01, 0.3, 0.5 - eps, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12, 1 - eps]
+    us += np.random.default_rng(29).random(8).tolist()
+    wide = [0.0, 1.0, 1e-300, 1e-9, 1e-4, 0.01, 0.3, 0.5, 2 / 3, 0.99, 1 - 1e-9, 1 - eps]
+    grid = {1: wide, 2: wide, 5: wide, 1000: wide, 4097: wide,
+            10**6: [0.0, 1.0, 1e-300, 1e-9, 1e-6, 1e-4, 0.01, 0.99, 1 - 1e-6, 1 - eps]}
+    checked = 0
+    for n, ps in grid.items():
+        for p in ps:
+            got = _binomial_quantiles(n, np.full(len(us), p), np.array(us))
+            for u, k, (want, margin) in zip(us, got.tolist(), _brute_quantiles(n, p, us)):
+                # the brute force's logs carry a relative error of about
+                # 1e-10 at n = 10**6: u that close to a step decides nothing
+                if margin > 1e-8:
+                    assert k == want, (n, p, u, k, want)
+                    checked += 1
+                else:
+                    assert abs(k - want) <= 1, (n, p, u, k, want)
+    assert checked >= 1300
+
+
+def test_binomial_quantile_rows_do_not_depend_on_their_company():
+    # rows of many widths tabulated together, one by one, and in reverse
+    rng = np.random.default_rng(31)
+    n = 100_000
+    p = np.concatenate([rng.uniform(0, 1, 300), 10.0 ** rng.uniform(-9, 0, 300), [0.0, 1.0, np.nan, -1.0, 2.0]])
+    u = rng.random(len(p))
+    together = _binomial_quantiles(n, p, u)
+    assert together.tolist() == [int(_binomial_quantiles(n, p[i:i + 1], u[i:i + 1])[0]) for i in range(len(p))]
+    assert np.array_equal(_binomial_quantiles(n, p[::-1], u[::-1]), together[::-1])
+    assert together[-5:].tolist() == [0, n, 0, 0, n]
+
+
+def test_quantile_table_rows_end_at_their_width():
+    # a row's cells past its width are zero, however wide its table: here
+    # the cut leaves out most of the mass, so any cell past it would count
+    p, u = np.full(4, 0.5), np.array([0.1, 0.4, 0.6, 0.9])
+    lo, width = np.full(4, 40.0), np.full(4, 6)
+    narrow = _quantile_counts(100, p, u, lo, width, 6)
+    assert np.array_equal(_quantile_counts(100, p, u, lo, width, 60), narrow)
+    assert narrow.tolist() == [1, 3, 4, 5]  # Binomial(100, 1/2) on 40..45, renormalised
+
+
+def test_law_diagnostic_reports_its_expected_sum():
+    sch = point_scheme(seed=67)
+    rules = [lambda j: 1.0 / j, lambda j: j**-2.0]
+    div, conv = coverage_frequency(sch, [0.3], rules, 1, 400, trials=1000)
+    js = np.arange(1, 401.0)
+    assert div.expected_partial_sum == pytest.approx(float(np.sum(np.minimum(2 / js, 1))), rel=1e-12)
+    assert conv.expected_partial_sum == pytest.approx(float(np.sum(np.minimum(2 / js**2, 1))), rel=1e-12)
+    # the sampled sums stay within a few standard errors of it
+    assert abs(div.partial_sums[-1] - div.expected_partial_sum) < 5 * math.sqrt(div.expected_partial_sum / 1000)
+
+
+def test_point_law_at_a_million_trials_is_fast():
+    # nothing per trial: the counts of 4,000 stages at a million trials
+    # each cost their tables of about 26 sd + 41 cells, not 4 * 10**9 draws
+    sch = point_scheme(seed=73)
+    t0 = time.perf_counter()
+    div, conv = coverage_frequency(sch, [0.3], [lambda j: 1.0 / j, lambda j: j**-2.0], 1, 4000, trials=1_000_000)
+    assert time.perf_counter() - t0 < 1.0
+    assert (div.classification, conv.classification) == ("divergent", "convergent")
+    assert div.partial_sums[-1] == pytest.approx(div.expected_partial_sum, rel=1e-3)
+
