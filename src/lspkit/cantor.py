@@ -201,14 +201,19 @@ def _classify_case(pair: GaugePair):
     return {"increasing": "a", "decreasing": "b"}.get(ratio_direction_at(pair, 1e-6), "c")
 
 
+def _count_above(q):
+    """floor(q) + 1, or inf for a q past the float range: a count over every budget."""
+    return math.floor(q) + 1 if math.isfinite(q) else math.inf
+
+
 def root_sublevel_count(consts, eta):
-    return int(math.floor(consts["c2"] * eta / (consts["c6"] * consts["hg_b0"]))) + 1
+    return _count_above(consts["c2"] * eta / (consts["c6"] * consts["hg_b0"]))
 
 
 def child_sublevel_count(consts, pair: GaugePair, radius):
     vf = eval_gauge(pair.f, radius)
     vg = eval_gauge(pair.g, radius)
-    return int(math.floor(vf / (consts["c6"] * vg))) + 1
+    return _count_above(vf / (consts["c6"] * vg))
 
 
 def epsilon_b(consts, pair: GaugePair, radius, l_b):
@@ -310,7 +315,7 @@ def _build_local_level(params, consts):
     l_b = root_sublevel_count(consts, params.eta)
     if l_b > MAX_SUBLEVELS:
         raise ConstructionError(
-            f"P5 sublevel count {l_b} exceeds the budget {MAX_SUBLEVELS}; "
+            f"P5 sublevel count {l_b:.3g} exceeds the budget {MAX_SUBLEVELS}; "
             "the radius ladder makes such levels infeasible at desk scale"
         )
     eps = epsilon_b(consts, pair, B.radius, l_b)

@@ -388,17 +388,14 @@ def _pair_from_config(block):
 
 
 def _stages_from_config(block):
-    kind = block.get("type", "grid-cloud")
-    if kind == "grid-cloud":
-        return GridCloudStages(
-            lo=float(block["lo"]),
-            hi=float(block["hi"]),
-            plateaus=block["plateaus"],
-            **_given(block, j_max=int),
-        )
-    if kind == "vdc-points":
+    if block.get("type", "grid-cloud") == "vdc-points":
         return VdcPointStages(**_given(block, lo=float, hi=float, j_max=int))
-    raise ArgumentError(f"unknown stage provider type {kind!r}")
+    return GridCloudStages(
+        lo=float(block["lo"]),
+        hi=float(block["hi"]),
+        plateaus=block["plateaus"],
+        **_given(block, j_max=int),
+    )
 
 
 def _table(name, header, rows):
@@ -497,7 +494,7 @@ def _run_cover(cfg, rng):
         upsilon = float(cfg["upsilon"])
         net = build_caj(_ball(cfg["region"]), model, upsilon, rng=rng, **_given(cfg, pool=int), **metric_kw)
         results = {"cardinality": len(net.points), "pool_size": net.pool_size}
-    elif op == "kgb":
+    else:  # kgb
         stages = _stages_from_config(cfg["stages"])
         j_max = int(cfg.get("j_max", stages.j_max))
         if j_max > stages.j_max:  # the provider serves no stage past its own j_max
@@ -517,8 +514,6 @@ def _run_cover(cfg, rng):
             "achieved_fraction": res.achieved_fraction,
             "n0": res.n0,
         }
-    else:
-        raise ArgumentError(f"unknown cover op {op!r}")
     return results, []
 
 
@@ -587,8 +582,14 @@ def _run_cantor_verify(cfg, rng):
     }, []
 
 
-def _power_rule(expo):
-    return lambda j: float(j) ** (-expo)
+def _power_rule(k, expo):
+    def rule(j):
+        try:
+            return float(j) ** (-expo)
+        except OverflowError:
+            raise ArgumentError(f"rules[{k}].exponent {expo:g} overflows the radius j**-exponent at j = {j}") from None
+
+    return rule
 
 
 def _run_randsim(cfg, rng):
@@ -609,27 +610,25 @@ def _run_randsim(cfg, rng):
             "predicted": out.predicted,
             "per_j_constants": out.per_j_constants,
         }, [table]
-    if mode == "bc-diagnostic":
-        rules = cfg["rules"]
-        diags = coverage_frequency(
-            scheme,
-            np.asarray(cfg.get("x", [0.3] * scheme.n), dtype=float),
-            [_power_rule(float(rule["exponent"])) for rule in rules],
-            int(cfg.get("J", 1)),
-            int(cfg.get("N", 400)),
-            **_given(cfg, trials=int),
-        )
-        out = {}
-        for rule, diag in zip(rules, diags):
-            out[rule["name"]] = {
-                "classification": diag.classification,
-                "last_octave_increment": diag.last_octave_increment,
-                "increment_stderr": diag.increment_stderr,
-            }
-            if diag.expected_partial_sum is not None:  # a point or a plane: the sum of its hit law
-                out[rule["name"]]["expected_partial_sum"] = diag.expected_partial_sum
-        return out, []
-    raise ArgumentError(f"unknown randsim mode {mode!r}")
+    rules = cfg["rules"]  # bc-diagnostic
+    diags = coverage_frequency(
+        scheme,
+        np.asarray(cfg.get("x", [0.3] * scheme.n), dtype=float),
+        [_power_rule(k, float(rule["exponent"])) for k, rule in enumerate(rules)],
+        int(cfg.get("J", 1)),
+        int(cfg.get("N", 400)),
+        **_given(cfg, trials=int),
+    )
+    out = {}
+    for rule, diag in zip(rules, diags):
+        out[rule["name"]] = {
+            "classification": diag.classification,
+            "last_octave_increment": diag.last_octave_increment,
+            "increment_stderr": diag.increment_stderr,
+        }
+        if diag.expected_partial_sum is not None:  # a point or a plane: the sum of its hit law
+            out[rule["name"]]["expected_partial_sum"] = diag.expected_partial_sum
+    return out, []
 
 
 COMMANDS = {

@@ -91,8 +91,9 @@ def eval_gauge(f: Gauge, r):
 def invert_gauge(g: Gauge, y):
     """Solve g(r) = y for r on the gauge's working range.
 
-    Power gauges invert in closed form; tabulated gauges bisect on the
-    log-linear interpolant until ``|g(r) - y| <= BISECT_RTOL * y``.
+    Power gauges invert in closed form, to inf where the root lies past the
+    float range; tabulated gauges bisect on the log-linear interpolant until
+    ``|g(r) - y| <= BISECT_RTOL * y``.
     """
     y = float(y)
     if y <= 0 or not math.isfinite(y):
@@ -100,7 +101,10 @@ def invert_gauge(g: Gauge, y):
     if g.kind == "power":
         if g.s == 0:
             raise ArgumentError("constant gauge (s=0) is not invertible")
-        return y ** (1.0 / g.s)
+        try:
+            return y ** (1.0 / g.s)
+        except OverflowError:
+            return math.inf
     rs = [p[0] for p in g.samples]
     vs = [p[1] for p in g.samples]
     if not (vs[0] * (1 - 1e-12) <= y <= vs[-1] * (1 + 1e-12)):
@@ -237,7 +241,10 @@ def mtp_radius(pair: GaugePair, upsilon):
         raise ArgumentError("radius must be positive")
     fu = eval_gauge(pair.f, u)
     gu = eval_gauge(pair.g, u)
-    val = (fu / gu**pair.kappa) ** (1.0 / (1.0 - pair.kappa))
+    try:
+        val = (fu / gu**pair.kappa) ** (1.0 / (1.0 - pair.kappa))
+    except (OverflowError, ZeroDivisionError):  # past the float range, or g(u) rounded to 0
+        val = math.inf
     if not math.isfinite(val) or val <= 0:
         raise ToolkitError("non-finite intermediate in radius transform")
     out = invert_gauge(pair.g, val)

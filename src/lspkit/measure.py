@@ -4,8 +4,8 @@ scaling-exponent regression.
 Volumes are Lebesgue (a constant multiple of the n-dimensional Hausdorff
 measure; the constant cancels in every exponent fit).  Ball/box geometry
 follows the sup norm by default so sampling windows and ball volumes are
-exact.  Both estimators ask ``exact_volumes`` first and sample only where
-it has no answer.  Its exact paths:
+exact.  Every estimator reads an exact kernel where one applies and samples
+only where none does:
 
 - in ambient dimension 1, point sets and attractors, in windows and balls
   alike, read ``neighborhood_length_1d``.  A point set's delta-neighborhood
@@ -15,15 +15,16 @@ it has no answer.  Its exact paths:
   delta, less each gap shrunk by delta (``_attractor_length_in``).  It needs
   first-level hulls that do not overlap; an attractor whose hulls overlap is
   refused with ``ArgumentError``;
-- in balls about the set (``fit_lsp``), closed forms that hold about every
-  center on the set, so no center is drawn (``_local_volumes``): one point
-  in either metric, an axis-aligned plane in the sup metric, and a plane,
-  a circle or a sphere in the Euclidean metric;
-- in windows about a planar attractor with no rotating map whose images
-  tile the hull of its fixed points with triangular gaps (``boxdim`` and
-  ``minkowski`` on the r = 0.5 gasket), a finite sum: the hull's Steiner
-  area less every gap image eroded by delta (``_tiling_volumes``), the
-  class recognised in exact rational arithmetic (``_triangle_tiling``).
+- balls about the set (``fit_lsp``) read ``_local_volumes``, closed forms
+  that hold about every center on the set, so no center is drawn: one
+  point in either metric, an axis-aligned plane in the sup metric, and a
+  plane, a circle or a sphere in the Euclidean metric;
+- windows (``boxdim`` and ``minkowski``) read ``exact_volumes``: the 1-D
+  lengths above, and about a planar attractor with no rotating map whose
+  images tile the hull of its fixed points with triangular gaps (the
+  r = 0.5 gasket) a finite sum: the hull's Steiner area less every gap
+  image eroded by delta (``_tiling_volumes``), the class recognised in
+  exact rational arithmetic (``_triangle_tiling``).
 
 Everything else is Monte Carlo: the other windows above dimension 1 (the
 r < 0.5 gaskets, rotating maps, attractors in dimension 3 and up, images
@@ -70,16 +71,18 @@ from .sets import (
 DEFAULT_SAMPLES = 100_000
 _BALL_BLOCK = 2**20  # most candidate coordinates per block of a Euclidean sample_in_ball draw, 8 MB
 _FLOOR = 1e-9  # attractor hit tests are exact to _FLOOR * delta (``_hit_counts``)
+_DISTANCE_BLOCK = 16_384  # rows per exact-distance pass of _hit_counts
 
 
 def __getattr__(name):
     """``cKDTree``, with scipy.spatial imported on its first read (PEP 562).
 
     Importing scipy.spatial takes longer than importing the rest of
-    ``lspkit.cli``, and only a distance oracle that builds a tree needs it,
-    so commands that build none never load scipy.  The class is bound into
-    the module's globals, so later reads, and rebinding ``measure.cKDTree``,
-    work as for an eager import; ``_DistanceOracle`` reads that global.
+    ``lspkit.cli``, and only ``_hit_counts`` on a point set of more than 64
+    points builds a tree, so commands that build none never load scipy.  The
+    class is bound into the module's globals, so later reads, and rebinding
+    ``measure.cKDTree``, work as for an eager import; ``_hit_counts`` reads
+    that global.
     """
     if name != "cKDTree":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -317,6 +320,11 @@ def _attractor_length_in(ifs: IFS, delta, lo, hi):
     return np.clip(length - removed.reshape(length.shape), 0.0, None)
 
 
+def _reads_lengths(m: SetModel):
+    """Whether ``neighborhood_length_1d`` reads m's volumes: a point set or attractor on the line."""
+    return m.ambient_dim == 1 and isinstance(m, (PointSet, IFSAttractor))
+
+
 def neighborhood_length_1d(m: SetModel, delta, lo, hi):
     """Length of the delta-neighborhood of a 1-D point set or attractor
     inside each window [lo[i], hi[i]]; ``delta``, ``lo`` and ``hi``
@@ -448,40 +456,21 @@ def _local_volumes(m: SetModel, deltas, r, metric):
     return None
 
 
-def exact_volumes(m: SetModel, deltas, region, metric="sup"):
-    """Exact volumes of the delta-neighborhood of m inside ``region``, or
-    None where m has no exact path in ``metric`` and the estimators sample.
+def exact_volumes(m: SetModel, deltas, window, metric="sup"):
+    """Exact volumes of the delta-neighborhood of m inside the window
+    ``(lo, hi)``, one per delta of the 1-D array ``deltas``, or None where
+    m has no exact path in ``metric`` and the window estimators sample.
 
-    ``region`` is a window ``(lo, hi)``, or balls ``(centers, r)`` of radius
-    r about centers on m.  The answer is ``(vols, centered)``: ``centered``
-    says whether it depends on the center.  A window gives vols[j], one per
-    delta of the 1-D array ``deltas``.  Balls that do not depend on the
-    center give vols[j], the same about every center on m.  Centered balls
-    give vols[..., j, i], about center i: ``centers`` holds k centers, or a
-    stack of them, one per radius of ``r`` and one per row of ``deltas``;
-    while ``centers`` is None the answer is ``(None, True)``.
-
-    In dimension 1 a point set or attractor reads ``neighborhood_length_1d``
-    in every region.  Balls about a point, a plane, a circle or a sphere
-    read ``_local_volumes`` where it has a closed form, and windows about a
-    planar triangle tiling read ``_tiling_volumes``.
+    In dimension 1 a point set or attractor reads ``neighborhood_length_1d``;
+    a planar triangle tiling reads ``_tiling_volumes``.
     """
     deltas = np.asarray(deltas, dtype=float)
-    first, second = region
-    balls = first is None or np.ndim(first) > 1
-    if m.ambient_dim == 1 and isinstance(m, (PointSet, IFSAttractor)):
-        if not balls:
-            return neighborhood_length_1d(m, deltas, first[0], second[0]), False
-        if first is None:
-            return None, True
-        c0 = np.asarray(first)[..., 0]
-        r = np.asarray(second, dtype=float)[..., None]
-        return neighborhood_length_1d(m, deltas[..., None], (c0 - r)[..., None, :], (c0 + r)[..., None, :]), True
-    if balls:
-        vols = _local_volumes(m, deltas, float(second), metric)
-    else:
-        vols = _tiling_volumes(m.ifs, deltas, first, second, metric) if isinstance(m, IFSAttractor) else None
-    return None if vols is None else (vols, False)
+    lo, hi = window
+    if _reads_lengths(m):
+        return neighborhood_length_1d(m, deltas, lo[0], hi[0])
+    if isinstance(m, IFSAttractor):
+        return _tiling_volumes(m.ifs, deltas, lo, hi, metric)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -690,37 +679,7 @@ def _tiling_volumes(ifs: IFS, deltas, lo, hi, metric):
 
 
 # ---------------------------------------------------------------------------
-# distance oracles for hit testing
-
-
-_DISTANCE_BLOCK = 16_384  # rows per exact-distance pass of _hit_counts
-
-
-class _DistanceOracle:
-    """Vectorized distance evaluator for the models with an exact distance.
-
-    A point set of more than 64 points is queried on a KD-tree over its
-    points, built with sliding-midpoint splits and uncompacted nodes, which
-    build faster; nearest-neighbour distances do not depend on the tree's
-    shape.  Every other model reads ``distance_to_set``.  Attractors have
-    no oracle: ``_hit_counts`` walks their cylinder tree (``sets.cut_hits``).
-    """
-
-    def __init__(self, m: SetModel, metric="sup"):
-        self.m = m
-        self.metric = metric
-        self.p = np.inf if metric == "sup" else 2
-        self.tree = None
-        if isinstance(m, PointSet) and len(m.points) > 64:
-            kdtree = globals().get("cKDTree") or __getattr__("cKDTree")
-            self.tree = kdtree(m.points, balanced_tree=False, compact_nodes=False)
-
-    def __call__(self, pts, bound=np.inf):
-        """Distances to the model; a tree query reads inf from ``bound`` on."""
-        if self.tree is not None:
-            d, _ = self.tree.query(pts, k=1, p=self.p, distance_upper_bound=bound)
-            return d
-        return distance_to_set(self.m, pts, metric=self.metric)
+# hit testing
 
 
 def _cell_order(pts):
@@ -750,11 +709,14 @@ def _hit_counts(m: SetModel, clouds, deltas, metric="sup"):
     """counts[i, j]: points of ``clouds[i]`` within ``deltas[j]`` of m.
 
     Every delta reads the same clouds.  Models with an exact distance make
-    one distance pass per cloud (a point-set tree query bounded by the
-    largest delta) and count each delta against it.  The pass runs
-    ``_DISTANCE_BLOCK`` rows at a time, so its temporaries stay small; each
-    point's distance does not depend on the rows around it, so the counts
-    are those of one pass over the whole cloud.
+    one distance pass per cloud and count each delta against it: a point
+    set of more than 64 points queries a KD-tree over its points, bounded
+    by the largest delta (sliding-midpoint splits and uncompacted nodes
+    build faster, and nearest-neighbour distances do not depend on the
+    tree's shape), and every other model reads ``distance_to_set``.  The
+    pass runs ``_DISTANCE_BLOCK`` rows at a time, so its temporaries stay
+    small; each point's distance does not depend on the rows around it, so
+    the counts are those of one pass over the whole cloud.
 
     Attractors walk their cylinder tree (``sets.cut_hits``) down to one
     floor: the cut at contraction target ``_FLOOR`` * delta / (2 r0), whose
@@ -796,10 +758,17 @@ def _hit_counts(m: SetModel, clouds, deltas, metric="sup"):
             prev = d
         return counts
     dmax = float(deltas.max())
-    oracle = _DistanceOracle(m, metric=metric)
+    tree = None
+    if isinstance(m, PointSet) and len(m.points) > 64:
+        kdtree = globals().get("cKDTree") or __getattr__("cKDTree")
+        tree = kdtree(m.points, balanced_tree=False, compact_nodes=False)
     for i, pts in enumerate(clouds):
         for lo in range(0, len(pts), _DISTANCE_BLOCK):
-            dist = oracle(pts[lo : lo + _DISTANCE_BLOCK], dmax)
+            block = pts[lo : lo + _DISTANCE_BLOCK]
+            if tree is None:
+                dist = distance_to_set(m, block, metric=metric)
+            else:  # inf from dmax on
+                dist, _ = tree.query(block, k=1, p=np.inf if metric == "sup" else 2, distance_upper_bound=dmax)
             for j, d in enumerate(deltas):
                 counts[i, j] += np.count_nonzero(dist < d)
     return counts
@@ -834,10 +803,8 @@ def _window_volumes(m, scales, samples_per_scale, rng, metric):
     if len(scales) < 4 or scales.max() / scales.min() < 100:
         raise ArgumentError("need >= 4 scales spanning >= 2 decades")
     lo, hi = model_window(m, margin=float(scales.max()) * 1.5)
-    exact = exact_volumes(m, scales, (lo, hi), metric)
-    if exact is not None:
-        vols = exact[0]
-    else:
+    vols = exact_volumes(m, scales, (lo, hi), metric)
+    if vols is None:
         n = m.ambient_dim
         pts = rng.random((samples_per_scale, n))
         span = hi - lo
@@ -967,15 +934,16 @@ def fit_lsp(
     r coefficient.  Envelope constants are reported relative to the fitted
     exponents.
 
-    The volumes come from ``exact_volumes`` where it has them:
-    - one point, an axis-aligned sup-metric plane, and a Euclidean plane,
-      circle or sphere have a closed form that holds about every center,
-      every cell of an r in one call: no center and no cloud is drawn,
-      ``samples`` and ``centers_per_cell`` go unread, and the fit is
-      deterministic;
+    Balls read their exact kernels directly, not ``exact_volumes``, which
+    answers windows:
     - in ambient dimension 1, point sets and attractors read exact lengths
       about ``centers_per_cell`` centers drawn for each r in turn, every
-      cell of every r in one call (``neighborhood_length_1d``).
+      cell of every r in one ``neighborhood_length_1d`` call;
+    - one point, an axis-aligned sup-metric plane, and a Euclidean plane,
+      circle or sphere have a closed form that holds about every center
+      (``_local_volumes``), every cell of an r in one call: no center and no
+      cloud is drawn, ``samples`` and ``centers_per_cell`` go unread, and the
+      fit is deterministic.
     Every other model (tilted sup planes, sup-metric circles and spheres,
     polylines, sets of several points, attractors in dimension 2 and up)
     draws centers and one Monte Carlo cloud of ``samples`` points per
@@ -994,25 +962,27 @@ def fit_lsp(
         raise ArgumentError("every delta must stay below its paired r")
     n = m.ambient_dim
     deltas = r_grid[:, None] * delta_ratios  # row i: the deltas of r_grid[i]
-    clouds = None
-    cells, centers = [], []  # per r: vals[j, i] and errs[j, i] at delta j about center i
-    for r, ds in zip(r_grid, deltas):
-        exact = exact_volumes(m, ds, (None, r), metric)
-        if exact is None or exact[1]:
-            centers.append(sample_on_set(m, centers_per_cell, rng))
-        if exact is None:
-            # one draw per r serves every delta = ratio * r
+    if _reads_lengths(m):
+        # centers for each r in turn, then every cell of every r in one call
+        c0 = np.stack([sample_on_set(m, centers_per_cell, rng)[:, 0] for _ in r_grid])[:, None, :]
+        r = r_grid[:, None, None]
+        vals = neighborhood_length_1d(m, deltas[..., None], c0 - r, c0 + r)
+        cells = [(v, np.zeros_like(v)) for v in vals]
+    else:
+        cells, clouds = [], None  # per r: vals[j, i] and errs[j, i] at delta j about center i
+        for r, ds in zip(r_grid, deltas):
+            vols = _local_volumes(m, ds, float(r), metric)
+            if vols is not None:
+                cells.append((vols[:, None], np.zeros((len(ds), 1))))
+                continue
+            centers = sample_on_set(m, centers_per_cell, rng)
             if clouds is None:  # every r refills the same clouds, so their pages are touched once
                 clouds = np.empty((centers_per_cell, samples, n))
-            for c, cloud in zip(centers[-1], clouds):
+            # one draw per r serves every delta = ratio * r
+            for c, cloud in zip(centers, clouds):
                 sample_in_ball(c, r, samples, rng, metric=metric, out=cloud)
             counts = _hit_counts(m, clouds, ds, metric=metric)
             cells.append(_mc_volume(ball_volume(n, r, metric), counts.T, samples))
-        elif not exact[1]:
-            cells.append((exact[0][:, None], np.zeros((len(ds), 1))))
-    if centers and not cells:  # centered exact volumes: every r's cells in one call
-        vals, _ = exact_volumes(m, deltas, (np.stack(centers), r_grid), metric)
-        cells = [(v, np.zeros_like(v)) for v in vals]
     rows = []
     for r, ds, (vals, errs) in zip(r_grid, deltas, cells):
         for d, v, e in zip(ds, vals, errs):

@@ -490,7 +490,10 @@ def covering_exponent(scheme: RandomScheme, N_list) -> CoveringFit:
         )
     counts, sides, consts = [], [], []
     for N in N_list:
-        m = round(N**scheme.tau)
+        try:
+            m = round(N**scheme.tau)
+        except OverflowError:  # N**tau past the float range
+            m = math.inf
         # counting is exact through integer interval unions, so the limit is
         # index precision and the per-window interval count, not grid memory
         if m > 2**48 or N > MAX_N:

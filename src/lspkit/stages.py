@@ -120,10 +120,12 @@ class GridView:
         n = self.size
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             guess = np.ceil((v - self.lo) / (self.hi - self.lo) * n - 0.5)
-        # NaN sorts after every element, as in np.searchsorted
-        guess = np.clip(np.nan_to_num(guess, nan=n), 0, n).astype(np.intp)
+        # NaN sorts after every element, as in np.searchsorted (fmin takes n over NaN)
+        guess = np.fmax(np.fmin(guess, n), 0).astype(np.intp)
         ok = ((guess == 0) | (self._at(guess - 1) < v)) & ((guess == n) | (self._at(guess) >= v))
         miss = np.flatnonzero(~ok)
+        if not miss.size:
+            return guess.reshape(shape)[()]
         v = v[miss]
         a = np.maximum(guess[miss] - 1, 0)
         b = np.minimum(guess[miss] + 1, n)

@@ -497,6 +497,35 @@ def test_missing_or_invalid_keys_exit_2(request, tmp_path, command, name, drop, 
     assert main([command, "--config", str(path)] + _set_args(overrides, trees)) == 2
 
 
+@pytest.mark.parametrize(
+    "command, name, overrides, code, message",
+    [
+        ("randsim", "randsim_points_tau2.json", ["scheme.tau=400"], 2,
+         "validation error: box indexing for N=64 exceeds the supported range; lower N"),
+        ("transform", "transform_demo.json", ["pair.g.s=0.001", "upsilon=1e10"], 3,
+         "numerical failure: non-finite transformed radius"),
+        ("transform", "transform_demo.json", ["pair.kappa=0.9999999", "upsilon=0.5"], 3,
+         "numerical failure: non-finite intermediate in radius transform"),
+        # g(u) = u**2 rounds to 0, and f(u) / g(u)**kappa divides by it
+        ("transform", "transform_demo.json", ["pair.g.s=2", "pair.kappa=0.5", "upsilon=1e-300"], 3,
+         "numerical failure: non-finite intermediate in radius transform"),
+        ("cantor-build", "cantor_audit.json", ["eta=1e308", "holder_trials=0"], 3,
+         "numerical failure: P5 sublevel count inf exceeds the budget 64"),
+        ("cantor-build", "cantor_audit.json", ["domain.radius=1e-300"], 3,
+         "numerical failure: P5 sublevel count 3.33e+301 exceeds the budget 64"),
+        ("randsim", "randsim_bc.json", ['rules=[{"name":"a","exponent":-1e300}]'], 2,
+         "validation error: rules[0].exponent -1e+300 overflows the radius j**-exponent at j = 2"),
+    ],
+    ids=["covering-tau", "invert-gauge", "mtp-radius", "g-rounds-to-0", "root-sublevels", "tiny-domain", "power-rule"],
+)
+def test_float_overflow_exits_with_its_refusal(tmp_path, capsys, command, name, overrides, code, message):
+    # a Python float power or floor past the float range is refused by the
+    # check its value would have failed, not raised as an OverflowError
+    argv = [command, "--config", f"bundled:{name}", "--out", str(tmp_path)] + _set_args(overrides)
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_heavily_overlapping_attractor_exits_2_on_its_walk_budget(tmp_path, capsys):
     # two maps of ratio 0.9 in the plane overlap (2 * 0.81 > 1): every point
     # near the attractor stays near ever more nodes, and the walk stops at
@@ -574,6 +603,7 @@ def test_fine_attractor_scales_run(tmp_path, monkeypatch, model, scales, walks, 
         ("randsim", "randsim_points_tau2.json", "mode=x", 'mode: "x", one of ["covering-exponent", "bc-diagnostic"]'),
         ("cantor-build", "cantor_audit.json", 'stages.type="grid"',
          'stages.type: "grid", one of ["grid-cloud", "vdc-points"]'),
+        ("cover", "cover_five_r.json", "op=x", 'op: "x", one of ["five-r", "caj", "kgb"]'),
         ("cantor-verify", "cantor_audit.json", "eta=2", "config: 'tree' is a required property"),
         ("fit-lsp", "fit_lsp_cantor.json", "grids.r=[0.1,0.2,0.3]", "grids.r: 3 items, at least 4"),
         ("cover", "cover_caj_line.json", 'upsilon={"a": 1}', "upsilon: an object of 1 key, of type number"),
@@ -884,11 +914,11 @@ def test_tables_written(tmp_path):
     assert len(table) == len(cfg["N_list"]) + 1
 
 
-# the fuzzer's values: zero, signs, fractions, NaN and wrong types for any
-# key, and for each bounded integer key (``_fuzz_bounds``) its minimum, one
-# below it and one above its maximum; no size reaches a schema maximum, so
-# no case starts heavy work
-_FUZZ_VALUES = [0, -1, -0.5, 0.5, 1, 2, math.nan, "x", None, True, [], {}]
+# the fuzzer's values: zero, signs, fractions, magnitudes near the ends of
+# the float range, NaN and wrong types for any key, and for each bounded
+# integer key (``_fuzz_bounds``) its minimum, one below it and one above its
+# maximum; no size reaches a schema maximum, so no case starts heavy work
+_FUZZ_VALUES = [0, -1, -0.5, 0.5, 1, 2, 1e300, -1e300, 1e-300, math.nan, "x", None, True, [], {}]
 # the keys whose values name a variant of the work
 _FUZZ_SWAPS = {
     "op": ["five-r", "caj", "kgb"],

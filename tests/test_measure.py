@@ -23,7 +23,6 @@ from lspkit.measure import (
     neighborhood_length_1d,
     regress_lsp,
     sample_in_ball,
-    _DistanceOracle,
     _hit_counts,
     _mc_volume,
     _merge_union,
@@ -372,13 +371,21 @@ def floor_hits(model, pts, delta, metric="sup"):
     return cut_hits(model.ifs, pts, delta, measure._FLOOR * delta / (2 * r0), metric)
 
 
+def _distances(model, pts, metric="sup", bound=np.inf):
+    """The distance pass of ``_hit_counts`` over a whole cloud: a KD-tree
+    query, inf from ``bound`` on, for a point set of more than 64 points,
+    else ``distance_to_set``."""
+    if isinstance(model, PointSet) and len(model.points) > 64:
+        return cKDTree(model.points).query(pts, k=1, p=np.inf if metric == "sup" else 2, distance_upper_bound=bound)[0]
+    return distance_to_set(model, pts, metric=metric)
+
+
 def _oracle_hits(model, delta, metric):
     """Reference hit test at ``delta``, from points to a mask: one full walk
     at the floor for an attractor, else the model's exact distance."""
     if isinstance(model, IFSAttractor):
         return lambda pts: floor_hits(model, pts, delta, metric)
-    oracle = _DistanceOracle(model, metric=metric)
-    return lambda pts: oracle(pts, delta) < delta
+    return lambda pts: _distances(model, pts, metric, delta) < delta
 
 
 def _sorted_rows(a):
@@ -500,8 +507,7 @@ def test_blocked_distance_pass_counts_like_one_pass(model):
     rng = np.random.default_rng(23)
     clouds = [rng.uniform(-0.2, 1.2, size=(rows, 2)) for rows in (block - 1, block, block + 1, 2 * block + 3)]
     deltas = np.array(_DELTAS)
-    oracle = _DistanceOracle(model)
-    whole = [oracle(pts, deltas.max()) for pts in clouds]
+    whole = [_distances(model, pts, bound=deltas.max()) for pts in clouds]
     want = [[np.count_nonzero(dist < d) for d in deltas] for dist in whole]
     assert np.array_equal(_hit_counts(model, clouds, deltas), want)
 
@@ -947,7 +953,7 @@ def test_sample_in_ball_fills_out(metric):
 
 
 # ---------------------------------------------------------------------------
-# closed-form local volumes (``exact_volumes``)
+# closed-form local volumes (``_local_volumes``)
 
 
 def _unit_ball(k):
@@ -973,8 +979,8 @@ _LOCAL = {
 
 
 def _local_exact(m, metric, r, delta):
-    vols, centered = exact_volumes(m, [delta], (None, r), metric)
-    assert not centered and vols.shape == (1,)
+    vols = measure._local_volumes(m, np.array([delta]), r, metric)
+    assert vols.shape == (1,)
     return float(vols[0])
 
 
@@ -1093,42 +1099,31 @@ def test_exact_fit_draws_nothing(monkeypatch, model, metric, kappa):
     ids=["tilted-sup-line", "sup-circle", "sup-sphere", "polyline", "two-points", "gasket"],
 )
 def test_models_without_a_closed_form_sample(model, metric):
-    centers = np.zeros((2, model.ambient_dim))
-    assert exact_volumes(model, [0.01], (centers, 0.1), metric) is None
-    assert exact_volumes(model, [0.01], (None, 0.1), metric) is None
+    assert measure._local_volumes(model, np.array([0.01]), 0.1, metric) is None
 
 
 def test_windows_sample_above_dimension_one():
     # a point's box in R^2 is sampled; the same point in R^1 reads the 1-D path
     lo, hi = np.full(2, -1.0), np.full(2, 1.0)
     assert exact_volumes(PointSet(np.zeros((1, 2))), [0.1], (lo, hi)) is None
-    vols, centered = exact_volumes(PointSet(np.zeros((1, 1))), [0.1, 0.2], (lo[:1], hi[:1]))
-    assert not centered and vols.tolist() == [0.2, 0.4]
-
-
-def test_one_dimensional_balls_need_their_centers():
-    cantor = middle_third()
-    assert exact_volumes(cantor, [0.01], (None, 0.1)) == (None, True)
-    centers = np.array([[0.0], [1.0]])
-    vols, centered = exact_volumes(cantor, [0.01, 0.001], (centers, 0.1))
-    assert centered and vols.shape == (2, 2)
-    assert vols[0, 0] == neighborhood_length_1d(cantor, 0.01, -0.1, 0.1)
+    assert exact_volumes(PointSet(np.zeros((1, 1))), [0.1, 0.2], (lo[:1], hi[:1])).tolist() == [0.2, 0.4]
 
 
 @pytest.mark.parametrize(
     "model", [middle_third(), PointSet(np.array([[0.0], [0.3], [0.35]]))], ids=["cantor", "points"]
 )
 def test_centered_volumes_of_every_r_read_as_one_call_per_r(model):
-    # fit_lsp reads every r's cells in one call; each r's lengths are those
-    # of a call of its own, to the bit
+    # fit_lsp reads every r's cells in one neighborhood_length_1d call; each
+    # r's lengths are those of a call of its own, to the bit
     r_grid = np.array([0.3, 0.1, 1 / 30, 0.01])
     deltas = r_grid[:, None] * np.array([0.5, 0.1, 0.02])
     rng = np.random.default_rng(41)
-    centers = np.stack([sample_on_set(model, 3, rng) for _ in r_grid])
-    vols, centered = exact_volumes(model, deltas, (centers, r_grid))
-    assert centered and vols.shape == (4, 3, 3)
+    centers = np.stack([sample_on_set(model, 3, rng)[:, 0] for _ in r_grid])
+    r = r_grid[:, None, None]
+    vols = neighborhood_length_1d(model, deltas[..., None], centers[:, None, :] - r, centers[:, None, :] + r)
+    assert vols.shape == (4, 3, 3)
     for r, ds, c, v in zip(r_grid, deltas, centers, vols):
-        assert np.array_equal(exact_volumes(model, ds, (c, r))[0], v)
+        assert np.array_equal(neighborhood_length_1d(model, ds[:, None], c - r, c + r), v)
 
 
 # ---------------------------------------------------------------------------
@@ -1169,8 +1164,7 @@ def _window_exact(m, scales, metric="sup"):
 )
 def test_tiling_volumes_match_the_window_estimate(model, metric, scales, seed):
     # 10**6 uniform points of the window, tested by the walk at every scale; 5 binomial standard errors
-    vols, centered = _window_exact(model, scales, metric)
-    assert not centered
+    vols = _window_exact(model, scales, metric)
     lo, hi = model_window(model, margin=1.5 * max(scales))
     samples = 1_000_000
     pts = np.random.default_rng(seed).uniform(lo, hi, size=(samples, 2))
@@ -1189,9 +1183,9 @@ def test_tiling_volumes_are_steiner_from_the_gap_inradius_up():
         ("euclidean", 0.25 / (0.5 + 2.0 * math.hypot(0.25, 0.5)), lambda d: 0.5 + perimeter * d + math.pi * d * d),
     ]:
         deltas = [rho, 0.2, 0.5, 1.0]
-        vols, _ = _window_exact(gasket(0.5), deltas, metric)
+        vols = _window_exact(gasket(0.5), deltas, metric)
         assert vols.tolist() == [steiner(d) for d in deltas]
-        below, _ = _window_exact(gasket(0.5), [0.999 * rho], metric)
+        below = _window_exact(gasket(0.5), [0.999 * rho], metric)
         assert below[0] < steiner(0.999 * rho)
 
 
